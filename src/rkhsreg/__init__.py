@@ -17,13 +17,10 @@ from .estimator import (
     Dataset,
     KernelExpansion,
     empirical_objective,
-    evaluate,
     evaluate_batch,
     fit_generalized,
     fit_ridge,
     gp_posterior_band,
-    gp_posterior_mean,
-    gp_posterior_var,
     rkhs_dist_sq,
     rkhs_norm_sq,
     sup_error_bound,
@@ -61,7 +58,6 @@ from .fredholm import (
 from .kernels import FAMILIES, KernelSpec, cross_gram, gram, kernel_eval
 from .linalg import (
     NotPositiveDefiniteError,
-    SpdSolveOptions,
     loewner_leq,
     sandwich,
     solve_spd,
@@ -89,7 +85,6 @@ __all__ = [
     "QuadratureGrid",
     "ReplicationMetrics",
     "ScenarioSpec",
-    "SpdSolveOptions",
     "TildeRisk",
     "bias_norm_sq",
     "bridge_distance_sq",
@@ -99,7 +94,6 @@ __all__ = [
     "continuous_solution",
     "cross_gram",
     "empirical_objective",
-    "evaluate",
     "evaluate_batch",
     "f0_in_range",
     "fit_auxiliary",
@@ -108,8 +102,6 @@ __all__ = [
     "flambda_expansion",
     "flambda_values",
     "gp_posterior_band",
-    "gp_posterior_mean",
-    "gp_posterior_var",
     "gram",
     "kernel_eval",
     "loewner_leq",

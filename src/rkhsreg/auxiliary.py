@@ -15,8 +15,15 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimator import Dataset, KernelExpansion, _clamp_nonneg, _frozen_array, evaluate_batch
-from .fredholm import FredholmSolution
+from .estimator import (
+    Dataset,
+    KernelExpansion,
+    _clamp_nonneg,
+    _frozen_array,
+    evaluate_batch,
+    rkhs_norm_sq,
+)
+from .fredholm import FredholmSolution, flambda_expansion
 from .kernels import KernelSpec, gram, _profile
 from .linalg import solve_spd
 
@@ -153,8 +160,5 @@ def theoretical_tilde_risk(
     kdiag = _profile(kernel, np.zeros(sol.grid.m))
     gap = sol.f0_values - sol.flambda_values
     integral = float(W @ ((condvar + gap**2) * kdiag))
-    G = gram(kernel, sol.grid.nodes)
-    b = W * sol.w_values
-    norm_flambda_sq = float(b @ G @ b)
-    value = integral / (sol.lam**2 * n) - norm_flambda_sq / n
+    value = integral / (sol.lam**2 * n) - rkhs_norm_sq(flambda_expansion(sol)) / n
     return TildeRisk(value=value, c1=sol.lam**2 * n * value)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -100,6 +101,9 @@ def _req(obj: dict, key: str, kind: type, path: str, default=None, required: boo
         value = float(value)
     if kind is not object and not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
+    # json accepts NaN and Infinity, which no config number may be.
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     return value
 
 
@@ -280,6 +284,9 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
             agg = monte_carlo(config.scenario, n, lam, config.R)
         except RuntimeError as exc:
             print(f"error: n={n}: {exc}", file=sys.stderr)
+            return 3
+        except ArithmeticError as exc:
+            print(f"error: n={n}: invariant broken: {exc}", file=sys.stderr)
             return 3
         aggregates.append(agg)
         print(

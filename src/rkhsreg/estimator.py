@@ -18,8 +18,8 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .kernels import KernelSpec, as_points, cross_gram, gram, kernel_eval
-from .linalg import SpdSolveOptions, solve_spd
+from .kernels import KernelSpec, as_points, cross_gram, gram
+from .linalg import solve_spd
 
 NORM_CLAMP_TOL = 1e-10
 
@@ -71,12 +71,6 @@ class KernelExpansion:
     def zero(cls, kernel: KernelSpec) -> "KernelExpansion":
         return cls(kernel, np.zeros((0, kernel.dim)), np.zeros(0))
 
-    def __call__(self, x: object) -> float | NDArray[np.float64]:
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim <= 1 and (self.kernel.dim == 1 and arr.ndim == 0 or arr.shape == (self.kernel.dim,)):
-            return evaluate(self, x)
-        return evaluate_batch(self, x)
-
     def to_dict(self) -> dict:
         return {
             "kernel": self.kernel.to_dict(),
@@ -120,7 +114,6 @@ def fit_ridge(
     lam: float,
     *,
     gram_matrix: NDArray[np.float64] | None = None,
-    solve_opts: SpdSolveOptions | None = None,
 ) -> KernelExpansion:
     """Fits the regularized kernel regressor.
 
@@ -134,7 +127,6 @@ def fit_ridge(
         data: Observations to fit.
         lam: Regularization weight, >= 0.
         gram_matrix: Optional precomputed gram(kernel, data.xs).
-        solve_opts: Optional jitter policy override.
 
     Returns:
         The fitted expansion.
@@ -144,7 +136,7 @@ def fit_ridge(
     n = data.n
     K = gram(kernel, data.xs) if gram_matrix is None else gram_matrix
     A = lam * np.eye(n) + K / n
-    w = solve_spd(A, data.fs, solve_opts)
+    w = solve_spd(A, data.fs)
     return KernelExpansion(kernel, data.xs, w / n)
 
 
@@ -176,16 +168,6 @@ def fit_generalized(
     A = 0.5 * (A + A.T)
     w = n * scipy.linalg.solve(A, K @ Li_f, assume_a="sym")
     return KernelExpansion(kernel, data.xs, w / n)
-
-
-def evaluate(f: KernelExpansion, x: object) -> float:
-    """Evaluates the expansion at a single point; empty expansion gives 0."""
-    if f.coeffs.shape[0] == 0:
-        return 0.0
-    row = cross_gram(f.kernel, as_points(x, f.kernel.dim), f.centers)
-    if row.shape[0] != 1:
-        raise ValueError("evaluate takes a single point; use evaluate_batch")
-    return float(row[0] @ f.coeffs)
 
 
 def evaluate_batch(f: KernelExpansion, xs: object) -> NDArray[np.float64]:
@@ -227,42 +209,16 @@ def rkhs_dist_sq(f: KernelExpansion, g: KernelExpansion) -> float:
     return rkhs_norm_sq(KernelExpansion(f.kernel, centers, coeffs))
 
 
-def gp_posterior_mean(
-    kernel: KernelSpec, data: Dataset, lam_gp: float, x: object
-) -> float:
-    """Gaussian-process posterior mean k(x,X) (K + lam_gp*I)^-1 f.
-
-    With lam_gp = n*lam this equals the fit_ridge prediction at x.
-    """
-    if not lam_gp > 0:
-        raise ValueError("lam_gp must be positive")
-    K = gram(kernel, data.xs)
-    alpha = solve_spd(K + lam_gp * np.eye(data.n), data.fs)
-    kx = cross_gram(kernel, as_points(x, kernel.dim), data.xs)[0]
-    return float(kx @ alpha)
-
-
-def gp_posterior_var(
-    kernel: KernelSpec, data: Dataset, lam_gp: float, x: object
-) -> float:
-    """Gaussian-process posterior variance at x.
-
-    k(x,x) - k(x,X) (K + lam_gp*I)^-1 k(X,x), clamped at zero against
-    roundoff.
-    """
-    if not lam_gp > 0:
-        raise ValueError("lam_gp must be positive")
-    pt = as_points(x, kernel.dim)
-    K = gram(kernel, data.xs)
-    kx = cross_gram(kernel, pt, data.xs)[0]
-    v = solve_spd(K + lam_gp * np.eye(data.n), kx)
-    return _clamp_nonneg(float(kernel_eval(kernel, pt, pt) - kx @ v))
-
-
 def gp_posterior_band(
     kernel: KernelSpec, data: Dataset, lam_gp: float, xs: object
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Posterior mean and variance at each row of xs in one factorization."""
+    """Gaussian-process posterior mean and variance at each row of xs.
+
+    The mean is k(x,X) (K + lam_gp*I)^-1 f, which with lam_gp = n*lam
+    equals the fit_ridge prediction at x; the variance is
+    k(x,x) - k(x,X) (K + lam_gp*I)^-1 k(X,x), clamped at zero against
+    roundoff.
+    """
     if not lam_gp > 0:
         raise ValueError("lam_gp must be positive")
     pts = as_points(xs, kernel.dim)

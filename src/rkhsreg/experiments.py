@@ -23,7 +23,14 @@ import scipy.stats
 from numpy.typing import ArrayLike, NDArray
 
 from .auxiliary import bridge_distance_sq, fit_auxiliary, theoretical_tilde_risk
-from .estimator import Dataset, KernelExpansion, _clamp_nonneg, fit_ridge
+from .estimator import (
+    Dataset,
+    KernelExpansion,
+    _clamp_nonneg,
+    evaluate_batch,
+    fit_ridge,
+    rkhs_norm_sq,
+)
 from .fredholm import (
     DesignMeasure,
     FredholmSolution,
@@ -34,8 +41,8 @@ from .fredholm import (
     flambda_expansion,
     solve_coefficient,
 )
-from .kernels import KernelSpec, as_points, cross_gram, gram
-from .linalg import NotPositiveDefiniteError
+from .kernels import KernelSpec, cross_gram, gram
+from .linalg import NotPositiveDefiniteError  # noqa: F401  (the counted failure type)
 
 SUP_GRID_POINTS = 512
 
@@ -67,8 +74,8 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "sigma", float(self.sigma))
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and nonnegative")
         if kind == "heteroscedastic" and self.family not in ("affine", "sine"):
             raise ValueError(f"unknown heteroscedastic family {self.family!r}")
 
@@ -252,20 +259,16 @@ class AggregateResult:
 @dataclass(frozen=True)
 class _DesignContext:
     grid: QuadratureGrid
-    w0_values: NDArray[np.float64]
-    b0: NDArray[np.float64]
+    f0: KernelExpansion
     f0_values: NDArray[np.float64]
-    c0: float
     norm_f0_sq: float
     eval_grid: NDArray[np.float64]
-    f0_eval: NDArray[np.float64]
 
 
 @dataclass(frozen=True)
 class _LambdaContext:
     sol: FredholmSolution
     flam: KernelExpansion
-    b_lam: NDArray[np.float64]
     norm_flam_sq: float
     flam_eval: NDArray[np.float64]
     theta_star: float
@@ -288,11 +291,8 @@ def _design_context(scenario: ScenarioSpec) -> _DesignContext:
     grid = build_grid(scenario.design, scenario.grid_m)
     w0_values = scenario.w0_at(grid.nodes)
     f0_values, c0 = f0_in_range(scenario.kernel, grid, w0_values)
-    b0 = grid.weights * w0_values
-    norm_f0_sq = c0**2
-    eval_grid = _eval_grid(scenario.design)
-    f0_eval = cross_gram(scenario.kernel, eval_grid, grid.nodes) @ b0
-    return _DesignContext(grid, w0_values, b0, f0_values, c0, norm_f0_sq, eval_grid, f0_eval)
+    f0 = KernelExpansion(scenario.kernel, grid.nodes, grid.weights * w0_values)
+    return _DesignContext(grid, f0, f0_values, c0**2, _eval_grid(scenario.design))
 
 
 @lru_cache(maxsize=64)
@@ -300,12 +300,9 @@ def _lambda_context(scenario: ScenarioSpec, lam: float) -> _LambdaContext:
     dctx = _design_context(scenario)
     sol = solve_coefficient(scenario.kernel, dctx.grid, dctx.f0_values, lam)
     flam = flambda_expansion(sol)
-    b_lam = np.asarray(flam.coeffs)
-    G = gram(scenario.kernel, dctx.grid.nodes)
-    norm_flam_sq = _clamp_nonneg(float(b_lam @ G @ b_lam))
-    flam_eval = cross_gram(scenario.kernel, dctx.eval_grid, dctx.grid.nodes) @ b_lam
+    flam_eval = evaluate_batch(flam, dctx.eval_grid)
     theta_star = continuous_objective(sol, scenario.noise.irreducible(dctx.grid))
-    return _LambdaContext(sol, flam, b_lam, norm_flam_sq, flam_eval, theta_star)
+    return _LambdaContext(sol, flam, rkhs_norm_sq(flam), flam_eval, theta_star)
 
 
 def continuous_solution(scenario: ScenarioSpec, lam: float) -> FredholmSolution:
@@ -315,16 +312,12 @@ def continuous_solution(scenario: ScenarioSpec, lam: float) -> FredholmSolution:
 
 def target_values(scenario: ScenarioSpec, xs: ArrayLike) -> NDArray[np.float64]:
     """The true target f0 = integral of k(., y) w0(y) dP(y) at points xs."""
-    dctx = _design_context(scenario)
-    pts = as_points(xs, scenario.kernel.dim)
-    return cross_gram(scenario.kernel, pts, dctx.grid.nodes) @ dctx.b0
+    return evaluate_batch(_design_context(scenario).f0, xs)
 
 
 def flambda_values(scenario: ScenarioSpec, lam: float, xs: ArrayLike) -> NDArray[np.float64]:
     """The continuous regularized target f_lambda at points xs."""
-    lctx = _lambda_context(scenario, lam)
-    pts = as_points(xs, scenario.kernel.dim)
-    return cross_gram(scenario.kernel, pts, _design_context(scenario).grid.nodes) @ lctx.b_lam
+    return evaluate_batch(_lambda_context(scenario, lam).flam, xs)
 
 
 def _rng_for(scenario: ScenarioSpec, n: int, lam: float | None, index: int) -> np.random.Generator:
@@ -366,8 +359,7 @@ def sample_dataset(
         ).reshape(n, 1)
     else:  # pragma: no cover - guarded in DesignMeasure
         raise ValueError(f"unsupported design measure {design.kind!r}")
-    dctx = _design_context(scenario)
-    f0_at_xs = cross_gram(scenario.kernel, xs, dctx.grid.nodes) @ dctx.b0
+    f0_at_xs = evaluate_batch(_design_context(scenario).f0, xs)
     fs = f0_at_xs + rng.normal(0.0, scenario.noise.std_at(xs))
     return Dataset(xs, fs)
 
@@ -394,8 +386,8 @@ def run_replication(
     fhat = fit_ridge(kernel, data, lam, gram_matrix=K)
     a = np.asarray(fhat.coeffs)
     C = cross_gram(kernel, data.xs, dctx.grid.nodes)
-    proj0 = C @ dctx.b0
-    projl = C @ lctx.b_lam
+    proj0 = C @ dctx.f0.coeffs
+    projl = C @ lctx.flam.coeffs
     Ka = K @ a
     aKa = float(a @ Ka)
 
@@ -423,7 +415,7 @@ def run_replication(
 
     # All built-in families have sup k(x, x) = 1 on any support.
     sup_gap_hat_flambda = float(np.sqrt(dist_hat_flambda_sq))
-    fhat_eval = cross_gram(kernel, dctx.eval_grid, data.xs) @ a
+    fhat_eval = evaluate_batch(fhat, dctx.eval_grid)
     sup_gap_grid_max = float(np.max(np.abs(fhat_eval - lctx.flam_eval)))
 
     return ReplicationMetrics(
@@ -463,6 +455,11 @@ def _run_many(
     Replications execute on a thread pool when RKHS_THREADS asks for
     one; the shared contexts are immutable and results are folded in
     index order, so aggregates do not depend on the worker count.
+
+    Only numerical failures (np.linalg.LinAlgError, which includes
+    NotPositiveDefiniteError) are counted. An ArithmeticError means a
+    paper identity broke, which is a wiring fault rather than bad luck
+    in the draw, so it propagates and stops the run.
     """
     _design_context(scenario)
     _lambda_context(scenario, lam)
@@ -470,7 +467,7 @@ def _run_many(
     def one(index: int) -> ReplicationMetrics | None:
         try:
             return run_replication(scenario, n, lam, index)
-        except (NotPositiveDefiniteError, np.linalg.LinAlgError, ArithmeticError):
+        except np.linalg.LinAlgError:
             return None
 
     workers = worker_count()

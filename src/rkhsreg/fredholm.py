@@ -17,7 +17,7 @@ import numpy as np
 import scipy.stats
 from numpy.typing import NDArray
 
-from .estimator import KernelExpansion, _clamp_nonneg, _frozen_array
+from .estimator import KernelExpansion, _clamp_nonneg, _frozen_array, rkhs_norm_sq
 from .kernels import KernelSpec, gram
 from .linalg import solve_spd
 
@@ -53,6 +53,8 @@ class DesignMeasure:
         object.__setattr__(self, "high", high)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "scale", float(self.scale))
+        if not np.all(np.isfinite(low + high + center + (self.scale,))):
+            raise ValueError("design measure coordinates and scale must be finite")
         if kind == "uniform":
             if len(low) != len(high) or not 1 <= len(low) <= 2:
                 raise ValueError("uniform measure needs matching low/high of dimension 1 or 2")
@@ -308,5 +310,4 @@ def bias_norm_sq(sol: FredholmSolution, w0_values: NDArray[np.float64]) -> float
     """
     w0 = np.asarray(w0_values, dtype=np.float64).reshape(-1)
     d = sol.grid.weights * (w0 - sol.w_values)
-    G = gram(sol.kernel, sol.grid.nodes)
-    return _clamp_nonneg(float(d @ G @ d))
+    return rkhs_norm_sq(KernelExpansion(sol.kernel, sol.grid.nodes, d))

@@ -9,31 +9,16 @@ Cholesky with a relative jitter retry ladder, and the bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
 
-@dataclass(frozen=True)
-class SpdSolveOptions:
-    """Jitter policy for Cholesky solves of nearly singular systems.
-
-    Attributes:
-        jitter_rel: First retry adds jitter_rel * trace(A)/n to the
-            diagonal; each further retry doubles it.
-        max_jitter_doublings: Number of doublings before giving up.
-    """
-
-    jitter_rel: float = 1e-12
-    max_jitter_doublings: int = 20
-
-    def __post_init__(self) -> None:
-        if self.jitter_rel < 0:
-            raise ValueError("jitter_rel must be nonnegative")
-        if self.max_jitter_doublings < 0:
-            raise ValueError("max_jitter_doublings must be nonnegative")
+# Jitter policy for Cholesky solves of nearly singular systems: the first
+# retry adds JITTER_REL * trace(A)/n to the diagonal, and each further
+# retry doubles it, MAX_JITTER_DOUBLINGS times.
+JITTER_REL = 1e-12
+MAX_JITTER_DOUBLINGS = 20
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -50,21 +35,16 @@ def _check_symmetric(A: NDArray[np.float64], name: str) -> NDArray[np.float64]:
     return A
 
 
-def solve_spd(
-    A: NDArray[np.float64],
-    B: NDArray[np.float64],
-    opts: SpdSolveOptions | None = None,
-) -> NDArray[np.float64]:
+def solve_spd(A: NDArray[np.float64], B: NDArray[np.float64]) -> NDArray[np.float64]:
     """Solves A X = B for symmetric positive definite A by Cholesky.
 
     If factorization fails (or the solution fails the residual check
     ||A X - B|| <= 1e-8 ||B||), the diagonal is jittered by
-    jitter_rel * trace(A)/n, doubling up to max_jitter_doublings times.
+    JITTER_REL * trace(A)/n, doubling up to MAX_JITTER_DOUBLINGS times.
 
     Args:
         A: Symmetric matrix, intended positive definite.
         B: Right-hand side vector (n,) or matrix (n, m).
-        opts: Jitter policy; defaults to SpdSolveOptions().
 
     Returns:
         X with the same shape as B.
@@ -73,7 +53,6 @@ def solve_spd(
         NotPositiveDefiniteError: If every jitter level fails.
         ValueError: On non-square or asymmetric A, or shape mismatch.
     """
-    opts = opts or SpdSolveOptions()
     A = _check_symmetric(A, "A")
     B = np.asarray(B, dtype=np.float64)
     n = A.shape[0]
@@ -82,8 +61,8 @@ def solve_spd(
 
     norm_b = float(np.linalg.norm(B))
     trace = float(np.trace(A))
-    base = opts.jitter_rel * (trace / n if trace > 0 else 1.0)
-    jitters = [0.0] + [base * 2.0**k for k in range(opts.max_jitter_doublings + 1)]
+    base = JITTER_REL * (trace / n if trace > 0 else 1.0)
+    jitters = [0.0] + [base * 2.0**k for k in range(MAX_JITTER_DOUBLINGS + 1)]
     for jitter in jitters:
         try:
             M = A if jitter == 0.0 else A + jitter * np.eye(n)

@@ -12,10 +12,9 @@ import pytest
 from rkhsreg.auxiliary import bridge_distance_sq, fit_auxiliary
 from rkhsreg.estimator import (
     Dataset,
-    evaluate,
     evaluate_batch,
     fit_ridge,
-    gp_posterior_mean,
+    gp_posterior_band,
     rkhs_dist_sq,
 )
 from rkhsreg.experiments import (
@@ -200,7 +199,8 @@ def test_acceptance_09_gp_equivalence_and_interpolation():
         data = Dataset(xs, fs)
         fhat = fit_ridge(GAUSS, data, lam)
         x = float(rng.uniform(0, 1))
-        gap = abs(gp_posterior_mean(GAUSS, data, n * lam, x) - evaluate(fhat, x))
+        mean, _ = gp_posterior_band(GAUSS, data, n * lam, x)
+        gap = abs(mean[0] - evaluate_batch(fhat, x)[0])
         worst = max(worst, gap)
         assert gap <= 1e-9
     xs = np.linspace(0, 1, 8).reshape(-1, 1)

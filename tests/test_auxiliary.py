@@ -13,7 +13,6 @@ from rkhsreg.auxiliary import (
 from rkhsreg.estimator import (
     Dataset,
     KernelExpansion,
-    evaluate,
     evaluate_batch,
     fit_ridge,
     rkhs_dist_sq,
@@ -46,12 +45,12 @@ def test_single_point_closed_form():
     flam = KernelExpansion(GAUSS, [[0.3]], [0.4])
     data = Dataset(np.array([[0.0]]), np.array([2.0]))
     aux = fit_auxiliary(GAUSS, data, flam, 0.5)
-    fl0 = evaluate(flam, 0.0)
+    fl0 = evaluate_batch(flam, 0.0)[0]
     w_expected = (2.0 - fl0) / 0.5
     assert aux.tilde_w[0] == pytest.approx(w_expected, abs=1e-12)
     # r = f - lam w - K w / n with K = [[1]], n = 1
     assert aux.residuals[0] == pytest.approx(2.0 - 0.5 * w_expected - w_expected, abs=1e-12)
-    assert evaluate(aux.tilde, 0.0) == pytest.approx(w_expected, abs=1e-12)
+    assert evaluate_batch(aux.tilde, 0.0)[0] == pytest.approx(w_expected, abs=1e-12)
 
 
 def test_tilde_weights_match_manual_formula_bitwise():
@@ -159,7 +158,7 @@ def test_pointwise_unbiasedness_quick():
     for index in range(R):
         data = sample_dataset(SCENARIO, n, index, lambda_key=LAM)
         aux = fit_auxiliary(GAUSS, data, flam, LAM)
-        values[index] = evaluate(aux.tilde, probe)
+        values[index] = evaluate_batch(aux.tilde, probe)[0]
     target = float(flambda_values(SCENARIO, LAM, [probe])[0])
     se = float(values.std(ddof=1) / np.sqrt(R))
     assert abs(values.mean() - target) <= 4.0 * se

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import rkhsreg.cli as cli
+import rkhsreg.experiments as exp
 from rkhsreg.cli import ConfigError, LambdaRule, main, parse_config
 from rkhsreg.experiments import AggregateResult, METRIC_FIELDS
 
@@ -54,6 +55,16 @@ def test_parse_config_field_paths():
          "scenario.design.kind"),
         ({**good, "scenario": {**good["scenario"], "noise": {"sigma": -0.5}}},
          "scenario.noise"),
+        # json accepts NaN and Infinity; neither may reach a solve.
+        ({**good, "lambda_rule": {"kind": "fixed", "value": float("nan")}}, "lambda_rule.value"),
+        ({**good, "lambda_rule": {"kind": "fixed", "value": float("inf")}}, "lambda_rule.value"),
+        ({**good, "lambda_rule": {"kind": "power_law", "coefficient": float("nan"), "alpha": 0.2}},
+         "lambda_rule.coefficient"),
+        ({**good, "scenario": {**good["scenario"],
+                               "design": {"kind": "uniform", "low": [float("nan")], "high": [1.0]}}},
+         "scenario.design"),
+        ({**good, "scenario": {**good["scenario"], "noise": {"sigma": float("nan")}}},
+         "scenario.noise"),
     ]
     for broken, expected_path in cases:
         with pytest.raises(ConfigError) as excinfo:
@@ -85,6 +96,30 @@ def test_run_reports_config_field(tmp_path, capsys):
     cfg["scenario"]["kernel"]["family"] = "banana"
     assert main(["run", _write_config(tmp_path, cfg)]) == 2
     assert "scenario.kernel.family" in capsys.readouterr().err
+
+
+def test_run_rejects_literal_nan(tmp_path, capsys):
+    cfg = _base_config(tmp_path / "out")
+    cfg["lambda_rule"]["value"] = float("nan")
+    path = _write_config(tmp_path, cfg)
+    assert "NaN" in (tmp_path / "config.json").read_text()
+    assert main(["run", path]) == 2
+    assert "lambda_rule.value" in capsys.readouterr().err
+
+
+def test_run_stops_on_broken_identity(tmp_path, monkeypatch, capsys):
+    orig = exp.run_replication
+
+    def miswired(scenario, n, lam, index):
+        if index == 1:
+            raise ArithmeticError("residual bridge identity violated: 0.5 vs 0.25")
+        return orig(scenario, n, lam, index)
+
+    monkeypatch.setattr(exp, "run_replication", miswired)
+    assert main(["run", _write_config(tmp_path, _base_config(tmp_path / "out"))]) == 3
+    err = capsys.readouterr().err
+    assert "invariant broken: residual bridge identity violated" in err
+    assert "Traceback" not in err
 
 
 def test_run_smoke_produces_outputs(tmp_path):

@@ -9,18 +9,15 @@ from rkhsreg.estimator import (
     KernelExpansion,
     _clamp_nonneg,
     empirical_objective,
-    evaluate,
     evaluate_batch,
     fit_generalized,
     fit_ridge,
     gp_posterior_band,
-    gp_posterior_mean,
-    gp_posterior_var,
     rkhs_dist_sq,
     rkhs_norm_sq,
     sup_error_bound,
 )
-from rkhsreg.kernels import KernelSpec, cross_gram, kernel_eval
+from rkhsreg.kernels import KernelSpec, cross_gram, gram, kernel_eval
 from rkhsreg.model import KernelRidge
 
 GAUSS = KernelSpec("gaussian", 1.0, 1)
@@ -37,20 +34,20 @@ def test_single_point_ridge_closed_form():
     data = Dataset(np.array([[0.0]]), np.array([5.0]))
     fhat = fit_ridge(GAUSS, data, 0.25)
     # (lam + 1) w = f, so the prediction at the center is f / (1 + lam).
-    assert evaluate(fhat, 0.0) == pytest.approx(4.0, abs=1e-12)
+    assert evaluate_batch(fhat, 0.0)[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_single_point_interpolates_at_lam_zero():
     data = Dataset(np.array([[0.0]]), np.array([5.0]))
     fhat = fit_ridge(GAUSS, data, 0.0)
-    assert evaluate(fhat, 0.0) == pytest.approx(5.0, abs=1e-12)
+    assert evaluate_batch(fhat, 0.0)[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_duplicate_point_shrinks_to_mean_over_one_plus_lam():
     data = Dataset(np.zeros((2, 1)), np.array([1.0, 2.0]))
     fhat = fit_ridge(GAUSS, data, 0.5)
     # Duplicates average first: fhat(0) = mean(f) / (1 + lam) = 1.0.
-    assert evaluate(fhat, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert evaluate_batch(fhat, 0.0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_duplicate_point_lam_zero_consistent_jitter_limit():
@@ -59,7 +56,7 @@ def test_duplicate_point_lam_zero_consistent_jitter_limit():
     # check at lam = 0 and must raise instead of silently averaging.
     data = Dataset(np.zeros((2, 1)), np.array([1.5, 1.5]))
     fhat = fit_ridge(GAUSS, data, 0.0)
-    assert evaluate(fhat, 0.0) == pytest.approx(1.5, abs=1e-6)
+    assert evaluate_batch(fhat, 0.0)[0] == pytest.approx(1.5, abs=1e-6)
     from rkhsreg.linalg import NotPositiveDefiniteError
 
     conflicting = Dataset(np.zeros((2, 1)), np.array([1.0, 2.0]))
@@ -89,7 +86,7 @@ def test_generalized_scalar_matches_ridge():
     data = Dataset(np.array([[0.2]]), np.array([3.0]))
     fhat = fit_generalized(GAUSS, data, np.array([[0.5]]))
     # Lam = [[c]] gives w = f / (1 + c), same as ridge at lam = c.
-    assert evaluate(fhat, 0.2) == pytest.approx(2.0, abs=1e-12)
+    assert evaluate_batch(fhat, 0.2)[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_generalized_lam_identity_reproduces_ridge():
@@ -135,7 +132,7 @@ def test_generalized_validation():
 
 def test_evaluate_empty_expansion():
     zero = KernelExpansion.zero(GAUSS)
-    assert evaluate(zero, 0.3) == 0.0
+    assert evaluate_batch(zero, 0.3)[0] == 0.0
     np.testing.assert_array_equal(evaluate_batch(zero, [0.1, 0.2]), np.zeros(2))
     assert rkhs_norm_sq(zero) == 0.0
 
@@ -144,17 +141,11 @@ def test_evaluate_batch_matches_single():
     f = KernelExpansion(GAUSS, [[0.0], [1.0]], [0.5, -0.25])
     pts = np.linspace(-1, 2, 7)
     batch = evaluate_batch(f, pts)
-    singles = [evaluate(f, x) for x in pts]
+    singles = [
+        sum(c * kernel_eval(GAUSS, x, center) for c, center in zip(f.coeffs, f.centers))
+        for x in pts
+    ]
     np.testing.assert_allclose(batch, singles, atol=1e-14)
-
-
-def test_expansion_call_dispatch():
-    f = KernelExpansion(GAUSS, [[0.0]], [1.0])
-    assert isinstance(f(0.3), float)
-    out = f(np.array([0.1, 0.2, 0.3]))
-    assert out.shape == (3,)
-    g = KernelExpansion(KernelSpec("gaussian", 1.0, 2), [[0.0, 0.0]], [1.0])
-    assert isinstance(g(np.array([0.1, 0.2])), float)
 
 
 def test_interpolation_at_lam_zero():
@@ -200,9 +191,10 @@ def test_gp_mean_equals_ridge_prediction():
     data = _dataset(rng, 20)
     lam = 0.3
     fhat = fit_ridge(GAUSS, data, lam)
-    for x in (0.0, 0.31, 0.77, 1.0):
-        gp = gp_posterior_mean(GAUSS, data, data.n * lam, x)
-        assert gp == pytest.approx(evaluate(fhat, x), abs=1e-9)
+    pts = (0.0, 0.31, 0.77, 1.0)
+    mean, _ = gp_posterior_band(GAUSS, data, data.n * lam, pts)
+    for i, x in enumerate(pts):
+        assert mean[i] == pytest.approx(evaluate_batch(fhat, x)[0], abs=1e-9)
 
 
 def test_gp_var_single_point_closed_form():
@@ -211,21 +203,23 @@ def test_gp_var_single_point_closed_form():
     x = 0.4
     kx = kernel_eval(GAUSS, x, 0.0)
     expected = 1.0 - kx**2 / (1.0 + lam_gp)
-    assert gp_posterior_var(GAUSS, data, lam_gp, x) == pytest.approx(expected, abs=1e-12)
+    _, var = gp_posterior_band(GAUSS, data, lam_gp, x)
+    assert var[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_gp_var_far_point_approaches_prior():
     rng = np.random.default_rng(16)
     data = _dataset(rng, 10)
     spec = KernelSpec("gaussian", 0.1, 1)
-    assert gp_posterior_var(spec, data, 1.0, 10.0) == pytest.approx(1.0, abs=1e-6)
+    _, var = gp_posterior_band(spec, data, 1.0, 10.0)
+    assert var[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_gp_var_near_zero_at_data_with_tiny_noise():
     rng = np.random.default_rng(17)
     data = _dataset(rng, 8)
-    var = gp_posterior_var(GAUSS, data, 1e-8, data.xs[3])
-    assert var <= 1e-6
+    _, var = gp_posterior_band(GAUSS, data, 1e-8, data.xs[3])
+    assert var[0] <= 1e-6
 
 
 def test_gp_band_matches_pointwise():
@@ -234,17 +228,19 @@ def test_gp_band_matches_pointwise():
     lam_gp = 2.0
     pts = np.linspace(0, 1, 9)
     mean, var = gp_posterior_band(GAUSS, data, lam_gp, pts)
+    # Dense reference: k(x,X) A^-1 f and k(x,x) - k(x,X) A^-1 k(X,x)
+    # with A = K + lam_gp I, solved point by point.
+    A = gram(GAUSS, data.xs) + lam_gp * np.eye(data.n)
     for i, x in enumerate(pts):
-        assert mean[i] == pytest.approx(gp_posterior_mean(GAUSS, data, lam_gp, x), abs=1e-10)
-        assert var[i] == pytest.approx(gp_posterior_var(GAUSS, data, lam_gp, x), abs=1e-10)
+        kx = cross_gram(GAUSS, x, data.xs)[0]
+        expected_mean = kx @ np.linalg.solve(A, data.fs)
+        expected_var = kernel_eval(GAUSS, x, x) - kx @ np.linalg.solve(A, kx)
+        assert mean[i] == pytest.approx(expected_mean, abs=1e-10)
+        assert var[i] == pytest.approx(expected_var, abs=1e-10)
 
 
 def test_gp_nonpositive_lam_gp_raises():
     data = Dataset(np.array([[0.0]]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        gp_posterior_mean(GAUSS, data, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        gp_posterior_var(GAUSS, data, 0.0, 0.0)
     with pytest.raises(ValueError):
         gp_posterior_band(GAUSS, data, 0.0, [0.0])
 

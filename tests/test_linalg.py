@@ -7,7 +7,6 @@ import pytest
 from rkhsreg.kernels import KernelSpec, gram
 from rkhsreg.linalg import (
     NotPositiveDefiniteError,
-    SpdSolveOptions,
     loewner_leq,
     sandwich,
     solve_spd,
@@ -80,8 +79,6 @@ def test_solve_input_validation():
         solve_spd(np.ones((2, 3)), np.ones(2))  # nonsquare
     with pytest.raises(ValueError):
         solve_spd(np.eye(3), np.ones(2))  # shape mismatch
-    with pytest.raises(ValueError):
-        SpdSolveOptions(jitter_rel=-1.0)
 
 
 def test_sym_eig_literal():
