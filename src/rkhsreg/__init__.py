@@ -47,6 +47,7 @@ from .experiments import (
 from .fredholm import (
     DesignMeasure,
     FredholmSolution,
+    GridOperator,
     QuadratureGrid,
     bias_norm_sq,
     build_grid,
@@ -76,6 +77,7 @@ __all__ = [
     "FAMILIES",
     "Figure",
     "FredholmSolution",
+    "GridOperator",
     "KernelExpansion",
     "KernelRidge",
     "KernelSpec",

@@ -160,5 +160,6 @@ def theoretical_tilde_risk(
     kdiag = _profile(kernel, np.zeros(sol.grid.m))
     gap = sol.f0_values - sol.flambda_values
     integral = float(W @ ((condvar + gap**2) * kdiag))
-    value = integral / (sol.lam**2 * n) - rkhs_norm_sq(flambda_expansion(sol)) / n
+    norm_flam_sq = rkhs_norm_sq(flambda_expansion(sol), gram_matrix=sol.operator.gram_matrix)
+    value = integral / (sol.lam**2 * n) - norm_flam_sq / n
     return TildeRisk(value=value, c1=sol.lam**2 * n * value)

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -134,6 +134,10 @@ def _parse_scenario(obj: dict) -> ScenarioSpec:
     if w0 not in W0_CHOICES:
         raise ConfigError("scenario.w0", f"expected one of {sorted(W0_CHOICES)}")
     noise_obj = _req(obj, "noise", dict, "scenario.noise", None, False)
+    noise_keys = [f.name for f in fields(NoiseModel)]
+    for key in noise_obj or ():
+        if key not in noise_keys:
+            raise ConfigError(f"scenario.noise.{key}", f"unknown key; expected one of {noise_keys}")
     try:
         noise = NoiseModel.from_dict(noise_obj) if noise_obj is not None else NoiseModel()
     except ValueError as exc:
@@ -222,6 +226,7 @@ def _aggregate_dict(agg: AggregateResult) -> dict:
         "theta_star": agg.theta_star,
         "ball_violations": agg.ball_violations,
         "residual_violations": agg.residual_violations,
+        "effective_dimension": agg.effective_dimension,
     }
 
 

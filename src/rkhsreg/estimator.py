@@ -28,13 +28,14 @@ def _clamp_nonneg(value: float, tol: float = NORM_CLAMP_TOL) -> float:
     """Rounds tiny negative quadratic forms up to zero.
 
     Values below -tol indicate a genuine positive-semidefiniteness
-    violation and raise instead of being hidden.
+    violation and raise ArithmeticError, like every other broken
+    identity, instead of being hidden.
     """
     if value >= 0.0:
         return value
     if value >= -tol:
         return 0.0
-    raise ValueError(f"quadratic form is negative beyond roundoff tolerance: {value}")
+    raise ArithmeticError(f"quadratic form is negative beyond roundoff tolerance: {value}")
 
 
 def _frozen_array(x: object, dtype=np.float64) -> NDArray[np.float64]:
@@ -178,15 +179,18 @@ def evaluate_batch(f: KernelExpansion, xs: object) -> NDArray[np.float64]:
     return cross_gram(f.kernel, pts, f.centers) @ f.coeffs
 
 
-def rkhs_norm_sq(f: KernelExpansion) -> float:
+def rkhs_norm_sq(
+    f: KernelExpansion, *, gram_matrix: NDArray[np.float64] | None = None
+) -> float:
     """Squared RKHS norm a' G a of an expansion.
 
+    gram_matrix is an optional precomputed gram(f.kernel, f.centers).
     Tiny negative roundoff is clamped to 0; a genuinely negative value
     raises, since the Gram matrix must be positive semidefinite.
     """
     if f.coeffs.shape[0] == 0:
         return 0.0
-    G = gram(f.kernel, f.centers)
+    G = gram(f.kernel, f.centers) if gram_matrix is None else gram_matrix
     return _clamp_nonneg(float(f.coeffs @ G @ f.coeffs))
 
 

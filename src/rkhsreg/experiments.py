@@ -34,6 +34,7 @@ from .estimator import (
 from .fredholm import (
     DesignMeasure,
     FredholmSolution,
+    GridOperator,
     QuadratureGrid,
     build_grid,
     continuous_objective,
@@ -240,8 +241,9 @@ class AggregateResult:
 
     means/stderrs are keyed by METRIC_FIELDS with stderr =
     sample std / sqrt(count). theoretical_tilde_risk and theta_star
-    carry the closed-form reference values; failed replications are
-    counted, never silently dropped.
+    carry the closed-form reference values; effective_dimension is
+    N(lam) = tr K (K + lam)^-1 of the scenario's kernel operator.
+    Failed replications are counted, never silently dropped.
     """
 
     n: int
@@ -254,11 +256,12 @@ class AggregateResult:
     theta_star: float
     ball_violations: int
     residual_violations: int
+    effective_dimension: float
 
 
 @dataclass(frozen=True)
 class _DesignContext:
-    grid: QuadratureGrid
+    op: GridOperator
     f0: KernelExpansion
     f0_values: NDArray[np.float64]
     norm_f0_sq: float
@@ -289,20 +292,22 @@ def _eval_grid(design: DesignMeasure) -> NDArray[np.float64]:
 @lru_cache(maxsize=16)
 def _design_context(scenario: ScenarioSpec) -> _DesignContext:
     grid = build_grid(scenario.design, scenario.grid_m)
+    op = GridOperator(scenario.kernel, grid)
     w0_values = scenario.w0_at(grid.nodes)
-    f0_values, c0 = f0_in_range(scenario.kernel, grid, w0_values)
+    f0_values, c0 = f0_in_range(op, w0_values)
     f0 = KernelExpansion(scenario.kernel, grid.nodes, grid.weights * w0_values)
-    return _DesignContext(grid, f0, f0_values, c0**2, _eval_grid(scenario.design))
+    return _DesignContext(op, f0, f0_values, c0**2, _eval_grid(scenario.design))
 
 
 @lru_cache(maxsize=64)
 def _lambda_context(scenario: ScenarioSpec, lam: float) -> _LambdaContext:
     dctx = _design_context(scenario)
-    sol = solve_coefficient(scenario.kernel, dctx.grid, dctx.f0_values, lam)
+    sol = solve_coefficient(dctx.op, dctx.f0_values, lam)
     flam = flambda_expansion(sol)
+    norm_flam_sq = rkhs_norm_sq(flam, gram_matrix=dctx.op.gram_matrix)
     flam_eval = evaluate_batch(flam, dctx.eval_grid)
-    theta_star = continuous_objective(sol, scenario.noise.irreducible(dctx.grid))
-    return _LambdaContext(sol, flam, rkhs_norm_sq(flam), flam_eval, theta_star)
+    theta_star = continuous_objective(sol, scenario.noise.irreducible(dctx.op.grid))
+    return _LambdaContext(sol, flam, norm_flam_sq, flam_eval, theta_star)
 
 
 def continuous_solution(scenario: ScenarioSpec, lam: float) -> FredholmSolution:
@@ -343,6 +348,13 @@ def sample_dataset(
     identical datasets bit-for-bit; lambda_key separates streams of
     sweeps that share (n, replication_index).
     """
+    return _sample_with_cross_gram(scenario, n, replication_index, lambda_key)[0]
+
+
+def _sample_with_cross_gram(
+    scenario: ScenarioSpec, n: int, replication_index: int, lambda_key: float | None
+) -> tuple[Dataset, NDArray[np.float64]]:
+    """sample_dataset together with the cross-Gram of the data against the grid nodes."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = _rng_for(scenario, n, lambda_key, replication_index)
@@ -359,9 +371,10 @@ def sample_dataset(
         ).reshape(n, 1)
     else:  # pragma: no cover - guarded in DesignMeasure
         raise ValueError(f"unsupported design measure {design.kind!r}")
-    f0_at_xs = evaluate_batch(_design_context(scenario).f0, xs)
-    fs = f0_at_xs + rng.normal(0.0, scenario.noise.std_at(xs))
-    return Dataset(xs, fs)
+    f0 = _design_context(scenario).f0
+    C = cross_gram(f0.kernel, xs, f0.centers)
+    fs = C @ f0.coeffs + rng.normal(0.0, scenario.noise.std_at(xs))
+    return Dataset(xs, fs), C
 
 
 def run_replication(
@@ -380,12 +393,11 @@ def run_replication(
     dctx = _design_context(scenario)
     lctx = _lambda_context(scenario, lam)
     kernel = scenario.kernel
-    data = sample_dataset(scenario, n, replication_index, lambda_key=lam)
+    data, C = _sample_with_cross_gram(scenario, n, replication_index, lam)
 
     K = gram(kernel, data.xs)
     fhat = fit_ridge(kernel, data, lam, gram_matrix=K)
     a = np.asarray(fhat.coeffs)
-    C = cross_gram(kernel, data.xs, dctx.grid.nodes)
     proj0 = C @ dctx.f0.coeffs
     projl = C @ lctx.flam.coeffs
     Ka = K @ a
@@ -505,9 +517,9 @@ def monte_carlo(scenario: ScenarioSpec, n: int, lam: float, R: int) -> Aggregate
         means[name] = float(values.mean())
         stderrs[name] = float(values.std(ddof=1) / np.sqrt(values.shape[0]))
 
-    dctx = _design_context(scenario)
     lctx = _lambda_context(scenario, lam)
-    condvar = scenario.noise.condvar_at(dctx.grid.nodes)
+    op = lctx.sol.operator
+    condvar = scenario.noise.condvar_at(op.grid.nodes)
     theory = theoretical_tilde_risk(scenario.kernel, lctx.sol, condvar, n).value
 
     return AggregateResult(
@@ -521,6 +533,7 @@ def monte_carlo(scenario: ScenarioSpec, n: int, lam: float, R: int) -> Aggregate
         theta_star=lctx.theta_star,
         ball_violations=sum(1 for r in successes if not r.ball_bound_ok),
         residual_violations=sum(1 for r in successes if not r.residual_bound_ok),
+        effective_dimension=op.effective_dimension(lam),
     )
 
 

@@ -4,14 +4,20 @@ The population-level solution f_lambda = (lam + K)^-1 K f0 solves a
 Fredholm integral equation of the second kind, (lam + K) w = f0 with
 f_lambda = K w, where K is the kernel integral operator of the design
 measure P. The solver discretizes P by a probability quadrature
-(Gauss-Legendre for Uniform), solves the weighted linear system in a
-symmetrized form, and exposes f_lambda as a kernel expansion so RKHS
-distances against fitted estimators are direct quadratic forms.
+(Gauss-Legendre for Uniform) with nodes and weights W, and a
+GridOperator holds the lam-independent parts: the node Gram matrix G
+and the eigendecomposition S = W^(1/2) G W^(1/2) = V diag(mu) V'. Each
+lam then costs two matrix-vector products,
+w = W^(-1/2) V (V' W^(1/2) f0) / (mu + lam), and the effective
+dimension sum mu / (mu + lam) is read off the same spectrum. f_lambda
+is exposed as a kernel expansion so RKHS distances against fitted
+estimators are direct quadratic forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.stats
@@ -19,7 +25,7 @@ from numpy.typing import NDArray
 
 from .estimator import KernelExpansion, _clamp_nonneg, _frozen_array, rkhs_norm_sq
 from .kernels import KernelSpec, gram
-from .linalg import solve_spd
+from .linalg import sym_eig
 
 # Discretization identity tolerance: f0 - f_lambda must equal lam * w at
 # the nodes; larger residuals mean the quadrature system is inconsistent.
@@ -142,21 +148,65 @@ class QuadratureGrid:
         return self.nodes.shape[0]
 
 
-@dataclass(frozen=True)
-class FredholmSolution:
-    """Solution of the discretized (lam + K) w = f0 on a quadrature grid.
+@dataclass(frozen=True, eq=False)
+class GridOperator:
+    """The kernel integral operator discretized on a quadrature grid.
 
-    flambda_values = (K w) at the nodes, and f0 - f_lambda = lam * w
-    holds at every node (residual_max records how tightly).
+    gram_matrix is the node Gram G, built once at construction. The
+    spectrum (mu, V) of S = W^(1/2) G W^(1/2) is computed on first use
+    and cached; S is positive semidefinite, so mu is clamped at 0 and
+    1/(mu + lam) <= 1/lam for every lam > 0.
     """
 
     kernel: KernelSpec
     grid: QuadratureGrid
+    gram_matrix: NDArray[np.float64] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        G = gram(self.kernel, self.grid.nodes)
+        G.flags.writeable = False
+        object.__setattr__(self, "gram_matrix", G)
+
+    @cached_property
+    def spectrum(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """(mu ascending and clamped at 0, orthonormal eigenvectors V) of S."""
+        s = np.sqrt(self.grid.weights)
+        mu, V = sym_eig(s[:, None] * self.gram_matrix * s[None, :])
+        mu = np.maximum(mu, 0.0)
+        mu.flags.writeable = V.flags.writeable = False
+        return mu, V
+
+    def effective_dimension(self, lam: float) -> float:
+        """N(lam) = tr K (K + lam)^-1 = sum_i mu_i / (mu_i + lam)."""
+        if not lam > 0:
+            raise ValueError("lam must be positive")
+        mu, _ = self.spectrum
+        return float(np.sum(mu / (mu + lam)))
+
+
+@dataclass(frozen=True, eq=False)
+class FredholmSolution:
+    """Solution of the discretized (lam + K) w = f0 on a quadrature grid.
+
+    flambda_values = (K w) at the nodes, and f0 - f_lambda = lam * w
+    holds at every node (residual_max records how tightly). operator is
+    the GridOperator the solution was computed with.
+    """
+
+    operator: GridOperator
     lam: float
     w_values: NDArray[np.float64]
     f0_values: NDArray[np.float64]
     flambda_values: NDArray[np.float64]
     residual_max: float
+
+    @property
+    def kernel(self) -> KernelSpec:
+        return self.operator.kernel
+
+    @property
+    def grid(self) -> QuadratureGrid:
+        return self.operator.grid
 
     def to_dict(self) -> dict:
         return {
@@ -223,17 +273,14 @@ def build_grid(measure: DesignMeasure, m: int) -> QuadratureGrid:
 
 
 def solve_coefficient(
-    kernel: KernelSpec,
-    grid: QuadratureGrid,
-    f0_values: NDArray[np.float64],
-    lam: float,
+    op: GridOperator, f0_values: NDArray[np.float64], lam: float
 ) -> FredholmSolution:
-    """Solves (lam*I + G W) w = f0 at the grid nodes.
+    """Solves (lam*I + G W) w = f0 at the grid nodes through the spectrum.
 
-    G is the node Gram matrix and W = diag(weights); the system is
-    solved in the similarity-transformed symmetric form
-    (lam*I + W^(1/2) G W^(1/2)) so the positive definite path applies.
-    flambda_values = G W w.
+    With S = W^(1/2) G W^(1/2) = V diag(mu) V', the solution is
+    w = W^(-1/2) V ((V' W^(1/2) f0) / (mu + lam)) and
+    flambda_values = G W w, computed with the stored G so the node
+    identity below checks the spectral solve against the operator.
 
     Raises:
         ValueError: If lam <= 0 or f0_values has the wrong length.
@@ -242,21 +289,21 @@ def solve_coefficient(
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
+    grid = op.grid
     f0 = np.asarray(f0_values, dtype=np.float64).reshape(-1)
     if f0.shape[0] != grid.m:
         raise ValueError(f"f0_values must have length {grid.m}")
-    G = gram(kernel, grid.nodes)
+    mu, V = op.spectrum
     s = np.sqrt(grid.weights)
-    A = lam * np.eye(grid.m) + (s[:, None] * G * s[None, :])
-    w = solve_spd(A, s * f0) / s
-    flambda = G @ (grid.weights * w)
+    w = (V @ ((V.T @ (s * f0)) / (mu + lam))) / s
+    flambda = op.gram_matrix @ (grid.weights * w)
     residual = f0 - flambda - lam * w
     residual_max = float(np.max(np.abs(residual)))
     if residual_max > RESIDUAL_TOL:
         raise ArithmeticError(
             f"discretization inconsistency: identity residual {residual_max:.3e}"
         )
-    return FredholmSolution(kernel, grid, lam, w, f0, flambda, residual_max)
+    return FredholmSolution(op, lam, w, f0, flambda, residual_max)
 
 
 def flambda_expansion(sol: FredholmSolution) -> KernelExpansion:
@@ -269,7 +316,7 @@ def flambda_expansion(sol: FredholmSolution) -> KernelExpansion:
 
 
 def f0_in_range(
-    kernel: KernelSpec, grid: QuadratureGrid, w0_values: NDArray[np.float64]
+    op: GridOperator, w0_values: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], float]:
     """Constructs a target in the range of the kernel operator.
 
@@ -279,11 +326,10 @@ def f0_in_range(
     statements; arbitrary node values do not.
     """
     w0 = np.asarray(w0_values, dtype=np.float64).reshape(-1)
-    if w0.shape[0] != grid.m:
-        raise ValueError(f"w0_values must have length {grid.m}")
-    G = gram(kernel, grid.nodes)
-    b = grid.weights * w0
-    f0 = G @ b
+    if w0.shape[0] != op.grid.m:
+        raise ValueError(f"w0_values must have length {op.grid.m}")
+    b = op.grid.weights * w0
+    f0 = op.gram_matrix @ b
     c0 = float(np.sqrt(_clamp_nonneg(float(b @ f0))))
     return f0, c0
 
@@ -310,4 +356,5 @@ def bias_norm_sq(sol: FredholmSolution, w0_values: NDArray[np.float64]) -> float
     """
     w0 = np.asarray(w0_values, dtype=np.float64).reshape(-1)
     d = sol.grid.weights * (w0 - sol.w_values)
-    return rkhs_norm_sq(KernelExpansion(sol.kernel, sol.grid.nodes, d))
+    expansion = KernelExpansion(sol.kernel, sol.grid.nodes, d)
+    return rkhs_norm_sq(expansion, gram_matrix=sol.operator.gram_matrix)

@@ -29,6 +29,7 @@ from rkhsreg.experiments import (
 )
 from rkhsreg.fredholm import (
     DesignMeasure,
+    GridOperator,
     bias_norm_sq,
     build_grid,
     f0_in_range,
@@ -142,12 +143,13 @@ def test_acceptance_06_bias_decays_linearly_in_lambda():
     # over 13 log-spaced lambdas in [1e-3, 1].
     kernel = KernelSpec("constant", dim=1)
     grid = build_grid(DesignMeasure.uniform(0.0, 1.0), 128)
+    op = GridOperator(kernel, grid)
     w0 = grid.nodes[:, 0] ** 3
-    f0, c0 = f0_in_range(kernel, grid, w0)
+    f0, c0 = f0_in_range(op, w0)
     lams = np.logspace(-3, 0, 13)
     biases = []
     for lam in lams:
-        sol = solve_coefficient(kernel, grid, f0, lam)
+        sol = solve_coefficient(op, f0, lam)
         bias = float(np.sqrt(bias_norm_sq(sol, w0)))
         assert bias <= c0 * lam * (1 + 1e-9) + 1e-12
         biases.append(bias)
@@ -217,11 +219,12 @@ def test_acceptance_10_rank_one_fredholm_oracle():
     # f0 - f_lambda = lam w is satisfied to 1e-9 on every solve.
     kernel = KernelSpec("constant", dim=1)
     grid = build_grid(DesignMeasure.uniform(0.0, 1.0), 64)
+    op = GridOperator(kernel, grid)
     worst = 0.0
     for lam in (1e-3, 0.1, 1.0, 10.0):
         for c in (1.0, -2.0, 0.5):
             f0 = np.full(grid.m, c)
-            sol = solve_coefficient(kernel, grid, f0, lam)
+            sol = solve_coefficient(op, f0, lam)
             gap = float(np.max(np.abs(sol.w_values - c / (lam + 1.0))))
             worst = max(worst, gap)
             assert gap <= 1e-10

@@ -19,7 +19,7 @@ from rkhsreg.estimator import (
     rkhs_norm_sq,
 )
 from rkhsreg.experiments import canonical_scenario, continuous_solution, flambda_values, sample_dataset
-from rkhsreg.fredholm import DesignMeasure, build_grid, solve_coefficient
+from rkhsreg.fredholm import DesignMeasure, GridOperator, build_grid, solve_coefficient
 from rkhsreg.fredholm import flambda_expansion
 from rkhsreg.kernels import KernelSpec, gram
 
@@ -116,7 +116,7 @@ def test_theory_noise_only_closed_form():
     # Zero target: E ||ftilde - f_lambda||_k^2 = sigma^2 / (lam^2 n)
     # for any kernel with k(x, x) = 1.
     grid = build_grid(DesignMeasure.uniform(0.0, 1.0), 32)
-    sol = solve_coefficient(KernelSpec("constant", dim=1), grid, np.zeros(32), 0.5)
+    sol = solve_coefficient(GridOperator(KernelSpec("constant", dim=1), grid), np.zeros(32), 0.5)
     sigma_sq = 0.04
     for n in (1, 10, 400):
         risk = theoretical_tilde_risk(

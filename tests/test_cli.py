@@ -2,6 +2,7 @@
 outputs, the matrix-bound suite, and the deterministic demo."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -65,6 +66,10 @@ def test_parse_config_field_paths():
          "scenario.design"),
         ({**good, "scenario": {**good["scenario"], "noise": {"sigma": float("nan")}}},
          "scenario.noise"),
+        # an unknown noise key would otherwise be ignored silently
+        ({**good, "scenario": {**good["scenario"],
+                               "noise": {"kind": "heteroscedastic", "profile": "sine"}}},
+         "scenario.noise.profile"),
     ]
     for broken, expected_path in cases:
         with pytest.raises(ConfigError) as excinfo:
@@ -122,6 +127,19 @@ def test_run_stops_on_broken_identity(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_run_stops_on_negative_quadratic_form(tmp_path, monkeypatch, capsys):
+    orig = exp._lambda_context
+
+    def corrupted(scenario, lam):
+        return dataclasses.replace(orig(scenario, lam), norm_flam_sq=-1.0)
+
+    monkeypatch.setattr(exp, "_lambda_context", corrupted)
+    assert main(["run", _write_config(tmp_path, _base_config(tmp_path / "out"))]) == 3
+    err = capsys.readouterr().err
+    assert "invariant broken: quadratic form is negative" in err
+    assert "Traceback" not in err
+
+
 def test_run_smoke_produces_outputs(tmp_path):
     out_dir = tmp_path / "out"
     cfg = _base_config(out_dir)
@@ -139,6 +157,7 @@ def test_run_smoke_produces_outputs(tmp_path):
             assert row[6] == ""
     payload = json.loads((out_dir / "results.json").read_text())
     assert [r["n"] for r in payload["results"]] == [10, 12]
+    assert all(0.0 < r["effective_dimension"] <= 64 for r in payload["results"])
     assert payload["rate"] is None  # fewer than 3 sample sizes
     assert (out_dir / "loglog.svg").exists()
     assert (out_dir / "band.svg").exists()
@@ -192,7 +211,7 @@ def test_run_failure_rate_exit_code(tmp_path, monkeypatch, capsys):
         return AggregateResult(
             n=n, lam=lam, R=R, n_failed=1, means=zeros, stderrs=zeros,
             theoretical_tilde_risk=0.0, theta_star=0.0,
-            ball_violations=0, residual_violations=0,
+            ball_violations=0, residual_violations=0, effective_dimension=1.0,
         )
 
     monkeypatch.setattr(cli, "monte_carlo", lossy_mc)

@@ -167,7 +167,7 @@ def test_rkhs_norm_literal():
 def test_clamp_behavior():
     assert _clamp_nonneg(-1e-12) == 0.0
     assert _clamp_nonneg(2.5) == 2.5
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         _clamp_nonneg(-1.0)
 
 

@@ -2,6 +2,7 @@
 operator targets, the continuous objective, and bias decay in lam."""
 
 import json
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import rkhsreg.fredholm as fredholm_mod
 from rkhsreg.estimator import KernelExpansion, evaluate_batch, rkhs_norm_sq
 from rkhsreg.fredholm import (
     DesignMeasure,
+    GridOperator,
     QuadratureGrid,
     bias_norm_sq,
     build_grid,
@@ -92,9 +94,10 @@ def test_constant_kernel_solution_closed_form():
     # With k = 1 the operator is rank one, and constant targets give
     # w = f0 / (lam + 1) exactly.
     grid = build_grid(UNIFORM, 64)
+    op = GridOperator(CONSTANT, grid)
     for lam, c in ((1.0, 1.0), (0.25, 2.0), (10.0, -0.5)):
         f0 = np.full(grid.m, c)
-        sol = solve_coefficient(CONSTANT, grid, f0, lam)
+        sol = solve_coefficient(op, f0, lam)
         np.testing.assert_allclose(sol.w_values, f0 / (lam + 1.0), atol=1e-10)
         np.testing.assert_allclose(sol.flambda_values, f0 / (lam + 1.0), atol=1e-10)
         assert sol.residual_max <= 1e-9
@@ -102,13 +105,13 @@ def test_constant_kernel_solution_closed_form():
 
 def test_constant_kernel_zero_target():
     grid = build_grid(UNIFORM, 16)
-    sol = solve_coefficient(CONSTANT, grid, np.zeros(16), 0.5)
+    sol = solve_coefficient(GridOperator(CONSTANT, grid), np.zeros(16), 0.5)
     np.testing.assert_allclose(sol.w_values, np.zeros(16), atol=1e-14)
 
 
 def test_dirac_scalar_closed_form():
     grid = build_grid(DesignMeasure.dirac(0.3), 1)
-    sol = solve_coefficient(GAUSS, grid, np.array([2.0]), 0.5)
+    sol = solve_coefficient(GridOperator(GAUSS, grid), np.array([2.0]), 0.5)
     assert sol.w_values[0] == pytest.approx(2.0 / 1.5, abs=1e-12)
     assert sol.flambda_values[0] == pytest.approx(2.0 / 1.5, abs=1e-12)
 
@@ -121,32 +124,98 @@ def test_identity_residual_across_kernels_and_lambdas():
         grid = build_grid(measure, m)
         w0 = np.sin(2 * np.pi * grid.nodes[:, 0])
         for spec in kernels:
-            f0, _ = f0_in_range(spec, grid, w0)
+            op = GridOperator(spec, grid)
+            f0, _ = f0_in_range(op, w0)
             for lam in (1e-3, 0.1, 1.0):
-                sol = solve_coefficient(spec, grid, f0, lam)
+                sol = solve_coefficient(op, f0, lam)
                 assert sol.residual_max <= 1e-9
 
 
-def test_solver_flags_inconsistent_discretization(monkeypatch):
+class _ShiftedSpectrum(GridOperator):
+    """An operator whose eigenvalues disagree with its own Gram matrix."""
+
+    @cached_property
+    def spectrum(self):
+        mu, V = super().spectrum
+        return mu + 0.1, V
+
+
+def test_solver_flags_inconsistent_discretization():
     grid = build_grid(UNIFORM, 8)
-    monkeypatch.setattr(fredholm_mod, "solve_spd", lambda A, b, *a, **k: np.zeros_like(b))
     with pytest.raises(ArithmeticError):
-        solve_coefficient(GAUSS, grid, np.ones(8), 0.5)
+        solve_coefficient(_ShiftedSpectrum(GAUSS, grid), np.ones(8), 0.5)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 1.0])
+def test_spectral_solve_matches_dense_solve_2d(lam):
+    grid = build_grid(DesignMeasure.uniform((0.0, 0.0), (1.0, 2.0)), 100)
+    kernel = KernelSpec("gaussian", 0.4, 2)
+    op = GridOperator(kernel, grid)
+    f0, _ = f0_in_range(op, np.sin(2 * np.pi * grid.nodes[:, 0]) + grid.nodes[:, 1])
+    sol = solve_coefficient(op, f0, lam)
+    G = np.array([[kernel_eval(kernel, a, b) for b in grid.nodes] for a in grid.nodes])
+    w_dense = np.linalg.solve(lam * np.eye(grid.m) + G * grid.weights[None, :], f0)
+    scale = float(np.max(np.abs(w_dense)))
+    np.testing.assert_allclose(sol.w_values, w_dense, rtol=0, atol=1e-9 * scale)
+    np.testing.assert_allclose(sol.flambda_values, f0 - lam * w_dense, rtol=0, atol=1e-9 * scale)
+
+
+def test_operator_serves_every_lambda_from_one_gram_and_one_eigh(monkeypatch):
+    calls = {"gram": 0, "eigh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fredholm_mod, "gram", counted("gram", fredholm_mod.gram))
+    monkeypatch.setattr(fredholm_mod, "sym_eig", counted("eigh", fredholm_mod.sym_eig))
+    grid = build_grid(UNIFORM, 48)
+    op = GridOperator(GAUSS, grid)
+    w0 = np.sin(2 * np.pi * grid.nodes[:, 0])
+    f0, _ = f0_in_range(op, w0)
+    assert calls == {"gram": 1, "eigh": 0}
+    for lam in (1e-3, 1e-2, 0.1, 1.0, 10.0):
+        sol = solve_coefficient(op, f0, lam)
+        bias_norm_sq(sol, w0)
+        op.effective_dimension(lam)
+        assert sol.residual_max <= 1e-9
+    assert calls == {"gram": 1, "eigh": 1}
+
+
+def test_effective_dimension_constant_kernel_closed_form():
+    # k = 1 makes S = W^(1/2) 1 1' W^(1/2) rank one with eigenvalue 1,
+    # so N(lam) = 1 / (1 + lam).
+    op = GridOperator(CONSTANT, build_grid(UNIFORM, 64))
+    for lam in (1e-3, 0.1, 1.0, 10.0):
+        assert op.effective_dimension(lam) == pytest.approx(1.0 / (1.0 + lam), abs=1e-12)
+    with pytest.raises(ValueError):
+        op.effective_dimension(0.0)
+
+
+def test_effective_dimension_decreases_in_lambda():
+    op = GridOperator(GAUSS, build_grid(UNIFORM, 64))
+    dims = [op.effective_dimension(lam) for lam in (1e-4, 1e-3, 1e-2, 0.1, 1.0)]
+    assert all(b < a for a, b in zip(dims, dims[1:]))
+    assert dims[0] <= op.grid.m
 
 
 def test_solver_input_validation():
     grid = build_grid(UNIFORM, 8)
+    op = GridOperator(GAUSS, grid)
     with pytest.raises(ValueError):
-        solve_coefficient(GAUSS, grid, np.ones(8), 0.0)
+        solve_coefficient(op, np.ones(8), 0.0)
     with pytest.raises(ValueError):
-        solve_coefficient(GAUSS, grid, np.ones(7), 0.5)
+        solve_coefficient(op, np.ones(7), 0.5)
 
 
 def test_flambda_expansion_zero_and_literal():
     grid = build_grid(UNIFORM, 16)
-    zero_sol = solve_coefficient(CONSTANT, grid, np.zeros(16), 1.0)
+    op = GridOperator(CONSTANT, grid)
+    zero_sol = solve_coefficient(op, np.zeros(16), 1.0)
     assert rkhs_norm_sq(flambda_expansion(zero_sol)) == 0.0
-    sol = solve_coefficient(CONSTANT, grid, np.ones(16), 1.0)
+    sol = solve_coefficient(op, np.ones(16), 1.0)
     flam = flambda_expansion(sol)
     # f_lambda is the constant 1/2, of unit-kernel norm 1/2.
     grid_pts = np.linspace(0, 1, 7)
@@ -156,9 +225,10 @@ def test_flambda_expansion_zero_and_literal():
 
 def test_flambda_norm_matches_double_sum():
     grid = build_grid(UNIFORM, 24)
+    op = GridOperator(GAUSS, grid)
     w0 = np.sin(2 * np.pi * grid.nodes[:, 0])
-    f0, _ = f0_in_range(GAUSS, grid, w0)
-    sol = solve_coefficient(GAUSS, grid, f0, 0.2)
+    f0, _ = f0_in_range(op, w0)
+    sol = solve_coefficient(op, f0, 0.2)
     flam = flambda_expansion(sol)
     coeffs = np.asarray(flam.coeffs)
     nodes = grid.nodes
@@ -172,11 +242,11 @@ def test_flambda_norm_matches_double_sum():
 
 def test_f0_in_range_zero_and_constant_kernel():
     grid = build_grid(UNIFORM, 32)
-    f0, c0 = f0_in_range(GAUSS, grid, np.zeros(32))
+    f0, c0 = f0_in_range(GridOperator(GAUSS, grid), np.zeros(32))
     np.testing.assert_allclose(f0, np.zeros(32), atol=1e-15)
     assert c0 == 0.0
     # constant kernel with w0 = x: f0 = integral of x = 1/2, c0 = 1/2.
-    f0c, c0c = f0_in_range(CONSTANT, grid, grid.nodes[:, 0])
+    f0c, c0c = f0_in_range(GridOperator(CONSTANT, grid), grid.nodes[:, 0])
     np.testing.assert_allclose(f0c, np.full(32, 0.5), atol=1e-12)
     assert c0c == pytest.approx(0.5, abs=1e-12)
 
@@ -195,7 +265,7 @@ def test_f0_grid_refinement_agreement():
 
 def test_continuous_objective_noise_floor_only():
     grid = build_grid(UNIFORM, 16)
-    sol = solve_coefficient(GAUSS, grid, np.zeros(16), 0.3)
+    sol = solve_coefficient(GridOperator(GAUSS, grid), np.zeros(16), 0.3)
     assert continuous_objective(sol, 0.04) == pytest.approx(0.04, abs=1e-15)
 
 
@@ -203,7 +273,7 @@ def test_continuous_objective_rank_one_literal():
     # Constant kernel, f0 = 1, lam = 1: w = 1/2, f_lambda = 1/2, and
     # lam <w, Kw> + lam^2 ||w||^2 = 1/4 + 1/4 = 1/2.
     grid = build_grid(UNIFORM, 16)
-    sol = solve_coefficient(CONSTANT, grid, np.ones(16), 1.0)
+    sol = solve_coefficient(GridOperator(CONSTANT, grid), np.ones(16), 1.0)
     assert continuous_objective(sol, 0.0) == pytest.approx(0.5, abs=1e-10)
 
 
@@ -211,10 +281,11 @@ def test_continuous_objective_two_routes():
     # lam <w, f_lambda> + lam^2 ||w||^2 = lam <w, f0> because
     # f0 - f_lambda = lam w; both quadrature routes must agree.
     grid = build_grid(UNIFORM, 48)
+    op = GridOperator(GAUSS, grid)
     w0 = np.sin(2 * np.pi * grid.nodes[:, 0])
-    f0, _ = f0_in_range(GAUSS, grid, w0)
+    f0, _ = f0_in_range(op, w0)
     for lam in (0.05, 0.2, 1.0):
-        sol = solve_coefficient(GAUSS, grid, f0, lam)
+        sol = solve_coefficient(op, f0, lam)
         route_a = continuous_objective(sol, 0.04)
         route_b = 0.04 + lam * float((grid.weights * sol.w_values) @ sol.f0_values)
         assert route_a == pytest.approx(route_b, abs=1e-12)
@@ -225,10 +296,11 @@ def test_continuous_objective_decomposed_form():
     # same value: the L2 gap is lam^2 ||w||_L2^2 and the penalty term is
     # lam <w, Kw>.
     grid = build_grid(UNIFORM, 48)
+    op = GridOperator(GAUSS, grid)
     w0 = np.sin(2 * np.pi * grid.nodes[:, 0])
-    f0, _ = f0_in_range(GAUSS, grid, w0)
+    f0, _ = f0_in_range(op, w0)
     for lam in (0.05, 0.2, 1.0):
-        sol = solve_coefficient(GAUSS, grid, f0, lam)
+        sol = solve_coefficient(op, f0, lam)
         gap_l2 = float(grid.weights @ (sol.f0_values - sol.flambda_values) ** 2)
         decomposed = 0.04 + gap_l2 + lam * rkhs_norm_sq(flambda_expansion(sol))
         assert continuous_objective(sol, 0.04) == pytest.approx(decomposed, abs=1e-9)
@@ -238,11 +310,12 @@ def test_bias_constant_kernel_closed_form():
     # w0 = x^3: f0 = 1/4, w = (1/4)/(1+lam), and
     # ||f0 - f_lambda||_k = (1/4) lam / (1 + lam).
     grid = build_grid(UNIFORM, 128)
+    op = GridOperator(CONSTANT, grid)
     w0 = grid.nodes[:, 0] ** 3
-    f0, c0 = f0_in_range(CONSTANT, grid, w0)
+    f0, c0 = f0_in_range(op, w0)
     assert c0 == pytest.approx(0.25, abs=1e-12)
     lam = 0.3
-    sol = solve_coefficient(CONSTANT, grid, f0, lam)
+    sol = solve_coefficient(op, f0, lam)
     expected = (0.25 * lam / (1.0 + lam)) ** 2
     assert bias_norm_sq(sol, w0) == pytest.approx(expected, abs=1e-12)
 
@@ -252,10 +325,11 @@ def test_bias_bounded_by_c0_lambda_unit_eigenvalue_operator():
     # the constant kernel, whose only nonzero eigenvalue is 1:
     # bias = C0 lam / (1 + lam) <= C0 lam.
     grid = build_grid(UNIFORM, 96)
+    op = GridOperator(CONSTANT, grid)
     w0 = grid.nodes[:, 0] ** 3
-    f0, c0 = f0_in_range(CONSTANT, grid, w0)
+    f0, c0 = f0_in_range(op, w0)
     for lam in (0.01, 0.1, 1.0):
-        sol = solve_coefficient(CONSTANT, grid, f0, lam)
+        sol = solve_coefficient(op, f0, lam)
         bias = np.sqrt(bias_norm_sq(sol, w0))
         assert bias <= c0 * lam * (1 + 1e-9) + 1e-12
         assert bias == pytest.approx(c0 * lam / (1 + lam), abs=1e-12)
@@ -265,21 +339,23 @@ def test_bias_bounded_by_sandwich_rate():
     # Spectrally, mu/(lam+mu)^2 <= 1/(4 lam) gives the kernel-free bound
     # ||f0 - f_lambda||_k^2 <= (lam/4) ||w0||_L2^2 for any f0 = K w0.
     grid = build_grid(UNIFORM, 96)
+    op = GridOperator(GAUSS, grid)
     w0 = np.sin(2 * np.pi * grid.nodes[:, 0])
-    f0, _ = f0_in_range(GAUSS, grid, w0)
+    f0, _ = f0_in_range(op, w0)
     w0_l2_sq = float(grid.weights @ (w0 * w0))
     for lam in (0.01, 0.1, 1.0):
-        sol = solve_coefficient(GAUSS, grid, f0, lam)
+        sol = solve_coefficient(op, f0, lam)
         assert bias_norm_sq(sol, w0) <= 0.25 * lam * w0_l2_sq * (1 + 1e-9) + 1e-12
 
 
 def test_bias_slope_near_one_for_rank_one_operator():
     grid = build_grid(UNIFORM, 128)
+    op = GridOperator(CONSTANT, grid)
     w0 = grid.nodes[:, 0] ** 3
-    f0, _ = f0_in_range(CONSTANT, grid, w0)
+    f0, _ = f0_in_range(op, w0)
     lams = np.logspace(-3, 0, 13)
     biases = [
-        np.sqrt(bias_norm_sq(solve_coefficient(CONSTANT, grid, f0, lam), w0))
+        np.sqrt(bias_norm_sq(solve_coefficient(op, f0, lam), w0))
         for lam in lams
     ]
     slope = np.polyfit(np.log(lams), np.log(biases), 1)[0]
@@ -291,17 +367,19 @@ def test_flambda_grid_refinement():
     values = []
     for m in (256, 512):
         grid = build_grid(UNIFORM, m)
+        op = GridOperator(GAUSS, grid)
         w0 = np.sin(2 * np.pi * grid.nodes[:, 0])
-        f0, _ = f0_in_range(GAUSS, grid, w0)
-        sol = solve_coefficient(GAUSS, grid, f0, 0.2)
+        f0, _ = f0_in_range(op, w0)
+        sol = solve_coefficient(op, f0, 0.2)
         values.append(evaluate_batch(flambda_expansion(sol), probes))
     np.testing.assert_allclose(values[0], values[1], atol=1e-5)
 
 
 def test_solution_serializes_to_json():
     grid = build_grid(UNIFORM, 8)
-    f0, _ = f0_in_range(GAUSS, grid, np.ones(8))
-    sol = solve_coefficient(GAUSS, grid, f0, 0.5)
+    op = GridOperator(GAUSS, grid)
+    f0, _ = f0_in_range(op, np.ones(8))
+    sol = solve_coefficient(op, f0, 0.5)
     payload = json.dumps(sol.to_dict())
     assert "flambda_values" in payload
 
