@@ -23,7 +23,6 @@ from .estimator import (
     gp_posterior_band,
     rkhs_dist_sq,
     rkhs_norm_sq,
-    sup_error_bound,
 )
 from .experiments import (
     AggregateResult,
@@ -64,7 +63,6 @@ from .linalg import (
     solve_spd,
     sym_eig,
 )
-from .model import KernelRidge
 from .svgplot import Figure
 
 __version__ = "0.1.0"
@@ -79,7 +77,6 @@ __all__ = [
     "FredholmSolution",
     "GridOperator",
     "KernelExpansion",
-    "KernelRidge",
     "KernelSpec",
     "MonotonicityReport",
     "NoiseModel",
@@ -116,8 +113,8 @@ __all__ = [
     "run_replication",
     "sample_dataset",
     "sandwich",
+    "solve_coefficient",
     "solve_spd",
-    "sup_error_bound",
     "sym_eig",
     "target_values",
     "theoretical_tilde_risk",

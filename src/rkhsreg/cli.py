@@ -26,9 +26,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimator import evaluate_batch, fit_ridge, gp_posterior_band
+from .estimator import fit_ridge, gp_posterior_band
 from .experiments import (
     AggregateResult,
+    NOISE_FAMILIES,
     NoiseModel,
     ScenarioSpec,
     W0_CHOICES,
@@ -138,6 +139,8 @@ def _parse_scenario(obj: dict) -> ScenarioSpec:
     for key in noise_obj or ():
         if key not in noise_keys:
             raise ConfigError(f"scenario.noise.{key}", f"unknown key; expected one of {noise_keys}")
+    if "family" in (noise_obj or ()) and noise_obj["family"] not in NOISE_FAMILIES:
+        raise ConfigError("scenario.noise.family", f"expected one of {NOISE_FAMILIES}")
     try:
         noise = NoiseModel.from_dict(noise_obj) if noise_obj is not None else NoiseModel()
     except ValueError as exc:
@@ -237,17 +240,16 @@ def _band_figure(scenario: ScenarioSpec, n: int, lam: float, title: str) -> tupl
     target lies within two posterior standard deviations.
     """
     data = sample_dataset(scenario, n, 0, lambda_key=lam)
-    fhat = fit_ridge(scenario.kernel, data, lam)
     grid_x = np.linspace(scenario.design.low[0], scenario.design.high[0], 200).reshape(-1, 1)
+    # The posterior mean at lam_gp = n * lam is the ridge fit.
     mean, var = gp_posterior_band(scenario.kernel, data, n * lam, grid_x)
     sd = np.sqrt(var)
-    curve = evaluate_batch(fhat, grid_x)
     f0_curve = target_values(scenario, grid_x)
-    coverage = float(np.mean(np.abs(f0_curve - curve) <= 2.0 * sd))
+    coverage = float(np.mean(np.abs(f0_curve - mean) <= 2.0 * sd))
 
     fig = Figure(title=title, xlabel="x", ylabel="f(x)")
-    fig.add_band(grid_x[:, 0], curve - sd, curve + sd, color="blue", opacity=0.25)
-    fig.add_line(grid_x[:, 0], curve, color="blue")
+    fig.add_band(grid_x[:, 0], mean - sd, mean + sd, color="blue", opacity=0.25)
+    fig.add_line(grid_x[:, 0], mean, color="blue")
     fig.add_line(grid_x[:, 0], f0_curve, color="green", dash="5,4")
     fig.add_scatter(data.xs[:, 0], data.fs, color="red", radius=2.5)
     fig.add_annotation(f"n={n} lambda={lam:g}")

@@ -12,7 +12,7 @@ uncertainty bands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -71,17 +71,6 @@ class KernelExpansion:
     @classmethod
     def zero(cls, kernel: KernelSpec) -> "KernelExpansion":
         return cls(kernel, np.zeros((0, kernel.dim)), np.zeros(0))
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel.to_dict(),
-            "centers": self.centers.tolist(),
-            "coeffs": self.coeffs.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "KernelExpansion":
-        return cls(KernelSpec.from_dict(obj["kernel"]), obj["centers"], obj["coeffs"])
 
 
 @dataclass(frozen=True)
@@ -240,13 +229,3 @@ def empirical_objective(f: KernelExpansion, data: Dataset, lam: float) -> float:
     """Penalized empirical risk (1/n) sum (f_i - f(X_i))^2 + lam ||f||_k^2."""
     preds = evaluate_batch(f, data.xs)
     return float(np.mean((data.fs - preds) ** 2) + lam * rkhs_norm_sq(f))
-
-
-def sup_error_bound(f: KernelExpansion, g: KernelExpansion, C_k: float) -> float:
-    """Certificate C_k * ||f - g||_k bounding sup |f - g|.
-
-    Valid because |f(x) - g(x)| <= ||f - g||_k * sqrt(k(x,x)) pointwise;
-    C_k must be sup sqrt(k(x,x)) over the region of interest (1 for all
-    built-in families).
-    """
-    return C_k * float(np.sqrt(rkhs_dist_sq(f, g)))

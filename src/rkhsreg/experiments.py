@@ -43,7 +43,6 @@ from .fredholm import (
     solve_coefficient,
 )
 from .kernels import KernelSpec, cross_gram, gram
-from .linalg import NotPositiveDefiniteError  # noqa: F401  (the counted failure type)
 
 SUP_GRID_POINTS = 512
 
@@ -53,6 +52,8 @@ W0_CHOICES: dict[str, object] = {
     "poly3": lambda x: x**3,
     "zero": lambda x: np.zeros_like(x),
 }
+# Heteroscedastic noise profiles; NoiseModel.std_at gives their formulas.
+NOISE_FAMILIES = ("affine", "sine")
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,8 @@ class NoiseModel:
         object.__setattr__(self, "sigma", float(self.sigma))
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and nonnegative")
-        if kind == "heteroscedastic" and self.family not in ("affine", "sine"):
-            raise ValueError(f"unknown heteroscedastic family {self.family!r}")
+        if self.family not in NOISE_FAMILIES:
+            raise ValueError(f"unknown noise family {self.family!r}; expected one of {NOISE_FAMILIES}")
 
     def std_at(self, xs: NDArray[np.float64]) -> NDArray[np.float64]:
         x1 = np.asarray(xs, dtype=np.float64).reshape(xs.shape[0], -1)[:, 0]
@@ -149,17 +150,6 @@ class ScenarioSpec:
             "grid_m": self.grid_m,
             "base_seed": self.base_seed,
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ScenarioSpec":
-        return cls(
-            kernel=KernelSpec.from_dict(obj["kernel"]),
-            design=DesignMeasure.from_dict(obj["design"]),
-            w0=obj.get("w0", "sin2pi"),
-            noise=NoiseModel.from_dict(obj.get("noise", {})),
-            grid_m=int(obj.get("grid_m", 256)),
-            base_seed=int(obj.get("base_seed", 20260815)),
-        )
 
 
 def canonical_scenario(base_seed: int = 20260815) -> ScenarioSpec:

@@ -117,13 +117,11 @@ class DesignMeasure:
 class QuadratureGrid:
     """Nodes and probability weights approximating integration over P.
 
-    Weights are positive and sum to one. density_values holds p(node_i)
-    when P has a density, None otherwise.
+    Weights are positive and sum to one.
     """
 
     nodes: NDArray[np.float64]
     weights: NDArray[np.float64]
-    density_values: NDArray[np.float64] | None = None
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -137,11 +135,6 @@ class QuadratureGrid:
             raise ValueError("quadrature weights must sum to 1")
         object.__setattr__(self, "nodes", _frozen_array(nodes))
         object.__setattr__(self, "weights", _frozen_array(weights))
-        if self.density_values is not None:
-            dens = np.asarray(self.density_values, dtype=np.float64).reshape(-1)
-            if dens.shape[0] != nodes.shape[0]:
-                raise ValueError("density_values length mismatch")
-            object.__setattr__(self, "density_values", _frozen_array(dens))
 
     @property
     def m(self) -> int:
@@ -208,18 +201,6 @@ class FredholmSolution:
     def grid(self) -> QuadratureGrid:
         return self.operator.grid
 
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel.to_dict(),
-            "lam": self.lam,
-            "nodes": self.grid.nodes.tolist(),
-            "weights": self.grid.weights.tolist(),
-            "w_values": self.w_values.tolist(),
-            "f0_values": self.f0_values.tolist(),
-            "flambda_values": self.flambda_values.tolist(),
-            "residual_max": self.residual_max,
-        }
-
 
 def _gauss_legendre_1d(low: float, high: float, m: int) -> tuple[NDArray, NDArray]:
     x, w = np.polynomial.legendre.leggauss(m)
@@ -244,17 +225,13 @@ def build_grid(measure: DesignMeasure, m: int) -> QuadratureGrid:
         return QuadratureGrid(np.array([measure.center]), np.array([1.0]))
     if measure.kind == "uniform":
         if measure.dim == 1:
-            nodes, weights = _gauss_legendre_1d(measure.low[0], measure.high[0], m)
-            dens = np.full(m, 1.0 / (measure.high[0] - measure.low[0]))
-            return QuadratureGrid(nodes, weights, dens)
+            return QuadratureGrid(*_gauss_legendre_1d(measure.low[0], measure.high[0], m))
         m1 = max(2, int(round(np.sqrt(m))))
         n0, w0 = _gauss_legendre_1d(measure.low[0], measure.high[0], m1)
         n1, w1 = _gauss_legendre_1d(measure.low[1], measure.high[1], m1)
         nodes = np.array([(a, b) for a in n0 for b in n1])
         weights = np.outer(w0, w1).reshape(-1)
-        weights = weights / weights.sum()
-        area = (measure.high[0] - measure.low[0]) * (measure.high[1] - measure.low[1])
-        return QuadratureGrid(nodes, weights, np.full(len(nodes), 1.0 / area))
+        return QuadratureGrid(nodes, weights / weights.sum())
     # truncated_gaussian
     low, high = measure.low[0], measure.high[0]
     a = (low - measure.center[0]) / measure.scale
@@ -268,8 +245,7 @@ def build_grid(measure: DesignMeasure, m: int) -> QuadratureGrid:
     else:
         nodes, glw = _gauss_legendre_1d(low, high, m)
         raw = glw * dist.pdf(nodes)
-    weights = raw / raw.sum()
-    return QuadratureGrid(nodes, weights, dist.pdf(nodes))
+    return QuadratureGrid(nodes, raw / raw.sum())
 
 
 def solve_coefficient(

@@ -50,14 +50,6 @@ class KernelSpec:
     def to_dict(self) -> dict:
         return {"family": self.family, "bandwidth": self.bandwidth, "dim": self.dim}
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "KernelSpec":
-        return cls(
-            family=obj["family"],
-            bandwidth=float(obj.get("bandwidth", 1.0)),
-            dim=int(obj.get("dim", 1)),
-        )
-
 
 def as_points(x: object, dim: int) -> NDArray[np.float64]:
     """Normalizes scalars, vectors, or stacked rows to an (n, dim) array.

@@ -70,6 +70,10 @@ def test_parse_config_field_paths():
         ({**good, "scenario": {**good["scenario"],
                                "noise": {"kind": "heteroscedastic", "profile": "sine"}}},
          "scenario.noise.profile"),
+        # a family is checked for every noise kind, not only heteroscedastic
+        ({**good, "scenario": {**good["scenario"],
+                               "noise": {"kind": "homoscedastic", "family": "sine-ish"}}},
+         "scenario.noise.family"),
     ]
     for broken, expected_path in cases:
         with pytest.raises(ConfigError) as excinfo:

@@ -1,5 +1,5 @@
 """Ridge and generalized fits, RKHS norms/distances, GP posterior
-equivalence, objective optimality, and the KernelRidge front end."""
+equivalence, and objective optimality."""
 
 import numpy as np
 import pytest
@@ -15,10 +15,8 @@ from rkhsreg.estimator import (
     gp_posterior_band,
     rkhs_dist_sq,
     rkhs_norm_sq,
-    sup_error_bound,
 )
 from rkhsreg.kernels import KernelSpec, cross_gram, gram, kernel_eval
-from rkhsreg.model import KernelRidge
 
 GAUSS = KernelSpec("gaussian", 1.0, 1)
 NORM_SQ_TWO_POINT = 0.7869386805747332  # 2 - 2 exp(-1/2) at unit separation
@@ -278,61 +276,12 @@ def test_objective_ball_bound():
         assert lam * rkhs_norm_sq(fhat) <= mean_sq * (1 + 1e-9) + 1e-12
 
 
-def test_sup_error_bound_certifies_grid_max():
+def test_rkhs_distance_certifies_grid_max():
+    # |f(x) - g(x)| <= ||f - g||_k sqrt(k(x, x)), and k(x, x) = 1.
     rng = np.random.default_rng(22)
     for _ in range(5):
         f = KernelExpansion(GAUSS, rng.uniform(0, 1, (6, 1)), rng.standard_normal(6))
         g = KernelExpansion(GAUSS, rng.uniform(0, 1, (4, 1)), rng.standard_normal(4))
         grid = np.linspace(-0.5, 1.5, 500)
         gap = np.abs(evaluate_batch(f, grid) - evaluate_batch(g, grid))
-        assert float(np.max(gap)) <= sup_error_bound(f, g, 1.0) + 1e-12
-
-
-def test_kernel_ridge_params_protocol():
-    est = KernelRidge(family="laplace", bandwidth=0.5, alpha=0.2)
-    params = est.get_params()
-    assert params == {"family": "laplace", "bandwidth": 0.5, "alpha": 0.2}
-    clone = KernelRidge(**params)
-    assert clone.get_params() == params
-    est.set_params(alpha=0.9)
-    assert est.alpha == 0.9
-    with pytest.raises(ValueError):
-        est.set_params(gamma=1.0)
-
-
-def test_kernel_ridge_fit_predict():
-    rng = np.random.default_rng(23)
-    X = rng.uniform(0, 1, (30, 1))
-    y = np.sin(2 * np.pi * X[:, 0]) + 0.1 * rng.standard_normal(30)
-    est = KernelRidge(family="gaussian", bandwidth=0.25, alpha=0.05).fit(X, y)
-    preds = est.predict(X)
-    assert preds.shape == (30,)
-    assert est.n_features_in_ == 1
-    assert est.score(X, y) > 0.8
-    preds2, std = est.predict(X, return_std=True)
-    np.testing.assert_array_equal(preds, preds2)
-    assert std.shape == (30,)
-    assert np.all(std >= 0)
-
-
-def test_kernel_ridge_flat_input_and_unfitted():
-    with pytest.raises(RuntimeError):
-        KernelRidge().predict([[0.0]])
-    rng = np.random.default_rng(24)
-    x = rng.uniform(0, 1, 12)
-    y = x**2
-    est = KernelRidge(family="laplace", alpha=0.0, bandwidth=0.4).fit(x, y)
-    # alpha = 0 interpolates, so R^2 is 1 and the posterior width is 0.
-    assert est.score(x, y) == pytest.approx(1.0, abs=1e-9)
-    _, std = est.predict(x, return_std=True)
-    np.testing.assert_array_equal(std, np.zeros(12))
-
-
-def test_kernel_ridge_matches_functional_api():
-    rng = np.random.default_rng(25)
-    X = rng.uniform(0, 1, (15, 1))
-    y = np.cos(X[:, 0])
-    est = KernelRidge(family="gaussian", bandwidth=0.5, alpha=0.3).fit(X, y)
-    fhat = fit_ridge(KernelSpec("gaussian", 0.5, 1), Dataset(X, y), 0.3)
-    grid = np.linspace(0, 1, 11).reshape(-1, 1)
-    np.testing.assert_allclose(est.predict(grid), evaluate_batch(fhat, grid), atol=1e-12)
+        assert float(np.max(gap)) <= float(np.sqrt(rkhs_dist_sq(f, g))) + 1e-12

@@ -1,11 +1,21 @@
 """Scenario sampling, seed scheme, replication metrics, Monte Carlo
 aggregation, rate fitting, and the consistency checks."""
 
+import json
+
 import numpy as np
 import pytest
 
 import rkhsreg.experiments as exp
-from rkhsreg.estimator import evaluate_batch
+from rkhsreg.auxiliary import fit_auxiliary
+from rkhsreg.cli import parse_config
+from rkhsreg.estimator import (
+    KernelExpansion,
+    empirical_objective,
+    evaluate_batch,
+    fit_ridge,
+    rkhs_dist_sq,
+)
 from rkhsreg.experiments import (
     NoiseModel,
     ScenarioSpec,
@@ -22,8 +32,9 @@ from rkhsreg.experiments import (
     weak_consistency_fractions,
     worker_count,
 )
-from rkhsreg.fredholm import DesignMeasure, flambda_expansion
-from rkhsreg.kernels import KernelSpec
+from rkhsreg.fredholm import DesignMeasure, build_grid, flambda_expansion
+from rkhsreg.kernels import FAMILIES, KernelSpec
+from rkhsreg.linalg import NotPositiveDefiniteError
 
 CANON = canonical_scenario()
 
@@ -118,6 +129,30 @@ def test_run_replication_deterministic_and_bounds_hold():
     assert first.sup_gap_grid_max <= first.sup_gap_hat_flambda * (1 + 1e-9) + 1e-12
 
 
+@pytest.mark.parametrize("n, lam, index", [(25, 0.2, 4), (200, 0.05, 1), (60, 1e-3, 2)])
+def test_run_replication_matches_reference_paths(n, lam, index):
+    # run_replication forms its metrics as quadratic forms in one shared
+    # Gram K and cross-Gram C; rkhs_dist_sq and empirical_objective
+    # recompute each one from the expansions alone.
+    metrics = run_replication(CANON, n, lam, index)
+    kernel = CANON.kernel
+    data = sample_dataset(CANON, n, index, lambda_key=lam)
+    fhat = fit_ridge(kernel, data, lam)
+    flam = flambda_expansion(continuous_solution(CANON, lam))
+    tilde = fit_auxiliary(kernel, data, flam, lam).tilde
+    grid = build_grid(CANON.design, CANON.grid_m)
+    f0 = KernelExpansion(kernel, grid.nodes, grid.weights * CANON.w0_at(grid.nodes))
+    references = {
+        "dist_hat_flambda_sq": rkhs_dist_sq(fhat, flam),
+        "dist_tilde_flambda_sq": rkhs_dist_sq(tilde, flam),
+        "dist_hat_tilde_sq": rkhs_dist_sq(fhat, tilde),
+        "dist_hat_f0_sq": rkhs_dist_sq(fhat, f0),
+        "theta_hat": empirical_objective(fhat, data, lam),
+    }
+    for name, reference in references.items():
+        assert getattr(metrics, name) == pytest.approx(reference, rel=1e-10), name
+
+
 def test_monte_carlo_matches_manual_fold():
     agg = monte_carlo(CANON, 12, 0.5, 5)
     reps = [run_replication(CANON, 12, 0.5, i) for i in range(5)]
@@ -165,7 +200,7 @@ def test_failed_replications_are_counted(monkeypatch):
 
     def flaky(scenario, n, lam, index):
         if index % 2 == 1:
-            raise exp.NotPositiveDefiniteError("synthetic failure")
+            raise NotPositiveDefiniteError("synthetic failure")
         return orig(scenario, n, lam, index)
 
     monkeypatch.setattr(exp, "run_replication", flaky)
@@ -174,7 +209,7 @@ def test_failed_replications_are_counted(monkeypatch):
     assert agg.R == 6
 
     def always_fails(scenario, n, lam, index):
-        raise exp.NotPositiveDefiniteError("synthetic failure")
+        raise NotPositiveDefiniteError("synthetic failure")
 
     monkeypatch.setattr(exp, "run_replication", always_fails)
     with pytest.raises(RuntimeError):
@@ -237,8 +272,30 @@ def test_target_and_flambda_values_consistent_with_grid():
 
 
 def test_scenario_serialization_roundtrip():
-    for scen in (CANON, rate_scenario(), _dirac_scenario()):
-        assert ScenarioSpec.from_dict(scen.to_dict()) == scen
+    # The config block of results.json re-parses through the real entry point.
+    hetero = ScenarioSpec(
+        kernel=KernelSpec("laplace", 0.3, 1),
+        design=DesignMeasure.truncated_gaussian(0.0, 1.0, 0.4, 0.3),
+        noise=NoiseModel("heteroscedastic", 0.3, "sine"),
+    )
+    planar = [
+        ScenarioSpec(
+            kernel=KernelSpec(family, 0.35, 2),
+            design=DesignMeasure.uniform((0.0, -1.0), (1.0, 2.0)),
+            w0="poly3",
+            grid_m=64,
+            base_seed=5,
+        )
+        for family in FAMILIES
+    ]
+    for scen in (CANON, rate_scenario(), _dirac_scenario(), hetero, *planar):
+        config = {
+            "scenario": json.loads(json.dumps(scen.to_dict())),
+            "ns": [10],
+            "lambda_rule": {"kind": "fixed", "value": 0.2},
+            "R": 2,
+        }
+        assert parse_config(config).scenario == scen
 
 
 def test_scenario_validation():

@@ -1,7 +1,6 @@
 """Quadrature grids, the Nystrom solve of (lam + K) w = f0, range-of-
 operator targets, the continuous objective, and bias decay in lam."""
 
-import json
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +34,6 @@ def test_gauss_legendre_two_point_rule():
         grid.nodes[:, 0], [0.5 - GL2_OFFSET, 0.5 + GL2_OFFSET], atol=1e-15
     )
     np.testing.assert_allclose(grid.weights, [0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(grid.density_values, [1.0, 1.0], atol=1e-15)
 
 
 def test_quadrature_integrates_polynomials():
@@ -373,15 +371,6 @@ def test_flambda_grid_refinement():
         sol = solve_coefficient(op, f0, 0.2)
         values.append(evaluate_batch(flambda_expansion(sol), probes))
     np.testing.assert_allclose(values[0], values[1], atol=1e-5)
-
-
-def test_solution_serializes_to_json():
-    grid = build_grid(UNIFORM, 8)
-    op = GridOperator(GAUSS, grid)
-    f0, _ = f0_in_range(op, np.ones(8))
-    sol = solve_coefficient(op, f0, 0.5)
-    payload = json.dumps(sol.to_dict())
-    assert "flambda_values" in payload
 
 
 def test_design_measure_serialization_roundtrip():

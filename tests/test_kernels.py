@@ -146,9 +146,10 @@ def test_spec_validation():
 
 
 def test_spec_serialization_roundtrip():
+    # to_dict writes exactly the constructor's fields.
     for family in FAMILIES:
         spec = KernelSpec(family, 0.35, 2)
-        assert KernelSpec.from_dict(spec.to_dict()) == spec
+        assert KernelSpec(**spec.to_dict()) == spec
 
 
 @given(

@@ -1,0 +1,55 @@
+"""Package hygiene: the exported names and the imports of every module."""
+
+import ast
+from pathlib import Path
+
+import rkhsreg
+
+PACKAGE_DIR = Path(rkhsreg.__file__).parent
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _top_level_imports(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each top-level import, mapped to its line."""
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def test_all_lists_exactly_the_imported_public_names():
+    tree = _parse(PACKAGE_DIR / "__init__.py")
+    imported = {name for name in _top_level_imports(tree) if not name.startswith("_")}
+    exported = _exported(tree)
+    assert len(exported) == len(set(exported)), "__all__ lists a name twice"
+    assert set(exported) == imported
+    assert set(exported) == set(rkhsreg.__all__)
+
+
+def test_no_module_keeps_an_unused_import():
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = _parse(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(_exported(tree))
+        for name, line in _top_level_imports(tree).items():
+            if name not in used:
+                unused.append(f"{path.name}:{line}: {name}")
+    assert unused == []
