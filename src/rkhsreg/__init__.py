@@ -58,6 +58,7 @@ from .fredholm import (
 from .kernels import FAMILIES, KernelSpec, cross_gram, gram, kernel_eval
 from .linalg import (
     NotPositiveDefiniteError,
+    SpdFactor,
     loewner_leq,
     sandwich,
     solve_spd,
@@ -84,6 +85,7 @@ __all__ = [
     "QuadratureGrid",
     "ReplicationMetrics",
     "ScenarioSpec",
+    "SpdFactor",
     "TildeRisk",
     "bias_norm_sq",
     "bridge_distance_sq",

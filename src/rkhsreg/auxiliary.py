@@ -20,12 +20,13 @@ from .estimator import (
     KernelExpansion,
     _clamp_nonneg,
     _frozen_array,
+    _ridge_factor,
     evaluate_batch,
     rkhs_norm_sq,
 )
 from .fredholm import FredholmSolution, flambda_expansion
 from .kernels import KernelSpec, gram, _profile
-from .linalg import solve_spd
+from .linalg import _check_symmetric
 
 # The two residual formulas agree algebraically; this guards against
 # wiring errors between the expansion and the dataset.
@@ -107,15 +108,15 @@ def bridge_distance_sq(
     Evaluated without fitting the ridge estimator, through the exact
     identity
         ||fhat - f~||_k^2 = (1/n) r' (lam + K/n)^-1 (K/n) (lam + K/n)^-1 r
-    in the dataset's Gram matrix K and the auxiliary residuals r.
+    in the dataset's Gram matrix K and the auxiliary residuals r. A
+    precomputed gram_matrix is checked for symmetry.
     """
     if kernel != aux.tilde.kernel:
         raise ValueError("kernel does not match the auxiliary fit")
     data = aux.dataset
     n = data.n
-    K = gram(kernel, data.xs) if gram_matrix is None else gram_matrix
-    A = aux.lam * np.eye(n) + K / n
-    v = solve_spd(A, aux.residuals)
+    K = gram(kernel, data.xs) if gram_matrix is None else _check_symmetric(gram_matrix, "gram_matrix")
+    v = _ridge_factor(K, aux.lam).solve(aux.residuals)
     return _clamp_nonneg(float(v @ K @ v) / n**2)
 
 

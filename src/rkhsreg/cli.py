@@ -92,6 +92,37 @@ class RunConfig:
     emit_plots: bool = True
 
 
+def _number(value: object, path: str) -> float:
+    """A JSON number as a float, before any model coerces it with float().
+
+    float() would also accept strings and booleans (true -> 1.0), and it
+    overflows on integers beyond the float range. Finiteness and range
+    are left to the caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(path, f"number out of range: {value}") from None
+
+
+def _check_numbers(obj: dict, keys: tuple[str, ...], path: str, lists: bool) -> None:
+    """Type-checks the number fields of a block that its model parses itself.
+
+    With lists=True a field may also be a list of numbers (coordinates).
+    """
+    for key in keys:
+        if key not in obj:
+            continue
+        value = obj[key]
+        if lists and isinstance(value, list):
+            for i, item in enumerate(value):
+                _number(item, f"{path}.{key}[{i}]")
+        else:
+            _number(value, f"{path}.{key}")
+
+
 def _req(obj: dict, key: str, kind: type, path: str, default=None, required: bool = True):
     if key not in obj:
         if required:
@@ -99,7 +130,7 @@ def _req(obj: dict, key: str, kind: type, path: str, default=None, required: boo
         return default
     value = obj[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        value = _number(value, path)
     if kind is not object and not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
     # json accepts NaN and Infinity, which no config number may be.
@@ -126,9 +157,11 @@ def _parse_scenario(obj: dict) -> ScenarioSpec:
         raise ConfigError(
             "scenario.design.kind", "expected 'uniform', 'truncated_gaussian', or 'dirac'"
         )
+    _check_numbers(design_obj, ("low", "high", "center"), "scenario.design", lists=True)
+    _check_numbers(design_obj, ("scale",), "scenario.design", lists=False)
     try:
         design = DesignMeasure.from_dict(design_obj)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError("scenario.design", str(exc)) from exc
 
     w0 = _req(obj, "w0", str, "scenario.w0", "sin2pi", False)
@@ -141,6 +174,7 @@ def _parse_scenario(obj: dict) -> ScenarioSpec:
             raise ConfigError(f"scenario.noise.{key}", f"unknown key; expected one of {noise_keys}")
     if "family" in (noise_obj or ()) and noise_obj["family"] not in NOISE_FAMILIES:
         raise ConfigError("scenario.noise.family", f"expected one of {NOISE_FAMILIES}")
+    _check_numbers(noise_obj or {}, ("sigma",), "scenario.noise", lists=False)
     try:
         noise = NoiseModel.from_dict(noise_obj) if noise_obj is not None else NoiseModel()
     except ValueError as exc:

@@ -19,7 +19,7 @@ import scipy.linalg
 from numpy.typing import NDArray
 
 from .kernels import KernelSpec, as_points, cross_gram, gram
-from .linalg import solve_spd
+from .linalg import SpdFactor, _check_symmetric
 
 NORM_CLAMP_TOL = 1e-10
 
@@ -98,6 +98,18 @@ class Dataset:
         return self.xs.shape[0]
 
 
+def _ridge_factor(K: NDArray[np.float64], lam: float) -> SpdFactor:
+    """Factors the ridge system lam*I + K/n of a symmetric n x n Gram K.
+
+    fit_ridge, bridge_distance_sq and run_replication all solve this
+    system; building and factoring it here keeps one definition of it.
+    """
+    n = K.shape[0]
+    A = K / n
+    A.flat[:: n + 1] += lam  # bit-identical to lam*np.eye(n) + K/n
+    return SpdFactor(A)
+
+
 def fit_ridge(
     kernel: KernelSpec,
     data: Dataset,
@@ -110,24 +122,23 @@ def fit_ridge(
     Solves (lam*I + K/n) w = f and returns the expansion with
     coefficients w/n centered at the data points. lam = 0 is allowed
     and interpolates the data when the Gram matrix is numerically
-    nonsingular (the jitter policy of solve_spd applies).
+    nonsingular (the jitter ladder of SpdFactor applies).
 
     Args:
         kernel: Kernel defining the RKHS.
         data: Observations to fit.
         lam: Regularization weight, >= 0.
-        gram_matrix: Optional precomputed gram(kernel, data.xs).
+        gram_matrix: Optional precomputed gram(kernel, data.xs); it is
+            checked for symmetry.
 
     Returns:
         The fitted expansion.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    n = data.n
-    K = gram(kernel, data.xs) if gram_matrix is None else gram_matrix
-    A = lam * np.eye(n) + K / n
-    w = solve_spd(A, data.fs)
-    return KernelExpansion(kernel, data.xs, w / n)
+    K = gram(kernel, data.xs) if gram_matrix is None else _check_symmetric(gram_matrix, "gram_matrix")
+    w = _ridge_factor(K, lam).solve(data.fs)
+    return KernelExpansion(kernel, data.xs, w / data.n)
 
 
 def fit_generalized(
@@ -210,18 +221,19 @@ def gp_posterior_band(
     The mean is k(x,X) (K + lam_gp*I)^-1 f, which with lam_gp = n*lam
     equals the fit_ridge prediction at x; the variance is
     k(x,x) - k(x,X) (K + lam_gp*I)^-1 k(X,x), clamped at zero against
-    roundoff.
+    roundoff. Both come from one factorization of K + lam_gp*I and one
+    solve against [f | k(X, x)].
     """
     if not lam_gp > 0:
         raise ValueError("lam_gp must be positive")
     pts = as_points(xs, kernel.dim)
-    K = gram(kernel, data.xs)
+    A = gram(kernel, data.xs)
     Kxn = cross_gram(kernel, pts, data.xs)
-    A = K + lam_gp * np.eye(data.n)
-    mean = Kxn @ solve_spd(A, data.fs)
-    V = solve_spd(A, Kxn.T)
+    A.flat[:: data.n + 1] += lam_gp  # bit-identical to K + lam_gp*np.eye(n)
+    X = SpdFactor(A).solve(np.column_stack([data.fs, Kxn.T]))
+    mean = Kxn @ X[:, 0]
     # k(x, x) = 1 for every built-in family.
-    var = 1.0 - np.sum(Kxn * V.T, axis=1)
+    var = 1.0 - np.sum(Kxn * X[:, 1:].T, axis=1)
     return mean, np.maximum(var, 0.0)
 
 

@@ -22,13 +22,13 @@ import numpy as np
 import scipy.stats
 from numpy.typing import ArrayLike, NDArray
 
-from .auxiliary import bridge_distance_sq, fit_auxiliary, theoretical_tilde_risk
+from .auxiliary import fit_auxiliary, theoretical_tilde_risk
 from .estimator import (
     Dataset,
     KernelExpansion,
     _clamp_nonneg,
+    _ridge_factor,
     evaluate_batch,
-    fit_ridge,
     rkhs_norm_sq,
 )
 from .fredholm import (
@@ -343,8 +343,8 @@ def sample_dataset(
 
 def _sample_with_cross_gram(
     scenario: ScenarioSpec, n: int, replication_index: int, lambda_key: float | None
-) -> tuple[Dataset, NDArray[np.float64]]:
-    """sample_dataset together with the cross-Gram of the data against the grid nodes."""
+) -> tuple[Dataset, NDArray[np.float64], NDArray[np.float64]]:
+    """sample_dataset with the data's cross-Gram C against the grid nodes and f0 at the data."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = _rng_for(scenario, n, lambda_key, replication_index)
@@ -363,8 +363,9 @@ def _sample_with_cross_gram(
         raise ValueError(f"unsupported design measure {design.kind!r}")
     f0 = _design_context(scenario).f0
     C = cross_gram(f0.kernel, xs, f0.centers)
-    fs = C @ f0.coeffs + rng.normal(0.0, scenario.noise.std_at(xs))
-    return Dataset(xs, fs), C
+    f0_at_xs = C @ f0.coeffs
+    fs = f0_at_xs + rng.normal(0.0, scenario.noise.std_at(xs))
+    return Dataset(xs, fs), C, f0_at_xs
 
 
 def run_replication(
@@ -372,38 +373,43 @@ def run_replication(
 ) -> ReplicationMetrics:
     """Runs one replication and measures every tracked quantity.
 
-    Fits the ridge and auxiliary estimators on a fresh dataset, forms
-    all squared RKHS distances against the continuous target as Gram
-    quadratic forms, evaluates the empirical objective and the sup-norm
-    certificate, checks the residual-bridge identity, and records the
-    two deterministic bound flags.
+    Builds the data's Gram K once and factors lam*I + K/n once. The
+    auxiliary fit comes first (with its residual-formula check), since
+    its residuals r = f - (lam*I + K/n) w~ need only the data and
+    f_lambda. One two-column solve against [f | r] gives the ridge
+    weights w (coefficients a = w/n) and the bridge vector
+    v = (lam*I + K/n)^-1 r, and one product K [a, t, a - t, v] gives
+    every squared RKHS distance, the empirical objective and the
+    residual-bridge identity ||fhat - f~||^2 = v'Kv/n^2. The bridge
+    stays a real check of the shared factor: r is formed from K itself,
+    so a factor of any other matrix leaves v apart from n(a - t). Also
+    records the sup-norm certificate and the two bound flags.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
     dctx = _design_context(scenario)
     lctx = _lambda_context(scenario, lam)
     kernel = scenario.kernel
-    data, C = _sample_with_cross_gram(scenario, n, replication_index, lam)
-
-    K = gram(kernel, data.xs)
-    fhat = fit_ridge(kernel, data, lam, gram_matrix=K)
-    a = np.asarray(fhat.coeffs)
-    proj0 = C @ dctx.f0.coeffs
+    data, C, proj0 = _sample_with_cross_gram(scenario, n, replication_index, lam)
     projl = C @ lctx.flam.coeffs
-    Ka = K @ a
+    K = gram(kernel, data.xs)
+
+    aux = fit_auxiliary(kernel, data, lctx.flam, lam, gram_matrix=K, flambda_at_xs=projl)
+    # K is exactly symmetric by construction, so no symmetry pass is made.
+    wv = _ridge_factor(K, lam).solve(np.column_stack([data.fs, aux.residuals]))
+    a = wv[:, 0] / n
+    v = wv[:, 1]
+    t = np.asarray(aux.tilde.coeffs)
+    d = a - t
+    Ka, Kt, Kd, Kv = (K @ np.column_stack([a, t, d, v])).T
     aKa = float(a @ Ka)
 
     dist_hat_flambda_sq = _clamp_nonneg(aKa - 2.0 * float(a @ projl) + lctx.norm_flam_sq)
     dist_hat_f0_sq = _clamp_nonneg(aKa - 2.0 * float(a @ proj0) + dctx.norm_f0_sq)
-
-    aux = fit_auxiliary(kernel, data, lctx.flam, lam, gram_matrix=K, flambda_at_xs=projl)
-    t = np.asarray(aux.tilde.coeffs)
-    Kt = K @ t
     dist_tilde_flambda_sq = _clamp_nonneg(float(t @ Kt) - 2.0 * float(t @ projl) + lctx.norm_flam_sq)
-    d = a - t
-    dist_hat_tilde_sq = _clamp_nonneg(float(d @ K @ d))
+    dist_hat_tilde_sq = _clamp_nonneg(float(d @ Kd))
 
-    bridge = bridge_distance_sq(aux, kernel, gram_matrix=K)
+    bridge = _clamp_nonneg(float(v @ Kv) / n**2)
     if abs(bridge - dist_hat_tilde_sq) > 1e-8 * (1.0 + dist_hat_tilde_sq):
         raise ArithmeticError(
             f"residual bridge identity violated: {bridge} vs {dist_hat_tilde_sq}"
@@ -417,7 +423,7 @@ def run_replication(
 
     # All built-in families have sup k(x, x) = 1 on any support.
     sup_gap_hat_flambda = float(np.sqrt(dist_hat_flambda_sq))
-    fhat_eval = evaluate_batch(fhat, dctx.eval_grid)
+    fhat_eval = evaluate_batch(KernelExpansion(kernel, data.xs, a), dctx.eval_grid)
     sup_gap_grid_max = float(np.max(np.abs(fhat_eval - lctx.flam_eval)))
 
     return ReplicationMetrics(

@@ -5,6 +5,11 @@ Laplace, rational quadratic, and constant. All of them satisfy
 k(x, x) = 1 and 0 < k(x, y) <= 1, so Gram matrices are positive
 semidefinite with unit diagonal and the constant family attains the
 uniform lower bound k_min = 1.
+
+Kernel matrices are assembled from direct coordinate differences
+sum_k (a_k - b_k)^2, not from the expansion |a|^2 + |b|^2 - 2 a.b, so
+squared distances are exactly symmetric, exactly 0 for coincident
+points and never negative: no symmetrizing or clamping pass is needed.
 """
 
 from __future__ import annotations
@@ -71,25 +76,35 @@ def as_points(x: object, dim: int) -> NDArray[np.float64]:
 
 
 def _profile(spec: KernelSpec, sqdist: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Applies the radial profile to squared Euclidean distances."""
+    """Applies the radial profile to squared Euclidean distances in place.
+
+    Overwrites and returns sqdist, so a Gram matrix needs one n x m
+    array rather than one per step.
+    """
     if spec.family == "gaussian":
-        return np.exp(-sqdist / (2.0 * spec.bandwidth**2))
+        np.divide(sqdist, -2.0 * spec.bandwidth**2, out=sqdist)
+        return np.exp(sqdist, out=sqdist)
     if spec.family == "laplace":
-        return np.exp(-np.sqrt(sqdist) / spec.bandwidth)
+        np.sqrt(sqdist, out=sqdist)
+        np.divide(sqdist, -spec.bandwidth, out=sqdist)
+        return np.exp(sqdist, out=sqdist)
     if spec.family == "rational_quadratic":
-        return 1.0 / (1.0 + sqdist / (2.0 * spec.bandwidth**2))
-    return np.ones_like(sqdist)
+        np.divide(sqdist, 2.0 * spec.bandwidth**2, out=sqdist)
+        sqdist += 1.0
+        return np.divide(1.0, sqdist, out=sqdist)
+    sqdist.fill(1.0)
+    return sqdist
 
 
 def _sq_dists(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
-    # Quadratic-form expansion; clamped because cancellation can leave
-    # tiny negatives for near-coincident points.
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.maximum(sq, 0.0)
+    """Squared distances sum_k (a_ik - b_jk)^2 from direct coordinate differences."""
+    sq = np.subtract.outer(a[:, 0], b[:, 0])
+    sq *= sq
+    for k in range(1, a.shape[1]):
+        diff = np.subtract.outer(a[:, k], b[:, k])
+        diff *= diff
+        sq += diff
+    return sq
 
 
 def kernel_eval(spec: KernelSpec, x: object, y: object) -> float:
@@ -112,7 +127,8 @@ def gram(spec: KernelSpec, points: object) -> NDArray[np.float64]:
     """Assembles the Gram matrix of a point set.
 
     The result is exactly symmetric and has exact unit diagonal (every
-    family satisfies k(x, x) = 1).
+    family satisfies k(x, x) = 1), both by construction: the squared
+    distances are exactly symmetric with an exactly zero diagonal.
 
     Args:
         spec: Kernel to evaluate.
@@ -127,7 +143,4 @@ def gram(spec: KernelSpec, points: object) -> NDArray[np.float64]:
     pts = as_points(points, spec.dim)
     if pts.shape[0] == 0:
         raise ValueError("gram requires at least one point")
-    K = _profile(spec, _sq_dists(pts, pts))
-    K = 0.5 * (K + K.T)
-    np.fill_diagonal(K, 1.0)
-    return K
+    return _profile(spec, _sq_dists(pts, pts))

@@ -5,6 +5,13 @@ These primitives back every regularized fit in the package and the
 randomized matrix-inequality suites: (lam*I + K)^-1 applications via
 Cholesky with a relative jitter retry ladder, and the bound
 (lam+K)^-1 K (lam+K)^-1 <= 1/(4*lam) checked in the Loewner order.
+
+An SpdFactor holds one Cholesky factorization and serves every solve
+against the same matrix, so a caller that needs several right-hand
+sides factors once. solve_spd is the checked public entry: it verifies
+symmetry and then factors and solves once. Callers that build their
+matrix symmetric themselves (every Gram in the package is exactly
+symmetric) construct an SpdFactor directly and skip that O(n^2) pass.
 """
 
 from __future__ import annotations
@@ -35,12 +42,76 @@ def _check_symmetric(A: NDArray[np.float64], name: str) -> NDArray[np.float64]:
     return A
 
 
+class SpdFactor:
+    """Cholesky factorization of a symmetric positive definite matrix.
+
+    The matrix is factored at construction, at the first level of the
+    jitter ladder that factors: A itself, then A + jitter*I with
+    jitter = JITTER_REL * trace(A)/n, doubling MAX_JITTER_DOUBLINGS
+    times. jitter records the level in use. Each solve checks every
+    column of its solution against A itself,
+    ||A x_j - b_j|| <= 1e-8 ||b_j||, and climbs the ladder (refactoring)
+    until all columns pass; a later solve starts from the level the
+    last one ended on. A is taken as symmetric; solve_spd checks that
+    for matrices the caller did not build.
+
+    Raises:
+        NotPositiveDefiniteError: At construction or in solve, when no
+            remaining jitter level both factors and passes the check.
+    """
+
+    def __init__(self, A: NDArray[np.float64]):
+        self.matrix = A
+        n = A.shape[0]
+        trace = float(np.trace(A))
+        base = JITTER_REL * (trace / n if trace > 0 else 1.0)
+        self._ladder = [0.0] + [base * 2.0**k for k in range(MAX_JITTER_DOUBLINGS + 1)]
+        self._level = -1
+        self._climb()
+
+    def _climb(self) -> None:
+        """Factors A + jitter*I at the next ladder level that factors."""
+        A = self.matrix
+        for level in range(self._level + 1, len(self._ladder)):
+            jitter = self._ladder[level]
+            M = A if jitter == 0.0 else A + jitter * np.eye(A.shape[0])
+            try:
+                # Called through the module attribute so a wrapper installed
+                # on scipy.linalg (profilers, call-count tests) sees it.
+                self._cho = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                continue
+            self._level = level
+            self.jitter = jitter
+            return
+        raise NotPositiveDefiniteError("matrix not positive definite after jitter retries")
+
+    def solve(self, B: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Solves A X = B for a vector (n,) or matrix (n, k) right-hand side.
+
+        Raises:
+            ValueError: If B's leading dimension is not n.
+            NotPositiveDefiniteError: If the ladder runs out.
+        """
+        B = np.asarray(B, dtype=np.float64)
+        n = self.matrix.shape[0]
+        if B.shape[0] != n:
+            raise ValueError(f"B has leading dimension {B.shape[0]}, expected {n}")
+        norm_b = np.linalg.norm(B, axis=0)
+        while True:
+            X = scipy.linalg.cho_solve(self._cho, B, check_finite=False)
+            residual = np.linalg.norm(self.matrix @ X - B, axis=0)
+            if np.all(residual <= 1e-8 * norm_b):
+                return X
+            self._climb()
+
+
 def solve_spd(A: NDArray[np.float64], B: NDArray[np.float64]) -> NDArray[np.float64]:
     """Solves A X = B for symmetric positive definite A by Cholesky.
 
-    If factorization fails (or the solution fails the residual check
-    ||A X - B|| <= 1e-8 ||B||), the diagonal is jittered by
-    JITTER_REL * trace(A)/n, doubling up to MAX_JITTER_DOUBLINGS times.
+    Checks that A is square and symmetric, then solves through one
+    SpdFactor: the same jitter ladder, and a residual check
+    ||A x_j - b_j|| <= 1e-8 ||b_j|| on every column of X.
 
     Args:
         A: Symmetric matrix, intended positive definite.
@@ -53,27 +124,7 @@ def solve_spd(A: NDArray[np.float64], B: NDArray[np.float64]) -> NDArray[np.floa
         NotPositiveDefiniteError: If every jitter level fails.
         ValueError: On non-square or asymmetric A, or shape mismatch.
     """
-    A = _check_symmetric(A, "A")
-    B = np.asarray(B, dtype=np.float64)
-    n = A.shape[0]
-    if B.shape[0] != n:
-        raise ValueError(f"B has leading dimension {B.shape[0]}, expected {n}")
-
-    norm_b = float(np.linalg.norm(B))
-    trace = float(np.trace(A))
-    base = JITTER_REL * (trace / n if trace > 0 else 1.0)
-    jitters = [0.0] + [base * 2.0**k for k in range(MAX_JITTER_DOUBLINGS + 1)]
-    for jitter in jitters:
-        try:
-            M = A if jitter == 0.0 else A + jitter * np.eye(n)
-            c, low = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-            X = scipy.linalg.cho_solve((c, low), B, check_finite=False)
-        except np.linalg.LinAlgError:
-            continue
-        residual = float(np.linalg.norm(A @ X - B))
-        if residual <= 1e-8 * norm_b or norm_b == 0.0:
-            return X
-    raise NotPositiveDefiniteError("matrix not positive definite after jitter retries")
+    return SpdFactor(_check_symmetric(A, "A")).solve(B)
 
 
 def sym_eig(A: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -115,7 +166,7 @@ def sandwich(K: NDArray[np.float64], lam: float) -> NDArray[np.float64]:
     if not lam > 0:
         raise ValueError("lam must be positive")
     K = _check_symmetric(K, "K")
-    A = lam * np.eye(K.shape[0]) + K
-    Y = solve_spd(A, K)
-    Z = solve_spd(A, Y.T).T
+    factor = SpdFactor(lam * np.eye(K.shape[0]) + K)
+    Y = factor.solve(K)
+    Z = factor.solve(Y.T).T
     return 0.5 * (Z + Z.T)

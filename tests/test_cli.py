@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import rkhsreg.cli as cli
 import rkhsreg.experiments as exp
@@ -42,6 +43,12 @@ def _write_config(tmp_path, cfg):
 def test_parse_config_field_paths():
     good = _base_config("out")
     parse_config(good)
+    design = good["scenario"]["design"]
+    tg = {"kind": "truncated_gaussian", "low": 0.0, "high": 1.0, "center": 0.5, "scale": 0.2}
+
+    def scenario(**blocks):
+        return {**good, "scenario": {**good["scenario"], **blocks}}
+
     cases = [
         ({**good, "scenario": {**good["scenario"], "kernel": {"family": "banana"}}},
          "scenario.kernel.family"),
@@ -74,12 +81,88 @@ def test_parse_config_field_paths():
         ({**good, "scenario": {**good["scenario"],
                                "noise": {"kind": "homoscedastic", "family": "sine-ish"}}},
          "scenario.noise.family"),
+        # number fields take JSON numbers only: float() would turn "0.3"
+        # into 0.3 and true into 1.0, and overflow on huge integers
+        (scenario(noise={"sigma": [0.3]}), "scenario.noise.sigma"),
+        (scenario(noise={"sigma": True}), "scenario.noise.sigma"),
+        (scenario(noise={"sigma": "0.3"}), "scenario.noise.sigma"),
+        (scenario(design={**design, "low": True, "high": 2}), "scenario.design.low"),
+        (scenario(design={**design, "high": "1.0"}), "scenario.design.high"),
+        (scenario(design={**design, "low": [0.0, False], "high": [1.0, 1.0]}),
+         "scenario.design.low[1]"),
+        (scenario(design={**design, "low": [[0.0]]}), "scenario.design.low[0]"),
+        (scenario(design={**design, "high": 10**400}), "scenario.design.high"),
+        (scenario(design={**tg, "center": True}), "scenario.design.center"),
+        (scenario(design={**tg, "scale": [0.2]}), "scenario.design.scale"),
+        (scenario(design={**tg, "scale": "0.2"}), "scenario.design.scale"),
+        ({**good, "lambda_rule": {"kind": "fixed", "value": 10**400}}, "lambda_rule.value"),
     ]
     for broken, expected_path in cases:
         with pytest.raises(ConfigError) as excinfo:
             parse_config(broken)
         assert excinfo.value.path == expected_path
         assert expected_path in str(excinfo.value)
+
+
+def test_run_rejects_list_sigma(tmp_path, capsys):
+    cfg = _base_config(tmp_path / "out")
+    cfg["scenario"]["noise"] = {"sigma": [0.3]}
+    assert main(["run", _write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.noise.sigma" in err
+    assert "Traceback" not in err
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["gaussian", "uniform", "dirac", "truncated_gaussian", "fixed",
+                       "power_law", "heteroscedastic", "sine", "sin2pi"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _field_paths(obj, prefix=()):
+    """Every (key path) into a nested dict config, nested blocks included."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+FIELD_PATHS = sorted(set(_field_paths(_base_config("out")))) + [
+    ("scenario", "design", "center"), ("scenario", "design", "scale"),
+    ("scenario", "noise", "family"), ("lambda_rule", "coefficient"),
+    ("lambda_rule", "alpha"), ("emit_plots",),
+]
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(FIELD_PATHS), st.booleans(), JSON_VALUES), max_size=3),
+    st.booleans(),
+    JSON_VALUES,
+)
+def test_parse_config_fuzz_raises_only_config_error(edits, replace_root, root):
+    # Any JSON document either parses or fails with a ConfigError naming
+    # a field; no other exception (TypeError, OverflowError, ...) escapes.
+    cfg = json.loads(json.dumps(_base_config("out")))
+    for path, delete, value in edits:
+        block = cfg
+        for key in path[:-1]:
+            if not isinstance(block.get(key), dict):
+                block[key] = {}
+            block = block[key]
+        if delete:
+            block.pop(path[-1], None)
+        else:
+            block[path[-1]] = value
+    try:
+        parse_config(root if replace_root else cfg)
+    except ConfigError as exc:
+        assert exc.path
 
 
 def test_lambda_rule_schedules():
@@ -125,6 +208,17 @@ def test_run_stops_on_broken_identity(tmp_path, monkeypatch, capsys):
         return orig(scenario, n, lam, index)
 
     monkeypatch.setattr(exp, "run_replication", miswired)
+    assert main(["run", _write_config(tmp_path, _base_config(tmp_path / "out"))]) == 3
+    err = capsys.readouterr().err
+    assert "invariant broken: residual bridge identity violated" in err
+    assert "Traceback" not in err
+
+
+def test_run_stops_on_wrong_ridge_factor(tmp_path, monkeypatch, capsys):
+    # A factor of lam*(1 + 1e-3) + K/n passes its own solve residual
+    # check; the residual-bridge identity catches it and stops the run.
+    orig = exp._ridge_factor
+    monkeypatch.setattr(exp, "_ridge_factor", lambda K, lam: orig(K, lam * (1 + 1e-3)))
     assert main(["run", _write_config(tmp_path, _base_config(tmp_path / "out"))]) == 3
     err = capsys.readouterr().err
     assert "invariant broken: residual bridge identity violated" in err

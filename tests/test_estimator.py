@@ -237,6 +237,20 @@ def test_gp_band_matches_pointwise():
         assert var[i] == pytest.approx(expected_var, abs=1e-10)
 
 
+def test_gp_band_factors_once(cho_factor_calls):
+    # Mean and variance share one factorization of K + lam_gp*I.
+    rng = np.random.default_rng(19)
+    data = _dataset(rng, 15)
+    gp_posterior_band(GAUSS, data, 1.5, np.linspace(0, 1, 7))
+    assert cho_factor_calls == [(15, 15)]
+
+
+def test_fit_ridge_checks_a_supplied_gram():
+    data = Dataset(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        fit_ridge(GAUSS, data, 0.1, gram_matrix=np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+
 def test_gp_nonpositive_lam_gp_raises():
     data = Dataset(np.array([[0.0]]), np.array([1.0]))
     with pytest.raises(ValueError):

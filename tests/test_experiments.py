@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rkhsreg.experiments as exp
-from rkhsreg.auxiliary import fit_auxiliary
+from rkhsreg.auxiliary import bridge_distance_sq, fit_auxiliary
 from rkhsreg.cli import parse_config
 from rkhsreg.estimator import (
     KernelExpansion,
@@ -151,6 +151,39 @@ def test_run_replication_matches_reference_paths(n, lam, index):
     }
     for name, reference in references.items():
         assert getattr(metrics, name) == pytest.approx(reference, rel=1e-10), name
+
+
+@pytest.mark.parametrize("n, lam, index", [(25, 0.2, 4), (200, 0.05, 1), (60, 1e-3, 2)])
+def test_run_replication_matches_fit_ridge_and_bridge(n, lam, index):
+    # run_replication solves the ridge system for the fit and the bridge
+    # in one shared factorization; fit_ridge and bridge_distance_sq each
+    # build and solve it on their own.
+    metrics = run_replication(CANON, n, lam, index)
+    kernel = CANON.kernel
+    data = sample_dataset(CANON, n, index, lambda_key=lam)
+    flam = flambda_expansion(continuous_solution(CANON, lam))
+    bridge = bridge_distance_sq(fit_auxiliary(kernel, data, flam, lam), kernel)
+    assert metrics.dist_hat_tilde_sq == pytest.approx(bridge, rel=1e-10)
+    eval_grid = exp._design_context(CANON).eval_grid
+    fhat_eval = evaluate_batch(fit_ridge(kernel, data, lam), eval_grid)
+    grid_max = np.max(np.abs(fhat_eval - flambda_values(CANON, lam, eval_grid)))
+    assert metrics.sup_gap_grid_max == pytest.approx(grid_max, rel=1e-10)
+
+
+def test_run_replication_factors_once(cho_factor_calls):
+    run_replication(CANON, 40, 0.2, 3)
+    assert cho_factor_calls == [(40, 40)]
+
+
+def test_run_replication_bridge_rejects_a_wrong_factor(monkeypatch):
+    # The bridge vector and the ridge weights come from one factor. A
+    # factor of lam*(1 + 1e-3) + K/n passes every solve residual check
+    # (against its own matrix) but not the residual-bridge identity,
+    # because the residuals r are formed from K itself.
+    orig = exp._ridge_factor
+    monkeypatch.setattr(exp, "_ridge_factor", lambda K, lam: orig(K, lam * (1 + 1e-3)))
+    with pytest.raises(ArithmeticError, match="residual bridge identity"):
+        run_replication(CANON, 25, 0.2, 4)
 
 
 def test_monte_carlo_matches_manual_fold():

@@ -90,16 +90,47 @@ def test_permutation_invariance():
     spec = KernelSpec("gaussian", 0.3, 2)
     K = gram(spec, pts)
     K_perm = gram(spec, pts[perm])
-    # BLAS blocking may round the cross terms differently per layout,
-    # so agreement is to the last ulp rather than bitwise.
-    np.testing.assert_allclose(K_perm, K[np.ix_(perm, perm)], rtol=0, atol=1e-14)
+    # Each entry is an elementwise function of its own two points (no
+    # BLAS product whose blocking depends on the layout), so a
+    # permutation of the points permutes the Gram bitwise.
+    np.testing.assert_array_equal(K_perm, K[np.ix_(perm, perm)])
 
 
 def test_near_duplicate_points_clamped():
     spec = KernelSpec("laplace", 1e-3, 1)
-    # Cancellation in the quadratic-form expansion is clamped, so
-    # coincident points evaluate to exactly 1 even at tiny bandwidth.
+    # Squared distances come from direct coordinate differences, so
+    # coincident points are exactly 0 apart and evaluate to exactly 1
+    # even at tiny bandwidth, with no clamp against cancellation.
     assert kernel_eval(spec, 0.1, 0.1) == 1.0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gram_and_cross_gram_match_kernel_eval(family, dim):
+    # Near-coincident pairs (offsets down to one ulp) are where the
+    # |a|^2 + |b|^2 - 2ab expansion loses every digit of the distance.
+    rng = np.random.default_rng(11)
+    base = rng.uniform(-1.0, 1.0, size=(6, dim))
+    offsets = np.array([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 0.3])
+    pts = np.vstack([base[:3], base[3] + offsets[:, None], np.nextafter(base[4], 2.0)])
+    others = rng.uniform(-1.0, 1.0, size=(4, dim))
+    spec = KernelSpec(family, 1e-3 if family == "laplace" else 0.4, dim)
+    K = gram(spec, pts)
+    C = cross_gram(spec, pts, np.vstack([others, pts[3:5]]))
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            assert K[i, j] == kernel_eval(spec, x, y)
+        for j, y in enumerate(np.vstack([others, pts[3:5]])):
+            assert C[i, j] == kernel_eval(spec, x, y)
+    # Spot values against the closed form on the coordinate differences.
+    gap = float(np.sqrt(np.sum((pts[3] - pts[6]) ** 2)))
+    expected = {
+        "gaussian": np.exp(-(gap**2) / (2.0 * 0.4**2)),
+        "laplace": np.exp(-gap / 1e-3),
+        "rational_quadratic": 1.0 / (1.0 + gap**2 / (2.0 * 0.4**2)),
+        "constant": 1.0,
+    }[family]
+    assert K[3, 6] == pytest.approx(expected, rel=1e-12)
 
 
 def test_as_points_shapes():

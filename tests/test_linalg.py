@@ -7,6 +7,7 @@ import pytest
 from rkhsreg.kernels import KernelSpec, gram
 from rkhsreg.linalg import (
     NotPositiveDefiniteError,
+    SpdFactor,
     loewner_leq,
     sandwich,
     solve_spd,
@@ -79,6 +80,44 @@ def test_solve_input_validation():
         solve_spd(np.ones((2, 3)), np.ones(2))  # nonsquare
     with pytest.raises(ValueError):
         solve_spd(np.eye(3), np.ones(2))  # shape mismatch
+
+
+def test_factor_records_jitter_and_serves_many_solves(cho_factor_calls):
+    rng = np.random.default_rng(12)
+    A = _random_spd(rng, 9)
+    factor = SpdFactor(A)
+    assert factor.jitter == 0.0
+    for _ in range(3):
+        B = rng.standard_normal((9, 2))
+        np.testing.assert_allclose(factor.solve(B), np.linalg.solve(A, B), atol=1e-10)
+    assert len(cho_factor_calls) == 1
+    # The singular all-ones matrix factors only on the jitter ladder.
+    singular = SpdFactor(np.ones((2, 2)))
+    assert singular.jitter > 0.0
+    np.testing.assert_allclose(singular.solve(np.ones(2)), [0.5, 0.5], atol=1e-6)
+
+
+def test_factor_checks_every_column():
+    # The second column is off the range of the singular A. Measured
+    # against ||B|| as a whole its residual would pass (1e-3 against
+    # 1e-8 * 1e9); per column it fails at every jitter level.
+    A = np.diag([1.0, 0.0])
+    B = np.array([[1e9, 0.0], [0.0, 1e-3]])
+    with pytest.raises(NotPositiveDefiniteError):
+        SpdFactor(A).solve(B)
+    with pytest.raises(NotPositiveDefiniteError):
+        solve_spd(A, B)
+    np.testing.assert_allclose(solve_spd(A, B[:, :1]), [[1e9], [0.0]], rtol=1e-6, atol=1e-6)
+
+
+def test_sandwich_factors_once(cho_factor_calls):
+    rng = np.random.default_rng(13)
+    K = _random_psd_with_eigs(rng, rng.uniform(0.0, 5.0, 10))
+    S = sandwich(K, 0.3)
+    assert cho_factor_calls == [(10, 10)]
+    A = 0.3 * np.eye(10) + K
+    expected = np.linalg.solve(A, np.linalg.solve(A, K).T).T
+    np.testing.assert_allclose(S, 0.5 * (expected + expected.T), atol=1e-12)
 
 
 def test_sym_eig_literal():
