@@ -22,26 +22,24 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .estimator import fit_ridge, gp_posterior_band
 from .experiments import (
     AggregateResult,
-    NOISE_FAMILIES,
-    NoiseModel,
     ScenarioSpec,
-    W0_CHOICES,
     canonical_scenario,
     flambda_values,
     monte_carlo,
     rate_fit,
     sample_dataset,
     target_values,
+    worker_count,
 )
-from .fredholm import DesignMeasure
-from .kernels import FAMILIES, KernelSpec
+from .kernels import ConfigError
 from .linalg import loewner_leq, sandwich, sym_eig
 from .svgplot import Figure
 
@@ -52,22 +50,34 @@ LEMMA2_LAMBDAS = (1e-3, 1e-1, 1.0, 10.0)
 MAX_FAILURE_FRACTION = 0.10
 
 
-class ConfigError(ValueError):
-    """Config parse failure carrying the offending field path."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"config field '{path}': {message}")
-        self.path = path
-
-
 @dataclass(frozen=True)
 class LambdaRule:
-    """Regularization schedule: fixed lam or the power law C * n^(-alpha)."""
+    """Regularization schedule: fixed lam or the power law C * n^(-alpha).
+
+    "fixed" needs value; "power_law" needs alpha, and coefficient
+    defaults to 1.
+    """
 
     kind: str
-    value: float = 0.1
+    value: float | None = None
     coefficient: float = 1.0
-    alpha: float = 0.2
+    alpha: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind == "fixed":
+            if self.value is None:
+                raise ConfigError("value", "missing required field")
+            if not self.value > 0:
+                raise ConfigError("value", "must be positive")
+        elif self.kind == "power_law":
+            if self.alpha is None:
+                raise ConfigError("alpha", "missing required field")
+            if not self.coefficient > 0:
+                raise ConfigError("coefficient", "must be positive")
+            if not 0.0 < self.alpha <= 1.0:
+                raise ConfigError("alpha", "must be in (0, 1]")
+        else:
+            raise ConfigError("kind", "expected 'fixed' or 'power_law'")
 
     def lam_for(self, n: int) -> float:
         if self.kind == "fixed":
@@ -88,146 +98,84 @@ class RunConfig:
     ns: tuple[int, ...]
     lambda_rule: LambdaRule
     R: int
-    outputs: str
+    outputs: str = "out"
     emit_plots: bool = True
 
+    def __post_init__(self) -> None:
+        if not self.ns:
+            raise ConfigError("ns", "must be a nonempty list of integers")
+        for i, n in enumerate(self.ns):
+            if n < 1:
+                raise ConfigError(f"ns[{i}]", "expected a positive integer")
+        if self.R < 2:
+            raise ConfigError("R", "must be at least 2")
 
-def _number(value: object, path: str) -> float:
-    """A JSON number as a float, before any model coerces it with float().
 
-    float() would also accept strings and booleans (true -> 1.0), and it
-    overflows on integers beyond the float range. Finiteness and range
-    are left to the caller.
+def _value(tp: object, value: object, path: str) -> object:
+    """Checks one JSON value against a field's declared type, once.
+
+    Numbers must be JSON numbers (float() would take "0.3" and true),
+    finite and within the float range. A tuple field takes one item or
+    a list of items; a dataclass field takes a JSON object.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(path, f"number out of range: {value}") from None
-
-
-def _check_numbers(obj: dict, keys: tuple[str, ...], path: str, lists: bool) -> None:
-    """Type-checks the number fields of a block that its model parses itself.
-
-    With lists=True a field may also be a list of numbers (coordinates).
-    """
-    for key in keys:
-        if key not in obj:
-            continue
-        value = obj[key]
-        if lists and isinstance(value, list):
-            for i, item in enumerate(value):
-                _number(item, f"{path}.{key}[{i}]")
-        else:
-            _number(value, f"{path}.{key}")
-
-
-def _req(obj: dict, key: str, kind: type, path: str, default=None, required: bool = True):
-    if key not in obj:
-        if required:
-            raise ConfigError(path, "missing required field")
-        return default
-    value = obj[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = _number(value, path)
-    if kind is not object and not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(path, f"expected {kind.__name__}, got {type(value).__name__}")
-    # json accepts NaN and Infinity, which no config number may be.
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    if is_dataclass(tp):
+        return _build(tp, value, path)
+    if type(None) in typing.get_args(tp):  # an optional field is omitted, never null
+        tp = next(arg for arg in typing.get_args(tp) if arg is not type(None))
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        if not isinstance(value, list):
+            return (_value(item, value, path),)
+        return tuple(_value(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if tp is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(path, f"expected a number, got {type(value).__name__}")
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ConfigError(path, f"number out of range: {value}") from None
+        # json accepts NaN and Infinity, which no config number may be.
+        if not math.isfinite(number):
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
+        return number
+    if not isinstance(value, tp) or isinstance(value, bool) and tp is not bool:
+        raise ConfigError(path, f"expected {tp.__name__}, got {type(value).__name__}")
     return value
 
 
-def _parse_scenario(obj: dict) -> ScenarioSpec:
-    kernel_obj = _req(obj, "kernel", dict, "scenario.kernel")
-    family = _req(kernel_obj, "family", str, "scenario.kernel.family")
-    if family.lower() not in FAMILIES:
-        raise ConfigError("scenario.kernel.family", f"expected one of {FAMILIES}")
-    bandwidth = _req(kernel_obj, "bandwidth", float, "scenario.kernel.bandwidth", 1.0, False)
-    dim = _req(kernel_obj, "dim", int, "scenario.kernel.dim", 1, False)
-    try:
-        kernel = KernelSpec(family, bandwidth, dim)
-    except ValueError as exc:
-        raise ConfigError("scenario.kernel", str(exc)) from exc
+def _build(cls: type, obj: object, path: str) -> object:
+    """Builds dataclass cls from a JSON object at config path `path`.
 
-    design_obj = _req(obj, "design", dict, "scenario.design")
-    kind = _req(design_obj, "kind", str, "scenario.design.kind")
-    if kind.lower() not in ("uniform", "truncated_gaussian", "dirac"):
-        raise ConfigError(
-            "scenario.design.kind", "expected 'uniform', 'truncated_gaussian', or 'dirac'"
-        )
-    _check_numbers(design_obj, ("low", "high", "center"), "scenario.design", lists=True)
-    _check_numbers(design_obj, ("scale",), "scenario.design", lists=False)
+    Unknown keys, missing required fields and mistyped values are
+    reported here; value checks belong to cls, whose ConfigError gets
+    the block path as prefix and whose other ValueErrors name the block.
+    """
+    block = path or "<root>"
+    if not isinstance(obj, dict):
+        raise ConfigError(block, f"expected an object, got {type(obj).__name__}")
+    prefix = f"{path}." if path else ""
+    names = [f.name for f in fields(cls)]
+    for key in obj:
+        if key not in names:
+            raise ConfigError(prefix + key or block, f"unknown key {key!r}; expected one of {names}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if f.name in obj:
+            values[f.name] = _value(hints[f.name], obj[f.name], prefix + f.name)
+        elif f.default is MISSING:
+            raise ConfigError(prefix + f.name, "missing required field")
     try:
-        design = DesignMeasure.from_dict(design_obj)
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(prefix + exc.path, exc.message) from exc
     except ValueError as exc:
-        raise ConfigError("scenario.design", str(exc)) from exc
-
-    w0 = _req(obj, "w0", str, "scenario.w0", "sin2pi", False)
-    if w0 not in W0_CHOICES:
-        raise ConfigError("scenario.w0", f"expected one of {sorted(W0_CHOICES)}")
-    noise_obj = _req(obj, "noise", dict, "scenario.noise", None, False)
-    noise_keys = [f.name for f in fields(NoiseModel)]
-    for key in noise_obj or ():
-        if key not in noise_keys:
-            raise ConfigError(f"scenario.noise.{key}", f"unknown key; expected one of {noise_keys}")
-    if "family" in (noise_obj or ()) and noise_obj["family"] not in NOISE_FAMILIES:
-        raise ConfigError("scenario.noise.family", f"expected one of {NOISE_FAMILIES}")
-    _check_numbers(noise_obj or {}, ("sigma",), "scenario.noise", lists=False)
-    try:
-        noise = NoiseModel.from_dict(noise_obj) if noise_obj is not None else NoiseModel()
-    except ValueError as exc:
-        raise ConfigError("scenario.noise", str(exc)) from exc
-    grid_m = _req(obj, "grid_m", int, "scenario.grid_m", 256, False)
-    base_seed = _req(obj, "base_seed", int, "scenario.base_seed", 20260815, False)
-    try:
-        return ScenarioSpec(kernel, design, w0, noise, grid_m, base_seed)
-    except ValueError as exc:
-        raise ConfigError("scenario", str(exc)) from exc
+        raise ConfigError(block, str(exc)) from exc
 
 
 def parse_config(obj: object) -> RunConfig:
     """Validates a decoded JSON config, naming the offending field on error."""
-    if not isinstance(obj, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-
-    scen_obj = _req(obj, "scenario", dict, "scenario")
-    scenario = _parse_scenario(scen_obj)
-
-    ns_raw = _req(obj, "ns", list, "ns")
-    if not ns_raw:
-        raise ConfigError("ns", "must be a nonempty list of integers")
-    ns: list[int] = []
-    for i, v in enumerate(ns_raw):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ConfigError(f"ns[{i}]", "expected a positive integer")
-        ns.append(v)
-
-    rule_obj = _req(obj, "lambda_rule", dict, "lambda_rule")
-    kind = _req(rule_obj, "kind", str, "lambda_rule.kind")
-    if kind == "fixed":
-        value = _req(rule_obj, "value", float, "lambda_rule.value")
-        if value <= 0:
-            raise ConfigError("lambda_rule.value", "must be positive")
-        rule = LambdaRule("fixed", value=value)
-    elif kind == "power_law":
-        coefficient = _req(rule_obj, "coefficient", float, "lambda_rule.coefficient", 1.0, False)
-        alpha = _req(rule_obj, "alpha", float, "lambda_rule.alpha")
-        if coefficient <= 0:
-            raise ConfigError("lambda_rule.coefficient", "must be positive")
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigError("lambda_rule.alpha", "must be in (0, 1]")
-        rule = LambdaRule("power_law", coefficient=coefficient, alpha=alpha)
-    else:
-        raise ConfigError("lambda_rule.kind", "expected 'fixed' or 'power_law'")
-
-    R = _req(obj, "R", int, "R")
-    if R < 2:
-        raise ConfigError("R", "must be at least 2")
-    outputs = _req(obj, "outputs", str, "outputs", "out", False)
-    emit_plots = _req(obj, "emit_plots", bool, "emit_plots", True, False)
-    return RunConfig(scenario, tuple(ns), rule, R, outputs, emit_plots)
+    return _build(RunConfig, obj, "")
 
 
 THEORY_COLUMN = {
@@ -303,7 +251,8 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
         return 2
     try:
         config = parse_config(raw)
-    except ConfigError as exc:
+        worker_count()  # a bad RKHS_THREADS exits here, before any output is made
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -353,7 +302,7 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
         write_results_csv(os.path.join(out_dir, "results.csv"), aggregates)
         payload = {
             "config": {
-                "scenario": config.scenario.to_dict(),
+                "scenario": asdict(config.scenario),
                 "ns": list(config.ns),
                 "lambda_rule": config.lambda_rule.to_dict(),
                 "R": config.R,
@@ -406,9 +355,10 @@ def _random_psd(rng: np.random.Generator, dim: int, eig_high: float = 100.0) -> 
 
 def cmd_lemma2(count: int, max_dim: int, seed: int, out_dir: str) -> int:
     """Randomized Loewner-order suite for the resolvent sandwich bound."""
-    if count < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
-        return 2
+    for flag, value, low in (("--count", count, 1), ("--max-dim", max_dim, 1), ("--seed", seed, 0)):
+        if value < low:
+            print(f"error: {flag} must be at least {low}", file=sys.stderr)
+            return 2
     rng = np.random.default_rng(seed)
     max_margin = -np.inf
     violations = 0
@@ -442,7 +392,11 @@ def cmd_lemma2(count: int, max_dim: int, seed: int, out_dir: str) -> int:
 
 def cmd_demo(seed: int, out_dir: str) -> int:
     """One canonical-scenario replication: posterior band and weight scatter."""
-    scenario = canonical_scenario(base_seed=seed)
+    try:
+        scenario = canonical_scenario(base_seed=seed)
+    except ValueError as exc:
+        print(f"error: --seed: {exc}", file=sys.stderr)
+        return 2
     n, lam = DEMO_N, DEMO_LAMBDA
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -492,11 +446,11 @@ def main(argv: list[str] | None = None) -> int:
     p_lemma.add_argument("--count", type=int, default=1000)
     p_lemma.add_argument("--max-dim", type=int, default=20)
     p_lemma.add_argument("--seed", type=int, default=0)
-    p_lemma.add_argument("--out", default="out")
+    p_lemma.add_argument("--out", default=RunConfig.outputs)
 
     p_demo = sub.add_parser("demo", help="one canonical replication with plots")
     p_demo.add_argument("--seed", type=int, default=0)
-    p_demo.add_argument("--out", default="out")
+    p_demo.add_argument("--out", default=RunConfig.outputs)
 
     args = parser.parse_args(argv)
     if args.command == "run":

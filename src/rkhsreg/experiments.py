@@ -42,7 +42,7 @@ from .fredholm import (
     flambda_expansion,
     solve_coefficient,
 )
-from .kernels import KernelSpec, cross_gram, gram
+from .kernels import ConfigError, KernelSpec, cross_gram, gram
 
 SUP_GRID_POINTS = 512
 
@@ -79,7 +79,9 @@ class NoiseModel:
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and nonnegative")
         if self.family not in NOISE_FAMILIES:
-            raise ValueError(f"unknown noise family {self.family!r}; expected one of {NOISE_FAMILIES}")
+            raise ConfigError(
+                "family", f"unknown noise family {self.family!r}; expected one of {NOISE_FAMILIES}"
+            )
 
     def std_at(self, xs: NDArray[np.float64]) -> NDArray[np.float64]:
         x1 = np.asarray(xs, dtype=np.float64).reshape(xs.shape[0], -1)[:, 0]
@@ -97,17 +99,6 @@ class NoiseModel:
         if self.kind == "homoscedastic":
             return self.sigma**2
         return float(grid.weights @ self.condvar_at(grid.nodes))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "sigma": self.sigma, "family": self.family}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "NoiseModel":
-        return cls(
-            kind=obj.get("kind", "homoscedastic"),
-            sigma=float(obj.get("sigma", 0.2)),
-            family=obj.get("family", "affine"),
-        )
 
 
 @dataclass(frozen=True)
@@ -129,7 +120,9 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         if self.w0 not in W0_CHOICES:
-            raise ValueError(f"unknown w0 choice {self.w0!r}; expected one of {sorted(W0_CHOICES)}")
+            raise ConfigError(
+                "w0", f"unknown w0 choice {self.w0!r}; expected one of {sorted(W0_CHOICES)}"
+            )
         if self.grid_m < 8:
             raise ValueError("grid_m must be at least 8")
         if self.base_seed < 0 or self.base_seed >= 2**64:
@@ -140,16 +133,6 @@ class ScenarioSpec:
     def w0_at(self, xs: NDArray[np.float64]) -> NDArray[np.float64]:
         x1 = np.asarray(xs, dtype=np.float64).reshape(xs.shape[0], -1)[:, 0]
         return W0_CHOICES[self.w0](x1)
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel.to_dict(),
-            "design": self.design.to_dict(),
-            "w0": self.w0,
-            "noise": self.noise.to_dict(),
-            "grid_m": self.grid_m,
-            "base_seed": self.base_seed,
-        }
 
 
 def canonical_scenario(base_seed: int = 20260815) -> ScenarioSpec:

@@ -24,12 +24,14 @@ import scipy.stats
 from numpy.typing import NDArray
 
 from .estimator import KernelExpansion, _clamp_nonneg, _frozen_array, rkhs_norm_sq
-from .kernels import KernelSpec, gram
+from .kernels import ConfigError, KernelSpec, gram
 from .linalg import sym_eig
 
 # Discretization identity tolerance: f0 - f_lambda must equal lam * w at
 # the nodes; larger residuals mean the quadrature system is inconsistent.
 RESIDUAL_TOL = 1e-6
+
+DESIGN_KINDS = ("uniform", "truncated_gaussian", "dirac")
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,10 @@ class DesignMeasure:
 
     def __post_init__(self) -> None:
         kind = str(self.kind).lower()
-        if kind not in ("uniform", "truncated_gaussian", "dirac"):
-            raise ValueError(f"unsupported design measure kind {self.kind!r}")
+        if kind not in DESIGN_KINDS:
+            raise ConfigError(
+                "kind", f"unsupported design measure kind {self.kind!r}; expected one of {DESIGN_KINDS}"
+            )
         object.__setattr__(self, "kind", kind)
         low = tuple(float(v) for v in np.atleast_1d(self.low))
         high = tuple(float(v) for v in np.atleast_1d(self.high))
@@ -91,26 +95,6 @@ class DesignMeasure:
     @classmethod
     def dirac(cls, point: object) -> "DesignMeasure":
         return cls("dirac", center=tuple(np.atleast_1d(point)))
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "low": list(self.low),
-            "high": list(self.high),
-            "center": list(self.center),
-            "scale": self.scale,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DesignMeasure":
-        # scalars and lists both normalize in __post_init__
-        return cls(
-            kind=obj["kind"],
-            low=obj.get("low", (0.0,)),
-            high=obj.get("high", (1.0,)),
-            center=obj.get("center", (0.0,)),
-            scale=float(obj.get("scale", 1.0)),
-        )
 
 
 @dataclass(frozen=True)

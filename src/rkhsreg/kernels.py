@@ -10,6 +10,8 @@ Kernel matrices are assembled from direct coordinate differences
 sum_k (a_k - b_k)^2, not from the expansion |a|^2 + |b|^2 - 2 a.b, so
 squared distances are exactly symmetric, exactly 0 for coincident
 points and never negative: no symmetrizing or clamping pass is needed.
+
+ConfigError lives here, the lowest module the config models share.
 """
 
 from __future__ import annotations
@@ -20,6 +22,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 FAMILIES = ("gaussian", "laplace", "rational_quadratic", "constant")
+
+
+class ConfigError(ValueError):
+    """A config value that failed its check, carrying the field's path."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"config field '{path}': {message}")
+        self.path = path
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -41,8 +52,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         family = str(self.family).lower()
         if family not in FAMILIES:
-            raise ValueError(
-                f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
+            raise ConfigError(
+                "family", f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
             )
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
@@ -51,9 +62,6 @@ class KernelSpec:
             raise ValueError("dim must be a positive integer")
         if family != "constant" and not self.bandwidth > 0.0:
             raise ValueError("bandwidth must be positive")
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "bandwidth": self.bandwidth, "dim": self.dim}
 
 
 def as_points(x: object, dim: int) -> NDArray[np.float64]:

@@ -70,9 +70,9 @@ def test_parse_config_field_paths():
          "lambda_rule.coefficient"),
         ({**good, "scenario": {**good["scenario"],
                                "design": {"kind": "uniform", "low": [float("nan")], "high": [1.0]}}},
-         "scenario.design"),
+         "scenario.design.low[0]"),
         ({**good, "scenario": {**good["scenario"], "noise": {"sigma": float("nan")}}},
-         "scenario.noise"),
+         "scenario.noise.sigma"),
         # an unknown noise key would otherwise be ignored silently
         ({**good, "scenario": {**good["scenario"],
                                "noise": {"kind": "heteroscedastic", "profile": "sine"}}},
@@ -96,12 +96,34 @@ def test_parse_config_field_paths():
         (scenario(design={**tg, "scale": [0.2]}), "scenario.design.scale"),
         (scenario(design={**tg, "scale": "0.2"}), "scenario.design.scale"),
         ({**good, "lambda_rule": {"kind": "fixed", "value": 10**400}}, "lambda_rule.value"),
+        # every block takes only its own fields: a misspelled key would
+        # otherwise leave its field at the default and run another scenario
+        (scenario(kernel={"family": "gaussian", "bandwith": 0.05}), "scenario.kernel.bandwith"),
+        (scenario(design={**design, "lo": 0.5}), "scenario.design.lo"),
+        (scenario(grid=64), "scenario.grid"),
+        ({**good, "lambda_rule": {"kind": "power_law", "alph": 0.2}}, "lambda_rule.alph"),
+        ({**good, "Rr": 5}, "Rr"),
+        ({**good, "": 5}, "<root>"),
+        # the field a rule kind needs has no default
+        ({**good, "lambda_rule": {"kind": "fixed"}}, "lambda_rule.value"),
+        ({**good, "lambda_rule": {"kind": "power_law"}}, "lambda_rule.alpha"),
+        (scenario(kernel={}), "scenario.kernel.family"),
     ]
     for broken, expected_path in cases:
         with pytest.raises(ConfigError) as excinfo:
             parse_config(broken)
         assert excinfo.value.path == expected_path
         assert expected_path in str(excinfo.value)
+
+
+def test_run_rejects_bad_thread_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RKHS_THREADS", "abc")
+    cfg = _base_config(tmp_path / "out")
+    assert main(["run", _write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "RKHS_THREADS" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_list_sigma(tmp_path, capsys):
@@ -327,6 +349,19 @@ def test_lemma2_command(tmp_path, capsys):
 
 def test_lemma2_rejects_bad_count(capsys):
     assert main(["lemma2", "--count", "0"]) == 2
+    assert main(["lemma2", "--max-dim", "0"]) == 2
+    assert main(["lemma2", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--max-dim" in err and "--seed" in err
+    assert "Traceback" not in err
+
+
+def test_demo_rejects_bad_seed(tmp_path, capsys):
+    assert main(["demo", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_demo_outputs_are_byte_identical(tmp_path, capsys):

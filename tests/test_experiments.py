@@ -1,6 +1,7 @@
 """Scenario sampling, seed scheme, replication metrics, Monte Carlo
 aggregation, rate fitting, and the consistency checks."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -323,7 +324,7 @@ def test_scenario_serialization_roundtrip():
     ]
     for scen in (CANON, rate_scenario(), _dirac_scenario(), hetero, *planar):
         config = {
-            "scenario": json.loads(json.dumps(scen.to_dict())),
+            "scenario": json.loads(json.dumps(dataclasses.asdict(scen))),
             "ns": [10],
             "lambda_rule": {"kind": "fixed", "value": 0.2},
             "R": 2,

@@ -371,12 +371,3 @@ def test_flambda_grid_refinement():
         sol = solve_coefficient(op, f0, 0.2)
         values.append(evaluate_batch(flambda_expansion(sol), probes))
     np.testing.assert_allclose(values[0], values[1], atol=1e-5)
-
-
-def test_design_measure_serialization_roundtrip():
-    for measure in (
-        UNIFORM,
-        DesignMeasure.truncated_gaussian(0.0, 1.0, 0.5, 0.3),
-        DesignMeasure.dirac((0.2, 0.7)),
-    ):
-        assert DesignMeasure.from_dict(measure.to_dict()) == measure

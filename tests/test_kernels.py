@@ -176,13 +176,6 @@ def test_spec_validation():
     assert KernelSpec("constant", -1.0, 1).family == "constant"
 
 
-def test_spec_serialization_roundtrip():
-    # to_dict writes exactly the constructor's fields.
-    for family in FAMILIES:
-        spec = KernelSpec(family, 0.35, 2)
-        assert KernelSpec(**spec.to_dict()) == spec
-
-
 @given(
     st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=12),
     st.sampled_from(FAMILIES),
