@@ -22,9 +22,8 @@ from .estimator import (
     _frozen_array,
     _ridge_factor,
     evaluate_batch,
-    rkhs_norm_sq,
 )
-from .fredholm import FredholmSolution, flambda_expansion
+from .fredholm import FredholmSolution
 from .kernels import KernelSpec, gram, _profile
 from .linalg import _check_symmetric
 
@@ -161,6 +160,5 @@ def theoretical_tilde_risk(
     kdiag = _profile(kernel, np.zeros(sol.grid.m))
     gap = sol.f0_values - sol.flambda_values
     integral = float(W @ ((condvar + gap**2) * kdiag))
-    norm_flam_sq = rkhs_norm_sq(flambda_expansion(sol), gram_matrix=sol.operator.gram_matrix)
-    value = integral / (sol.lam**2 * n) - norm_flam_sq / n
+    value = integral / (sol.lam**2 * n) - sol.flambda_norm_sq / n
     return TildeRisk(value=value, c1=sol.lam**2 * n * value)

@@ -290,11 +290,12 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
         print(f"error: {failed}/{total} replications failed", file=sys.stderr)
         return 3
 
+    means = [agg.means["dist_hat_f0_sq"] for agg in aggregates]
     slope_info = None
-    if len(config.ns) >= 3:
-        slope, intercept = rate_fit(
-            list(config.ns), [agg.means["dist_hat_f0_sq"] for agg in aggregates]
-        )
+    # A mean of 0 (an exact fit) has no logarithm: no slope is fitted,
+    # and the log-log figure leaves that point out.
+    if len(config.ns) >= 3 and min(means) > 0:
+        slope, intercept = rate_fit(list(config.ns), means)
         slope_info = {"slope": slope, "intercept": intercept}
         print(f"fitted rate slope: {slope:.4f}")
 
@@ -319,9 +320,10 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
                 xlabel="n", ylabel="mean squared RKHS error",
                 xlog=True, ylog=True,
             )
-            means = [agg.means["dist_hat_f0_sq"] for agg in aggregates]
-            fig.add_line(list(config.ns), means, color="blue")
-            fig.add_scatter(list(config.ns), means, color="blue", radius=3)
+            shown_ns = [n for n, mean in zip(config.ns, means) if mean > 0]
+            shown_means = [mean for mean in means if mean > 0]
+            fig.add_line(shown_ns, shown_means, color="blue")
+            fig.add_scatter(shown_ns, shown_means, color="blue", radius=3)
             if slope_info:
                 fig.add_annotation(f"fitted slope {slope_info['slope']:.3f}")
                 fit_line = [

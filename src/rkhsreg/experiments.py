@@ -29,7 +29,6 @@ from .estimator import (
     _clamp_nonneg,
     _ridge_factor,
     evaluate_batch,
-    rkhs_norm_sq,
 )
 from .fredholm import (
     DesignMeasure,
@@ -245,7 +244,6 @@ class _DesignContext:
 class _LambdaContext:
     sol: FredholmSolution
     flam: KernelExpansion
-    norm_flam_sq: float
     flam_eval: NDArray[np.float64]
     theta_star: float
 
@@ -277,10 +275,9 @@ def _lambda_context(scenario: ScenarioSpec, lam: float) -> _LambdaContext:
     dctx = _design_context(scenario)
     sol = solve_coefficient(dctx.op, dctx.f0_values, lam)
     flam = flambda_expansion(sol)
-    norm_flam_sq = rkhs_norm_sq(flam, gram_matrix=dctx.op.gram_matrix)
     flam_eval = evaluate_batch(flam, dctx.eval_grid)
     theta_star = continuous_objective(sol, scenario.noise.irreducible(dctx.op.grid))
-    return _LambdaContext(sol, flam, norm_flam_sq, flam_eval, theta_star)
+    return _LambdaContext(sol, flam, flam_eval, theta_star)
 
 
 def continuous_solution(scenario: ScenarioSpec, lam: float) -> FredholmSolution:
@@ -386,10 +383,11 @@ def run_replication(
     d = a - t
     Ka, Kt, Kd, Kv = (K @ np.column_stack([a, t, d, v])).T
     aKa = float(a @ Ka)
+    norm_flam_sq = lctx.sol.flambda_norm_sq
 
-    dist_hat_flambda_sq = _clamp_nonneg(aKa - 2.0 * float(a @ projl) + lctx.norm_flam_sq)
+    dist_hat_flambda_sq = _clamp_nonneg(aKa - 2.0 * float(a @ projl) + norm_flam_sq)
     dist_hat_f0_sq = _clamp_nonneg(aKa - 2.0 * float(a @ proj0) + dctx.norm_f0_sq)
-    dist_tilde_flambda_sq = _clamp_nonneg(float(t @ Kt) - 2.0 * float(t @ projl) + lctx.norm_flam_sq)
+    dist_tilde_flambda_sq = _clamp_nonneg(float(t @ Kt) - 2.0 * float(t @ projl) + norm_flam_sq)
     dist_hat_tilde_sq = _clamp_nonneg(float(d @ Kd))
 
     bridge = _clamp_nonneg(float(v @ Kv) / n**2)

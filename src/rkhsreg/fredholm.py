@@ -6,12 +6,17 @@ f_lambda = K w, where K is the kernel integral operator of the design
 measure P. The solver discretizes P by a probability quadrature
 (Gauss-Legendre for Uniform) with nodes and weights W, and a
 GridOperator holds the lam-independent parts: the node Gram matrix G
-and the eigendecomposition S = W^(1/2) G W^(1/2) = V diag(mu) V'. Each
-lam then costs two matrix-vector products,
-w = W^(-1/2) V (V' W^(1/2) f0) / (mu + lam), and the effective
-dimension sum mu / (mu + lam) is read off the same spectrum. f_lambda
-is exposed as a kernel expansion so RKHS distances against fitted
-estimators are direct quadratic forms.
+and a low-rank factor of S = W^(1/2) G W^(1/2). S is factored once by
+pivoted Cholesky, stopped at LAPACK's roundoff tolerance
+tol = m * eps * max diag(S), so S = L L' + E with L of shape m x r and
+E positive semidefinite with trace at most (m - r) * tol. One r x r
+eigendecomposition L'L = Q diag(nu) Q' gives B = L Q with S ~ B B' and
+B'B = diag(nu). Each lam then costs O(m r) through the Woodbury form
+(S + lam)^-1 b = (b - B ((B'b) / (nu + lam))) / lam, and the effective
+dimension sum nu / (nu + lam) is read off the same r values; dropping
+E changes it by at most (m - r) * tol / lam. Every solve is checked
+against the full stored G. f_lambda is exposed as a kernel expansion
+so RKHS distances against fitted estimators are direct quadratic forms.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.stats
 from numpy.typing import NDArray
+from scipy.linalg.lapack import dpstrf
 
 from .estimator import KernelExpansion, _clamp_nonneg, _frozen_array, rkhs_norm_sq
 from .kernels import ConfigError, KernelSpec, gram
-from .linalg import sym_eig
 
 # Discretization identity tolerance: f0 - f_lambda must equal lam * w at
 # the nodes; larger residuals mean the quadrature system is inconsistent.
@@ -130,9 +136,12 @@ class GridOperator:
     """The kernel integral operator discretized on a quadrature grid.
 
     gram_matrix is the node Gram G, built once at construction. The
-    spectrum (mu, V) of S = W^(1/2) G W^(1/2) is computed on first use
-    and cached; S is positive semidefinite, so mu is clamped at 0 and
-    1/(mu + lam) <= 1/lam for every lam > 0.
+    low-rank spectrum (nu, B) of S = W^(1/2) G W^(1/2) is computed on
+    first use and cached: one pivoted Cholesky S = L L' + E at LAPACK's
+    default tolerance tol = m * eps * max diag(S), then one
+    eigendecomposition of the r x r matrix L'L = Q diag(nu) Q', with
+    B = L Q. nu is clamped at 0, so 1/(nu + lam) <= 1/lam for every
+    lam > 0, and nothing divides by a small eigenvalue.
     """
 
     kernel: KernelSpec
@@ -146,19 +155,35 @@ class GridOperator:
 
     @cached_property
     def spectrum(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """(mu ascending and clamped at 0, orthonormal eigenvectors V) of S."""
+        """(nu ascending and clamped at 0, B of shape m x r) with S ~ B B'.
+
+        B has orthogonal columns, B'B = diag(nu), and S - B B' is the
+        positive semidefinite remainder E of the pivoted Cholesky.
+        """
         s = np.sqrt(self.grid.weights)
-        mu, V = sym_eig(s[:, None] * self.gram_matrix * s[None, :])
-        mu = np.maximum(mu, 0.0)
-        mu.flags.writeable = V.flags.writeable = False
-        return mu, V
+        S = s[:, None] * self.gram_matrix * s[None, :]
+        # With a negative tol, dpstrf stops at m * eps * max diag(S).
+        c, piv, rank, _ = dpstrf(S, tol=-1.0, lower=1)
+        L = np.empty((self.grid.m, rank))
+        L[piv - 1] = np.tril(c[:, :rank])
+        # Divide and conquer ("evd") takes about half the time of the
+        # default "evr" at full rank, r = m = 1024.
+        nu, Q = scipy.linalg.eigh(L.T @ L, driver="evd", check_finite=False)
+        nu = np.maximum(nu, 0.0)
+        B = L @ Q
+        nu.flags.writeable = B.flags.writeable = False
+        return nu, B
 
     def effective_dimension(self, lam: float) -> float:
-        """N(lam) = tr K (K + lam)^-1 = sum_i mu_i / (mu_i + lam)."""
+        """N(lam) = tr K (K + lam)^-1 = sum_i nu_i / (nu_i + lam).
+
+        The sum runs over the r kept values; the dropped remainder E
+        changes N(lam) by at most (m - r) * tol / lam.
+        """
         if not lam > 0:
             raise ValueError("lam must be positive")
-        mu, _ = self.spectrum
-        return float(np.sum(mu / (mu + lam)))
+        nu, _ = self.spectrum
+        return float(np.sum(nu / (nu + lam)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +191,8 @@ class FredholmSolution:
     """Solution of the discretized (lam + K) w = f0 on a quadrature grid.
 
     flambda_values = (K w) at the nodes, and f0 - f_lambda = lam * w
-    holds at every node (residual_max records how tightly). operator is
+    holds at every node (residual_max records how tightly).
+    flambda_norm_sq = ||f_lambda||_k^2 = (W w)' G (W w). operator is
     the GridOperator the solution was computed with.
     """
 
@@ -176,6 +202,7 @@ class FredholmSolution:
     f0_values: NDArray[np.float64]
     flambda_values: NDArray[np.float64]
     residual_max: float
+    flambda_norm_sq: float
 
     @property
     def kernel(self) -> KernelSpec:
@@ -237,10 +264,11 @@ def solve_coefficient(
 ) -> FredholmSolution:
     """Solves (lam*I + G W) w = f0 at the grid nodes through the spectrum.
 
-    With S = W^(1/2) G W^(1/2) = V diag(mu) V', the solution is
-    w = W^(-1/2) V ((V' W^(1/2) f0) / (mu + lam)) and
-    flambda_values = G W w, computed with the stored G so the node
-    identity below checks the spectral solve against the operator.
+    With S ~ B B' and B'B = diag(nu) (GridOperator.spectrum), the
+    Woodbury form gives w = W^(-1/2) (b - B ((B'b) / (nu + lam))) / lam
+    for b = W^(1/2) f0, in O(m r). flambda_values = G W w is computed
+    with the full stored G, so the node identity below checks the
+    low-rank solve against the operator itself.
 
     Raises:
         ValueError: If lam <= 0 or f0_values has the wrong length.
@@ -253,17 +281,20 @@ def solve_coefficient(
     f0 = np.asarray(f0_values, dtype=np.float64).reshape(-1)
     if f0.shape[0] != grid.m:
         raise ValueError(f"f0_values must have length {grid.m}")
-    mu, V = op.spectrum
+    nu, B = op.spectrum
     s = np.sqrt(grid.weights)
-    w = (V @ ((V.T @ (s * f0)) / (mu + lam))) / s
-    flambda = op.gram_matrix @ (grid.weights * w)
+    b = s * f0
+    w = (b - B @ ((B.T @ b) / (nu + lam))) / (lam * s)
+    Ww = grid.weights * w
+    flambda = op.gram_matrix @ Ww
     residual = f0 - flambda - lam * w
     residual_max = float(np.max(np.abs(residual)))
     if residual_max > RESIDUAL_TOL:
         raise ArithmeticError(
             f"discretization inconsistency: identity residual {residual_max:.3e}"
         )
-    return FredholmSolution(op, lam, w, f0, flambda, residual_max)
+    norm_sq = _clamp_nonneg(float(Ww @ flambda))
+    return FredholmSolution(op, lam, w, f0, flambda, residual_max, norm_sq)
 
 
 def flambda_expansion(sol: FredholmSolution) -> KernelExpansion:
@@ -298,14 +329,13 @@ def continuous_objective(sol: FredholmSolution, irreducible: float) -> float:
     """Value of the continuous regularized objective at its minimizer.
 
     irreducible + lam * <w, K w>_L2 + lam^2 * ||w||_L2^2, with the inner
-    products taken as quadratures; irreducible is the scenario's noise
+    products taken as quadratures; <w, K w>_L2 = ||f_lambda||_k^2 is
+    the solution's flambda_norm_sq. irreducible is the scenario's noise
     floor E(f - f0(X))^2.
     """
-    W = sol.grid.weights
     w = sol.w_values
-    w_Kw = float((W * w) @ sol.flambda_values)
-    w_l2 = float(W @ (w * w))
-    return irreducible + sol.lam * w_Kw + sol.lam**2 * w_l2
+    w_l2 = float(sol.grid.weights @ (w * w))
+    return irreducible + sol.lam * sol.flambda_norm_sq + sol.lam**2 * w_l2
 
 
 def bias_norm_sq(sol: FredholmSolution, w0_values: NDArray[np.float64]) -> float:

@@ -251,7 +251,8 @@ def test_run_stops_on_negative_quadratic_form(tmp_path, monkeypatch, capsys):
     orig = exp._lambda_context
 
     def corrupted(scenario, lam):
-        return dataclasses.replace(orig(scenario, lam), norm_flam_sq=-1.0)
+        lctx = orig(scenario, lam)
+        return dataclasses.replace(lctx, sol=dataclasses.replace(lctx.sol, flambda_norm_sq=-1.0))
 
     monkeypatch.setattr(exp, "_lambda_context", corrupted)
     assert main(["run", _write_config(tmp_path, _base_config(tmp_path / "out"))]) == 3
@@ -297,6 +298,26 @@ def test_run_emits_rate_slope(tmp_path):
     assert payload["rate"]["slope"] < 0
     svg = (out_dir / "loglog.svg").read_text()
     assert "fitted slope" in svg
+
+
+@pytest.mark.parametrize("ns", [[10, 12], [10, 12, 14]])
+def test_run_with_zero_mean_error_skips_the_rate(tmp_path, capsys, ns):
+    # A zero target observed without noise is fitted exactly at every n,
+    # so each mean is 0: no slope exists and the log axes omit the points.
+    out_dir = tmp_path / "out"
+    cfg = _base_config(out_dir, ns=ns)
+    cfg["scenario"]["w0"] = "zero"
+    cfg["scenario"]["noise"]["sigma"] = 0.0
+    assert main(["run", _write_config(tmp_path, cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("mean||f0-fhat||^2=0\n") == len(ns)
+    assert "fitted rate slope" not in captured.out
+    assert "Traceback" not in captured.err
+    payload = json.loads((out_dir / "results.json").read_text())
+    assert [r["means"]["dist_hat_f0_sq"] for r in payload["results"]] == [0.0] * len(ns)
+    assert payload["rate"] is None
+    svg = (out_dir / "loglog.svg").read_text()
+    assert "fitted slope" not in svg and "<circle" not in svg
 
 
 def test_run_unwritable_output(tmp_path, capsys):

@@ -222,11 +222,24 @@ def test_worker_count_parsing(monkeypatch):
 
 
 def test_threaded_aggregates_bit_identical(monkeypatch):
-    monkeypatch.delenv("RKHS_THREADS", raising=False)
-    sequential = monte_carlo(CANON, 15, 0.2, 8)
-    monkeypatch.setenv("RKHS_THREADS", "2")
-    threaded = monte_carlo(CANON, 15, 0.2, 8)
-    assert sequential == threaded
+    # Clearing the caches makes each run build its own grid operator and
+    # low-rank factor, so the comparison covers the lazily cached factor.
+    uniform_2d = ScenarioSpec(
+        kernel=KernelSpec("gaussian", 0.25, 2),
+        design=DesignMeasure.uniform((0.0, 0.0), (1.0, 1.0)),
+        grid_m=256,
+    )
+
+    def cold_run(scenario):
+        exp._design_context.cache_clear()
+        exp._lambda_context.cache_clear()
+        return monte_carlo(scenario, 15, 0.2, 8)
+
+    for scenario in (CANON, uniform_2d):
+        monkeypatch.delenv("RKHS_THREADS", raising=False)
+        sequential = cold_run(scenario)
+        monkeypatch.setenv("RKHS_THREADS", "2")
+        assert cold_run(scenario) == sequential
 
 
 def test_failed_replications_are_counted(monkeypatch):

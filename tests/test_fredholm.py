@@ -21,6 +21,7 @@ from rkhsreg.fredholm import (
     solve_coefficient,
 )
 from rkhsreg.kernels import KernelSpec, kernel_eval
+from rkhsreg.linalg import sym_eig
 
 GL2_OFFSET = 0.2886751345948129  # 1 / (2 sqrt(3))
 UNIFORM = DesignMeasure.uniform(0.0, 1.0)
@@ -134,8 +135,8 @@ class _ShiftedSpectrum(GridOperator):
 
     @cached_property
     def spectrum(self):
-        mu, V = super().spectrum
-        return mu + 0.1, V
+        nu, B = super().spectrum
+        return nu + 0.1, B
 
 
 def test_solver_flags_inconsistent_discretization():
@@ -158,8 +159,80 @@ def test_spectral_solve_matches_dense_solve_2d(lam):
     np.testing.assert_allclose(sol.flambda_values, f0 - lam * w_dense, rtol=0, atol=1e-9 * scale)
 
 
-def test_operator_serves_every_lambda_from_one_gram_and_one_eigh(monkeypatch):
-    calls = {"gram": 0, "eigh": 0}
+# (kernel, design, m, rank of the pivoted Cholesky of S): full-rank
+# Laplace, rank-deficient 2-d Gaussian, and the two remaining families.
+LOW_RANK_CASES = {
+    "gaussian-2d": (
+        KernelSpec("gaussian", 0.4, 2), DesignMeasure.uniform((0.0, 0.0), (1.0, 2.0)), 256, "deficient"
+    ),
+    "laplace-0.05": (KernelSpec("laplace", 0.05, 1), UNIFORM, 128, "full"),
+    "rational_quadratic": (KernelSpec("rational_quadratic", 0.25, 1), UNIFORM, 128, "deficient"),
+    "constant": (CONSTANT, UNIFORM, 32, "one"),
+}
+
+
+def _weighted_gram(op):
+    s = np.sqrt(op.grid.weights)
+    return s[:, None] * op.gram_matrix * s[None, :]
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.0177, 0.2])
+@pytest.mark.parametrize("case", sorted(LOW_RANK_CASES))
+def test_low_rank_solve_matches_dense_solve(case, lam):
+    kernel, measure, m, rank_kind = LOW_RANK_CASES[case]
+    grid = build_grid(measure, m)
+    op = GridOperator(kernel, grid)
+    rank = op.spectrum[1].shape[1]
+    if rank_kind == "full":
+        assert rank == grid.m
+    elif rank_kind == "one":
+        assert rank == 1
+    else:
+        assert 1 < rank < grid.m
+    f0, _ = f0_in_range(op, np.sin(2 * np.pi * grid.nodes[:, 0]) + grid.nodes[:, -1])
+    sol = solve_coefficient(op, f0, lam)
+    w_dense = np.linalg.solve(lam * np.eye(grid.m) + op.gram_matrix * grid.weights[None, :], f0)
+    scale = float(np.max(np.abs(w_dense)))
+    np.testing.assert_allclose(sol.w_values, w_dense, rtol=0, atol=1e-9 * scale)
+    np.testing.assert_allclose(sol.flambda_values, f0 - lam * w_dense, rtol=0, atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.0177, 0.2])
+@pytest.mark.parametrize("case", sorted(LOW_RANK_CASES))
+def test_effective_dimension_within_truncation_bound(case, lam):
+    # The dropped remainder E of the pivoted Cholesky is PSD with trace
+    # at most (m - r) * tol, and x / (x + lam) is 1/lam-Lipschitz, so
+    # N(lam) moves by at most (m - r) * tol / lam; each of the m full
+    # eigenvalues adds roundoff of about eps * ||S|| / lam.
+    kernel, measure, m, _ = LOW_RANK_CASES[case]
+    op = GridOperator(kernel, build_grid(measure, m))
+    S = _weighted_gram(op)
+    mu = np.maximum(sym_eig(S)[0], 0.0)
+    full = float(np.sum(mu / (mu + lam)))
+    m, r = op.grid.m, op.spectrum[1].shape[1]
+    eps = np.finfo(np.float64).eps
+    tol = m * eps * float(np.max(np.diag(S)))
+    bound = (m - r) * tol / lam + m * eps * float(mu[-1]) / lam
+    assert abs(op.effective_dimension(lam) - full) <= bound
+
+
+def test_low_rank_factor_reconstructs_the_weighted_gram():
+    # B'B = diag(nu) is what the Woodbury solve relies on, and the
+    # dropped trace obeys the dpstrf stopping rule up to m * eps * tr S.
+    kernel, measure, m, _ = LOW_RANK_CASES["gaussian-2d"]
+    op = GridOperator(kernel, build_grid(measure, m))
+    nu, B = op.spectrum
+    assert np.all(nu >= 0.0) and np.all(np.diff(nu) >= 0.0)
+    np.testing.assert_allclose(B.T @ B, np.diag(nu), rtol=0, atol=1e-12)
+    S = _weighted_gram(op)
+    m, r = op.grid.m, B.shape[1]
+    eps = np.finfo(np.float64).eps
+    dropped = float(np.trace(S) - np.sum(nu))
+    assert dropped <= (m - r) * m * eps * float(np.max(np.diag(S))) + m * eps * float(np.trace(S))
+
+
+def test_operator_serves_every_lambda_from_one_gram_and_one_dpstrf(monkeypatch):
+    calls = {"gram": 0, "dpstrf": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -168,18 +241,18 @@ def test_operator_serves_every_lambda_from_one_gram_and_one_eigh(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fredholm_mod, "gram", counted("gram", fredholm_mod.gram))
-    monkeypatch.setattr(fredholm_mod, "sym_eig", counted("eigh", fredholm_mod.sym_eig))
+    monkeypatch.setattr(fredholm_mod, "dpstrf", counted("dpstrf", fredholm_mod.dpstrf))
     grid = build_grid(UNIFORM, 48)
     op = GridOperator(GAUSS, grid)
     w0 = np.sin(2 * np.pi * grid.nodes[:, 0])
     f0, _ = f0_in_range(op, w0)
-    assert calls == {"gram": 1, "eigh": 0}
+    assert calls == {"gram": 1, "dpstrf": 0}
     for lam in (1e-3, 1e-2, 0.1, 1.0, 10.0):
         sol = solve_coefficient(op, f0, lam)
         bias_norm_sq(sol, w0)
         op.effective_dimension(lam)
         assert sol.residual_max <= 1e-9
-    assert calls == {"gram": 1, "eigh": 1}
+    assert calls == {"gram": 1, "dpstrf": 1}
 
 
 def test_effective_dimension_constant_kernel_closed_form():
@@ -219,6 +292,8 @@ def test_flambda_expansion_zero_and_literal():
     grid_pts = np.linspace(0, 1, 7)
     np.testing.assert_allclose(evaluate_batch(flam, grid_pts), np.full(7, 0.5), atol=1e-10)
     assert rkhs_norm_sq(flam) == pytest.approx(0.25, abs=1e-10)
+    assert sol.flambda_norm_sq == pytest.approx(0.25, abs=1e-10)
+    assert zero_sol.flambda_norm_sq == 0.0
 
 
 def test_flambda_norm_matches_double_sum():
@@ -236,6 +311,7 @@ def test_flambda_norm_matches_double_sum():
         for j in range(grid.m)
     )
     assert rkhs_norm_sq(flam) == pytest.approx(double_sum, abs=1e-10)
+    assert sol.flambda_norm_sq == pytest.approx(double_sum, abs=1e-10)
 
 
 def test_f0_in_range_zero_and_constant_kernel():
