@@ -8,7 +8,6 @@ Carlo harness for risk curves, Loewner-order matrix bounds, and rates.
 
 from .auxiliary import (
     AuxiliaryFit,
-    TildeRisk,
     bridge_distance_sq,
     fit_auxiliary,
     theoretical_tilde_risk,
@@ -86,7 +85,6 @@ __all__ = [
     "ReplicationMetrics",
     "ScenarioSpec",
     "SpdFactor",
-    "TildeRisk",
     "bias_norm_sq",
     "bridge_distance_sq",
     "build_grid",

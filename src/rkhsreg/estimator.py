@@ -8,6 +8,10 @@ a_i = w_i / n, so no separate 1/n factor travels with the object.
 The Gaussian-process posterior mean with noise variance lam_gp = n*lam
 is the same function, and its posterior variance provides pointwise
 uncertainty bands.
+
+An expansion carries its kernel, so evaluate_batch, rkhs_norm_sq and
+rkhs_dist_sq take no separate kernel; the auxiliary functions likewise
+read theirs from the target expansion.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import scipy.linalg
 from numpy.typing import NDArray
 
 from .kernels import KernelSpec, as_points, cross_gram, gram
-from .linalg import SpdFactor, _check_symmetric
+from .linalg import SpdFactor
 
 NORM_CLAMP_TOL = 1e-10
 
@@ -110,13 +114,7 @@ def _ridge_factor(K: NDArray[np.float64], lam: float) -> SpdFactor:
     return SpdFactor(A)
 
 
-def fit_ridge(
-    kernel: KernelSpec,
-    data: Dataset,
-    lam: float,
-    *,
-    gram_matrix: NDArray[np.float64] | None = None,
-) -> KernelExpansion:
+def fit_ridge(kernel: KernelSpec, data: Dataset, lam: float) -> KernelExpansion:
     """Fits the regularized kernel regressor.
 
     Solves (lam*I + K/n) w = f and returns the expansion with
@@ -128,16 +126,13 @@ def fit_ridge(
         kernel: Kernel defining the RKHS.
         data: Observations to fit.
         lam: Regularization weight, >= 0.
-        gram_matrix: Optional precomputed gram(kernel, data.xs); it is
-            checked for symmetry.
 
     Returns:
         The fitted expansion.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    K = gram(kernel, data.xs) if gram_matrix is None else _check_symmetric(gram_matrix, "gram_matrix")
-    w = _ridge_factor(K, lam).solve(data.fs)
+    w = _ridge_factor(gram(kernel, data.xs), lam).solve(data.fs)
     return KernelExpansion(kernel, data.xs, w / data.n)
 
 
@@ -173,25 +168,18 @@ def fit_generalized(
 
 def evaluate_batch(f: KernelExpansion, xs: object) -> NDArray[np.float64]:
     """Evaluates the expansion at each row of xs."""
-    pts = as_points(xs, f.kernel.dim)
-    if f.coeffs.shape[0] == 0:
-        return np.zeros(pts.shape[0])
-    return cross_gram(f.kernel, pts, f.centers) @ f.coeffs
+    return cross_gram(f.kernel, xs, f.centers) @ f.coeffs
 
 
-def rkhs_norm_sq(
-    f: KernelExpansion, *, gram_matrix: NDArray[np.float64] | None = None
-) -> float:
+def rkhs_norm_sq(f: KernelExpansion) -> float:
     """Squared RKHS norm a' G a of an expansion.
 
-    gram_matrix is an optional precomputed gram(f.kernel, f.centers).
     Tiny negative roundoff is clamped to 0; a genuinely negative value
     raises, since the Gram matrix must be positive semidefinite.
     """
     if f.coeffs.shape[0] == 0:
         return 0.0
-    G = gram(f.kernel, f.centers) if gram_matrix is None else gram_matrix
-    return _clamp_nonneg(float(f.coeffs @ G @ f.coeffs))
+    return _clamp_nonneg(float(f.coeffs @ gram(f.kernel, f.centers) @ f.coeffs))
 
 
 def rkhs_dist_sq(f: KernelExpansion, g: KernelExpansion) -> float:
@@ -205,9 +193,6 @@ def rkhs_dist_sq(f: KernelExpansion, g: KernelExpansion) -> float:
     """
     if f.kernel != g.kernel:
         raise ValueError("expansions use different kernels")
-    m = f.coeffs.shape[0] + g.coeffs.shape[0]
-    if m == 0:
-        return 0.0
     centers = np.vstack([f.centers, g.centers])
     coeffs = np.concatenate([f.coeffs, -g.coeffs])
     return rkhs_norm_sq(KernelExpansion(f.kernel, centers, coeffs))

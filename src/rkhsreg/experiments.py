@@ -374,7 +374,7 @@ def run_replication(
     projl = C @ lctx.flam.coeffs
     K = gram(kernel, data.xs)
 
-    aux = fit_auxiliary(kernel, data, lctx.flam, lam, gram_matrix=K, flambda_at_xs=projl)
+    aux = fit_auxiliary(data, lctx.flam, lam, gram_matrix=K, flambda_at_xs=projl)
     # K is exactly symmetric by construction, so no symmetry pass is made.
     wv = _ridge_factor(K, lam).solve(np.column_stack([data.fs, aux.residuals]))
     a = wv[:, 0] / n
@@ -497,7 +497,7 @@ def monte_carlo(scenario: ScenarioSpec, n: int, lam: float, R: int) -> Aggregate
     lctx = _lambda_context(scenario, lam)
     op = lctx.sol.operator
     condvar = scenario.noise.condvar_at(op.grid.nodes)
-    theory = theoretical_tilde_risk(scenario.kernel, lctx.sol, condvar, n).value
+    theory = theoretical_tilde_risk(lctx.sol, condvar, n)
 
     return AggregateResult(
         n=n,

@@ -30,7 +30,7 @@ import scipy.stats
 from numpy.typing import NDArray
 from scipy.linalg.lapack import dpstrf
 
-from .estimator import KernelExpansion, _clamp_nonneg, _frozen_array, rkhs_norm_sq
+from .estimator import KernelExpansion, _clamp_nonneg, _frozen_array
 from .kernels import ConfigError, KernelSpec, gram
 
 # Discretization identity tolerance: f0 - f_lambda must equal lam * w at
@@ -341,10 +341,9 @@ def continuous_objective(sol: FredholmSolution, irreducible: float) -> float:
 def bias_norm_sq(sol: FredholmSolution, w0_values: NDArray[np.float64]) -> float:
     """Squared RKHS norm of f0 - f_lambda for a target f0 = K w0.
 
-    Since f0 - f_lambda = K (w0 - w), the norm is the Gram quadratic
-    form of the coefficient gap at the nodes.
+    Since f0 - f_lambda = K (w0 - w), the norm is the quadratic form of
+    the coefficient gap at the nodes in the operator's stored Gram G.
     """
     w0 = np.asarray(w0_values, dtype=np.float64).reshape(-1)
     d = sol.grid.weights * (w0 - sol.w_values)
-    expansion = KernelExpansion(sol.kernel, sol.grid.nodes, d)
-    return rkhs_norm_sq(expansion, gram_matrix=sol.operator.gram_matrix)
+    return _clamp_nonneg(float(d @ sol.operator.gram_matrix @ d))

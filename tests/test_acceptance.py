@@ -80,9 +80,9 @@ def test_acceptance_02_bridge_identity_200_replications():
     for index in range(200):
         data = sample_dataset(CANON, 40, index, lambda_key=lam)
         fhat = fit_ridge(GAUSS, data, lam)
-        aux = fit_auxiliary(GAUSS, data, flam, lam)
+        aux = fit_auxiliary(data, flam, lam)
         direct = rkhs_dist_sq(fhat, aux.tilde)
-        bridge = bridge_distance_sq(aux, GAUSS)
+        bridge = bridge_distance_sq(aux)
         rel = abs(bridge - direct) / (1.0 + direct)
         worst = max(worst, rel)
         assert rel <= 1e-8
@@ -114,7 +114,7 @@ def test_acceptance_04_pointwise_unbiasedness():
     values = np.empty((R, probes.shape[0]))
     for index in range(R):
         data = sample_dataset(CANON, n, index, lambda_key=lam)
-        aux = fit_auxiliary(GAUSS, data, flam, lam)
+        aux = fit_auxiliary(data, flam, lam)
         values[index] = evaluate_batch(aux.tilde, probes)
     zs = []
     for j in range(probes.shape[0]):

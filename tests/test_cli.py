@@ -368,6 +368,29 @@ def test_lemma2_command(tmp_path, capsys):
     assert "scalar equality-case margin" in out
 
 
+@pytest.mark.parametrize("eigenvalue, code", [
+    (lambda bound: 2.0 * bound, 1),
+    (lambda bound: bound + 2.0e-8 * max(1.0, bound), 1),
+    (lambda bound: bound + 0.5e-8 * max(1.0, bound), 0),
+], ids=["twice-the-bound", "just-outside", "just-inside"])
+def test_lemma2_violation_threshold(tmp_path, monkeypatch, capsys, eigenvalue, code):
+    # A sandwich eigenvalue above 1/(4 lam) is a violation once its margin
+    # exceeds 1e-8 * max(1, bound).
+    def sandwich(K, lam):
+        return eigenvalue(1.0 / (4.0 * lam)) * np.eye(K.shape[0])
+
+    monkeypatch.setattr(cli, "sandwich", sandwich)
+    assert main(["lemma2", "--count", "2", "--max-dim", "3", "--out", str(tmp_path)]) == code
+    out = capsys.readouterr().out
+    assert ("violation at lam=" in out) == (code == 1)
+    assert ("violations 0" in out) == (code == 0)
+    dump = tmp_path / "lemma2_violation.json"
+    assert dump.exists() == (code == 1)
+    if code == 1:
+        record = json.loads(dump.read_text())
+        assert set(record) == {"lam", "margin", "K"} and record["margin"] > 0
+
+
 def test_lemma2_rejects_bad_count(capsys):
     assert main(["lemma2", "--count", "0"]) == 2
     assert main(["lemma2", "--max-dim", "0"]) == 2

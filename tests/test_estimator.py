@@ -175,6 +175,7 @@ def test_dist_trivial_cases():
     zero = KernelExpansion.zero(GAUSS)
     assert rkhs_dist_sq(f, zero) == pytest.approx(rkhs_norm_sq(f), abs=1e-14)
     assert rkhs_dist_sq(f, zero) == pytest.approx(rkhs_dist_sq(zero, f), abs=1e-14)
+    assert rkhs_dist_sq(zero, zero) == 0.0
 
 
 def test_dist_kernel_mismatch_raises():
@@ -243,12 +244,6 @@ def test_gp_band_factors_once(cho_factor_calls):
     data = _dataset(rng, 15)
     gp_posterior_band(GAUSS, data, 1.5, np.linspace(0, 1, 7))
     assert cho_factor_calls == [(15, 15)]
-
-
-def test_fit_ridge_checks_a_supplied_gram():
-    data = Dataset(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        fit_ridge(GAUSS, data, 0.1, gram_matrix=np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
 def test_gp_nonpositive_lam_gp_raises():

@@ -140,7 +140,7 @@ def test_run_replication_matches_reference_paths(n, lam, index):
     data = sample_dataset(CANON, n, index, lambda_key=lam)
     fhat = fit_ridge(kernel, data, lam)
     flam = flambda_expansion(continuous_solution(CANON, lam))
-    tilde = fit_auxiliary(kernel, data, flam, lam).tilde
+    tilde = fit_auxiliary(data, flam, lam).tilde
     grid = build_grid(CANON.design, CANON.grid_m)
     f0 = KernelExpansion(kernel, grid.nodes, grid.weights * CANON.w0_at(grid.nodes))
     references = {
@@ -163,7 +163,7 @@ def test_run_replication_matches_fit_ridge_and_bridge(n, lam, index):
     kernel = CANON.kernel
     data = sample_dataset(CANON, n, index, lambda_key=lam)
     flam = flambda_expansion(continuous_solution(CANON, lam))
-    bridge = bridge_distance_sq(fit_auxiliary(kernel, data, flam, lam), kernel)
+    bridge = bridge_distance_sq(fit_auxiliary(data, flam, lam))
     assert metrics.dist_hat_tilde_sq == pytest.approx(bridge, rel=1e-10)
     eval_grid = exp._design_context(CANON).eval_grid
     fhat_eval = evaluate_batch(fit_ridge(kernel, data, lam), eval_grid)

@@ -51,11 +51,12 @@ def test_constant_family_is_one_everywhere():
 
 def test_unit_diagonal_and_exact_symmetry():
     rng = np.random.default_rng(1)
-    for family in FAMILIES:
-        pts = rng.uniform(-2, 2, size=(15, 1))
-        K = gram(KernelSpec(family, 0.7, 1), pts)
-        assert np.array_equal(np.diag(K), np.ones(15))
-        assert np.array_equal(K, K.T)
+    for dim in (1, 2):
+        for family in FAMILIES:
+            pts = rng.uniform(-2, 2, size=(15, dim))
+            K = gram(KernelSpec(family, 0.7, dim), pts)
+            assert np.array_equal(np.diag(K), np.ones(15))
+            assert np.array_equal(K, K.T)
 
 
 def test_kernel_values_bounded():
