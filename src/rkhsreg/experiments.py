@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.stats
 from numpy.typing import ArrayLike, NDArray
 
 from .auxiliary import fit_auxiliary, theoretical_tilde_risk
@@ -42,8 +41,6 @@ from .fredholm import (
     solve_coefficient,
 )
 from .kernels import ConfigError, KernelSpec, cross_gram, gram
-
-SUP_GRID_POINTS = 512
 
 W0_CHOICES: dict[str, object] = {
     "sin2pi": lambda x: np.sin(2.0 * np.pi * x),
@@ -72,11 +69,11 @@ class NoiseModel:
     def __post_init__(self) -> None:
         kind = str(self.kind).lower()
         if kind not in ("homoscedastic", "heteroscedastic"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+            raise ConfigError("kind", f"unknown noise kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "sigma", float(self.sigma))
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError("sigma must be finite and nonnegative")
+            raise ConfigError("sigma", "must be finite and nonnegative")
         if self.family not in NOISE_FAMILIES:
             raise ConfigError(
                 "family", f"unknown noise family {self.family!r}; expected one of {NOISE_FAMILIES}"
@@ -123,11 +120,14 @@ class ScenarioSpec:
                 "w0", f"unknown w0 choice {self.w0!r}; expected one of {sorted(W0_CHOICES)}"
             )
         if self.grid_m < 8:
-            raise ValueError("grid_m must be at least 8")
+            raise ConfigError("grid_m", "must be at least 8")
         if self.base_seed < 0 or self.base_seed >= 2**64:
-            raise ValueError("base_seed must fit in 64 unsigned bits")
+            raise ConfigError("base_seed", "must fit in 64 unsigned bits")
         if self.kernel.dim != self.design.dim:
             raise ValueError("kernel dim and design measure dim differ")
+        # The affine profile is linear in x1, and the evaluation grid holds the support's ends.
+        if np.any(self.noise.std_at(self.design.eval_grid()) < 0):
+            raise ConfigError("noise.family", "the noise profile is negative on the design support")
 
     def w0_at(self, xs: NDArray[np.float64]) -> NDArray[np.float64]:
         x1 = np.asarray(xs, dtype=np.float64).reshape(xs.shape[0], -1)[:, 0]
@@ -161,15 +161,7 @@ def rate_scenario(base_seed: int = 20260815) -> ScenarioSpec:
     the signal down makes the variance terms dominate and the fitted
     log-log rate emerges by n = 320.
     """
-    spec = canonical_scenario(base_seed)
-    return ScenarioSpec(
-        kernel=spec.kernel,
-        design=spec.design,
-        w0="sin2pi_small",
-        noise=spec.noise,
-        grid_m=spec.grid_m,
-        base_seed=base_seed,
-    )
+    return replace(canonical_scenario(base_seed), w0="sin2pi_small")
 
 
 @dataclass(frozen=True)
@@ -248,18 +240,6 @@ class _LambdaContext:
     theta_star: float
 
 
-def _eval_grid(design: DesignMeasure) -> NDArray[np.float64]:
-    """Fixed grid over the design support for sup-gap sampling."""
-    if design.kind == "dirac":
-        return np.array([design.center])
-    if design.dim == 1:
-        return np.linspace(design.low[0], design.high[0], SUP_GRID_POINTS).reshape(-1, 1)
-    side = int(np.ceil(np.sqrt(SUP_GRID_POINTS)))
-    g0 = np.linspace(design.low[0], design.high[0], side)
-    g1 = np.linspace(design.low[1], design.high[1], side)
-    return np.array([(a, b) for a in g0 for b in g1])
-
-
 @lru_cache(maxsize=16)
 def _design_context(scenario: ScenarioSpec) -> _DesignContext:
     grid = build_grid(scenario.design, scenario.grid_m)
@@ -267,7 +247,7 @@ def _design_context(scenario: ScenarioSpec) -> _DesignContext:
     w0_values = scenario.w0_at(grid.nodes)
     f0_values, c0 = f0_in_range(op, w0_values)
     f0 = KernelExpansion(scenario.kernel, grid.nodes, grid.weights * w0_values)
-    return _DesignContext(op, f0, f0_values, c0**2, _eval_grid(scenario.design))
+    return _DesignContext(op, f0, f0_values, c0**2, scenario.design.eval_grid())
 
 
 @lru_cache(maxsize=64)
@@ -328,19 +308,7 @@ def _sample_with_cross_gram(
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = _rng_for(scenario, n, lambda_key, replication_index)
-    design = scenario.design
-    if design.kind == "uniform":
-        xs = rng.uniform(design.low, design.high, size=(n, design.dim))
-    elif design.kind == "dirac":
-        xs = np.tile(np.asarray(design.center, dtype=np.float64), (n, 1))
-    elif design.kind == "truncated_gaussian":
-        a = (design.low[0] - design.center[0]) / design.scale
-        b = (design.high[0] - design.center[0]) / design.scale
-        xs = scipy.stats.truncnorm.rvs(
-            a, b, loc=design.center[0], scale=design.scale, size=n, random_state=rng
-        ).reshape(n, 1)
-    else:  # pragma: no cover - guarded in DesignMeasure
-        raise ValueError(f"unsupported design measure {design.kind!r}")
+    xs = scenario.design.sample(rng, n)
     f0 = _design_context(scenario).f0
     C = cross_gram(f0.kernel, xs, f0.centers)
     f0_at_xs = C @ f0.coeffs
@@ -558,6 +526,8 @@ def monotonicity_check(
     flagged only beyond Monte Carlo slack.
     """
     ns = list(ns)
+    if not ns:
+        raise ValueError("ns must be nonempty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("ns must be strictly increasing")
     aggregates = [monte_carlo(scenario, n, lam, R) for n in ns]
@@ -593,14 +563,11 @@ def weak_consistency_fractions(
     (eps, fractions) with eps = half the mean distance at the smallest
     n. Convergence in probability shows up as nonincreasing fractions.
     """
-    eps = None
-    fractions: list[float] = []
+    if not ns:
+        raise ValueError("ns must be nonempty")
+    norms = []
     for n in ns:
-        lam = coefficient * float(n) ** (-alpha)
-        successes, _ = _run_many(scenario, n, lam, R)
-        norms = np.sqrt([r.dist_hat_f0_sq for r in successes])
-        if eps is None:
-            eps = 0.5 * float(norms.mean())
-        fractions.append(float(np.mean(norms >= eps)))
-    assert eps is not None
-    return eps, fractions
+        successes, _ = _run_many(scenario, n, coefficient * float(n) ** (-alpha), R)
+        norms.append(np.sqrt([r.dist_hat_f0_sq for r in successes]))
+    eps = 0.5 * float(norms[0].mean())
+    return eps, [float(np.mean(v >= eps)) for v in norms]

@@ -4,7 +4,7 @@ The population-level solution f_lambda = (lam + K)^-1 K f0 solves a
 Fredholm integral equation of the second kind, (lam + K) w = f0 with
 f_lambda = K w, where K is the kernel integral operator of the design
 measure P. The solver discretizes P by a probability quadrature
-(Gauss-Legendre for Uniform) with nodes and weights W, and a
+(tensor-product Gauss-Legendre) with nodes and weights W, and a
 GridOperator holds the lam-independent parts: the node Gram matrix G
 and a low-rank factor of S = W^(1/2) G W^(1/2). S is factored once by
 pivoted Cholesky, stopped at LAPACK's roundoff tolerance
@@ -21,8 +21,9 @@ so RKHS distances against fitted estimators are direct quadratic forms.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.linalg
@@ -38,15 +39,21 @@ from .kernels import ConfigError, KernelSpec, gram
 RESIDUAL_TOL = 1e-6
 
 DESIGN_KINDS = ("uniform", "truncated_gaussian", "dirac")
+# Largest uniform box: at d = 4 the default grid_m = 256 leaves ||f_lambda||^2
+# about 25% from its m = 625 value, and no output reports that error.
+MAX_UNIFORM_DIM = 3
+SUP_GRID_POINTS = 512
 
 
 @dataclass(frozen=True)
 class DesignMeasure:
     """Marginal design measure P of the sampling scenario.
 
-    Supported kinds: "uniform" on a box (d <= 2), "truncated_gaussian"
-    on an interval (d = 1), and "dirac" at a point. Coordinates are
-    stored as tuples so the measure is hashable.
+    Supported kinds: "uniform" on a box (d <= MAX_UNIFORM_DIM),
+    "truncated_gaussian" on an interval (d = 1), and "dirac" at a
+    point. Coordinates are stored as tuples so the measure is hashable.
+    This module owns every use of the kind: the quadrature (build_grid),
+    the draws (sample) and the sup-norm evaluation grid (eval_grid).
     """
 
     kind: str
@@ -62,27 +69,24 @@ class DesignMeasure:
                 "kind", f"unsupported design measure kind {self.kind!r}; expected one of {DESIGN_KINDS}"
             )
         object.__setattr__(self, "kind", kind)
-        low = tuple(float(v) for v in np.atleast_1d(self.low))
-        high = tuple(float(v) for v in np.atleast_1d(self.high))
-        center = tuple(float(v) for v in np.atleast_1d(self.center))
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", high)
-        object.__setattr__(self, "center", center)
+        for name in ("low", "high", "center"):
+            object.__setattr__(self, name, tuple(map(float, np.atleast_1d(getattr(self, name)))))
         object.__setattr__(self, "scale", float(self.scale))
+        low, high, center = self.low, self.high, self.center
         if not np.all(np.isfinite(low + high + center + (self.scale,))):
             raise ValueError("design measure coordinates and scale must be finite")
         if kind == "uniform":
-            if len(low) != len(high) or not 1 <= len(low) <= 2:
-                raise ValueError("uniform measure needs matching low/high of dimension 1 or 2")
-            if any(h <= l for l, h in zip(low, high)):
-                raise ValueError("uniform measure needs low < high per coordinate")
+            if not 1 <= len(low) <= MAX_UNIFORM_DIM:
+                raise ConfigError("low", f"a uniform box has 1 to {MAX_UNIFORM_DIM} dimensions")
+            if len(low) != len(high):
+                raise ValueError("uniform measure needs low and high of the same dimension")
         if kind == "truncated_gaussian":
             if len(low) != 1 or len(high) != 1 or len(center) != 1:
                 raise ValueError("truncated_gaussian is one-dimensional")
             if not self.scale > 0:
                 raise ValueError("truncated_gaussian needs positive scale")
-            if high[0] <= low[0]:
-                raise ValueError("truncated_gaussian needs low < high")
+        if kind != "dirac" and any(h <= l for l, h in zip(low, high)):
+            raise ValueError(f"{kind} measure needs low < high per coordinate")
 
     @property
     def dim(self) -> int:
@@ -102,12 +106,37 @@ class DesignMeasure:
     def dirac(cls, point: object) -> "DesignMeasure":
         return cls("dirac", center=tuple(np.atleast_1d(point)))
 
+    def _truncnorm(self):
+        a = (self.low[0] - self.center[0]) / self.scale
+        b = (self.high[0] - self.center[0]) / self.scale
+        return scipy.stats.truncnorm(a, b, loc=self.center[0], scale=self.scale)
+
+    def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
+        """n i.i.d. draws from the measure as an (n, dim) array."""
+        if self.kind == "uniform":
+            return rng.uniform(self.low, self.high, size=(n, self.dim))
+        if self.kind == "dirac":
+            return np.tile(np.asarray(self.center, dtype=np.float64), (n, 1))
+        return self._truncnorm().rvs(size=n, random_state=rng).reshape(n, 1)
+
+    def eval_grid(self) -> NDArray[np.float64]:
+        """Fixed grid over the support for sup-norm sampling, ends included.
+
+        s equally spaced points per axis for the smallest s with
+        s^dim >= SUP_GRID_POINTS: 512, 23 and 8 at d = 1, 2, 3.
+        """
+        side = 1
+        while side**self.dim < SUP_GRID_POINTS:
+            side += 1
+        unit = np.full(side, 1.0 / side)
+        return _product_grid(self, lambda lo, hi: (np.linspace(lo, hi, side), unit)).nodes
+
 
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Nodes and probability weights approximating integration over P.
 
-    Weights are positive and sum to one.
+    nodes is an (m, d) array; the m weights are positive and sum to one.
     """
 
     nodes: NDArray[np.float64]
@@ -115,10 +144,9 @@ class QuadratureGrid:
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=np.float64)
-        nodes = nodes.reshape(-1, 1) if nodes.ndim == 1 else nodes
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if nodes.shape[0] != weights.shape[0]:
-            raise ValueError("nodes and weights must have equal length")
+        if nodes.ndim != 2 or nodes.shape[0] != weights.shape[0]:
+            raise ValueError("nodes must be an (m, d) array with one weight per row")
         if np.any(weights <= 0):
             raise ValueError("quadrature weights must be positive")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
@@ -215,48 +243,52 @@ class FredholmSolution:
 
 def _gauss_legendre_1d(low: float, high: float, m: int) -> tuple[NDArray, NDArray]:
     x, w = np.polynomial.legendre.leggauss(m)
-    nodes = low + (high - low) * 0.5 * (x + 1.0)
-    return nodes, w / w.sum()
+    return low + (high - low) * 0.5 * (x + 1.0), _normalized(w)
+
+
+def _normalized(weights: NDArray[np.float64]) -> NDArray[np.float64]:
+    return weights / weights.sum()
+
+
+def _product_grid(measure: DesignMeasure, rule: Callable[[float, float], tuple]) -> QuadratureGrid:
+    """Tensor product of 1-d rules (points, probability weights), one per axis.
+
+    A dirac measure gives its point with weight 1; any other measure
+    takes rule(low_k, high_k) on each side of its box. Points come in
+    itertools.product order, and the weights are renormalized after
+    each axis is multiplied in, so a 1-d rule passes through unchanged.
+    """
+    if measure.kind == "dirac":
+        axes = [(np.array([c]), np.ones(1)) for c in measure.center]
+    else:
+        axes = [rule(lo, hi) for lo, hi in zip(measure.low, measure.high)]
+    points, weights = zip(*axes)
+    mesh = np.meshgrid(*points, indexing="ij")
+    product = reduce(lambda u, v: _normalized(np.multiply.outer(u, v).ravel()), weights)
+    return QuadratureGrid(np.stack(mesh, axis=-1).reshape(-1, len(axes)), product)
 
 
 def build_grid(measure: DesignMeasure, m: int) -> QuadratureGrid:
     """Builds a probability quadrature for the design measure.
 
-    Uniform uses Gauss-Legendre nodes (tensor product per axis for d=2,
-    about sqrt(m) nodes per axis). TruncatedGaussian uses pdf-weighted
-    Gauss-Legendre with renormalized weights, falling back to equally
-    spaced midpoints for m < 4. Dirac collapses to a single node.
+    The tensor product of round(m^(1/d)) Gauss-Legendre nodes per axis
+    (all m at d = 1), with the weights times the density, renormalized,
+    for a truncated Gaussian. Dirac collapses to a single node.
 
     Raises:
-        ValueError: For m < 1 or an unsupported measure.
+        ValueError: For m < 1.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if measure.kind == "dirac":
-        return QuadratureGrid(np.array([measure.center]), np.array([1.0]))
-    if measure.kind == "uniform":
-        if measure.dim == 1:
-            return QuadratureGrid(*_gauss_legendre_1d(measure.low[0], measure.high[0], m))
-        m1 = max(2, int(round(np.sqrt(m))))
-        n0, w0 = _gauss_legendre_1d(measure.low[0], measure.high[0], m1)
-        n1, w1 = _gauss_legendre_1d(measure.low[1], measure.high[1], m1)
-        nodes = np.array([(a, b) for a in n0 for b in n1])
-        weights = np.outer(w0, w1).reshape(-1)
-        return QuadratureGrid(nodes, weights / weights.sum())
-    # truncated_gaussian
-    low, high = measure.low[0], measure.high[0]
-    a = (low - measure.center[0]) / measure.scale
-    b = (high - measure.center[0]) / measure.scale
-    dist = scipy.stats.truncnorm(a, b, loc=measure.center[0], scale=measure.scale)
-    if m < 4:
-        # Too few points for a weighted Gauss rule to behave; use cell
-        # midpoints with renormalized density weights.
-        nodes = low + (high - low) * (np.arange(m) + 0.5) / m
-        raw = dist.pdf(nodes)
-    else:
-        nodes, glw = _gauss_legendre_1d(low, high, m)
-        raw = glw * dist.pdf(nodes)
-    return QuadratureGrid(nodes, raw / raw.sum())
+    per_axis = round(m ** (1.0 / measure.dim))
+
+    def rule(low: float, high: float) -> tuple[NDArray, NDArray]:
+        nodes, weights = _gauss_legendre_1d(low, high, per_axis)
+        if measure.kind == "truncated_gaussian":
+            weights = _normalized(weights * measure._truncnorm().pdf(nodes))
+        return nodes, weights
+
+    return _product_grid(measure, rule)
 
 
 def solve_coefficient(

@@ -59,9 +59,9 @@ class KernelSpec:
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
         object.__setattr__(self, "dim", int(self.dim))
         if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+            raise ConfigError("dim", "must be a positive integer")
         if family != "constant" and not self.bandwidth > 0.0:
-            raise ValueError("bandwidth must be positive")
+            raise ConfigError("bandwidth", "must be positive")
 
 
 def as_points(x: object, dim: int) -> NDArray[np.float64]:

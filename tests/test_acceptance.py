@@ -18,6 +18,7 @@ from rkhsreg.estimator import (
     rkhs_dist_sq,
 )
 from rkhsreg.experiments import (
+    ScenarioSpec,
     canonical_scenario,
     continuous_solution,
     flambda_values,
@@ -102,6 +103,20 @@ def test_acceptance_03_auxiliary_risk_matches_theory():
         assert abs(z) <= 3.0
         lines.append(f"n={n} z={z:+.2f}")
     print(f"\n[PASS] criterion 03: auxiliary risk vs theory, {', '.join(lines)}")
+
+
+def test_acceptance_03_auxiliary_risk_matches_theory_on_the_cube():
+    # The closed form does not depend on d given k(x, x) = 1: Gaussian
+    # h=0.25 on the unit cube, 8 nodes per axis, n = 50, R = 1000.
+    scen = ScenarioSpec(KernelSpec("gaussian", 0.25, 3),
+                        DesignMeasure.uniform((0.0,) * 3, (1.0,) * 3), grid_m=512)
+    agg = monte_carlo(scen, 50, 0.2, 1000)
+    mean = agg.means["dist_tilde_flambda_sq"]
+    se = agg.stderrs["dist_tilde_flambda_sq"]
+    z = (mean - agg.theoretical_tilde_risk) / se
+    assert agg.n_failed == 0
+    assert abs(z) <= 3.0
+    print(f"\n[PASS] criterion 03 at d=3: auxiliary risk vs theory, n=50 z={z:+.2f}")
 
 
 def test_acceptance_04_pointwise_unbiasedness():

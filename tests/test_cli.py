@@ -62,7 +62,20 @@ def test_parse_config_field_paths():
         ({**good, "scenario": {**good["scenario"], "design": {"kind": "pareto"}}},
          "scenario.design.kind"),
         ({**good, "scenario": {**good["scenario"], "noise": {"sigma": -0.5}}},
-         "scenario.noise"),
+         "scenario.noise.sigma"),
+        (scenario(noise={"kind": "pink"}), "scenario.noise.kind"),
+        (scenario(kernel={"family": "gaussian", "bandwidth": 0.0}), "scenario.kernel.bandwidth"),
+        (scenario(kernel={"family": "gaussian", "dim": 0}), "scenario.kernel.dim"),
+        (scenario(grid_m=4), "scenario.grid_m"),
+        (scenario(base_seed=2**64), "scenario.base_seed"),
+        # a box of more than 3 dimensions
+        (scenario(kernel={"family": "gaussian", "dim": 4},
+                  design={"kind": "uniform", "low": [0.0] * 4, "high": [1.0] * 4}),
+         "scenario.design.low"),
+        # the affine profile sigma * (0.25 + x1) would be negative below x1 = -0.25
+        (scenario(design={"kind": "uniform", "low": -0.5, "high": 1.0},
+                  noise={"kind": "heteroscedastic", "family": "affine"}),
+         "scenario.noise.family"),
         # json accepts NaN and Infinity; neither may reach a solve.
         ({**good, "lambda_rule": {"kind": "fixed", "value": float("nan")}}, "lambda_rule.value"),
         ({**good, "lambda_rule": {"kind": "fixed", "value": float("inf")}}, "lambda_rule.value"),
@@ -133,6 +146,33 @@ def test_run_rejects_list_sigma(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "scenario.noise.sigma" in err
     assert "Traceback" not in err
+
+
+def test_run_rejects_negative_affine_noise(tmp_path, capsys):
+    # On [-1, 0] the affine profile sigma * (0.25 + x1) is negative at
+    # most draws, which would fail inside the noise draw.
+    cfg = _base_config(tmp_path / "out")
+    cfg["scenario"]["design"] = {"kind": "uniform", "low": [-1.0], "high": [0.0]}
+    cfg["scenario"]["noise"] = {"kind": "heteroscedastic", "family": "affine"}
+    assert main(["run", _write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.noise.family" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_takes_a_box_of_at_most_three_dimensions(tmp_path, capsys):
+    for dim, code in ((3, 0), (4, 2)):
+        cfg = _base_config(tmp_path / f"out{dim}", emit_plots=False)
+        cfg["scenario"]["kernel"]["dim"] = dim
+        cfg["scenario"]["design"] = {"kind": "uniform", "low": [0.0] * dim, "high": [1.0] * dim}
+        assert main(["run", _write_config(tmp_path, cfg)]) == code
+    captured = capsys.readouterr()
+    assert "n=12 " in captured.out
+    assert "scenario.design.low" in captured.err
+    assert "Traceback" not in captured.err
+    assert (tmp_path / "out3" / "results.csv").exists()
+    assert not (tmp_path / "out4").exists()
 
 
 JSON_SCALARS = (

@@ -6,9 +6,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import rkhsreg.experiments as exp
-from rkhsreg.auxiliary import bridge_distance_sq, fit_auxiliary
+from rkhsreg.auxiliary import bridge_distance_sq, fit_auxiliary, theoretical_tilde_risk
 from rkhsreg.cli import parse_config
 from rkhsreg.estimator import (
     KernelExpansion,
@@ -33,7 +34,7 @@ from rkhsreg.experiments import (
     weak_consistency_fractions,
     worker_count,
 )
-from rkhsreg.fredholm import DesignMeasure, build_grid, flambda_expansion
+from rkhsreg.fredholm import DesignMeasure, build_grid, continuous_objective, flambda_expansion
 from rkhsreg.kernels import FAMILIES, KernelSpec
 from rkhsreg.linalg import NotPositiveDefiniteError
 
@@ -107,6 +108,12 @@ def test_dirac_and_truncated_gaussian_sampling():
     )
     data = sample_dataset(scen, 200, 0)
     assert np.all(data.xs >= 0.0) and np.all(data.xs <= 1.0)
+    # The draws are scipy's truncnorm on the replication's own stream.
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=6, spawn_key=(200, 0, 0)))
+    expected = scipy.stats.truncnorm.rvs(
+        -0.5 / 0.3, 0.5 / 0.3, loc=0.5, scale=0.3, size=200, random_state=rng
+    )
+    np.testing.assert_array_equal(data.xs[:, 0], expected)
 
 
 def test_single_point_dirac_closed_forms():
@@ -292,12 +299,16 @@ def test_monotonicity_check_smoke():
     assert report.rows[0][0] == 10 and report.rows[1][0] == 20
     with pytest.raises(ValueError):
         monotonicity_check(CANON, 0.2, [20, 10], R=2)
+    with pytest.raises(ValueError, match="nonempty"):
+        monotonicity_check(CANON, 0.2, [], R=2)
 
 
 def test_weak_consistency_fractions_nonincreasing():
     eps, fractions = weak_consistency_fractions(rate_scenario(), [20, 80, 320], R=300)
     assert eps > 0
     assert fractions[0] >= fractions[1] >= fractions[2]
+    with pytest.raises(ValueError, match="nonempty"):
+        weak_consistency_fractions(rate_scenario(), [], R=2)
 
 
 def test_continuous_solution_is_cached():
@@ -354,6 +365,27 @@ def test_scenario_validation():
         ScenarioSpec(CANON.kernel, CANON.design, base_seed=-1)
     with pytest.raises(ValueError):
         ScenarioSpec(KernelSpec("gaussian", 0.25, 2), CANON.design)
+
+
+def test_cube_quadrature_resolution():
+    # Gaussian h=0.25 on the unit cube, lam=0.2: 8 and 10 Gauss-Legendre
+    # nodes per axis agree to about 2e-6 on ||f_lambda||^2 and to about
+    # 2e-7 on the continuous objective and the tilde-risk reference.
+    lam = 0.2
+    values = []
+    for m in (512, 1000):
+        scen = ScenarioSpec(KernelSpec("gaussian", 0.25, 3),
+                            DesignMeasure.uniform((0.0,) * 3, (1.0,) * 3), grid_m=m)
+        sol = continuous_solution(scen, lam)
+        assert sol.grid.m == m
+        condvar = scen.noise.condvar_at(sol.grid.nodes)
+        values.append(np.array([
+            sol.flambda_norm_sq,
+            continuous_objective(sol, scen.noise.irreducible(sol.grid)),
+            theoretical_tilde_risk(sol, condvar, 50),
+        ]))
+    gap = np.abs(values[0] - values[1]) / np.abs(values[1])
+    assert np.all(gap <= 1e-5), gap
 
 
 def test_noise_model_profiles_and_irreducible():

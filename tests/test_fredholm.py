@@ -60,20 +60,27 @@ def test_truncated_gaussian_grid():
     assert float(grid.weights @ grid.nodes[:, 0]) == pytest.approx(ref_mean, abs=1e-8)
 
 
-def test_truncated_gaussian_midpoint_fallback():
-    measure = DesignMeasure.truncated_gaussian(0.0, 1.0, 0.5, 0.3)
+def test_truncated_gaussian_two_node_rule():
+    # Small m takes the same pdf-weighted Gauss-Legendre rule as large m.
+    measure = DesignMeasure.truncated_gaussian(0.0, 1.0, 0.3, 0.3)
     grid = build_grid(measure, 2)
-    np.testing.assert_allclose(grid.nodes[:, 0], [0.25, 0.75], atol=1e-15)
-    assert float(grid.weights.sum()) == pytest.approx(1.0, abs=1e-12)
+    nodes = np.array([0.5 - GL2_OFFSET, 0.5 + GL2_OFFSET])
+    np.testing.assert_allclose(grid.nodes[:, 0], nodes, atol=1e-15)
+    pdf = scipy.stats.norm.pdf(nodes, loc=0.3, scale=0.3)
+    np.testing.assert_allclose(grid.weights, pdf / pdf.sum(), rtol=1e-14)
 
 
 def test_uniform_2d_tensor_grid():
-    measure = DesignMeasure.uniform((0.0, 0.0), (1.0, 2.0))
-    grid = build_grid(measure, 16)
-    assert grid.m == 16
-    assert float(grid.weights.sum()) == pytest.approx(1.0, abs=1e-12)
-    total = float(grid.weights @ (grid.nodes[:, 0] + grid.nodes[:, 1]))
-    assert total == pytest.approx(0.5 + 1.0, abs=1e-12)
+    # The product rule integrates x1 + ... + xd exactly; at d = 3 on a
+    # box that is not the unit box, round(27^(1/3)) = 3 nodes per axis.
+    for low, high, m, mean in (((0.0, 0.0), (1.0, 2.0), 16, 0.5 + 1.0),
+                               ((-1.0, 0.0, 2.0), (0.0, 0.5, 5.0), 27, -0.5 + 0.25 + 3.5)):
+        grid = build_grid(DesignMeasure.uniform(low, high), m)
+        assert grid.m == m
+        assert grid.nodes.shape == (m, len(low))
+        assert float(grid.weights.sum()) == pytest.approx(1.0, abs=1e-12)
+        total = float(grid.weights @ grid.nodes.sum(axis=1))
+        assert total == pytest.approx(mean, abs=1e-12)
 
 
 def test_grid_validation():
@@ -87,6 +94,8 @@ def test_grid_validation():
         QuadratureGrid(np.array([0.0, 1.0]), np.array([0.7, 0.7]))  # sum != 1
     with pytest.raises(ValueError):
         QuadratureGrid(np.array([0.0, 1.0]), np.array([1.5, -0.5]))  # negative
+    with pytest.raises(ValueError):
+        QuadratureGrid(np.array([0.0, 1.0]), np.array([0.5, 0.5]))  # nodes not (m, d)
 
 
 def test_constant_kernel_solution_closed_form():

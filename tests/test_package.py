@@ -53,3 +53,26 @@ def test_no_module_keeps_an_unused_import():
             if name not in used:
                 unused.append(f"{path.name}:{line}: {name}")
     assert unused == []
+
+
+def test_every_private_helper_is_referenced():
+    # A private top-level function or class that nothing names is dead code.
+    trees = {path.name: _parse(path) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unreferenced = [
+        f"{name}:{node.lineno}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert unreferenced == []
