@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -126,7 +126,7 @@ class ScenarioSpec:
         if self.kernel.dim != self.design.dim:
             raise ValueError("kernel dim and design measure dim differ")
         # The affine profile is linear in x1, and the evaluation grid holds the support's ends.
-        if np.any(self.noise.std_at(self.design.eval_grid()) < 0):
+        if np.any(self.noise.std_at(self.design.eval_grid) < 0):
             raise ConfigError("noise.family", "the noise profile is negative on the design support")
 
     def w0_at(self, xs: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -161,7 +161,15 @@ def rate_scenario(base_seed: int = 20260815) -> ScenarioSpec:
     the signal down makes the variance terms dominate and the fitted
     log-log rate emerges by n = 320.
     """
-    return replace(canonical_scenario(base_seed), w0="sin2pi_small")
+    spec = canonical_scenario(base_seed)
+    return ScenarioSpec(
+        kernel=spec.kernel,
+        design=spec.design,
+        w0="sin2pi_small",
+        noise=spec.noise,
+        grid_m=spec.grid_m,
+        base_seed=base_seed,
+    )
 
 
 @dataclass(frozen=True)
@@ -229,7 +237,6 @@ class _DesignContext:
     f0: KernelExpansion
     f0_values: NDArray[np.float64]
     norm_f0_sq: float
-    eval_grid: NDArray[np.float64]
 
 
 @dataclass(frozen=True)
@@ -247,7 +254,7 @@ def _design_context(scenario: ScenarioSpec) -> _DesignContext:
     w0_values = scenario.w0_at(grid.nodes)
     f0_values, c0 = f0_in_range(op, w0_values)
     f0 = KernelExpansion(scenario.kernel, grid.nodes, grid.weights * w0_values)
-    return _DesignContext(op, f0, f0_values, c0**2, scenario.design.eval_grid())
+    return _DesignContext(op, f0, f0_values, c0**2)
 
 
 @lru_cache(maxsize=64)
@@ -255,7 +262,7 @@ def _lambda_context(scenario: ScenarioSpec, lam: float) -> _LambdaContext:
     dctx = _design_context(scenario)
     sol = solve_coefficient(dctx.op, dctx.f0_values, lam)
     flam = flambda_expansion(sol)
-    flam_eval = evaluate_batch(flam, dctx.eval_grid)
+    flam_eval = evaluate_batch(flam, scenario.design.eval_grid)
     theta_star = continuous_objective(sol, scenario.noise.irreducible(dctx.op.grid))
     return _LambdaContext(sol, flam, flam_eval, theta_star)
 
@@ -372,7 +379,7 @@ def run_replication(
 
     # All built-in families have sup k(x, x) = 1 on any support.
     sup_gap_hat_flambda = float(np.sqrt(dist_hat_flambda_sq))
-    fhat_eval = evaluate_batch(KernelExpansion(kernel, data.xs, a), dctx.eval_grid)
+    fhat_eval = evaluate_batch(KernelExpansion(kernel, data.xs, a), scenario.design.eval_grid)
     sup_gap_grid_max = float(np.max(np.abs(fhat_eval - lctx.flam_eval)))
 
     return ReplicationMetrics(
@@ -563,11 +570,17 @@ def weak_consistency_fractions(
     (eps, fractions) with eps = half the mean distance at the smallest
     n. Convergence in probability shows up as nonincreasing fractions.
     """
+    ns = list(ns)
     if not ns:
         raise ValueError("ns must be nonempty")
-    norms = []
+    eps = None
+    fractions: list[float] = []
     for n in ns:
-        successes, _ = _run_many(scenario, n, coefficient * float(n) ** (-alpha), R)
-        norms.append(np.sqrt([r.dist_hat_f0_sq for r in successes]))
-    eps = 0.5 * float(norms[0].mean())
-    return eps, [float(np.mean(v >= eps)) for v in norms]
+        lam = coefficient * float(n) ** (-alpha)
+        successes, _ = _run_many(scenario, n, lam, R)
+        norms = np.sqrt([r.dist_hat_f0_sq for r in successes])
+        if eps is None:
+            eps = 0.5 * float(norms.mean())
+        fractions.append(float(np.mean(norms >= eps)))
+    assert eps is not None
+    return eps, fractions

@@ -21,7 +21,6 @@ so RKHS distances against fitted estimators are direct quadratic forms.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -53,7 +52,8 @@ class DesignMeasure:
     "truncated_gaussian" on an interval (d = 1), and "dirac" at a
     point. Coordinates are stored as tuples so the measure is hashable.
     This module owns every use of the kind: the quadrature (build_grid),
-    the draws (sample) and the sup-norm evaluation grid (eval_grid).
+    the draws (sample) and the sup-norm evaluation grid (eval_grid),
+    both grids built by one tensor-product helper (_product).
     """
 
     kind: str
@@ -69,10 +69,13 @@ class DesignMeasure:
                 "kind", f"unsupported design measure kind {self.kind!r}; expected one of {DESIGN_KINDS}"
             )
         object.__setattr__(self, "kind", kind)
-        for name in ("low", "high", "center"):
-            object.__setattr__(self, name, tuple(map(float, np.atleast_1d(getattr(self, name)))))
+        low = tuple(float(v) for v in np.atleast_1d(self.low))
+        high = tuple(float(v) for v in np.atleast_1d(self.high))
+        center = tuple(float(v) for v in np.atleast_1d(self.center))
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "scale", float(self.scale))
-        low, high, center = self.low, self.high, self.center
         if not np.all(np.isfinite(low + high + center + (self.scale,))):
             raise ValueError("design measure coordinates and scale must be finite")
         if kind == "uniform":
@@ -80,13 +83,15 @@ class DesignMeasure:
                 raise ConfigError("low", f"a uniform box has 1 to {MAX_UNIFORM_DIM} dimensions")
             if len(low) != len(high):
                 raise ValueError("uniform measure needs low and high of the same dimension")
+            if any(h <= l for l, h in zip(low, high)):
+                raise ValueError("uniform measure needs low < high per coordinate")
         if kind == "truncated_gaussian":
             if len(low) != 1 or len(high) != 1 or len(center) != 1:
                 raise ValueError("truncated_gaussian is one-dimensional")
             if not self.scale > 0:
                 raise ValueError("truncated_gaussian needs positive scale")
-        if kind != "dirac" and any(h <= l for l, h in zip(low, high)):
-            raise ValueError(f"{kind} measure needs low < high per coordinate")
+            if high[0] <= low[0]:
+                raise ValueError("truncated_gaussian needs low < high")
 
     @property
     def dim(self) -> int:
@@ -119,17 +124,21 @@ class DesignMeasure:
             return np.tile(np.asarray(self.center, dtype=np.float64), (n, 1))
         return self._truncnorm().rvs(size=n, random_state=rng).reshape(n, 1)
 
+    @cached_property
     def eval_grid(self) -> NDArray[np.float64]:
         """Fixed grid over the support for sup-norm sampling, ends included.
 
         s equally spaced points per axis for the smallest s with
-        s^dim >= SUP_GRID_POINTS: 512, 23 and 8 at d = 1, 2, 3.
+        s^dim >= SUP_GRID_POINTS: 512, 23 and 8 at d = 1, 2, 3. A dirac
+        measure gives its point.
         """
+        if self.kind == "dirac":
+            return _frozen_array([self.center])
         side = 1
         while side**self.dim < SUP_GRID_POINTS:
             side += 1
-        unit = np.full(side, 1.0 / side)
-        return _product_grid(self, lambda lo, hi: (np.linspace(lo, hi, side), unit)).nodes
+        axes = [np.linspace(lo, hi, side) for lo, hi in zip(self.low, self.high)]
+        return _frozen_array(_product(axes))
 
 
 @dataclass(frozen=True)
@@ -250,22 +259,9 @@ def _normalized(weights: NDArray[np.float64]) -> NDArray[np.float64]:
     return weights / weights.sum()
 
 
-def _product_grid(measure: DesignMeasure, rule: Callable[[float, float], tuple]) -> QuadratureGrid:
-    """Tensor product of 1-d rules (points, probability weights), one per axis.
-
-    A dirac measure gives its point with weight 1; any other measure
-    takes rule(low_k, high_k) on each side of its box. Points come in
-    itertools.product order, and the weights are renormalized after
-    each axis is multiplied in, so a 1-d rule passes through unchanged.
-    """
-    if measure.kind == "dirac":
-        axes = [(np.array([c]), np.ones(1)) for c in measure.center]
-    else:
-        axes = [rule(lo, hi) for lo, hi in zip(measure.low, measure.high)]
-    points, weights = zip(*axes)
-    mesh = np.meshgrid(*points, indexing="ij")
-    product = reduce(lambda u, v: _normalized(np.multiply.outer(u, v).ravel()), weights)
-    return QuadratureGrid(np.stack(mesh, axis=-1).reshape(-1, len(axes)), product)
+def _product(axes: list[NDArray[np.float64]]) -> NDArray[np.float64]:
+    """Tensor product of 1-d point sets as an (m, d) array, in itertools.product order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def build_grid(measure: DesignMeasure, m: int) -> QuadratureGrid:
@@ -273,22 +269,24 @@ def build_grid(measure: DesignMeasure, m: int) -> QuadratureGrid:
 
     The tensor product of round(m^(1/d)) Gauss-Legendre nodes per axis
     (all m at d = 1), with the weights times the density, renormalized,
-    for a truncated Gaussian. Dirac collapses to a single node.
+    for a truncated Gaussian. The product weights are renormalized after
+    each axis is multiplied in, so a 1-d rule passes through unchanged.
+    Dirac collapses to a single node.
 
     Raises:
         ValueError: For m < 1.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    if measure.kind == "dirac":
+        return QuadratureGrid(np.array([measure.center]), np.ones(1))
     per_axis = round(m ** (1.0 / measure.dim))
-
-    def rule(low: float, high: float) -> tuple[NDArray, NDArray]:
-        nodes, weights = _gauss_legendre_1d(low, high, per_axis)
-        if measure.kind == "truncated_gaussian":
-            weights = _normalized(weights * measure._truncnorm().pdf(nodes))
-        return nodes, weights
-
-    return _product_grid(measure, rule)
+    axes = [_gauss_legendre_1d(lo, hi, per_axis) for lo, hi in zip(measure.low, measure.high)]
+    if measure.kind == "truncated_gaussian":
+        axes = [(x, _normalized(w * measure._truncnorm().pdf(x))) for x, w in axes]
+    points, weights = zip(*axes)
+    product = reduce(lambda u, v: _normalized(np.multiply.outer(u, v).ravel()), weights)
+    return QuadratureGrid(_product(list(points)), product)
 
 
 def solve_coefficient(

@@ -172,7 +172,7 @@ def test_run_replication_matches_fit_ridge_and_bridge(n, lam, index):
     flam = flambda_expansion(continuous_solution(CANON, lam))
     bridge = bridge_distance_sq(fit_auxiliary(data, flam, lam))
     assert metrics.dist_hat_tilde_sq == pytest.approx(bridge, rel=1e-10)
-    eval_grid = exp._design_context(CANON).eval_grid
+    eval_grid = CANON.design.eval_grid
     fhat_eval = evaluate_batch(fit_ridge(kernel, data, lam), eval_grid)
     grid_max = np.max(np.abs(fhat_eval - flambda_values(CANON, lam, eval_grid)))
     assert metrics.sup_gap_grid_max == pytest.approx(grid_max, rel=1e-10)
@@ -307,8 +307,12 @@ def test_weak_consistency_fractions_nonincreasing():
     eps, fractions = weak_consistency_fractions(rate_scenario(), [20, 80, 320], R=300)
     assert eps > 0
     assert fractions[0] >= fractions[1] >= fractions[2]
-    with pytest.raises(ValueError, match="nonempty"):
-        weak_consistency_fractions(rate_scenario(), [], R=2)
+    for empty in ([], iter([])):
+        with pytest.raises(ValueError, match="nonempty"):
+            weak_consistency_fractions(rate_scenario(), empty, R=2)
+    # Any iterable of sample sizes works, a numpy array included.
+    _, fractions = weak_consistency_fractions(rate_scenario(), np.array([20, 40]), R=2)
+    assert len(fractions) == 2
 
 
 def test_continuous_solution_is_cached():

@@ -91,9 +91,9 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         DesignMeasure.uniform(1.0, 0.0)
     with pytest.raises(ValueError):
-        QuadratureGrid(np.array([0.0, 1.0]), np.array([0.7, 0.7]))  # sum != 1
+        QuadratureGrid(np.array([[0.0], [1.0]]), np.array([0.7, 0.7]))  # sum != 1
     with pytest.raises(ValueError):
-        QuadratureGrid(np.array([0.0, 1.0]), np.array([1.5, -0.5]))  # negative
+        QuadratureGrid(np.array([[0.0], [1.0]]), np.array([1.5, -0.5]))  # negative
     with pytest.raises(ValueError):
         QuadratureGrid(np.array([0.0, 1.0]), np.array([0.5, 0.5]))  # nodes not (m, d)
 
