@@ -7,8 +7,9 @@ model. Replications are keyed by (base_seed, n, lambda-bits,
 replication index) through a splittable seed scheme, so every dataset
 is bit-for-bit reproducible and aggregates are independent of worker
 scheduling. The replication driver measures RKHS distances of the
-ridge and auxiliary fits against the continuous target, the empirical
-objective, and the deterministic per-sample bound flags.
+ridge and auxiliary fits against the continuous target and the empirical
+objective, and stops the run when a deterministic per-sample bound
+breaks.
 """
 
 from __future__ import annotations
@@ -178,9 +179,8 @@ class ReplicationMetrics:
 
     Squared RKHS distances of the ridge fit (hat) and the auxiliary fit
     (tilde) against the continuous target and against each other, the
-    distance to the true target f0, the empirical objective value, the
-    sup-norm certificate with its grid-sampled counterpart, and the two
-    deterministic per-sample bound flags.
+    distance to the true target f0, the empirical objective value, and
+    the sup-norm certificate with its grid-sampled counterpart.
     """
 
     n: int
@@ -192,8 +192,6 @@ class ReplicationMetrics:
     theta_hat: float
     sup_gap_hat_flambda: float
     sup_gap_grid_max: float
-    ball_bound_ok: bool
-    residual_bound_ok: bool
 
 
 METRIC_FIELDS = (
@@ -216,6 +214,8 @@ class AggregateResult:
     carry the closed-form reference values; effective_dimension is
     N(lam) = tr K (K + lam)^-1 of the scenario's kernel operator.
     Failed replications are counted, never silently dropped.
+    ball_violations and residual_violations are always 0: a broken
+    bound raises in run_replication and stops the run.
     """
 
     n: int
@@ -257,12 +257,27 @@ def _design_context(scenario: ScenarioSpec) -> _DesignContext:
     return _DesignContext(op, f0, f0_values, c0**2)
 
 
+@lru_cache(maxsize=16)
+def _eval_cross_gram(scenario: ScenarioSpec) -> NDArray[np.float64]:
+    """Cross-Gram of the sup-norm grid against the quadrature nodes.
+
+    Every lambda's f_lambda is evaluated on the grid through this one
+    matrix. It is built on the first lambda context, after the grid
+    operator's spectrum, so it never coexists with that factorization's
+    m x m temporaries.
+    """
+    nodes = _design_context(scenario).op.grid.nodes
+    C = cross_gram(scenario.kernel, scenario.design.eval_grid, nodes)
+    C.flags.writeable = False
+    return C
+
+
 @lru_cache(maxsize=64)
 def _lambda_context(scenario: ScenarioSpec, lam: float) -> _LambdaContext:
     dctx = _design_context(scenario)
     sol = solve_coefficient(dctx.op, dctx.f0_values, lam)
     flam = flambda_expansion(sol)
-    flam_eval = evaluate_batch(flam, scenario.design.eval_grid)
+    flam_eval = _eval_cross_gram(scenario) @ flam.coeffs
     theta_star = continuous_objective(sol, scenario.noise.irreducible(dctx.op.grid))
     return _LambdaContext(sol, flam, flam_eval, theta_star)
 
@@ -328,17 +343,25 @@ def run_replication(
 ) -> ReplicationMetrics:
     """Runs one replication and measures every tracked quantity.
 
-    Builds the data's Gram K once and factors lam*I + K/n once. The
-    auxiliary fit comes first (with its residual-formula check), since
-    its residuals r = f - (lam*I + K/n) w~ need only the data and
-    f_lambda. One two-column solve against [f | r] gives the ridge
+    Builds the data's Gram K once and factors lam*I + K/n once, on the
+    low-rank path when n is large against the grid operator's rank
+    (_ridge_factor). The auxiliary fit comes first (with its
+    residual-formula check), since its residuals r = f - (lam*I + K/n) w~
+    need only the data and f_lambda. One two-column solve against [f | r] gives the ridge
     weights w (coefficients a = w/n) and the bridge vector
     v = (lam*I + K/n)^-1 r, and one product K [a, t, a - t, v] gives
     every squared RKHS distance, the empirical objective and the
     residual-bridge identity ||fhat - f~||^2 = v'Kv/n^2. The bridge
     stays a real check of the shared factor: r is formed from K itself,
     so a factor of any other matrix leaves v apart from n(a - t). Also
-    records the sup-norm certificate and the two bound flags.
+    records the sup-norm certificate.
+
+    Raises:
+        ArithmeticError: If an identity breaks, or the ball bound
+            lam ||fhat||^2 <= mean f^2 or the residual bound
+            ||fhat - f~||^2 <= ||r||^2 / (4 lam n) fails beyond 1e-9
+            relative and 1e-12 absolute, naming n, the replication index
+            and the margin.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -351,7 +374,8 @@ def run_replication(
 
     aux = fit_auxiliary(data, lctx.flam, lam, gram_matrix=K, flambda_at_xs=projl)
     # K is exactly symmetric by construction, so no symmetry pass is made.
-    wv = _ridge_factor(K, lam).solve(np.column_stack([data.fs, aux.residuals]))
+    grid_rank = dctx.op.spectrum[0].shape[0]
+    wv = _ridge_factor(K, lam, grid_rank).solve(np.column_stack([data.fs, aux.residuals]))
     a = wv[:, 0] / n
     v = wv[:, 1]
     t = np.asarray(aux.tilde.coeffs)
@@ -372,10 +396,16 @@ def run_replication(
         )
 
     theta_hat = float(np.mean((data.fs - Ka) ** 2) + lam * aKa)
-    mean_f_sq = float(np.mean(data.fs**2))
-    ball_bound_ok = bool(lam * aKa <= mean_f_sq * (1.0 + 1e-9) + 1e-12)
-    residual_rhs = float(aux.residuals @ aux.residuals) / (4.0 * lam * n)
-    residual_bound_ok = bool(dist_hat_tilde_sq <= residual_rhs * (1.0 + 1e-9) + 1e-12)
+    for name, lhs, rhs in (
+        ("ball", lam * aKa, float(np.mean(data.fs**2))),
+        ("residual", dist_hat_tilde_sq, float(aux.residuals @ aux.residuals) / (4.0 * lam * n)),
+    ):
+        margin = lhs - rhs * (1.0 + 1e-9) - 1e-12
+        if margin > 0:
+            raise ArithmeticError(
+                f"{name} bound violated at n={n}, replication {replication_index}: "
+                f"{lhs!r} exceeds {rhs!r} by {margin:.3e} beyond tolerance"
+            )
 
     # All built-in families have sup k(x, x) = 1 on any support.
     sup_gap_hat_flambda = float(np.sqrt(dist_hat_flambda_sq))
@@ -392,8 +422,6 @@ def run_replication(
         theta_hat=theta_hat,
         sup_gap_hat_flambda=sup_gap_hat_flambda,
         sup_gap_grid_max=sup_gap_grid_max,
-        ball_bound_ok=ball_bound_ok,
-        residual_bound_ok=residual_bound_ok,
     )
 
 
@@ -483,8 +511,8 @@ def monte_carlo(scenario: ScenarioSpec, n: int, lam: float, R: int) -> Aggregate
         stderrs=stderrs,
         theoretical_tilde_risk=theory,
         theta_star=lctx.theta_star,
-        ball_violations=sum(1 for r in successes if not r.ball_bound_ok),
-        residual_violations=sum(1 for r in successes if not r.residual_bound_ok),
+        ball_violations=0,
+        residual_violations=0,
         effective_dimension=op.effective_dimension(lam),
     )
 

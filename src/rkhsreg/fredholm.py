@@ -7,11 +7,12 @@ measure P. The solver discretizes P by a probability quadrature
 (tensor-product Gauss-Legendre) with nodes and weights W, and a
 GridOperator holds the lam-independent parts: the node Gram matrix G
 and a low-rank factor of S = W^(1/2) G W^(1/2). S is factored once by
-pivoted Cholesky, stopped at LAPACK's roundoff tolerance
-tol = m * eps * max diag(S), so S = L L' + E with L of shape m x r and
-E positive semidefinite with trace at most (m - r) * tol. One r x r
-eigendecomposition L'L = Q diag(nu) Q' gives B = L Q with S ~ B B' and
-B'B = diag(nu). Each lam then costs O(m r) through the Woodbury form
+linalg.pivoted_cholesky (uncapped: LAPACK dpstrf), stopped at the
+roundoff tolerance tol = m * eps * max diag(S), so S = L L' + E with L
+of shape m x r and E positive semidefinite with trace at most
+(m - r) * tol. One r x r eigendecomposition L'L = Q diag(nu) Q' gives
+B = L Q with S ~ B B' and B'B = diag(nu). Each lam then costs O(m r)
+through the Woodbury form
 (S + lam)^-1 b = (b - B ((B'b) / (nu + lam))) / lam, and the effective
 dimension sum nu / (nu + lam) is read off the same r values; dropping
 E changes it by at most (m - r) * tol / lam. Every solve is checked
@@ -28,10 +29,10 @@ import numpy as np
 import scipy.linalg
 import scipy.stats
 from numpy.typing import NDArray
-from scipy.linalg.lapack import dpstrf
 
 from .estimator import KernelExpansion, _clamp_nonneg, _frozen_array
 from .kernels import ConfigError, KernelSpec, gram
+from .linalg import pivoted_cholesky
 
 # Discretization identity tolerance: f0 - f_lambda must equal lam * w at
 # the nodes; larger residuals mean the quadrature system is inconsistent.
@@ -174,8 +175,9 @@ class GridOperator:
 
     gram_matrix is the node Gram G, built once at construction. The
     low-rank spectrum (nu, B) of S = W^(1/2) G W^(1/2) is computed on
-    first use and cached: one pivoted Cholesky S = L L' + E at LAPACK's
-    default tolerance tol = m * eps * max diag(S), then one
+    first use and cached: one pivoted Cholesky S = L L' + E
+    (linalg.pivoted_cholesky, uncapped) at LAPACK's default tolerance
+    tol = m * eps * max diag(S), then one
     eigendecomposition of the r x r matrix L'L = Q diag(nu) Q', with
     B = L Q. nu is clamped at 0, so 1/(nu + lam) <= 1/lam for every
     lam > 0, and nothing divides by a small eigenvalue.
@@ -199,10 +201,7 @@ class GridOperator:
         """
         s = np.sqrt(self.grid.weights)
         S = s[:, None] * self.gram_matrix * s[None, :]
-        # With a negative tol, dpstrf stops at m * eps * max diag(S).
-        c, piv, rank, _ = dpstrf(S, tol=-1.0, lower=1)
-        L = np.empty((self.grid.m, rank))
-        L[piv - 1] = np.tril(c[:, :rank])
+        L = pivoted_cholesky(S)
         # Divide and conquer ("evd") takes about half the time of the
         # default "evr" at full rank, r = m = 1024.
         nu, Q = scipy.linalg.eigh(L.T @ L, driver="evd", check_finite=False)

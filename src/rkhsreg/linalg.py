@@ -1,24 +1,40 @@
-"""Symmetric positive-definite solves, eigendecomposition, and Loewner
-order comparisons.
+"""Symmetric positive-definite solves, pivoted Cholesky, eigendecomposition,
+and Loewner order comparisons.
 
 These primitives back every regularized fit in the package and the
 randomized matrix-inequality suites: (lam*I + K)^-1 applications via
 Cholesky with a relative jitter retry ladder, and the bound
 (lam+K)^-1 K (lam+K)^-1 <= 1/(4*lam) checked in the Loewner order.
+This module holds every factorization the package makes.
 
-An SpdFactor holds one Cholesky factorization and serves every solve
-against the same matrix, so a caller that needs several right-hand
-sides factors once. solve_spd is the checked public entry: it verifies
-symmetry and then factors and solves once. Callers that build their
-matrix symmetric themselves (every Gram in the package is exactly
-symmetric) construct an SpdFactor directly and skip that O(n^2) pass.
+An SpdFactor holds one factorization and serves every solve against
+the same matrix, so a caller that needs several right-hand sides
+factors once. Given a low-rank form A ~ shift*I + U U' (U of shape
+n x r), its ladder starts with a Woodbury rung,
+A^-1 B ~ (B - U (shift*I_r + U'U)^-1 U'B) / shift, which factors only
+the r x r matrix; every solution is still checked against A itself, and
+a failing column climbs to the dense Cholesky rungs. solve_spd is the
+checked public entry: it verifies symmetry and then factors and solves
+once. Callers that build their matrix symmetric themselves (every Gram
+in the package is exactly symmetric) construct an SpdFactor directly
+and skip that O(n^2) pass.
+
+pivoted_cholesky(A, max_rank) gives A ~ L L' with L of shape n x r,
+stopped when the largest remaining diagonal entry falls to
+n * eps * max diag(A): uncapped through LAPACK dpstrf (the grid
+operator's factor), capped by a greedy loop that gives up, returning
+None, once the rank would pass max_rank (the ridge factor's low-rank
+form).
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
+from scipy.linalg.lapack import dpstrf
 
 
 # Jitter policy for Cholesky solves of nearly singular systems: the first
@@ -26,6 +42,8 @@ from numpy.typing import NDArray
 # retry doubles it, MAX_JITTER_DOUBLINGS times.
 JITTER_REL = 1e-12
 MAX_JITTER_DOUBLINGS = 20
+# LAPACK's relative machine precision, dlamch('E'): the eps of dpstrf's tolerance.
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -43,34 +61,52 @@ def _check_symmetric(A: NDArray[np.float64], name: str) -> NDArray[np.float64]:
 
 
 class SpdFactor:
-    """Cholesky factorization of a symmetric positive definite matrix.
+    """Factorization of a symmetric positive definite matrix A.
 
-    The matrix is factored at construction, at the first level of the
-    jitter ladder that factors: A itself, then A + jitter*I with
+    The matrix is factored at construction, at the first rung of a
+    ladder that factors. Given low_rank = (shift, U) with
+    A ~ shift*I + U U', the first rung is the Woodbury form, which
+    factors only the r x r matrix shift*I_r + U'U. The dense rungs
+    follow: the Cholesky factor of A itself, then of A + jitter*I with
     jitter = JITTER_REL * trace(A)/n, doubling MAX_JITTER_DOUBLINGS
-    times. jitter records the level in use. Each solve checks every
-    column of its solution against A itself,
-    ||A x_j - b_j|| <= 1e-8 ||b_j||, and climbs the ladder (refactoring)
-    until all columns pass; a later solve starts from the level the
-    last one ended on. A is taken as symmetric; solve_spd checks that
-    for matrices the caller did not build.
+    times. jitter records the dense level in use (0 on the Woodbury
+    rung). Each solve checks every column of its solution against A
+    itself, ||A x_j - b_j|| <= 1e-8 ||b_j||, and climbs the ladder
+    (refactoring) until all columns pass; a later solve starts from the
+    rung the last one ended on. A is taken as symmetric; solve_spd
+    checks that for matrices the caller did not build.
 
     Raises:
         NotPositiveDefiniteError: At construction or in solve, when no
-            remaining jitter level both factors and passes the check.
+            remaining rung both factors and passes the check.
     """
 
-    def __init__(self, A: NDArray[np.float64]):
+    def __init__(
+        self,
+        A: NDArray[np.float64],
+        low_rank: tuple[float, NDArray[np.float64]] | None = None,
+    ):
         self.matrix = A
         n = A.shape[0]
         trace = float(np.trace(A))
         base = JITTER_REL * (trace / n if trace > 0 else 1.0)
         self._ladder = [0.0] + [base * 2.0**k for k in range(MAX_JITTER_DOUBLINGS + 1)]
         self._level = -1
-        self._climb()
+        self._woodbury = None
+        self.jitter = 0.0
+        if low_rank is not None:
+            shift, U = low_rank
+            inner = U.T @ U
+            inner.flat[:: inner.shape[0] + 1] += shift
+            with contextlib.suppress(np.linalg.LinAlgError):
+                cho = scipy.linalg.cho_factor(inner, lower=True, check_finite=False)
+                self._woodbury = (shift, U, cho)
+        if self._woodbury is None:
+            self._climb()
 
     def _climb(self) -> None:
-        """Factors A + jitter*I at the next ladder level that factors."""
+        """Factors A + jitter*I at the next dense ladder level that factors."""
+        self._woodbury = None
         A = self.matrix
         for level in range(self._level + 1, len(self._ladder)):
             jitter = self._ladder[level]
@@ -86,6 +122,13 @@ class SpdFactor:
             return
         raise NotPositiveDefiniteError("matrix not positive definite after jitter retries")
 
+    def _apply(self, B: NDArray[np.float64]) -> NDArray[np.float64]:
+        """The current rung's approximation of A^-1 B."""
+        if self._woodbury is not None:
+            shift, U, cho = self._woodbury
+            return (B - U @ scipy.linalg.cho_solve(cho, U.T @ B, check_finite=False)) / shift
+        return scipy.linalg.cho_solve(self._cho, B, check_finite=False)
+
     def solve(self, B: NDArray[np.float64]) -> NDArray[np.float64]:
         """Solves A X = B for a vector (n,) or matrix (n, k) right-hand side.
 
@@ -99,11 +142,50 @@ class SpdFactor:
             raise ValueError(f"B has leading dimension {B.shape[0]}, expected {n}")
         norm_b = np.linalg.norm(B, axis=0)
         while True:
-            X = scipy.linalg.cho_solve(self._cho, B, check_finite=False)
+            X = self._apply(B)
             residual = np.linalg.norm(self.matrix @ X - B, axis=0)
             if np.all(residual <= 1e-8 * norm_b):
                 return X
             self._climb()
+
+
+def pivoted_cholesky(
+    A: NDArray[np.float64], max_rank: int | None = None
+) -> NDArray[np.float64] | None:
+    """Pivoted Cholesky factor L (n x r) of a symmetric positive semidefinite A.
+
+    Pivots on the largest remaining diagonal entry and stops once it is
+    at most tol = n * eps * max diag(A) (eps the unit roundoff), so
+    A = L L' + E with E positive semidefinite of trace at most
+    (n - r) * tol. Uncapped, LAPACK dpstrf computes it. With max_rank,
+    a greedy loop of O(n r^2) builds it one column at a time and gives
+    up as soon as the rank would pass max_rank.
+
+    Returns:
+        L, or None when max_rank is given and the rank exceeds it.
+    """
+    n = A.shape[0]
+    if max_rank is None:
+        # With a negative tol, dpstrf stops at n * eps * max diag(A).
+        c, piv, rank, _ = dpstrf(A, tol=-1.0, lower=1)
+        L = np.empty((n, rank))
+        L[piv - 1] = np.tril(c[:, :rank])
+        return L
+    diag = A.diagonal().copy()
+    tol = n * UNIT_ROUNDOFF * float(np.max(diag, initial=0.0))
+    # Rows of Lt are the columns of L, so each step reads contiguous memory.
+    Lt = np.empty((min(max_rank, n), n))
+    for k in range(n):
+        p = int(np.argmax(diag))
+        if diag[p] <= tol:
+            return Lt[:k].T
+        if k == max_rank:
+            return None
+        row = (A[p] - Lt[:k, p] @ Lt[:k]) / np.sqrt(diag[p])
+        Lt[k] = row
+        diag -= row * row
+        diag[p] = 0.0
+    return Lt.T
 
 
 def solve_spd(A: NDArray[np.float64], B: NDArray[np.float64]) -> NDArray[np.float64]:

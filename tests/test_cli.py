@@ -280,11 +280,48 @@ def test_run_stops_on_wrong_ridge_factor(tmp_path, monkeypatch, capsys):
     # A factor of lam*(1 + 1e-3) + K/n passes its own solve residual
     # check; the residual-bridge identity catches it and stops the run.
     orig = exp._ridge_factor
-    monkeypatch.setattr(exp, "_ridge_factor", lambda K, lam: orig(K, lam * (1 + 1e-3)))
+    monkeypatch.setattr(
+        exp, "_ridge_factor", lambda K, lam, grid_rank=None: orig(K, lam * (1 + 1e-3), grid_rank)
+    )
     assert main(["run", _write_config(tmp_path, _base_config(tmp_path / "out"))]) == 3
     err = capsys.readouterr().err
     assert "invariant broken: residual bridge identity violated" in err
     assert "Traceback" not in err
+
+
+class _SharedShift:
+    """A ridge factor whose solve adds c times one column to every column.
+
+    The ridge weights and the bridge vector shift by the same vector, so
+    v = n(a - t) and the residual-bridge identity still hold; only the
+    ball and residual bounds can see the corrupted fit.
+    """
+
+    def __init__(self, factor, column, c):
+        self.factor, self.column, self.c = factor, column, c
+
+    def solve(self, B):
+        X = self.factor.solve(B)
+        return X + self.c * X[:, [self.column]]
+
+
+@pytest.mark.parametrize(
+    "column, c, bound",
+    [(0, 10.0, "ball"), (1, 1.0, "residual")],
+    ids=["ridge-weights-x11", "bridge-vector-x2"],
+)
+def test_run_stops_on_broken_bound(tmp_path, monkeypatch, capsys, column, c, bound):
+    orig = exp._ridge_factor
+    monkeypatch.setattr(
+        exp, "_ridge_factor",
+        lambda K, lam, grid_rank=None: _SharedShift(orig(K, lam, grid_rank), column, c),
+    )
+    out_dir = tmp_path / "out"
+    assert main(["run", _write_config(tmp_path, _base_config(out_dir))]) == 3
+    err = capsys.readouterr().err
+    assert f"invariant broken: {bound} bound violated at n=10, replication 0" in err
+    assert "Traceback" not in err
+    assert not (out_dir / "results.json").exists()
 
 
 def test_run_stops_on_negative_quadratic_form(tmp_path, monkeypatch, capsys):

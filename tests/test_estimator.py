@@ -8,6 +8,7 @@ from rkhsreg.estimator import (
     Dataset,
     KernelExpansion,
     _clamp_nonneg,
+    _ridge_factor,
     empirical_objective,
     evaluate_batch,
     fit_generalized,
@@ -16,6 +17,7 @@ from rkhsreg.estimator import (
     rkhs_dist_sq,
     rkhs_norm_sq,
 )
+from rkhsreg.fredholm import DesignMeasure, GridOperator, build_grid
 from rkhsreg.kernels import KernelSpec, cross_gram, gram, kernel_eval
 
 GAUSS = KernelSpec("gaussian", 1.0, 1)
@@ -244,6 +246,45 @@ def test_gp_band_factors_once(cho_factor_calls):
     data = _dataset(rng, 15)
     gp_posterior_band(GAUSS, data, 1.5, np.linspace(0, 1, 7))
     assert cho_factor_calls == [(15, 15)]
+
+
+def _grid_rank(kernel):
+    op = GridOperator(kernel, build_grid(DesignMeasure.uniform(0.0, 1.0), 256))
+    return op.spectrum[0].shape[0]
+
+
+@pytest.mark.parametrize(
+    "family, bandwidth", [("gaussian", 0.25), ("gaussian", 0.05), ("rational_quadratic", 0.25)]
+)
+def test_low_rank_ridge_factor_matches_the_dense_solve(cho_factor_calls, family, bandwidth):
+    # Grid ranks 17, 59 and 36 sit far below n = 800, so the factor
+    # starts on the Woodbury rung and never factors an n x n matrix.
+    kernel = KernelSpec(family, bandwidth, 1)
+    rng = np.random.default_rng(20)
+    data = _dataset(rng, 800)
+    K = gram(kernel, data.xs)
+    B = np.column_stack([data.fs, rng.standard_normal(800)])
+    low = _ridge_factor(K, 0.2, _grid_rank(kernel)).solve(B)
+    assert cho_factor_calls and (800, 800) not in cho_factor_calls
+    dense = _ridge_factor(K, 0.2).solve(B)
+    assert cho_factor_calls[-1] == (800, 800)
+    # Column by column in norm: single entries near 0 differ by roundoff.
+    gap = np.linalg.norm(low - dense, axis=0)
+    assert np.all(gap <= 1e-12 * np.linalg.norm(dense, axis=0))
+
+
+@pytest.mark.parametrize(
+    "n, family, lam",
+    [(50, "gaussian", 0.2), (800, "laplace", 0.2), (800, "gaussian", 0.0)],
+    ids=["small-n", "laplace-full-rank", "interpolation"],
+)
+def test_ridge_factor_stays_dense(cho_factor_calls, n, family, lam):
+    kernel = KernelSpec(family, 0.25, 1)
+    data = _dataset(np.random.default_rng(21), n)
+    # Only the dense rungs are tried (at lam = 0 the singular K/n climbs
+    # the jitter ladder; noisy data is then off its numerical range).
+    _ridge_factor(gram(kernel, data.xs), lam, _grid_rank(kernel))
+    assert cho_factor_calls and set(cho_factor_calls) == {(n, n)}
 
 
 def test_gp_nonpositive_lam_gp_raises():

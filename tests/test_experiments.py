@@ -131,8 +131,8 @@ def test_single_point_dirac_closed_forms():
 def test_run_replication_deterministic_and_bounds_hold():
     first = run_replication(CANON, 25, 0.2, 4)
     second = run_replication(CANON, 25, 0.2, 4)
+    # Both deterministic bounds held: a broken one raises in run_replication.
     assert first == second
-    assert first.ball_bound_ok and first.residual_bound_ok
     # Pointwise gaps are certified by the RKHS distance.
     assert first.sup_gap_grid_max <= first.sup_gap_hat_flambda * (1 + 1e-9) + 1e-12
 
@@ -183,15 +183,31 @@ def test_run_replication_factors_once(cho_factor_calls):
     assert cho_factor_calls == [(40, 40)]
 
 
+def test_run_replication_at_large_n_factors_no_n_by_n_matrix(cho_factor_calls):
+    # n = 800 is far above the canonical grid rank 17: the ridge factor
+    # is the Woodbury rung on the data Gram's pivoted Cholesky, and only
+    # its r x r inner matrix is Cholesky-factored.
+    continuous_solution(CANON, 0.2)
+    cho_factor_calls.clear()
+    run_replication(CANON, 800, 0.2, 0)
+    assert len(cho_factor_calls) == 1
+    r = cho_factor_calls[0][0]
+    assert cho_factor_calls == [(r, r)] and r <= 2 * 17
+
+
 def test_run_replication_bridge_rejects_a_wrong_factor(monkeypatch):
     # The bridge vector and the ridge weights come from one factor. A
     # factor of lam*(1 + 1e-3) + K/n passes every solve residual check
     # (against its own matrix) but not the residual-bridge identity,
     # because the residuals r are formed from K itself.
     orig = exp._ridge_factor
-    monkeypatch.setattr(exp, "_ridge_factor", lambda K, lam: orig(K, lam * (1 + 1e-3)))
-    with pytest.raises(ArithmeticError, match="residual bridge identity"):
-        run_replication(CANON, 25, 0.2, 4)
+    # At n = 800 the wrong factor is the low-rank Woodbury one.
+    monkeypatch.setattr(
+        exp, "_ridge_factor", lambda K, lam, grid_rank=None: orig(K, lam * (1 + 1e-3), grid_rank)
+    )
+    for n in (25, 800):
+        with pytest.raises(ArithmeticError, match="residual bridge identity"):
+            run_replication(CANON, n, 0.2, 4)
 
 
 def test_monte_carlo_matches_manual_fold():

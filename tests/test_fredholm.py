@@ -8,6 +8,7 @@ import pytest
 import scipy.stats
 
 import rkhsreg.fredholm as fredholm_mod
+import rkhsreg.linalg as linalg_mod
 from rkhsreg.estimator import KernelExpansion, evaluate_batch, rkhs_norm_sq
 from rkhsreg.fredholm import (
     DesignMeasure,
@@ -250,7 +251,7 @@ def test_operator_serves_every_lambda_from_one_gram_and_one_dpstrf(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fredholm_mod, "gram", counted("gram", fredholm_mod.gram))
-    monkeypatch.setattr(fredholm_mod, "dpstrf", counted("dpstrf", fredholm_mod.dpstrf))
+    monkeypatch.setattr(linalg_mod, "dpstrf", counted("dpstrf", linalg_mod.dpstrf))
     grid = build_grid(UNIFORM, 48)
     op = GridOperator(GAUSS, grid)
     w0 = np.sin(2 * np.pi * grid.nodes[:, 0])

@@ -7,8 +7,10 @@ import pytest
 from rkhsreg.kernels import KernelSpec, gram
 from rkhsreg.linalg import (
     NotPositiveDefiniteError,
+    UNIT_ROUNDOFF,
     SpdFactor,
     loewner_leq,
+    pivoted_cholesky,
     sandwich,
     solve_spd,
     sym_eig,
@@ -108,6 +110,67 @@ def test_factor_checks_every_column():
     with pytest.raises(NotPositiveDefiniteError):
         solve_spd(A, B)
     np.testing.assert_allclose(solve_spd(A, B[:, :1]), [[1e9], [0.0]], rtol=1e-6, atol=1e-6)
+
+
+def _assert_columns_close(X, Y, rtol):
+    assert np.all(np.linalg.norm(X - Y, axis=0) <= rtol * np.linalg.norm(Y, axis=0))
+
+
+def _smooth_gram(n, seed=14):
+    xs = np.random.default_rng(seed).uniform(0.0, 1.0, (n, 1))
+    return gram(KernelSpec("gaussian", 0.25, 1), xs)
+
+
+def test_pivoted_cholesky_capped_loop_matches_dpstrf():
+    # Both paths pivot on the largest remaining diagonal and stop at
+    # n * eps * max diag(A): same rank, and the dropped remainder
+    # A - L L' keeps a trace within (n - r) * tol.
+    K = _smooth_gram(300)
+    full = pivoted_cholesky(K)
+    capped = pivoted_cholesky(K, max_rank=60)
+    n, r = K.shape[0], full.shape[1]
+    assert r < 30 and capped.shape == (n, r)
+    np.testing.assert_allclose(capped @ capped.T, full @ full.T, rtol=0, atol=1e-12)
+    tol = n * UNIT_ROUNDOFF
+    assert float(np.trace(K - capped @ capped.T)) <= (n - r) * tol + 1e-12
+    assert np.max(np.abs(K - capped @ capped.T)) <= 1e-10
+
+
+def test_pivoted_cholesky_gives_up_past_the_cap():
+    K = _smooth_gram(300)
+    r = pivoted_cholesky(K).shape[1]
+    assert pivoted_cholesky(K, max_rank=r) is not None
+    assert pivoted_cholesky(K, max_rank=r - 1) is None
+    # A full-rank matrix passes any cap below n.
+    assert pivoted_cholesky(np.eye(5), max_rank=4) is None
+    assert pivoted_cholesky(np.eye(5), max_rank=5).shape == (5, 5)
+
+
+def test_woodbury_rung_solves_without_a_dense_factor(cho_factor_calls):
+    K = _smooth_gram(300)
+    n, lam = K.shape[0], 0.1
+    A = lam * np.eye(n) + K / n
+    U = pivoted_cholesky(K, max_rank=60) / np.sqrt(n)
+    factor = SpdFactor(A, low_rank=(lam, U))
+    B = np.random.default_rng(15).standard_normal((n, 2))
+    _assert_columns_close(factor.solve(B), np.linalg.solve(A, B), 1e-12)
+    assert cho_factor_calls == [(U.shape[1], U.shape[1])]
+    assert factor.jitter == 0.0
+
+
+def test_corrupted_low_rank_form_climbs_to_the_dense_rung(cho_factor_calls):
+    # A factor of a different matrix factors fine on the Woodbury rung,
+    # but its solutions fail the per-column check against A itself, so
+    # the solve climbs to the dense Cholesky of A and returns A^-1 B.
+    K = _smooth_gram(300)
+    n, lam = K.shape[0], 0.1
+    A = lam * np.eye(n) + K / n
+    U = pivoted_cholesky(K, max_rank=60) / np.sqrt(n)
+    factor = SpdFactor(A, low_rank=(lam, 1.01 * U))
+    B = np.random.default_rng(16).standard_normal((n, 2))
+    _assert_columns_close(factor.solve(B), np.linalg.solve(A, B), 1e-12)
+    assert cho_factor_calls == [(U.shape[1], U.shape[1]), (n, n)]
+    assert factor.jitter == 0.0
 
 
 def test_sandwich_factors_once(cho_factor_calls):

@@ -76,3 +76,47 @@ def test_every_private_helper_is_referenced():
         and node.name not in referenced
     ]
     assert unreferenced == []
+
+
+def _factorization_sites(tree: ast.Module) -> list[str]:
+    """Lines that import scipy.linalg.lapack or call cho_factor."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.startswith("scipy.linalg.lapack")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.startswith("scipy.linalg.lapack"):
+                names = [module]
+            elif module == "scipy.linalg":
+                names = [a.name for a in node.names if a.name in ("lapack", "cho_factor")]
+            else:
+                names = []
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            names = [f"{called}()"] if called == "cho_factor" else []
+        else:
+            continue
+        sites.extend(f"{node.lineno}: {name}" for name in names)
+    return sites
+
+
+def test_only_linalg_factors_matrices():
+    # linalg.py holds every factorization: the SpdFactor ladder and the
+    # pivoted Cholesky. A LAPACK import or a cho_factor call anywhere
+    # else is a second place to keep in step.
+    for snippet in (
+        "from scipy.linalg.lapack import dpstrf",
+        "import scipy.linalg.lapack",
+        "from scipy.linalg import lapack",
+        "scipy.linalg.cho_factor(A)",
+    ):
+        assert _factorization_sites(ast.parse(snippet)), snippet
+    sites = [
+        f"{path.name}:{site}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "linalg.py"
+        for site in _factorization_sites(_parse(path))
+    ]
+    assert sites == []
