@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .kernels import KernelSpec, as_points, cross_gram, gram
+from .kernels import KernelSpec, as_points, cross_gram, gram, kernel_apply
 from .linalg import SpdFactor, pivoted_cholesky
 
 NORM_CLAMP_TOL = 1e-10
@@ -115,23 +115,21 @@ def _ridge_factor(K: NDArray[np.float64], lam: float, grid_rank: int | None = No
     """Factors the ridge system lam*I + K/n of a symmetric n x n Gram K.
 
     fit_ridge, bridge_distance_sq and run_replication all solve this
-    system; building and factoring it here keeps one definition of it.
-    Given the rank r of the kernel's grid operator, lam > 0 and
+    system; factoring it here keeps one definition of it. Given the rank
+    r of the kernel's grid operator, lam > 0 and
     n >= LOW_RANK_MIN_RATIO * r, K is first factored by a pivoted
     Cholesky capped at LOW_RANK_CAP * r columns, K ~ L L', and the
     factor starts on the Woodbury rung
-    (lam*I + L L'/n)^-1 B = (B - L (n*lam*I_r + L'L)^-1 L'B) / lam.
-    Otherwise, or when the cap is passed, it is the dense Cholesky.
-    Either way every solve is checked against lam*I + K/n itself.
+    (lam*I + L L'/n)^-1 B = (B - L (n*lam*I_r + L'L)^-1 L'B) / lam,
+    which never forms lam*I + K/n. Otherwise, or when the cap is passed,
+    it is the dense Cholesky. Either way every solve is checked against
+    lam*I + K/n itself.
     """
     n = K.shape[0]
-    A = K / n
-    A.flat[:: n + 1] += lam  # bit-identical to lam*np.eye(n) + K/n
+    L = None
     if grid_rank is not None and lam > 0 and n >= LOW_RANK_MIN_RATIO * grid_rank:
         L = pivoted_cholesky(K, max_rank=LOW_RANK_CAP * grid_rank)
-        if L is not None:
-            return SpdFactor(A, low_rank=(lam, L / np.sqrt(n)))
-    return SpdFactor(A)
+    return SpdFactor(K, shift=lam, divisor=n, low_rank=L)
 
 
 def fit_ridge(kernel: KernelSpec, data: Dataset, lam: float) -> KernelExpansion:
@@ -187,8 +185,8 @@ def fit_generalized(
 
 
 def evaluate_batch(f: KernelExpansion, xs: object) -> NDArray[np.float64]:
-    """Evaluates the expansion at each row of xs."""
-    return cross_gram(f.kernel, xs, f.centers) @ f.coeffs
+    """Evaluates the expansion at each row of xs, without holding k(xs, centers)."""
+    return kernel_apply(f.kernel, xs, f.centers, f.coeffs)
 
 
 def rkhs_norm_sq(f: KernelExpansion) -> float:

@@ -41,7 +41,7 @@ from .fredholm import (
     flambda_expansion,
     solve_coefficient,
 )
-from .kernels import ConfigError, KernelSpec, cross_gram, gram
+from .kernels import ConfigError, KernelSpec, cross_gram, gram, kernel_apply
 
 W0_CHOICES: dict[str, object] = {
     "sin2pi": lambda x: np.sin(2.0 * np.pi * x),
@@ -245,6 +245,8 @@ class _LambdaContext:
     flam: KernelExpansion
     flam_eval: NDArray[np.float64]
     theta_star: float
+    # Columns f0.coeffs and flam.coeffs: both expansions sit on the grid nodes.
+    node_coeffs: NDArray[np.float64]
 
 
 @lru_cache(maxsize=16)
@@ -279,7 +281,8 @@ def _lambda_context(scenario: ScenarioSpec, lam: float) -> _LambdaContext:
     flam = flambda_expansion(sol)
     flam_eval = _eval_cross_gram(scenario) @ flam.coeffs
     theta_star = continuous_objective(sol, scenario.noise.irreducible(dctx.op.grid))
-    return _LambdaContext(sol, flam, flam_eval, theta_star)
+    node_coeffs = np.column_stack([dctx.f0.coeffs, flam.coeffs])
+    return _LambdaContext(sol, flam, flam_eval, theta_star, node_coeffs)
 
 
 def continuous_solution(scenario: ScenarioSpec, lam: float) -> FredholmSolution:
@@ -320,22 +323,39 @@ def sample_dataset(
     identical datasets bit-for-bit; lambda_key separates streams of
     sweeps that share (n, replication_index).
     """
-    return _sample_with_cross_gram(scenario, n, replication_index, lambda_key)[0]
+    f0 = _design_context(scenario).f0
+    return _sample_at_nodes(scenario, n, replication_index, lambda_key, f0.coeffs)[0]
 
 
-def _sample_with_cross_gram(
-    scenario: ScenarioSpec, n: int, replication_index: int, lambda_key: float | None
-) -> tuple[Dataset, NDArray[np.float64], NDArray[np.float64]]:
-    """sample_dataset with the data's cross-Gram C against the grid nodes and f0 at the data."""
+def _sample_at_nodes(
+    scenario: ScenarioSpec,
+    n: int,
+    replication_index: int,
+    lambda_key: float | None,
+    node_coeffs: NDArray[np.float64],
+) -> tuple[Dataset, NDArray[np.float64]]:
+    """sample_dataset with the node expansions node_coeffs evaluated at the data.
+
+    node_coeffs holds coefficients on the grid nodes, f0's alone (m,)
+    or f0's in its first column (m, k); the values k(X, nodes) @
+    node_coeffs come from one blocked product and are returned with the
+    dataset.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = _rng_for(scenario, n, lambda_key, replication_index)
     xs = scenario.design.sample(rng, n)
-    f0 = _design_context(scenario).f0
-    C = cross_gram(f0.kernel, xs, f0.centers)
-    f0_at_xs = C @ f0.coeffs
-    fs = f0_at_xs + rng.normal(0.0, scenario.noise.std_at(xs))
-    return Dataset(xs, fs), C, f0_at_xs
+    values = kernel_apply(scenario.kernel, xs, _design_context(scenario).f0.centers, node_coeffs)
+    fs = values.reshape(n, -1)[:, 0] + rng.normal(0.0, scenario.noise.std_at(xs))
+    return Dataset(xs, fs), values
+
+
+# Relative roundoff allowed in each of the three terms of the computed
+# ||fhat - f_lambda||^2 = aKa - 2 a'f_lambda(X) + ||f_lambda||^2: each
+# is a float64 sum of n (or m, for ||f_lambda||^2) products, accurate to
+# about n * 1.1e-16 relative (9e-14 at n = 800), so their sum is off by
+# at most CERTIFICATE_RTOL times the sum of their sizes.
+CERTIFICATE_RTOL = 1e-9
 
 
 def run_replication(
@@ -343,33 +363,40 @@ def run_replication(
 ) -> ReplicationMetrics:
     """Runs one replication and measures every tracked quantity.
 
-    Builds the data's Gram K once and factors lam*I + K/n once, on the
-    low-rank path when n is large against the grid operator's rank
-    (_ridge_factor). The auxiliary fit comes first (with its
-    residual-formula check), since its residuals r = f - (lam*I + K/n) w~
-    need only the data and f_lambda. One two-column solve against [f | r] gives the ridge
+    Holds one n x n array, the data's Gram K: f0 and f_lambda at the
+    data come from one two-column blocked product against the grid
+    nodes, the ridge fit is evaluated on the sup-norm grid by a blocked
+    product too, and lam*I + K/n is factored once without being formed
+    on the low-rank path (_ridge_factor; the dense path forms it). The
+    auxiliary fit comes first (with its residual-formula check), since
+    its residuals r = f - (lam*I + K/n) w~ need only the data and
+    f_lambda. One two-column solve against [f | r] gives the ridge
     weights w (coefficients a = w/n) and the bridge vector
     v = (lam*I + K/n)^-1 r, and one product K [a, t, a - t, v] gives
     every squared RKHS distance, the empirical objective and the
     residual-bridge identity ||fhat - f~||^2 = v'Kv/n^2. The bridge
     stays a real check of the shared factor: r is formed from K itself,
-    so a factor of any other matrix leaves v apart from n(a - t). Also
-    records the sup-norm certificate.
+    so a factor of any other matrix leaves v apart from n(a - t).
+
+    Three bounds are checked: the ball bound lam ||fhat||^2 <= mean f^2,
+    the residual bound ||fhat - f~||^2 <= ||r||^2 / (4 lam n), and the
+    sup-norm certificate max_grid |fhat - f_lambda| <= ||fhat - f_lambda||_k,
+    which holds because k(x, x) = 1 for every built-in family; its
+    right side is widened by the roundoff of the three terms the
+    squared distance is summed from (CERTIFICATE_RTOL).
 
     Raises:
-        ArithmeticError: If an identity breaks, or the ball bound
-            lam ||fhat||^2 <= mean f^2 or the residual bound
-            ||fhat - f~||^2 <= ||r||^2 / (4 lam n) fails beyond 1e-9
-            relative and 1e-12 absolute, naming n, the replication index
-            and the margin.
+        ArithmeticError: If an identity breaks, or a bound fails beyond
+            1e-9 relative and 1e-12 absolute, naming n, the replication
+            index and the margin.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
     dctx = _design_context(scenario)
     lctx = _lambda_context(scenario, lam)
     kernel = scenario.kernel
-    data, C, proj0 = _sample_with_cross_gram(scenario, n, replication_index, lam)
-    projl = C @ lctx.flam.coeffs
+    data, at_xs = _sample_at_nodes(scenario, n, replication_index, lam, lctx.node_coeffs)
+    proj0, projl = at_xs.T
     K = gram(kernel, data.xs)
 
     aux = fit_auxiliary(data, lctx.flam, lam, gram_matrix=K, flambda_at_xs=projl)
@@ -382,9 +409,10 @@ def run_replication(
     d = a - t
     Ka, Kt, Kd, Kv = (K @ np.column_stack([a, t, d, v])).T
     aKa = float(a @ Ka)
+    a_projl = float(a @ projl)
     norm_flam_sq = lctx.sol.flambda_norm_sq
 
-    dist_hat_flambda_sq = _clamp_nonneg(aKa - 2.0 * float(a @ projl) + norm_flam_sq)
+    dist_hat_flambda_sq = _clamp_nonneg(aKa - 2.0 * a_projl + norm_flam_sq)
     dist_hat_f0_sq = _clamp_nonneg(aKa - 2.0 * float(a @ proj0) + dctx.norm_f0_sq)
     dist_tilde_flambda_sq = _clamp_nonneg(float(t @ Kt) - 2.0 * float(t @ projl) + norm_flam_sq)
     dist_hat_tilde_sq = _clamp_nonneg(float(d @ Kd))
@@ -396,9 +424,14 @@ def run_replication(
         )
 
     theta_hat = float(np.mean((data.fs - Ka) ** 2) + lam * aKa)
+    sup_gap_hat_flambda = float(np.sqrt(dist_hat_flambda_sq))
+    fhat_eval = kernel_apply(kernel, scenario.design.eval_grid, data.xs, a)
+    sup_gap_grid_max = float(np.max(np.abs(fhat_eval - lctx.flam_eval)))
+    certificate_slack = CERTIFICATE_RTOL * (abs(aKa) + 2.0 * abs(a_projl) + norm_flam_sq)
     for name, lhs, rhs in (
         ("ball", lam * aKa, float(np.mean(data.fs**2))),
         ("residual", dist_hat_tilde_sq, float(aux.residuals @ aux.residuals) / (4.0 * lam * n)),
+        ("sup-norm", sup_gap_grid_max, float(np.sqrt(dist_hat_flambda_sq + certificate_slack))),
     ):
         margin = lhs - rhs * (1.0 + 1e-9) - 1e-12
         if margin > 0:
@@ -406,11 +439,6 @@ def run_replication(
                 f"{name} bound violated at n={n}, replication {replication_index}: "
                 f"{lhs!r} exceeds {rhs!r} by {margin:.3e} beyond tolerance"
             )
-
-    # All built-in families have sup k(x, x) = 1 on any support.
-    sup_gap_hat_flambda = float(np.sqrt(dist_hat_flambda_sq))
-    fhat_eval = evaluate_batch(KernelExpansion(kernel, data.xs, a), scenario.design.eval_grid)
-    sup_gap_grid_max = float(np.max(np.abs(fhat_eval - lctx.flam_eval)))
 
     return ReplicationMetrics(
         n=n,

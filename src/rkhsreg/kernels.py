@@ -11,6 +11,11 @@ sum_k (a_k - b_k)^2, not from the expansion |a|^2 + |b|^2 - 2 a.b, so
 squared distances are exactly symmetric, exactly 0 for coincident
 points and never negative: no symmetrizing or clamping pass is needed.
 
+gram and cross_gram return whole matrices, for callers that keep or
+reuse them. kernel_apply gives k(a, b) @ coeffs for a caller that needs
+only the product: it assembles row blocks of about APPLY_BLOCK_ENTRIES
+kernel values each and never holds the whole cross-Gram.
+
 ConfigError lives here, the lowest module the config models share.
 """
 
@@ -22,6 +27,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 FAMILIES = ("gaussian", "laplace", "rational_quadratic", "constant")
+# Kernel values per row block of kernel_apply: 256 KiB, so a block and
+# its squared distances stay in cache.
+APPLY_BLOCK_ENTRIES = 2**15
 
 
 class ConfigError(ValueError):
@@ -129,6 +137,28 @@ def cross_gram(spec: KernelSpec, a: object, b: object) -> NDArray[np.float64]:
     aa = as_points(a, spec.dim)
     bb = as_points(b, spec.dim)
     return _profile(spec, _sq_dists(aa, bb))
+
+
+def kernel_apply(
+    spec: KernelSpec, a: object, b: object, coeffs: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Returns k(a, b) @ coeffs for coeffs of shape (m,) or (m, k).
+
+    Rows of k(a, b) are assembled APPLY_BLOCK_ENTRIES // m at a time and
+    multiplied at once, so the n x m cross-Gram is never held; one block
+    covers every row when n * m is at most APPLY_BLOCK_ENTRIES.
+    """
+    aa = as_points(a, spec.dim)
+    bb = as_points(b, spec.dim)
+    n = aa.shape[0]
+    rows = max(1, APPLY_BLOCK_ENTRIES // max(1, bb.shape[0]))
+    if n <= rows:
+        return _profile(spec, _sq_dists(aa, bb)) @ coeffs
+    out = np.empty((n,) + np.shape(coeffs)[1:])
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        out[block] = _profile(spec, _sq_dists(aa[block], bb)) @ coeffs
+    return out
 
 
 def gram(spec: KernelSpec, points: object) -> NDArray[np.float64]:

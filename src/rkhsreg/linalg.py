@@ -7,13 +7,14 @@ Cholesky with a relative jitter retry ladder, and the bound
 (lam+K)^-1 K (lam+K)^-1 <= 1/(4*lam) checked in the Loewner order.
 This module holds every factorization the package makes.
 
-An SpdFactor holds one factorization and serves every solve against
-the same matrix, so a caller that needs several right-hand sides
-factors once. Given a low-rank form A ~ shift*I + U U' (U of shape
-n x r), its ladder starts with a Woodbury rung,
-A^-1 B ~ (B - U (shift*I_r + U'U)^-1 U'B) / shift, which factors only
-the r x r matrix; every solution is still checked against A itself, and
-a failing column climbs to the dense Cholesky rungs. solve_spd is the
+An SpdFactor holds one factorization of A = shift*I + K/divisor and
+serves every solve against it, so a caller that needs several
+right-hand sides factors once. Given a low-rank form K ~ L L' (L of
+shape n x r), its ladder starts with a Woodbury rung,
+A^-1 B ~ (B - U (shift*I_r + U'U)^-1 U'B) / shift with U = L/sqrt(divisor),
+which factors only the r x r matrix and never forms A; every solution
+is still checked against A, as shift*X + (K X)/divisor, and a failing
+column climbs to the dense Cholesky rungs, which form A. solve_spd is the
 checked public entry: it verifies symmetry and then factors and solves
 once. Callers that build their matrix symmetric themselves (every Gram
 in the package is exactly symmetric) construct an SpdFactor directly
@@ -61,20 +62,25 @@ def _check_symmetric(A: NDArray[np.float64], name: str) -> NDArray[np.float64]:
 
 
 class SpdFactor:
-    """Factorization of a symmetric positive definite matrix A.
+    """Factorization of the symmetric positive definite A = shift*I + K/divisor.
 
-    The matrix is factored at construction, at the first rung of a
-    ladder that factors. Given low_rank = (shift, U) with
-    A ~ shift*I + U U', the first rung is the Woodbury form, which
-    factors only the r x r matrix shift*I_r + U'U. The dense rungs
-    follow: the Cholesky factor of A itself, then of A + jitter*I with
-    jitter = JITTER_REL * trace(A)/n, doubling MAX_JITTER_DOUBLINGS
-    times. jitter records the dense level in use (0 on the Woodbury
-    rung). Each solve checks every column of its solution against A
-    itself, ||A x_j - b_j|| <= 1e-8 ||b_j||, and climbs the ladder
-    (refactoring) until all columns pass; a later solve starts from the
-    rung the last one ended on. A is taken as symmetric; solve_spd
-    checks that for matrices the caller did not build.
+    K is symmetric n x n (the default shift 0 and divisor 1 factor K
+    itself). A is factored at construction, at the first rung of a
+    ladder that factors. Given low_rank = L with K ~ L L', the first
+    rung is the Woodbury form, which factors only the r x r matrix
+    shift*I_r + U'U, U = L/sqrt(divisor), and holds no n x n array but
+    K. The dense rungs follow: the Cholesky factor of A itself, then of
+    A + jitter*I with jitter = JITTER_REL * trace(A)/n, doubling
+    MAX_JITTER_DOUBLINGS times. A is formed on the first dense rung.
+    Each solve checks every column of its solution against A,
+    ||A x_j - b_j|| <= 1e-8 ||b_j||, and climbs the ladder (refactoring)
+    until all columns pass; a later solve starts from the rung the last
+    one ended on. K is taken as symmetric; solve_spd checks that for
+    matrices the caller did not build.
+
+    Attributes:
+        matrix: A, once a dense rung has formed it; None before.
+        jitter: The jitter of the dense rung in use, else 0.
 
     Raises:
         NotPositiveDefiniteError: At construction or in solve, when no
@@ -83,30 +89,41 @@ class SpdFactor:
 
     def __init__(
         self,
-        A: NDArray[np.float64],
-        low_rank: tuple[float, NDArray[np.float64]] | None = None,
+        K: NDArray[np.float64],
+        shift: float = 0.0,
+        divisor: float = 1.0,
+        low_rank: NDArray[np.float64] | None = None,
     ):
-        self.matrix = A
-        n = A.shape[0]
-        trace = float(np.trace(A))
-        base = JITTER_REL * (trace / n if trace > 0 else 1.0)
-        self._ladder = [0.0] + [base * 2.0**k for k in range(MAX_JITTER_DOUBLINGS + 1)]
+        self.gram = K
+        self.shift = shift
+        self.divisor = divisor
+        self.matrix = None
         self._level = -1
         self._woodbury = None
         self.jitter = 0.0
         if low_rank is not None:
-            shift, U = low_rank
+            U = low_rank / np.sqrt(divisor)
             inner = U.T @ U
             inner.flat[:: inner.shape[0] + 1] += shift
             with contextlib.suppress(np.linalg.LinAlgError):
-                cho = scipy.linalg.cho_factor(inner, lower=True, check_finite=False)
-                self._woodbury = (shift, U, cho)
+                self._woodbury = (U, scipy.linalg.cho_factor(inner, lower=True, check_finite=False))
         if self._woodbury is None:
             self._climb()
 
     def _climb(self) -> None:
         """Factors A + jitter*I at the next dense ladder level that factors."""
         self._woodbury = None
+        if self.matrix is None:
+            K, n = self.gram, self.gram.shape[0]
+            if self.shift == 0.0 and self.divisor == 1.0:
+                self.matrix = K
+            else:
+                # Bit-identical to shift*np.eye(n) + K/divisor.
+                self.matrix = K / self.divisor
+                self.matrix.flat[:: n + 1] += self.shift
+            trace = float(np.trace(self.matrix))
+            base = JITTER_REL * (trace / n if trace > 0 else 1.0)
+            self._ladder = [0.0] + [base * 2.0**k for k in range(MAX_JITTER_DOUBLINGS + 1)]
         A = self.matrix
         for level in range(self._level + 1, len(self._ladder)):
             jitter = self._ladder[level]
@@ -125,9 +142,18 @@ class SpdFactor:
     def _apply(self, B: NDArray[np.float64]) -> NDArray[np.float64]:
         """The current rung's approximation of A^-1 B."""
         if self._woodbury is not None:
-            shift, U, cho = self._woodbury
-            return (B - U @ scipy.linalg.cho_solve(cho, U.T @ B, check_finite=False)) / shift
+            U, cho = self._woodbury
+            return (B - U @ scipy.linalg.cho_solve(cho, U.T @ B, check_finite=False)) / self.shift
         return scipy.linalg.cho_solve(self._cho, B, check_finite=False)
+
+    def _times_a(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
+        """A X, from K alone until a dense rung has formed A."""
+        if self.matrix is not None:
+            return self.matrix @ X
+        AX = self.gram @ X
+        AX /= self.divisor
+        AX += self.shift * X
+        return AX
 
     def solve(self, B: NDArray[np.float64]) -> NDArray[np.float64]:
         """Solves A X = B for a vector (n,) or matrix (n, k) right-hand side.
@@ -137,13 +163,13 @@ class SpdFactor:
             NotPositiveDefiniteError: If the ladder runs out.
         """
         B = np.asarray(B, dtype=np.float64)
-        n = self.matrix.shape[0]
+        n = self.gram.shape[0]
         if B.shape[0] != n:
             raise ValueError(f"B has leading dimension {B.shape[0]}, expected {n}")
         norm_b = np.linalg.norm(B, axis=0)
         while True:
             X = self._apply(B)
-            residual = np.linalg.norm(self.matrix @ X - B, axis=0)
+            residual = np.linalg.norm(self._times_a(X) - B, axis=0)
             if np.all(residual <= 1e-8 * norm_b):
                 return X
             self._climb()
@@ -248,7 +274,7 @@ def sandwich(K: NDArray[np.float64], lam: float) -> NDArray[np.float64]:
     if not lam > 0:
         raise ValueError("lam must be positive")
     K = _check_symmetric(K, "K")
-    factor = SpdFactor(lam * np.eye(K.shape[0]) + K)
+    factor = SpdFactor(K, shift=lam)
     Y = factor.solve(K)
     Z = factor.solve(Y.T).T
     return 0.5 * (Z + Z.T)

@@ -113,6 +113,26 @@ def test_theory_noise_only_closed_form():
         assert risk == pytest.approx(sigma_sq / (0.5**2 * n), rel=1e-12)
 
 
+@pytest.mark.parametrize("mu", [0.7, -1.3])
+@pytest.mark.parametrize("lam", [0.05, 0.5])
+def test_theory_constant_kernel_nonzero_target(mu, lam):
+    # k = 1 and the constant target mu give f_lambda = mu/(1 + lam). The
+    # bias integral mu^2 lam^2/(1 + lam)^2 over lam^2 n is cancelled
+    # exactly by -||f_lambda||^2/n, leaving sigma^2/(lam^2 n); a risk
+    # formula without that term is off by mu^2/((1 + lam)^2 n).
+    m = 32
+    grid = build_grid(DesignMeasure.uniform(0.0, 1.0), m)
+    sol = solve_coefficient(GridOperator(KernelSpec("constant", dim=1), grid), np.full(m, mu), lam)
+    sigma_sq = 0.04
+    assert sol.flambda_norm_sq == pytest.approx((mu / (1.0 + lam)) ** 2, rel=1e-12)
+    for n in (1, 10, 400):
+        risk = theoretical_tilde_risk(sol, np.full(m, sigma_sq), n)
+        expected = sigma_sq / (lam**2 * n)
+        assert risk == pytest.approx(expected, rel=1e-12)
+        without_norm_term = risk + sol.flambda_norm_sq / n
+        assert abs(without_norm_term - expected) > 0.02 * expected
+
+
 def test_theory_linearity_in_conditional_variance():
     sol = continuous_solution(SCENARIO, LAM)
     m = sol.grid.m

@@ -324,6 +324,27 @@ def test_run_stops_on_broken_bound(tmp_path, monkeypatch, capsys, column, c, bou
     assert not (out_dir / "results.json").exists()
 
 
+def test_run_stops_on_broken_sup_norm_certificate(tmp_path, monkeypatch, capsys):
+    # The ridge fit tripled on the sup-norm grid: the one kernel product
+    # with a vector of coefficients is that evaluation (the data's is
+    # two-column). No identity reads those values and the ball and
+    # residual bounds hold, so only the certificate
+    # max |fhat - f_lambda| <= ||fhat - f_lambda||_k can stop the run.
+    orig = exp.kernel_apply
+
+    def tripled(spec, a, b, coeffs):
+        out = orig(spec, a, b, coeffs)
+        return 3.0 * out if np.ndim(coeffs) == 1 else out
+
+    monkeypatch.setattr(exp, "kernel_apply", tripled)
+    out_dir = tmp_path / "out"
+    assert main(["run", _write_config(tmp_path, _base_config(out_dir))]) == 3
+    err = capsys.readouterr().err
+    assert "invariant broken: sup-norm bound violated at n=10, replication 0" in err
+    assert "Traceback" not in err
+    assert not (out_dir / "results.json").exists()
+
+
 def test_run_stops_on_negative_quadratic_form(tmp_path, monkeypatch, capsys):
     orig = exp._lambda_context
 

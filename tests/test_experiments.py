@@ -3,6 +3,7 @@ aggregation, rate fitting, and the consistency checks."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,19 @@ def test_run_replication_at_large_n_factors_no_n_by_n_matrix(cho_factor_calls):
     assert len(cho_factor_calls) == 1
     r = cho_factor_calls[0][0]
     assert cho_factor_calls == [(r, r)] and r <= 2 * 17
+
+
+def test_run_replication_at_large_n_holds_one_n_by_n_array():
+    # The data Gram K is the one n x n array: the ridge factor checks its
+    # solves against lam*I + K/n without forming it, and both kernel
+    # products against the grid nodes and the sup-norm grid are blocked.
+    n = 800
+    run_replication(CANON, n, 0.2, 0)
+    tracemalloc.start()
+    run_replication(CANON, n, 0.2, 1)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n * n
 
 
 def test_run_replication_bridge_rejects_a_wrong_factor(monkeypatch):

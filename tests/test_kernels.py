@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rkhsreg.kernels import (
+    APPLY_BLOCK_ENTRIES,
     FAMILIES,
     KernelSpec,
     as_points,
     cross_gram,
     gram,
+    kernel_apply,
     kernel_eval,
 )
 
@@ -158,6 +160,42 @@ def test_cross_gram_shape():
     spec = KernelSpec("gaussian", 1.0, 1)
     out = cross_gram(spec, np.zeros((3, 1)), np.ones((5, 1)))
     assert out.shape == (3, 5)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kernel_apply_matches_the_cross_gram_product(family, dim):
+    # Row counts one below, at and one above a block boundary, and one
+    # spanning three blocks; vector and two-column coefficients.
+    rng = np.random.default_rng(17 + dim)
+    spec = KernelSpec(family, 0.4, dim)
+    m = 300
+    rows = APPLY_BLOCK_ENTRIES // m
+    b = rng.uniform(-1.0, 1.0, size=(m, dim))
+    for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
+        a = rng.uniform(-1.0, 1.0, size=(n, dim))
+        C = cross_gram(spec, a, b)
+        for coeffs in (rng.standard_normal(m), rng.standard_normal((m, 2))):
+            got = kernel_apply(spec, a, b, coeffs)
+            assert got.shape == (n,) + coeffs.shape[1:]
+            # rtol 1e-14 against the scale |C| |c| of the sum, so entries
+            # that cancel to near 0 are held to the same digits.
+            assert np.all(np.abs(got - C @ coeffs) <= 1e-14 * (np.abs(C) @ np.abs(coeffs)))
+
+
+def test_kernel_apply_edge_shapes():
+    spec = KernelSpec("gaussian", 0.5, 2)
+    a = np.random.default_rng(18).uniform(size=(5, 2))
+    # The zero expansion: no centers.
+    np.testing.assert_array_equal(kernel_apply(spec, a, np.zeros((0, 2)), np.zeros(0)), np.zeros(5))
+    np.testing.assert_array_equal(
+        kernel_apply(spec, a, np.zeros((0, 2)), np.zeros((0, 2))), np.zeros((5, 2))
+    )
+    # More centers than a block holds: one row per block.
+    b = np.random.default_rng(19).uniform(size=(APPLY_BLOCK_ENTRIES + 1, 2))
+    coeffs = np.full(b.shape[0], 1.0 / b.shape[0])
+    expected = cross_gram(spec, a[:3], b) @ coeffs
+    np.testing.assert_allclose(kernel_apply(spec, a[:3], b, coeffs), expected, rtol=1e-14)
 
 
 def test_gram_empty_raises():

@@ -1,6 +1,8 @@
 """SPD solves with jitter retries, eigendecomposition, and the
 resolvent sandwich bound in the Loewner order."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,12 +152,20 @@ def test_woodbury_rung_solves_without_a_dense_factor(cho_factor_calls):
     K = _smooth_gram(300)
     n, lam = K.shape[0], 0.1
     A = lam * np.eye(n) + K / n
-    U = pivoted_cholesky(K, max_rank=60) / np.sqrt(n)
-    factor = SpdFactor(A, low_rank=(lam, U))
+    L = pivoted_cholesky(K, max_rank=60)
     B = np.random.default_rng(15).standard_normal((n, 2))
-    _assert_columns_close(factor.solve(B), np.linalg.solve(A, B), 1e-12)
-    assert cho_factor_calls == [(U.shape[1], U.shape[1])]
+    tracemalloc.start()
+    factor = SpdFactor(K, shift=lam, divisor=n, low_rank=L)
+    X = factor.solve(B)
+    X = factor.solve(B)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    _assert_columns_close(X, np.linalg.solve(A, B), 1e-12)
+    assert cho_factor_calls == [(L.shape[1], L.shape[1])]
     assert factor.jitter == 0.0
+    # Factor and solves, residual checks included, never form lam*I + K/n.
+    assert factor.matrix is None
+    assert peak < 0.25 * K.nbytes
 
 
 def test_corrupted_low_rank_form_climbs_to_the_dense_rung(cho_factor_calls):
@@ -165,12 +175,13 @@ def test_corrupted_low_rank_form_climbs_to_the_dense_rung(cho_factor_calls):
     K = _smooth_gram(300)
     n, lam = K.shape[0], 0.1
     A = lam * np.eye(n) + K / n
-    U = pivoted_cholesky(K, max_rank=60) / np.sqrt(n)
-    factor = SpdFactor(A, low_rank=(lam, 1.01 * U))
+    L = pivoted_cholesky(K, max_rank=60)
+    factor = SpdFactor(K, shift=lam, divisor=n, low_rank=1.01 * L)
     B = np.random.default_rng(16).standard_normal((n, 2))
     _assert_columns_close(factor.solve(B), np.linalg.solve(A, B), 1e-12)
-    assert cho_factor_calls == [(U.shape[1], U.shape[1]), (n, n)]
+    assert cho_factor_calls == [(L.shape[1], L.shape[1]), (n, n)]
     assert factor.jitter == 0.0
+    np.testing.assert_array_equal(factor.matrix, A)
 
 
 def test_sandwich_factors_once(cho_factor_calls):

@@ -120,3 +120,32 @@ def test_only_linalg_factors_matrices():
         for site in _factorization_sites(_parse(path))
     ]
     assert sites == []
+
+
+def _discarded_cross_grams(tree: ast.Module) -> list[str]:
+    """Lines that multiply a freshly built cross_gram(...) by something."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            left = node.left
+            if isinstance(left, ast.Call):
+                func = left.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called == "cross_gram":
+                    sites.append(f"{node.lineno}: cross_gram(...) @")
+    return sites
+
+
+def test_no_cross_gram_is_built_for_one_product():
+    # A cross-Gram built only to multiply it once is kernels.kernel_apply,
+    # which never holds the whole matrix. Matrices that are kept and
+    # reused (a cached one, the GP band's) are assigned first.
+    assert _discarded_cross_grams(ast.parse("cross_gram(k, a, b) @ c"))
+    assert _discarded_cross_grams(ast.parse("kernels.cross_gram(k, a, b) @ c"))
+    assert not _discarded_cross_grams(ast.parse("C = cross_gram(k, a, b)\nC @ c"))
+    sites = [
+        f"{path.name}:{site}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for site in _discarded_cross_grams(_parse(path))
+    ]
+    assert sites == []
