@@ -102,34 +102,42 @@ class Dataset:
         return self.xs.shape[0]
 
 
-# The low-rank ridge factor is tried only when n is at least
-# LOW_RANK_MIN_RATIO times the grid operator's rank r: one BLAS thread
-# broke even near n = 170 at r = 17, n = 260 at r = 36 and n = 350 at
-# r = 59. It is given up when the data Gram's pivoted Cholesky needs
-# more than LOW_RANK_CAP * r columns.
+# The low-rank factor of a Gram K is tried only when n is at least
+# LOW_RANK_MIN_RATIO times the grid operator's rank r: for the ridge
+# system, one BLAS thread broke even near n = 170 at r = 17, n = 260 at
+# r = 36 and n = 350 at r = 59. It is given up when the pivoted
+# Cholesky of K needs more than LOW_RANK_CAP * r columns.
 LOW_RANK_MIN_RATIO = 10
 LOW_RANK_CAP = 2
+
+
+def _low_rank_gram(
+    K: NDArray[np.float64], shift: float, grid_rank: int | None
+) -> NDArray[np.float64] | None:
+    """The low_rank form K ~ L L' that SpdFactor(K, shift, ...) starts from, or None.
+
+    Given the rank r of the kernel's grid operator, shift > 0 and
+    n >= LOW_RANK_MIN_RATIO * r, L is the pivoted Cholesky of K capped
+    at LOW_RANK_CAP * r columns (None past the cap); otherwise None, and
+    the factor is dense. The ridge system and the GP band share this rule.
+    """
+    n = K.shape[0]
+    if grid_rank is None or not shift > 0 or n < LOW_RANK_MIN_RATIO * grid_rank:
+        return None
+    return pivoted_cholesky(K, max_rank=LOW_RANK_CAP * grid_rank)
 
 
 def _ridge_factor(K: NDArray[np.float64], lam: float, grid_rank: int | None = None) -> SpdFactor:
     """Factors the ridge system lam*I + K/n of a symmetric n x n Gram K.
 
     fit_ridge, bridge_distance_sq and run_replication all solve this
-    system; factoring it here keeps one definition of it. Given the rank
-    r of the kernel's grid operator, lam > 0 and
-    n >= LOW_RANK_MIN_RATIO * r, K is first factored by a pivoted
-    Cholesky capped at LOW_RANK_CAP * r columns, K ~ L L', and the
-    factor starts on the Woodbury rung
-    (lam*I + L L'/n)^-1 B = (B - L (n*lam*I_r + L'L)^-1 L'B) / lam,
-    which never forms lam*I + K/n. Otherwise, or when the cap is passed,
-    it is the dense Cholesky. Either way every solve is checked against
-    lam*I + K/n itself.
+    system; factoring it here keeps one definition of it. When
+    _low_rank_gram gives K ~ L L', the factor starts on the Woodbury
+    rung (lam*I + L L'/n)^-1 B = (B - L (n*lam*I_r + L'L)^-1 L'B) / lam,
+    which never forms lam*I + K/n; otherwise it is the dense Cholesky.
+    Either way every solve is checked against lam*I + K/n itself.
     """
-    n = K.shape[0]
-    L = None
-    if grid_rank is not None and lam > 0 and n >= LOW_RANK_MIN_RATIO * grid_rank:
-        L = pivoted_cholesky(K, max_rank=LOW_RANK_CAP * grid_rank)
-    return SpdFactor(K, shift=lam, divisor=n, low_rank=L)
+    return SpdFactor(K, shift=lam, divisor=K.shape[0], low_rank=_low_rank_gram(K, lam, grid_rank))
 
 
 def fit_ridge(kernel: KernelSpec, data: Dataset, lam: float) -> KernelExpansion:
@@ -217,23 +225,31 @@ def rkhs_dist_sq(f: KernelExpansion, g: KernelExpansion) -> float:
 
 
 def gp_posterior_band(
-    kernel: KernelSpec, data: Dataset, lam_gp: float, xs: object
+    kernel: KernelSpec,
+    data: Dataset,
+    lam_gp: float,
+    xs: object,
+    grid_rank: int | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Gaussian-process posterior mean and variance at each row of xs.
 
     The mean is k(x,X) (K + lam_gp*I)^-1 f, which with lam_gp = n*lam
     equals the fit_ridge prediction at x; the variance is
     k(x,x) - k(x,X) (K + lam_gp*I)^-1 k(X,x), clamped at zero against
-    roundoff. Both come from one factorization of K + lam_gp*I and one
-    solve against [f | k(X, x)].
+    roundoff. Both come from one SpdFactor(K, shift=lam_gp) and one
+    solve against [f | k(X, x)]. Given grid_rank, the rank r of the
+    kernel's grid operator, the factor follows the ridge system's
+    low-rank rule (_low_rank_gram): at n >= LOW_RANK_MIN_RATIO * r it
+    is a Woodbury solve that factors only an r x r matrix. Every column
+    is still checked against the full K + lam_gp*I.
     """
     if not lam_gp > 0:
         raise ValueError("lam_gp must be positive")
     pts = as_points(xs, kernel.dim)
-    A = gram(kernel, data.xs)
+    K = gram(kernel, data.xs)
     Kxn = cross_gram(kernel, pts, data.xs)
-    A.flat[:: data.n + 1] += lam_gp  # bit-identical to K + lam_gp*np.eye(n)
-    X = SpdFactor(A).solve(np.column_stack([data.fs, Kxn.T]))
+    factor = SpdFactor(K, shift=lam_gp, low_rank=_low_rank_gram(K, lam_gp, grid_rank))
+    X = factor.solve(np.column_stack([data.fs, Kxn.T]))
     mean = Kxn @ X[:, 0]
     # k(x, x) = 1 for every built-in family.
     var = 1.0 - np.sum(Kxn * X[:, 1:].T, axis=1)

@@ -249,13 +249,28 @@ class _LambdaContext:
     node_coeffs: NDArray[np.float64]
 
 
+# Relative gap allowed between the target's node values from the grid
+# operator (G W w0) and from its expansion evaluated by kernel_apply:
+# both sum the same m products, so only roundoff separates them.
+TARGET_AGREEMENT_TOL = 1e-10
+
+
 @lru_cache(maxsize=16)
 def _design_context(scenario: ScenarioSpec) -> _DesignContext:
+    """The scenario's grid operator and target f0, checked at the nodes.
+
+    Raises:
+        ArithmeticError: If the right-hand side f0_in_range builds for
+            the Fredholm problem is not the target f0 at the nodes.
+    """
     grid = build_grid(scenario.design, scenario.grid_m)
     op = GridOperator(scenario.kernel, grid)
     w0_values = scenario.w0_at(grid.nodes)
     f0_values, c0 = f0_in_range(op, w0_values)
     f0 = KernelExpansion(scenario.kernel, grid.nodes, grid.weights * w0_values)
+    gap = float(np.max(np.abs(f0_values - evaluate_batch(f0, grid.nodes))))
+    if gap > TARGET_AGREEMENT_TOL * (1.0 + float(np.max(np.abs(f0_values)))):
+        raise ArithmeticError(f"Fredholm right-hand side is off the target f0 by {gap:.3e}")
     return _DesignContext(op, f0, f0_values, c0**2)
 
 
@@ -278,6 +293,8 @@ def _eval_cross_gram(scenario: ScenarioSpec) -> NDArray[np.float64]:
 def _lambda_context(scenario: ScenarioSpec, lam: float) -> _LambdaContext:
     dctx = _design_context(scenario)
     sol = solve_coefficient(dctx.op, dctx.f0_values, lam)
+    if not np.array_equal(sol.f0_values, dctx.f0_values):
+        raise ArithmeticError(f"the grid solution at lam={lam!r} solved a different right-hand side")
     flam = flambda_expansion(sol)
     flam_eval = _eval_cross_gram(scenario) @ flam.coeffs
     theta_star = continuous_objective(sol, scenario.noise.irreducible(dctx.op.grid))
@@ -401,13 +418,13 @@ def run_replication(
 
     aux = fit_auxiliary(data, lctx.flam, lam, gram_matrix=K, flambda_at_xs=projl)
     # K is exactly symmetric by construction, so no symmetry pass is made.
-    grid_rank = dctx.op.spectrum[0].shape[0]
-    wv = _ridge_factor(K, lam, grid_rank).solve(np.column_stack([data.fs, aux.residuals]))
+    wv = _ridge_factor(K, lam, dctx.op.rank).solve(np.column_stack([data.fs, aux.residuals]))
     a = wv[:, 0] / n
     v = wv[:, 1]
     t = np.asarray(aux.tilde.coeffs)
     d = a - t
-    Ka, Kt, Kd, Kv = (K @ np.column_stack([a, t, d, v])).T
+    # Row-major, valid since K is symmetric: OpenBLAS is slower at K @ (n x 4).
+    Ka, Kt, Kd, Kv = np.array([a, t, d, v]) @ K
     aKa = float(a @ Ka)
     a_projl = float(a @ projl)
     norm_flam_sq = lctx.sol.flambda_norm_sq

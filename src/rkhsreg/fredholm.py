@@ -210,6 +210,11 @@ class GridOperator:
         nu.flags.writeable = B.flags.writeable = False
         return nu, B
 
+    @property
+    def rank(self) -> int:
+        """The rank r of the low-rank spectrum: the number of kept values nu."""
+        return self.spectrum[0].shape[0]
+
     def effective_dimension(self, lam: float) -> float:
         """N(lam) = tr K (K + lam)^-1 = sum_i nu_i / (nu_i + lam).
 

@@ -97,15 +97,17 @@ def _profile(spec: KernelSpec, sqdist: NDArray[np.float64]) -> NDArray[np.float6
     Overwrites and returns sqdist, so a Gram matrix needs one n x m
     array rather than one per step.
     """
+    # Multiplying by a reciprocal is faster than dividing; it is exact
+    # when 2h^2 (or h, for laplace) is a power of two, else 1 ulp at most.
     if spec.family == "gaussian":
-        np.divide(sqdist, -2.0 * spec.bandwidth**2, out=sqdist)
+        sqdist *= -0.5 / spec.bandwidth**2
         return np.exp(sqdist, out=sqdist)
     if spec.family == "laplace":
         np.sqrt(sqdist, out=sqdist)
-        np.divide(sqdist, -spec.bandwidth, out=sqdist)
+        sqdist *= -1.0 / spec.bandwidth
         return np.exp(sqdist, out=sqdist)
     if spec.family == "rational_quadratic":
-        np.divide(sqdist, 2.0 * spec.bandwidth**2, out=sqdist)
+        sqdist *= 0.5 / spec.bandwidth**2
         sqdist += 1.0
         return np.divide(1.0, sqdist, out=sqdist)
     sqdist.fill(1.0)

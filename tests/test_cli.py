@@ -289,6 +289,37 @@ def test_run_stops_on_wrong_ridge_factor(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("stage", ["f0_in_range", "solve_coefficient"])
+def test_run_stops_on_scaled_fredholm_right_hand_side(tmp_path, monkeypatch, capsys, stage):
+    # A right-hand side 0.1% off the target passes the node identity,
+    # since the grid solve is consistent with what it was given; the
+    # target checks of the design and lambda contexts catch it.
+    orig = getattr(exp, stage)
+    if stage == "f0_in_range":
+        def scaled(op, w0_values):
+            f0, c0 = orig(op, w0_values)
+            return 1.001 * f0, c0
+    else:
+        def scaled(op, f0_values, lam):
+            return orig(op, 1.001 * f0_values, lam)
+    monkeypatch.setattr(exp, stage, scaled)
+    exp._design_context.cache_clear()
+    exp._lambda_context.cache_clear()
+    assert main(["run", _write_config(tmp_path, _base_config(tmp_path / "out"))]) == 3
+    err = capsys.readouterr().err
+    assert "invariant broken" in err and "right-hand side" in err
+    assert "Traceback" not in err
+
+
+def test_run_at_large_n_factors_no_n_by_n_matrix(tmp_path, cho_factor_calls):
+    # n = 800 is far above 10 times the grid rank: the replications and
+    # the band figure all factor only r x r matrices.
+    cfg = _base_config(tmp_path / "out", ns=[800])
+    assert main(["run", _write_config(tmp_path, cfg)]) == 0
+    assert (tmp_path / "out" / "band.svg").exists()
+    assert cho_factor_calls and all(shape[0] < 800 for shape in cho_factor_calls)
+
+
 class _SharedShift:
     """A ridge factor whose solve adds c times one column to every column.
 

@@ -250,7 +250,24 @@ def test_gp_band_factors_once(cho_factor_calls):
 
 def _grid_rank(kernel):
     op = GridOperator(kernel, build_grid(DesignMeasure.uniform(0.0, 1.0), 256))
-    return op.spectrum[0].shape[0]
+    return op.rank
+
+
+@pytest.mark.parametrize("family", ["gaussian", "rational_quadratic"])
+def test_low_rank_gp_band_matches_the_dense_band(cho_factor_calls, family):
+    # At n = 800 the grid rank (17 and 36) is far below n / 10, so the
+    # band factors only an r x r matrix; the dense band is the reference.
+    kernel = KernelSpec(family, 0.25, 1)
+    data = _dataset(np.random.default_rng(22), 800)
+    pts = np.linspace(0.0, 1.0, 201)
+    grid_rank = _grid_rank(kernel)
+    mean, var = gp_posterior_band(kernel, data, 800 * 0.2, pts, grid_rank)
+    r = cho_factor_calls[0][0]
+    assert cho_factor_calls == [(r, r)] and r <= 2 * grid_rank
+    dense_mean, dense_var = gp_posterior_band(kernel, data, 800 * 0.2, pts)
+    assert cho_factor_calls[1:] == [(800, 800)]
+    np.testing.assert_allclose(mean, dense_mean, rtol=1e-12)
+    np.testing.assert_allclose(var, dense_var, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(

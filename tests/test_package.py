@@ -149,3 +149,41 @@ def test_no_cross_gram_is_built_for_one_product():
         for site in _discarded_cross_grams(_parse(path))
     ]
     assert sites == []
+
+
+def _diagonal_shifts(tree: ast.Module) -> list[str]:
+    """Lines that write a matrix diagonal: X.flat[...] op= c, fill_diagonal or eye."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign):
+            target = node.target
+            if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Attribute):
+                if target.value.attr == "flat":
+                    sites.append(f"{node.lineno}: .flat[...] op=")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if called in ("eye", "identity", "fill_diagonal"):
+                sites.append(f"{node.lineno}: {called}()")
+    return sites
+
+
+def test_only_linalg_shifts_a_diagonal():
+    # Every ridge or GP system lam*I + K/divisor is formed inside
+    # linalg.SpdFactor, which checks each solve against it and may skip
+    # forming it (the Woodbury rung). A diagonal shifted anywhere else is
+    # a second copy of such a system.
+    for snippet in (
+        "A.flat[:: n + 1] += lam",
+        "A + lam * np.eye(n)",
+        "np.fill_diagonal(A, 1.0)",
+    ):
+        assert _diagonal_shifts(ast.parse(snippet)), snippet
+    assert not _diagonal_shifts(ast.parse("x = A.flat[0]\nA += B"))
+    sites = [
+        f"{path.name}:{site}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "linalg.py"
+        for site in _diagonal_shifts(_parse(path))
+    ]
+    assert sites == []
