@@ -27,7 +27,6 @@ from functools import cached_property, reduce
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
 from numpy.typing import NDArray
 
 from .estimator import KernelExpansion, _clamp_nonneg, _frozen_array
@@ -112,18 +111,28 @@ class DesignMeasure:
     def dirac(cls, point: object) -> "DesignMeasure":
         return cls("dirac", center=tuple(np.atleast_1d(point)))
 
-    def _truncnorm(self):
-        a = (self.low[0] - self.center[0]) / self.scale
-        b = (self.high[0] - self.center[0]) / self.scale
-        return scipy.stats.truncnorm(a, b, loc=self.center[0], scale=self.scale)
-
     def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
         """n i.i.d. draws from the measure as an (n, dim) array."""
         if self.kind == "uniform":
             return rng.uniform(self.low, self.high, size=(n, self.dim))
         if self.kind == "dirac":
             return np.tile(np.asarray(self.center, dtype=np.float64), (n, 1))
-        return self._truncnorm().rvs(size=n, random_state=rng).reshape(n, 1)
+        return self._truncnorm.rvs(size=n, random_state=rng).reshape(n, 1)
+
+    @cached_property
+    def _truncnorm(self):
+        """The frozen scipy truncnorm of a truncated_gaussian measure, built once.
+
+        scipy.stats is imported here, not at module level: it takes most
+        of the package's import time and only this design kind uses it.
+        The frozen object holds no state that a draw changes (rvs reads
+        the generator it is given), so replication threads share it.
+        """
+        import scipy.stats
+
+        a = (self.low[0] - self.center[0]) / self.scale
+        b = (self.high[0] - self.center[0]) / self.scale
+        return scipy.stats.truncnorm(a, b, loc=self.center[0], scale=self.scale)
 
     @cached_property
     def eval_grid(self) -> NDArray[np.float64]:
@@ -287,7 +296,7 @@ def build_grid(measure: DesignMeasure, m: int) -> QuadratureGrid:
     per_axis = round(m ** (1.0 / measure.dim))
     axes = [_gauss_legendre_1d(lo, hi, per_axis) for lo, hi in zip(measure.low, measure.high)]
     if measure.kind == "truncated_gaussian":
-        axes = [(x, _normalized(w * measure._truncnorm().pdf(x))) for x, w in axes]
+        axes = [(x, _normalized(w * measure._truncnorm.pdf(x))) for x, w in axes]
     points, weights = zip(*axes)
     product = reduce(lambda u, v: _normalized(np.multiply.outer(u, v).ravel()), weights)
     return QuadratureGrid(_product(list(points)), product)

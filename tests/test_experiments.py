@@ -261,10 +261,16 @@ def test_worker_count_parsing(monkeypatch):
 def test_threaded_aggregates_bit_identical(monkeypatch):
     # Clearing the caches makes each run build its own grid operator and
     # low-rank factor, so the comparison covers the lazily cached factor.
+    # The truncated Gaussian's workers share one frozen scipy distribution.
     uniform_2d = ScenarioSpec(
         kernel=KernelSpec("gaussian", 0.25, 2),
         design=DesignMeasure.uniform((0.0, 0.0), (1.0, 1.0)),
         grid_m=256,
+    )
+    truncated = ScenarioSpec(
+        kernel=CANON.kernel,
+        design=DesignMeasure.truncated_gaussian(0.0, 1.0, 0.5, 0.3),
+        grid_m=64,
     )
 
     def cold_run(scenario):
@@ -272,7 +278,7 @@ def test_threaded_aggregates_bit_identical(monkeypatch):
         exp._lambda_context.cache_clear()
         return monte_carlo(scenario, 15, 0.2, 8)
 
-    for scenario in (CANON, uniform_2d):
+    for scenario in (CANON, uniform_2d, truncated):
         monkeypatch.delenv("RKHS_THREADS", raising=False)
         sequential = cold_run(scenario)
         monkeypatch.setenv("RKHS_THREADS", "2")

@@ -1,0 +1,202 @@
+"""Seeded-fault matrix: plant a plausible wiring fault, see which detector fires.
+
+Each case plants one fault by monkeypatch and runs `rkhsreg run` on the
+canonical scenario (Gaussian kernel h = 0.25 on Uniform[0, 1],
+w0 = sin 2 pi x, homoscedastic noise) at n = 50, lam = 0.2 and R = 400.
+A runtime detector is a broken invariant: the run stops with exit 3 and
+names it on stderr. A statistical detector lets the run finish and
+moves the auxiliary risk's z statistic, (mean - theory) / stderr of
+dist_tilde_flambda_sq, beyond Z_LIMIT. test_no_detector_fires_without_a_fault
+runs the same configurations unplanted. Every draw is keyed by the
+package seed scheme, so each z below is a fixed number.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+import rkhsreg.experiments as exp
+from rkhsreg.cli import main
+
+Z_LIMIT = 4.0
+R = 400
+SIGMA = 0.2
+# At SIGMA the missing -||f_lambda||^2/n term of the tilde-risk theory is
+# 1.4 standard errors at R = 400; lower noise makes it the larger part.
+LOW_SIGMA = 0.02
+
+
+@pytest.fixture(autouse=True)
+def _fresh_contexts():
+    # The design and lambda contexts are cached per scenario: a planted
+    # fault must neither reuse nor leave behind a context of another case.
+    caches = (exp._design_context, exp._lambda_context, exp._eval_cross_gram)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _run(tmp_path, sigma):
+    """Runs the canonical configuration at noise sigma; returns (exit code, results)."""
+    out_dir = tmp_path / "out"
+    cfg = {
+        "scenario": {
+            "kernel": {"family": "gaussian", "bandwidth": 0.25, "dim": 1},
+            "design": {"kind": "uniform", "low": 0.0, "high": 1.0},
+            "w0": "sin2pi",
+            "noise": {"kind": "homoscedastic", "sigma": sigma},
+            "grid_m": 256,
+            "base_seed": 20260815,
+        },
+        "ns": [50],
+        "lambda_rule": {"kind": "fixed", "value": 0.2},
+        "R": R,
+        "outputs": str(out_dir),
+        "emit_plots": False,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["run", str(path)])
+    results = out_dir / "results.json"
+    return code, json.loads(results.read_text())["results"] if results.exists() else None
+
+
+def _tilde_risk_z(results):
+    (agg,) = results
+    mean = agg["means"]["dist_tilde_flambda_sq"]
+    return (mean - agg["theoretical_tilde_risk"]) / agg["stderrs"]["dist_tilde_flambda_sq"]
+
+
+def _wider_kernel(spec):
+    return dataclasses.replace(spec, bandwidth=1.1 * spec.bandwidth)
+
+
+def _data_gram_bandwidth(monkeypatch):
+    orig = exp.gram
+    monkeypatch.setattr(exp, "gram", lambda spec, xs: orig(_wider_kernel(spec), xs))
+
+
+def _grid_operator_bandwidth(monkeypatch):
+    orig = exp.GridOperator
+    monkeypatch.setattr(exp, "GridOperator", lambda kernel, grid: orig(_wider_kernel(kernel), grid))
+
+
+def _ridge_factor_at_twice_lam(monkeypatch):
+    orig = exp._ridge_factor
+    monkeypatch.setattr(
+        exp, "_ridge_factor", lambda K, lam, grid_rank=None: orig(K, 2.0 * lam, grid_rank)
+    )
+
+
+def _f0_at_data_scaled(monkeypatch):
+    # The replication's f0(X) (first column) is 5% high; the noisy
+    # responses were drawn from the true values.
+    orig = exp._sample_at_nodes
+
+    def scaled(scenario, n, index, lambda_key, node_coeffs):
+        data, values = orig(scenario, n, index, lambda_key, node_coeffs)
+        return data, values * np.array([1.05, 1.0])
+
+    monkeypatch.setattr(exp, "_sample_at_nodes", scaled)
+
+
+def _fredholm_right_hand_side_scaled(monkeypatch):
+    orig = exp.f0_in_range
+
+    def scaled(op, w0_values):
+        f0, c0 = orig(op, w0_values)
+        return 1.001 * f0, c0
+
+    monkeypatch.setattr(exp, "f0_in_range", scaled)
+
+
+def _auxiliary_fit_at_twice_lam(monkeypatch):
+    orig = exp.fit_auxiliary
+    monkeypatch.setattr(
+        exp, "fit_auxiliary", lambda data, flam, lam, **kwargs: orig(data, flam, 2.0 * lam, **kwargs)
+    )
+
+
+class _WideNoise:
+    """A generator whose normal draws have 1.5 times the asked scale."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def uniform(self, *args, **kwargs):
+        return self.rng.uniform(*args, **kwargs)
+
+    def normal(self, loc, scale):
+        return self.rng.normal(loc, 1.5 * np.asarray(scale))
+
+
+def _noise_scaled(monkeypatch):
+    # The draws are noisier than the model the theory reads sigma from.
+    orig = exp._rng_for
+    monkeypatch.setattr(exp, "_rng_for", lambda *key: _WideNoise(orig(*key)))
+
+
+def _theory_without_norm_term(monkeypatch):
+    orig = exp.theoretical_tilde_risk
+    monkeypatch.setattr(
+        exp,
+        "theoretical_tilde_risk",
+        lambda sol, condvar, n: orig(sol, condvar, n) + sol.flambda_norm_sq / n,
+    )
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        # Replication 0 breaks the sup-norm certificate before any
+        # quadratic form turns negative.
+        (_data_gram_bandwidth, "sup-norm bound violated at n=50, replication 0"),
+        (_grid_operator_bandwidth, "Fredholm right-hand side is off the target f0"),
+        (_ridge_factor_at_twice_lam, "residual bridge identity violated"),
+        (_f0_at_data_scaled, "quadratic form is negative beyond roundoff tolerance"),
+        (_fredholm_right_hand_side_scaled, "Fredholm right-hand side is off the target f0"),
+        (_auxiliary_fit_at_twice_lam, "residual bridge identity violated"),
+    ],
+    ids=[
+        "data-gram-bandwidth-x1.1",
+        "grid-operator-bandwidth-x1.1",
+        "ridge-factor-at-2lam",
+        "f0-at-data-x1.05",
+        "fredholm-rhs-x1.001",
+        "auxiliary-fit-at-2lam",
+    ],
+)
+def test_runtime_detector_stops_the_run(tmp_path, monkeypatch, capsys, plant, message):
+    plant(monkeypatch)
+    code, results = _run(tmp_path, SIGMA)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"invariant broken: {message}" in err
+    assert "Traceback" not in err
+    assert results is None
+
+
+@pytest.mark.parametrize(
+    "plant, sigma, z_sign",
+    [(_noise_scaled, SIGMA, 1.0), (_theory_without_norm_term, LOW_SIGMA, -1.0)],
+    ids=["noise-x1.5", "tilde-risk-theory-without-norm-term"],
+)
+def test_statistical_detector_flags_the_tilde_risk(tmp_path, monkeypatch, plant, sigma, z_sign):
+    # No invariant sees these faults: the run completes, and only the
+    # Monte Carlo comparison with the closed-form risk can.
+    plant(monkeypatch)
+    code, results = _run(tmp_path, sigma)
+    assert code == 0
+    assert z_sign * _tilde_risk_z(results) > Z_LIMIT
+
+
+@pytest.mark.parametrize("sigma", [SIGMA, LOW_SIGMA])
+def test_no_detector_fires_without_a_fault(tmp_path, capsys, sigma):
+    code, results = _run(tmp_path, sigma)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert abs(_tilde_risk_z(results)) <= Z_LIMIT

@@ -1,6 +1,10 @@
 """Package hygiene: the exported names and the imports of every module."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import rkhsreg
@@ -187,3 +191,110 @@ def test_only_linalg_shifts_a_diagonal():
         for site in _diagonal_shifts(_parse(path))
     ]
     assert sites == []
+
+
+def _scipy_imports_beyond_linalg(tree: ast.Module) -> list[str]:
+    """Lines that import a scipy subpackage other than scipy.linalg outside a function."""
+    sites = []
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                modules = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.module == "scipy":
+                modules = [f"scipy.{a.name}" for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                modules = []
+            sites.extend(
+                f"{child.lineno}: {module}"
+                for module in modules
+                if module.startswith("scipy.")
+                and module != "scipy.linalg"
+                and not module.startswith("scipy.linalg.")
+            )
+            visit(child)
+
+    visit(tree)
+    return sites
+
+
+def test_only_scipy_linalg_is_imported_at_module_level():
+    # A module-level import runs on every `import rkhsreg`. scipy.stats
+    # alone took 0.6-0.7 s of a 1.1 s cold start for the one design kind
+    # that uses it, so any other scipy subpackage is imported inside the
+    # function that needs it.
+    for snippet in (
+        "import scipy.stats",
+        "from scipy import stats",
+        "from scipy.stats import truncnorm",
+        "import scipy.special as sc",
+        "if True:\n    import scipy.stats",
+    ):
+        assert _scipy_imports_beyond_linalg(ast.parse(snippet)), snippet
+    for snippet in (
+        "import scipy.linalg",
+        "from scipy import linalg",
+        "from scipy.linalg.lapack import dpstrf",
+        "def f():\n    import scipy.stats",
+    ):
+        assert not _scipy_imports_beyond_linalg(ast.parse(snippet)), snippet
+    sites = [
+        f"{path.name}:{site}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for site in _scipy_imports_beyond_linalg(_parse(path))
+    ]
+    assert sites == []
+
+
+_FRESH_RUNS = """
+import json, sys
+import rkhsreg.cli
+runs = [[rkhsreg.cli.cmd_run(config), "scipy.stats" in sys.modules] for config in sys.argv[1:]]
+print(json.dumps({"file": rkhsreg.__file__, "runs": runs}))
+"""
+
+
+def test_scipy_stats_loads_only_for_a_truncated_gaussian_design(tmp_path):
+    # This process has scipy.stats loaded already, so a fresh interpreter
+    # on this checkout's src runs a uniform design and then a truncated
+    # Gaussian one, and reports after each whether scipy.stats is loaded.
+    src = Path(__file__).resolve().parent.parent / "src"
+    designs = {
+        "uniform": {"kind": "uniform", "low": 0.0, "high": 1.0},
+        "truncated_gaussian": {
+            "kind": "truncated_gaussian", "low": 0.0, "high": 1.0, "center": 0.5, "scale": 0.3
+        },
+    }
+    configs = []
+    for name, design in designs.items():
+        cfg = {
+            "scenario": {
+                "kernel": {"family": "gaussian", "bandwidth": 0.25, "dim": 1},
+                "design": design,
+                "grid_m": 64,
+            },
+            "ns": [10, 12],
+            "lambda_rule": {"kind": "fixed", "value": 0.2},
+            "R": 2,
+            "outputs": str(tmp_path / name),
+        }
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        configs.append(str(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUNS, *configs],
+        # One BLAS thread: starting the OpenBLAS pool took 0.4 of 1.9 s on 2 cores.
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert src in Path(report["file"]).resolve().parents
+    assert report["runs"] == [[0, False], [0, True]]
