@@ -17,7 +17,6 @@ from .estimator import (
     KernelExpansion,
     empirical_objective,
     evaluate_batch,
-    fit_generalized,
     fit_ridge,
     gp_posterior_band,
     rkhs_dist_sq,
@@ -96,7 +95,6 @@ __all__ = [
     "evaluate_batch",
     "f0_in_range",
     "fit_auxiliary",
-    "fit_generalized",
     "fit_ridge",
     "flambda_expansion",
     "flambda_values",

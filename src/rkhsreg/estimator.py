@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .kernels import KernelSpec, as_points, cross_gram, gram, kernel_apply
@@ -145,8 +144,9 @@ def fit_ridge(kernel: KernelSpec, data: Dataset, lam: float) -> KernelExpansion:
 
     Solves (lam*I + K/n) w = f and returns the expansion with
     coefficients w/n centered at the data points. lam = 0 is allowed
-    and interpolates the data when the Gram matrix is numerically
-    nonsingular (the jitter ladder of SpdFactor applies).
+    and interpolates the data when the Cholesky factor of K/n exists
+    and its solution passes the residual check; otherwise it raises
+    NotPositiveDefiniteError.
 
     Args:
         kernel: Kernel defining the RKHS.
@@ -160,36 +160,6 @@ def fit_ridge(kernel: KernelSpec, data: Dataset, lam: float) -> KernelExpansion:
         raise ValueError("lam must be nonnegative")
     w = _ridge_factor(gram(kernel, data.xs), lam).solve(data.fs)
     return KernelExpansion(kernel, data.xs, w / data.n)
-
-
-def fit_generalized(
-    kernel: KernelSpec,
-    data: Dataset,
-    Lam: NDArray[np.float64],
-) -> KernelExpansion:
-    """Fits the regressor with a symmetric invertible regularization matrix.
-
-    The weights are w = n (K Lam^-1 K + n K)^-1 K Lam^-1 f; the stored
-    coefficients are w/n. Lam = lam*I reproduces fit_ridge exactly.
-
-    Raises:
-        scipy.linalg.LinAlgError: If Lam or the reduced system is singular.
-        ValueError: If Lam is not symmetric of order n.
-    """
-    n = data.n
-    Lam = np.asarray(Lam, dtype=np.float64)
-    if Lam.shape != (n, n):
-        raise ValueError(f"Lam must be {n} x {n}, got {Lam.shape}")
-    if float(np.max(np.abs(Lam - Lam.T))) > 1e-10 * max(1.0, float(np.max(np.abs(Lam)))):
-        raise ValueError("Lam must be symmetric")
-    K = gram(kernel, data.xs)
-    # Lam may be indefinite, so these are general symmetric solves.
-    Li_K = scipy.linalg.solve(Lam, K, assume_a="sym")
-    Li_f = scipy.linalg.solve(Lam, data.fs, assume_a="sym")
-    A = K @ Li_K + n * K
-    A = 0.5 * (A + A.T)
-    w = n * scipy.linalg.solve(A, K @ Li_f, assume_a="sym")
-    return KernelExpansion(kernel, data.xs, w / n)
 
 
 def evaluate_batch(f: KernelExpansion, xs: object) -> NDArray[np.float64]:

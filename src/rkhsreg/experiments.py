@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -162,15 +162,7 @@ def rate_scenario(base_seed: int = 20260815) -> ScenarioSpec:
     the signal down makes the variance terms dominate and the fitted
     log-log rate emerges by n = 320.
     """
-    spec = canonical_scenario(base_seed)
-    return ScenarioSpec(
-        kernel=spec.kernel,
-        design=spec.design,
-        w0="sin2pi_small",
-        noise=spec.noise,
-        grid_m=spec.grid_m,
-        base_seed=base_seed,
-    )
+    return replace(canonical_scenario(base_seed), w0="sin2pi_small")
 
 
 @dataclass(frozen=True)
@@ -194,15 +186,7 @@ class ReplicationMetrics:
     sup_gap_grid_max: float
 
 
-METRIC_FIELDS = (
-    "dist_hat_flambda_sq",
-    "dist_tilde_flambda_sq",
-    "dist_hat_tilde_sq",
-    "dist_hat_f0_sq",
-    "theta_hat",
-    "sup_gap_hat_flambda",
-    "sup_gap_grid_max",
-)
+METRIC_FIELDS = tuple(f.name for f in fields(ReplicationMetrics) if f.name not in ("n", "lam"))
 
 
 @dataclass(frozen=True)
@@ -411,6 +395,8 @@ def run_replication(
         raise ValueError("lam must be positive")
     dctx = _design_context(scenario)
     lctx = _lambda_context(scenario, lam)
+    if lctx.sol.lam != lam:
+        raise ArithmeticError(f"f_lambda was solved at lam={lctx.sol.lam!r}, not at lam={lam!r}")
     kernel = scenario.kernel
     data, at_xs = _sample_at_nodes(scenario, n, replication_index, lam, lctx.node_coeffs)
     proj0, projl = at_xs.T

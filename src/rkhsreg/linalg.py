@@ -3,22 +3,25 @@ and Loewner order comparisons.
 
 These primitives back every regularized fit in the package and the
 randomized matrix-inequality suites: (lam*I + K)^-1 applications via
-Cholesky with a relative jitter retry ladder, and the bound
-(lam+K)^-1 K (lam+K)^-1 <= 1/(4*lam) checked in the Loewner order.
-This module holds every factorization the package makes.
+one Cholesky factor, and the bound (lam+K)^-1 K (lam+K)^-1 <= 1/(4*lam)
+checked in the Loewner order. This module holds every factorization the
+package makes.
 
 An SpdFactor holds one factorization of A = shift*I + K/divisor and
 serves every solve against it, so a caller that needs several
 right-hand sides factors once. Given a low-rank form K ~ L L' (L of
-shape n x r), its ladder starts with a Woodbury rung,
+shape n x r), it is first the Woodbury form
 A^-1 B ~ (B - U (shift*I_r + U'U)^-1 U'B) / shift with U = L/sqrt(divisor),
-which factors only the r x r matrix and never forms A; every solution
-is still checked against A, as shift*X + (K X)/divisor, and a failing
-column climbs to the dense Cholesky rungs, which form A. solve_spd is the
-checked public entry: it verifies symmetry and then factors and solves
-once. Callers that build their matrix symmetric themselves (every Gram
-in the package is exactly symmetric) construct an SpdFactor directly
-and skip that O(n^2) pass.
+which factors only the r x r matrix and never forms A; otherwise, or
+once a Woodbury solution fails its check, it is the dense Cholesky
+factor of A. Every solution is checked against A, as
+shift*X + (K X)/divisor. A ridge system with shift = lam > 0 has
+smallest eigenvalue at least lam, so the dense factor exists; a
+singular or indefinite A raises NotPositiveDefiniteError. solve_spd is
+the checked public entry: it verifies symmetry and then factors and
+solves once. Callers that build their matrix symmetric themselves
+(every Gram in the package is exactly symmetric) construct an SpdFactor
+directly and skip that O(n^2) pass.
 
 pivoted_cholesky(A, max_rank) gives A ~ L L' with L of shape n x r,
 stopped when the largest remaining diagonal entry falls to
@@ -38,11 +41,6 @@ from numpy.typing import NDArray
 from scipy.linalg.lapack import dpstrf
 
 
-# Jitter policy for Cholesky solves of nearly singular systems: the first
-# retry adds JITTER_REL * trace(A)/n to the diagonal, and each further
-# retry doubles it, MAX_JITTER_DOUBLINGS times.
-JITTER_REL = 1e-12
-MAX_JITTER_DOUBLINGS = 20
 # LAPACK's relative machine precision, dlamch('E'): the eps of dpstrf's tolerance.
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -65,26 +63,19 @@ class SpdFactor:
     """Factorization of the symmetric positive definite A = shift*I + K/divisor.
 
     K is symmetric n x n (the default shift 0 and divisor 1 factor K
-    itself). A is factored at construction, at the first rung of a
-    ladder that factors. Given low_rank = L with K ~ L L', the first
-    rung is the Woodbury form, which factors only the r x r matrix
-    shift*I_r + U'U, U = L/sqrt(divisor), and holds no n x n array but
-    K. The dense rungs follow: the Cholesky factor of A itself, then of
-    A + jitter*I with jitter = JITTER_REL * trace(A)/n, doubling
-    MAX_JITTER_DOUBLINGS times. A is formed on the first dense rung.
-    Each solve checks every column of its solution against A,
-    ||A x_j - b_j|| <= 1e-8 ||b_j||, and climbs the ladder (refactoring)
-    until all columns pass; a later solve starts from the rung the last
-    one ended on. K is taken as symmetric; solve_spd checks that for
-    matrices the caller did not build.
-
-    Attributes:
-        matrix: A, once a dense rung has formed it; None before.
-        jitter: The jitter of the dense rung in use, else 0.
+    itself) and is never written to. A is factored at construction.
+    Given low_rank = L with K ~ L L', the factor is the Woodbury form,
+    which factors only the r x r matrix shift*I_r + U'U,
+    U = L/sqrt(divisor), and holds no n x n array but K. Otherwise, or
+    once a Woodbury solve fails its check, it is one dense Cholesky
+    factor of A, formed in a fresh array that the factorization
+    overwrites. Each solve checks every column of its solution against
+    A, ||A x_j - b_j|| <= 1e-8 ||b_j||. K is taken as symmetric;
+    solve_spd checks that for matrices the caller did not build.
 
     Raises:
-        NotPositiveDefiniteError: At construction or in solve, when no
-            remaining rung both factors and passes the check.
+        NotPositiveDefiniteError: At construction or in solve, when the
+            dense Cholesky of A fails or its solution fails the check.
     """
 
     def __init__(
@@ -97,10 +88,7 @@ class SpdFactor:
         self.gram = K
         self.shift = shift
         self.divisor = divisor
-        self.matrix = None
-        self._level = -1
         self._woodbury = None
-        self.jitter = 0.0
         if low_rank is not None:
             U = low_rank / np.sqrt(divisor)
             inner = U.T @ U
@@ -108,52 +96,34 @@ class SpdFactor:
             with contextlib.suppress(np.linalg.LinAlgError):
                 self._woodbury = (U, scipy.linalg.cho_factor(inner, lower=True, check_finite=False))
         if self._woodbury is None:
-            self._climb()
+            self._factor_dense()
 
-    def _climb(self) -> None:
-        """Factors A + jitter*I at the next dense ladder level that factors."""
+    def _factor_dense(self) -> None:
+        """Replaces the factor by the dense Cholesky factor of A."""
+        # Fortran order lets cho_factor factor A in place.
+        A = np.divide(self.gram, self.divisor, order="F")
+        A.flat[:: A.shape[0] + 1] += self.shift
+        try:
+            # Called through the module attribute so a wrapper installed
+            # on scipy.linalg (profilers, call-count tests) sees it.
+            self._cho = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError("matrix not positive definite") from exc
         self._woodbury = None
-        if self.matrix is None:
-            K, n = self.gram, self.gram.shape[0]
-            if self.shift == 0.0 and self.divisor == 1.0:
-                self.matrix = K
-            else:
-                # Bit-identical to shift*np.eye(n) + K/divisor.
-                self.matrix = K / self.divisor
-                self.matrix.flat[:: n + 1] += self.shift
-            trace = float(np.trace(self.matrix))
-            base = JITTER_REL * (trace / n if trace > 0 else 1.0)
-            self._ladder = [0.0] + [base * 2.0**k for k in range(MAX_JITTER_DOUBLINGS + 1)]
-        A = self.matrix
-        for level in range(self._level + 1, len(self._ladder)):
-            jitter = self._ladder[level]
-            M = A if jitter == 0.0 else A + jitter * np.eye(A.shape[0])
-            try:
-                # Called through the module attribute so a wrapper installed
-                # on scipy.linalg (profilers, call-count tests) sees it.
-                self._cho = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-            except np.linalg.LinAlgError:
-                continue
-            self._level = level
-            self.jitter = jitter
-            return
-        raise NotPositiveDefiniteError("matrix not positive definite after jitter retries")
 
     def _apply(self, B: NDArray[np.float64]) -> NDArray[np.float64]:
-        """The current rung's approximation of A^-1 B."""
+        """The current factor's approximation of A^-1 B."""
         if self._woodbury is not None:
             U, cho = self._woodbury
             return (B - U @ scipy.linalg.cho_solve(cho, U.T @ B, check_finite=False)) / self.shift
         return scipy.linalg.cho_solve(self._cho, B, check_finite=False)
 
     def _times_a(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
-        """A X, from K alone until a dense rung has formed A.
+        """A X = shift*X + (K X)/divisor, from K alone.
 
         K X is computed as (X' K)', valid since K is symmetric: OpenBLAS
         multiplies a few-column X faster from that side.
         """
-        if self.matrix is not None:
-            return self.matrix @ X
         AX = (X.T @ self.gram).T
         AX /= self.divisor
         AX += self.shift * X
@@ -164,7 +134,8 @@ class SpdFactor:
 
         Raises:
             ValueError: If B's leading dimension is not n.
-            NotPositiveDefiniteError: If the ladder runs out.
+            NotPositiveDefiniteError: If the dense Cholesky of A fails or its
+                solution fails the check.
         """
         B = np.asarray(B, dtype=np.float64)
         n = self.gram.shape[0]
@@ -176,7 +147,9 @@ class SpdFactor:
             residual = np.linalg.norm(self._times_a(X) - B, axis=0)
             if np.all(residual <= 1e-8 * norm_b):
                 return X
-            self._climb()
+            if self._woodbury is None:
+                raise NotPositiveDefiniteError("Cholesky solution fails its residual check")
+            self._factor_dense()
 
 
 def pivoted_cholesky(
@@ -222,8 +195,8 @@ def solve_spd(A: NDArray[np.float64], B: NDArray[np.float64]) -> NDArray[np.floa
     """Solves A X = B for symmetric positive definite A by Cholesky.
 
     Checks that A is square and symmetric, then solves through one
-    SpdFactor: the same jitter ladder, and a residual check
-    ||A x_j - b_j|| <= 1e-8 ||b_j|| on every column of X.
+    dense SpdFactor, with its residual check ||A x_j - b_j|| <= 1e-8 ||b_j||
+    on every column of X. A is not written to.
 
     Args:
         A: Symmetric matrix, intended positive definite.
@@ -233,7 +206,8 @@ def solve_spd(A: NDArray[np.float64], B: NDArray[np.float64]) -> NDArray[np.floa
         X with the same shape as B.
 
     Raises:
-        NotPositiveDefiniteError: If every jitter level fails.
+        NotPositiveDefiniteError: If A has no Cholesky factor or the
+            solution fails the check.
         ValueError: On non-square or asymmetric A, or shape mismatch.
     """
     return SpdFactor(_check_symmetric(A, "A")).solve(B)

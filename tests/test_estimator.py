@@ -1,5 +1,7 @@
-"""Ridge and generalized fits, RKHS norms/distances, GP posterior
-equivalence, and objective optimality."""
+"""Ridge fits, RKHS norms/distances, GP posterior equivalence, and
+objective optimality."""
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from rkhsreg.estimator import (
     _ridge_factor,
     empirical_objective,
     evaluate_batch,
-    fit_generalized,
     fit_ridge,
     gp_posterior_band,
     rkhs_dist_sq,
@@ -19,6 +20,7 @@ from rkhsreg.estimator import (
 )
 from rkhsreg.fredholm import DesignMeasure, GridOperator, build_grid
 from rkhsreg.kernels import KernelSpec, cross_gram, gram, kernel_eval
+from rkhsreg.linalg import NotPositiveDefiniteError
 
 GAUSS = KernelSpec("gaussian", 1.0, 1)
 NORM_SQ_TWO_POINT = 0.7869386805747332  # 2 - 2 exp(-1/2) at unit separation
@@ -51,14 +53,9 @@ def test_duplicate_point_shrinks_to_mean_over_one_plus_lam():
 
 
 def test_duplicate_point_lam_zero_consistent_jitter_limit():
-    # Singular Gram with a consistent right-hand side solves through the
-    # jitter ladder; conflicting duplicates cannot meet the residual
-    # check at lam = 0 and must raise instead of silently averaging.
-    data = Dataset(np.zeros((2, 1)), np.array([1.5, 1.5]))
-    fhat = fit_ridge(GAUSS, data, 0.0)
-    assert evaluate_batch(fhat, 0.0)[0] == pytest.approx(1.5, abs=1e-6)
-    from rkhsreg.linalg import NotPositiveDefiniteError
-
+    # Duplicated points make the Gram singular; conflicting duplicates
+    # cannot meet the residual check at lam = 0 and must raise instead
+    # of silently averaging.
     conflicting = Dataset(np.zeros((2, 1)), np.array([1.0, 2.0]))
     with pytest.raises(NotPositiveDefiniteError):
         fit_ridge(GAUSS, conflicting, 0.0)
@@ -82,54 +79,6 @@ def test_fit_negative_lam_raises():
         fit_ridge(GAUSS, data, -0.1)
 
 
-def test_generalized_scalar_matches_ridge():
-    data = Dataset(np.array([[0.2]]), np.array([3.0]))
-    fhat = fit_generalized(GAUSS, data, np.array([[0.5]]))
-    # Lam = [[c]] gives w = f / (1 + c), same as ridge at lam = c.
-    assert evaluate_batch(fhat, 0.2)[0] == pytest.approx(2.0, abs=1e-12)
-
-
-def test_generalized_lam_identity_reproduces_ridge():
-    # Laplace keeps the Gram well conditioned; the generalized route
-    # squares K, so a nearly singular Gram would test conditioning, not
-    # the algebraic identity.
-    rng = np.random.default_rng(12)
-    data = _dataset(rng, 6)
-    spec = KernelSpec("laplace", 0.5, 1)
-    lam = 0.4
-    ridge = fit_ridge(spec, data, lam)
-    general = fit_generalized(spec, data, lam * np.eye(6))
-    np.testing.assert_allclose(
-        np.asarray(general.coeffs), np.asarray(ridge.coeffs), atol=1e-9
-    )
-
-
-def test_generalized_diagonal_matches_direct_formula():
-    rng = np.random.default_rng(13)
-    data = _dataset(rng, 4)
-    Lam = np.diag([0.1, 0.2, 0.4, 0.8])
-    fhat = fit_generalized(GAUSS, data, Lam)
-    from rkhsreg.kernels import gram
-
-    K = gram(GAUSS, data.xs)
-    Li = np.linalg.inv(Lam)
-    w = 4 * np.linalg.solve(K @ Li @ K + 4 * K, K @ Li @ data.fs)
-    np.testing.assert_allclose(np.asarray(fhat.coeffs), w / 4, atol=1e-9)
-
-
-def test_generalized_validation():
-    rng = np.random.default_rng(14)
-    data = _dataset(rng, 3)
-    with pytest.raises(ValueError):
-        fit_generalized(GAUSS, data, np.eye(4))  # wrong order
-    bad = np.eye(3)
-    bad[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        fit_generalized(GAUSS, data, bad)  # asymmetric
-    with pytest.raises(np.linalg.LinAlgError):
-        fit_generalized(GAUSS, data, np.zeros((3, 3)))  # singular
-
-
 def test_evaluate_empty_expansion():
     zero = KernelExpansion.zero(GAUSS)
     assert evaluate_batch(zero, 0.3)[0] == 0.0
@@ -150,7 +99,7 @@ def test_evaluate_batch_matches_single():
 
 def test_interpolation_at_lam_zero():
     # Well-separated points with the sharper Laplace profile stress the
-    # conditioning; jittered interpolation must still hit the data.
+    # conditioning; interpolation must still hit the data.
     xs = np.linspace(0, 1, 5).reshape(-1, 1)
     fs = np.array([0.0, 1.0, -1.0, 0.5, 2.0])
     data = Dataset(xs, fs)
@@ -298,9 +247,10 @@ def test_low_rank_ridge_factor_matches_the_dense_solve(cho_factor_calls, family,
 def test_ridge_factor_stays_dense(cho_factor_calls, n, family, lam):
     kernel = KernelSpec(family, 0.25, 1)
     data = _dataset(np.random.default_rng(21), n)
-    # Only the dense rungs are tried (at lam = 0 the singular K/n climbs
-    # the jitter ladder; noisy data is then off its numerical range).
-    _ridge_factor(gram(kernel, data.xs), lam, _grid_rank(kernel))
+    # Only the dense Cholesky is tried; at lam = 0 the singular K/n has none.
+    singular = pytest.raises(NotPositiveDefiniteError) if lam == 0 else contextlib.nullcontext()
+    with singular:
+        _ridge_factor(gram(kernel, data.xs), lam, _grid_rank(kernel))
     assert cho_factor_calls and set(cho_factor_calls) == {(n, n)}
 
 

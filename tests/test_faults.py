@@ -121,6 +121,13 @@ def _auxiliary_fit_at_twice_lam(monkeypatch):
     )
 
 
+def _flambda_at_larger_lam(monkeypatch):
+    # Every experiments-level caller of the lambda context gets f_lambda
+    # solved at 1.1 * lam.
+    orig = exp._lambda_context
+    monkeypatch.setattr(exp, "_lambda_context", lambda scenario, lam: orig(scenario, 1.1 * lam))
+
+
 class _WideNoise:
     """A generator whose normal draws have 1.5 times the asked scale."""
 
@@ -160,6 +167,7 @@ def _theory_without_norm_term(monkeypatch):
         (_f0_at_data_scaled, "quadratic form is negative beyond roundoff tolerance"),
         (_fredholm_right_hand_side_scaled, "Fredholm right-hand side is off the target f0"),
         (_auxiliary_fit_at_twice_lam, "residual bridge identity violated"),
+        (_flambda_at_larger_lam, "f_lambda was solved at lam=0.22000000000000003, not at lam=0.2"),
     ],
     ids=[
         "data-gram-bandwidth-x1.1",
@@ -168,6 +176,7 @@ def _theory_without_norm_term(monkeypatch):
         "f0-at-data-x1.05",
         "fredholm-rhs-x1.001",
         "auxiliary-fit-at-2lam",
+        "flambda-at-1.1lam",
     ],
 )
 def test_runtime_detector_stops_the_run(tmp_path, monkeypatch, capsys, plant, message):

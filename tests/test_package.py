@@ -107,7 +107,7 @@ def _factorization_sites(tree: ast.Module) -> list[str]:
 
 
 def test_only_linalg_factors_matrices():
-    # linalg.py holds every factorization: the SpdFactor ladder and the
+    # linalg.py holds every factorization: the SpdFactor rungs and the
     # pivoted Cholesky. A LAPACK import or a cho_factor call anywhere
     # else is a second place to keep in step.
     for snippet in (
@@ -122,6 +122,56 @@ def test_only_linalg_factors_matrices():
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         if path.name != "linalg.py"
         for site in _factorization_sites(_parse(path))
+    ]
+    assert sites == []
+
+
+_DENSE_SOLVERS = ("solve", "inv", "lstsq")
+
+
+def _dense_solve_sites(tree: ast.Module) -> list[str]:
+    """Lines that call or import solve, inv or lstsq of numpy.linalg or scipy.linalg."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg", "scipy.linalg"):
+            names = [a.name for a in node.names if a.name in _DENSE_SOLVERS]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            owner_name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", "")
+            solver = node.func.attr in _DENSE_SOLVERS and owner_name == "linalg"
+            names = [f"linalg.{node.func.attr}()"] if solver else []
+        else:
+            continue
+        sites.extend(f"{node.lineno}: {name}" for name in names)
+    return sites
+
+
+def test_only_linalg_solves_dense_systems():
+    # Every linear system is solved through linalg.SpdFactor, which
+    # checks each solution column against its matrix. A general solve,
+    # inverse or least-squares call elsewhere bypasses that check.
+    for snippet in (
+        "np.linalg.solve(A, b)",
+        "numpy.linalg.inv(A)",
+        "scipy.linalg.solve(A, b, assume_a='sym')",
+        "scipy.linalg.lstsq(A, b)",
+        "from scipy import linalg\nlinalg.inv(A)",
+        "from numpy.linalg import solve",
+    ):
+        assert _dense_solve_sites(ast.parse(snippet)), snippet
+    for snippet in (
+        "np.linalg.qr(A)",
+        "scipy.linalg.eigh(A)",
+        "scipy.linalg.cho_solve(c, b)",
+        "factor.solve(B)",
+        "from scipy.linalg import cho_solve",
+    ):
+        assert not _dense_solve_sites(ast.parse(snippet)), snippet
+    sites = [
+        f"{path.name}:{site}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "linalg.py"
+        for site in _dense_solve_sites(_parse(path))
     ]
     assert sites == []
 
