@@ -41,7 +41,7 @@ from .fredholm import (
     flambda_expansion,
     solve_coefficient,
 )
-from .kernels import ConfigError, KernelSpec, cross_gram, gram, kernel_apply
+from .kernels import ConfigError, KernelSpec, gram
 
 W0_CHOICES: dict[str, object] = {
     "sin2pi": lambda x: np.sin(2.0 * np.pi * x),
@@ -221,6 +221,8 @@ class _DesignContext:
     f0: KernelExpansion
     f0_values: NDArray[np.float64]
     norm_f0_sq: float
+    # The sup-norm grid as one point set per factor of op (GridOperator.split).
+    eval_points: tuple[NDArray[np.float64], ...]
 
 
 @dataclass(frozen=True)
@@ -255,22 +257,7 @@ def _design_context(scenario: ScenarioSpec) -> _DesignContext:
     gap = float(np.max(np.abs(f0_values - evaluate_batch(f0, grid.nodes))))
     if gap > TARGET_AGREEMENT_TOL * (1.0 + float(np.max(np.abs(f0_values)))):
         raise ArithmeticError(f"Fredholm right-hand side is off the target f0 by {gap:.3e}")
-    return _DesignContext(op, f0, f0_values, c0**2)
-
-
-@lru_cache(maxsize=16)
-def _eval_cross_gram(scenario: ScenarioSpec) -> NDArray[np.float64]:
-    """Cross-Gram of the sup-norm grid against the quadrature nodes.
-
-    Every lambda's f_lambda is evaluated on the grid through this one
-    matrix. It is built on the first lambda context, after the grid
-    operator's spectrum, so it never coexists with that factorization's
-    m x m temporaries.
-    """
-    nodes = _design_context(scenario).op.grid.nodes
-    C = cross_gram(scenario.kernel, scenario.design.eval_grid, nodes)
-    C.flags.writeable = False
-    return C
+    return _DesignContext(op, f0, f0_values, c0**2, op.split(scenario.design.eval_axes))
 
 
 @lru_cache(maxsize=64)
@@ -280,7 +267,7 @@ def _lambda_context(scenario: ScenarioSpec, lam: float) -> _LambdaContext:
     if not np.array_equal(sol.f0_values, dctx.f0_values):
         raise ArithmeticError(f"the grid solution at lam={lam!r} solved a different right-hand side")
     flam = flambda_expansion(sol)
-    flam_eval = _eval_cross_gram(scenario) @ flam.coeffs
+    flam_eval = dctx.op.at_points(scenario.design.eval_grid, flam.coeffs)
     theta_star = continuous_objective(sol, scenario.noise.irreducible(dctx.op.grid))
     node_coeffs = np.column_stack([dctx.f0.coeffs, flam.coeffs])
     return _LambdaContext(sol, flam, flam_eval, theta_star, node_coeffs)
@@ -324,12 +311,13 @@ def sample_dataset(
     identical datasets bit-for-bit; lambda_key separates streams of
     sweeps that share (n, replication_index).
     """
-    f0 = _design_context(scenario).f0
-    return _sample_at_nodes(scenario, n, replication_index, lambda_key, f0.coeffs)[0]
+    dctx = _design_context(scenario)
+    return _sample_at_nodes(scenario, dctx, n, replication_index, lambda_key, dctx.f0.coeffs)[0]
 
 
 def _sample_at_nodes(
     scenario: ScenarioSpec,
+    dctx: _DesignContext,
     n: int,
     replication_index: int,
     lambda_key: float | None,
@@ -337,16 +325,17 @@ def _sample_at_nodes(
 ) -> tuple[Dataset, NDArray[np.float64]]:
     """sample_dataset with the node expansions node_coeffs evaluated at the data.
 
-    node_coeffs holds coefficients on the grid nodes, f0's alone (m,)
-    or f0's in its first column (m, k); the values k(X, nodes) @
-    node_coeffs come from one blocked product and are returned with the
-    dataset.
+    dctx is the scenario's design context. node_coeffs holds
+    coefficients on the grid nodes, f0's alone (m,) or f0's in its
+    first column (m, k); the values k(X, nodes) @ node_coeffs come from
+    the grid operator's per-factor kernel rows (GridOperator.at_points)
+    and are returned with the dataset.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = _rng_for(scenario, n, lambda_key, replication_index)
     xs = scenario.design.sample(rng, n)
-    values = kernel_apply(scenario.kernel, xs, _design_context(scenario).f0.centers, node_coeffs)
+    values = dctx.op.at_points(xs, node_coeffs)
     fs = values.reshape(n, -1)[:, 0] + rng.normal(0.0, scenario.noise.std_at(xs))
     return Dataset(xs, fs), values
 
@@ -365,10 +354,12 @@ def run_replication(
     """Runs one replication and measures every tracked quantity.
 
     Holds one n x n array, the data's Gram K: f0 and f_lambda at the
-    data come from one two-column blocked product against the grid
-    nodes, the ridge fit is evaluated on the sup-norm grid by a blocked
-    product too, and lam*I + K/n is factored once without being formed
-    on the low-rank path (_ridge_factor; the dense path forms it). The
+    data come from one two-column product with the grid operator's
+    kernel rows (GridOperator.at_points), the ridge fit is evaluated on
+    the product sup-norm grid from per-factor rows too
+    (GridOperator.on_product), and lam*I + K/n is factored once
+    without being formed on the low-rank path (_ridge_factor; the
+    dense path forms it). The
     auxiliary fit comes first (with its residual-formula check), since
     its residuals r = f - (lam*I + K/n) w~ need only the data and
     f_lambda. One two-column solve against [f | r] gives the ridge
@@ -398,7 +389,7 @@ def run_replication(
     if lctx.sol.lam != lam:
         raise ArithmeticError(f"f_lambda was solved at lam={lctx.sol.lam!r}, not at lam={lam!r}")
     kernel = scenario.kernel
-    data, at_xs = _sample_at_nodes(scenario, n, replication_index, lam, lctx.node_coeffs)
+    data, at_xs = _sample_at_nodes(scenario, dctx, n, replication_index, lam, lctx.node_coeffs)
     proj0, projl = at_xs.T
     K = gram(kernel, data.xs)
 
@@ -428,7 +419,7 @@ def run_replication(
 
     theta_hat = float(np.mean((data.fs - Ka) ** 2) + lam * aKa)
     sup_gap_hat_flambda = float(np.sqrt(dist_hat_flambda_sq))
-    fhat_eval = kernel_apply(kernel, scenario.design.eval_grid, data.xs, a)
+    fhat_eval = dctx.op.on_product(dctx.eval_points, data.xs, a)
     sup_gap_grid_max = float(np.max(np.abs(fhat_eval - lctx.flam_eval)))
     certificate_slack = CERTIFICATE_RTOL * (abs(aKa) + 2.0 * abs(a_projl) + norm_flam_sq)
     for name, lhs, rhs in (

@@ -5,24 +5,38 @@ Fredholm integral equation of the second kind, (lam + K) w = f0 with
 f_lambda = K w, where K is the kernel integral operator of the design
 measure P. The solver discretizes P by a probability quadrature
 (tensor-product Gauss-Legendre) with nodes and weights W, and a
-GridOperator holds the lam-independent parts: the node Gram matrix G
-and a low-rank factor of S = W^(1/2) G W^(1/2). S is factored once by
+GridOperator holds the lam-independent parts as a tuple of factors,
+with the node Gram G = G_1 kron ... kron G_F. The Gaussian and constant
+kernels are products of 1-d kernels and the quadrature is a product
+rule, so on a product grid they get one factor per axis, each with the
+axis's p_k nodes and p_k x p_k Gram, and no m x m array is formed
+(Saatci 2011, "Scalable Inference for Structured Gaussian Process
+Models"; Gilboa, Saatci and Cunningham 2015). Every other kernel, and
+every grid that is not a product of 1-d rules, gets one factor: the
+m x m node Gram. Every operation is written once over the factors: G v
+is one mode product per factor, and k(x, nodes) is the Kronecker
+product of the factors' kernel rows at x.
+
+Each factor's S_k = W_k^(1/2) G_k W_k^(1/2) is factored once by
 linalg.pivoted_cholesky (uncapped: LAPACK dpstrf), stopped at the
-roundoff tolerance tol = m * eps * max diag(S), so S = L L' + E with L
-of shape m x r and E positive semidefinite with trace at most
-(m - r) * tol. One r x r eigendecomposition L'L = Q diag(nu) Q' gives
-B = L Q with S ~ B B' and B'B = diag(nu). Each lam then costs O(m r)
-through the Woodbury form
+roundoff tolerance tol_k = p_k * eps * max diag(S_k), so
+S_k = L_k L_k' + E_k with E_k positive semidefinite of trace at most
+(p_k - r_k) * tol_k. One r_k x r_k eigendecomposition
+L_k'L_k = Q_k diag(nu_k) Q_k' gives B_k = L_k Q_k. Then
+S ~ B B' with B = B_1 kron ... kron B_F, B'B = diag(nu) and
+nu = nu_1 kron ... kron nu_F, and B is only ever applied by mode
+products. Each lam costs O(m sum r_k) through the Woodbury form
 (S + lam)^-1 b = (b - B ((B'b) / (nu + lam))) / lam, and the effective
-dimension sum nu / (nu + lam) is read off the same r values; dropping
-E changes it by at most (m - r) * tol / lam. Every solve is checked
-against the full stored G. f_lambda is exposed as a kernel expansion
-so RKHS distances against fitted estimators are direct quadratic forms.
+dimension sum nu / (nu + lam) is read off the same values; dropping the
+remainders changes it by at most sum_k (p_k - r_k) * tol_k / lam, since
+each tr S_k = 1. Every solve is checked against the full operator
+G = kron G_k. f_lambda is exposed as a kernel expansion so RKHS
+distances against fitted estimators are direct quadratic forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -30,8 +44,15 @@ import scipy.linalg
 from numpy.typing import NDArray
 
 from .estimator import KernelExpansion, _clamp_nonneg, _frozen_array
-from .kernels import ConfigError, KernelSpec, gram
-from .linalg import pivoted_cholesky
+from .kernels import (
+    PRODUCT_FAMILIES,
+    ConfigError,
+    KernelSpec,
+    cross_gram,
+    gram,
+    kernel_apply,
+)
+from .linalg import UNIT_ROUNDOFF, pivoted_cholesky
 
 # Discretization identity tolerance: f0 - f_lambda must equal lam * w at
 # the nodes; larger residuals mean the quadrature system is inconsistent.
@@ -135,20 +156,26 @@ class DesignMeasure:
         return scipy.stats.truncnorm(a, b, loc=self.center[0], scale=self.scale)
 
     @cached_property
-    def eval_grid(self) -> NDArray[np.float64]:
-        """Fixed grid over the support for sup-norm sampling, ends included.
+    def eval_axes(self) -> tuple[NDArray[np.float64], ...]:
+        """The 1-d axes of the sup-norm grid, ends included.
 
         s equally spaced points per axis for the smallest s with
         s^dim >= SUP_GRID_POINTS: 512, 23 and 8 at d = 1, 2, 3. A dirac
-        measure gives its point.
+        measure gives its point's coordinates.
         """
         if self.kind == "dirac":
-            return _frozen_array([self.center])
+            return tuple(_frozen_array([c]) for c in self.center)
         side = 1
         while side**self.dim < SUP_GRID_POINTS:
             side += 1
-        axes = [np.linspace(lo, hi, side) for lo, hi in zip(self.low, self.high)]
-        return _frozen_array(_product(axes))
+        return tuple(
+            _frozen_array(np.linspace(lo, hi, side)) for lo, hi in zip(self.low, self.high)
+        )
+
+    @cached_property
+    def eval_grid(self) -> NDArray[np.float64]:
+        """Fixed grid over the support for sup-norm sampling: the product of eval_axes."""
+        return _frozen_array(_product(list(self.eval_axes)))
 
 
 @dataclass(frozen=True)
@@ -156,10 +183,14 @@ class QuadratureGrid:
     """Nodes and probability weights approximating integration over P.
 
     nodes is an (m, d) array; the m weights are positive and sum to one.
+    axes holds the 1-d rules (points, weights), one per coordinate,
+    whose tensor product in itertools.product order the grid is; it is
+    empty for a grid that is not such a product.
     """
 
     nodes: NDArray[np.float64]
     weights: NDArray[np.float64]
+    axes: tuple[tuple[NDArray[np.float64], NDArray[np.float64]], ...] = ()
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -170,8 +201,13 @@ class QuadratureGrid:
             raise ValueError("quadrature weights must be positive")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise ValueError("quadrature weights must sum to 1")
+        axes = tuple((_frozen_array(x), _frozen_array(w)) for x, w in self.axes)
+        sizes = [len(x) for x, _ in axes]
+        if axes and (len(axes) != nodes.shape[1] or np.prod(sizes) != len(nodes)):
+            raise ValueError("axes must hold one 1-d rule per coordinate, m nodes in all")
         object.__setattr__(self, "nodes", _frozen_array(nodes))
         object.__setattr__(self, "weights", _frozen_array(weights))
+        object.__setattr__(self, "axes", axes)
 
     @property
     def m(self) -> int:
@@ -179,36 +215,43 @@ class QuadratureGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class GridOperator:
-    """The kernel integral operator discretized on a quadrature grid.
+class GridFactor:
+    """One factor of a GridOperator: a kernel on some coordinates of the grid.
 
-    gram_matrix is the node Gram G, built once at construction. The
-    low-rank spectrum (nu, B) of S = W^(1/2) G W^(1/2) is computed on
-    first use and cached: one pivoted Cholesky S = L L' + E
-    (linalg.pivoted_cholesky, uncapped) at LAPACK's default tolerance
-    tol = m * eps * max diag(S), then one
-    eigendecomposition of the r x r matrix L'L = Q diag(nu) Q', with
-    B = L Q. nu is clamped at 0, so 1/(nu + lam) <= 1/lam for every
-    lam > 0, and nothing divides by a small eigenvalue.
+    coords selects the coordinates the factor covers; nodes (p, d_k)
+    and weights (p,) are its quadrature rule on them, and gram_matrix
+    is its p x p Gram G_k, built at construction. The spectrum of
+    S_k = W_k^(1/2) G_k W_k^(1/2) is computed on first use and cached.
     """
 
     kernel: KernelSpec
-    grid: QuadratureGrid
+    coords: slice
+    nodes: NDArray[np.float64]
+    weights: NDArray[np.float64]
     gram_matrix: NDArray[np.float64] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        G = gram(self.kernel, self.grid.nodes)
+        G = gram(self.kernel, self.nodes)
         G.flags.writeable = False
         object.__setattr__(self, "gram_matrix", G)
 
+    @property
+    def size(self) -> int:
+        return self.nodes.shape[0]
+
     @cached_property
     def spectrum(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """(nu ascending and clamped at 0, B of shape m x r) with S ~ B B'.
+        """(nu ascending and clamped at 0, B of shape p x r) with S_k ~ B B'.
 
-        B has orthogonal columns, B'B = diag(nu), and S - B B' is the
-        positive semidefinite remainder E of the pivoted Cholesky.
+        One pivoted Cholesky S_k = L L' + E (linalg.pivoted_cholesky,
+        uncapped) at LAPACK's default tolerance p * eps * max diag(S_k),
+        then one eigendecomposition of the r x r matrix
+        L'L = Q diag(nu) Q', with B = L Q. So B has orthogonal columns,
+        B'B = diag(nu), and S_k - B B' is the positive semidefinite
+        remainder E. nu is clamped at 0, so 1/(nu + lam) <= 1/lam for
+        every lam > 0, and nothing divides by a small eigenvalue.
         """
-        s = np.sqrt(self.grid.weights)
+        s = np.sqrt(self.weights)
         S = s[:, None] * self.gram_matrix * s[None, :]
         L = pivoted_cholesky(S)
         # Divide and conquer ("evd") takes about half the time of the
@@ -219,21 +262,131 @@ class GridOperator:
         nu.flags.writeable = B.flags.writeable = False
         return nu, B
 
-    @property
+
+def _kron_apply(mats: tuple[NDArray[np.float64], ...], v: NDArray[np.float64]) -> NDArray:
+    """(M_1 kron ... kron M_F) v for a vector v in C order, without forming the product.
+
+    Each step multiplies the leading tensor axis by its matrix and moves
+    it last, so after F steps the axes are back in order. With one
+    matrix this is M_1 @ v.
+    """
+    for M in mats:
+        v = (M @ v.reshape(M.shape[1], -1)).T
+    return v.reshape(-1)
+
+
+@dataclass(frozen=True, eq=False)
+class GridOperator:
+    """The kernel integral operator discretized on a quadrature grid.
+
+    factors holds the operator's GridFactors, with node Gram
+    G = G_1 kron ... kron G_F in the grid's node order. A Gaussian or
+    constant kernel on a grid with per-axis rules (grid.axes) has one
+    factor per axis, with the kernel's 1-d form; any other kernel or
+    grid has one factor, the full kernel on all nodes, whose G is the
+    m x m node Gram. Each method is one loop over the factors:
+    apply(v) = G v by mode products; spectrum, the Kronecker product of
+    the factors' spectra; at_points, k(xs, nodes) @ C from each
+    factor's kernel rows; on_product, k(P, centers) @ a for a product
+    point set P.
+    """
+
+    kernel: KernelSpec
+    grid: QuadratureGrid
+    factors: tuple[GridFactor, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        kernel, grid = self.kernel, self.grid
+        if kernel.family in PRODUCT_FAMILIES and grid.axes:
+            axis_kernel = replace(kernel, dim=1)
+            factors = tuple(
+                GridFactor(axis_kernel, slice(k, k + 1), x.reshape(-1, 1), w)
+                for k, (x, w) in enumerate(grid.axes)
+            )
+        else:
+            factors = (GridFactor(kernel, slice(0, kernel.dim), grid.nodes, grid.weights),)
+        object.__setattr__(self, "factors", factors)
+
+    def apply(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        """G v for a vector v of node values."""
+        return _kron_apply(tuple(f.gram_matrix for f in self.factors), v)
+
+    @cached_property
+    def spectrum(self) -> tuple[NDArray[np.float64], tuple[NDArray[np.float64], ...]]:
+        """(nu, (B_1, ..., B_F)) with S ~ B B' for B = B_1 kron ... kron B_F.
+
+        nu = nu_1 kron ... kron nu_F, flat in the order of B's columns,
+        holds the product of the factors' clamped eigenvalues, so
+        B'B = diag(nu); one factor gives its own (nu, (B,)).
+        """
+        nus, Bs = zip(*(f.spectrum for f in self.factors))
+        return reduce(lambda u, v: np.multiply.outer(u, v).ravel(), nus), Bs
+
+    @cached_property
     def rank(self) -> int:
-        """The rank r of the low-rank spectrum: the number of kept values nu."""
-        return self.spectrum[0].shape[0]
+        """The numerical rank of S: the number of values nu above dpstrf's tolerance.
+
+        That tolerance is m * eps * max diag(S). diag(S) is the weights,
+        since k(x, x) = 1, so max diag(S) is the product of the factors'
+        largest weights. With one factor every kept value is normally
+        above it, and this is the pivoted Cholesky's rank r.
+        """
+        nu, _ = self.spectrum
+        max_diag = float(np.prod([np.max(f.weights) for f in self.factors]))
+        return int(np.count_nonzero(nu > self.grid.m * UNIT_ROUNDOFF * max_diag))
 
     def effective_dimension(self, lam: float) -> float:
         """N(lam) = tr K (K + lam)^-1 = sum_i nu_i / (nu_i + lam).
 
-        The sum runs over the r kept values; the dropped remainder E
-        changes N(lam) by at most (m - r) * tol / lam.
+        The sum runs over the kept values; the dropped remainders change
+        N(lam) by at most sum_k (p_k - r_k) * tol_k / lam.
         """
         if not lam > 0:
             raise ValueError("lam must be positive")
         nu, _ = self.spectrum
         return float(np.sum(nu / (nu + lam)))
+
+    def at_points(self, xs: NDArray[np.float64], coeffs: NDArray[np.float64]) -> NDArray:
+        """k(xs, nodes) @ coeffs for an (n, d) array xs and coeffs of shape (m,) or (m, c).
+
+        The first factor's kernel rows go through kernel_apply against
+        coeffs with that factor's axis leading; each further factor's
+        rows, n x p_k, are contracted row by row. So n * sum p_k kernel
+        values are assembled instead of n * m.
+        """
+        n = xs.shape[0]
+        first, *rest = self.factors
+        first_coeffs = coeffs.reshape(first.size, -1)
+        out = kernel_apply(first.kernel, xs[:, first.coords], first.nodes, first_coeffs)
+        for f in rest:
+            rows = cross_gram(f.kernel, xs[:, f.coords], f.nodes)
+            out = np.einsum("ij...,ij->i...", out.reshape(n, f.size, -1), rows)
+        return out.reshape((n,) + coeffs.shape[1:])
+
+    def split(self, axes: tuple[NDArray[np.float64], ...]) -> tuple[NDArray[np.float64], ...]:
+        """The product of 1-d point sets axes, one per coordinate, as one point set per factor."""
+        return tuple(_product(list(axes[f.coords])) for f in self.factors)
+
+    def on_product(
+        self, point_sets: tuple[NDArray[np.float64], ...], centers: NDArray[np.float64],
+        coeffs: NDArray[np.float64],
+    ) -> NDArray[np.float64]:
+        """k(P, centers) @ coeffs on the product P of point_sets, in itertools.product order.
+
+        point_sets holds one point set P_k per factor (split). With
+        R_k = k_k(P_k, centers) each factor's rows, the values are
+        sum_j coeffs_j prod_k R_k[i_k, j]: the rows of all factors but
+        the last are multiplied out column by column, and the last
+        factor's rows multiply that through kernel_apply. So
+        sum_k |P_k| * n kernel values are assembled instead of |P| * n;
+        at d = 2 this is R_1 diag(coeffs) R_2'.
+        """
+        outer = coeffs[None, :]
+        for f, pts in zip(self.factors[:-1], point_sets):
+            rows = cross_gram(f.kernel, pts, centers[:, f.coords])
+            outer = (outer[:, None, :] * rows[None, :, :]).reshape(-1, rows.shape[1])
+        last = self.factors[-1]
+        return kernel_apply(last.kernel, point_sets[-1], centers[:, last.coords], outer.T).T.ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +437,8 @@ def build_grid(measure: DesignMeasure, m: int) -> QuadratureGrid:
     (all m at d = 1), with the weights times the density, renormalized,
     for a truncated Gaussian. The product weights are renormalized after
     each axis is multiplied in, so a 1-d rule passes through unchanged.
-    Dirac collapses to a single node.
+    The grid keeps its 1-d rules as axes. Dirac collapses to a single
+    node, with no axes.
 
     Raises:
         ValueError: For m < 1.
@@ -299,7 +453,7 @@ def build_grid(measure: DesignMeasure, m: int) -> QuadratureGrid:
         axes = [(x, _normalized(w * measure._truncnorm.pdf(x))) for x, w in axes]
     points, weights = zip(*axes)
     product = reduce(lambda u, v: _normalized(np.multiply.outer(u, v).ravel()), weights)
-    return QuadratureGrid(_product(list(points)), product)
+    return QuadratureGrid(_product(list(points)), product, tuple(axes))
 
 
 def solve_coefficient(
@@ -309,8 +463,9 @@ def solve_coefficient(
 
     With S ~ B B' and B'B = diag(nu) (GridOperator.spectrum), the
     Woodbury form gives w = W^(-1/2) (b - B ((B'b) / (nu + lam))) / lam
-    for b = W^(1/2) f0, in O(m r). flambda_values = G W w is computed
-    with the full stored G, so the node identity below checks the
+    for b = W^(1/2) f0, with B and B' applied by mode products.
+    flambda_values = G W w is computed with the full operator
+    (GridOperator.apply), so the node identity below checks the
     low-rank solve against the operator itself.
 
     Raises:
@@ -324,12 +479,13 @@ def solve_coefficient(
     f0 = np.asarray(f0_values, dtype=np.float64).reshape(-1)
     if f0.shape[0] != grid.m:
         raise ValueError(f"f0_values must have length {grid.m}")
-    nu, B = op.spectrum
+    nu, Bs = op.spectrum
     s = np.sqrt(grid.weights)
     b = s * f0
-    w = (b - B @ ((B.T @ b) / (nu + lam))) / (lam * s)
+    coef = _kron_apply(tuple(B.T for B in Bs), b) / (nu + lam)
+    w = (b - _kron_apply(Bs, coef)) / (lam * s)
     Ww = grid.weights * w
-    flambda = op.gram_matrix @ Ww
+    flambda = op.apply(Ww)
     residual = f0 - flambda - lam * w
     residual_max = float(np.max(np.abs(residual)))
     if residual_max > RESIDUAL_TOL:
@@ -363,7 +519,7 @@ def f0_in_range(
     if w0.shape[0] != op.grid.m:
         raise ValueError(f"w0_values must have length {op.grid.m}")
     b = op.grid.weights * w0
-    f0 = op.gram_matrix @ b
+    f0 = op.apply(b)
     c0 = float(np.sqrt(_clamp_nonneg(float(b @ f0))))
     return f0, c0
 
@@ -385,8 +541,8 @@ def bias_norm_sq(sol: FredholmSolution, w0_values: NDArray[np.float64]) -> float
     """Squared RKHS norm of f0 - f_lambda for a target f0 = K w0.
 
     Since f0 - f_lambda = K (w0 - w), the norm is the quadratic form of
-    the coefficient gap at the nodes in the operator's stored Gram G.
+    the coefficient gap at the nodes in the operator's node Gram G.
     """
     w0 = np.asarray(w0_values, dtype=np.float64).reshape(-1)
     d = sol.grid.weights * (w0 - sol.w_values)
-    return _clamp_nonneg(float(d @ sol.operator.gram_matrix @ d))
+    return _clamp_nonneg(float(d @ sol.operator.apply(d)))

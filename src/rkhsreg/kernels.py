@@ -27,6 +27,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 FAMILIES = ("gaussian", "laplace", "rational_quadratic", "constant")
+# Families whose kernel is the product over coordinates of the same
+# family's 1-d kernel: exp(-sum_k (x_k - y_k)^2 / 2h^2) = prod_k exp(...),
+# and 1 = prod_k 1. Laplace and rational quadratic are not.
+PRODUCT_FAMILIES = ("gaussian", "constant")
 # Kernel values per row block of kernel_apply: 256 KiB, so a block and
 # its squared distances stay in cache.
 APPLY_BLOCK_ENTRIES = 2**15

@@ -356,18 +356,13 @@ def test_run_stops_on_broken_bound(tmp_path, monkeypatch, capsys, column, c, bou
 
 
 def test_run_stops_on_broken_sup_norm_certificate(tmp_path, monkeypatch, capsys):
-    # The ridge fit tripled on the sup-norm grid: the one kernel product
-    # with a vector of coefficients is that evaluation (the data's is
-    # two-column). No identity reads those values and the ball and
-    # residual bounds hold, so only the certificate
-    # max |fhat - f_lambda| <= ||fhat - f_lambda||_k can stop the run.
-    orig = exp.kernel_apply
-
-    def tripled(spec, a, b, coeffs):
-        out = orig(spec, a, b, coeffs)
-        return 3.0 * out if np.ndim(coeffs) == 1 else out
-
-    monkeypatch.setattr(exp, "kernel_apply", tripled)
+    # The ridge fit tripled on the sup-norm grid, the one product of the
+    # grid operator over a product point set. No identity reads those
+    # values and the ball and residual bounds hold, so only the
+    # certificate max |fhat - f_lambda| <= ||fhat - f_lambda||_k can
+    # stop the run.
+    orig = exp.GridOperator.on_product
+    monkeypatch.setattr(exp.GridOperator, "on_product", lambda op, *args: 3.0 * orig(op, *args))
     out_dir = tmp_path / "out"
     assert main(["run", _write_config(tmp_path, _base_config(out_dir))]) == 3
     err = capsys.readouterr().err

@@ -209,6 +209,39 @@ def test_run_replication_at_large_n_holds_one_n_by_n_array():
     assert peak <= 1.5 * 8 * n * n
 
 
+def test_product_grid_contexts_hold_no_m_by_m_array():
+    # The 2-d Gaussian sweep on m = 1024 nodes: its design context and
+    # all ten lambda contexts are built from 32 x 32 per-axis factors and
+    # per-axis kernel rows, so the peak stays below one dense m x m node
+    # Gram (8 MiB).
+    config = parse_config({
+        "scenario": {
+            "kernel": {"family": "gaussian", "bandwidth": 0.25, "dim": 2},
+            "design": {"kind": "uniform", "low": [0.0, 0.0], "high": [1.0, 1.0]},
+            "w0": "sin2pi",
+            "noise": {"kind": "homoscedastic", "sigma": 0.2},
+            "grid_m": 1024,
+        },
+        "ns": [16, 20, 25, 32, 40, 50, 64, 80, 101, 128],
+        "lambda_rule": {"kind": "power_law", "coefficient": 0.2, "alpha": 0.5},
+        "R": 8,
+    })
+    scenario, m = config.scenario, config.scenario.grid_m
+    exp._design_context.cache_clear()
+    exp._lambda_context.cache_clear()
+    tracemalloc.start()
+    try:
+        exp._design_context(scenario)
+        for n in config.ns:
+            exp._lambda_context(scenario, config.lambda_rule.lam_for(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        exp._design_context.cache_clear()
+        exp._lambda_context.cache_clear()
+    assert peak < 8 * m * m
+
+
 def test_run_replication_bridge_rejects_a_wrong_factor(monkeypatch):
     # The bridge vector and the ridge weights come from one factor. A
     # factor of lam*(1 + 1e-3) + K/n passes every solve residual check

@@ -2,9 +2,10 @@
 
 Each case plants one fault by monkeypatch and runs `rkhsreg run` on the
 canonical scenario (Gaussian kernel h = 0.25 on Uniform[0, 1],
-w0 = sin 2 pi x, homoscedastic noise) at n = 50, lam = 0.2 and R = 400.
-A runtime detector is a broken invariant: the run stops with exit 3 and
-names it on stderr. A statistical detector lets the run finish and
+w0 = sin 2 pi x, homoscedastic noise) at n = 50, lam = 0.2 and R = 400;
+a fault in the per-axis factors of the grid operator runs the same
+kernel on a 2-d box instead (BOX_2D). A runtime detector is a broken
+invariant: the run stops with exit 3 and names it on stderr. A statistical detector lets the run finish and
 moves the auxiliary risk's z statistic, (mean - theory) / stderr of
 dist_tilde_flambda_sq, beyond Z_LIMIT. test_no_detector_fires_without_a_fault
 runs the same configurations unplanted. Every draw is keyed by the
@@ -32,7 +33,7 @@ LOW_SIGMA = 0.02
 def _fresh_contexts():
     # The design and lambda contexts are cached per scenario: a planted
     # fault must neither reuse nor leave behind a context of another case.
-    caches = (exp._design_context, exp._lambda_context, exp._eval_cross_gram)
+    caches = (exp._design_context, exp._lambda_context)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -40,8 +41,16 @@ def _fresh_contexts():
         cache.cache_clear()
 
 
-def _run(tmp_path, sigma):
-    """Runs the canonical configuration at noise sigma; returns (exit code, results)."""
+# The canonical kernel on a 2-d box with unequal sides, 16 nodes per axis.
+BOX_2D = {
+    "kernel": {"family": "gaussian", "bandwidth": 0.25, "dim": 2},
+    "design": {"kind": "uniform", "low": [0.0, 0.0], "high": [1.0, 2.0]},
+}
+
+
+def _run(tmp_path, sigma, scenario=()):
+    """Runs the canonical configuration at noise sigma, with the scenario
+    fields in scenario replaced; returns (exit code, results)."""
     out_dir = tmp_path / "out"
     cfg = {
         "scenario": {
@@ -51,6 +60,7 @@ def _run(tmp_path, sigma):
             "noise": {"kind": "homoscedastic", "sigma": sigma},
             "grid_m": 256,
             "base_seed": 20260815,
+            **dict(scenario),
         },
         "ns": [50],
         "lambda_rule": {"kind": "fixed", "value": 0.2},
@@ -85,6 +95,20 @@ def _grid_operator_bandwidth(monkeypatch):
     monkeypatch.setattr(exp, "GridOperator", lambda kernel, grid: orig(_wider_kernel(kernel), grid))
 
 
+def _grid_factors_reversed(monkeypatch):
+    # The per-axis factors of a product-grid operator in reversed order,
+    # G_2 kron G_1 in place of G_1 kron G_2: on a box with unequal sides
+    # every product with G puts the second axis's kernel on the first.
+    orig = exp.GridOperator
+
+    def reversed_factors(kernel, grid):
+        op = orig(kernel, grid)
+        object.__setattr__(op, "factors", op.factors[::-1])
+        return op
+
+    monkeypatch.setattr(exp, "GridOperator", reversed_factors)
+
+
 def _ridge_factor_at_twice_lam(monkeypatch):
     orig = exp._ridge_factor
     monkeypatch.setattr(
@@ -97,8 +121,8 @@ def _f0_at_data_scaled(monkeypatch):
     # responses were drawn from the true values.
     orig = exp._sample_at_nodes
 
-    def scaled(scenario, n, index, lambda_key, node_coeffs):
-        data, values = orig(scenario, n, index, lambda_key, node_coeffs)
+    def scaled(*args):
+        data, values = orig(*args)
         return data, values * np.array([1.05, 1.0])
 
     monkeypatch.setattr(exp, "_sample_at_nodes", scaled)
@@ -157,21 +181,29 @@ def _theory_without_norm_term(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "plant, message",
+    "plant, message, scenario",
     [
         # Replication 0 breaks the sup-norm certificate before any
         # quadratic form turns negative.
-        (_data_gram_bandwidth, "sup-norm bound violated at n=50, replication 0"),
-        (_grid_operator_bandwidth, "Fredholm right-hand side is off the target f0"),
-        (_ridge_factor_at_twice_lam, "residual bridge identity violated"),
-        (_f0_at_data_scaled, "quadratic form is negative beyond roundoff tolerance"),
-        (_fredholm_right_hand_side_scaled, "Fredholm right-hand side is off the target f0"),
-        (_auxiliary_fit_at_twice_lam, "residual bridge identity violated"),
-        (_flambda_at_larger_lam, "f_lambda was solved at lam=0.22000000000000003, not at lam=0.2"),
+        (_data_gram_bandwidth, "sup-norm bound violated at n=50, replication 0", {}),
+        (_grid_operator_bandwidth, "Fredholm right-hand side is off the target f0", {}),
+        # Caught by comparing the Kronecker product G W w0 with the
+        # target expansion summed by the 2-d kernel itself.
+        (_grid_factors_reversed, "Fredholm right-hand side is off the target f0", BOX_2D),
+        (_ridge_factor_at_twice_lam, "residual bridge identity violated", {}),
+        (_f0_at_data_scaled, "quadratic form is negative beyond roundoff tolerance", {}),
+        (_fredholm_right_hand_side_scaled, "Fredholm right-hand side is off the target f0", {}),
+        (_auxiliary_fit_at_twice_lam, "residual bridge identity violated", {}),
+        (
+            _flambda_at_larger_lam,
+            "f_lambda was solved at lam=0.22000000000000003, not at lam=0.2",
+            {},
+        ),
     ],
     ids=[
         "data-gram-bandwidth-x1.1",
         "grid-operator-bandwidth-x1.1",
+        "grid-factors-reversed-2d",
         "ridge-factor-at-2lam",
         "f0-at-data-x1.05",
         "fredholm-rhs-x1.001",
@@ -179,9 +211,9 @@ def _theory_without_norm_term(monkeypatch):
         "flambda-at-1.1lam",
     ],
 )
-def test_runtime_detector_stops_the_run(tmp_path, monkeypatch, capsys, plant, message):
+def test_runtime_detector_stops_the_run(tmp_path, monkeypatch, capsys, plant, message, scenario):
     plant(monkeypatch)
-    code, results = _run(tmp_path, SIGMA)
+    code, results = _run(tmp_path, SIGMA, scenario)
     err = capsys.readouterr().err
     assert code == 3
     assert f"invariant broken: {message}" in err

@@ -1,7 +1,7 @@
 """Quadrature grids, the Nystrom solve of (lam + K) w = f0, range-of-
 operator targets, the continuous objective, and bias decay in lam."""
 
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import pytest
@@ -21,8 +21,8 @@ from rkhsreg.fredholm import (
     flambda_expansion,
     solve_coefficient,
 )
-from rkhsreg.kernels import KernelSpec, kernel_eval
-from rkhsreg.linalg import sym_eig
+from rkhsreg.kernels import KernelSpec, gram, kernel_apply, kernel_eval
+from rkhsreg.linalg import pivoted_cholesky, sym_eig
 
 GL2_OFFSET = 0.2886751345948129  # 1 / (2 sqrt(3))
 UNIFORM = DesignMeasure.uniform(0.0, 1.0)
@@ -182,8 +182,22 @@ LOW_RANK_CASES = {
 
 
 def _weighted_gram(op):
+    # From the dense node Gram, built independently of the operator's factors.
     s = np.sqrt(op.grid.weights)
-    return s[:, None] * op.gram_matrix * s[None, :]
+    return s[:, None] * gram(op.kernel, op.grid.nodes) * s[None, :]
+
+
+def _dropped_trace_bound(op):
+    # Each factor's pivoted Cholesky drops a PSD remainder of trace at most
+    # (p_k - r_k) * tol_k, with tol_k = p_k * eps * max diag(S_k). Every
+    # tr S_k is 1 (unit kernel diagonal, weights summing to 1), so the
+    # Kronecker product drops at most the sum of the factors' traces.
+    eps = np.finfo(np.float64).eps
+    _, Bs = op.spectrum
+    return sum(
+        (f.size - B.shape[1]) * f.size * eps * float(np.max(f.weights))
+        for f, B in zip(op.factors, Bs)
+    )
 
 
 @pytest.mark.parametrize("lam", [1e-3, 0.0177, 0.2])
@@ -192,7 +206,7 @@ def test_low_rank_solve_matches_dense_solve(case, lam):
     kernel, measure, m, rank_kind = LOW_RANK_CASES[case]
     grid = build_grid(measure, m)
     op = GridOperator(kernel, grid)
-    rank = op.spectrum[1].shape[1]
+    rank = op.rank
     if rank_kind == "full":
         assert rank == grid.m
     elif rank_kind == "one":
@@ -201,7 +215,8 @@ def test_low_rank_solve_matches_dense_solve(case, lam):
         assert 1 < rank < grid.m
     f0, _ = f0_in_range(op, np.sin(2 * np.pi * grid.nodes[:, 0]) + grid.nodes[:, -1])
     sol = solve_coefficient(op, f0, lam)
-    w_dense = np.linalg.solve(lam * np.eye(grid.m) + op.gram_matrix * grid.weights[None, :], f0)
+    G = gram(kernel, grid.nodes)
+    w_dense = np.linalg.solve(lam * np.eye(grid.m) + G * grid.weights[None, :], f0)
     scale = float(np.max(np.abs(w_dense)))
     np.testing.assert_allclose(sol.w_values, w_dense, rtol=0, atol=1e-9 * scale)
     np.testing.assert_allclose(sol.flambda_values, f0 - lam * w_dense, rtol=0, atol=1e-9 * scale)
@@ -211,34 +226,160 @@ def test_low_rank_solve_matches_dense_solve(case, lam):
 @pytest.mark.parametrize("case", sorted(LOW_RANK_CASES))
 def test_effective_dimension_within_truncation_bound(case, lam):
     # The dropped remainder E of the pivoted Cholesky is PSD with trace
-    # at most (m - r) * tol, and x / (x + lam) is 1/lam-Lipschitz, so
-    # N(lam) moves by at most (m - r) * tol / lam; each of the m full
-    # eigenvalues adds roundoff of about eps * ||S|| / lam.
+    # at most (m - r) * tol for one factor (_dropped_trace_bound for
+    # several), and x / (x + lam) is 1/lam-Lipschitz, so N(lam) moves by
+    # at most that trace / lam; each of the m full eigenvalues adds
+    # roundoff of about eps * ||S|| / lam.
     kernel, measure, m, _ = LOW_RANK_CASES[case]
     op = GridOperator(kernel, build_grid(measure, m))
-    S = _weighted_gram(op)
-    mu = np.maximum(sym_eig(S)[0], 0.0)
+    _assert_effective_dimension_matches_dense(op, lam)
+
+
+def _assert_effective_dimension_matches_dense(op, lam):
+    mu = np.maximum(sym_eig(_weighted_gram(op))[0], 0.0)
     full = float(np.sum(mu / (mu + lam)))
-    m, r = op.grid.m, op.spectrum[1].shape[1]
     eps = np.finfo(np.float64).eps
-    tol = m * eps * float(np.max(np.diag(S)))
-    bound = (m - r) * tol / lam + m * eps * float(mu[-1]) / lam
+    bound = _dropped_trace_bound(op) / lam + op.grid.m * eps * float(mu[-1]) / lam
     assert abs(op.effective_dimension(lam) - full) <= bound
 
 
 def test_low_rank_factor_reconstructs_the_weighted_gram():
     # B'B = diag(nu) is what the Woodbury solve relies on, and the
-    # dropped trace obeys the dpstrf stopping rule up to m * eps * tr S.
+    # dropped trace obeys the dpstrf stopping rule of every factor up to
+    # m * eps * tr S. The 2-d Gaussian operator has one factor per axis;
+    # its B = B_1 kron B_2 is formed here only to check it.
     kernel, measure, m, _ = LOW_RANK_CASES["gaussian-2d"]
     op = GridOperator(kernel, build_grid(measure, m))
-    nu, B = op.spectrum
-    assert np.all(nu >= 0.0) and np.all(np.diff(nu) >= 0.0)
+    nu, Bs = op.spectrum
+    assert len(Bs) == 2
+    assert np.all(nu >= 0.0)
+    for f in op.factors:
+        assert np.all(np.diff(f.spectrum[0]) >= 0.0)
+    B = reduce(np.kron, Bs)
     np.testing.assert_allclose(B.T @ B, np.diag(nu), rtol=0, atol=1e-12)
     S = _weighted_gram(op)
-    m, r = op.grid.m, B.shape[1]
+    np.testing.assert_allclose(B @ B.T, S, rtol=0, atol=_dropped_trace_bound(op) + 1e-15)
     eps = np.finfo(np.float64).eps
     dropped = float(np.trace(S) - np.sum(nu))
-    assert dropped <= (m - r) * m * eps * float(np.max(np.diag(S))) + m * eps * float(np.trace(S))
+    assert dropped <= _dropped_trace_bound(op) + op.grid.m * eps * float(np.trace(S))
+
+
+# Product kernels on boxes with unequal sides, so that a factor applied
+# to the wrong axis shows; each is checked against the dense node Gram
+# G = gram(kernel, grid.nodes), built independently of the factors.
+BOX_2D = DesignMeasure.uniform((0.0, 0.0), (1.0, 2.0))
+BOX_3D = DesignMeasure.uniform((0.0, 0.0, -1.0), (1.0, 2.0, -0.5))
+KRON_CASES = {
+    "gaussian-2d": (KernelSpec("gaussian", 0.4, 2), BOX_2D, 256),
+    "constant-2d": (KernelSpec("constant", dim=2), BOX_2D, 64),
+    "gaussian-3d": (KernelSpec("gaussian", 0.8, 3), BOX_3D, 216),
+    "constant-3d": (KernelSpec("constant", dim=3), BOX_3D, 64),
+}
+
+
+def _kron_case(case):
+    kernel, measure, m = KRON_CASES[case]
+    grid = build_grid(measure, m)
+    return kernel, measure, grid, GridOperator(kernel, grid), gram(kernel, grid.nodes)
+
+
+@pytest.mark.parametrize("case", sorted(KRON_CASES))
+def test_product_kernel_has_one_small_factor_per_axis(case):
+    kernel, _, grid, op, _ = _kron_case(case)
+    p = round(grid.m ** (1.0 / kernel.dim))
+    assert len(op.factors) == kernel.dim
+    assert all(f.gram_matrix.shape == (p, p) for f in op.factors)
+
+
+@pytest.mark.parametrize(
+    "kernel, measure, m",
+    [
+        (KernelSpec("laplace", 0.5, 2), BOX_2D, 64),
+        (KernelSpec("rational_quadratic", 0.5, 3), BOX_3D, 27),
+        (GAUSS, UNIFORM, 32),
+    ],
+    ids=["laplace-2d", "rational_quadratic-3d", "gaussian-1d"],
+)
+def test_other_kernels_and_1d_grids_have_one_dense_factor(kernel, measure, m):
+    grid = build_grid(measure, m)
+    (factor,) = GridOperator(kernel, grid).factors
+    np.testing.assert_array_equal(factor.gram_matrix, gram(kernel, grid.nodes))
+    # A grid given by its nodes alone is not known to be a product.
+    bare = QuadratureGrid(grid.nodes, grid.weights)
+    assert len(GridOperator(KernelSpec("gaussian", 0.4, kernel.dim), bare).factors) == 1
+
+
+@pytest.mark.parametrize("case", sorted(KRON_CASES))
+def test_kronecker_apply_matches_dense_gram(case):
+    _, _, grid, op, G = _kron_case(case)
+    v = np.random.default_rng(3).standard_normal(grid.m)
+    np.testing.assert_allclose(op.apply(v), G @ v, rtol=0, atol=1e-13 * float(np.abs(v).sum()))
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.0177, 0.2])
+@pytest.mark.parametrize("case", sorted(KRON_CASES))
+def test_kronecker_solve_matches_dense_solve(case, lam):
+    _, _, grid, op, G = _kron_case(case)
+    x = grid.nodes
+    w0 = np.sin(2 * np.pi * x[:, 0]) + x[:, 1] * x[:, -1] ** 2
+    f0 = G @ (grid.weights * w0)
+    sol = solve_coefficient(op, f0, lam)
+    w_dense = np.linalg.solve(lam * np.eye(grid.m) + G * grid.weights[None, :], f0)
+    scale = float(np.max(np.abs(w_dense)))
+    np.testing.assert_allclose(sol.w_values, w_dense, rtol=0, atol=1e-9 * scale)
+    np.testing.assert_allclose(sol.flambda_values, f0 - lam * w_dense, rtol=0, atol=1e-9 * scale)
+    Ww = grid.weights * w_dense
+    assert sol.flambda_norm_sq == pytest.approx(float(Ww @ G @ Ww), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.0177, 0.2])
+@pytest.mark.parametrize("case", sorted(KRON_CASES))
+def test_kronecker_effective_dimension_matches_dense_spectrum(case, lam):
+    _assert_effective_dimension_matches_dense(_kron_case(case)[3], lam)
+
+
+@pytest.mark.parametrize("case", sorted(KRON_CASES))
+def test_kronecker_rank_matches_dpstrf_rank(case):
+    # op.rank counts the product eigenvalues above dpstrf's tolerance
+    # tol = m * eps * max diag(S); dpstrf on the dense S stops at the
+    # same tol. Neither resolves the eigenvalues close to tol, so both
+    # must fall between the counts of dense eigenvalues above 10 tol and
+    # above tol / 10. The product of the factors' ranks does not.
+    _, _, grid, op, _ = _kron_case(case)
+    S = _weighted_gram(op)
+    tol = grid.m * linalg_mod.UNIT_ROUNDOFF * float(np.max(np.diag(S)))
+    mu = sym_eig(S)[0]
+    low, high = int(np.sum(mu > 10 * tol)), int(np.sum(mu > tol / 10))
+    assert low <= pivoted_cholesky(S).shape[1] <= high
+    assert low <= op.rank <= high
+    if op.rank > 1:
+        assert np.prod([B.shape[1] for B in op.spectrum[1]]) > high
+
+
+@pytest.mark.parametrize("case", sorted(KRON_CASES))
+def test_kronecker_rows_match_dense_kernel_apply(case):
+    # k(xs, nodes) @ C from per-axis kernel rows, for one and two columns.
+    kernel, measure, grid, op, _ = _kron_case(case)
+    rng = np.random.default_rng(5)
+    xs = measure.sample(rng, 37)
+    C = rng.standard_normal((grid.m, 2))
+    atol = 1e-13 * float(np.abs(C).sum())
+    for coeffs in (C[:, 0], C):
+        dense = kernel_apply(kernel, xs, grid.nodes, coeffs)
+        np.testing.assert_allclose(op.at_points(xs, coeffs), dense, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("case", sorted(KRON_CASES))
+def test_kronecker_sup_grid_values_match_dense_kernel_apply(case):
+    # An expansion centred on data, evaluated on the product sup-norm
+    # grid from per-axis rows: at d = 2, R_1 diag(a) R_2'.
+    kernel, measure, _, op, _ = _kron_case(case)
+    rng = np.random.default_rng(6)
+    xs = measure.sample(rng, 41)
+    a = rng.standard_normal(41)
+    dense = kernel_apply(kernel, measure.eval_grid, xs, a)
+    got = op.on_product(op.split(measure.eval_axes), xs, a)
+    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * float(np.abs(a).sum()))
 
 
 def test_operator_serves_every_lambda_from_one_gram_and_one_dpstrf(monkeypatch):
