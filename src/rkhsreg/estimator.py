@@ -27,16 +27,16 @@ from .linalg import SpdFactor, pivoted_cholesky
 NORM_CLAMP_TOL = 1e-10
 
 
-def _clamp_nonneg(value: float, tol: float = NORM_CLAMP_TOL) -> float:
+def _clamp_nonneg(value: float) -> float:
     """Rounds tiny negative quadratic forms up to zero.
 
-    Values below -tol indicate a genuine positive-semidefiniteness
+    Values below -NORM_CLAMP_TOL indicate a genuine positive-semidefiniteness
     violation and raise ArithmeticError, like every other broken
     identity, instead of being hidden.
     """
     if value >= 0.0:
         return value
-    if value >= -tol:
+    if value >= -NORM_CLAMP_TOL:
         return 0.0
     raise ArithmeticError(f"quadratic form is negative beyond roundoff tolerance: {value}")
 

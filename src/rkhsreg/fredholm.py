@@ -17,21 +17,18 @@ m x m node Gram. Every operation is written once over the factors: G v
 is one mode product per factor, and k(x, nodes) is the Kronecker
 product of the factors' kernel rows at x.
 
-Each factor's S_k = W_k^(1/2) G_k W_k^(1/2) is factored once by
-linalg.pivoted_cholesky (uncapped: LAPACK dpstrf), stopped at the
-roundoff tolerance tol_k = p_k * eps * max diag(S_k), so
-S_k = L_k L_k' + E_k with E_k positive semidefinite of trace at most
-(p_k - r_k) * tol_k. One r_k x r_k eigendecomposition
-L_k'L_k = Q_k diag(nu_k) Q_k' gives B_k = L_k Q_k. Then
-S ~ B B' with B = B_1 kron ... kron B_F, B'B = diag(nu) and
-nu = nu_1 kron ... kron nu_F, and B is only ever applied by mode
-products. Each lam costs O(m sum r_k) through the Woodbury form
-(S + lam)^-1 b = (b - B ((B'b) / (nu + lam))) / lam, and the effective
-dimension sum nu / (nu + lam) is read off the same values; dropping the
-remainders changes it by at most sum_k (p_k - r_k) * tol_k / lam, since
-each tr S_k = 1. Every solve is checked against the full operator
-G = kron G_k. f_lambda is exposed as a kernel expansion so RKHS
-distances against fitted estimators are direct quadratic forms.
+Each factor's S_k = W_k^(1/2) G_k W_k^(1/2) has one full
+eigendecomposition S_k = V_k diag(nu_k) V_k' (linalg.sym_eig), with
+nu_k clamped at 0 and every eigenvector kept. Then
+S = V diag(nu) V' exactly, with V = V_1 kron ... kron V_F orthogonal
+and nu = nu_1 kron ... kron nu_F, and V is only ever applied by mode
+products. Each lam costs O(m sum p_k) through the spectral form
+(S + lam)^-1 b = V ((V'b) / (nu + lam)), whose node residual stays at
+roundoff for any lam > 0. The rank of S and the effective dimension
+sum nu / (nu + lam) count the same values: nu > m * eps * max(nu),
+numpy matrix_rank's rule. Every solve is checked against the full
+operator G = kron G_k. f_lambda is exposed as a kernel expansion so
+RKHS distances against fitted estimators are direct quadratic forms.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .estimator import KernelExpansion, _clamp_nonneg, _frozen_array
@@ -52,7 +48,7 @@ from .kernels import (
     gram,
     kernel_apply,
 )
-from .linalg import UNIT_ROUNDOFF, pivoted_cholesky
+from .linalg import sym_eig
 
 # Discretization identity tolerance: f0 - f_lambda must equal lam * w at
 # the nodes; larger residuals mean the quadrature system is inconsistent.
@@ -241,26 +237,17 @@ class GridFactor:
 
     @cached_property
     def spectrum(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """(nu ascending and clamped at 0, B of shape p x r) with S_k ~ B B'.
+        """(nu ascending and clamped at 0, V orthogonal p x p) with S_k = V diag(nu) V'.
 
-        One pivoted Cholesky S_k = L L' + E (linalg.pivoted_cholesky,
-        uncapped) at LAPACK's default tolerance p * eps * max diag(S_k),
-        then one eigendecomposition of the r x r matrix
-        L'L = Q diag(nu) Q', with B = L Q. So B has orthogonal columns,
-        B'B = diag(nu), and S_k - B B' is the positive semidefinite
-        remainder E. nu is clamped at 0, so 1/(nu + lam) <= 1/lam for
-        every lam > 0, and nothing divides by a small eigenvalue.
+        One eigendecomposition of S_k (linalg.sym_eig), every eigenvector
+        kept. nu is clamped at 0, so 1/(nu + lam) <= 1/lam for every
+        lam > 0, and nothing divides by a small eigenvalue.
         """
         s = np.sqrt(self.weights)
-        S = s[:, None] * self.gram_matrix * s[None, :]
-        L = pivoted_cholesky(S)
-        # Divide and conquer ("evd") takes about half the time of the
-        # default "evr" at full rank, r = m = 1024.
-        nu, Q = scipy.linalg.eigh(L.T @ L, driver="evd", check_finite=False)
+        nu, V = sym_eig(s[:, None] * self.gram_matrix * s[None, :])
         nu = np.maximum(nu, 0.0)
-        B = L @ Q
-        nu.flags.writeable = B.flags.writeable = False
-        return nu, B
+        nu.flags.writeable = V.flags.writeable = False
+        return nu, V
 
 
 def _kron_apply(mats: tuple[NDArray[np.float64], ...], v: NDArray[np.float64]) -> NDArray:
@@ -313,37 +300,35 @@ class GridOperator:
 
     @cached_property
     def spectrum(self) -> tuple[NDArray[np.float64], tuple[NDArray[np.float64], ...]]:
-        """(nu, (B_1, ..., B_F)) with S ~ B B' for B = B_1 kron ... kron B_F.
+        """(nu, (V_1, ..., V_F)) with S = V diag(nu) V' for V = V_1 kron ... kron V_F.
 
-        nu = nu_1 kron ... kron nu_F, flat in the order of B's columns,
-        holds the product of the factors' clamped eigenvalues, so
-        B'B = diag(nu); one factor gives its own (nu, (B,)).
+        nu = nu_1 kron ... kron nu_F, flat in the order of V's columns,
+        holds the products of the factors' clamped eigenvalues; one
+        factor gives its own (nu, (V,)).
         """
-        nus, Bs = zip(*(f.spectrum for f in self.factors))
-        return reduce(lambda u, v: np.multiply.outer(u, v).ravel(), nus), Bs
+        nus, Vs = zip(*(f.spectrum for f in self.factors))
+        return reduce(lambda u, v: np.multiply.outer(u, v).ravel(), nus), Vs
 
     @cached_property
-    def rank(self) -> int:
-        """The numerical rank of S: the number of values nu above dpstrf's tolerance.
+    def _resolved(self) -> NDArray[np.float64]:
+        """The values nu above m * eps * max(nu), numpy matrix_rank's rule.
 
-        That tolerance is m * eps * max diag(S). diag(S) is the weights,
-        since k(x, x) = 1, so max diag(S) is the product of the factors'
-        largest weights. With one factor every kept value is normally
-        above it, and this is the pivoted Cholesky's rank r.
+        Below that bound an eigenvalue of S is roundoff, so rank and
+        effective_dimension both count only these values.
         """
         nu, _ = self.spectrum
-        max_diag = float(np.prod([np.max(f.weights) for f in self.factors]))
-        return int(np.count_nonzero(nu > self.grid.m * UNIT_ROUNDOFF * max_diag))
+        return nu[nu > self.grid.m * np.finfo(np.float64).eps * np.max(nu)]
+
+    @property
+    def rank(self) -> int:
+        """The numerical rank of S: the number of resolved values nu."""
+        return self._resolved.size
 
     def effective_dimension(self, lam: float) -> float:
-        """N(lam) = tr K (K + lam)^-1 = sum_i nu_i / (nu_i + lam).
-
-        The sum runs over the kept values; the dropped remainders change
-        N(lam) by at most sum_k (p_k - r_k) * tol_k / lam.
-        """
+        """N(lam) = tr K (K + lam)^-1 = sum_i nu_i / (nu_i + lam) over the resolved nu."""
         if not lam > 0:
             raise ValueError("lam must be positive")
-        nu, _ = self.spectrum
+        nu = self._resolved
         return float(np.sum(nu / (nu + lam)))
 
     def at_points(self, xs: NDArray[np.float64], coeffs: NDArray[np.float64]) -> NDArray:
@@ -461,12 +446,11 @@ def solve_coefficient(
 ) -> FredholmSolution:
     """Solves (lam*I + G W) w = f0 at the grid nodes through the spectrum.
 
-    With S ~ B B' and B'B = diag(nu) (GridOperator.spectrum), the
-    Woodbury form gives w = W^(-1/2) (b - B ((B'b) / (nu + lam))) / lam
-    for b = W^(1/2) f0, with B and B' applied by mode products.
-    flambda_values = G W w is computed with the full operator
-    (GridOperator.apply), so the node identity below checks the
-    low-rank solve against the operator itself.
+    With S = V diag(nu) V' (GridOperator.spectrum), the spectral form
+    gives w = W^(-1/2) V ((V'b) / (nu + lam)) for b = W^(1/2) f0, with V
+    and V' applied by mode products. flambda_values = G W w is computed
+    with the full operator (GridOperator.apply), so the node identity
+    below checks the spectral solve against the operator itself.
 
     Raises:
         ValueError: If lam <= 0 or f0_values has the wrong length.
@@ -479,11 +463,10 @@ def solve_coefficient(
     f0 = np.asarray(f0_values, dtype=np.float64).reshape(-1)
     if f0.shape[0] != grid.m:
         raise ValueError(f"f0_values must have length {grid.m}")
-    nu, Bs = op.spectrum
+    nu, Vs = op.spectrum
     s = np.sqrt(grid.weights)
-    b = s * f0
-    coef = _kron_apply(tuple(B.T for B in Bs), b) / (nu + lam)
-    w = (b - _kron_apply(Bs, coef)) / (lam * s)
+    coef = _kron_apply(tuple(V.T for V in Vs), s * f0) / (nu + lam)
+    w = _kron_apply(Vs, coef) / s
     Ww = grid.weights * w
     flambda = op.apply(Ww)
     residual = f0 - flambda - lam * w

@@ -1,5 +1,5 @@
-"""Symmetric positive-definite solves, pivoted Cholesky, eigendecomposition,
-and Loewner order comparisons.
+"""Symmetric positive-definite solves, the capped pivoted Cholesky,
+eigendecomposition, and Loewner order comparisons.
 
 These primitives back every regularized fit in the package and the
 randomized matrix-inequality suites: (lam*I + K)^-1 applications via
@@ -23,12 +23,12 @@ solves once. Callers that build their matrix symmetric themselves
 (every Gram in the package is exactly symmetric) construct an SpdFactor
 directly and skip that O(n^2) pass.
 
-pivoted_cholesky(A, max_rank) gives A ~ L L' with L of shape n x r,
-stopped when the largest remaining diagonal entry falls to
-n * eps * max diag(A): uncapped through LAPACK dpstrf (the grid
-operator's factor), capped by a greedy loop that gives up, returning
-None, once the rank would pass max_rank (the ridge factor's low-rank
-form).
+pivoted_cholesky(A, max_rank) gives the ridge factor's low-rank form
+A ~ L L' with L of shape n x r: a greedy loop stopped when the largest
+remaining diagonal entry falls to n * eps * max diag(A), which gives up,
+returning None, once the rank would pass max_rank. sym_eig is the full
+eigendecomposition of a symmetric matrix; the grid operator takes one
+per factor.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ import contextlib
 import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
-from scipy.linalg.lapack import dpstrf
 
 
-# LAPACK's relative machine precision, dlamch('E'): the eps of dpstrf's tolerance.
+# LAPACK's relative machine precision, dlamch('E'): the eps of pivoted_cholesky's tolerance.
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
@@ -152,28 +151,19 @@ class SpdFactor:
             self._factor_dense()
 
 
-def pivoted_cholesky(
-    A: NDArray[np.float64], max_rank: int | None = None
-) -> NDArray[np.float64] | None:
+def pivoted_cholesky(A: NDArray[np.float64], max_rank: int) -> NDArray[np.float64] | None:
     """Pivoted Cholesky factor L (n x r) of a symmetric positive semidefinite A.
 
     Pivots on the largest remaining diagonal entry and stops once it is
-    at most tol = n * eps * max diag(A) (eps the unit roundoff), so
-    A = L L' + E with E positive semidefinite of trace at most
-    (n - r) * tol. Uncapped, LAPACK dpstrf computes it. With max_rank,
-    a greedy loop of O(n r^2) builds it one column at a time and gives
-    up as soon as the rank would pass max_rank.
+    at most tol = n * eps * max diag(A) (eps the unit roundoff, LAPACK's
+    default for the pivoted Cholesky), so A = L L' + E with E positive semidefinite of
+    trace at most (n - r) * tol. A greedy loop of O(n r^2) builds it one
+    column at a time and gives up as soon as the rank would pass max_rank.
 
     Returns:
-        L, or None when max_rank is given and the rank exceeds it.
+        L, or None when the rank exceeds max_rank.
     """
     n = A.shape[0]
-    if max_rank is None:
-        # With a negative tol, dpstrf stops at n * eps * max diag(A).
-        c, piv, rank, _ = dpstrf(A, tol=-1.0, lower=1)
-        L = np.empty((n, rank))
-        L[piv - 1] = np.tril(c[:, :rank])
-        return L
     diag = A.diagonal().copy()
     tol = n * UNIT_ROUNDOFF * float(np.max(diag, initial=0.0))
     # Rows of Lt are the columns of L, so each step reads contiguous memory.
@@ -216,13 +206,15 @@ def solve_spd(A: NDArray[np.float64], B: NDArray[np.float64]) -> NDArray[np.floa
 def sym_eig(A: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Eigendecomposition of a symmetric matrix.
 
+    LAPACK's divide and conquer driver ("evd") takes about half the time
+    of scipy's default "evr" on a full-rank 1024 x 1024 matrix.
+
     Returns:
         (eigenvalues ascending, orthonormal eigenvectors as columns),
         so A == V @ diag(vals) @ V.T up to roundoff.
     """
     A = _check_symmetric(A, "A")
-    vals, vecs = scipy.linalg.eigh(A, check_finite=False)
-    return vals, vecs
+    return scipy.linalg.eigh(A, driver="evd", check_finite=False)
 
 
 def loewner_leq(A: NDArray[np.float64], B: NDArray[np.float64], tol: float) -> bool:

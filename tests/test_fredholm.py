@@ -6,10 +6,11 @@ from functools import cached_property, reduce
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.linalg.lapack import dpstrf
 
 import rkhsreg.fredholm as fredholm_mod
-import rkhsreg.linalg as linalg_mod
 from rkhsreg.estimator import KernelExpansion, evaluate_batch, rkhs_norm_sq
+from rkhsreg.experiments import canonical_scenario
 from rkhsreg.fredholm import (
     DesignMeasure,
     GridOperator,
@@ -22,7 +23,7 @@ from rkhsreg.fredholm import (
     solve_coefficient,
 )
 from rkhsreg.kernels import KernelSpec, gram, kernel_apply, kernel_eval
-from rkhsreg.linalg import pivoted_cholesky, sym_eig
+from rkhsreg.linalg import sym_eig
 
 GL2_OFFSET = 0.2886751345948129  # 1 / (2 sqrt(3))
 UNIFORM = DesignMeasure.uniform(0.0, 1.0)
@@ -140,6 +141,17 @@ def test_identity_residual_across_kernels_and_lambdas():
                 assert sol.residual_max <= 1e-9
 
 
+@pytest.mark.parametrize("lam", [1e-8, 1e-10, 1e-12])
+def test_canonical_grid_solve_holds_the_node_identity_at_small_lambda(lam):
+    # Every eigenvector is kept, so the node identity f0 - f_lambda = lam * w
+    # holds to roundoff however small lam is.
+    scenario = canonical_scenario()
+    grid = build_grid(scenario.design, scenario.grid_m)
+    op = GridOperator(scenario.kernel, grid)
+    f0, _ = f0_in_range(op, scenario.w0_at(grid.nodes))
+    assert solve_coefficient(op, f0, lam).residual_max <= 1e-13
+
+
 class _ShiftedSpectrum(GridOperator):
     """An operator whose eigenvalues disagree with its own Gram matrix."""
 
@@ -169,8 +181,8 @@ def test_spectral_solve_matches_dense_solve_2d(lam):
     np.testing.assert_allclose(sol.flambda_values, f0 - lam * w_dense, rtol=0, atol=1e-9 * scale)
 
 
-# (kernel, design, m, rank of the pivoted Cholesky of S): full-rank
-# Laplace, rank-deficient 2-d Gaussian, and the two remaining families.
+# (kernel, design, m, rank of S): full-rank Laplace, rank-deficient
+# 2-d Gaussian, and the two remaining families.
 LOW_RANK_CASES = {
     "gaussian-2d": (
         KernelSpec("gaussian", 0.4, 2), DesignMeasure.uniform((0.0, 0.0), (1.0, 2.0)), 256, "deficient"
@@ -187,17 +199,9 @@ def _weighted_gram(op):
     return s[:, None] * gram(op.kernel, op.grid.nodes) * s[None, :]
 
 
-def _dropped_trace_bound(op):
-    # Each factor's pivoted Cholesky drops a PSD remainder of trace at most
-    # (p_k - r_k) * tol_k, with tol_k = p_k * eps * max diag(S_k). Every
-    # tr S_k is 1 (unit kernel diagonal, weights summing to 1), so the
-    # Kronecker product drops at most the sum of the factors' traces.
-    eps = np.finfo(np.float64).eps
-    _, Bs = op.spectrum
-    return sum(
-        (f.size - B.shape[1]) * f.size * eps * float(np.max(f.weights))
-        for f, B in zip(op.factors, Bs)
-    )
+def _rank_tol(mu):
+    # numpy matrix_rank's rule for the eigenvalues mu of an m x m S.
+    return len(mu) * np.finfo(np.float64).eps * float(np.max(mu))
 
 
 @pytest.mark.parametrize("lam", [1e-3, 0.0177, 0.2])
@@ -225,43 +229,44 @@ def test_low_rank_solve_matches_dense_solve(case, lam):
 @pytest.mark.parametrize("lam", [1e-3, 0.0177, 0.2])
 @pytest.mark.parametrize("case", sorted(LOW_RANK_CASES))
 def test_effective_dimension_within_truncation_bound(case, lam):
-    # The dropped remainder E of the pivoted Cholesky is PSD with trace
-    # at most (m - r) * tol for one factor (_dropped_trace_bound for
-    # several), and x / (x + lam) is 1/lam-Lipschitz, so N(lam) moves by
-    # at most that trace / lam; each of the m full eigenvalues adds
-    # roundoff of about eps * ||S|| / lam.
+    # N(lam) sums over the eigenvalues above the rank rule; the dense
+    # reference sums the dense S's eigenvalues above the same rule. x /
+    # (x + lam) is 1/lam-Lipschitz and each of the m eigenvalues carries
+    # roundoff of about eps * ||S||, so the two agree within
+    # m * eps * ||S|| / lam.
     kernel, measure, m, _ = LOW_RANK_CASES[case]
     op = GridOperator(kernel, build_grid(measure, m))
     _assert_effective_dimension_matches_dense(op, lam)
 
 
 def _assert_effective_dimension_matches_dense(op, lam):
-    mu = np.maximum(sym_eig(_weighted_gram(op))[0], 0.0)
+    # Eigenvalues only, through another LAPACK path than the operator's sym_eig.
+    mu = np.linalg.eigvalsh(_weighted_gram(op))
+    mu = mu[mu > _rank_tol(mu)]
     full = float(np.sum(mu / (mu + lam)))
-    eps = np.finfo(np.float64).eps
-    bound = _dropped_trace_bound(op) / lam + op.grid.m * eps * float(mu[-1]) / lam
+    bound = op.grid.m * np.finfo(np.float64).eps * float(mu[-1]) / lam
     assert abs(op.effective_dimension(lam) - full) <= bound
 
 
 def test_low_rank_factor_reconstructs_the_weighted_gram():
-    # B'B = diag(nu) is what the Woodbury solve relies on, and the
-    # dropped trace obeys the dpstrf stopping rule of every factor up to
-    # m * eps * tr S. The 2-d Gaussian operator has one factor per axis;
-    # its B = B_1 kron B_2 is formed here only to check it.
+    # The spectral solve relies on V'V = I and V diag(nu) V' = S, with
+    # every eigenvector kept, so nothing of S is dropped. The 2-d
+    # Gaussian operator has one factor per axis; its V = V_1 kron V_2 is
+    # formed here only to check it.
     kernel, measure, m, _ = LOW_RANK_CASES["gaussian-2d"]
     op = GridOperator(kernel, build_grid(measure, m))
-    nu, Bs = op.spectrum
-    assert len(Bs) == 2
+    nu, Vs = op.spectrum
+    assert len(Vs) == 2
     assert np.all(nu >= 0.0)
     for f in op.factors:
+        assert f.spectrum[1].shape == (f.size, f.size)
         assert np.all(np.diff(f.spectrum[0]) >= 0.0)
-    B = reduce(np.kron, Bs)
-    np.testing.assert_allclose(B.T @ B, np.diag(nu), rtol=0, atol=1e-12)
+    V = reduce(np.kron, Vs)
+    np.testing.assert_allclose(V.T @ V, np.eye(op.grid.m), rtol=0, atol=1e-13)
     S = _weighted_gram(op)
-    np.testing.assert_allclose(B @ B.T, S, rtol=0, atol=_dropped_trace_bound(op) + 1e-15)
+    np.testing.assert_allclose((V * nu) @ V.T, S, rtol=0, atol=1e-15)
     eps = np.finfo(np.float64).eps
-    dropped = float(np.trace(S) - np.sum(nu))
-    assert dropped <= _dropped_trace_bound(op) + op.grid.m * eps * float(np.trace(S))
+    assert abs(float(np.trace(S) - np.sum(nu))) <= op.grid.m * eps * float(np.trace(S))
 
 
 # Product kernels on boxes with unequal sides, so that a factor applied
@@ -340,20 +345,22 @@ def test_kronecker_effective_dimension_matches_dense_spectrum(case, lam):
 
 @pytest.mark.parametrize("case", sorted(KRON_CASES))
 def test_kronecker_rank_matches_dpstrf_rank(case):
-    # op.rank counts the product eigenvalues above dpstrf's tolerance
-    # tol = m * eps * max diag(S); dpstrf on the dense S stops at the
-    # same tol. Neither resolves the eigenvalues close to tol, so both
-    # must fall between the counts of dense eigenvalues above 10 tol and
-    # above tol / 10. The product of the factors' ranks does not.
+    # op.rank counts the product eigenvalues above tol = m * eps * ||S||
+    # (matrix_rank's rule); LAPACK dpstrf on the dense S, stopped at the
+    # same tol, gives the pivoted Cholesky rank. Neither resolves the
+    # eigenvalues close to tol, so both must fall between the counts of
+    # dense eigenvalues above 10 tol and above tol / 10. The product of
+    # the factors' ranks does not.
     _, _, grid, op, _ = _kron_case(case)
     S = _weighted_gram(op)
-    tol = grid.m * linalg_mod.UNIT_ROUNDOFF * float(np.max(np.diag(S)))
     mu = sym_eig(S)[0]
+    tol = _rank_tol(mu)
     low, high = int(np.sum(mu > 10 * tol)), int(np.sum(mu > tol / 10))
-    assert low <= pivoted_cholesky(S).shape[1] <= high
+    assert low <= dpstrf(S, tol=tol, lower=1)[2] <= high
     assert low <= op.rank <= high
     if op.rank > 1:
-        assert np.prod([B.shape[1] for B in op.spectrum[1]]) > high
+        nus = [f.spectrum[0] for f in op.factors]
+        assert np.prod([np.sum(nu > _rank_tol(nu)) for nu in nus]) > high
 
 
 @pytest.mark.parametrize("case", sorted(KRON_CASES))
@@ -382,8 +389,15 @@ def test_kronecker_sup_grid_values_match_dense_kernel_apply(case):
     np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * float(np.abs(a).sum()))
 
 
-def test_operator_serves_every_lambda_from_one_gram_and_one_dpstrf(monkeypatch):
-    calls = {"gram": 0, "dpstrf": 0}
+@pytest.mark.parametrize(
+    "kernel, measure, m",
+    [(GAUSS, UNIFORM, 48), (KernelSpec("gaussian", 0.4, 2), BOX_2D, 64)],
+    ids=["one-factor", "two-factors"],
+)
+def test_operator_serves_every_lambda_from_one_gram_and_one_sym_eig_per_factor(
+    monkeypatch, kernel, measure, m
+):
+    calls = {"gram": 0, "sym_eig": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -392,18 +406,19 @@ def test_operator_serves_every_lambda_from_one_gram_and_one_dpstrf(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fredholm_mod, "gram", counted("gram", fredholm_mod.gram))
-    monkeypatch.setattr(linalg_mod, "dpstrf", counted("dpstrf", linalg_mod.dpstrf))
-    grid = build_grid(UNIFORM, 48)
-    op = GridOperator(GAUSS, grid)
+    monkeypatch.setattr(fredholm_mod, "sym_eig", counted("sym_eig", fredholm_mod.sym_eig))
+    grid = build_grid(measure, m)
+    op = GridOperator(kernel, grid)
+    factors = len(op.factors)
     w0 = np.sin(2 * np.pi * grid.nodes[:, 0])
     f0, _ = f0_in_range(op, w0)
-    assert calls == {"gram": 1, "dpstrf": 0}
+    assert calls == {"gram": factors, "sym_eig": 0}
     for lam in (1e-3, 1e-2, 0.1, 1.0, 10.0):
         sol = solve_coefficient(op, f0, lam)
         bias_norm_sq(sol, w0)
         op.effective_dimension(lam)
         assert sol.residual_max <= 1e-9
-    assert calls == {"gram": 1, "dpstrf": 1}
+    assert calls == {"gram": factors, "sym_eig": factors}
 
 
 def test_effective_dimension_constant_kernel_closed_form():

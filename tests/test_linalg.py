@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpstrf
 
 from rkhsreg.kernels import KernelSpec, gram
 from rkhsreg.linalg import (
@@ -132,12 +133,20 @@ def _smooth_gram(n, seed=14):
     return gram(KernelSpec("gaussian", 0.25, 1), xs)
 
 
+def _dpstrf_factor(A):
+    # LAPACK's pivoted Cholesky at its default tolerance n * eps * max diag(A).
+    c, piv, rank, _ = dpstrf(A, tol=-1.0, lower=1)
+    L = np.empty((A.shape[0], rank))
+    L[piv - 1] = np.tril(c[:, :rank])
+    return L
+
+
 def test_pivoted_cholesky_capped_loop_matches_dpstrf():
-    # Both paths pivot on the largest remaining diagonal and stop at
+    # Both pivot on the largest remaining diagonal and stop at
     # n * eps * max diag(A): same rank, and the dropped remainder
     # A - L L' keeps a trace within (n - r) * tol.
     K = _smooth_gram(300)
-    full = pivoted_cholesky(K)
+    full = _dpstrf_factor(K)
     capped = pivoted_cholesky(K, max_rank=60)
     n, r = K.shape[0], full.shape[1]
     assert r < 30 and capped.shape == (n, r)
@@ -149,7 +158,7 @@ def test_pivoted_cholesky_capped_loop_matches_dpstrf():
 
 def test_pivoted_cholesky_gives_up_past_the_cap():
     K = _smooth_gram(300)
-    r = pivoted_cholesky(K).shape[1]
+    r = _dpstrf_factor(K).shape[1]
     assert pivoted_cholesky(K, max_rank=r) is not None
     assert pivoted_cholesky(K, max_rank=r - 1) is None
     # A full-rank matrix passes any cap below n.

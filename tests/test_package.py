@@ -82,8 +82,12 @@ def test_every_private_helper_is_referenced():
     assert unreferenced == []
 
 
+_EIGENSOLVERS = ("eigh", "eigvalsh")
+
+
 def _factorization_sites(tree: ast.Module) -> list[str]:
-    """Lines that import scipy.linalg.lapack or call cho_factor."""
+    """Lines that import scipy.linalg.lapack, call cho_factor, or call or import
+    eigh or eigvalsh of numpy.linalg or scipy.linalg."""
     sites = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -93,13 +97,19 @@ def _factorization_sites(tree: ast.Module) -> list[str]:
             if module.startswith("scipy.linalg.lapack"):
                 names = [module]
             elif module == "scipy.linalg":
-                names = [a.name for a in node.names if a.name in ("lapack", "cho_factor")]
+                factorizers = ("lapack", "cho_factor") + _EIGENSOLVERS
+                names = [a.name for a in node.names if a.name in factorizers]
+            elif module == "numpy.linalg":
+                names = [a.name for a in node.names if a.name in _EIGENSOLVERS]
             else:
                 names = []
         elif isinstance(node, ast.Call):
             func = node.func
             called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-            names = [f"{called}()"] if called == "cho_factor" else []
+            owner = func.value if isinstance(func, ast.Attribute) else None
+            owner_name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", "")
+            eigensolver = called in _EIGENSOLVERS and owner_name == "linalg"
+            names = [f"{called}()"] if called == "cho_factor" or eigensolver else []
         else:
             continue
         sites.extend(f"{node.lineno}: {name}" for name in names)
@@ -107,16 +117,32 @@ def _factorization_sites(tree: ast.Module) -> list[str]:
 
 
 def test_only_linalg_factors_matrices():
-    # linalg.py holds every factorization: the SpdFactor rungs and the
-    # pivoted Cholesky. A LAPACK import or a cho_factor call anywhere
-    # else is a second place to keep in step.
+    # linalg.py holds every factorization: the SpdFactor rungs, the
+    # pivoted Cholesky and the symmetric eigendecomposition. A LAPACK
+    # import, a cho_factor call or an eigh or eigvalsh anywhere else is a
+    # second place to keep in step.
     for snippet in (
         "from scipy.linalg.lapack import dpstrf",
         "import scipy.linalg.lapack",
         "from scipy.linalg import lapack",
         "scipy.linalg.cho_factor(A)",
+        "scipy.linalg.eigh(A, driver='evd')",
+        "np.linalg.eigvalsh(A)",
+        "numpy.linalg.eigh(A)",
+        "from scipy import linalg\nlinalg.eigvalsh(A)",
+        "from scipy.linalg import eigh",
+        "from numpy.linalg import eigvalsh",
     ):
         assert _factorization_sites(ast.parse(snippet)), snippet
+    for snippet in (
+        "sym_eig(S)",
+        "from .linalg import sym_eig",
+        "np.linalg.norm(A)",
+        "scipy.linalg.cho_solve(c, b)",
+        "factor.eigh(A)",
+        "from numpy.linalg import norm",
+    ):
+        assert not _factorization_sites(ast.parse(snippet)), snippet
     sites = [
         f"{path.name}:{site}"
         for path in sorted(PACKAGE_DIR.glob("*.py"))
