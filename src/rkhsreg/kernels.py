@@ -7,9 +7,12 @@ semidefinite with unit diagonal and the constant family attains the
 uniform lower bound k_min = 1.
 
 Kernel matrices are assembled from direct coordinate differences
-sum_k (a_k - b_k)^2, not from the expansion |a|^2 + |b|^2 - 2 a.b, so
-squared distances are exactly symmetric, exactly 0 for coincident
-points and never negative: no symmetrizing or clamping pass is needed.
+sum_k (a_k - b_k)^2, not from the expansion |a|^2 + |b|^2 - 2 a.b.
+Each coordinate's differences are one rank-2 BLAS product
+[a_k, 1] @ [1; -b_k]: both products in an entry are exact, so a_ik - b_jk
+is rounded once, exactly as by the subtraction itself. Squared distances
+are therefore exactly symmetric, exactly 0 for coincident points and
+never negative: no symmetrizing or clamping pass is needed.
 
 gram and cross_gram return whole matrices, for callers that keep or
 reuse them. kernel_apply gives k(a, b) @ coeffs for a caller that needs
@@ -119,13 +122,26 @@ def _profile(spec: KernelSpec, sqdist: NDArray[np.float64]) -> NDArray[np.float6
 
 
 def _sq_dists(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Squared distances sum_k (a_ik - b_jk)^2 from direct coordinate differences."""
-    sq = np.subtract.outer(a[:, 0], b[:, 0])
-    sq *= sq
-    for k in range(1, a.shape[1]):
-        diff = np.subtract.outer(a[:, k], b[:, k])
+    """Squared distances sum_k (a_ik - b_jk)^2 from direct coordinate differences.
+
+    Each coordinate's differences are one BLAS product [a_k, 1] @ [1; -b_k].
+    Its entry a_ik * 1 + 1 * (-b_jk) has two exact products, so the only
+    rounding is that of a_ik - b_jk, whatever the summation order or FMA
+    use: the result is bitwise that of the plain subtraction, exactly
+    symmetric when a is b, and exactly 0 for coincident points.
+    """
+    left = np.ones((a.shape[0], 2))
+    right = np.ones((2, b.shape[0]))
+    sq = None
+    for k in range(a.shape[1]):
+        left[:, 0] = a[:, k]
+        np.negative(b[:, k], out=right[1])
+        diff = left @ right
         diff *= diff
-        sq += diff
+        if sq is None:
+            sq = diff
+        else:
+            sq += diff
     return sq
 
 

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rkhsreg.kernels import (
     APPLY_BLOCK_ENTRIES,
     FAMILIES,
     KernelSpec,
+    _sq_dists,
     as_points,
     cross_gram,
     gram,
@@ -53,7 +55,7 @@ def test_constant_family_is_one_everywhere():
 
 def test_unit_diagonal_and_exact_symmetry():
     rng = np.random.default_rng(1)
-    for dim in (1, 2):
+    for dim in (1, 2, 3):
         for family in FAMILIES:
             pts = rng.uniform(-2, 2, size=(15, dim))
             K = gram(KernelSpec(family, 0.7, dim), pts)
@@ -93,9 +95,9 @@ def test_permutation_invariance():
     spec = KernelSpec("gaussian", 0.3, 2)
     K = gram(spec, pts)
     K_perm = gram(spec, pts[perm])
-    # Each entry is an elementwise function of its own two points (no
-    # BLAS product whose blocking depends on the layout), so a
-    # permutation of the points permutes the Gram bitwise.
+    # Each entry is an elementwise function of its own two points (the
+    # rank-2 difference product rounds each entry once, whatever its
+    # blocking), so a permutation of the points permutes the Gram bitwise.
     np.testing.assert_array_equal(K_perm, K[np.ix_(perm, perm)])
 
 
@@ -233,3 +235,39 @@ def test_gram_psd_property(coords, family):
 def test_symmetry_in_arguments(x, y, family):
     spec = KernelSpec(family, 0.8, 1)
     assert kernel_eval(spec, x, y) == kernel_eval(spec, y, x)
+
+
+def _subtracted_sq_dists(a, b):
+    """Reference: sum_k (a_ik - b_jk)^2 by broadcast subtraction, coordinates in order."""
+    sq = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        sq += np.subtract.outer(a[:, k], b[:, k]) ** 2
+    return sq
+
+
+@st.composite
+def _point_sets(draw):
+    """Two point sets of one dimension 1-3, 0-8 rows each, sharing some rows."""
+    dim = draw(st.integers(1, 3))
+    coords = st.floats(min_value=-3.0, max_value=3.0, allow_subnormal=False)
+    a = draw(arrays(np.float64, (draw(st.integers(0, 8)), dim), elements=coords))
+    b = draw(arrays(np.float64, (draw(st.integers(0, 8)), dim), elements=coords))
+    shared = draw(st.integers(0, min(len(a), len(b))))
+    b[:shared] = a[:shared]
+    offset = draw(st.sampled_from([0.0, 1e8, -1e8]))
+    return a + offset, b + offset
+
+
+@given(_point_sets())
+@example((np.array([[1e8 + 0.3], [1e8]]), np.array([[1e8 + 0.3], [1e8 - 0.7]])))
+@example((np.zeros((0, 2)), np.ones((3, 2))))
+@example((np.ones((3, 3)), np.zeros((0, 3))))
+def test_sq_dists_is_bitwise_the_subtraction(points):
+    # Each coordinate's differences come from one BLAS product whose two
+    # terms per entry are exact, so they must equal the subtraction bit
+    # for bit: coincident points exactly 0 apart, even 1e8 from the
+    # origin, where |a|^2 + |b|^2 - 2ab loses every digit of the distance.
+    a, b = points
+    got = _sq_dists(a, b)
+    assert got.shape == (len(a), len(b))
+    assert np.array_equal(got, _subtracted_sq_dists(a, b))

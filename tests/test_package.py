@@ -231,6 +231,46 @@ def test_no_cross_gram_is_built_for_one_product():
     assert sites == []
 
 
+def _subtract_outer_sites(tree: ast.Module) -> list[str]:
+    """Lines that name subtract.outer, called or not."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "outer":
+            owner = node.value
+            owner_name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", "")
+            if owner_name == "subtract":
+                sites.append(f"{node.lineno}: subtract.outer")
+    return sites
+
+
+def test_no_broadcast_subtraction_forms_differences():
+    # kernels._sq_dists forms every coordinate difference as one rank-2
+    # BLAS product, bitwise equal to the subtraction and faster than
+    # NumPy's broadcast subtract.outer. A subtract.outer anywhere in the
+    # package is the slow form back beside the one place that forms
+    # differences.
+    for snippet in (
+        "np.subtract.outer(a[:, 0], b[:, 0])",
+        "numpy.subtract.outer(a, b)",
+        "from numpy import subtract\nsubtract.outer(a, b)",
+        "diff = np.subtract.outer",
+    ):
+        assert _subtract_outer_sites(ast.parse(snippet)), snippet
+    for snippet in (
+        "np.multiply.outer(u, v)",
+        "np.subtract(a, b)",
+        "a[:, None] - b[None, :]",
+        "left @ right",
+    ):
+        assert not _subtract_outer_sites(ast.parse(snippet)), snippet
+    sites = [
+        f"{path.name}:{site}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for site in _subtract_outer_sites(_parse(path))
+    ]
+    assert sites == []
+
+
 def _diagonal_shifts(tree: ast.Module) -> list[str]:
     """Lines that write a matrix diagonal: X.flat[...] op= c, fill_diagonal or eye."""
     sites = []
