@@ -39,7 +39,6 @@ from .experiments import (
     sample_dataset,
     target_values,
     weak_consistency_fractions,
-    worker_count,
 )
 from .fredholm import (
     DesignMeasure,
@@ -117,5 +116,4 @@ __all__ = [
     "target_values",
     "theoretical_tilde_risk",
     "weak_consistency_fractions",
-    "worker_count",
 ]

@@ -10,8 +10,7 @@ Subcommands:
     demo                One n=100 replication of the canonical scenario;
                         writes band.svg and correlation.svg.
 
-Every command is deterministic given its seed and config. RKHS_THREADS
-caps replication parallelism (unset = sequential, 0 = all cores).
+Every command is deterministic given its seed and config.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .experiments import (
     rate_fit,
     sample_dataset,
     target_values,
-    worker_count,
 )
 from .kernels import ConfigError
 from .linalg import sandwich, sym_eig
@@ -221,7 +219,7 @@ def _band_figure(scenario: ScenarioSpec, n: int, lam: float, title: str) -> tupl
     coverage = float(np.mean(np.abs(f0_curve - mean) <= 2.0 * sd))
 
     fig = Figure(title=title, xlabel="x", ylabel="f(x)")
-    fig.add_band(grid_x[:, 0], mean - sd, mean + sd, color="blue", opacity=0.25)
+    fig.add_band(grid_x[:, 0], mean - sd, mean + sd, color="blue")
     fig.add_line(grid_x[:, 0], mean, color="blue")
     fig.add_line(grid_x[:, 0], f0_curve, color="green", dash="5,4")
     fig.add_scatter(data.xs[:, 0], data.fs, color="red", radius=2.5)
@@ -242,7 +240,6 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
         return 2
     try:
         config = parse_config(raw)
-        worker_count()  # a bad RKHS_THREADS exits here, before any output is made
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -339,8 +336,8 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
     return 0
 
 
-def _random_psd(rng: np.random.Generator, dim: int, eig_high: float = 100.0) -> np.ndarray:
-    eigs = rng.uniform(0.0, eig_high, dim)
+def _random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
+    eigs = rng.uniform(0.0, 100.0, dim)
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     K = (basis * eigs) @ basis.T
     return 0.5 * (K + K.T)

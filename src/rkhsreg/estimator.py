@@ -52,7 +52,7 @@ class KernelExpansion:
     """A function f(x) = sum_i coeffs[i] * k(x, centers[i]).
 
     An empty expansion (no centers) is the zero function. Instances are
-    immutable and safe to share across worker threads.
+    immutable.
     """
 
     kernel: KernelSpec

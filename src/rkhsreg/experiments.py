@@ -5,17 +5,14 @@ A scenario pins the data-generating law: kernel, design measure, a
 target f0 constructed in the range of the kernel operator, and a noise
 model. Replications are keyed by (base_seed, n, lambda-bits,
 replication index) through a splittable seed scheme, so every dataset
-is bit-for-bit reproducible and aggregates are independent of worker
-scheduling. The replication driver measures RKHS distances of the
-ridge and auxiliary fits against the continuous target and the empirical
-objective, and stops the run when a deterministic per-sample bound
-breaks.
+is bit-for-bit reproducible, and replications run in index order. The
+replication driver measures RKHS distances of the ridge and auxiliary
+fits against the continuous target and the empirical objective, and
+stops the run when a deterministic per-sample bound breaks.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
@@ -447,51 +444,23 @@ def run_replication(
     )
 
 
-def worker_count() -> int:
-    """Parallelism from RKHS_THREADS: unset = 1, 0 = all cores, N = N."""
-    raw = os.environ.get("RKHS_THREADS", "").strip()
-    if raw == "":
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"RKHS_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError("RKHS_THREADS must be nonnegative")
-    return value if value > 0 else (os.cpu_count() or 1)
-
-
 def _run_many(
     scenario: ScenarioSpec, n: int, lam: float, R: int
 ) -> tuple[list[ReplicationMetrics], list[int]]:
-    """Runs R replications, ordered by index; returns (successes, failed indices).
-
-    Replications execute on a thread pool when RKHS_THREADS asks for
-    one; the shared contexts are immutable and results are folded in
-    index order, so aggregates do not depend on the worker count.
+    """Runs R replications in index order; returns (successes, failed indices).
 
     Only numerical failures (np.linalg.LinAlgError, which includes
     NotPositiveDefiniteError) are counted. An ArithmeticError means a
     paper identity broke, which is a wiring fault rather than bad luck
     in the draw, so it propagates and stops the run.
     """
-    _design_context(scenario)
-    _lambda_context(scenario, lam)
-
-    def one(index: int) -> ReplicationMetrics | None:
+    successes: list[ReplicationMetrics] = []
+    failed: list[int] = []
+    for index in range(R):
         try:
-            return run_replication(scenario, n, lam, index)
+            successes.append(run_replication(scenario, n, lam, index))
         except np.linalg.LinAlgError:
-            return None
-
-    workers = worker_count()
-    if workers <= 1:
-        results = [one(i) for i in range(R)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(R)))
-    successes = [r for r in results if r is not None]
-    failed = [i for i, r in enumerate(results) if r is None]
+            failed.append(index)
     return successes, failed
 
 

@@ -143,7 +143,7 @@ class DesignMeasure:
         scipy.stats is imported here, not at module level: it takes most
         of the package's import time and only this design kind uses it.
         The frozen object holds no state that a draw changes (rvs reads
-        the generator it is given), so replication threads share it.
+        the generator it is given), so every replication draws from it.
         """
         import scipy.stats
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 PALETTE = {
     "blue": "#1f77b4",
-    "orange": "#ff7f0e",
     "green": "#2ca02c",
     "red": "#d62728",
     "gray": "#7f7f7f",
 }
+WIDTH, HEIGHT = 640, 460
 
 
 def _fmt(value: float) -> str:
@@ -76,23 +76,19 @@ class Figure:
     ylabel: str = ""
     xlog: bool = False
     ylog: bool = False
-    width: int = 640
-    height: int = 460
     _lines: list = field(default_factory=list)
     _scatters: list = field(default_factory=list)
     _bands: list = field(default_factory=list)
     _notes: list = field(default_factory=list)
 
-    def add_line(self, xs, ys, color: str = "blue", stroke_width: float = 1.8, dash: str | None = None) -> None:
-        self._lines.append((list(map(float, xs)), list(map(float, ys)), color, stroke_width, dash))
+    def add_line(self, xs, ys, color: str = "blue", dash: str | None = None) -> None:
+        self._lines.append((list(map(float, xs)), list(map(float, ys)), color, dash))
 
     def add_scatter(self, xs, ys, color: str = "red", radius: float = 2.5) -> None:
         self._scatters.append((list(map(float, xs)), list(map(float, ys)), color, radius))
 
-    def add_band(self, xs, lower, upper, color: str = "blue", opacity: float = 0.25) -> None:
-        self._bands.append(
-            (list(map(float, xs)), list(map(float, lower)), list(map(float, upper)), color, opacity)
-        )
+    def add_band(self, xs, lower, upper, color: str = "blue") -> None:
+        self._bands.append((list(map(float, xs)), list(map(float, lower)), list(map(float, upper)), color))
 
     def add_annotation(self, text: str) -> None:
         self._notes.append(str(text))
@@ -125,8 +121,8 @@ class Figure:
 
     def to_svg(self) -> str:
         left, right, top, bottom = 62.0, 16.0, 34.0, 48.0
-        pw = self.width - left - right
-        ph = self.height - top - bottom
+        pw = WIDTH - left - right
+        ph = HEIGHT - top - bottom
         x0, x1, y0, y1 = self._bounds()
 
         def px(x: float) -> float:
@@ -136,9 +132,9 @@ class Figure:
             return top + (y1 - self._ty(y)) / (y1 - y0) * ph
 
         out = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" height="{self.height}" '
-            f'viewBox="0 0 {self.width} {self.height}" font-family="sans-serif" font-size="12">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+            f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
             f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_fmt(pw)}" height="{_fmt(ph)}" '
             f'fill="none" stroke="black" stroke-width="1"/>',
         ]
@@ -166,25 +162,25 @@ class Figure:
                 f"{_tick_label(t, self.ylog)}</text>"
             )
 
-        for bx, blo, bhi, color, opacity in self._bands:
+        for bx, blo, bhi, color in self._bands:
             pts = [f"{_fmt(px(x))},{_fmt(py(v))}" for x, v in zip(bx, bhi)]
             pts += [f"{_fmt(px(x))},{_fmt(py(v))}" for x, v in zip(reversed(bx), reversed(blo))]
             out.append(
-                f'<polygon points="{" ".join(pts)}" fill="{PALETTE.get(color, color)}" '
-                f'opacity="{opacity:g}" stroke="none"/>'
+                f'<polygon points="{" ".join(pts)}" fill="{PALETTE[color]}" '
+                'opacity="0.25" stroke="none"/>'
             )
-        for lx, ly, color, sw, dash in self._lines:
+        for lx, ly, color, dash in self._lines:
             pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(lx, ly))
             dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
             out.append(
-                f'<polyline points="{pts}" fill="none" stroke="{PALETTE.get(color, color)}" '
-                f'stroke-width="{sw:g}"{dash_attr}/>'
+                f'<polyline points="{pts}" fill="none" stroke="{PALETTE[color]}" '
+                f'stroke-width="1.8"{dash_attr}/>'
             )
         for sx, sy, color, radius in self._scatters:
             for x, y in zip(sx, sy):
                 out.append(
                     f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="{radius:g}" '
-                    f'fill="{PALETTE.get(color, color)}"/>'
+                    f'fill="{PALETTE[color]}"/>'
                 )
 
         if self.title:
@@ -194,7 +190,7 @@ class Figure:
             )
         if self.xlabel:
             out.append(
-                f'<text x="{_fmt(left + pw / 2)}" y="{_fmt(self.height - 12)}" '
+                f'<text x="{_fmt(left + pw / 2)}" y="{_fmt(HEIGHT - 12)}" '
                 f'text-anchor="middle">{self.xlabel}</text>'
             )
         if self.ylabel:

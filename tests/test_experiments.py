@@ -33,7 +33,6 @@ from rkhsreg.experiments import (
     sample_dataset,
     target_values,
     weak_consistency_fractions,
-    worker_count,
 )
 from rkhsreg.fredholm import DesignMeasure, build_grid, continuous_objective, flambda_expansion
 from rkhsreg.kernels import FAMILIES, KernelSpec
@@ -274,27 +273,11 @@ def test_monte_carlo_zero_spread_for_degenerate_scenario():
     assert all(se == 0.0 for se in agg.stderrs.values())
 
 
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("RKHS_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("RKHS_THREADS", "")
-    assert worker_count() == 1
-    monkeypatch.setenv("RKHS_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("RKHS_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("RKHS_THREADS", "abc")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("RKHS_THREADS", "-1")
-    with pytest.raises(ValueError):
-        worker_count()
-
-
-def test_threaded_aggregates_bit_identical(monkeypatch):
+def test_cold_runs_are_bit_identical():
     # Clearing the caches makes each run build its own grid operator and
     # low-rank factor, so the comparison covers the lazily cached factor.
-    # The truncated Gaussian's workers share one frozen scipy distribution.
+    # The truncated Gaussian's replications share one frozen scipy
+    # distribution, which a draw must leave unchanged.
     uniform_2d = ScenarioSpec(
         kernel=KernelSpec("gaussian", 0.25, 2),
         design=DesignMeasure.uniform((0.0, 0.0), (1.0, 1.0)),
@@ -312,10 +295,7 @@ def test_threaded_aggregates_bit_identical(monkeypatch):
         return monte_carlo(scenario, 15, 0.2, 8)
 
     for scenario in (CANON, uniform_2d, truncated):
-        monkeypatch.delenv("RKHS_THREADS", raising=False)
-        sequential = cold_run(scenario)
-        monkeypatch.setenv("RKHS_THREADS", "2")
-        assert cold_run(scenario) == sequential
+        assert cold_run(scenario) == cold_run(scenario)
 
 
 def test_failed_replications_are_counted(monkeypatch):

@@ -366,6 +366,49 @@ def test_only_scipy_linalg_is_imported_at_module_level():
     assert sites == []
 
 
+def _environment_reads(tree: ast.Module) -> list[str]:
+    """Lines that name os.environ or os.getenv, or import either from os."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = [a.name for a in node.names if a.name in ("environ", "getenv")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            names = [f"os.{node.attr}"] if getattr(node.value, "id", "") == "os" else []
+        else:
+            continue
+        sites.extend(f"{node.lineno}: {name}" for name in names)
+    return sites
+
+
+def test_no_environment_variable_steers_the_package():
+    # A run is fixed by its config and seed. An environment variable read
+    # inside the package is a second, unrecorded input: results.json
+    # would not say which path a run took.
+    for snippet in (
+        "os.environ.get('RKHS_THREADS', '')",
+        "os.environ['HOME']",
+        "os.getenv('X', '1')",
+        "'X' in os.environ",
+        "from os import environ",
+        "from os import getenv",
+    ):
+        assert _environment_reads(ast.parse(snippet)), snippet
+    for snippet in (
+        "os.path.join(a, b)",
+        "os.makedirs(out_dir, exist_ok=True)",
+        "env = {}\nenv.get('X')",
+        "config.environ",
+        "from os import path",
+    ):
+        assert not _environment_reads(ast.parse(snippet)), snippet
+    sites = [
+        f"{path.name}:{site}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for site in _environment_reads(_parse(path))
+    ]
+    assert sites == []
+
+
 _FRESH_RUNS = """
 import json, sys
 import rkhsreg.cli
