@@ -39,19 +39,22 @@ RESIDUAL_AGREEMENT_TOL = 1e-9
 class AuxiliaryFit:
     """The auxiliary estimator with its weights and residuals.
 
-    tilde holds coefficients w~_i / n; residuals holds
-    r_i = f_i - lam * w~_i - (1/n) sum_j k(X_i, X_j) w~_j.
+    tilde holds coefficients w~_i / n; tilde_at_xs holds the auxiliary
+    fit at the data, f~(X_i) = (1/n) sum_j k(X_i, X_j) w~_j, the product
+    with the data's Gram that the residuals are formed from; residuals
+    holds r_i = f_i - lam * w~_i - f~(X_i).
     """
 
     tilde: KernelExpansion
     tilde_w: NDArray[np.float64]
+    tilde_at_xs: NDArray[np.float64]
     residuals: NDArray[np.float64]
     dataset: Dataset
     lam: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tilde_w", _frozen_array(self.tilde_w))
-        object.__setattr__(self, "residuals", _frozen_array(self.residuals))
+        for name in ("tilde_w", "tilde_at_xs", "residuals"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
 
 def fit_auxiliary(
@@ -93,8 +96,12 @@ def fit_auxiliary(
     gap = float(np.max(np.abs(residuals - lemma_form)))
     if gap > RESIDUAL_AGREEMENT_TOL * (1.0 + float(np.max(np.abs(data.fs)))):
         raise ArithmeticError(f"residual formulas disagree by {gap:.3e}")
-    tilde = KernelExpansion(flambda.kernel, data.xs, tilde_w / n)
-    return AuxiliaryFit(tilde, tilde_w, residuals, data, lam)
+    coeffs = tilde_w / n
+    # Arrays made here are frozen rather than copied by the constructors.
+    for own in (tilde_w, smooth, residuals, coeffs):
+        own.flags.writeable = False
+    tilde = KernelExpansion(flambda.kernel, data.xs, coeffs)
+    return AuxiliaryFit(tilde, tilde_w, smooth, residuals, data, lam)
 
 
 def bridge_distance_sq(aux: AuxiliaryFit) -> float:

@@ -324,10 +324,16 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
 
             if config.scenario.design.kind != "dirac" and config.scenario.design.dim == 1:
                 n_plot = config.ns[-1]
-                band, _ = _band_figure(
-                    config.scenario, n_plot, config.lambda_rule.lam_for(n_plot),
-                    "Fit with posterior band",
-                )
+                try:
+                    band, _ = _band_figure(
+                        config.scenario, n_plot, config.lambda_rule.lam_for(n_plot),
+                        "Fit with posterior band",
+                    )
+                except np.linalg.LinAlgError as exc:
+                    # Replication 0, which the band re-solves, may be among
+                    # the failures the sweep allowed.
+                    print(f"error: n={n_plot}: posterior band failed: {exc}", file=sys.stderr)
+                    return 3
                 with open(os.path.join(out_dir, "band.svg"), "w") as fh:
                     fh.write(band.to_svg())
     except OSError as exc:

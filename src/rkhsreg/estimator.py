@@ -42,6 +42,15 @@ def _clamp_nonneg(value: float) -> float:
 
 
 def _frozen_array(x: object, dtype=np.float64) -> NDArray[np.float64]:
+    """x as a read-only array of dtype.
+
+    An array of dtype that owns its memory and is already read-only is
+    returned as it is: whoever made it froze it on handing it over.
+    Anything else is copied, so no caller keeps a writable handle on
+    the result.
+    """
+    if isinstance(x, np.ndarray) and x.dtype == dtype and x.base is None and not x.flags.writeable:
+        return x
     arr = np.array(x, dtype=dtype)
     arr.flags.writeable = False
     return arr
@@ -65,7 +74,8 @@ class KernelExpansion:
             centers = centers.reshape(0, self.kernel.dim)
         else:
             centers = as_points(centers, self.kernel.dim)
-        coeffs = np.asarray(self.coeffs, dtype=np.float64).reshape(-1)
+        coeffs = np.asarray(self.coeffs, dtype=np.float64)
+        coeffs = coeffs if coeffs.ndim == 1 else coeffs.reshape(-1)
         if centers.shape[0] != coeffs.shape[0]:
             raise ValueError("centers and coeffs must have equal length")
         object.__setattr__(self, "centers", _frozen_array(centers))
@@ -86,7 +96,8 @@ class Dataset:
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=np.float64)
         xs = xs.reshape(-1, 1) if xs.ndim == 1 else xs
-        fs = np.asarray(self.fs, dtype=np.float64).reshape(-1)
+        fs = np.asarray(self.fs, dtype=np.float64)
+        fs = fs if fs.ndim == 1 else fs.reshape(-1)
         if xs.ndim != 2:
             raise ValueError("xs must be an (n, d) array")
         if xs.shape[0] != fs.shape[0]:

@@ -13,6 +13,7 @@ stops the run when a deterministic per-sample bound breaks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
@@ -84,6 +85,16 @@ class NoiseModel:
         if self.family == "affine":
             return self.sigma * (0.25 + x1)
         return self.sigma * (0.75 + 0.5 * np.sin(2.0 * np.pi * x1))
+
+    def sample(self, rng: np.random.Generator, xs: NDArray[np.float64]) -> NDArray[np.float64]:
+        """One independent N(0, std_at(x)^2) draw per row x of xs.
+
+        Homoscedastic noise draws with the scalar sigma: the same bits as
+        the array scale std_at(xs), without numpy's broadcast path.
+        """
+        if self.kind == "homoscedastic":
+            return rng.normal(0.0, self.sigma, xs.shape[0])
+        return rng.normal(0.0, self.std_at(xs))
 
     def condvar_at(self, xs: NDArray[np.float64]) -> NDArray[np.float64]:
         return self.std_at(xs) ** 2
@@ -333,7 +344,9 @@ def _sample_at_nodes(
     rng = _rng_for(scenario, n, lambda_key, replication_index)
     xs = scenario.design.sample(rng, n)
     values = dctx.op.at_points(xs, node_coeffs)
-    fs = values.reshape(n, -1)[:, 0] + rng.normal(0.0, scenario.noise.std_at(xs))
+    fs = values.reshape(n, -1)[:, 0] + scenario.noise.sample(rng, xs)
+    # Both arrays are made here: Dataset takes them frozen instead of copying them.
+    xs.flags.writeable = fs.flags.writeable = False
     return Dataset(xs, fs), values
 
 
@@ -359,13 +372,18 @@ def run_replication(
     dense path forms it). The
     auxiliary fit comes first (with its residual-formula check), since
     its residuals r = f - (lam*I + K/n) w~ need only the data and
-    f_lambda. One two-column solve against [f | r] gives the ridge
-    weights w (coefficients a = w/n) and the bridge vector
-    v = (lam*I + K/n)^-1 r, and one product K [a, t, a - t, v] gives
-    every squared RKHS distance, the empirical objective and the
-    residual-bridge identity ||fhat - f~||^2 = v'Kv/n^2. The bridge
-    stays a real check of the shared factor: r is formed from K itself,
-    so a factor of any other matrix leaves v apart from n(a - t).
+    f_lambda; it also hands back f~ at the data, K t for its
+    coefficients t = w~/n. One two-column solve against [f | r] gives
+    the ridge weights w (coefficients a = w/n) and the bridge vector
+    v = (lam*I + K/n)^-1 r, and with them the product (K [w, v])/n that
+    the solve's residual check formed: K a and K v / n. So K is passed
+    over twice, once by the auxiliary fit and once by the check, and no
+    further product with K is formed: K a, K t, K (a - t) = K a - K t
+    and K v give every squared RKHS distance, the empirical objective
+    and the residual-bridge identity ||fhat - f~||^2 = v'Kv/n^2, whose
+    two sides come from different passes. The bridge stays a real check
+    of the shared factor: r is formed from K itself, so a factor of any
+    other matrix leaves v apart from n(a - t).
 
     Three bounds are checked: the ball bound lam ||fhat||^2 <= mean f^2,
     the residual bound ||fhat - f~||^2 <= ||r||^2 / (4 lam n), and the
@@ -392,13 +410,17 @@ def run_replication(
 
     aux = fit_auxiliary(data, lctx.flam, lam, gram_matrix=K, flambda_at_xs=projl)
     # K is exactly symmetric by construction, so no symmetry pass is made.
-    wv = _ridge_factor(K, lam, dctx.op.rank).solve(np.column_stack([data.fs, aux.residuals]))
+    wv, Kwv_n = _ridge_factor(K, lam, dctx.op.rank).solve_with_product(
+        np.column_stack([data.fs, aux.residuals])
+    )
     a = wv[:, 0] / n
     v = wv[:, 1]
-    t = np.asarray(aux.tilde.coeffs)
+    t = aux.tilde.coeffs
     d = a - t
-    # Row-major, valid since K is symmetric: OpenBLAS is slower at K @ (n x 4).
-    Ka, Kt, Kd, Kv = np.array([a, t, d, v]) @ K
+    # (K w)/n = K a and (K v)/n from the solve's check, (K w~)/n = K t from the auxiliary fit.
+    Ka, Kv_n = Kwv_n.T
+    Kt = aux.tilde_at_xs
+    Kd = Ka - Kt
     aKa = float(a @ Ka)
     a_projl = float(a @ projl)
     norm_flam_sq = lctx.sol.flambda_norm_sq
@@ -408,21 +430,22 @@ def run_replication(
     dist_tilde_flambda_sq = _clamp_nonneg(float(t @ Kt) - 2.0 * float(t @ projl) + norm_flam_sq)
     dist_hat_tilde_sq = _clamp_nonneg(float(d @ Kd))
 
-    bridge = _clamp_nonneg(float(v @ Kv) / n**2)
+    bridge = _clamp_nonneg(float(v @ Kv_n) / n)
     if abs(bridge - dist_hat_tilde_sq) > 1e-8 * (1.0 + dist_hat_tilde_sq):
         raise ArithmeticError(
             f"residual bridge identity violated: {bridge} vs {dist_hat_tilde_sq}"
         )
 
-    theta_hat = float(np.mean((data.fs - Ka) ** 2) + lam * aKa)
-    sup_gap_hat_flambda = float(np.sqrt(dist_hat_flambda_sq))
+    fit_residuals = data.fs - Ka
+    theta_hat = float(fit_residuals @ fit_residuals) / n + lam * aKa
+    sup_gap_hat_flambda = math.sqrt(dist_hat_flambda_sq)
     fhat_eval = dctx.op.on_product(dctx.eval_points, data.xs, a)
     sup_gap_grid_max = float(np.max(np.abs(fhat_eval - lctx.flam_eval)))
     certificate_slack = CERTIFICATE_RTOL * (abs(aKa) + 2.0 * abs(a_projl) + norm_flam_sq)
     for name, lhs, rhs in (
-        ("ball", lam * aKa, float(np.mean(data.fs**2))),
+        ("ball", lam * aKa, float(data.fs @ data.fs) / n),
         ("residual", dist_hat_tilde_sq, float(aux.residuals @ aux.residuals) / (4.0 * lam * n)),
-        ("sup-norm", sup_gap_grid_max, float(np.sqrt(dist_hat_flambda_sq + certificate_slack))),
+        ("sup-norm", sup_gap_grid_max, math.sqrt(dist_hat_flambda_sq + certificate_slack)),
     ):
         margin = lhs - rhs * (1.0 + 1e-9) - 1e-12
         if margin > 0:
@@ -588,15 +611,24 @@ def weak_consistency_fractions(
     Along the schedule lam_n = coefficient * n^(-alpha), returns
     (eps, fractions) with eps = half the mean distance at the smallest
     n. Convergence in probability shows up as nonincreasing fractions.
+    Each fraction is over the successful replications at its n.
+
+    Raises:
+        ValueError: If ns is empty or R < 1.
+        RuntimeError: If every replication at some n fails.
     """
     ns = list(ns)
     if not ns:
         raise ValueError("ns must be nonempty")
+    if R < 1:
+        raise ValueError("R must be at least 1")
     eps = None
     fractions: list[float] = []
     for n in ns:
         lam = coefficient * float(n) ** (-alpha)
         successes, _ = _run_many(scenario, n, lam, R)
+        if not successes:
+            raise RuntimeError(f"n={n}: none of {R} replications succeeded")
         norms = np.sqrt([r.dist_hat_f0_sq for r in successes])
         if eps is None:
             eps = 0.5 * float(norms.mean())

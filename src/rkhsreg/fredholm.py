@@ -100,7 +100,8 @@ class DesignMeasure:
                 raise ConfigError("low", f"a uniform box has 1 to {MAX_UNIFORM_DIM} dimensions")
             if len(low) != len(high):
                 raise ValueError("uniform measure needs low and high of the same dimension")
-            if any(h <= l for l, h in zip(low, high)):
+            # sample draws low + (high - low) * U, so each width must be finite too.
+            if not all(0.0 < h - l < np.inf for l, h in zip(low, high)):
                 raise ValueError("uniform measure needs low < high per coordinate")
         if kind == "truncated_gaussian":
             if len(low) != 1 or len(high) != 1 or len(center) != 1:
@@ -131,10 +132,22 @@ class DesignMeasure:
     def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
         """n i.i.d. draws from the measure as an (n, dim) array."""
         if self.kind == "uniform":
-            return rng.uniform(self.low, self.high, size=(n, self.dim))
+            low, span = self._box
+            return low + span * rng.random((n, self.dim))
         if self.kind == "dirac":
             return np.tile(np.asarray(self.center, dtype=np.float64), (n, 1))
         return self._truncnorm.rvs(size=n, random_state=rng).reshape(n, 1)
+
+    @cached_property
+    def _box(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """(low, high - low) of a uniform box as arrays, built once.
+
+        sample draws low + span * U[0, 1), the arithmetic of
+        rng.uniform(low, high, size) with the same bits, without numpy's
+        broadcast of two parameter arrays on every draw.
+        """
+        low = np.array(self.low)
+        return low, np.array(self.high) - low
 
     @cached_property
     def _truncnorm(self):
@@ -336,8 +349,9 @@ class GridOperator:
 
         The first factor's kernel rows go through kernel_apply against
         coeffs with that factor's axis leading; each further factor's
-        rows, n x p_k, are contracted row by row. So n * sum p_k kernel
-        values are assembled instead of n * m.
+        rows, n x p_k, are contracted row by row, as one batched matmul
+        of (n, 1, p_k) rows by (n, p_k, rest) values. So n * sum p_k
+        kernel values are assembled instead of n * m.
         """
         n = xs.shape[0]
         first, *rest = self.factors
@@ -345,7 +359,7 @@ class GridOperator:
         out = kernel_apply(first.kernel, xs[:, first.coords], first.nodes, first_coeffs)
         for f in rest:
             rows = cross_gram(f.kernel, xs[:, f.coords], f.nodes)
-            out = np.einsum("ij...,ij->i...", out.reshape(n, f.size, -1), rows)
+            out = np.matmul(rows[:, None, :], out.reshape(n, f.size, -1))
         return out.reshape((n,) + coeffs.shape[1:])
 
     def split(self, axes: tuple[NDArray[np.float64], ...]) -> tuple[NDArray[np.float64], ...]:

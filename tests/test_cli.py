@@ -13,6 +13,7 @@ import rkhsreg.cli as cli
 import rkhsreg.experiments as exp
 from rkhsreg.cli import ConfigError, LambdaRule, main, parse_config
 from rkhsreg.experiments import AggregateResult, METRIC_FIELDS
+from rkhsreg.linalg import NotPositiveDefiniteError
 
 
 def _base_config(out_dir, **overrides):
@@ -330,15 +331,17 @@ class _SharedShift:
 
     The ridge weights and the bridge vector shift by the same vector, so
     v = n(a - t) and the residual-bridge identity still hold; only the
-    ball and residual bounds can see the corrupted fit.
+    ball and residual bounds can see the corrupted fit. The product
+    handed back with the solution shifts with it, as the product of the
+    corrupted columns.
     """
 
     def __init__(self, factor, column, c):
         self.factor, self.column, self.c = factor, column, c
 
-    def solve(self, B):
-        X = self.factor.solve(B)
-        return X + self.c * X[:, [self.column]]
+    def solve_with_product(self, B):
+        X, KX = self.factor.solve_with_product(B)
+        return X + self.c * X[:, [self.column]], KX + self.c * KX[:, [self.column]]
 
 
 @pytest.mark.parametrize(
@@ -487,6 +490,21 @@ def test_run_failure_rate_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "monte_carlo", lossy_mc)
     assert main(["run", path]) == 3
     assert "replications failed" in capsys.readouterr().err
+
+
+def test_run_reports_a_failed_posterior_band(tmp_path, monkeypatch, capsys):
+    # band.svg re-solves replication 0, which may be among the failures
+    # the sweep allowed: a failed band solve is named, not a traceback.
+    def failing_band(*args):
+        raise NotPositiveDefiniteError("Cholesky solution fails its residual check")
+
+    monkeypatch.setattr(cli, "gp_posterior_band", failing_band)
+    out_dir = tmp_path / "out"
+    assert main(["run", _write_config(tmp_path, _base_config(out_dir))]) == 3
+    err = capsys.readouterr().err
+    assert "error: n=12: posterior band failed: Cholesky solution fails its residual check" in err
+    assert "Traceback" not in err
+    assert (out_dir / "results.csv").exists() and not (out_dir / "band.svg").exists()
 
 
 def test_lemma2_command(tmp_path, capsys):

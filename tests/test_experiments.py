@@ -116,6 +116,33 @@ def test_dirac_and_truncated_gaussian_sampling():
     np.testing.assert_array_equal(data.xs[:, 0], expected)
 
 
+@pytest.mark.parametrize(
+    "design, noise",
+    [
+        (DesignMeasure.uniform(0.0, 1.0), NoiseModel("homoscedastic", 0.2)),
+        (DesignMeasure.uniform((0.0, -1.0), (1.0, 2.5)), NoiseModel("homoscedastic", 0.3)),
+        (DesignMeasure.uniform(0.0, 1.0), NoiseModel("heteroscedastic", 0.2, "affine")),
+        (DesignMeasure.uniform(0.0, 1.0), NoiseModel("heteroscedastic", 0.2, "sine")),
+    ],
+    ids=["uniform-1d", "uniform-2d-unequal-sides", "affine-noise", "sine-noise"],
+)
+def test_draws_are_numpy_uniform_and_normal(design, noise):
+    # The sampler draws low + span * random() and a scalar-scale normal
+    # for homoscedastic noise; both must be the bits of numpy's
+    # rng.uniform(low, high, size) and rng.normal(0, std_at(xs)).
+    scen = ScenarioSpec(
+        kernel=KernelSpec("gaussian", 0.25, design.dim), design=design, noise=noise, grid_m=64
+    )
+    n, index, lam = 37, 5, 0.2
+    data = sample_dataset(scen, n, index, lambda_key=lam)
+    rng = exp._rng_for(scen, n, lam, index)
+    xs = rng.uniform(design.low, design.high, size=(n, design.dim))
+    dctx = exp._design_context(scen)
+    fs = dctx.op.at_points(xs, dctx.f0.coeffs) + rng.normal(0, noise.std_at(xs))
+    np.testing.assert_array_equal(data.xs, xs)
+    np.testing.assert_array_equal(data.fs, fs)
+
+
 def test_single_point_dirac_closed_forms():
     scen = _dirac_scenario()
     lam = 0.5
@@ -193,6 +220,36 @@ def test_run_replication_at_large_n_factors_no_n_by_n_matrix(cho_factor_calls):
     assert len(cho_factor_calls) == 1
     r = cho_factor_calls[0][0]
     assert cho_factor_calls == [(r, r)] and r <= 2 * 17
+
+
+class _CountingGram(np.ndarray):
+    """A data Gram that counts the np.matmul calls taking it as an operand."""
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and any(isinstance(x, _CountingGram) for x in inputs):
+            _CountingGram.matmuls += 1
+
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, _CountingGram) else x
+
+        if "out" in kwargs:
+            kwargs["out"] = tuple(plain(x) for x in kwargs["out"])
+        return getattr(ufunc, method)(*(plain(x) for x in inputs), **kwargs)
+
+
+@pytest.mark.parametrize("n", [40, 800], ids=["dense-rung", "woodbury-rung"])
+def test_run_replication_passes_over_the_gram_twice(monkeypatch, n):
+    # One product with K in the auxiliary fit (K w~) and one in the ridge
+    # solve's residual check (K [w, v]), whose result is reused: every
+    # distance, the objective and the bridge come from those two.
+    continuous_solution(CANON, 0.2)
+    orig = exp.gram
+    monkeypatch.setattr(exp, "gram", lambda spec, xs: orig(spec, xs).view(_CountingGram))
+    monkeypatch.setattr(_CountingGram, "matmuls", 0)
+    run_replication(CANON, n, 0.2, 3)
+    assert _CountingGram.matmuls == 2
 
 
 def test_run_replication_at_large_n_holds_one_n_by_n_array():
@@ -362,6 +419,24 @@ def test_weak_consistency_fractions_nonincreasing():
     # Any iterable of sample sizes works, a numpy array included.
     _, fractions = weak_consistency_fractions(rate_scenario(), np.array([20, 40]), R=2)
     assert len(fractions) == 2
+    with pytest.raises(ValueError, match="R must be at least 1"):
+        weak_consistency_fractions(rate_scenario(), [20], R=0)
+
+
+@pytest.mark.parametrize("failing_n", [20, 40])
+def test_weak_consistency_fractions_names_an_n_without_successes(monkeypatch, failing_n):
+    # With every replication at one n failed there is no fraction (nor,
+    # at the first n, a level eps) to report.
+    orig = exp.run_replication
+
+    def failing_at(scenario, n, lam, index):
+        if n == failing_n:
+            raise NotPositiveDefiniteError("synthetic failure")
+        return orig(scenario, n, lam, index)
+
+    monkeypatch.setattr(exp, "run_replication", failing_at)
+    with pytest.raises(RuntimeError, match=f"n={failing_n}: none of 3 replications succeeded"):
+        weak_consistency_fractions(rate_scenario(), [20, 40], R=3)
 
 
 def test_continuous_solution_is_cached():

@@ -158,11 +158,11 @@ class _WideNoise:
     def __init__(self, rng):
         self.rng = rng
 
-    def uniform(self, *args, **kwargs):
-        return self.rng.uniform(*args, **kwargs)
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
 
-    def normal(self, loc, scale):
-        return self.rng.normal(loc, 1.5 * np.asarray(scale))
+    def normal(self, loc, scale, size=None):
+        return self.rng.normal(loc, 1.5 * np.asarray(scale), size)
 
 
 def _noise_scaled(monkeypatch):
