@@ -109,15 +109,15 @@ def bridge_distance_sq(aux: AuxiliaryFit) -> float:
 
     Evaluated without fitting the ridge estimator, through the exact
     identity
-        ||fhat - f~||_k^2 = (1/n) r' (lam + K/n)^-1 (K/n) (lam + K/n)^-1 r
+        ||fhat - f~||_k^2 = u' K u,  u = (K + n*lam*I)^-1 r,
     in the dataset's Gram matrix K, built with the auxiliary fit's
-    kernel, and the auxiliary residuals r.
+    kernel, and the auxiliary residuals r: u is the coefficient vector
+    of fhat - f~.
     """
     data = aux.dataset
-    n = data.n
     K = gram(aux.tilde.kernel, data.xs)
-    v = _ridge_factor(K, aux.lam).solve(aux.residuals)
-    return _clamp_nonneg(float(v @ K @ v) / n**2)
+    u = _ridge_factor(K, data.n * aux.lam).solve(aux.residuals)
+    return _clamp_nonneg(float(u @ K @ u))
 
 
 def theoretical_tilde_risk(

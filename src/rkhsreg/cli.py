@@ -147,7 +147,7 @@ def _build(cls: type, obj: object, path: str) -> object:
 
     Unknown keys, missing required fields and mistyped values are
     reported here; value checks belong to cls, whose ConfigError gets
-    the block path as prefix and whose other ValueErrors name the block.
+    the block path as prefix.
     """
     block = path or "<root>"
     if not isinstance(obj, dict):
@@ -168,8 +168,6 @@ def _build(cls: type, obj: object, path: str) -> object:
         return cls(**values)
     except ConfigError as exc:
         raise ConfigError(prefix + exc.path, exc.message) from exc
-    except ValueError as exc:
-        raise ConfigError(block, str(exc)) from exc
 
 
 def parse_config(obj: object) -> RunConfig:

@@ -3,10 +3,10 @@
 Functions f are represented as finite kernel expansions
 f(x) = sum_i a_i k(x, c_i). The ridge fit minimizes the penalized
 empirical risk (1/n) sum_i (f_i - f(X_i))^2 + lam * ||f||_k^2; its
-weights solve (lam*I + K/n) w = f and the stored coefficients are
-a_i = w_i / n, so no separate 1/n factor travels with the object.
-The Gaussian-process posterior mean with noise variance lam_gp = n*lam
-is the same function, and its posterior variance provides pointwise
+coefficients solve (K + n*lam*I) a = f. That is the Gaussian-process
+posterior mean with noise variance lam_gp = n*lam, so the ridge fit and
+the posterior band factor the same kind of system, K + shift*I
+(_ridge_factor), and the posterior variance provides pointwise
 uncertainty bands.
 
 An expansion carries its kernel, so evaluate_batch, rkhs_norm_sq and
@@ -121,42 +121,34 @@ LOW_RANK_MIN_RATIO = 10
 LOW_RANK_CAP = 2
 
 
-def _low_rank_gram(
-    K: NDArray[np.float64], shift: float, grid_rank: int | None
-) -> NDArray[np.float64] | None:
-    """The low_rank form K ~ L L' that SpdFactor(K, shift, ...) starts from, or None.
+def _ridge_factor(
+    K: NDArray[np.float64], shift: float, grid_rank: int | None = None
+) -> SpdFactor:
+    """Factors K + shift*I for a symmetric n x n Gram K.
 
-    Given the rank r of the kernel's grid operator, shift > 0 and
-    n >= LOW_RANK_MIN_RATIO * r, L is the pivoted Cholesky of K capped
-    at LOW_RANK_CAP * r columns (None past the cap); otherwise None, and
-    the factor is dense. The ridge system and the GP band share this rule.
+    The ridge system (shift = n*lam: fit_ridge, bridge_distance_sq,
+    run_replication) and the GP band (shift = lam_gp) are all factored
+    here. Given the rank r of the kernel's grid operator, shift > 0 and
+    n >= LOW_RANK_MIN_RATIO * r, the factor starts on the Woodbury rung
+    from the pivoted Cholesky K ~ L L', capped at LOW_RANK_CAP * r
+    columns, which factors only an r x r matrix and never forms
+    K + shift*I; otherwise, or past the cap, it is the dense Cholesky.
+    Either way every solve is checked against K + shift*I itself.
     """
     n = K.shape[0]
-    if grid_rank is None or not shift > 0 or n < LOW_RANK_MIN_RATIO * grid_rank:
-        return None
-    return pivoted_cholesky(K, max_rank=LOW_RANK_CAP * grid_rank)
-
-
-def _ridge_factor(K: NDArray[np.float64], lam: float, grid_rank: int | None = None) -> SpdFactor:
-    """Factors the ridge system lam*I + K/n of a symmetric n x n Gram K.
-
-    fit_ridge, bridge_distance_sq and run_replication all solve this
-    system; factoring it here keeps one definition of it. When
-    _low_rank_gram gives K ~ L L', the factor starts on the Woodbury
-    rung (lam*I + L L'/n)^-1 B = (B - L (n*lam*I_r + L'L)^-1 L'B) / lam,
-    which never forms lam*I + K/n; otherwise it is the dense Cholesky.
-    Either way every solve is checked against lam*I + K/n itself.
-    """
-    return SpdFactor(K, shift=lam, divisor=K.shape[0], low_rank=_low_rank_gram(K, lam, grid_rank))
+    low_rank = None
+    if grid_rank is not None and shift > 0 and n >= LOW_RANK_MIN_RATIO * grid_rank:
+        low_rank = pivoted_cholesky(K, max_rank=LOW_RANK_CAP * grid_rank)
+    return SpdFactor(K, shift=shift, low_rank=low_rank)
 
 
 def fit_ridge(kernel: KernelSpec, data: Dataset, lam: float) -> KernelExpansion:
     """Fits the regularized kernel regressor.
 
-    Solves (lam*I + K/n) w = f and returns the expansion with
-    coefficients w/n centered at the data points. lam = 0 is allowed
-    and interpolates the data when the Cholesky factor of K/n exists
-    and its solution passes the residual check; otherwise it raises
+    Solves (K + n*lam*I) a = f and returns the expansion with
+    coefficients a centered at the data points. lam = 0 is allowed and
+    interpolates the data when the Cholesky factor of K exists and its
+    solution passes the residual check; otherwise it raises
     NotPositiveDefiniteError.
 
     Args:
@@ -169,8 +161,8 @@ def fit_ridge(kernel: KernelSpec, data: Dataset, lam: float) -> KernelExpansion:
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    w = _ridge_factor(gram(kernel, data.xs), lam).solve(data.fs)
-    return KernelExpansion(kernel, data.xs, w / data.n)
+    a = _ridge_factor(gram(kernel, data.xs), data.n * lam).solve(data.fs)
+    return KernelExpansion(kernel, data.xs, a)
 
 
 def evaluate_batch(f: KernelExpansion, xs: object) -> NDArray[np.float64]:
@@ -217,20 +209,18 @@ def gp_posterior_band(
     The mean is k(x,X) (K + lam_gp*I)^-1 f, which with lam_gp = n*lam
     equals the fit_ridge prediction at x; the variance is
     k(x,x) - k(x,X) (K + lam_gp*I)^-1 k(X,x), clamped at zero against
-    roundoff. Both come from one SpdFactor(K, shift=lam_gp) and one
-    solve against [f | k(X, x)]. Given grid_rank, the rank r of the
-    kernel's grid operator, the factor follows the ridge system's
-    low-rank rule (_low_rank_gram): at n >= LOW_RANK_MIN_RATIO * r it
-    is a Woodbury solve that factors only an r x r matrix. Every column
-    is still checked against the full K + lam_gp*I.
+    roundoff. Both come from one _ridge_factor(K, lam_gp, grid_rank)
+    and one solve against [f | k(X, x)]: given grid_rank, the rank r of
+    the kernel's grid operator, at n >= LOW_RANK_MIN_RATIO * r it is a
+    Woodbury solve that factors only an r x r matrix. Every column is
+    still checked against the full K + lam_gp*I.
     """
     if not lam_gp > 0:
         raise ValueError("lam_gp must be positive")
     pts = as_points(xs, kernel.dim)
     K = gram(kernel, data.xs)
     Kxn = cross_gram(kernel, pts, data.xs)
-    factor = SpdFactor(K, shift=lam_gp, low_rank=_low_rank_gram(K, lam_gp, grid_rank))
-    X = factor.solve(np.column_stack([data.fs, Kxn.T]))
+    X = _ridge_factor(K, lam_gp, grid_rank).solve(np.column_stack([data.fs, Kxn.T]))
     mean = Kxn @ X[:, 0]
     # k(x, x) = 1 for every built-in family.
     var = 1.0 - np.sum(Kxn * X[:, 1:].T, axis=1)

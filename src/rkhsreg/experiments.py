@@ -133,7 +133,7 @@ class ScenarioSpec:
         if self.base_seed < 0 or self.base_seed >= 2**64:
             raise ConfigError("base_seed", "must fit in 64 unsigned bits")
         if self.kernel.dim != self.design.dim:
-            raise ValueError("kernel dim and design measure dim differ")
+            raise ConfigError("kernel.dim", f"differs from the design's dim {self.design.dim}")
         # The affine profile is linear in x1, and the evaluation grid holds the support's ends.
         if np.any(self.noise.std_at(self.design.eval_grid) < 0):
             raise ConfigError("noise.family", "the noise profile is negative on the design support")
@@ -367,23 +367,22 @@ def run_replication(
     data come from one two-column product with the grid operator's
     kernel rows (GridOperator.at_points), the ridge fit is evaluated on
     the product sup-norm grid from per-factor rows too
-    (GridOperator.on_product), and lam*I + K/n is factored once
+    (GridOperator.on_product), and K + n*lam*I is factored once
     without being formed on the low-rank path (_ridge_factor; the
-    dense path forms it). The
-    auxiliary fit comes first (with its residual-formula check), since
-    its residuals r = f - (lam*I + K/n) w~ need only the data and
-    f_lambda; it also hands back f~ at the data, K t for its
-    coefficients t = w~/n. One two-column solve against [f | r] gives
-    the ridge weights w (coefficients a = w/n) and the bridge vector
-    v = (lam*I + K/n)^-1 r, and with them the product (K [w, v])/n that
-    the solve's residual check formed: K a and K v / n. So K is passed
+    dense path forms it). The auxiliary fit comes first (with its
+    residual-formula check), since its residuals
+    r = f - (K + n*lam*I) t, t = w~/n its coefficients, need only the
+    data and f_lambda; it also hands back f~ at the data, K t. One
+    two-column solve [a | u] = (K + n*lam*I)^-1 [f | r] gives the ridge
+    coefficients a and the bridge vector u, and with them the product
+    K [a | u] that the solve's residual check formed. So K is passed
     over twice, once by the auxiliary fit and once by the check, and no
     further product with K is formed: K a, K t, K (a - t) = K a - K t
-    and K v give every squared RKHS distance, the empirical objective
-    and the residual-bridge identity ||fhat - f~||^2 = v'Kv/n^2, whose
+    and K u give every squared RKHS distance, the empirical objective
+    and the residual-bridge identity ||fhat - f~||^2 = u'Ku, whose
     two sides come from different passes. The bridge stays a real check
     of the shared factor: r is formed from K itself, so a factor of any
-    other matrix leaves v apart from n(a - t).
+    other matrix leaves u apart from a - t.
 
     Three bounds are checked: the ball bound lam ||fhat||^2 <= mean f^2,
     the residual bound ||fhat - f~||^2 <= ||r||^2 / (4 lam n), and the
@@ -410,15 +409,14 @@ def run_replication(
 
     aux = fit_auxiliary(data, lctx.flam, lam, gram_matrix=K, flambda_at_xs=projl)
     # K is exactly symmetric by construction, so no symmetry pass is made.
-    wv, Kwv_n = _ridge_factor(K, lam, dctx.op.rank).solve_with_product(
+    au, Kau = _ridge_factor(K, n * lam, dctx.op.rank).solve_with_product(
         np.column_stack([data.fs, aux.residuals])
     )
-    a = wv[:, 0] / n
-    v = wv[:, 1]
+    a, u = au.T
     t = aux.tilde.coeffs
     d = a - t
-    # (K w)/n = K a and (K v)/n from the solve's check, (K w~)/n = K t from the auxiliary fit.
-    Ka, Kv_n = Kwv_n.T
+    # K a and K u from the solve's check, K t from the auxiliary fit.
+    Ka, Ku = Kau.T
     Kt = aux.tilde_at_xs
     Kd = Ka - Kt
     aKa = float(a @ Ka)
@@ -430,7 +428,7 @@ def run_replication(
     dist_tilde_flambda_sq = _clamp_nonneg(float(t @ Kt) - 2.0 * float(t @ projl) + norm_flam_sq)
     dist_hat_tilde_sq = _clamp_nonneg(float(d @ Kd))
 
-    bridge = _clamp_nonneg(float(v @ Kv_n) / n)
+    bridge = _clamp_nonneg(float(u @ Ku))
     if abs(bridge - dist_hat_tilde_sq) > 1e-8 * (1.0 + dist_hat_tilde_sq):
         raise ArithmeticError(
             f"residual bridge identity violated: {bridge} vs {dist_hat_tilde_sq}"

@@ -93,23 +93,26 @@ class DesignMeasure:
         object.__setattr__(self, "high", high)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "scale", float(self.scale))
-        if not np.all(np.isfinite(low + high + center + (self.scale,))):
-            raise ValueError("design measure coordinates and scale must be finite")
+        coords = {"low": low, "high": high, "center": center}
+        for name, value in (*coords.items(), ("scale", (self.scale,))):
+            if not np.all(np.isfinite(value)):
+                raise ConfigError(name, "must be finite")
         if kind == "uniform":
             if not 1 <= len(low) <= MAX_UNIFORM_DIM:
                 raise ConfigError("low", f"a uniform box has 1 to {MAX_UNIFORM_DIM} dimensions")
             if len(low) != len(high):
-                raise ValueError("uniform measure needs low and high of the same dimension")
+                raise ConfigError("high", f"must have the {len(low)} coordinates of low")
             # sample draws low + (high - low) * U, so each width must be finite too.
             if not all(0.0 < h - l < np.inf for l, h in zip(low, high)):
-                raise ValueError("uniform measure needs low < high per coordinate")
+                raise ConfigError("high", "must exceed low in every coordinate by a finite width")
         if kind == "truncated_gaussian":
-            if len(low) != 1 or len(high) != 1 or len(center) != 1:
-                raise ValueError("truncated_gaussian is one-dimensional")
+            for name, value in coords.items():
+                if len(value) != 1:
+                    raise ConfigError(name, "a truncated Gaussian is one-dimensional")
             if not self.scale > 0:
-                raise ValueError("truncated_gaussian needs positive scale")
+                raise ConfigError("scale", "must be positive")
             if high[0] <= low[0]:
-                raise ValueError("truncated_gaussian needs low < high")
+                raise ConfigError("high", "must exceed low")
 
     @property
     def dim(self) -> int:

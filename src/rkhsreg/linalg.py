@@ -2,29 +2,28 @@
 eigendecomposition, and Loewner order comparisons.
 
 These primitives back every regularized fit in the package and the
-randomized matrix-inequality suites: (lam*I + K)^-1 applications via
+randomized matrix-inequality suites: (K + shift*I)^-1 applications via
 one Cholesky factor, and the bound (lam+K)^-1 K (lam+K)^-1 <= 1/(4*lam)
 checked in the Loewner order. This module holds every factorization the
 package makes.
 
-An SpdFactor holds one factorization of A = shift*I + K/divisor and
-serves every solve against it, so a caller that needs several
-right-hand sides factors once. Given a low-rank form K ~ L L' (L of
-shape n x r), it is first the Woodbury form
-A^-1 B ~ (B - U (shift*I_r + U'U)^-1 U'B) / shift with U = L/sqrt(divisor),
+An SpdFactor holds one factorization of A = K + shift*I and serves
+every solve against it, so a caller that needs several right-hand
+sides factors once. Given a low-rank form K ~ L L' (L of shape n x r),
+it is first the Woodbury form
+A^-1 B ~ (B - L (shift*I_r + L'L)^-1 L'B) / shift,
 which factors only the r x r matrix and never forms A; otherwise, or
 once a Woodbury solution fails its check, it is the dense Cholesky
 factor of A. Both rungs solve through LAPACK's dpotrs on a
 scipy.linalg.cho_factor factor. Every solution is checked against A, as
-shift*X + (K X)/divisor, and solve_with_product hands back the
-(K X)/divisor that this check forms, so a caller that needs K X makes
-no second pass over K. A ridge system with shift = lam > 0 has
-smallest eigenvalue at least lam, so the dense factor exists; a
-singular or indefinite A raises NotPositiveDefiniteError. solve_spd is
-the checked public entry: it verifies symmetry and then factors and
-solves once. Callers that build their matrix symmetric themselves
-(every Gram in the package is exactly symmetric) construct an SpdFactor
-directly and skip that O(n^2) pass.
+K X + shift*X, and solve_with_product hands back the K X that this
+check forms, so a caller that needs K X makes no second pass over K. A
+ridge system with shift > 0 has smallest eigenvalue at least shift, so
+the dense factor exists; a singular or indefinite A raises
+NotPositiveDefiniteError. solve_spd is the checked public entry: it
+verifies symmetry and then factors and solves once. Callers that build
+their matrix symmetric themselves (every Gram in the package is exactly
+symmetric) construct an SpdFactor directly and skip that O(n^2) pass.
 
 pivoted_cholesky(A, max_rank) gives the ridge factor's low-rank form
 A ~ L L' with L of shape n x r: a greedy loop stopped when the largest
@@ -63,20 +62,19 @@ def _check_symmetric(A: NDArray[np.float64], name: str) -> NDArray[np.float64]:
 
 
 class SpdFactor:
-    """Factorization of the symmetric positive definite A = shift*I + K/divisor.
+    """Factorization of the symmetric positive definite A = K + shift*I.
 
-    K is symmetric n x n (the default shift 0 and divisor 1 factor K
-    itself) and is never written to. A is factored at construction.
-    Given low_rank = L with K ~ L L', the factor is the Woodbury form,
-    which factors only the r x r matrix shift*I_r + U'U,
-    U = L/sqrt(divisor), and holds no n x n array but K. Otherwise, or
-    once a Woodbury solve fails its check, it is one dense Cholesky
-    factor of A, formed in a fresh array that the factorization
+    K is symmetric n x n (the default shift 0 factors K itself) and is
+    never written to. A is factored at construction. Given low_rank = L
+    with K ~ L L', the factor is the Woodbury form, which factors only
+    the r x r matrix shift*I_r + L'L and holds no n x n array but K.
+    Otherwise, or once a Woodbury solve fails its check, it is one dense
+    Cholesky factor of A, formed in a fresh array that the factorization
     overwrites. Each solve checks every column of its solution against
-    A, ||A x_j - b_j|| <= 1e-8 ||b_j||, which takes one pass over K
-    for (K X)/divisor; solve_with_product hands that product back with
-    X, and solve drops it. K is taken as symmetric; solve_spd checks
-    that for matrices the caller did not build.
+    A, ||A x_j - b_j|| <= 1e-8 ||b_j||, which takes one pass over K for
+    K X; solve_with_product hands that product back with X, and solve
+    drops it. K is taken as symmetric; solve_spd checks that for
+    matrices the caller did not build.
 
     Raises:
         NotPositiveDefiniteError: At construction or in solve, when the
@@ -87,26 +85,24 @@ class SpdFactor:
         self,
         K: NDArray[np.float64],
         shift: float = 0.0,
-        divisor: float = 1.0,
         low_rank: NDArray[np.float64] | None = None,
     ):
         self.gram = K
         self.shift = shift
-        self.divisor = divisor
         self._woodbury = None
         if low_rank is not None:
-            U = low_rank / np.sqrt(divisor)
-            inner = U.T @ U
+            inner = low_rank.T @ low_rank
             inner.flat[:: inner.shape[0] + 1] += shift
             with contextlib.suppress(np.linalg.LinAlgError):
-                self._woodbury = (U, scipy.linalg.cho_factor(inner, lower=True, check_finite=False))
+                factor = scipy.linalg.cho_factor(inner, lower=True, check_finite=False)
+                self._woodbury = (low_rank, factor)
         if self._woodbury is None:
             self._factor_dense()
 
     def _factor_dense(self) -> None:
         """Replaces the factor by the dense Cholesky factor of A."""
         # Fortran order lets cho_factor factor A in place.
-        A = np.divide(self.gram, self.divisor, order="F")
+        A = np.array(self.gram, order="F")
         A.flat[:: A.shape[0] + 1] += self.shift
         try:
             # Called through the module attribute so a wrapper installed
@@ -119,19 +115,19 @@ class SpdFactor:
     def _apply(self, B: NDArray[np.float64]) -> NDArray[np.float64]:
         """The current factor's approximation of A^-1 B."""
         if self._woodbury is not None:
-            U, inner = self._woodbury
-            return (B - U @ _cho_solve(inner, U.T @ B)) / self.shift
+            L, inner = self._woodbury
+            return (B - L @ _cho_solve(inner, L.T @ B)) / self.shift
         return _cho_solve(self._cho, B)
 
     def solve_with_product(
         self, B: NDArray[np.float64]
     ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """Solves A X = B; returns X and (K X)/divisor, the product its check formed.
+        """Solves A X = B; returns X and K X, the product its check formed.
 
         B is a vector (n,) or matrix (n, k); both results have its shape.
-        The check forms A X - B as shift*X + (K X)/divisor - B in a
-        separate array, so the product it hands back is the one the
-        accepted solution was checked with, from the same pass over K.
+        The check forms A X - B as K X + shift*X - B in a separate
+        array, so the product it hands back is the one the accepted
+        solution was checked with, from the same pass over K.
 
         Raises:
             ValueError: If B's leading dimension is not n.
@@ -148,7 +144,6 @@ class SpdFactor:
             # (X' K)' is K X since K is symmetric: OpenBLAS multiplies a
             # few-column X faster from that side.
             KX = (X.T @ self.gram).T
-            KX /= self.divisor
             residual = self.shift * X
             residual += KX
             residual -= B
@@ -210,7 +205,8 @@ def pivoted_cholesky(A: NDArray[np.float64], max_rank: int) -> NDArray[np.float6
     for k in range(n):
         p = int(np.argmax(diag))
         if diag[p] <= tol:
-            return Lt[:k].T
+            # A copy: an SpdFactor keeps L, and a view would keep all max_rank rows.
+            return Lt[:k].copy().T
         if k == max_rank:
             return None
         row = (A[p] - Lt[:k, p] @ Lt[:k]) / np.sqrt(diag[p])

@@ -122,6 +122,13 @@ def test_parse_config_field_paths():
         ({**good, "lambda_rule": {"kind": "fixed"}}, "lambda_rule.value"),
         ({**good, "lambda_rule": {"kind": "power_law"}}, "lambda_rule.alpha"),
         (scenario(kernel={}), "scenario.kernel.family"),
+        # value checks across fields name the field they reject
+        (scenario(design={**design, "low": 1.0, "high": 0.5}), "scenario.design.high"),
+        (scenario(design={**design, "low": [0.0, 0.0]}), "scenario.design.high"),
+        (scenario(design={**tg, "low": [0.0, 0.0]}), "scenario.design.low"),
+        (scenario(design={**tg, "scale": 0.0}), "scenario.design.scale"),
+        (scenario(design={**tg, "low": 1.0, "high": 0.5}), "scenario.design.high"),
+        (scenario(kernel={"family": "gaussian", "dim": 2}), "scenario.kernel.dim"),
     ]
     for broken, expected_path in cases:
         with pytest.raises(ConfigError) as excinfo:
@@ -330,7 +337,7 @@ class _SharedShift:
     """A ridge factor whose solve adds c times one column to every column.
 
     The ridge weights and the bridge vector shift by the same vector, so
-    v = n(a - t) and the residual-bridge identity still hold; only the
+    u = a - t and the residual-bridge identity still hold; only the
     ball and residual bounds can see the corrupted fit. The product
     handed back with the solution shifts with it, as the product of the
     corrupted columns.

@@ -289,7 +289,7 @@ def _diagonal_shifts(tree: ast.Module) -> list[str]:
 
 
 def test_only_linalg_shifts_a_diagonal():
-    # Every ridge or GP system lam*I + K/divisor is formed inside
+    # Every ridge or GP system K + shift*I is formed inside
     # linalg.SpdFactor, which checks each solve against it and may skip
     # forming it (the Woodbury rung). A diagonal shifted anywhere else is
     # a second copy of such a system.
@@ -307,6 +307,37 @@ def test_only_linalg_shifts_a_diagonal():
         for site in _diagonal_shifts(_parse(path))
     ]
     assert sites == []
+
+
+def _spd_factor_callers(tree: ast.Module) -> list[str]:
+    """The function around each SpdFactor(...) call, with the call's line."""
+    sites = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called == "SpdFactor":
+                    sites.append(f"{scope.name}:{node.lineno}")
+    return sites
+
+
+def test_only_the_ridge_factor_builds_an_spd_factor():
+    # The ridge fit, the residual bridge, the replication's two-column
+    # solve and the GP band all factor K + shift*I through
+    # estimator._ridge_factor, which holds the low-rank rule; solve_spd
+    # and sandwich factor general matrices. An SpdFactor built anywhere
+    # else is a second copy of that rule.
+    assert _spd_factor_callers(ast.parse("def f(K):\n    return linalg.SpdFactor(K)")) == ["f:2"]
+    assert not _spd_factor_callers(ast.parse("def f(K):\n    return SpdFactor"))
+    allowed = {"estimator.py": ["_ridge_factor"], "linalg.py": ["sandwich", "solve_spd"]}
+    callers = {
+        path.name: sorted(site.split(":")[0] for site in _spd_factor_callers(_parse(path)))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    assert {name: sites for name, sites in callers.items() if sites} == allowed
 
 
 def _scipy_imports_beyond_linalg(tree: ast.Module) -> list[str]:
