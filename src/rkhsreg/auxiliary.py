@@ -39,43 +39,33 @@ RESIDUAL_AGREEMENT_TOL = 1e-9
 class AuxiliaryFit:
     """The auxiliary estimator with its weights and residuals.
 
-    tilde holds coefficients w~_i / n; tilde_at_xs holds the auxiliary
-    fit at the data, f~(X_i) = (1/n) sum_j k(X_i, X_j) w~_j, the product
-    with the data's Gram that the residuals are formed from; residuals
-    holds r_i = f_i - lam * w~_i - f~(X_i).
+    tilde holds coefficients w~_i / n; residuals holds
+    r_i = f_i - lam * w~_i - f~(X_i), with the auxiliary fit at the data
+    f~(X_i) = (1/n) sum_j k(X_i, X_j) w~_j.
     """
 
     tilde: KernelExpansion
     tilde_w: NDArray[np.float64]
-    tilde_at_xs: NDArray[np.float64]
     residuals: NDArray[np.float64]
     dataset: Dataset
     lam: float
 
     def __post_init__(self) -> None:
-        for name in ("tilde_w", "tilde_at_xs", "residuals"):
+        for name in ("tilde_w", "residuals"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
 
-def fit_auxiliary(
-    data: Dataset,
-    flambda: KernelExpansion,
-    lam: float,
-    *,
-    gram_matrix: NDArray[np.float64] | None = None,
-    flambda_at_xs: NDArray[np.float64] | None = None,
-) -> AuxiliaryFit:
+def fit_auxiliary(data: Dataset, flambda: KernelExpansion, lam: float) -> AuxiliaryFit:
     """Builds the auxiliary estimator from data and the continuous target.
 
-    The auxiliary expansion uses flambda's kernel.
+    The auxiliary expansion uses flambda's kernel; its weights and
+    residuals come from auxiliary_residuals.
 
     Args:
         data: Observations.
         flambda: The continuous-problem target as a kernel expansion.
         lam: Regularization weight; must be positive (the weights divide
             by it).
-        gram_matrix: Optional precomputed gram(flambda.kernel, data.xs).
-        flambda_at_xs: Optional precomputed flambda values at data.xs.
 
     Returns:
         The AuxiliaryFit.
@@ -86,22 +76,44 @@ def fit_auxiliary(
     """
     if not lam > 0:
         raise ValueError("lam must be positive: the auxiliary weights divide by it")
-    n = data.n
-    fl = evaluate_batch(flambda, data.xs) if flambda_at_xs is None else np.asarray(flambda_at_xs)
-    tilde_w = (data.fs - fl) / lam
-    K = gram(flambda.kernel, data.xs) if gram_matrix is None else gram_matrix
-    smooth = (K @ tilde_w) / n
-    residuals = data.fs - lam * tilde_w - smooth
-    lemma_form = fl - smooth
-    gap = float(np.max(np.abs(residuals - lemma_form)))
-    if gap > RESIDUAL_AGREEMENT_TOL * (1.0 + float(np.max(np.abs(data.fs)))):
-        raise ArithmeticError(f"residual formulas disagree by {gap:.3e}")
-    coeffs = tilde_w / n
+    fl = evaluate_batch(flambda, data.xs)
+    K = gram(flambda.kernel, data.xs)
+    tilde_w, _, residuals = auxiliary_residuals(data.fs, fl, K, lam)
+    coeffs = tilde_w / data.n
     # Arrays made here are frozen rather than copied by the constructors.
-    for own in (tilde_w, smooth, residuals, coeffs):
+    for own in (tilde_w, residuals, coeffs):
         own.flags.writeable = False
     tilde = KernelExpansion(flambda.kernel, data.xs, coeffs)
-    return AuxiliaryFit(tilde, tilde_w, smooth, residuals, data, lam)
+    return AuxiliaryFit(tilde, tilde_w, residuals, data, lam)
+
+
+def auxiliary_residuals(
+    fs: NDArray[np.float64],
+    flambda_at_xs: NDArray[np.float64],
+    K: NDArray[np.float64],
+    lam: float,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """The auxiliary weights, fit and residuals of a dataset, or of a stack of datasets.
+
+    fs and flambda_at_xs are (n,) with the data's Gram K (n, n), or
+    (B, n) with a stack of Grams (B, n, n). Returns (w~, f~(X), r) with
+    w~ = (f - f_lambda(X)) / lam, f~(X) = K w~ / n from one product with
+    K, and r = f - lam * w~ - f~(X), each of the input's shape. r is
+    checked against the lemma form f_lambda(X) - f~(X) for every dataset.
+
+    Raises:
+        ArithmeticError: If the two residual formulas disagree for a
+            dataset, naming the gap of the first such dataset.
+    """
+    n = fs.shape[-1]
+    tilde_w = (fs - flambda_at_xs) / lam
+    smooth = (K @ tilde_w[..., None])[..., 0] / n
+    residuals = fs - lam * tilde_w - smooth
+    gap = np.max(np.abs(residuals - (flambda_at_xs - smooth)), axis=-1)
+    broken = gap > RESIDUAL_AGREEMENT_TOL * (1.0 + np.max(np.abs(fs), axis=-1))
+    if np.any(broken):
+        raise ArithmeticError(f"residual formulas disagree by {gap[broken][0]:.3e}")
+    return tilde_w, smooth, residuals
 
 
 def bridge_distance_sq(aux: AuxiliaryFit) -> float:

@@ -54,23 +54,31 @@ class LambdaRule:
     """Regularization schedule: fixed lam or the power law C * n^(-alpha).
 
     "fixed" needs value; "power_law" needs alpha, and coefficient
-    defaults to 1.
+    defaults to 1. Neither kind takes the other's fields: a run would
+    ignore them, and results.json would not record them.
     """
 
     kind: str
     value: float | None = None
-    coefficient: float = 1.0
+    coefficient: float | None = None
     alpha: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "fixed":
+            for name in ("coefficient", "alpha"):
+                if getattr(self, name) is not None:
+                    raise ConfigError(name, "not a field of a fixed rule")
             if self.value is None:
                 raise ConfigError("value", "missing required field")
             if not self.value > 0:
                 raise ConfigError("value", "must be positive")
         elif self.kind == "power_law":
+            if self.value is not None:
+                raise ConfigError("value", "not a field of a power_law rule")
             if self.alpha is None:
                 raise ConfigError("alpha", "missing required field")
+            if self.coefficient is None:
+                object.__setattr__(self, "coefficient", 1.0)
             if not self.coefficient > 0:
                 raise ConfigError("coefficient", "must be positive")
             if not 0.0 < self.alpha <= 1.0:
@@ -106,6 +114,10 @@ class RunConfig:
         for i, n in enumerate(self.ns):
             if n < 1:
                 raise ConfigError(f"ns[{i}]", "expected a positive integer")
+            # A repeated n reruns the same replication streams and has no rate to fit.
+            if i and n <= self.ns[i - 1]:
+                raise ConfigError(f"ns[{i}]", f"must exceed ns[{i - 1}] = {self.ns[i - 1]}; "
+                                  "ns is strictly increasing")
         if self.R < 2:
             raise ConfigError("R", "must be at least 2")
 

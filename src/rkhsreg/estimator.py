@@ -27,18 +27,19 @@ from .linalg import SpdFactor, pivoted_cholesky
 NORM_CLAMP_TOL = 1e-10
 
 
-def _clamp_nonneg(value: float) -> float:
-    """Rounds tiny negative quadratic forms up to zero.
+def _clamp_nonneg(value: float | NDArray[np.float64]) -> float | NDArray[np.float64]:
+    """Rounds tiny negative quadratic forms up to zero: one float, or an array of them.
 
     Values below -NORM_CLAMP_TOL indicate a genuine positive-semidefiniteness
     violation and raise ArithmeticError, like every other broken
-    identity, instead of being hidden.
+    identity, instead of being hidden; the message names the smallest.
     """
-    if value >= 0.0:
+    low = np.min(value)
+    if low >= 0.0:
         return value
-    if value >= -NORM_CLAMP_TOL:
-        return 0.0
-    raise ArithmeticError(f"quadratic form is negative beyond roundoff tolerance: {value}")
+    if low >= -NORM_CLAMP_TOL:
+        return np.maximum(value, 0.0) if isinstance(value, np.ndarray) else 0.0
+    raise ArithmeticError(f"quadratic form is negative beyond roundoff tolerance: {low}")
 
 
 def _frozen_array(x: object, dtype=np.float64) -> NDArray[np.float64]:

@@ -5,7 +5,9 @@ A scenario pins the data-generating law: kernel, design measure, a
 target f0 constructed in the range of the kernel operator, and a noise
 model. Replications are keyed by (base_seed, n, lambda-bits,
 replication index) through a splittable seed scheme, so every dataset
-is bit-for-bit reproducible, and replications run in index order. The
+is bit-for-bit reproducible whatever replications it is run beside.
+Replications run in chunks of consecutive indices, each chunk on
+stacked arrays (run_replication), and the chunks in index order. The
 replication driver measures RKHS distances of the ridge and auxiliary
 fits against the continuous target and the empirical objective, and
 stops the run when a deterministic per-sample bound breaks.
@@ -13,14 +15,14 @@ stops the run when a deterministic per-sample bound breaks.
 
 from __future__ import annotations
 
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .auxiliary import fit_auxiliary, theoretical_tilde_risk
+from .auxiliary import auxiliary_residuals, theoretical_tilde_risk
 from .estimator import (
     Dataset,
     KernelExpansion,
@@ -320,34 +322,47 @@ def sample_dataset(
     sweeps that share (n, replication_index).
     """
     dctx = _design_context(scenario)
-    return _sample_at_nodes(scenario, dctx, n, replication_index, lambda_key, dctx.f0.coeffs)[0]
+    (xs, fs), _ = _sample_at_nodes(
+        scenario, dctx, n, [replication_index], lambda_key, dctx.f0.coeffs
+    )
+    return Dataset(xs[0], fs[0])
 
 
 def _sample_at_nodes(
     scenario: ScenarioSpec,
     dctx: _DesignContext,
     n: int,
-    replication_index: int,
+    indices: Sequence[int],
     lambda_key: float | None,
     node_coeffs: NDArray[np.float64],
-) -> tuple[Dataset, NDArray[np.float64]]:
-    """sample_dataset with the node expansions node_coeffs evaluated at the data.
+) -> tuple[tuple[NDArray[np.float64], NDArray[np.float64]], NDArray[np.float64]]:
+    """The datasets of replications indices, with node expansions evaluated at the data.
 
-    dctx is the scenario's design context. node_coeffs holds
-    coefficients on the grid nodes, f0's alone (m,) or f0's in its
-    first column (m, k); the values k(X, nodes) @ node_coeffs come from
-    the grid operator's per-factor kernel rows (GridOperator.at_points)
-    and are returned with the dataset.
+    dctx is the scenario's design context. Each index draws from its own
+    stream (_rng_for), points then noise, so a dataset does not depend
+    on the indices drawn beside it. node_coeffs holds coefficients on
+    the grid nodes, f0's alone (m,) or f0's in its first column (m, k);
+    the values k(X, nodes) @ node_coeffs at every point of every dataset
+    come from one product with the grid operator's per-factor kernel
+    rows (GridOperator.at_points).
+
+    Returns:
+        ((xs, fs), values) with xs (B, n, d), fs (B, n) and values
+        (B, n) or (B, n, k), for B = len(indices).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = _rng_for(scenario, n, lambda_key, replication_index)
-    xs = scenario.design.sample(rng, n)
-    values = dctx.op.at_points(xs, node_coeffs)
-    fs = values.reshape(n, -1)[:, 0] + scenario.noise.sample(rng, xs)
-    # Both arrays are made here: Dataset takes them frozen instead of copying them.
-    xs.flags.writeable = fs.flags.writeable = False
-    return Dataset(xs, fs), values
+    B, d = len(indices), scenario.design.dim
+    xs = np.empty((B, n, d))
+    noise = np.empty((B, n))
+    for b, index in enumerate(indices):
+        rng = _rng_for(scenario, n, lambda_key, index)
+        xs[b] = scenario.design.sample(rng, n)
+        noise[b] = scenario.noise.sample(rng, xs[b])
+    values = dctx.op.at_points(xs.reshape(B * n, d), node_coeffs)
+    values = values.reshape((B, n) + node_coeffs.shape[1:])
+    fs = values.reshape(B, n, -1)[..., 0] + noise
+    return (xs, fs), values
 
 
 # Relative roundoff allowed in each of the three terms of the computed
@@ -356,132 +371,189 @@ def _sample_at_nodes(
 # about n * 1.1e-16 relative (9e-14 at n = 800), so their sum is off by
 # at most CERTIFICATE_RTOL times the sum of their sizes.
 CERTIFICATE_RTOL = 1e-9
+# Data-Gram entries of one chunk of replications: _run_many runs
+# max(1, CHUNK_GRAM_ENTRIES // n^2) replications per run_replication
+# call, 26 at n = 50, 4 at n = 128 and 1 from n = 182 on. The Grams of
+# a chunk of two or more take at most 512 KiB, which fits in L2 cache;
+# at larger n each replication runs alone.
+CHUNK_GRAM_ENTRIES = 2**16
 
 
 def run_replication(
-    scenario: ScenarioSpec, n: int, lam: float, replication_index: int
-) -> ReplicationMetrics:
-    """Runs one replication and measures every tracked quantity.
+    scenario: ScenarioSpec, n: int, lam: float, replication_index: int | Sequence[int]
+) -> ReplicationMetrics | list[ReplicationMetrics | np.linalg.LinAlgError]:
+    """Runs one replication, or a chunk of them, and measures every tracked quantity.
 
-    Holds one n x n array, the data's Gram K: f0 and f_lambda at the
-    data come from one two-column product with the grid operator's
-    kernel rows (GridOperator.at_points), the ridge fit is evaluated on
-    the product sup-norm grid from per-factor rows too
-    (GridOperator.on_product), and K + n*lam*I is factored once
-    without being formed on the low-rank path (_ridge_factor; the
-    dense path forms it). The auxiliary fit comes first (with its
-    residual-formula check), since its residuals
-    r = f - (K + n*lam*I) t, t = w~/n its coefficients, need only the
-    data and f_lambda; it also hands back f~ at the data, K t. One
+    A chunk of B indices at one (n, lam) runs on stacked arrays: one
+    at_points product for f0 and f_lambda at every point
+    (_sample_at_nodes), one (B, n, n) stack of data Grams, one
+    auxiliary_residuals call, one on_product call for the sup-norm grid,
+    and one array operation per metric, clamp and check. Only the factor
+    of K + n*lam*I is made per dataset (_ridge_factor: not formed on the
+    low-rank path, formed on the dense one), so a numerical failure
+    fails its own index alone. The auxiliary fit comes first, since its
+    residuals r = f - (K + n*lam*I) t, t = w~/n its coefficients, need
+    only the data and f_lambda; it also hands back f~ at the data, K t. One
     two-column solve [a | u] = (K + n*lam*I)^-1 [f | r] gives the ridge
     coefficients a and the bridge vector u, and with them the product
-    K [a | u] that the solve's residual check formed. So K is passed
-    over twice, once by the auxiliary fit and once by the check, and no
-    further product with K is formed: K a, K t, K (a - t) = K a - K t
-    and K u give every squared RKHS distance, the empirical objective
-    and the residual-bridge identity ||fhat - f~||^2 = u'Ku, whose
-    two sides come from different passes. The bridge stays a real check
-    of the shared factor: r is formed from K itself, so a factor of any
-    other matrix leaves u apart from a - t.
+    K [a | u] that the solve's residual check formed. So each K is
+    passed over twice, once by the auxiliary fit and once by the check,
+    and no further product with K is formed: K a, K t, K (a - t) =
+    K a - K t and K u give every squared RKHS distance, the empirical
+    objective and the residual-bridge identity ||fhat - f~||^2 = u'Ku,
+    whose two sides come from different passes. The bridge stays a real
+    check of the shared factor: r is formed from K itself, so a factor
+    of any other matrix leaves u apart from a - t.
 
     Three bounds are checked: the ball bound lam ||fhat||^2 <= mean f^2,
     the residual bound ||fhat - f~||^2 <= ||r||^2 / (4 lam n), and the
     sup-norm certificate max_grid |fhat - f_lambda| <= ||fhat - f_lambda||_k,
     which holds because k(x, x) = 1 for every built-in family; its
     right side is widened by the roundoff of the three terms the
-    squared distance is summed from (CERTIFICATE_RTOL).
+    squared distance is summed from (CERTIFICATE_RTOL). When a check
+    breaks anywhere in a chunk, the chunk is run again one index at a
+    time, so the error raised is the one a run in index order raises:
+    the lowest failing index's first broken check.
+
+    Returns:
+        For one index its ReplicationMetrics; for a sequence, a list
+        holding per index its ReplicationMetrics or the
+        np.linalg.LinAlgError (NotPositiveDefiniteError) that failed it.
 
     Raises:
+        np.linalg.LinAlgError: For one index, if its solve fails.
         ArithmeticError: If an identity breaks, or a bound fails beyond
             1e-9 relative and 1e-12 absolute, naming n, the replication
             index and the margin.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
+    single = isinstance(replication_index, (int, np.integer))
+    indices = [replication_index] if single else list(replication_index)
+    try:
+        results = _run_chunk(scenario, n, lam, indices)
+    except ArithmeticError:
+        if len(indices) == 1:
+            raise
+        # One index at a time, the first error raised is the index-order loop's.
+        results = [result for index in indices for result in _run_chunk(scenario, n, lam, [index])]
+    if not single:
+        return results
+    (result,) = results
+    if isinstance(result, np.linalg.LinAlgError):
+        raise result
+    return result
+
+
+def _run_chunk(
+    scenario: ScenarioSpec, n: int, lam: float, indices: list[int]
+) -> list[ReplicationMetrics | np.linalg.LinAlgError]:
+    """run_replication on a chunk of indices, raising the first broken check it meets."""
     dctx = _design_context(scenario)
     lctx = _lambda_context(scenario, lam)
     if lctx.sol.lam != lam:
         raise ArithmeticError(f"f_lambda was solved at lam={lctx.sol.lam!r}, not at lam={lam!r}")
-    kernel = scenario.kernel
-    data, at_xs = _sample_at_nodes(scenario, dctx, n, replication_index, lam, lctx.node_coeffs)
-    proj0, projl = at_xs.T
-    K = gram(kernel, data.xs)
+    (xs, fs), at_xs = _sample_at_nodes(scenario, dctx, n, indices, lam, lctx.node_coeffs)
+    K = gram(scenario.kernel, xs)
+    projl = at_xs[..., 1]
+    tilde_w, Kt, residuals = auxiliary_residuals(fs, projl, K, lam)
 
-    aux = fit_auxiliary(data, lctx.flam, lam, gram_matrix=K, flambda_at_xs=projl)
     # K is exactly symmetric by construction, so no symmetry pass is made.
-    au, Kau = _ridge_factor(K, n * lam, dctx.op.rank).solve_with_product(
-        np.column_stack([data.fs, aux.residuals])
-    )
-    a, u = au.T
-    t = aux.tilde.coeffs
+    rhs = np.stack([fs, residuals], axis=-1)
+    # Solutions are stored transposed, so that a, u, K a and K u are rows.
+    au, Kau = np.empty((2,) + fs.shape), np.empty((2,) + fs.shape)
+    results: list[ReplicationMetrics | np.linalg.LinAlgError | None] = [None] * len(indices)
+    for b in range(len(indices)):
+        try:
+            X, KX = _ridge_factor(K[b], n * lam, dctx.op.rank).solve_with_product(rhs[b])
+        except np.linalg.LinAlgError as exc:
+            results[b] = exc
+        else:
+            au[:, b], Kau[:, b] = X.T, KX.T
+    ok = [b for b, result in enumerate(results) if result is None]
+    if not ok:
+        return results
+    if len(ok) < len(indices):
+        xs, fs, at_xs, tilde_w, Kt, residuals = (
+            x[ok] for x in (xs, fs, at_xs, tilde_w, Kt, residuals)
+        )
+        au, Kau = au[:, ok], Kau[:, ok]
+    proj0, projl = at_xs[..., 0], at_xs[..., 1]
+    a, u = au
+    t = tilde_w / n
     d = a - t
     # K a and K u from the solve's check, K t from the auxiliary fit.
-    Ka, Ku = Kau.T
-    Kt = aux.tilde_at_xs
+    Ka, Ku = Kau
     Kd = Ka - Kt
-    aKa = float(a @ Ka)
-    a_projl = float(a @ projl)
+    aKa = np.vecdot(a, Ka)
+    a_projl = np.vecdot(a, projl)
     norm_flam_sq = lctx.sol.flambda_norm_sq
 
     dist_hat_flambda_sq = _clamp_nonneg(aKa - 2.0 * a_projl + norm_flam_sq)
-    dist_hat_f0_sq = _clamp_nonneg(aKa - 2.0 * float(a @ proj0) + dctx.norm_f0_sq)
-    dist_tilde_flambda_sq = _clamp_nonneg(float(t @ Kt) - 2.0 * float(t @ projl) + norm_flam_sq)
-    dist_hat_tilde_sq = _clamp_nonneg(float(d @ Kd))
+    dist_hat_f0_sq = _clamp_nonneg(aKa - 2.0 * np.vecdot(a, proj0) + dctx.norm_f0_sq)
+    dist_tilde_flambda_sq = _clamp_nonneg(
+        np.vecdot(t, Kt) - 2.0 * np.vecdot(t, projl) + norm_flam_sq
+    )
+    dist_hat_tilde_sq = _clamp_nonneg(np.vecdot(d, Kd))
 
-    bridge = _clamp_nonneg(float(u @ Ku))
-    if abs(bridge - dist_hat_tilde_sq) > 1e-8 * (1.0 + dist_hat_tilde_sq):
+    bridge = _clamp_nonneg(np.vecdot(u, Ku))
+    broken = np.abs(bridge - dist_hat_tilde_sq) > 1e-8 * (1.0 + dist_hat_tilde_sq)
+    if np.any(broken):
+        b = int(np.argmax(broken))
         raise ArithmeticError(
-            f"residual bridge identity violated: {bridge} vs {dist_hat_tilde_sq}"
+            f"residual bridge identity violated: {bridge[b]} vs {dist_hat_tilde_sq[b]}"
         )
 
-    fit_residuals = data.fs - Ka
-    theta_hat = float(fit_residuals @ fit_residuals) / n + lam * aKa
-    sup_gap_hat_flambda = math.sqrt(dist_hat_flambda_sq)
-    fhat_eval = dctx.op.on_product(dctx.eval_points, data.xs, a)
-    sup_gap_grid_max = float(np.max(np.abs(fhat_eval - lctx.flam_eval)))
-    certificate_slack = CERTIFICATE_RTOL * (abs(aKa) + 2.0 * abs(a_projl) + norm_flam_sq)
+    fit_residuals = fs - Ka
+    theta_hat = np.vecdot(fit_residuals, fit_residuals) / n + lam * aKa
+    sup_gap_hat_flambda = np.sqrt(dist_hat_flambda_sq)
+    fhat_eval = dctx.op.on_product(dctx.eval_points, xs, a)
+    sup_gap_grid_max = np.max(np.abs(fhat_eval - lctx.flam_eval), axis=-1)
+    certificate_slack = CERTIFICATE_RTOL * (np.abs(aKa) + 2.0 * np.abs(a_projl) + norm_flam_sq)
     for name, lhs, rhs in (
-        ("ball", lam * aKa, float(data.fs @ data.fs) / n),
-        ("residual", dist_hat_tilde_sq, float(aux.residuals @ aux.residuals) / (4.0 * lam * n)),
-        ("sup-norm", sup_gap_grid_max, math.sqrt(dist_hat_flambda_sq + certificate_slack)),
+        ("ball", lam * aKa, np.vecdot(fs, fs) / n),
+        ("residual", dist_hat_tilde_sq, np.vecdot(residuals, residuals) / (4.0 * lam * n)),
+        ("sup-norm", sup_gap_grid_max, np.sqrt(dist_hat_flambda_sq + certificate_slack)),
     ):
         margin = lhs - rhs * (1.0 + 1e-9) - 1e-12
-        if margin > 0:
+        if np.any(margin > 0):
+            b = int(np.argmax(margin > 0))
             raise ArithmeticError(
-                f"{name} bound violated at n={n}, replication {replication_index}: "
-                f"{lhs!r} exceeds {rhs!r} by {margin:.3e} beyond tolerance"
+                f"{name} bound violated at n={n}, replication {indices[ok[b]]}: "
+                f"{float(lhs[b])!r} exceeds {float(rhs[b])!r} by {margin[b]:.3e} beyond tolerance"
             )
 
-    return ReplicationMetrics(
-        n=n,
-        lam=lam,
-        dist_hat_flambda_sq=dist_hat_flambda_sq,
-        dist_tilde_flambda_sq=dist_tilde_flambda_sq,
-        dist_hat_tilde_sq=dist_hat_tilde_sq,
-        dist_hat_f0_sq=dist_hat_f0_sq,
-        theta_hat=theta_hat,
-        sup_gap_hat_flambda=sup_gap_hat_flambda,
-        sup_gap_grid_max=sup_gap_grid_max,
+    columns = (
+        dist_hat_flambda_sq, dist_tilde_flambda_sq, dist_hat_tilde_sq, dist_hat_f0_sq,
+        theta_hat, sup_gap_hat_flambda, sup_gap_grid_max,
     )
+    for b, values in zip(ok, zip(*(column.tolist() for column in columns))):
+        results[b] = ReplicationMetrics(n, lam, *values)
+    return results
 
 
 def _run_many(
     scenario: ScenarioSpec, n: int, lam: float, R: int
 ) -> tuple[list[ReplicationMetrics], list[int]]:
-    """Runs R replications in index order; returns (successes, failed indices).
+    """Runs R replications in chunks, in index order; returns (successes, failed indices).
 
-    Only numerical failures (np.linalg.LinAlgError, which includes
-    NotPositiveDefiniteError) are counted. An ArithmeticError means a
-    paper identity broke, which is a wiring fault rather than bad luck
-    in the draw, so it propagates and stops the run.
+    Each run_replication call takes the next
+    max(1, CHUNK_GRAM_ENTRIES // n^2) indices. Only numerical failures
+    (np.linalg.LinAlgError, which includes NotPositiveDefiniteError)
+    are counted. An ArithmeticError means a paper identity broke, which
+    is a wiring fault rather than bad luck in the draw, so it propagates
+    and stops the run.
     """
     successes: list[ReplicationMetrics] = []
     failed: list[int] = []
-    for index in range(R):
-        try:
-            successes.append(run_replication(scenario, n, lam, index))
-        except np.linalg.LinAlgError:
-            failed.append(index)
+    size = max(1, CHUNK_GRAM_ENTRIES // max(1, n * n))
+    for start in range(0, R, size):
+        indices = range(start, min(start + size, R))
+        for index, result in zip(indices, run_replication(scenario, n, lam, indices)):
+            if isinstance(result, np.linalg.LinAlgError):
+                failed.append(index)
+            else:
+                successes.append(result)
     return successes, failed
 
 
@@ -533,7 +605,8 @@ def rate_fit(ns: list[int], means: list[float]) -> tuple[float, float]:
     """Least-squares slope and intercept of log(mean) against log(n).
 
     Raises:
-        ValueError: For fewer than 3 points or nonpositive means.
+        ValueError: For fewer than 3 points, a repeated sample size or
+            nonpositive sample sizes or means.
     """
     ns_arr = np.asarray(ns, dtype=np.float64)
     means_arr = np.asarray(means, dtype=np.float64)
@@ -541,6 +614,8 @@ def rate_fit(ns: list[int], means: list[float]) -> tuple[float, float]:
         raise ValueError("rate_fit needs at least 3 matching points")
     if np.any(means_arr <= 0) or np.any(ns_arr <= 0):
         raise ValueError("rate_fit needs positive sample sizes and means")
+    if np.unique(ns_arr).shape[0] < ns_arr.shape[0]:
+        raise ValueError("rate_fit needs distinct sample sizes")
     slope, intercept = np.polyfit(np.log(ns_arr), np.log(means_arr), 1)
     return float(slope), float(intercept)
 

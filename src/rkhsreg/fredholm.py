@@ -375,20 +375,27 @@ class GridOperator:
     ) -> NDArray[np.float64]:
         """k(P, centers) @ coeffs on the product P of point_sets, in itertools.product order.
 
-        point_sets holds one point set P_k per factor (split). With
-        R_k = k_k(P_k, centers) each factor's rows, the values are
+        point_sets holds one point set P_k per factor (split). centers
+        (n, d) with coeffs (n,) give |P| values; a stack of B center sets
+        (B, n, d) with coeffs (B, n) gives (B, |P|), one row per set.
+        With R_k = k_k(P_k, centers) each factor's rows, the values are
         sum_j coeffs_j prod_k R_k[i_k, j]: the rows of all factors but
         the last are multiplied out column by column, and the last
-        factor's rows multiply that through kernel_apply. So
-        sum_k |P_k| * n kernel values are assembled instead of |P| * n;
-        at d = 2 this is R_1 diag(coeffs) R_2'.
+        factor's rows multiply that through kernel_apply, in row blocks.
+        So sum_k |P_k| * n kernel values are assembled per set instead
+        of |P| * n; at d = 2 this is R_1 diag(coeffs) R_2'.
         """
-        outer = coeffs[None, :]
+        outer = coeffs[..., None, :]
         for f, pts in zip(self.factors[:-1], point_sets):
-            rows = cross_gram(f.kernel, pts, centers[:, f.coords])
-            outer = (outer[:, None, :] * rows[None, :, :]).reshape(-1, rows.shape[1])
+            rows = cross_gram(f.kernel, pts, centers[..., f.coords])
+            outer = (outer[..., :, None, :] * rows[..., None, :, :]).reshape(
+                outer.shape[:-2] + (-1, rows.shape[-1])
+            )
         last = self.factors[-1]
-        return kernel_apply(last.kernel, point_sets[-1], centers[:, last.coords], outer.T).T.ravel()
+        values = kernel_apply(
+            last.kernel, point_sets[-1], centers[..., last.coords], outer.swapaxes(-1, -2)
+        )
+        return values.swapaxes(-1, -2).reshape(coeffs.shape[:-1] + (-1,))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,10 @@ never negative: no symmetrizing or clamping pass is needed.
 gram and cross_gram return whole matrices, for callers that keep or
 reuse them. kernel_apply gives k(a, b) @ coeffs for a caller that needs
 only the product: it assembles row blocks of about APPLY_BLOCK_ENTRIES
-kernel values each and never holds the whole cross-Gram.
+kernel values each and never holds the whole cross-Gram. Each of the
+three also takes a stack (B, n, d) of B point sets in place of its last
+point set and handles the B sets at once, with the same differences:
+gram then returns B Gram matrices (B, n, n), one per set.
 
 ConfigError lives here, the lowest module the config models share.
 """
@@ -98,6 +101,16 @@ def as_points(x: object, dim: int) -> NDArray[np.float64]:
     return arr
 
 
+def _points(x: object, dim: int) -> NDArray[np.float64]:
+    """as_points, except that a 3-d array is taken as a stack (B, n, dim) of point sets."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 3:
+        return as_points(arr, dim)
+    if arr.shape[2] != dim:
+        raise ValueError(f"points must have {dim} coordinates, got shape {arr.shape}")
+    return arr
+
+
 def _profile(spec: KernelSpec, sqdist: NDArray[np.float64]) -> NDArray[np.float64]:
     """Applies the radial profile to squared Euclidean distances in place.
 
@@ -124,18 +137,21 @@ def _profile(spec: KernelSpec, sqdist: NDArray[np.float64]) -> NDArray[np.float6
 def _sq_dists(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
     """Squared distances sum_k (a_ik - b_jk)^2 from direct coordinate differences.
 
-    Each coordinate's differences are one BLAS product [a_k, 1] @ [1; -b_k].
-    Its entry a_ik * 1 + 1 * (-b_jk) has two exact products, so the only
-    rounding is that of a_ik - b_jk, whatever the summation order or FMA
-    use: the result is bitwise that of the plain subtraction, exactly
-    symmetric when a is b, and exactly 0 for coincident points.
+    a is (n, d) and b (m, d), or either a stack of point sets: the
+    stacks broadcast, so a (n, d) against b (B, m, d) gives (B, n, m).
+    Each coordinate's differences are one BLAS product [a_k, 1] @ [1; -b_k]
+    per member of a stack. Its entry a_ik * 1 + 1 * (-b_jk) has two exact
+    products, so the only rounding is that of a_ik - b_jk, whatever the
+    summation order or FMA use: the result is bitwise that of the plain
+    subtraction, exactly symmetric when a is b, and exactly 0 for
+    coincident points.
     """
-    left = np.ones((a.shape[0], 2))
-    right = np.ones((2, b.shape[0]))
+    left = np.ones(a.shape[:-1] + (2,))
+    right = np.ones(b.shape[:-2] + (2, b.shape[-2]))
     sq = None
-    for k in range(a.shape[1]):
-        left[:, 0] = a[:, k]
-        np.negative(b[:, k], out=right[1])
+    for k in range(a.shape[-1]):
+        left[..., 0] = a[..., k]
+        np.negative(b[..., k], out=right[..., 1, :])
         diff = left @ right
         diff *= diff
         if sq is None:
@@ -155,9 +171,9 @@ def kernel_eval(spec: KernelSpec, x: object, y: object) -> float:
 
 
 def cross_gram(spec: KernelSpec, a: object, b: object) -> NDArray[np.float64]:
-    """Returns the n x m matrix of k(a_i, b_j)."""
+    """Returns the n x m matrix of k(a_i, b_j); (B, n, m) for a stack b (B, m, d)."""
     aa = as_points(a, spec.dim)
-    bb = as_points(b, spec.dim)
+    bb = _points(b, spec.dim)
     return _profile(spec, _sq_dists(aa, bb))
 
 
@@ -166,25 +182,28 @@ def kernel_apply(
 ) -> NDArray[np.float64]:
     """Returns k(a, b) @ coeffs for coeffs of shape (m,) or (m, k).
 
-    Rows of k(a, b) are assembled APPLY_BLOCK_ENTRIES // m at a time and
-    multiplied at once, so the n x m cross-Gram is never held; one block
-    covers every row when n * m is at most APPLY_BLOCK_ENTRIES.
+    For a stack b (B, m, d) of point sets coeffs is (B, m, k), and the
+    result (B, n, k) holds k(a, b_j) @ coeffs_j for each member j.
+    Rows of k(a, b) are assembled APPLY_BLOCK_ENTRIES // (B m) at a time
+    and multiplied at once, so the whole cross-Gram is never held; one
+    block covers every row when n * B * m is at most APPLY_BLOCK_ENTRIES.
     """
     aa = as_points(a, spec.dim)
-    bb = as_points(b, spec.dim)
+    bb = _points(b, spec.dim)
     n = aa.shape[0]
-    rows = max(1, APPLY_BLOCK_ENTRIES // max(1, bb.shape[0]))
+    rows = max(1, APPLY_BLOCK_ENTRIES // max(1, bb.size // spec.dim))
     if n <= rows:
         return _profile(spec, _sq_dists(aa, bb)) @ coeffs
-    out = np.empty((n,) + np.shape(coeffs)[1:])
-    for start in range(0, n, rows):
-        block = slice(start, start + rows)
-        out[block] = _profile(spec, _sq_dists(aa[block], bb)) @ coeffs
-    return out
+    blocks = [
+        _profile(spec, _sq_dists(aa[start : start + rows], bb)) @ coeffs
+        for start in range(0, n, rows)
+    ]
+    # The rows of k(a, b) are axis 0, or axis 1 for a stack b.
+    return np.concatenate(blocks, axis=bb.ndim - 2)
 
 
 def gram(spec: KernelSpec, points: object) -> NDArray[np.float64]:
-    """Assembles the Gram matrix of a point set.
+    """Assembles the Gram matrix of a point set, or one per set of a stack.
 
     The result is exactly symmetric and has exact unit diagonal (every
     family satisfies k(x, x) = 1), both by construction: the squared
@@ -192,15 +211,17 @@ def gram(spec: KernelSpec, points: object) -> NDArray[np.float64]:
 
     Args:
         spec: Kernel to evaluate.
-        points: n points as an (n, d) array (flat input allowed for d=1).
+        points: n points as an (n, d) array (flat input allowed for d=1),
+            or a stack (B, n, d) of B point sets.
 
     Returns:
-        Symmetric n x n array with entries k(points[i], points[j]).
+        Symmetric n x n array with entries k(points[i], points[j]), or
+        the (B, n, n) stack of the sets' Gram matrices.
 
     Raises:
         ValueError: On an empty point set or dimension mismatch.
     """
-    pts = as_points(points, spec.dim)
-    if pts.shape[0] == 0:
+    pts = _points(points, spec.dim)
+    if pts.shape[-2] == 0:
         raise ValueError("gram requires at least one point")
     return _profile(spec, _sq_dists(pts, pts))

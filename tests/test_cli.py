@@ -55,6 +55,9 @@ def test_parse_config_field_paths():
          "scenario.kernel.family"),
         ({k: v for k, v in good.items() if k != "ns"}, "ns"),
         ({**good, "ns": [10, 0]}, "ns[1]"),
+        # ns is strictly increasing: a repeat reruns the same streams
+        ({**good, "ns": [20, 20, 20]}, "ns[1]"),
+        ({**good, "ns": [10, 40, 20]}, "ns[2]"),
         ({**good, "lambda_rule": {"kind": "power_law", "alpha": 1.5}}, "lambda_rule.alpha"),
         ({**good, "lambda_rule": {"kind": "fixed", "value": -1.0}}, "lambda_rule.value"),
         ({**good, "lambda_rule": {"kind": "geometric"}}, "lambda_rule.kind"),
@@ -121,6 +124,13 @@ def test_parse_config_field_paths():
         # the field a rule kind needs has no default
         ({**good, "lambda_rule": {"kind": "fixed"}}, "lambda_rule.value"),
         ({**good, "lambda_rule": {"kind": "power_law"}}, "lambda_rule.alpha"),
+        # a rule kind takes none of the other kind's fields
+        ({**good, "lambda_rule": {"kind": "fixed", "value": 0.2, "alpha": 0.5}},
+         "lambda_rule.alpha"),
+        ({**good, "lambda_rule": {"kind": "fixed", "value": 0.2, "coefficient": 1.0}},
+         "lambda_rule.coefficient"),
+        ({**good, "lambda_rule": {"kind": "power_law", "alpha": 0.5, "value": 0.2}},
+         "lambda_rule.value"),
         (scenario(kernel={}), "scenario.kernel.family"),
         # value checks across fields name the field they reject
         (scenario(design={**design, "low": 1.0, "high": 0.5}), "scenario.design.high"),
@@ -277,10 +287,11 @@ def test_run_rejects_literal_nan(tmp_path, capsys):
 def test_run_stops_on_broken_identity(tmp_path, monkeypatch, capsys):
     orig = exp.run_replication
 
-    def miswired(scenario, n, lam, index):
-        if index == 1:
+    def miswired(scenario, n, lam, indices):
+        # The sweep runs chunks of indices: the chunk holding index 1 breaks.
+        if 1 in indices:
             raise ArithmeticError("residual bridge identity violated: 0.5 vs 0.25")
-        return orig(scenario, n, lam, index)
+        return orig(scenario, n, lam, indices)
 
     monkeypatch.setattr(exp, "run_replication", miswired)
     assert main(["run", _write_config(tmp_path, _base_config(tmp_path / "out"))]) == 3

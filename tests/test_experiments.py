@@ -265,6 +265,180 @@ def test_run_replication_at_large_n_holds_one_n_by_n_array():
     assert peak <= 1.5 * 8 * n * n
 
 
+# A chunk's metrics against the same indices run one at a time: only
+# the order of a few BLAS sums differs between the two (measured up to
+# 3e-14 relative at n = 50).
+CHUNK_RTOL = 1e-12
+
+CHUNK_SCENARIOS = {
+    "uniform-1d": CANON,
+    "uniform-2d": ScenarioSpec(
+        kernel=KernelSpec("gaussian", 0.25, 2),
+        design=DesignMeasure.uniform((0.0, 0.0), (1.0, 2.0)),
+        grid_m=256,
+    ),
+    # Three per-axis factors: on_product multiplies out two of them.
+    "uniform-3d": ScenarioSpec(
+        kernel=KernelSpec("gaussian", 0.4, 3),
+        design=DesignMeasure.uniform((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        grid_m=216,
+    ),
+    # One factor holding the full 3-d kernel.
+    "uniform-3d-laplace": ScenarioSpec(
+        kernel=KernelSpec("laplace", 0.4, 3),
+        design=DesignMeasure.uniform((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        grid_m=125,
+    ),
+    "dirac": _dirac_scenario(),
+    "truncated-gaussian": ScenarioSpec(
+        kernel=CANON.kernel,
+        design=DesignMeasure.truncated_gaussian(0.0, 1.0, 0.5, 0.3),
+        grid_m=64,
+    ),
+    "heteroscedastic": ScenarioSpec(
+        kernel=KernelSpec("rational_quadratic", 0.3, 1),
+        design=CANON.design,
+        noise=NoiseModel("heteroscedastic", 0.2, "sine"),
+        grid_m=64,
+    ),
+}
+
+
+def _assert_metrics_close(got, want):
+    assert (got.n, got.lam) == (want.n, want.lam)
+    for name in exp.METRIC_FIELDS:
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=CHUNK_RTOL), name
+
+
+@pytest.mark.parametrize("scenario", CHUNK_SCENARIOS.values(), ids=CHUNK_SCENARIOS.keys())
+def test_a_chunk_matches_one_replication_at_a_time(scenario):
+    n, lam = 50, 0.2
+    chunk = run_replication(scenario, n, lam, range(3, 14))
+    assert len(chunk) == 11
+    for index, metrics in zip(range(3, 14), chunk):
+        _assert_metrics_close(metrics, run_replication(scenario, n, lam, index))
+
+
+def test_a_woodbury_chunk_matches_one_replication_at_a_time(cho_factor_calls):
+    # At n = 800 each member's factor is the Woodbury rung: one r x r
+    # inner matrix per member, and no n x n one.
+    continuous_solution(CANON, 0.2)
+    cho_factor_calls.clear()
+    chunk = run_replication(CANON, 800, 0.2, [0, 1])
+    assert len(cho_factor_calls) == 2 and all(shape[0] <= 2 * 17 for shape in cho_factor_calls)
+    for index, metrics in enumerate(chunk):
+        _assert_metrics_close(metrics, run_replication(CANON, 800, 0.2, index))
+
+
+def test_monte_carlo_runs_a_partial_last_chunk():
+    # R = 30 at n = 50 runs a chunk of 26 and one of 4.
+    n, R = 50, 30
+    assert exp.CHUNK_GRAM_ENTRIES // (n * n) == 26
+    agg = monte_carlo(CANON, n, 0.2, R)
+    reps = [run_replication(CANON, n, 0.2, i) for i in range(R)]
+    assert agg.n_failed == 0
+    for name in exp.METRIC_FIELDS:
+        values = np.array([getattr(r, name) for r in reps])
+        assert agg.means[name] == pytest.approx(float(values.mean()), rel=CHUNK_RTOL), name
+
+
+def test_a_failed_solve_fails_its_own_index_alone(monkeypatch):
+    orig = exp._ridge_factor
+    calls = []
+
+    def third_fails(K, shift, grid_rank=None):
+        calls.append(shift)
+        if len(calls) == 3:
+            raise NotPositiveDefiniteError("synthetic failure")
+        return orig(K, shift, grid_rank)
+
+    monkeypatch.setattr(exp, "_ridge_factor", third_fails)
+    chunk = run_replication(CANON, 50, 0.2, range(10, 15))
+    monkeypatch.setattr(exp, "_ridge_factor", orig)
+    assert isinstance(chunk[2], NotPositiveDefiniteError)
+    for index, metrics in zip((10, 11, 13, 14), chunk[:2] + chunk[3:]):
+        _assert_metrics_close(metrics, run_replication(CANON, 50, 0.2, index))
+    calls.clear()
+    monkeypatch.setattr(exp, "_ridge_factor", third_fails)
+    agg = monte_carlo(CANON, 50, 0.2, 5)
+    assert agg.n_failed == 1 and agg.R == 5
+    # A chunk whose every solve fails, and one index alone, which raises.
+    calls[:] = [0, 0]
+    assert isinstance(run_replication(CANON, 50, 0.2, [4])[0], NotPositiveDefiniteError)
+    calls[:] = [0, 0]
+    with pytest.raises(NotPositiveDefiniteError, match="synthetic failure"):
+        run_replication(CANON, 50, 0.2, 4)
+
+
+def _break_members(monkeypatch, f0_scaled=None, grid_tripled=None, n=50, lam=0.2):
+    """Plants a fault in single members of a chunk, picked by their index.
+
+    The member of index f0_scaled sees f0 at its data 10 times too large,
+    so a quadratic form turns negative; the member of index grid_tripled
+    has its ridge fit tripled on the sup-norm grid, which only the
+    sup-norm certificate sees, the last check of a replication.
+    """
+    orig_sample = exp._sample_at_nodes
+
+    def scaled(scenario, dctx, n, indices, *rest):
+        data, values = orig_sample(scenario, dctx, n, indices, *rest)
+        for b, index in enumerate(indices):
+            if index == f0_scaled:
+                values[b, :, 0] *= 10.0
+        return data, values
+
+    monkeypatch.setattr(exp, "_sample_at_nodes", scaled)
+    if grid_tripled is None:
+        return
+    xs = sample_dataset(CANON, n, grid_tripled, lambda_key=lam).xs
+    orig_grid = exp.GridOperator.on_product
+
+    def tripled(op, point_sets, centers, coeffs):
+        values = orig_grid(op, point_sets, centers, coeffs)
+        for b in range(centers.shape[0]):
+            if np.array_equal(centers[b], xs):
+                values[b] *= 3.0
+        return values
+
+    monkeypatch.setattr(exp.GridOperator, "on_product", tripled)
+
+
+def test_a_broken_member_is_named_by_its_index(monkeypatch):
+    _break_members(monkeypatch, grid_tripled=7)
+    with pytest.raises(ArithmeticError, match="^sup-norm bound violated at n=50, replication 7:"):
+        monte_carlo(CANON, 50, 0.2, 26)
+
+
+def test_a_chunk_raises_what_the_index_order_loop_raises(monkeypatch):
+    # Index 9 breaks at a quadratic form, before any bound is checked,
+    # and index 7 only at the last bound. In index order 7 comes first,
+    # so its sup-norm message is the one raised, from within a chunk too.
+    _break_members(monkeypatch, f0_scaled=9)
+    with pytest.raises(ArithmeticError, match="^quadratic form is negative"):
+        run_replication(CANON, 50, 0.2, range(26))
+    monkeypatch.undo()
+    _break_members(monkeypatch, f0_scaled=9, grid_tripled=7)
+    for run in (
+        lambda: run_replication(CANON, 50, 0.2, range(26)),
+        lambda: monte_carlo(CANON, 50, 0.2, 26),
+    ):
+        with pytest.raises(ArithmeticError, match="^sup-norm bound violated at n=50, replication 7:"):
+            run()
+
+
+def test_a_chunk_at_small_n_holds_at_most_two_megabytes():
+    # 26 replications at n = 50: their 26 Grams take 0.5 MB, and the
+    # sup-norm grid is assembled in row blocks.
+    n = 50
+    size = exp.CHUNK_GRAM_ENTRIES // (n * n)
+    run_replication(CANON, n, 0.2, range(size))
+    tracemalloc.start()
+    run_replication(CANON, n, 0.2, range(size, 2 * size))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 def test_product_grid_contexts_hold_no_m_by_m_array():
     # The 2-d Gaussian sweep on m = 1024 nodes: its design context and
     # all ten lambda contexts are built from 32 x 32 per-axis factors and
@@ -356,20 +530,24 @@ def test_cold_runs_are_bit_identical():
 
 
 def test_failed_replications_are_counted(monkeypatch):
+    # The sweep runs chunks of indices; a chunk hands back each failed
+    # index's error in its place.
     orig = exp.run_replication
 
-    def flaky(scenario, n, lam, index):
-        if index % 2 == 1:
-            raise NotPositiveDefiniteError("synthetic failure")
-        return orig(scenario, n, lam, index)
+    def flaky(scenario, n, lam, indices):
+        results = orig(scenario, n, lam, indices)
+        return [
+            NotPositiveDefiniteError("synthetic failure") if index % 2 == 1 else result
+            for index, result in zip(indices, results)
+        ]
 
     monkeypatch.setattr(exp, "run_replication", flaky)
     agg = monte_carlo(CANON, 8, 0.3, 6)
     assert agg.n_failed == 3
     assert agg.R == 6
 
-    def always_fails(scenario, n, lam, index):
-        raise NotPositiveDefiniteError("synthetic failure")
+    def always_fails(scenario, n, lam, indices):
+        return [NotPositiveDefiniteError("synthetic failure") for _ in indices]
 
     monkeypatch.setattr(exp, "run_replication", always_fails)
     with pytest.raises(RuntimeError):
@@ -397,6 +575,9 @@ def test_rate_fit_validation():
         rate_fit([10, 20], [1.0, 0.5])
     with pytest.raises(ValueError):
         rate_fit([10, 20, 40], [1.0, -0.5, 0.2])
+    # A repeated n gives a singular fit.
+    with pytest.raises(ValueError, match="distinct"):
+        rate_fit([20, 20, 20], [1.0, 0.5, 0.2])
 
 
 def test_monotonicity_check_smoke():
@@ -429,10 +610,10 @@ def test_weak_consistency_fractions_names_an_n_without_successes(monkeypatch, fa
     # at the first n, a level eps) to report.
     orig = exp.run_replication
 
-    def failing_at(scenario, n, lam, index):
+    def failing_at(scenario, n, lam, indices):
         if n == failing_n:
-            raise NotPositiveDefiniteError("synthetic failure")
-        return orig(scenario, n, lam, index)
+            return [NotPositiveDefiniteError("synthetic failure") for _ in indices]
+        return orig(scenario, n, lam, indices)
 
     monkeypatch.setattr(exp, "run_replication", failing_at)
     with pytest.raises(RuntimeError, match=f"n={failing_n}: none of 3 replications succeeded"):

@@ -139,9 +139,11 @@ def _fredholm_right_hand_side_scaled(monkeypatch):
 
 
 def _auxiliary_fit_at_twice_lam(monkeypatch):
-    orig = exp.fit_auxiliary
+    # The replications' auxiliary weights and residuals, which
+    # auxiliary_residuals forms for a whole chunk at once.
+    orig = exp.auxiliary_residuals
     monkeypatch.setattr(
-        exp, "fit_auxiliary", lambda data, flam, lam, **kwargs: orig(data, flam, 2.0 * lam, **kwargs)
+        exp, "auxiliary_residuals", lambda fs, fl, K, lam: orig(fs, fl, K, 2.0 * lam)
     )
 
 

@@ -200,6 +200,37 @@ def test_kernel_apply_edge_shapes():
     np.testing.assert_allclose(kernel_apply(spec, a[:3], b, coeffs), expected, rtol=1e-14)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("dim", [1, 3])
+def test_a_stack_of_point_sets_matches_one_set_at_a_time(family, dim):
+    # gram, cross_gram and kernel_apply take a stack (B, m, d) in place
+    # of their last point set. Each member's differences are the same
+    # exact rank-2 products, so its Gram and cross-Gram are bitwise the
+    # single set's; kernel_apply spans several row blocks here.
+    rng = np.random.default_rng(23 + dim)
+    spec = KernelSpec(family, 0.4, dim)
+    B, m = 4, 30
+    stack = rng.uniform(-1.0, 1.0, size=(B, m, dim))
+    n = 2 * (APPLY_BLOCK_ENTRIES // (B * m)) + 1
+    a = rng.uniform(-1.0, 1.0, size=(n, dim))
+    coeffs = rng.standard_normal((B, m, 2))
+    grams = gram(spec, stack)
+    crosses = cross_gram(spec, a, stack)
+    applied = kernel_apply(spec, a, stack, coeffs)
+    assert grams.shape == (B, m, m) and crosses.shape == (B, n, m) and applied.shape == (B, n, 2)
+    for j in range(B):
+        np.testing.assert_array_equal(grams[j], gram(spec, stack[j]))
+        np.testing.assert_array_equal(crosses[j], cross_gram(spec, a, stack[j]))
+        C = crosses[j]
+        assert np.all(
+            np.abs(applied[j] - C @ coeffs[j]) <= 1e-14 * (np.abs(C) @ np.abs(coeffs[j]))
+        )
+    with pytest.raises(ValueError, match="coordinates"):
+        gram(spec, np.zeros((B, m, dim + 1)))
+    with pytest.raises(ValueError):
+        gram(spec, np.zeros((B, 0, dim)))
+
+
 def test_gram_empty_raises():
     with pytest.raises(ValueError):
         gram(KernelSpec("gaussian", 1.0, 1), np.zeros((0, 1)))
