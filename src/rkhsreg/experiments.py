@@ -15,6 +15,7 @@ stops the run when a deterministic per-sample bound breaks.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -88,15 +89,21 @@ class NoiseModel:
             return self.sigma * (0.25 + x1)
         return self.sigma * (0.75 + 0.5 * np.sin(2.0 * np.pi * x1))
 
-    def sample(self, rng: np.random.Generator, xs: NDArray[np.float64]) -> NDArray[np.float64]:
-        """One independent N(0, std_at(x)^2) draw per row x of xs.
+    def sample(
+        self, rngs: Sequence[np.random.Generator], xs: NDArray[np.float64]
+    ) -> NDArray[np.float64]:
+        """One independent N(0, std_at(x)^2) draw per point x of a stack xs (B, n, d).
 
-        Homoscedastic noise draws with the scalar sigma: the same bits as
-        the array scale std_at(xs), without numpy's broadcast path.
+        Member b draws its n standard normals from rngs[b] in place into
+        the (B, n) result, which std_at scales once for the whole stack:
+        the values rng.normal(0, std_at(xs[b])) gives, without its loc.
         """
-        if self.kind == "homoscedastic":
-            return rng.normal(0.0, self.sigma, xs.shape[0])
-        return rng.normal(0.0, self.std_at(xs))
+        B, n, d = xs.shape
+        noise = np.empty((B, n))
+        for rng, out in zip(rngs, noise):
+            rng.standard_normal(out=out)
+        noise *= self.std_at(xs.reshape(B * n, d)).reshape(B, n)
+        return noise
 
     def condvar_at(self, xs: NDArray[np.float64]) -> NDArray[np.float64]:
         return self.std_at(xs) ** 2
@@ -298,12 +305,120 @@ def flambda_values(scenario: ScenarioSpec, lam: float, xs: ArrayLike) -> NDArray
     return evaluate_batch(_lambda_context(scenario, lam).flam, xs)
 
 
+# The constants of NumPy's SeedSequence (O'Neill's seed_seq hash) with
+# its default pool of four 32-bit words.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_UINT32, _UINT64 = np.dtype(np.uint32), np.dtype(np.uint64)
+
+
+def _words(value: int) -> list[int]:
+    """The 32-bit words of an integer >= 0, least significant first, as SeedSequence splits it."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
+    """SeedSequence's hashmix: the hashed value and the next hash constant."""
+    value ^= hash_const
+    hash_const = hash_const * _MULT_A & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _absorb(pool: list[int], hash_const: int, words: list[int]) -> int:
+    """Mixes entropy words past the pool's size into every pool word; returns the hash constant."""
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            # _hashmix inlined: this loop runs once per replication.
+            value = word ^ hash_const
+            hash_const = hash_const * _MULT_A & _MASK32
+            value = value * hash_const & _MASK32
+            value ^= value >> 16
+            mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * value) & _MASK32
+            pool[dst] = mixed ^ (mixed >> 16)
+    return hash_const
+
+
+@lru_cache(maxsize=64)
+def _seed_prefix(base_seed: int, n: int, lam_bits: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's pool and hash constant for (base_seed, n, lam_bits), before the index.
+
+    The entropy is base_seed's words padded with zeros to the pool size,
+    then the spawn key's words, so the state after n and lam_bits is
+    shared by every replication index of one (n, lambda) stream.
+    """
+    run = _words(base_seed)
+    pool: list[int] = []
+    hash_const = _INIT_A
+    for word in run + [0] * (_POOL_SIZE - len(run)):
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * value) & _MASK32
+                pool[dst] = mixed ^ (mixed >> 16)
+    hash_const = _absorb(pool, hash_const, _words(n) + _words(lam_bits))
+    return tuple(pool), hash_const
+
+
+@lru_cache(maxsize=4)
+def _output_hashes(count: int) -> tuple[tuple[int, int], ...]:
+    """The (xor, multiplier) hash constants of SeedSequence.generate_state's first count words.
+
+    They depend on the word's position alone, so they are computed once.
+    """
+    hashes, hash_const = [], _INIT_B
+    for _ in range(count):
+        xor, hash_const = hash_const, hash_const * _MULT_B & _MASK32
+        hashes.append((xor, hash_const))
+    return tuple(hashes)
+
+
+class _SeedPool(np.random.bit_generator.ISeedSequence):
+    """A mixed SeedSequence pool: generate_state gives SeedSequence's output words for it."""
+
+    __slots__ = ("pool",)
+
+    def __init__(self, pool: list[int]):
+        self.pool = pool
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> NDArray:
+        dtype = np.dtype(dtype)
+        if dtype != _UINT32 and dtype != _UINT64:
+            raise ValueError("only support uint32 or uint64")
+        words = []
+        for i, (xor, mult) in enumerate(_output_hashes(n_words * dtype.itemsize // 4)):
+            value = (self.pool[i % _POOL_SIZE] ^ xor) * mult & _MASK32
+            words.append(value ^ (value >> 16))
+        if dtype == _UINT64:
+            # Little-endian pairs, as SeedSequence views its uint32 words.
+            words = [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
+        return np.array(words, dtype)
+
+
 def _rng_for(scenario: ScenarioSpec, n: int, lam: float | None, index: int) -> np.random.Generator:
-    # Splittable stream keyed by (base_seed, n, lambda bits, index):
-    # reproducible bit-for-bit and independent of execution order.
-    lam_bits = int(np.float64(0.0 if lam is None else lam).view(np.uint64))
-    seq = np.random.SeedSequence(entropy=scenario.base_seed, spawn_key=(int(n), lam_bits, int(index)))
-    return np.random.default_rng(seq)
+    """The stream keyed by (base_seed, n, lambda bits, index).
+
+    Bit for bit np.random.default_rng(np.random.SeedSequence(base_seed,
+    spawn_key=(n, lam_bits, index))): reproducible and independent of
+    execution order. The pool after the fixed words is cached per
+    (base_seed, n, lam_bits), so each index hashes only its own words.
+    """
+    lam_bits = struct.unpack("<Q", struct.pack("<d", 0.0 if lam is None else lam))[0]
+    prefix, hash_const = _seed_prefix(scenario.base_seed, int(n), lam_bits)
+    pool = list(prefix)
+    _absorb(pool, hash_const, _words(int(index)))
+    return np.random.Generator(np.random.PCG64(_SeedPool(pool)))
 
 
 def sample_dataset(
@@ -339,12 +454,16 @@ def _sample_at_nodes(
     """The datasets of replications indices, with node expansions evaluated at the data.
 
     dctx is the scenario's design context. Each index draws from its own
-    stream (_rng_for), points then noise, so a dataset does not depend
-    on the indices drawn beside it. node_coeffs holds coefficients on
-    the grid nodes, f0's alone (m,) or f0's in its first column (m, k);
-    the values k(X, nodes) @ node_coeffs at every point of every dataset
-    come from one product with the grid operator's per-factor kernel
-    rows (GridOperator.at_points).
+    stream (_rng_for, whose seed prefix is cached per (n, lambda)),
+    points then noise, so a dataset does not depend on the indices drawn
+    beside it. The draws land in place in the chunk's (B, n, d) points
+    and (B, n) noise, and the box map and the noise scale are applied
+    once per chunk (DesignMeasure.sample, NoiseModel.sample); every
+    stream still draws its points before its noise. node_coeffs holds
+    coefficients on the grid nodes, f0's alone (m,) or f0's in its first
+    column (m, k); the values k(X, nodes) @ node_coeffs at every point of
+    every dataset come from one product with the grid operator's
+    per-factor kernel rows (GridOperator.at_points).
 
     Returns:
         ((xs, fs), values) with xs (B, n, d), fs (B, n) and values
@@ -353,12 +472,9 @@ def _sample_at_nodes(
     if n < 1:
         raise ValueError("n must be at least 1")
     B, d = len(indices), scenario.design.dim
-    xs = np.empty((B, n, d))
-    noise = np.empty((B, n))
-    for b, index in enumerate(indices):
-        rng = _rng_for(scenario, n, lambda_key, index)
-        xs[b] = scenario.design.sample(rng, n)
-        noise[b] = scenario.noise.sample(rng, xs[b])
+    rngs = [_rng_for(scenario, n, lambda_key, index) for index in indices]
+    xs = scenario.design.sample(rngs, n)
+    noise = scenario.noise.sample(rngs, xs)
     values = dctx.op.at_points(xs.reshape(B * n, d), node_coeffs)
     values = values.reshape((B, n) + node_coeffs.shape[1:])
     fs = values.reshape(B, n, -1)[..., 0] + noise
@@ -384,14 +500,17 @@ def run_replication(
 ) -> ReplicationMetrics | list[ReplicationMetrics | np.linalg.LinAlgError]:
     """Runs one replication, or a chunk of them, and measures every tracked quantity.
 
-    A chunk of B indices at one (n, lam) runs on stacked arrays: one
+    A chunk of B indices at one (n, lam) runs on stacked arrays: draws
+    in place from per-index streams whose seed prefix is cached, one
     at_points product for f0 and f_lambda at every point
     (_sample_at_nodes), one (B, n, n) stack of data Grams, one
     auxiliary_residuals call, one on_product call for the sup-norm grid,
     and one array operation per metric, clamp and check. Only the factor
-    of K + n*lam*I is made per dataset (_ridge_factor: not formed on the
-    low-rank path, formed on the dense one), so a numerical failure
-    fails its own index alone. The auxiliary fit comes first, since its
+    of K + n*lam*I is made per dataset (_ridge_factor): on the dense
+    rung K + n*lam*I is formed once for the stack, one loop factors each
+    member in place and solves it, and one batched product checks every
+    solution; on the low-rank rung it is not formed. A failed factor or
+    check fails its own index alone. The auxiliary fit comes first, since its
     residuals r = f - (K + n*lam*I) t, t = w~/n its coefficients, need
     only the data and f_lambda; it also hands back f~ at the data, K t. One
     two-column solve [a | u] = (K + n*lam*I)^-1 [f | r] gives the ridge
@@ -459,31 +578,25 @@ def _run_chunk(
     tilde_w, Kt, residuals = auxiliary_residuals(fs, projl, K, lam)
 
     # K is exactly symmetric by construction, so no symmetry pass is made.
-    rhs = np.stack([fs, residuals], axis=-1)
-    # Solutions are stored transposed, so that a, u, K a and K u are rows.
-    au, Kau = np.empty((2,) + fs.shape), np.empty((2,) + fs.shape)
-    results: list[ReplicationMetrics | np.linalg.LinAlgError | None] = [None] * len(indices)
-    for b in range(len(indices)):
-        try:
-            X, KX = _ridge_factor(K[b], n * lam, dctx.op.rank).solve_with_product(rhs[b])
-        except np.linalg.LinAlgError as exc:
-            results[b] = exc
-        else:
-            au[:, b], Kau[:, b] = X.T, KX.T
-    ok = [b for b, result in enumerate(results) if result is None]
+    # The right-hand sides [f | r] of each member are the columns of a
+    # transposed view, so that every member's is F-contiguous.
+    rhs = np.stack([fs, residuals], axis=1).transpose(0, 2, 1)
+    X, KX, errors = _ridge_factor(K, n * lam, dctx.op.rank).solve_with_product(rhs)
+    results: list[ReplicationMetrics | np.linalg.LinAlgError | None] = list(errors)
+    ok = [b for b, error in enumerate(errors) if error is None]
     if not ok:
         return results
     if len(ok) < len(indices):
-        xs, fs, at_xs, tilde_w, Kt, residuals = (
-            x[ok] for x in (xs, fs, at_xs, tilde_w, Kt, residuals)
+        xs, fs, at_xs, tilde_w, Kt, residuals, X, KX = (
+            x[ok] for x in (xs, fs, at_xs, tilde_w, Kt, residuals, X, KX)
         )
-        au, Kau = au[:, ok], Kau[:, ok]
     proj0, projl = at_xs[..., 0], at_xs[..., 1]
-    a, u = au
+    # Rows a, u, K a and K u of the chunk's solutions and their products.
+    a, u = X.transpose(2, 0, 1)
     t = tilde_w / n
     d = a - t
     # K a and K u from the solve's check, K t from the auxiliary fit.
-    Ka, Ku = Kau
+    Ka, Ku = KX.transpose(2, 0, 1)
     Kd = Ka - Kt
     aKa = np.vecdot(a, Ka)
     a_projl = np.vecdot(a, projl)

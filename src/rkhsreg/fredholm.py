@@ -33,6 +33,7 @@ RKHS distances against fitted estimators are direct quadratic forms.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
@@ -132,14 +133,27 @@ class DesignMeasure:
     def dirac(cls, point: object) -> "DesignMeasure":
         return cls("dirac", center=tuple(np.atleast_1d(point)))
 
-    def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
-        """n i.i.d. draws from the measure as an (n, dim) array."""
+    def sample(self, rngs: Sequence[np.random.Generator], n: int) -> NDArray[np.float64]:
+        """n i.i.d. draws from the measure per generator, as a (B, n, dim) stack.
+
+        Member b is drawn from rngs[b]. A uniform box draws each member's
+        U[0, 1) values in place into the stack and maps all of them to
+        low + span * U at once; a truncated Gaussian draws each member
+        with scipy's truncnorm; a dirac measure draws nothing.
+        """
+        out = np.empty((len(rngs), n, self.dim))
         if self.kind == "uniform":
+            for rng, member in zip(rngs, out):
+                rng.random(out=member)
             low, span = self._box
-            return low + span * rng.random((n, self.dim))
-        if self.kind == "dirac":
-            return np.tile(np.asarray(self.center, dtype=np.float64), (n, 1))
-        return self._truncnorm.rvs(size=n, random_state=rng).reshape(n, 1)
+            out *= span
+            out += low
+        elif self.kind == "dirac":
+            out[...] = self.center
+        else:
+            for rng, member in zip(rngs, out):
+                member[:, 0] = self._truncnorm.rvs(size=n, random_state=rng)
+        return out
 
     @cached_property
     def _box(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

@@ -146,13 +146,28 @@ def _sq_dists(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.floa
     subtraction, exactly symmetric when a is b, and exactly 0 for
     coincident points.
     """
+    return _sq_dists_to(a, _right_operands(b))
+
+
+def _right_operands(b: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The right factors [1; -b_k] of _sq_dists' products, one per coordinate k.
+
+    For b (m, d), or a stack (B, m, d), one (d, 2, m) or (d, B, 2, m)
+    array: a caller that measures several blocks of points against b
+    builds it once.
+    """
+    right = np.ones((b.shape[-1],) + b.shape[:-2] + (2, b.shape[-2]))
+    np.negative(np.moveaxis(b, -1, 0), out=right[..., 1, :])
+    return right
+
+
+def _sq_dists_to(a: NDArray[np.float64], right: NDArray[np.float64]) -> NDArray[np.float64]:
+    """_sq_dists(a, b) from b's right factors, right = _right_operands(b)."""
     left = np.ones(a.shape[:-1] + (2,))
-    right = np.ones(b.shape[:-2] + (2, b.shape[-2]))
     sq = None
     for k in range(a.shape[-1]):
         left[..., 0] = a[..., k]
-        np.negative(b[..., k], out=right[..., 1, :])
-        diff = left @ right
+        diff = left @ right[k]
         diff *= diff
         if sq is None:
             sq = diff
@@ -187,15 +202,18 @@ def kernel_apply(
     Rows of k(a, b) are assembled APPLY_BLOCK_ENTRIES // (B m) at a time
     and multiplied at once, so the whole cross-Gram is never held; one
     block covers every row when n * B * m is at most APPLY_BLOCK_ENTRIES.
+    The operand [1; -b_k] of b's differences is built once per call and
+    serves every block.
     """
     aa = as_points(a, spec.dim)
     bb = _points(b, spec.dim)
     n = aa.shape[0]
     rows = max(1, APPLY_BLOCK_ENTRIES // max(1, bb.size // spec.dim))
+    right = _right_operands(bb)
     if n <= rows:
-        return _profile(spec, _sq_dists(aa, bb)) @ coeffs
+        return _profile(spec, _sq_dists_to(aa, right)) @ coeffs
     blocks = [
-        _profile(spec, _sq_dists(aa[start : start + rows], bb)) @ coeffs
+        _profile(spec, _sq_dists_to(aa[start : start + rows], right)) @ coeffs
         for start in range(0, n, rows)
     ]
     # The rows of k(a, b) are axis 0, or axis 1 for a stack b.

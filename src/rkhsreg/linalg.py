@@ -25,6 +25,17 @@ verifies symmetry and then factors and solves once. Callers that build
 their matrix symmetric themselves (every Gram in the package is exactly
 symmetric) construct an SpdFactor directly and skip that O(n^2) pass.
 
+An SpdFactorStack factors A_b = K_b + shift*I for each member of a
+stack K (B, n, n), such as a replication chunk's data Grams, and fails
+a member that does not factor or whose solution fails its check alone.
+On the dense rung it forms A once for the whole stack, runs one loop
+that factors each member in place (through cho_factor, on the member's
+F-contiguous transposed view) and solves it with dpotrs, and checks
+every member's solution with one batched product K X. Small systems
+like these are bound by call overhead, so one array operation per
+stack replaces one per member wherever a member needs no call of its
+own. On the Woodbury rung each member is an SpdFactor of its own.
+
 pivoted_cholesky(A, max_rank) gives the ridge factor's low-rank form
 A ~ L L' with L of shape n x r: a greedy loop stopped when the largest
 remaining diagonal entry falls to n * eps * max diag(A), which gives up,
@@ -45,6 +56,8 @@ from scipy.linalg.lapack import dpotrs
 
 # LAPACK's relative machine precision, dlamch('E'): the eps of pivoted_cholesky's tolerance.
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+# The message of a Cholesky solution that fails its residual check.
+_FAILED_CHECK = "Cholesky solution fails its residual check"
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -104,12 +117,7 @@ class SpdFactor:
         # Fortran order lets cho_factor factor A in place.
         A = np.array(self.gram, order="F")
         A.flat[:: A.shape[0] + 1] += self.shift
-        try:
-            # Called through the module attribute so a wrapper installed
-            # on scipy.linalg (profilers, call-count tests) sees it.
-            self._cho = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("matrix not positive definite") from exc
+        self._cho = _cho_factor(A)
         self._woodbury = None
 
     def _apply(self, B: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -150,7 +158,7 @@ class SpdFactor:
             if np.all(_column_norms(residual) <= 1e-8 * norm_b):
                 return X, KX
             if self._woodbury is None:
-                raise NotPositiveDefiniteError("Cholesky solution fails its residual check")
+                raise NotPositiveDefiniteError(_FAILED_CHECK)
             self._factor_dense()
 
     def solve(self, B: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -167,21 +175,129 @@ class SpdFactor:
         return self.solve_with_product(B)[0]
 
 
-def _cho_solve(factor: tuple[NDArray[np.float64], bool], B: NDArray[np.float64]) -> NDArray:
+class SpdFactorStack:
+    """Factorizations of A_b = K_b + shift*I for each member of a stack K (B, n, n).
+
+    Each K_b is symmetric and K is never written to. A numerical failure
+    fails its own member alone: solve_with_product returns the
+    NotPositiveDefiniteError in place of that member's solution, and
+    the other members are untouched. Given low_rank, one L_b or None per
+    member, each member is an SpdFactor of its own (the Woodbury rung
+    where L_b is given), solved and checked one at a time. Otherwise
+    the stack is dense: A is formed once for the whole stack, each
+    member is Cholesky-factored in place through its F-contiguous
+    transposed view (A_b is symmetric, so that view is A_b itself), and
+    one batched product K X checks every column of every member,
+    ||A_b x - b|| <= 1e-8 ||b||, as SpdFactor does.
+    """
+
+    def __init__(
+        self,
+        K: NDArray[np.float64],
+        shift: float = 0.0,
+        low_rank: list[NDArray[np.float64] | None] | None = None,
+    ):
+        self.gram = K
+        self.shift = shift
+        self._dense = low_rank is None
+        if self._dense:
+            A = np.array(K)
+            A.reshape(len(K), -1)[:, :: K.shape[-1] + 1] += shift
+            factor = lambda b: _cho_factor(A[b].T)
+        else:
+            factor = lambda b: SpdFactor(K[b], shift, low_rank[b])
+        self._members: list = []
+        self._errors: list[np.linalg.LinAlgError | None] = []
+        for b in range(len(K)):
+            try:
+                self._members.append(factor(b))
+                self._errors.append(None)
+            except np.linalg.LinAlgError as exc:
+                self._members.append(None)
+                self._errors.append(exc)
+
+    def solve_with_product(
+        self, B: NDArray[np.float64]
+    ) -> tuple[NDArray[np.float64], NDArray[np.float64], list[np.linalg.LinAlgError | None]]:
+        """Solves A_b X_b = B_b for each member; returns X, K X and the failures.
+
+        B is (B, n, k) and is not written to. X and K X are (B, n, k); a
+        failed member's rows hold no solution, and its entry in the list
+        of failures is the np.linalg.LinAlgError (NotPositiveDefiniteError)
+        that failed it. Every other entry is None. K X is the product the
+        check formed.
+
+        Raises:
+            ValueError: If B's shape is not (B, n, k) for this stack.
+        """
+        B = np.asarray(B, dtype=np.float64)
+        if B.ndim != 3 or B.shape[:2] != self.gram.shape[:2]:
+            raise ValueError(f"B has shape {B.shape}, expected {self.gram.shape[:2]} + (k,)")
+        errors = list(self._errors)
+        # Solutions are stored transposed, (B, k, n): each member's columns
+        # are an F-contiguous view that dpotrs solves in place, and X' K is
+        # one batched product of contiguous members, K X its transpose.
+        Bt = B.transpose(0, 2, 1)
+        Xt = np.array(Bt, order="C")
+        KXt = np.zeros_like(Xt)
+        for b, member in enumerate(self._members):
+            if errors[b] is not None:
+                continue
+            if self._dense:
+                _cho_solve(member, Xt[b].T, overwrite_b=True)
+                continue
+            try:
+                X, KX = member.solve_with_product(B[b])
+            except np.linalg.LinAlgError as exc:
+                errors[b] = exc
+            else:
+                Xt[b], KXt[b] = X.T, KX.T
+        if self._dense:
+            # (X' K)' is K X since each K_b is symmetric.
+            np.matmul(Xt, self.gram, out=KXt)
+            residual = self.shift * Xt
+            residual += KXt
+            residual -= Bt
+            # Each member's column norms, as (k, B) arrays.
+            passed = _column_norms(residual.T) <= 1e-8 * _column_norms(Bt.T)
+            for b in np.flatnonzero(~np.all(passed, axis=0)):
+                if errors[b] is None:
+                    errors[b] = NotPositiveDefiniteError(_FAILED_CHECK)
+        return Xt.transpose(0, 2, 1), KXt.transpose(0, 2, 1), errors
+
+
+def _cho_factor(A: NDArray[np.float64]) -> tuple[NDArray[np.float64], bool]:
+    """scipy.linalg.cho_factor's lower factor of A, formed in place when A is F-contiguous.
+
+    Raises:
+        NotPositiveDefiniteError: If A has no Cholesky factor.
+    """
+    try:
+        # Called through the module attribute so a wrapper installed
+        # on scipy.linalg (profilers, call-count tests) sees it.
+        return scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("matrix not positive definite") from exc
+
+
+def _cho_solve(
+    factor: tuple[NDArray[np.float64], bool], B: NDArray[np.float64], overwrite_b: bool = False
+) -> NDArray:
     """A^-1 B from scipy.linalg.cho_factor's (c, lower) factor of A.
 
     LAPACK's dpotrs, the routine scipy.linalg.cho_solve calls, without
     that wrapper's checks of its arguments: 6 against 16 us at n = 50.
+    With overwrite_b, an F-contiguous float64 B is solved in place.
     """
     c, lower = factor
-    X, info = dpotrs(c, B, lower=lower)
+    X, info = dpotrs(c, B, lower=lower, overwrite_b=overwrite_b)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return X
 
 
 def _column_norms(X: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The Euclidean norm of each column of X (n, k), or of a vector X (n,)."""
+    """The Euclidean norm of each column of X (n, ...): the sum over its first axis."""
     return np.sqrt(np.einsum("i...,i...->...", X, X))
 
 

@@ -351,15 +351,17 @@ class _SharedShift:
     u = a - t and the residual-bridge identity still hold; only the
     ball and residual bounds can see the corrupted fit. The product
     handed back with the solution shifts with it, as the product of the
-    corrupted columns.
+    corrupted columns. The factor is a replication chunk's stack, whose
+    solutions are (B, n, k).
     """
 
     def __init__(self, factor, column, c):
         self.factor, self.column, self.c = factor, column, c
 
     def solve_with_product(self, B):
-        X, KX = self.factor.solve_with_product(B)
-        return X + self.c * X[:, [self.column]], KX + self.c * KX[:, [self.column]]
+        X, KX, errors = self.factor.solve_with_product(B)
+        shift = self.c * X[..., [self.column]], self.c * KX[..., [self.column]]
+        return X + shift[0], KX + shift[1], errors
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import pytest
 import scipy.stats
 
 import rkhsreg.experiments as exp
+import rkhsreg.linalg as linalg
 from rkhsreg.auxiliary import bridge_distance_sq, fit_auxiliary, theoretical_tilde_risk
 from rkhsreg.cli import parse_config
 from rkhsreg.estimator import (
@@ -141,6 +142,30 @@ def test_draws_are_numpy_uniform_and_normal(design, noise):
     fs = dctx.op.at_points(xs, dctx.f0.coeffs) + rng.normal(0, noise.std_at(xs))
     np.testing.assert_array_equal(data.xs, xs)
     np.testing.assert_array_equal(data.fs, fs)
+
+
+@pytest.mark.parametrize("base_seed", [0, 20260815, 2**64 - 1])
+def test_seed_derivation_is_numpy_seed_sequence(base_seed):
+    # _rng_for hashes the cached (base_seed, n, lambda) prefix and each
+    # index's own words itself; its stream must be NumPy's for the same
+    # key, including keys whose n or index spans two 32-bit words.
+    scen = dataclasses.replace(CANON, base_seed=base_seed)
+    for n in (1, 50, 2**33):
+        for lam in (None, 0.2, 1e-9):
+            lam_bits = int(np.float64(0.0 if lam is None else lam).view(np.uint64))
+            for index in (0, 25, 2**32 - 1, 2**32, 2**40 + 3):
+                seq = np.random.SeedSequence(base_seed, spawn_key=(n, lam_bits, index))
+                got = exp._rng_for(scen, n, lam, index)
+                np.testing.assert_array_equal(
+                    got.bit_generator.seed_seq.generate_state(4, np.uint64),
+                    seq.generate_state(4, np.uint64),
+                )
+                np.testing.assert_array_equal(
+                    got.bit_generator.seed_seq.generate_state(3), seq.generate_state(3)
+                )
+                want = np.random.default_rng(seq)
+                np.testing.assert_array_equal(got.random(3), want.random(3))
+                np.testing.assert_array_equal(got.standard_normal(3), want.standard_normal(3))
 
 
 def test_single_point_dirac_closed_forms():
@@ -319,6 +344,29 @@ def test_a_chunk_matches_one_replication_at_a_time(scenario):
         _assert_metrics_close(metrics, run_replication(scenario, n, lam, index))
 
 
+@pytest.mark.parametrize("scenario", CHUNK_SCENARIOS.values(), ids=CHUNK_SCENARIOS.keys())
+def test_a_chunk_draws_each_dataset_bit_for_bit(scenario):
+    # The chunk draws every member in place and maps them at once. Each
+    # member's points must be the bits sample_dataset draws for it alone,
+    # and its noise the bits of NumPy's normal(0, std_at(x)) drawn after
+    # the points from the index's own stream. f0 at the data is summed in
+    # row blocks of the whole chunk, so the responses agree with
+    # sample_dataset's up to the order of those sums.
+    n, lam, indices = 50, 0.2, range(3, 14)
+    lam_bits = int(np.float64(lam).view(np.uint64))
+    dctx = exp._design_context(scenario)
+    (xs, fs), f0_at_xs = exp._sample_at_nodes(scenario, dctx, n, indices, lam, dctx.f0.coeffs)
+    for b, index in enumerate(indices):
+        data = sample_dataset(scenario, n, index, lambda_key=lam)
+        assert np.array_equal(xs[b], data.xs)
+        seq = np.random.SeedSequence(scenario.base_seed, spawn_key=(n, lam_bits, index))
+        rng = np.random.default_rng(seq)
+        scenario.design.sample([rng], n)
+        noise = rng.normal(0.0, scenario.noise.std_at(xs[b]))
+        assert np.array_equal(fs[b], f0_at_xs[b] + noise)
+        np.testing.assert_allclose(fs[b], data.fs, rtol=0, atol=1e-14)
+
+
 def test_a_woodbury_chunk_matches_one_replication_at_a_time(cho_factor_calls):
     # At n = 800 each member's factor is the Woodbury rung: one r x r
     # inner matrix per member, and no n x n one.
@@ -343,23 +391,25 @@ def test_monte_carlo_runs_a_partial_last_chunk():
 
 
 def test_a_failed_solve_fails_its_own_index_alone(monkeypatch):
-    orig = exp._ridge_factor
+    # The failure is planted in the third member's Cholesky factorization,
+    # inside the one factor loop that the dense rung runs over the chunk.
+    orig = linalg._cho_factor
     calls = []
 
-    def third_fails(K, shift, grid_rank=None):
-        calls.append(shift)
+    def third_fails(A):
+        calls.append(A.shape)
         if len(calls) == 3:
             raise NotPositiveDefiniteError("synthetic failure")
-        return orig(K, shift, grid_rank)
+        return orig(A)
 
-    monkeypatch.setattr(exp, "_ridge_factor", third_fails)
+    monkeypatch.setattr(linalg, "_cho_factor", third_fails)
     chunk = run_replication(CANON, 50, 0.2, range(10, 15))
-    monkeypatch.setattr(exp, "_ridge_factor", orig)
+    monkeypatch.setattr(linalg, "_cho_factor", orig)
     assert isinstance(chunk[2], NotPositiveDefiniteError)
     for index, metrics in zip((10, 11, 13, 14), chunk[:2] + chunk[3:]):
         _assert_metrics_close(metrics, run_replication(CANON, 50, 0.2, index))
     calls.clear()
-    monkeypatch.setattr(exp, "_ridge_factor", third_fails)
+    monkeypatch.setattr(linalg, "_cho_factor", third_fails)
     agg = monte_carlo(CANON, 50, 0.2, 5)
     assert agg.n_failed == 1 and agg.R == 5
     # A chunk whose every solve fails, and one index alone, which raises.

@@ -155,7 +155,11 @@ def _flambda_at_larger_lam(monkeypatch):
 
 
 class _WideNoise:
-    """A generator whose normal draws have 1.5 times the asked scale."""
+    """A generator whose standard normal draws have scale 1.5.
+
+    The noise is drawn in place with standard_normal(out=...) and then
+    scaled by the model's sigma, so the draws come out 1.5 times wider.
+    """
 
     def __init__(self, rng):
         self.rng = rng
@@ -163,8 +167,10 @@ class _WideNoise:
     def random(self, *args, **kwargs):
         return self.rng.random(*args, **kwargs)
 
-    def normal(self, loc, scale, size=None):
-        return self.rng.normal(loc, 1.5 * np.asarray(scale), size)
+    def standard_normal(self, *args, **kwargs):
+        draws = self.rng.standard_normal(*args, **kwargs)
+        draws *= 1.5
+        return draws
 
 
 def _noise_scaled(monkeypatch):

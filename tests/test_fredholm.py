@@ -368,7 +368,7 @@ def test_kronecker_rows_match_dense_kernel_apply(case):
     # k(xs, nodes) @ C from per-axis kernel rows, for one and two columns.
     kernel, measure, grid, op, _ = _kron_case(case)
     rng = np.random.default_rng(5)
-    xs = measure.sample(rng, 37)
+    xs = measure.sample([rng], 37)[0]
     C = rng.standard_normal((grid.m, 2))
     atol = 1e-13 * float(np.abs(C).sum())
     for coeffs in (C[:, 0], C):
@@ -382,7 +382,7 @@ def test_kronecker_sup_grid_values_match_dense_kernel_apply(case):
     # grid from per-axis rows: at d = 2, R_1 diag(a) R_2'.
     kernel, measure, _, op, _ = _kron_case(case)
     rng = np.random.default_rng(6)
-    xs = measure.sample(rng, 41)
+    xs = measure.sample([rng], 41)[0]
     a = rng.standard_normal(41)
     dense = kernel_apply(kernel, measure.eval_grid, xs, a)
     got = op.on_product(op.split(measure.eval_axes), xs, a)

@@ -231,6 +231,26 @@ def test_a_stack_of_point_sets_matches_one_set_at_a_time(family, dim):
         gram(spec, np.zeros((B, 0, dim)))
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["2d-points", "stacked-points"])
+def test_kernel_apply_is_bitwise_the_per_block_form(stacked):
+    # kernel_apply builds b's operand [1; -b_k] once per call; each row
+    # block must still be bitwise the cross-Gram of that block alone,
+    # whose differences build the operand afresh.
+    rng = np.random.default_rng(29)
+    spec = KernelSpec("gaussian", 0.4, 2)
+    b = rng.uniform(-1.0, 1.0, size=(3, 40, 2) if stacked else (40, 2))
+    coeffs = rng.standard_normal(b.shape[:-1] + (2,))
+    rows = APPLY_BLOCK_ENTRIES // (b.size // 2)
+    a = rng.uniform(-1.0, 1.0, size=(2 * rows + 5, 2))
+    blocks = [
+        cross_gram(spec, a[start : start + rows], b) @ coeffs
+        for start in range(0, a.shape[0], rows)
+    ]
+    assert len(blocks) == 3
+    expected = np.concatenate(blocks, axis=1 if stacked else 0)
+    assert np.array_equal(kernel_apply(spec, a, b, coeffs), expected)
+
+
 def test_gram_empty_raises():
     with pytest.raises(ValueError):
         gram(KernelSpec("gaussian", 1.0, 1), np.zeros((0, 1)))

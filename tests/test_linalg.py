@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpstrf
 
+import rkhsreg.linalg as linalg
 from rkhsreg.kernels import KernelSpec, gram
 from rkhsreg.linalg import (
     NotPositiveDefiniteError,
     UNIT_ROUNDOFF,
     SpdFactor,
+    SpdFactorStack,
     loewner_leq,
     pivoted_cholesky,
     sandwich,
@@ -87,6 +89,75 @@ def test_factor_serves_many_solves(cho_factor_calls):
         B = rng.standard_normal((9, 2))
         np.testing.assert_allclose(factor.solve(B), np.linalg.solve(A, B), atol=1e-10)
     assert len(cho_factor_calls) == 1
+
+
+def _gram_stack(seed, B=5, n=30):
+    rng = np.random.default_rng(seed)
+    K = gram(KernelSpec("gaussian", 0.3, 1), rng.uniform(0.0, 1.0, (B, n, 1)))
+    return K, rng.standard_normal((B, n, 2))
+
+
+def _assert_member_solves(X, KX, K, shift, rhs):
+    # One member against solve_spd on its own K + shift*I.
+    x = solve_spd(K + shift * np.eye(K.shape[0]), rhs)
+    np.testing.assert_allclose(X, x, rtol=1e-12, atol=1e-12 * np.max(np.abs(x)))
+    Kx = K @ x
+    np.testing.assert_allclose(KX, Kx, rtol=1e-12, atol=1e-12 * np.max(np.abs(Kx)))
+
+
+@pytest.mark.parametrize("woodbury", [False, True], ids=["dense", "woodbury"])
+def test_factor_stack_solves_each_member(cho_factor_calls, woodbury):
+    # The dense rung factors every member in place, one cho_factor call
+    # per member, and checks them all with one batched product; the
+    # Woodbury rung factors each member's r x r inner matrix instead.
+    K, rhs = _gram_stack(31)
+    low_rank = [pivoted_cholesky(Kb, 30) for Kb in K] if woodbury else None
+    given = rhs.copy()
+    X, KX, errors = SpdFactorStack(K, 0.5, low_rank).solve_with_product(rhs)
+    assert errors == [None] * 5 and X.shape == KX.shape == rhs.shape
+    assert np.array_equal(rhs, given)
+    assert len(cho_factor_calls) == 5
+    assert all(shape[0] < 30 for shape in cho_factor_calls) == woodbury
+    for b in range(5):
+        _assert_member_solves(X[b], KX[b], K[b], 0.5, rhs[b])
+
+
+def test_factor_stack_fails_an_indefinite_member_alone():
+    K, rhs = _gram_stack(32)
+    X, KX, _ = SpdFactorStack(K, 0.5).solve_with_product(rhs)
+    broken = K.copy()
+    broken[2, 0, 0] = -5.0
+    got_X, got_KX, errors = SpdFactorStack(broken, 0.5).solve_with_product(rhs)
+    assert isinstance(errors[2], NotPositiveDefiniteError)
+    assert "not positive definite" in str(errors[2])
+    assert [e is None for e in errors] == [True, True, False, True, True]
+    for b in (0, 1, 3, 4):
+        assert np.array_equal(got_X[b], X[b]) and np.array_equal(got_KX[b], KX[b])
+
+
+def test_factor_stack_fails_a_member_whose_check_fails_alone(monkeypatch):
+    # The second member's solution is perturbed after its solve, which
+    # writes it in place, so its residual check, made in the batched
+    # pass, must fail it alone.
+    K, rhs = _gram_stack(33)
+    X, KX, _ = SpdFactorStack(K, 0.5).solve_with_product(rhs)
+    orig = linalg._cho_solve
+    calls = []
+
+    def second_off(factor, B, overwrite_b=False):
+        calls.append(B.shape)
+        x = orig(factor, B, overwrite_b)
+        if len(calls) == 2:
+            x *= 1.0 + 1e-6
+        return x
+
+    monkeypatch.setattr(linalg, "_cho_solve", second_off)
+    got_X, got_KX, errors = SpdFactorStack(K, 0.5).solve_with_product(rhs)
+    assert str(errors[1]) == "Cholesky solution fails its residual check"
+    assert isinstance(errors[1], NotPositiveDefiniteError)
+    assert [e is None for e in errors] == [True, False, True, True, True]
+    for b in (0, 2, 3, 4):
+        assert np.array_equal(got_X[b], X[b]) and np.array_equal(got_KX[b], KX[b])
 
 
 def test_factor_checks_every_column():
