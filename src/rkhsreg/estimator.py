@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .kernels import KernelSpec, as_points, cross_gram, gram, kernel_apply
-from .linalg import SpdFactor, SpdFactorStack, pivoted_cholesky
+from .linalg import SpdFactor, pivoted_cholesky
 
 NORM_CLAMP_TOL = 1e-10
 
@@ -122,32 +122,26 @@ LOW_RANK_MIN_RATIO = 10
 LOW_RANK_CAP = 2
 
 
-def _ridge_factor(
-    K: NDArray[np.float64], shift: float, grid_rank: int | None = None
-) -> SpdFactor | SpdFactorStack:
+def _ridge_factor(K: NDArray[np.float64], shift: float, grid_rank: int | None = None) -> SpdFactor:
     """Factors K + shift*I for a symmetric n x n Gram K, or for each member of a stack (B, n, n).
 
     The ridge system (shift = n*lam: fit_ridge, bridge_distance_sq,
     run_replication) and the GP band (shift = lam_gp) are all factored
     here. Given the rank r of the kernel's grid operator, shift > 0 and
-    n >= LOW_RANK_MIN_RATIO * r, the factor starts on the Woodbury rung
+    n >= LOW_RANK_MIN_RATIO * r, each member starts on the Woodbury rung
     from the pivoted Cholesky K ~ L L', capped at LOW_RANK_CAP * r
     columns, which factors only an r x r matrix and never forms
     K + shift*I; otherwise, or past the cap, it is the dense Cholesky.
-    Either way every solve is checked against K + shift*I itself. A
-    stack gives an SpdFactorStack: on the Woodbury rung one SpdFactor
-    per member; on the dense rung one loop of in-place Cholesky factors
-    over the stack, whose solutions one batched product checks.
+    Either way every solve is checked against K + shift*I itself.
     """
     n = K.shape[-1]
-    if grid_rank is None or not shift > 0 or n < LOW_RANK_MIN_RATIO * grid_rank:
-        low_rank = None
-    elif K.ndim == 3:
-        low_rank = [pivoted_cholesky(Kb, max_rank=LOW_RANK_CAP * grid_rank) for Kb in K]
-    else:
-        low_rank = pivoted_cholesky(K, max_rank=LOW_RANK_CAP * grid_rank)
-    if K.ndim == 3:
-        return SpdFactorStack(K, shift=shift, low_rank=low_rank)
+    low_rank = None
+    if grid_rank is not None and shift > 0 and n >= LOW_RANK_MIN_RATIO * grid_rank:
+        cap = LOW_RANK_CAP * grid_rank
+        if K.ndim == 3:
+            low_rank = [pivoted_cholesky(Kb, cap) for Kb in K]
+        else:
+            low_rank = pivoted_cholesky(K, cap)
     return SpdFactor(K, shift=shift, low_rank=low_rank)
 
 

@@ -4,8 +4,10 @@ and convergence-rate fitting.
 A scenario pins the data-generating law: kernel, design measure, a
 target f0 constructed in the range of the kernel operator, and a noise
 model. Replications are keyed by (base_seed, n, lambda-bits,
-replication index) through a splittable seed scheme, so every dataset
-is bit-for-bit reproducible whatever replications it is run beside.
+replication index) through a splittable seed scheme, so every
+dataset's points and noise are bit-for-bit reproducible whatever
+replications it is run beside; its responses agree up to the order of
+the row-block sums that give f0 at the points.
 Replications run in chunks of consecutive indices, each chunk on
 stacked arrays (run_replication), and the chunks in index order. The
 replication driver measures RKHS distances of the ridge and auxiliary
@@ -434,7 +436,10 @@ def sample_dataset(
     deviation; f0 is the scenario's range-of-operator target evaluated
     through its quadrature construction. Identical arguments reproduce
     identical datasets bit-for-bit; lambda_key separates streams of
-    sweeps that share (n, replication_index).
+    sweeps that share (n, replication_index). A replication chunk draws
+    the same points and noise bits for the index, but sums f0 at the
+    points in row blocks of the whole chunk, so its responses agree with
+    these up to the order of those sums.
     """
     dctx = _design_context(scenario)
     (xs, fs), _ = _sample_at_nodes(
@@ -506,11 +511,11 @@ def run_replication(
     (_sample_at_nodes), one (B, n, n) stack of data Grams, one
     auxiliary_residuals call, one on_product call for the sup-norm grid,
     and one array operation per metric, clamp and check. Only the factor
-    of K + n*lam*I is made per dataset (_ridge_factor): on the dense
-    rung K + n*lam*I is formed once for the stack, one loop factors each
-    member in place and solves it, and one batched product checks every
-    solution; on the low-rank rung it is not formed. A failed factor or
-    check fails its own index alone. The auxiliary fit comes first, since its
+    of K + n*lam*I is made per dataset, by one SpdFactor over the stack
+    (_ridge_factor): K + n*lam*I is formed once for its dense members
+    and not at all for its low-rank ones, one loop factors and solves
+    each member, and one batched product checks every solution. A
+    failed factor or check fails its own index alone. The auxiliary fit comes first, since its
     residuals r = f - (K + n*lam*I) t, t = w~/n its coefficients, need
     only the data and f_lambda; it also hands back f~ at the data, K t. One
     two-column solve [a | u] = (K + n*lam*I)^-1 [f | r] gives the ridge

@@ -7,34 +7,26 @@ one Cholesky factor, and the bound (lam+K)^-1 K (lam+K)^-1 <= 1/(4*lam)
 checked in the Loewner order. This module holds every factorization the
 package makes.
 
-An SpdFactor holds one factorization of A = K + shift*I and serves
-every solve against it, so a caller that needs several right-hand
-sides factors once. Given a low-rank form K ~ L L' (L of shape n x r),
-it is first the Woodbury form
-A^-1 B ~ (B - L (shift*I_r + L'L)^-1 L'B) / shift,
-which factors only the r x r matrix and never forms A; otherwise, or
+An SpdFactor factors A = K + shift*I once and serves every solve
+against it, for one matrix K or for each member of a stack K (B, n, n)
+such as a replication chunk's data Grams; a single matrix is a stack of
+one. Given a low-rank form K_b ~ L L' (L of shape n x r), a member is
+first the Woodbury form A^-1 B ~ (B - L (shift*I_r + L'L)^-1 L'B) / shift,
+which factors only the r x r matrix and never forms A_b; otherwise, or
 once a Woodbury solution fails its check, it is the dense Cholesky
-factor of A. Both rungs solve through LAPACK's dpotrs on a
-scipy.linalg.cho_factor factor. Every solution is checked against A, as
-K X + shift*X, and solve_with_product hands back the K X that this
-check forms, so a caller that needs K X makes no second pass over K. A
-ridge system with shift > 0 has smallest eigenvalue at least shift, so
-the dense factor exists; a singular or indefinite A raises
-NotPositiveDefiniteError. solve_spd is the checked public entry: it
-verifies symmetry and then factors and solves once. Callers that build
-their matrix symmetric themselves (every Gram in the package is exactly
-symmetric) construct an SpdFactor directly and skip that O(n^2) pass.
-
-An SpdFactorStack factors A_b = K_b + shift*I for each member of a
-stack K (B, n, n), such as a replication chunk's data Grams, and fails
-a member that does not factor or whose solution fails its check alone.
-On the dense rung it forms A once for the whole stack, runs one loop
-that factors each member in place (through cho_factor, on the member's
-F-contiguous transposed view) and solves it with dpotrs, and checks
-every member's solution with one batched product K X. Small systems
-like these are bound by call overhead, so one array operation per
-stack replaces one per member wherever a member needs no call of its
-own. On the Woodbury rung each member is an SpdFactor of its own.
+factor of A_b, made in place in one copy of A for all dense members.
+Both rungs solve through LAPACK's dpotrs on a scipy.linalg.cho_factor
+factor, and one batched product K X checks every solution against A,
+as K X + shift*X; solve_with_product hands back that K X, so a caller
+that needs it makes no second pass over K. Small systems like a
+chunk's are bound by call overhead, so one array operation per stack
+replaces one per member wherever a member needs no call of its own. A
+member whose factor or check fails, fails alone; a ridge system with
+shift > 0 has smallest eigenvalue at least shift, so its dense factor
+exists. solve_spd is the checked public entry: it verifies symmetry
+and then factors and solves once. Callers that build their matrix
+symmetric themselves (every Gram in the package is exactly symmetric)
+construct an SpdFactor directly and skip that O(n^2) pass.
 
 pivoted_cholesky(A, max_rank) gives the ridge factor's low-rank form
 A ~ L L' with L of shape n x r: a greedy loop stopped when the largest
@@ -45,8 +37,6 @@ per factor.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 import scipy.linalg
@@ -75,195 +65,153 @@ def _check_symmetric(A: NDArray[np.float64], name: str) -> NDArray[np.float64]:
 
 
 class SpdFactor:
-    """Factorization of the symmetric positive definite A = K + shift*I.
+    """Factorizations of A_b = K_b + shift*I for a matrix K or each member of a stack.
 
-    K is symmetric n x n (the default shift 0 factors K itself) and is
-    never written to. A is factored at construction. Given low_rank = L
-    with K ~ L L', the factor is the Woodbury form, which factors only
-    the r x r matrix shift*I_r + L'L and holds no n x n array but K.
-    Otherwise, or once a Woodbury solve fails its check, it is one dense
-    Cholesky factor of A, formed in a fresh array that the factorization
-    overwrites. Each solve checks every column of its solution against
-    A, ||A x_j - b_j|| <= 1e-8 ||b_j||, which takes one pass over K for
-    K X; solve_with_product hands that product back with X, and solve
-    drops it. K is taken as symmetric; solve_spd checks that for
-    matrices the caller did not build.
+    K is symmetric n x n or a stack (B, n, n) of symmetric members, and
+    is never written to; a single matrix is a stack of one. low_rank
+    gives K_b ~ L_b L_b': for a matrix its L or None, for a stack one
+    L_b or None per member. A member starts on the Woodbury rung when
+    its L_b is given and the r x r inner matrix shift*I_r + L_b'L_b
+    factors; it then holds no n x n array. Every other member is dense:
+    K + shift*I is formed once for all of them in a fresh C-ordered
+    array, and each A_b is Cholesky-factored in place through its
+    F-contiguous transposed view (A_b is symmetric, so that view is
+    A_b itself). Each solve checks every column of every member against
+    A_b, ||A_b x - b|| <= 1e-8 ||b||, with one batched product K X. A
+    Woodbury member that fails the check climbs to the dense rung and
+    is solved and checked again; a member whose dense factor or check
+    fails, fails alone. K is taken as symmetric; solve_spd checks that
+    for matrices the caller did not build.
 
     Raises:
-        NotPositiveDefiniteError: At construction or in solve, when the
-            dense Cholesky of A fails or its solution fails the check.
+        NotPositiveDefiniteError: At construction, for a single matrix
+            whose dense Cholesky fails.
     """
 
     def __init__(
         self,
         K: NDArray[np.float64],
         shift: float = 0.0,
-        low_rank: NDArray[np.float64] | None = None,
+        low_rank: NDArray[np.float64] | list[NDArray[np.float64] | None] | None = None,
     ):
         self.gram = K
         self.shift = shift
-        self._woodbury = None
-        if low_rank is not None:
-            inner = low_rank.T @ low_rank
+        self._stack = K if K.ndim == 3 else K[None]
+        members = len(self._stack)
+        # Per member: its L_b while on the Woodbury rung, the Cholesky
+        # factor it solves through (of the inner matrix or of A_b), and
+        # the error that failed its dense factor.
+        self._low_rank = [low_rank] if K.ndim == 2 else list(low_rank or [None] * members)
+        self._factors: list[tuple[NDArray[np.float64], bool] | None] = [None] * members
+        self._errors: list[np.linalg.LinAlgError | None] = [None] * members
+        for b, L in enumerate(self._low_rank):
+            if L is None:
+                continue
+            inner = L.T @ L
             inner.flat[:: inner.shape[0] + 1] += shift
-            with contextlib.suppress(np.linalg.LinAlgError):
-                factor = scipy.linalg.cho_factor(inner, lower=True, check_finite=False)
-                self._woodbury = (low_rank, factor)
-        if self._woodbury is None:
-            self._factor_dense()
-
-    def _factor_dense(self) -> None:
-        """Replaces the factor by the dense Cholesky factor of A."""
-        # Fortran order lets cho_factor factor A in place.
-        A = np.array(self.gram, order="F")
-        A.flat[:: A.shape[0] + 1] += self.shift
-        self._cho = _cho_factor(A)
-        self._woodbury = None
-
-    def _apply(self, B: NDArray[np.float64]) -> NDArray[np.float64]:
-        """The current factor's approximation of A^-1 B."""
-        if self._woodbury is not None:
-            L, inner = self._woodbury
-            return (B - L @ _cho_solve(inner, L.T @ B)) / self.shift
-        return _cho_solve(self._cho, B)
-
-    def solve_with_product(
-        self, B: NDArray[np.float64]
-    ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """Solves A X = B; returns X and K X, the product its check formed.
-
-        B is a vector (n,) or matrix (n, k); both results have its shape.
-        The check forms A X - B as K X + shift*X - B in a separate
-        array, so the product it hands back is the one the accepted
-        solution was checked with, from the same pass over K.
-
-        Raises:
-            ValueError: If B's leading dimension is not n.
-            NotPositiveDefiniteError: If the dense Cholesky of A fails or its
-                solution fails the check.
-        """
-        B = np.asarray(B, dtype=np.float64)
-        n = self.gram.shape[0]
-        if B.shape[0] != n:
-            raise ValueError(f"B has leading dimension {B.shape[0]}, expected {n}")
-        norm_b = _column_norms(B)
-        while True:
-            X = self._apply(B)
-            # (X' K)' is K X since K is symmetric: OpenBLAS multiplies a
-            # few-column X faster from that side.
-            KX = (X.T @ self.gram).T
-            residual = self.shift * X
-            residual += KX
-            residual -= B
-            if np.all(_column_norms(residual) <= 1e-8 * norm_b):
-                return X, KX
-            if self._woodbury is None:
-                raise NotPositiveDefiniteError(_FAILED_CHECK)
-            self._factor_dense()
-
-    def solve(self, B: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Solves A X = B for a vector (n,) or matrix (n, k) right-hand side.
-
-        solve_with_product without the product: the product is dropped
-        on return, so it lives no longer than the check that formed it.
-
-        Raises:
-            ValueError: If B's leading dimension is not n.
-            NotPositiveDefiniteError: If the dense Cholesky of A fails or its
-                solution fails the check.
-        """
-        return self.solve_with_product(B)[0]
-
-
-class SpdFactorStack:
-    """Factorizations of A_b = K_b + shift*I for each member of a stack K (B, n, n).
-
-    Each K_b is symmetric and K is never written to. A numerical failure
-    fails its own member alone: solve_with_product returns the
-    NotPositiveDefiniteError in place of that member's solution, and
-    the other members are untouched. Given low_rank, one L_b or None per
-    member, each member is an SpdFactor of its own (the Woodbury rung
-    where L_b is given), solved and checked one at a time. Otherwise
-    the stack is dense: A is formed once for the whole stack, each
-    member is Cholesky-factored in place through its F-contiguous
-    transposed view (A_b is symmetric, so that view is A_b itself), and
-    one batched product K X checks every column of every member,
-    ||A_b x - b|| <= 1e-8 ||b||, as SpdFactor does.
-    """
-
-    def __init__(
-        self,
-        K: NDArray[np.float64],
-        shift: float = 0.0,
-        low_rank: list[NDArray[np.float64] | None] | None = None,
-    ):
-        self.gram = K
-        self.shift = shift
-        self._dense = low_rank is None
-        if self._dense:
-            A = np.array(K)
-            A.reshape(len(K), -1)[:, :: K.shape[-1] + 1] += shift
-            factor = lambda b: _cho_factor(A[b].T)
-        else:
-            factor = lambda b: SpdFactor(K[b], shift, low_rank[b])
-        self._members: list = []
-        self._errors: list[np.linalg.LinAlgError | None] = []
-        for b in range(len(K)):
             try:
-                self._members.append(factor(b))
-                self._errors.append(None)
+                self._factors[b] = _cho_factor(inner)
+            except np.linalg.LinAlgError:
+                self._low_rank[b] = None
+        self._factor_dense([b for b in range(members) if self._low_rank[b] is None])
+        if K.ndim == 2 and self._errors[0] is not None:
+            raise self._errors[0]
+
+    def _factor_dense(self, members: list[int]) -> None:
+        """Factors A_b densely for each b in members, or records the error that fails it."""
+        if not members:
+            return
+        # A fresh C-ordered copy: each A_b's transpose is F-contiguous,
+        # so cho_factor factors it in place and never writes into K.
+        A = np.ascontiguousarray(self._stack[members])
+        A.reshape(len(members), -1)[:, :: A.shape[-1] + 1] += self.shift
+        for b, Ab in zip(members, A):
+            self._low_rank[b] = None
+            try:
+                self._factors[b] = _cho_factor(Ab.T)
             except np.linalg.LinAlgError as exc:
-                self._members.append(None)
-                self._errors.append(exc)
+                self._errors[b] = exc
 
     def solve_with_product(
         self, B: NDArray[np.float64]
     ) -> tuple[NDArray[np.float64], NDArray[np.float64], list[np.linalg.LinAlgError | None]]:
         """Solves A_b X_b = B_b for each member; returns X, K X and the failures.
 
-        B is (B, n, k) and is not written to. X and K X are (B, n, k); a
-        failed member's rows hold no solution, and its entry in the list
-        of failures is the np.linalg.LinAlgError (NotPositiveDefiniteError)
-        that failed it. Every other entry is None. K X is the product the
-        check formed.
+        B is a vector (n,) or matrix (n, k) for a single matrix, (B, n, k)
+        for a stack, and is not written to; X and K X have its shape. K X
+        is the product the accepted solution was checked with. The list
+        of failures holds one entry per member: None, or the
+        np.linalg.LinAlgError (NotPositiveDefiniteError) that failed it,
+        whose rows of X and K X hold no solution.
 
         Raises:
-            ValueError: If B's shape is not (B, n, k) for this stack.
+            ValueError: If B's shape does not match K's.
         """
         B = np.asarray(B, dtype=np.float64)
-        if B.ndim != 3 or B.shape[:2] != self.gram.shape[:2]:
-            raise ValueError(f"B has shape {B.shape}, expected {self.gram.shape[:2]} + (k,)")
+        Bs = B
+        if self.gram.ndim == 2 and B.ndim in (1, 2):
+            Bs = (B[:, None] if B.ndim == 1 else B)[None]
+        if Bs.ndim != 3 or Bs.shape[:2] != self._stack.shape[:2]:
+            raise ValueError(f"B has shape {B.shape}, expected {self.gram.shape[:-1]} + (k,)")
         errors = list(self._errors)
         # Solutions are stored transposed, (B, k, n): each member's columns
         # are an F-contiguous view that dpotrs solves in place, and X' K is
         # one batched product of contiguous members, K X its transpose.
-        Bt = B.transpose(0, 2, 1)
+        Bt = Bs.transpose(0, 2, 1)
         Xt = np.array(Bt, order="C")
-        KXt = np.zeros_like(Xt)
-        for b, member in enumerate(self._members):
-            if errors[b] is not None:
-                continue
-            if self._dense:
-                _cho_solve(member, Xt[b].T, overwrite_b=True)
-                continue
-            try:
-                X, KX = member.solve_with_product(B[b])
-            except np.linalg.LinAlgError as exc:
-                errors[b] = exc
-            else:
-                Xt[b], KXt[b] = X.T, KX.T
-        if self._dense:
+        # Each member's column norms, as (k, B) arrays.
+        norm_b = _column_norms(Bt.T)
+        todo = [b for b, error in enumerate(errors) if error is None]
+        while True:
+            for b in todo:
+                Xb = Xt[b].T
+                L = self._low_rank[b]
+                if L is None:
+                    _cho_solve(self._factors[b], Xb, overwrite_b=True)
+                else:
+                    Xb -= L @ _cho_solve(self._factors[b], L.T @ Xb)
+                    Xb /= self.shift
             # (X' K)' is K X since each K_b is symmetric.
-            np.matmul(Xt, self.gram, out=KXt)
+            KXt = Xt @ self._stack
             residual = self.shift * Xt
             residual += KXt
             residual -= Bt
-            # Each member's column norms, as (k, B) arrays.
-            passed = _column_norms(residual.T) <= 1e-8 * _column_norms(Bt.T)
-            for b in np.flatnonzero(~np.all(passed, axis=0)):
-                if errors[b] is None:
+            passed = np.all(_column_norms(residual.T) <= 1e-8 * norm_b, axis=0)
+            climbing = []
+            for b in np.flatnonzero(~passed):
+                if errors[b] is None and self._low_rank[b] is not None:
+                    climbing.append(b)
+                elif errors[b] is None:
                     errors[b] = NotPositiveDefiniteError(_FAILED_CHECK)
-        return Xt.transpose(0, 2, 1), KXt.transpose(0, 2, 1), errors
+            # A climbing member is solved again from B on its dense factor.
+            self._factor_dense(climbing)
+            todo = []
+            for b in climbing:
+                errors[b] = self._errors[b]
+                if errors[b] is None:
+                    todo.append(b)
+                    Xt[b] = Bt[b]
+            if not todo:
+                break
+        X, KX = Xt.transpose(0, 2, 1), KXt.transpose(0, 2, 1)
+        return X.reshape(B.shape), KX.reshape(B.shape), errors
+
+    def solve(self, B: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Solves A X = B: solve_with_product's X, raising its first failure.
+
+        The product is dropped on return, so it lives no longer than the
+        check that formed it.
+
+        Raises:
+            ValueError: If B's shape does not match K's.
+            NotPositiveDefiniteError: If a member's dense Cholesky fails or
+                its solution fails the check.
+        """
+        X, _, errors = self.solve_with_product(B)
+        for error in errors:
+            if error is not None:
+                raise error
+        return X
 
 
 def _cho_factor(A: NDArray[np.float64]) -> tuple[NDArray[np.float64], bool]:

@@ -13,7 +13,6 @@ from rkhsreg.linalg import (
     NotPositiveDefiniteError,
     UNIT_ROUNDOFF,
     SpdFactor,
-    SpdFactorStack,
     loewner_leq,
     pivoted_cholesky,
     sandwich,
@@ -113,7 +112,7 @@ def test_factor_stack_solves_each_member(cho_factor_calls, woodbury):
     K, rhs = _gram_stack(31)
     low_rank = [pivoted_cholesky(Kb, 30) for Kb in K] if woodbury else None
     given = rhs.copy()
-    X, KX, errors = SpdFactorStack(K, 0.5, low_rank).solve_with_product(rhs)
+    X, KX, errors = SpdFactor(K, 0.5, low_rank).solve_with_product(rhs)
     assert errors == [None] * 5 and X.shape == KX.shape == rhs.shape
     assert np.array_equal(rhs, given)
     assert len(cho_factor_calls) == 5
@@ -124,10 +123,10 @@ def test_factor_stack_solves_each_member(cho_factor_calls, woodbury):
 
 def test_factor_stack_fails_an_indefinite_member_alone():
     K, rhs = _gram_stack(32)
-    X, KX, _ = SpdFactorStack(K, 0.5).solve_with_product(rhs)
+    X, KX, _ = SpdFactor(K, 0.5).solve_with_product(rhs)
     broken = K.copy()
     broken[2, 0, 0] = -5.0
-    got_X, got_KX, errors = SpdFactorStack(broken, 0.5).solve_with_product(rhs)
+    got_X, got_KX, errors = SpdFactor(broken, 0.5).solve_with_product(rhs)
     assert isinstance(errors[2], NotPositiveDefiniteError)
     assert "not positive definite" in str(errors[2])
     assert [e is None for e in errors] == [True, True, False, True, True]
@@ -140,7 +139,7 @@ def test_factor_stack_fails_a_member_whose_check_fails_alone(monkeypatch):
     # writes it in place, so its residual check, made in the batched
     # pass, must fail it alone.
     K, rhs = _gram_stack(33)
-    X, KX, _ = SpdFactorStack(K, 0.5).solve_with_product(rhs)
+    X, KX, _ = SpdFactor(K, 0.5).solve_with_product(rhs)
     orig = linalg._cho_solve
     calls = []
 
@@ -152,7 +151,7 @@ def test_factor_stack_fails_a_member_whose_check_fails_alone(monkeypatch):
         return x
 
     monkeypatch.setattr(linalg, "_cho_solve", second_off)
-    got_X, got_KX, errors = SpdFactorStack(K, 0.5).solve_with_product(rhs)
+    got_X, got_KX, errors = SpdFactor(K, 0.5).solve_with_product(rhs)
     assert str(errors[1]) == "Cholesky solution fails its residual check"
     assert isinstance(errors[1], NotPositiveDefiniteError)
     assert [e is None for e in errors] == [True, False, True, True, True]
@@ -267,6 +266,37 @@ def test_corrupted_low_rank_form_climbs_to_the_dense_rung(cho_factor_calls):
     B = np.random.default_rng(16).standard_normal((n, 2))
     _assert_columns_close(factor.solve(B), np.linalg.solve(A, B), 1e-12)
     assert cho_factor_calls == [(L.shape[1], L.shape[1]), (n, n)]
+
+
+def test_a_corrupted_member_climbs_alone(cho_factor_calls):
+    # Three Woodbury members, the second with a low-rank form of a
+    # different matrix: only it climbs to its dense factor, and the
+    # other two keep the bits of a stack with no corrupted member.
+    K = np.stack([_smooth_gram(300, seed) for seed in (14, 15, 16)])
+    n, shift = K.shape[-1], 30.0
+    low_rank = [pivoted_cholesky(Kb, max_rank=60) for Kb in K]
+    rhs = np.random.default_rng(19).standard_normal((3, n, 2))
+    X, KX, _ = SpdFactor(K, shift, low_rank).solve_with_product(rhs)
+    cho_factor_calls.clear()
+    corrupted = [low_rank[0], 1.01 * low_rank[1], low_rank[2]]
+    got_X, got_KX, errors = SpdFactor(K, shift, corrupted).solve_with_product(rhs)
+    assert errors == [None] * 3
+    assert [shape for shape in cho_factor_calls if shape == (n, n)] == [(n, n)]
+    _assert_columns_close(got_X[1], np.linalg.solve(K[1] + shift * np.eye(n), rhs[1]), 1e-12)
+    for b in (0, 2):
+        assert np.array_equal(got_X[b], X[b]) and np.array_equal(got_KX[b], KX[b])
+
+
+@pytest.mark.parametrize("woodbury", [False, True], ids=["dense", "woodbury"])
+def test_a_matrix_is_solved_as_a_stack_of_one(woodbury):
+    K = _smooth_gram(300)
+    n, shift = K.shape[0], 30.0
+    L = pivoted_cholesky(K, max_rank=60) if woodbury else None
+    B = np.random.default_rng(20).standard_normal((n, 2))
+    X, KX, errors = SpdFactor(K, shift, L).solve_with_product(B)
+    stack_X, stack_KX, stack_errors = SpdFactor(K[None], shift, [L]).solve_with_product(B[None])
+    assert errors == stack_errors == [None]
+    assert np.array_equal(X, stack_X[0]) and np.array_equal(KX, stack_KX[0])
 
 
 def test_sandwich_factors_once(cho_factor_calls):

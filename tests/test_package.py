@@ -309,8 +309,8 @@ def test_only_linalg_shifts_a_diagonal():
     assert sites == []
 
 
-def _spd_factor_callers(tree: ast.Module, factor: str = "SpdFactor") -> list[str]:
-    """The function around each factor(...) call, with the call's line.
+def _spd_factor_callers(tree: ast.Module) -> list[str]:
+    """The function around each SpdFactor(...) call, with the call's line.
 
     A method is named with its class, as Class.method.
     """
@@ -330,48 +330,31 @@ def _spd_factor_callers(tree: ast.Module, factor: str = "SpdFactor") -> list[str
             if isinstance(node, ast.Call):
                 func = node.func
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                if called == factor:
+                if called == "SpdFactor":
                     sites.append(f"{name}:{node.lineno}")
     return sites
 
 
 def test_only_the_ridge_factor_builds_an_spd_factor():
-    # The ridge fit, the residual bridge, the replication's two-column
-    # solve and the GP band all factor K + shift*I through
-    # estimator._ridge_factor, which holds the low-rank rule; solve_spd
-    # and sandwich factor general matrices, and a stack on the Woodbury
-    # rung holds one SpdFactor per member. An SpdFactor built anywhere
-    # else is a second copy of that rule.
+    # The ridge fit, the residual bridge, the replication chunk's stacked
+    # two-column solve and the GP band all factor K + shift*I through
+    # estimator._ridge_factor, which holds the low-rank rule for a
+    # matrix and a stack alike; solve_spd and sandwich factor general
+    # matrices. An SpdFactor built anywhere else is a second copy of
+    # that rule.
     assert _spd_factor_callers(ast.parse("def f(K):\n    return linalg.SpdFactor(K)")) == ["f:2"]
     assert not _spd_factor_callers(ast.parse("def f(K):\n    return SpdFactor"))
     method = "class S:\n    def f(self, K):\n        return SpdFactor(K)"
     assert _spd_factor_callers(ast.parse(method)) == ["S.f:3"]
     allowed = {
         "estimator.py": ["_ridge_factor"],
-        "linalg.py": ["SpdFactorStack.__init__", "sandwich", "solve_spd"],
+        "linalg.py": ["sandwich", "solve_spd"],
     }
     callers = {
         path.name: sorted(site.split(":")[0] for site in _spd_factor_callers(_parse(path)))
         for path in sorted(PACKAGE_DIR.glob("*.py"))
     }
     assert {name: sites for name, sites in callers.items() if sites} == allowed
-
-
-def test_only_the_ridge_factor_builds_an_spd_factor_stack():
-    # The stacked dense solve of a replication chunk is reached only
-    # through estimator._ridge_factor, which keeps the rung rule for
-    # stacks as for single matrices.
-    snippet = "def f(K):\n    return linalg.SpdFactorStack(K, 1.0)"
-    assert _spd_factor_callers(ast.parse(snippet), "SpdFactorStack") == ["f:2"]
-    callers = {
-        path.name: sorted(
-            site.split(":")[0] for site in _spd_factor_callers(_parse(path), "SpdFactorStack")
-        )
-        for path in sorted(PACKAGE_DIR.glob("*.py"))
-    }
-    assert {name: sites for name, sites in callers.items() if sites} == {
-        "estimator.py": ["_ridge_factor"]
-    }
 
 
 def _scipy_imports_beyond_linalg(tree: ast.Module) -> list[str]:
