@@ -29,6 +29,7 @@ from .estimator import (
 )
 from .fredholm import FredholmSolution
 from .kernels import gram
+from .linalg import _symmetric_product
 
 # The two residual formulas agree algebraically; this guards against
 # wiring errors between the expansion and the dataset.
@@ -100,6 +101,8 @@ def auxiliary_residuals(
     w~ = (f - f_lambda(X)) / lam, f~(X) = K w~ / n from one product with
     K, and r = f - lam * w~ - f~(X), each of the input's shape. r is
     checked against the lemma form f_lambda(X) - f~(X) for every dataset.
+    Only the upper triangle of each K is read (one BLAS dsymv call per
+    dataset), so K may be gram(..., upper=True).
 
     Raises:
         ArithmeticError: If the two residual formulas disagree for a
@@ -107,7 +110,8 @@ def auxiliary_residuals(
     """
     n = fs.shape[-1]
     tilde_w = (fs - flambda_at_xs) / lam
-    smooth = (K @ tilde_w[..., None])[..., 0] / n
+    stack = K if K.ndim == 3 else K[None]
+    smooth = _symmetric_product(stack, tilde_w.reshape(-1, 1, n)).reshape(tilde_w.shape) / n
     residuals = fs - lam * tilde_w - smooth
     gap = np.max(np.abs(residuals - (flambda_at_xs - smooth)), axis=-1)
     broken = gap > RESIDUAL_AGREEMENT_TOL * (1.0 + np.max(np.abs(fs), axis=-1))

@@ -221,9 +221,13 @@ def gp_posterior_band(
     if not lam_gp > 0:
         raise ValueError("lam_gp must be positive")
     pts = as_points(xs, kernel.dim)
-    K = gram(kernel, data.xs)
-    Kxn = cross_gram(kernel, pts, data.xs)
-    X = _ridge_factor(K, lam_gp, grid_rank).solve(np.column_stack([data.fs, Kxn.T]))
+    # The factor and its check read only K's upper triangle.
+    K = gram(kernel, data.xs, upper=True)
+    # Rows f and k(x, X), transposed, are the right-hand sides; rows 1:
+    # then serve as k(x, X), so no second copy of it lives through the solve.
+    rows = np.vstack([data.fs, cross_gram(kernel, pts, data.xs)])
+    X = _ridge_factor(K, lam_gp, grid_rank).solve(rows.T)
+    Kxn = rows[1:]
     mean = Kxn @ X[:, 0]
     # k(x, x) = 1 for every built-in family.
     var = 1.0 - np.sum(Kxn * X[:, 1:].T, axis=1)

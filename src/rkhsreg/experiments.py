@@ -511,11 +511,14 @@ def run_replication(
     (_sample_at_nodes), one (B, n, n) stack of data Grams, one
     auxiliary_residuals call, one on_product call for the sup-norm grid,
     and one array operation per metric, clamp and check. Only the factor
-    of K + n*lam*I is made per dataset, by one SpdFactor over the stack
-    (_ridge_factor): K + n*lam*I is formed once for its dense members
-    and not at all for its low-rank ones, one loop factors and solves
-    each member, and one batched product checks every solution. A
-    failed factor or check fails its own index alone. The auxiliary fit comes first, since its
+    of K + n*lam*I and the products with K are made per dataset, by one
+    SpdFactor over the stack (_ridge_factor): K + n*lam*I is formed once
+    for its dense members and not at all for its low-rank ones, one loop
+    factors and solves each member, and one symmetric BLAS call per
+    column checks each solution. A failed factor or check fails its own
+    index alone. Every product and factor reads only the upper triangle
+    of each K, and a replication run alone assembles no more than that
+    (gram(..., upper=True)). The auxiliary fit comes first, since its
     residuals r = f - (K + n*lam*I) t, t = w~/n its coefficients, need
     only the data and f_lambda; it also hands back f~ at the data, K t. One
     two-column solve [a | u] = (K + n*lam*I)^-1 [f | r] gives the ridge
@@ -572,19 +575,30 @@ def run_replication(
 def _run_chunk(
     scenario: ScenarioSpec, n: int, lam: float, indices: list[int]
 ) -> list[ReplicationMetrics | np.linalg.LinAlgError]:
-    """run_replication on a chunk of indices, raising the first broken check it meets."""
+    """run_replication on a chunk of indices, raising the first broken check it meets.
+
+    The data Grams are full for a chunk of two or more and the upper
+    triangle alone for one index; the auxiliary fit, the factor and its
+    check read only the upper triangle either way.
+    """
     dctx = _design_context(scenario)
     lctx = _lambda_context(scenario, lam)
     if lctx.sol.lam != lam:
         raise ArithmeticError(f"f_lambda was solved at lam={lctx.sol.lam!r}, not at lam={lam!r}")
     (xs, fs), at_xs = _sample_at_nodes(scenario, dctx, n, indices, lam, lctx.node_coeffs)
-    K = gram(scenario.kernel, xs)
+    # A replication run alone (n >= 182 in _run_many) has a Gram of
+    # several row blocks, and assembling its upper triangle alone skips
+    # about half its kernel values. A chunk's smaller Grams cost less in
+    # full than with their lower triangles cleared. Only the upper
+    # triangle is read either way.
+    K = gram(scenario.kernel, xs, upper=len(indices) == 1)
     projl = at_xs[..., 1]
     tilde_w, Kt, residuals = auxiliary_residuals(fs, projl, K, lam)
 
-    # K is exactly symmetric by construction, so no symmetry pass is made.
-    # The right-hand sides [f | r] of each member are the columns of a
-    # transposed view, so that every member's is F-contiguous.
+    # The auxiliary fit, the factor and its check read only the upper
+    # triangle of each K, so no symmetry pass is made. The right-hand
+    # sides [f | r] of each member are the columns of a transposed view,
+    # so that every member's is F-contiguous.
     rhs = np.stack([fs, residuals], axis=1).transpose(0, 2, 1)
     X, KX, errors = _ridge_factor(K, n * lam, dctx.op.rank).solve_with_product(rhs)
     results: list[ReplicationMetrics | np.linalg.LinAlgError | None] = list(errors)
@@ -619,7 +633,8 @@ def _run_chunk(
     if np.any(broken):
         b = int(np.argmax(broken))
         raise ArithmeticError(
-            f"residual bridge identity violated: {bridge[b]} vs {dist_hat_tilde_sq[b]}"
+            f"residual bridge identity violated at n={n}, replication {indices[ok[b]]}: "
+            f"{bridge[b]} vs {dist_hat_tilde_sq[b]}"
         )
 
     fit_residuals = fs - Ka

@@ -15,12 +15,17 @@ are therefore exactly symmetric, exactly 0 for coincident points and
 never negative: no symmetrizing or clamping pass is needed.
 
 gram and cross_gram return whole matrices, for callers that keep or
-reuse them. kernel_apply gives k(a, b) @ coeffs for a caller that needs
-only the product: it assembles row blocks of about APPLY_BLOCK_ENTRIES
-kernel values each and never holds the whole cross-Gram. Each of the
-three also takes a stack (B, n, d) of B point sets in place of its last
-point set and handles the B sets at once, with the same differences:
-gram then returns B Gram matrices (B, n, n), one per set.
+reuse them. gram(..., upper=True) assembles only the diagonal and the
+upper triangle of a Gram, with zeros below, for a caller that reads no
+more than that (linalg's solves and products): its row blocks start at
+the diagonal, so about half the kernel values are never computed, and
+nothing is mirrored. kernel_apply gives k(a, b) @ coeffs for a caller
+that needs only the product: it assembles row blocks of about
+APPLY_BLOCK_ENTRIES kernel values each and never holds the whole
+cross-Gram. Each of the three also takes a stack (B, n, d) of B point
+sets in place of its last point set and handles the B sets at once,
+with the same differences: gram then returns B Gram matrices
+(B, n, n), one per set.
 
 ConfigError lives here, the lowest module the config models share.
 """
@@ -220,26 +225,53 @@ def kernel_apply(
     return np.concatenate(blocks, axis=bb.ndim - 2)
 
 
-def gram(spec: KernelSpec, points: object) -> NDArray[np.float64]:
+def gram(spec: KernelSpec, points: object, upper: bool = False) -> NDArray[np.float64]:
     """Assembles the Gram matrix of a point set, or one per set of a stack.
 
     The result is exactly symmetric and has exact unit diagonal (every
     family satisfies k(x, x) = 1), both by construction: the squared
     distances are exactly symmetric with an exactly zero diagonal.
 
+    With upper=True only the diagonal and the upper triangle are
+    assembled, and every entry below the diagonal is 0: bitwise
+    np.triu of the full matrix, from about half its kernel values. Rows
+    are assembled in blocks of about APPLY_BLOCK_ENTRIES kernel values,
+    each block from its diagonal entry on. This is for a caller that
+    reads only the upper triangle, as linalg's solves and products do.
+
     Args:
         spec: Kernel to evaluate.
         points: n points as an (n, d) array (flat input allowed for d=1),
             or a stack (B, n, d) of B point sets.
+        upper: Assemble only the upper triangle, with zeros below it.
 
     Returns:
         Symmetric n x n array with entries k(points[i], points[j]), or
-        the (B, n, n) stack of the sets' Gram matrices.
+        the (B, n, n) stack of the sets' Gram matrices; with upper=True,
+        its upper triangle.
 
     Raises:
         ValueError: On an empty point set or dimension mismatch.
     """
     pts = _points(points, spec.dim)
-    if pts.shape[-2] == 0:
+    n = pts.shape[-2]
+    if n == 0:
         raise ValueError("gram requires at least one point")
-    return _profile(spec, _sq_dists(pts, pts))
+    if not upper:
+        return _profile(spec, _sq_dists(pts, pts))
+    K = np.empty(pts.shape[:-1] + (n,))
+    right = _right_operands(pts)
+    rows = max(1, APPLY_BLOCK_ENTRIES // (pts.size // spec.dim))
+    # The 0/1 mask of the diagonal and above: multiplying by 1 keeps a
+    # value and by 0 clears it, in one pass over a block's diagonal square.
+    on_or_above = np.triu(np.ones((min(rows, n),) * 2))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = _profile(spec, _sq_dists_to(pts[..., start:stop, :], right[..., start:]))
+        square = block[..., : stop - start]
+        square *= on_or_above[: stop - start, : stop - start]
+        K[..., start:stop, start:] = block
+        K[..., start:stop, :start] = 0.0
+        # Released before the next block is made, not after.
+        del block, square
+    return K

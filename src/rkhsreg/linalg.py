@@ -16,8 +16,8 @@ which factors only the r x r matrix and never forms A_b; otherwise, or
 once a Woodbury solution fails its check, it is the dense Cholesky
 factor of A_b, made in place in one copy of A for all dense members.
 Both rungs solve through LAPACK's dpotrs on a scipy.linalg.cho_factor
-factor, and one batched product K X checks every solution against A,
-as K X + shift*X; solve_with_product hands back that K X, so a caller
+factor, and the product K X checks every solution against A, as
+K X + shift*X; solve_with_product hands back that K X, so a caller
 that needs it makes no second pass over K. Small systems like a
 chunk's are bound by call overhead, so one array operation per stack
 replaces one per member wherever a member needs no call of its own. A
@@ -25,8 +25,17 @@ member whose factor or check fails, fails alone; a ridge system with
 shift > 0 has smallest eigenvalue at least shift, so its dense factor
 exists. solve_spd is the checked public entry: it verifies symmetry
 and then factors and solves once. Callers that build their matrix
-symmetric themselves (every Gram in the package is exactly symmetric)
-construct an SpdFactor directly and skip that O(n^2) pass.
+symmetric themselves (every Gram in the package is) construct an
+SpdFactor directly and skip that O(n^2) pass.
+
+Every factorization and product here reads only the diagonal and the
+upper triangle of K, so K may come from gram(..., upper=True), whose
+lower triangle is 0 and never assembled: the dense Cholesky factors
+the F-ordered view of A_b, whose lower triangle is A_b's upper one;
+the pivoted Cholesky reads row p as K[:p, p] followed by K[p, p:];
+and _symmetric_product, the one place K X is formed (for the check
+here and for the auxiliary fit's K w~), calls the symmetric BLAS
+dsymv or dsymm per member.
 
 pivoted_cholesky(A, max_rank) gives the ridge factor's low-rank form
 A ~ L L' with L of shape n x r: a greedy loop stopped when the largest
@@ -41,6 +50,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
+from scipy.linalg.blas import dsymm, dsymv
 from scipy.linalg.lapack import dpotrs
 
 
@@ -48,6 +58,16 @@ from scipy.linalg.lapack import dpotrs
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 # The message of a Cholesky solution that fails its residual check.
 _FAILED_CHECK = "Cholesky solution fails its residual check"
+# _symmetric_product makes one dsymv call per column up to this many
+# columns, and dsymm calls beyond: at n = 800, two dsymv calls took
+# 0.22 ms against 0.62 ms for one dsymm.
+SYMV_COLUMNS = 2
+# Columns per dsymm call beyond that. scipy's BLAS is its own OpenBLAS,
+# apart from NumPy's, with buffers touched only on use: one dsymm of an
+# 800 x 800 matrix by the GP band's 201 columns touched 0.7 MB of them
+# and raised a run's peak RSS by about 0.6 MB; four calls of at most 64
+# columns touched 0.1 MB, at 8.4 ms against 6.4 ms.
+SYMM_COLUMNS = 64
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -75,13 +95,14 @@ class SpdFactor:
     factors; it then holds no n x n array. Every other member is dense:
     K + shift*I is formed once for all of them in a fresh C-ordered
     array, and each A_b is Cholesky-factored in place through its
-    F-contiguous transposed view (A_b is symmetric, so that view is
-    A_b itself). Each solve checks every column of every member against
-    A_b, ||A_b x - b|| <= 1e-8 ||b||, with one batched product K X. A
-    Woodbury member that fails the check climbs to the dense rung and
-    is solved and checked again; a member whose dense factor or check
-    fails, fails alone. K is taken as symmetric; solve_spd checks that
-    for matrices the caller did not build.
+    F-contiguous transposed view, whose lower triangle is A_b's upper
+    one. Each solve checks every column of every member against A_b,
+    ||A_b x - b|| <= 1e-8 ||b||, with the product K X formed from K's
+    upper triangle (_symmetric_product). A Woodbury member that fails
+    the check climbs to the dense rung and is solved and checked again;
+    a member whose dense factor or check fails, fails alone. K is taken
+    as symmetric and only its diagonal and upper triangle are read;
+    solve_spd checks symmetry for matrices the caller did not build.
 
     Raises:
         NotPositiveDefiniteError: At construction, for a single matrix
@@ -155,8 +176,8 @@ class SpdFactor:
             raise ValueError(f"B has shape {B.shape}, expected {self.gram.shape[:-1]} + (k,)")
         errors = list(self._errors)
         # Solutions are stored transposed, (B, k, n): each member's columns
-        # are an F-contiguous view that dpotrs solves in place, and X' K is
-        # one batched product of contiguous members, K X its transpose.
+        # are an F-contiguous view that dpotrs solves in place, and the
+        # contiguous rows that _symmetric_product multiplies by K_b.
         Bt = Bs.transpose(0, 2, 1)
         Xt = np.array(Bt, order="C")
         # Each member's column norms, as (k, B) arrays.
@@ -171,8 +192,7 @@ class SpdFactor:
                 else:
                     Xb -= L @ _cho_solve(self._factors[b], L.T @ Xb)
                     Xb /= self.shift
-            # (X' K)' is K X since each K_b is symmetric.
-            KXt = Xt @ self._stack
+            KXt = _symmetric_product(self._stack, Xt)
             residual = self.shift * Xt
             residual += KXt
             residual -= Bt
@@ -244,6 +264,36 @@ def _cho_solve(
     return X
 
 
+def _symmetric_product(K: NDArray[np.float64], Vt: NDArray[np.float64]) -> NDArray[np.float64]:
+    """K_b v for each row v of Vt_b, from the upper triangle of each K_b alone.
+
+    K is a stack (B, n, n) of symmetric matrices and Vt a (B, k, n)
+    stack of k vectors per member; returns the (B, k, n) products. Each
+    member takes one BLAS dsymv call per vector for k <= SYMV_COLUMNS,
+    else one dsymm call per SYMM_COLUMNS vectors; neither routine reads
+    below the diagonal.
+    """
+    Vt = np.ascontiguousarray(Vt)
+    out = np.empty(Vt.shape)
+    # Flat buffers: each vector is an offset into them, so no view is
+    # made per vector.
+    v, y = Vt.reshape(-1), out.reshape(-1)
+    k, n = Vt.shape[1:]
+    # A C-ordered K_b is the F-ordered K_b', whose lower triangle is K_b's
+    # upper one; BLAS reads any other K_b (copied to F order if need be)
+    # as it is.
+    lower = int(K.flags.c_contiguous)
+    for b, a in enumerate(K.transpose(0, 2, 1) if lower else K):
+        if k > SYMV_COLUMNS:
+            for start in range(0, k, SYMM_COLUMNS):
+                stop = start + SYMM_COLUMNS
+                dsymm(1.0, a, Vt[b, start:stop].T, 0.0, out[b, start:stop].T, 0, lower, 1)
+            continue
+        for offset in range(b * k * n, (b + 1) * k * n, n):
+            dsymv(1.0, a, v, 0.0, y, offset, 1, offset, 1, lower, 1)
+    return out
+
+
 def _column_norms(X: NDArray[np.float64]) -> NDArray[np.float64]:
     """The Euclidean norm of each column of X (n, ...): the sum over its first axis."""
     return np.sqrt(np.einsum("i...,i...->...", X, X))
@@ -251,6 +301,8 @@ def _column_norms(X: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def pivoted_cholesky(A: NDArray[np.float64], max_rank: int) -> NDArray[np.float64] | None:
     """Pivoted Cholesky factor L (n x r) of a symmetric positive semidefinite A.
+
+    Only the diagonal and the upper triangle of A are read.
 
     Pivots on the largest remaining diagonal entry and stops once it is
     at most tol = n * eps * max diag(A) (eps the unit roundoff, LAPACK's
@@ -273,7 +325,8 @@ def pivoted_cholesky(A: NDArray[np.float64], max_rank: int) -> NDArray[np.float6
             return Lt[:k].copy().T
         if k == max_rank:
             return None
-        row = (A[p] - Lt[:k, p] @ Lt[:k]) / np.sqrt(diag[p])
+        # Row p of A from its upper triangle: column p above the diagonal.
+        row = (np.concatenate((A[:p, p], A[p, p:])) - Lt[:k, p] @ Lt[:k]) / np.sqrt(diag[p])
         Lt[k] = row
         diag -= row * row
         diag[p] = 0.0

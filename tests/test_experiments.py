@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import rkhsreg.auxiliary as aux_mod
 import rkhsreg.experiments as exp
 import rkhsreg.linalg as linalg
 from rkhsreg.auxiliary import bridge_distance_sq, fit_auxiliary, theoretical_tilde_risk
@@ -247,34 +248,33 @@ def test_run_replication_at_large_n_factors_no_n_by_n_matrix(cho_factor_calls):
     assert cho_factor_calls == [(r, r)] and r <= 2 * 17
 
 
-class _CountingGram(np.ndarray):
-    """A data Gram that counts the np.matmul calls taking it as an operand."""
-
-    matmuls = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul and any(isinstance(x, _CountingGram) for x in inputs):
-            _CountingGram.matmuls += 1
-
-        def plain(x):
-            return x.view(np.ndarray) if isinstance(x, _CountingGram) else x
-
-        if "out" in kwargs:
-            kwargs["out"] = tuple(plain(x) for x in kwargs["out"])
-        return getattr(ufunc, method)(*(plain(x) for x in inputs), **kwargs)
-
-
 @pytest.mark.parametrize("n", [40, 800], ids=["dense-rung", "woodbury-rung"])
 def test_run_replication_passes_over_the_gram_twice(monkeypatch, n):
     # One product with K in the auxiliary fit (K w~) and one in the ridge
     # solve's residual check (K [w, v]), whose result is reused: every
-    # distance, the objective and the bridge come from those two.
+    # distance, the objective and the bridge come from those two. Every
+    # product with a data Gram goes through linalg._symmetric_product.
     continuous_solution(CANON, 0.2)
-    orig = exp.gram
-    monkeypatch.setattr(exp, "gram", lambda spec, xs: orig(spec, xs).view(_CountingGram))
-    monkeypatch.setattr(_CountingGram, "matmuls", 0)
+    grams = []
+    orig_gram = exp.gram
+
+    def recorded_gram(spec, xs, **kwargs):
+        grams.append(orig_gram(spec, xs, **kwargs))
+        return grams[-1]
+
+    passes = []
+    orig_product = linalg._symmetric_product
+
+    def counted_product(K, Vt):
+        passes.extend(K is G for G in grams)
+        return orig_product(K, Vt)
+
+    monkeypatch.setattr(exp, "gram", recorded_gram)
+    monkeypatch.setattr(linalg, "_symmetric_product", counted_product)
+    monkeypatch.setattr(aux_mod, "_symmetric_product", counted_product)
     run_replication(CANON, n, 0.2, 3)
-    assert _CountingGram.matmuls == 2
+    assert len(grams) == 1
+    assert passes == [True, True]
 
 
 def test_run_replication_at_large_n_holds_one_n_by_n_array():

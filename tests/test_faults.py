@@ -87,7 +87,9 @@ def _wider_kernel(spec):
 
 def _data_gram_bandwidth(monkeypatch):
     orig = exp.gram
-    monkeypatch.setattr(exp, "gram", lambda spec, xs: orig(_wider_kernel(spec), xs))
+    monkeypatch.setattr(
+        exp, "gram", lambda spec, xs, **kwargs: orig(_wider_kernel(spec), xs, **kwargs)
+    )
 
 
 def _grid_operator_bandwidth(monkeypatch):

@@ -231,6 +231,26 @@ def test_a_stack_of_point_sets_matches_one_set_at_a_time(family, dim):
         gram(spec, np.zeros((B, 0, dim)))
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_upper_gram_is_bitwise_the_upper_triangle(family, dim):
+    # gram(..., upper=True) assembles row blocks from the diagonal on; its
+    # values must be the full Gram's bits, with exact zeros below, for a
+    # set and a stack that fit one block and for ones that span several.
+    rng = np.random.default_rng(31 + dim)
+    spec = KernelSpec(family, 0.4, dim)
+    for shape in [(30, dim), (4, 30, dim), (300, dim), (4, 120, dim)]:
+        pts = rng.uniform(-1.0, 1.0, size=shape)
+        n, members = shape[-2], shape[0] if len(shape) == 3 else 1
+        blocks = -(-n // max(1, APPLY_BLOCK_ENTRIES // (members * n)))
+        assert (blocks > 1) == (n > 30)
+        # A NaN array of the Gram's size, freed at once, so that the
+        # memory gram gets is unlikely to hold zeros before it writes.
+        np.full(shape[:-1] + (n,), np.nan)
+        upper = gram(spec, pts, upper=True)
+        np.testing.assert_array_equal(upper, np.triu(gram(spec, pts)), err_msg=str(shape))
+
+
 @pytest.mark.parametrize("stacked", [False, True], ids=["2d-points", "stacked-points"])
 def test_kernel_apply_is_bitwise_the_per_block_form(stacked):
     # kernel_apply builds b's operand [1; -b_k] once per call; each row

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpstrf
 
+import rkhsreg.estimator as estimator
 import rkhsreg.linalg as linalg
+from rkhsreg.auxiliary import auxiliary_residuals
+from rkhsreg.estimator import Dataset, gp_posterior_band
 from rkhsreg.kernels import KernelSpec, gram
 from rkhsreg.linalg import (
     NotPositiveDefiniteError,
@@ -398,3 +401,63 @@ def test_constant_kernel_gram_sandwich():
     # eigenvalue n/(lam+n)^2 directly
     vals, _ = sym_eig(S)
     assert float(vals[-1]) == pytest.approx(6.0 / (0.05 + 6.0) ** 2, abs=1e-10)
+
+
+def _nan_below(K):
+    """K with every entry below the diagonal (of each member) set to NaN."""
+    n = K.shape[-1]
+    return np.where(np.tri(n, n, -1, dtype=bool), np.nan, K)
+
+
+def _upper_triangle_cases():
+    K = _smooth_gram(300)
+    n, shift = K.shape[0], 30.0
+    B = np.random.default_rng(21).standard_normal((n, 2))
+    stack, stack_rhs = _gram_stack(32)
+    stack[2, 0, 0] = -5.0
+    rng = np.random.default_rng(22)
+    fs, fl = rng.standard_normal((2, 5, 30))
+    band_data = Dataset(np.random.default_rng(23).uniform(0.0, 1.0, (300, 1)), B[:, 0])
+    band_kernel = KernelSpec("gaussian", 0.25, 1)
+
+    def solved(K, low_rank=None):
+        X, KX, errors = SpdFactor(K, shift, low_rank).solve_with_product(B)
+        assert errors == [None]
+        return X, KX
+
+    def stack_solved(K):
+        X, KX, errors = SpdFactor(K, 0.5).solve_with_product(stack_rhs)
+        assert [e is None for e in errors] == [True, True, False, True, True]
+        return X, KX
+
+    def band(K, monkeypatch, grid_rank):
+        # gp_posterior_band builds its own Gram: the one given stands in.
+        monkeypatch.setattr(estimator, "gram", lambda spec, xs, upper=False: K)
+        return gp_posterior_band(band_kernel, band_data, 30.0, np.linspace(0, 1, 201), grid_rank)
+
+    return {
+        "dense": (K, lambda K, _: solved(K)),
+        "woodbury": (K, lambda K, _: solved(K, pivoted_cholesky(K, 60))),
+        "climbing-woodbury": (K, lambda K, _: solved(K, 1.01 * pivoted_cholesky(K, 60))),
+        "stack-with-a-failing-member": (stack, lambda K, _: stack_solved(K)),
+        "pivoted-cholesky": (K, lambda K, _: (pivoted_cholesky(K, 60),)),
+        "auxiliary-residuals": (stack, lambda K, _: auxiliary_residuals(fs, fl, K, 0.2)),
+        "auxiliary-residuals-2d": (K[:30, :30], lambda K, _: auxiliary_residuals(fs[0], fl[0], K, 0.2)),
+        "gp-band-dense": (gram(band_kernel, band_data.xs), lambda K, mp: band(K, mp, None)),
+        "gp-band-woodbury": (gram(band_kernel, band_data.xs), lambda K, mp: band(K, mp, 17)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_upper_triangle_cases()))
+def test_consumers_of_a_gram_read_only_its_upper_triangle(monkeypatch, cho_factor_calls, case):
+    # gram(..., upper=True) leaves the lower triangle 0 and the engine
+    # hands such a K on: every consumer must give the full K's results
+    # with NaN below the diagonal. The climbing member factors densely.
+    K, run = _upper_triangle_cases()[case]
+    expected = run(K, monkeypatch)
+    got = run(_nan_below(K), monkeypatch)
+    for value, reference in zip(got, expected):
+        assert np.all(np.isfinite(value))
+        np.testing.assert_allclose(value, reference, rtol=1e-12, atol=0)
+    if case == "climbing-woodbury":
+        assert (300, 300) in cho_factor_calls

@@ -152,6 +152,53 @@ def test_only_linalg_factors_matrices():
     assert sites == []
 
 
+def _blas_imports(tree: ast.Module) -> list[str]:
+    """Lines that import scipy.linalg.blas or a name from it."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.startswith("scipy.linalg.blas")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.startswith("scipy.linalg.blas"):
+                names = [module]
+            elif module == "scipy.linalg":
+                names = [a.name for a in node.names if a.name == "blas"]
+            else:
+                names = []
+        else:
+            continue
+        sites.extend(f"{node.lineno}: {name}" for name in names)
+    return sites
+
+
+def test_only_linalg_imports_blas():
+    # A data Gram may hold only its upper triangle; linalg's symmetric
+    # BLAS products are what read it. A BLAS call elsewhere is a second
+    # place that must know which triangle holds the values.
+    for snippet in (
+        "from scipy.linalg.blas import dsymv",
+        "import scipy.linalg.blas",
+        "from scipy.linalg import blas",
+        "import scipy.linalg.blas as blas",
+    ):
+        assert _blas_imports(ast.parse(snippet)), snippet
+    for snippet in (
+        "from scipy.linalg.lapack import dpotrs",
+        "import scipy.linalg",
+        "from scipy.linalg import cho_factor",
+        "from .linalg import _symmetric_product",
+    ):
+        assert not _blas_imports(ast.parse(snippet)), snippet
+    sites = [
+        f"{path.name}:{site}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "linalg.py"
+        for site in _blas_imports(_parse(path))
+    ]
+    assert sites == []
+
+
 _DENSE_SOLVERS = ("solve", "inv", "lstsq")
 
 
