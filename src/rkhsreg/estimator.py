@@ -27,19 +27,26 @@ from .linalg import SpdFactor, pivoted_cholesky
 NORM_CLAMP_TOL = 1e-10
 
 
-def _clamp_nonneg(value: float | NDArray[np.float64]) -> float | NDArray[np.float64]:
-    """Rounds tiny negative quadratic forms up to zero: one float, or an array of them.
+def _clamp_broken(q: float | NDArray[np.float64]) -> bool | NDArray[np.bool_]:
+    """Where quadratic forms q, one float or an array, are below -NORM_CLAMP_TOL or NaN.
 
-    Values below -NORM_CLAMP_TOL indicate a genuine positive-semidefiniteness
-    violation and raise ArithmeticError, like every other broken
-    identity, instead of being hidden; the message names the smallest.
+    Such a value is a genuine positive-semidefiniteness violation, a
+    broken identity like every other, which rounding up to zero must not
+    hide.
     """
-    low = np.min(value)
-    if low >= 0.0:
-        return value
-    if low >= -NORM_CLAMP_TOL:
-        return np.maximum(value, 0.0) if isinstance(value, np.ndarray) else 0.0
-    raise ArithmeticError(f"quadratic form is negative beyond roundoff tolerance: {low}")
+    return np.logical_not(q >= -NORM_CLAMP_TOL)
+
+
+def _clamp_nonneg(value: float) -> float:
+    """Rounds a tiny negative quadratic form up to zero.
+
+    Raises:
+        ArithmeticError: If value is negative beyond roundoff
+            (_clamp_broken), naming it.
+    """
+    if _clamp_broken(value):
+        raise ArithmeticError(f"quadratic form is negative beyond roundoff tolerance: {value}")
+    return max(value, 0.0)
 
 
 def _frozen_array(x: object, dtype=np.float64) -> NDArray[np.float64]:

@@ -29,7 +29,7 @@ from .auxiliary import auxiliary_residuals, theoretical_tilde_risk
 from .estimator import (
     Dataset,
     KernelExpansion,
-    _clamp_nonneg,
+    _clamp_broken,
     _ridge_factor,
     evaluate_batch,
 )
@@ -537,10 +537,15 @@ def run_replication(
     sup-norm certificate max_grid |fhat - f_lambda| <= ||fhat - f_lambda||_k,
     which holds because k(x, x) = 1 for every built-in family; its
     right side is widened by the roundoff of the three terms the
-    squared distance is summed from (CERTIFICATE_RTOL). When a check
-    breaks anywhere in a chunk, the chunk is run again one index at a
-    time, so the error raised is the one a run in index order raises:
-    the lowest failing index's first broken check.
+    squared distance is summed from (CERTIFICATE_RTOL). Every identity,
+    clamp and bound gives one boolean per index, a row of one check
+    table per chunk (_run_chunk), and a chunk is drawn, assembled,
+    factored and checked once. The error raised is the one a run in
+    index order raises: the lowest failing index's first broken check.
+    A non-finite input is a broken invariant too: an index whose solve
+    or check failed is first checked for a NaN or infinity in f, f0(X),
+    f_lambda(X) and its Gram's upper triangle, so that a NaN stops the
+    run instead of counting as a numerical failure.
 
     Returns:
         For one index its ReplicationMetrics; for a sequence, a list
@@ -549,21 +554,15 @@ def run_replication(
 
     Raises:
         np.linalg.LinAlgError: For one index, if its solve fails.
-        ArithmeticError: If an identity breaks, or a bound fails beyond
-            1e-9 relative and 1e-12 absolute, naming n, the replication
-            index and the margin.
+        ArithmeticError: If an input is not finite, an identity breaks,
+            or a bound fails beyond 1e-9 relative and 1e-12 absolute,
+            naming n, the replication index and the values or margin.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
     single = isinstance(replication_index, (int, np.integer))
     indices = [replication_index] if single else list(replication_index)
-    try:
-        results = _run_chunk(scenario, n, lam, indices)
-    except ArithmeticError:
-        if len(indices) == 1:
-            raise
-        # One index at a time, the first error raised is the index-order loop's.
-        results = [result for index in indices for result in _run_chunk(scenario, n, lam, [index])]
+    results = _run_chunk(scenario, n, lam, indices)
     if not single:
         return results
     (result,) = results
@@ -575,7 +574,20 @@ def run_replication(
 def _run_chunk(
     scenario: ScenarioSpec, n: int, lam: float, indices: list[int]
 ) -> list[ReplicationMetrics | np.linalg.LinAlgError]:
-    """run_replication on a chunk of indices, raising the first broken check it meets.
+    """run_replication on a chunk of indices: drawn, assembled, factored and checked once.
+
+    Each check gives one boolean per member, a row of the chunk's check
+    table, in the order one replication meets them: the agreement of the
+    auxiliary fit's residual formulas for every member; then, for each
+    member whose solve succeeded, the five clamped quadratic forms, the
+    residual bridge and the ball, residual and sup-norm bounds. Every
+    row is computed for every member, and a member whose solve failed
+    has its later rows masked: its rows of X and K X hold no solution.
+    Only if a solve or a row failed do four rows go first: whether f,
+    f0(X), f_lambda(X) and the upper triangle of K hold a NaN or
+    infinity, filled in for those members and False for the others. The
+    one raise site names the first broken row of the lowest failing
+    index, with n, the replication and the row's values or margin.
 
     The data Grams are full for a chunk of two or more and the upper
     triangle alone for one index; the auxiliary fit, the factor and its
@@ -592,24 +604,16 @@ def _run_chunk(
     # full than with their lower triangles cleared. Only the upper
     # triangle is read either way.
     K = gram(scenario.kernel, xs, upper=len(indices) == 1)
-    projl = at_xs[..., 1]
-    tilde_w, Kt, residuals = auxiliary_residuals(fs, projl, K, lam)
+    proj0, projl = at_xs[..., 0], at_xs[..., 1]
+    tilde_w, Kt, residuals, aux_margin = auxiliary_residuals(fs, projl, K, lam)
 
     # The auxiliary fit, the factor and its check read only the upper
     # triangle of each K, so no symmetry pass is made. The right-hand
     # sides [f | r] of each member are the columns of a transposed view,
     # so that every member's is F-contiguous.
-    rhs = np.stack([fs, residuals], axis=1).transpose(0, 2, 1)
-    X, KX, errors = _ridge_factor(K, n * lam, dctx.op.rank).solve_with_product(rhs)
-    results: list[ReplicationMetrics | np.linalg.LinAlgError | None] = list(errors)
-    ok = [b for b, error in enumerate(errors) if error is None]
-    if not ok:
-        return results
-    if len(ok) < len(indices):
-        xs, fs, at_xs, tilde_w, Kt, residuals, X, KX = (
-            x[ok] for x in (xs, fs, at_xs, tilde_w, Kt, residuals, X, KX)
-        )
-    proj0, projl = at_xs[..., 0], at_xs[..., 1]
+    sides = np.stack([fs, residuals], axis=1).transpose(0, 2, 1)
+    X, KX, errors = _ridge_factor(K, n * lam, dctx.op.rank).solve_with_product(sides)
+    failed = [b for b, error in enumerate(errors) if error is not None]
     # Rows a, u, K a and K u of the chunk's solutions and their products.
     a, u = X.transpose(2, 0, 1)
     t = tilde_w / n
@@ -620,22 +624,16 @@ def _run_chunk(
     aKa = np.vecdot(a, Ka)
     a_projl = np.vecdot(a, projl)
     norm_flam_sq = lctx.sol.flambda_norm_sq
-
-    dist_hat_flambda_sq = _clamp_nonneg(aKa - 2.0 * a_projl + norm_flam_sq)
-    dist_hat_f0_sq = _clamp_nonneg(aKa - 2.0 * np.vecdot(a, proj0) + dctx.norm_f0_sq)
-    dist_tilde_flambda_sq = _clamp_nonneg(
-        np.vecdot(t, Kt) - 2.0 * np.vecdot(t, projl) + norm_flam_sq
-    )
-    dist_hat_tilde_sq = _clamp_nonneg(np.vecdot(d, Kd))
-
-    bridge = _clamp_nonneg(np.vecdot(u, Ku))
-    broken = np.abs(bridge - dist_hat_tilde_sq) > 1e-8 * (1.0 + dist_hat_tilde_sq)
-    if np.any(broken):
-        b = int(np.argmax(broken))
-        raise ArithmeticError(
-            f"residual bridge identity violated at n={n}, replication {indices[ok[b]]}: "
-            f"{bridge[b]} vs {dist_hat_tilde_sq[b]}"
-        )
+    forms = np.stack([
+        aKa - 2.0 * a_projl + norm_flam_sq,
+        aKa - 2.0 * np.vecdot(a, proj0) + dctx.norm_f0_sq,
+        np.vecdot(t, Kt) - 2.0 * np.vecdot(t, projl) + norm_flam_sq,
+        np.vecdot(d, Kd),
+        np.vecdot(u, Ku),
+    ])
+    clamped = np.maximum(forms, 0.0)
+    dist_hat_flambda_sq, dist_hat_f0_sq, dist_tilde_flambda_sq, dist_hat_tilde_sq, bridge = clamped
+    bridge_broken = np.abs(bridge - dist_hat_tilde_sq) > 1e-8 * (1.0 + dist_hat_tilde_sq)
 
     fit_residuals = fs - Ka
     theta_hat = np.vecdot(fit_residuals, fit_residuals) / n + lam * aKa
@@ -643,26 +641,63 @@ def _run_chunk(
     fhat_eval = dctx.op.on_product(dctx.eval_points, xs, a)
     sup_gap_grid_max = np.max(np.abs(fhat_eval - lctx.flam_eval), axis=-1)
     certificate_slack = CERTIFICATE_RTOL * (np.abs(aKa) + 2.0 * np.abs(a_projl) + norm_flam_sq)
-    for name, lhs, rhs in (
-        ("ball", lam * aKa, np.vecdot(fs, fs) / n),
-        ("residual", dist_hat_tilde_sq, np.vecdot(residuals, residuals) / (4.0 * lam * n)),
-        ("sup-norm", sup_gap_grid_max, np.sqrt(dist_hat_flambda_sq + certificate_slack)),
-    ):
-        margin = lhs - rhs * (1.0 + 1e-9) - 1e-12
-        if np.any(margin > 0):
-            b = int(np.argmax(margin > 0))
-            raise ArithmeticError(
-                f"{name} bound violated at n={n}, replication {indices[ok[b]]}: "
-                f"{float(lhs[b])!r} exceeds {float(rhs[b])!r} by {margin[b]:.3e} beyond tolerance"
-            )
+    # A negative ||f_lambda||^2, which breaks a clamp row first, makes
+    # the certificate's square root NaN instead of a warning.
+    with np.errstate(invalid="ignore"):
+        certificate = np.sqrt(dist_hat_flambda_sq + certificate_slack)
+    # The ball, residual and sup-norm bounds, lhs <= rhs.
+    lhs = np.stack([lam * aKa, dist_hat_tilde_sq, sup_gap_grid_max])
+    rhs = np.stack(
+        [np.vecdot(fs, fs) / n, np.vecdot(residuals, residuals) / (4.0 * lam * n), certificate]
+    )
+    margin = lhs - rhs * (1.0 + 1e-9) - 1e-12
+
+    table = np.vstack([aux_margin > 0, _clamp_broken(forms), bridge_broken, margin > 0])
+    if failed:
+        table[1:, failed] = False
+    if failed or table.any():
+        # A member whose solve or check failed is first checked for a
+        # non-finite input, so that a NaN stops the run instead of
+        # failing one replication. A passing member's are not scanned.
+        suspect = table.any(axis=0)
+        suspect[failed] = True
+        inputs = {
+            "f": fs[suspect], "f0(X)": proj0[suspect], "f_lambda(X)": projl[suspect],
+            "data Gram": np.triu(K[suspect]),
+        }
+        nonfinite = np.zeros((len(inputs), len(indices)))
+        for row, x in zip(nonfinite, inputs.values()):
+            row[suspect] = np.count_nonzero(~np.isfinite(x.reshape(len(x), -1)), axis=1)
+        table = np.vstack([nonfinite > 0, table])
+    # (member, row) pairs in order: the first is the lowest failing index's first broken row.
+    broken = np.argwhere(table.T)
+    if len(broken):
+        rows = (
+            *(
+                (f"non-finite {name}", "NaN or infinite entries: {0:.0f}", count)
+                for name, count in zip(inputs, nonfinite)
+            ),
+            ("residual formulas disagree", "{0:.3e} beyond tolerance", aux_margin),
+            *(("quadratic form is negative beyond roundoff tolerance", "{0}", q) for q in forms),
+            ("residual bridge identity violated", "{0} vs {1}", bridge, dist_hat_tilde_sq),
+            *(
+                (f"{name} bound violated", "{0!r} exceeds {1!r} by {2:.3e} beyond tolerance", *row)
+                for name, *row in zip(("ball", "residual", "sup-norm"), lhs, rhs, margin)
+            ),
+        )
+        b, check = broken[0]
+        head, tail, *values = rows[check]
+        tail = tail.format(*(float(v[b]) for v in values))
+        raise ArithmeticError(f"{head} at n={n}, replication {indices[b]}: {tail}")
 
     columns = (
         dist_hat_flambda_sq, dist_tilde_flambda_sq, dist_hat_tilde_sq, dist_hat_f0_sq,
         theta_hat, sup_gap_hat_flambda, sup_gap_grid_max,
     )
-    for b, values in zip(ok, zip(*(column.tolist() for column in columns))):
-        results[b] = ReplicationMetrics(n, lam, *values)
-    return results
+    return [
+        error or ReplicationMetrics(n, lam, *values)
+        for error, values in zip(errors, zip(*(column.tolist() for column in columns)))
+    ]
 
 
 def _run_many(

@@ -459,13 +459,33 @@ def test_a_broken_member_is_named_by_its_index(monkeypatch):
         monte_carlo(CANON, 50, 0.2, 26)
 
 
+def _count_calls(monkeypatch, module, name):
+    """Records each call of module.name, which still runs; returns the record."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+NEGATIVE_AT_9 = "^quadratic form is negative beyond roundoff tolerance at n=50, replication 9:"
+
+
 def test_a_chunk_raises_what_the_index_order_loop_raises(monkeypatch):
     # Index 9 breaks at a quadratic form, before any bound is checked,
     # and index 7 only at the last bound. In index order 7 comes first,
     # so its sup-norm message is the one raised, from within a chunk too.
+    # The broken chunk is drawn and assembled once: no index runs again.
     _break_members(monkeypatch, f0_scaled=9)
-    with pytest.raises(ArithmeticError, match="^quadratic form is negative"):
+    draws = _count_calls(monkeypatch, exp, "_sample_at_nodes")
+    grams = _count_calls(monkeypatch, exp, "gram")
+    with pytest.raises(ArithmeticError, match=NEGATIVE_AT_9):
         run_replication(CANON, 50, 0.2, range(26))
+    assert len(draws) == len(grams) == 1
     monkeypatch.undo()
     _break_members(monkeypatch, f0_scaled=9, grid_tripled=7)
     for run in (
@@ -474,6 +494,51 @@ def test_a_chunk_raises_what_the_index_order_loop_raises(monkeypatch):
     ):
         with pytest.raises(ArithmeticError, match="^sup-norm bound violated at n=50, replication 7:"):
             run()
+    # A failed solve at index 2 fails that index alone, and is no broken
+    # check: index 9's is still raised, after one factor per member.
+    monkeypatch.undo()
+    _break_members(monkeypatch, f0_scaled=9)
+    orig = linalg._cho_factor
+    factors = []
+
+    def third_fails(A):
+        factors.append(A.shape)
+        if len(factors) == 3:
+            raise NotPositiveDefiniteError("synthetic failure")
+        return orig(A)
+
+    monkeypatch.setattr(linalg, "_cho_factor", third_fails)
+    with pytest.raises(ArithmeticError, match=NEGATIVE_AT_9):
+        run_replication(CANON, 50, 0.2, range(26))
+    assert factors == [(50, 50)] * 26
+
+
+@pytest.mark.parametrize("name", ["f", "f0(X)", "f_lambda(X)", "data Gram"])
+def test_a_non_finite_input_stops_the_run(monkeypatch, name):
+    # One NaN in index 13's input (in the Gram's upper triangle, the part
+    # that is read): the member's solve or a check fails, and the run
+    # stops naming the array instead of counting a numerical failure.
+    orig_sample, orig_gram = exp._sample_at_nodes, exp.gram
+
+    def sample(*args):
+        (xs, fs), values = orig_sample(*args)
+        target = {"f": fs[3], "f0(X)": values[3, :, 0], "f_lambda(X)": values[3, :, 1]}
+        if name in target:
+            target[name][5] = np.nan
+        return (xs, fs), values
+
+    def nan_gram(spec, xs, **kwargs):
+        K = orig_gram(spec, xs, **kwargs)
+        if name == "data Gram":
+            K[3, 4, 5] = np.nan
+        return K
+
+    monkeypatch.setattr(exp, "_sample_at_nodes", sample)
+    monkeypatch.setattr(exp, "gram", nan_gram)
+    message = f"non-finite {name} at n=50, replication 13: NaN or infinite entries: 1"
+    with pytest.raises(ArithmeticError) as raised:
+        run_replication(CANON, 50, 0.2, range(10, 36))
+    assert str(raised.value) == message
 
 
 def test_a_chunk_at_small_n_holds_at_most_two_megabytes():

@@ -130,6 +130,20 @@ def _f0_at_data_scaled(monkeypatch):
     monkeypatch.setattr(exp, "_sample_at_nodes", scaled)
 
 
+def _flambda_at_data_nan(monkeypatch):
+    # One NaN in f_lambda(X) (second column) of the first dataset of each
+    # chunk: its solve fails the residual check, and the NaN is what
+    # stops the run.
+    orig = exp._sample_at_nodes
+
+    def with_nan(*args):
+        data, values = orig(*args)
+        values[0, 0, 1] = np.nan
+        return data, values
+
+    monkeypatch.setattr(exp, "_sample_at_nodes", with_nan)
+
+
 def _fredholm_right_hand_side_scaled(monkeypatch):
     orig = exp.f0_in_range
 
@@ -202,6 +216,7 @@ def _theory_without_norm_term(monkeypatch):
         (_grid_factors_reversed, "Fredholm right-hand side is off the target f0", BOX_2D),
         (_ridge_factor_at_twice_lam, "residual bridge identity violated", {}),
         (_f0_at_data_scaled, "quadratic form is negative beyond roundoff tolerance", {}),
+        (_flambda_at_data_nan, "non-finite f_lambda(X) at n=50, replication 0:", {}),
         (_fredholm_right_hand_side_scaled, "Fredholm right-hand side is off the target f0", {}),
         (_auxiliary_fit_at_twice_lam, "residual bridge identity violated", {}),
         (
@@ -216,6 +231,7 @@ def _theory_without_norm_term(monkeypatch):
         "grid-factors-reversed-2d",
         "ridge-factor-at-2lam",
         "f0-at-data-x1.05",
+        "flambda-at-data-nan",
         "fredholm-rhs-x1.001",
         "auxiliary-fit-at-2lam",
         "flambda-at-1.1lam",
