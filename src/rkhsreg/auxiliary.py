@@ -81,7 +81,7 @@ def fit_auxiliary(data: Dataset, flambda: KernelExpansion, lam: float) -> Auxili
     fl = evaluate_batch(flambda, data.xs)
     K = gram(flambda.kernel, data.xs)
     tilde_w, _, residuals, margin = auxiliary_residuals(data.fs, fl, K, lam)
-    if margin > 0:
+    if not margin <= 0:
         raise ArithmeticError(f"residual formulas disagree by {margin:.3e} beyond tolerance")
     coeffs = tilde_w / data.n
     # Arrays made here are frozen rather than copied by the constructors.
@@ -106,9 +106,9 @@ def auxiliary_residuals(
     margin holds per dataset, () or (B,), how far the largest gap between
     r and the lemma form f_lambda(X) - f~(X) exceeds its tolerance,
     RESIDUAL_AGREEMENT_TOL * (1 + max |f|); the two formulas disagree
-    where margin > 0, and the caller raises for it. Only the upper
-    triangle of each K is read (one BLAS dsymv call per dataset), so K
-    may be gram(..., upper=True).
+    where margin is not <= 0, a NaN included, and the caller raises for
+    it. Only the upper triangle of each K is read (one BLAS dsymv call
+    per dataset), so K may be gram(..., upper=True).
     """
     n = fs.shape[-1]
     tilde_w = (fs - flambda_at_xs) / lam

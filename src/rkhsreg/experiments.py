@@ -545,7 +545,9 @@ def run_replication(
     A non-finite input is a broken invariant too: an index whose solve
     or check failed is first checked for a NaN or infinity in f, f0(X),
     f_lambda(X) and its Gram's upper triangle, so that a NaN stops the
-    run instead of counting as a numerical failure.
+    run instead of counting as a numerical failure. A check that meets a
+    NaN is broken, so a NaN that arises later, in f_lambda or the fit on
+    the sup-norm grid say, stops the run too.
 
     Returns:
         For one index its ReplicationMetrics; for a sequence, a list
@@ -580,9 +582,11 @@ def _run_chunk(
     table, in the order one replication meets them: the agreement of the
     auxiliary fit's residual formulas for every member; then, for each
     member whose solve succeeded, the five clamped quadratic forms, the
-    residual bridge and the ball, residual and sup-norm bounds. Every
-    row is computed for every member, and a member whose solve failed
-    has its later rows masked: its rows of X and K X hold no solution.
+    residual bridge and the ball, residual and sup-norm bounds. A row
+    is broken wherever its check does not hold, so a NaN residual, gap
+    or margin breaks it. Every row is computed for every member, and a
+    member whose solve failed has its later rows masked: its rows of X
+    and K X hold no solution.
     Only if a solve or a row failed do four rows go first: whether f,
     f0(X), f_lambda(X) and the upper triangle of K hold a NaN or
     infinity, filled in for those members and False for the others. The
@@ -633,7 +637,7 @@ def _run_chunk(
     ])
     clamped = np.maximum(forms, 0.0)
     dist_hat_flambda_sq, dist_hat_f0_sq, dist_tilde_flambda_sq, dist_hat_tilde_sq, bridge = clamped
-    bridge_broken = np.abs(bridge - dist_hat_tilde_sq) > 1e-8 * (1.0 + dist_hat_tilde_sq)
+    bridge_broken = ~(np.abs(bridge - dist_hat_tilde_sq) <= 1e-8 * (1.0 + dist_hat_tilde_sq))
 
     fit_residuals = fs - Ka
     theta_hat = np.vecdot(fit_residuals, fit_residuals) / n + lam * aKa
@@ -652,7 +656,7 @@ def _run_chunk(
     )
     margin = lhs - rhs * (1.0 + 1e-9) - 1e-12
 
-    table = np.vstack([aux_margin > 0, _clamp_broken(forms), bridge_broken, margin > 0])
+    table = np.vstack([~(aux_margin <= 0), _clamp_broken(forms), bridge_broken, ~(margin <= 0)])
     if failed:
         table[1:, failed] = False
     if failed or table.any():

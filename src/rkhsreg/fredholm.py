@@ -46,6 +46,7 @@ from .kernels import (
     ConfigError,
     KernelSpec,
     cross_gram,
+    gaussian_axis_apply,
     gram,
     kernel_apply,
 )
@@ -398,7 +399,18 @@ class GridOperator:
         factor's rows multiply that through kernel_apply, in row blocks.
         So sum_k |P_k| * n kernel values are assembled per set instead
         of |P| * n; at d = 2 this is R_1 diag(coeffs) R_2'.
+
+        A 1-d Gaussian operator (one factor) on an axis that is exactly
+        np.linspace of its ends, with every center inside that axis,
+        takes kernels.gaussian_axis_apply instead: about 2 sqrt(|P|) * n
+        kernel factors per set, 46 * n on the 512-point sup-norm axis.
+        Every other case, including a center outside the axis, takes
+        the product path above.
         """
+        if self._on_gaussian_axis(point_sets, centers):
+            return gaussian_axis_apply(
+                self.factors[0].kernel, point_sets[0][:, 0], centers, coeffs
+            )
         outer = coeffs[..., None, :]
         for f, pts in zip(self.factors[:-1], point_sets):
             rows = cross_gram(f.kernel, pts, centers[..., f.coords])
@@ -410,6 +422,22 @@ class GridOperator:
             last.kernel, point_sets[-1], centers[..., last.coords], outer.swapaxes(-1, -2)
         )
         return values.swapaxes(-1, -2).reshape(coeffs.shape[:-1] + (-1,))
+
+    def _on_gaussian_axis(
+        self, point_sets: tuple[NDArray[np.float64], ...], centers: NDArray[np.float64]
+    ) -> bool:
+        """Whether on_product may take gaussian_axis_apply: a 1-d Gaussian
+        operator, one point set that is np.linspace of its ends, and every
+        center within those ends."""
+        if len(self.factors) != 1:
+            return False
+        kernel = self.factors[0].kernel
+        if kernel.family != "gaussian" or kernel.dim != 1:
+            return False
+        axis = point_sets[0][:, 0]
+        if not np.array_equal(axis, np.linspace(axis[0], axis[-1], axis.shape[0])):
+            return False
+        return bool(np.all((centers >= axis[0]) & (centers <= axis[-1])))
 
 
 @dataclass(frozen=True, eq=False)

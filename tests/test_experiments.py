@@ -11,6 +11,7 @@ import scipy.stats
 
 import rkhsreg.auxiliary as aux_mod
 import rkhsreg.experiments as exp
+import rkhsreg.fredholm as fredholm_mod
 import rkhsreg.linalg as linalg
 from rkhsreg.auxiliary import bridge_distance_sq, fit_auxiliary, theoretical_tilde_risk
 from rkhsreg.cli import parse_config
@@ -539,6 +540,22 @@ def test_a_non_finite_input_stops_the_run(monkeypatch, name):
     with pytest.raises(ArithmeticError) as raised:
         run_replication(CANON, 50, 0.2, range(10, 36))
     assert str(raised.value) == message
+
+
+def test_a_nan_in_the_fit_on_the_sup_grid_stops_the_run(monkeypatch):
+    # The canonical sup-norm grid is evaluated by the factored axis apply;
+    # one NaN out of it breaks index 13's sup-norm bound, though every
+    # input is finite and every solve passes.
+    orig = fredholm_mod.gaussian_axis_apply
+
+    def with_nan(*args):
+        values = orig(*args)
+        values[3, 100] = np.nan
+        return values
+
+    monkeypatch.setattr(fredholm_mod, "gaussian_axis_apply", with_nan)
+    with pytest.raises(ArithmeticError, match="^sup-norm bound violated at n=50, replication 13: nan"):
+        run_replication(CANON, 50, 0.2, range(10, 36))
 
 
 def test_a_chunk_at_small_n_holds_at_most_two_megabytes():

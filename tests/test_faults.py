@@ -144,6 +144,34 @@ def _flambda_at_data_nan(monkeypatch):
     monkeypatch.setattr(exp, "_sample_at_nodes", with_nan)
 
 
+def _flambda_on_sup_grid_nan(monkeypatch):
+    # One NaN in f_lambda on the sup-norm grid: every fit passes its
+    # solve and its inputs are finite, so only the sup-norm bound sees it.
+    orig = exp._lambda_context
+
+    def with_nan(scenario, lam):
+        ctx = orig(scenario, lam)
+        flam_eval = ctx.flam_eval.copy()
+        flam_eval[0] = np.nan
+        return dataclasses.replace(ctx, flam_eval=flam_eval)
+
+    monkeypatch.setattr(exp, "_lambda_context", with_nan)
+
+
+def _grid_spectrum_scaled(monkeypatch):
+    # The grid operator's spectrum nu 1% high: the spectral solve then
+    # solves another system than the operator G W that checks it.
+    orig = exp.GridOperator
+
+    def scaled_spectrum(kernel, grid):
+        op = orig(kernel, grid)
+        nu, Vs = op.spectrum
+        object.__setattr__(op, "spectrum", (1.01 * nu, Vs))
+        return op
+
+    monkeypatch.setattr(exp, "GridOperator", scaled_spectrum)
+
+
 def _fredholm_right_hand_side_scaled(monkeypatch):
     orig = exp.f0_in_range
 
@@ -217,6 +245,8 @@ def _theory_without_norm_term(monkeypatch):
         (_ridge_factor_at_twice_lam, "residual bridge identity violated", {}),
         (_f0_at_data_scaled, "quadratic form is negative beyond roundoff tolerance", {}),
         (_flambda_at_data_nan, "non-finite f_lambda(X) at n=50, replication 0:", {}),
+        (_flambda_on_sup_grid_nan, "sup-norm bound violated at n=50, replication 0", {}),
+        (_grid_spectrum_scaled, "discretization inconsistency", {}),
         (_fredholm_right_hand_side_scaled, "Fredholm right-hand side is off the target f0", {}),
         (_auxiliary_fit_at_twice_lam, "residual bridge identity violated", {}),
         (
@@ -232,6 +262,8 @@ def _theory_without_norm_term(monkeypatch):
         "ridge-factor-at-2lam",
         "f0-at-data-x1.05",
         "flambda-at-data-nan",
+        "flambda-on-sup-grid-nan",
+        "grid-spectrum-x1.01",
         "fredholm-rhs-x1.001",
         "auxiliary-fit-at-2lam",
         "flambda-at-1.1lam",

@@ -9,6 +9,7 @@ import scipy.stats
 from scipy.linalg.lapack import dpstrf
 
 import rkhsreg.fredholm as fredholm_mod
+import rkhsreg.kernels as kernels_mod
 from rkhsreg.estimator import KernelExpansion, evaluate_batch, rkhs_norm_sq
 from rkhsreg.experiments import canonical_scenario
 from rkhsreg.fredholm import (
@@ -387,6 +388,81 @@ def test_kronecker_sup_grid_values_match_dense_kernel_apply(case):
     dense = kernel_apply(kernel, measure.eval_grid, xs, a)
     got = op.on_product(op.split(measure.eval_axes), xs, a)
     np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * float(np.abs(a).sum()))
+
+
+def _on_product_paths(monkeypatch):
+    """Counts on_product's calls of gaussian_axis_apply in a list."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernels_mod.gaussian_axis_apply(*args)
+
+    monkeypatch.setattr(fredholm_mod, "gaussian_axis_apply", counted)
+    return calls
+
+
+def _centers_and_coeffs(measure, seed):
+    """Centers and coefficients for one set (41 points) and a stack of three."""
+    rng = np.random.default_rng(seed)
+    stack = measure.sample([rng] * 3, 41)
+    coeffs = rng.standard_normal((3, 41))
+    return [(stack[0], coeffs[0]), (stack, coeffs)]
+
+
+def test_1d_gaussian_sup_grid_takes_the_factored_axis_apply(monkeypatch):
+    calls = _on_product_paths(monkeypatch)
+    op = GridOperator(GAUSS, build_grid(UNIFORM, 64))
+    P = op.split(UNIFORM.eval_axes)
+    for xs, a in _centers_and_coeffs(UNIFORM, 7):
+        got = op.on_product(P, xs, a)
+        dense = kernel_apply(GAUSS, UNIFORM.eval_grid, xs, a[..., None])[..., 0]
+        assert got.shape == dense.shape == a.shape[:-1] + (512,)
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * float(np.abs(a).sum()))
+    assert len(calls) == 2
+
+
+def _nudged(axis):
+    """axis with one inner point moved by an ulp: not np.linspace of its ends."""
+    out = axis.copy()
+    out[len(out) // 2] = np.nextafter(out[len(out) // 2], np.inf)
+    return out
+
+
+@pytest.mark.parametrize(
+    "kernel, measure, edit",
+    [
+        (KernelSpec("laplace", 0.25, 1), UNIFORM, None),
+        (KernelSpec("rational_quadratic", 0.25, 1), UNIFORM, None),
+        (CONSTANT, UNIFORM, None),
+        (KernelSpec("gaussian", 0.4, 2), BOX_2D, None),
+        (KernelSpec("gaussian", 0.8, 3), BOX_3D, None),
+        (GAUSS, UNIFORM, "not-linspace"),
+        (GAUSS, UNIFORM, "center-outside"),
+    ],
+    ids=["laplace", "rational_quadratic", "constant", "gaussian-2d", "gaussian-3d",
+         "not-linspace", "center-outside"],
+)
+def test_every_other_sup_grid_keeps_the_product_path(monkeypatch, kernel, measure, edit):
+    # Bitwise the values of the product path: at d = 1 one kernel_apply
+    # against the centers; at d >= 2 the Kronecker rows, which run
+    # whenever gaussian_axis_apply does not.
+    calls = _on_product_paths(monkeypatch)
+    op = GridOperator(kernel, build_grid(measure, 64))
+    axes = measure.eval_axes
+    if edit == "not-linspace":
+        axes = (_nudged(axes[0]),)
+    P = op.split(axes)
+    for xs, a in _centers_and_coeffs(measure, 8):
+        if edit == "center-outside":
+            xs = xs.copy()
+            xs[..., -1, 0] = 1.0 + 1e-9
+        got = op.on_product(P, xs, a)
+        assert got.shape == a.shape[:-1] + (np.prod([len(x) for x in axes]),)
+        if kernel.dim == 1:
+            parent = kernel_apply(kernel, P[0], xs, a[..., None])[..., 0]
+            np.testing.assert_array_equal(got, parent)
+    assert calls == []
 
 
 @pytest.mark.parametrize(

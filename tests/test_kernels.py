@@ -12,6 +12,7 @@ from rkhsreg.kernels import (
     _sq_dists,
     as_points,
     cross_gram,
+    gaussian_axis_apply,
     gram,
     kernel_apply,
     kernel_eval,
@@ -269,6 +270,29 @@ def test_kernel_apply_is_bitwise_the_per_block_form(stacked):
     assert len(blocks) == 3
     expected = np.concatenate(blocks, axis=1 if stacked else 0)
     assert np.array_equal(kernel_apply(spec, a, b, coeffs), expected)
+
+
+@pytest.mark.parametrize("size", [512, 7])
+@pytest.mark.parametrize("box", [(0.0, 1.0), (-3.0, 3.0), (1000.0, 1001.0)])
+@pytest.mark.parametrize("bandwidth", [0.01, 0.05, 0.25, 1.0])
+def test_gaussian_axis_apply_matches_kernel_apply(bandwidth, box, size):
+    # The factored apply evaluates at anchor + offset, within an ulp of
+    # linspace's points, so it agrees with kernel_apply to roundoff, for
+    # one center set and a stack, with centers on both ends of the axis.
+    spec = KernelSpec("gaussian", bandwidth, 1)
+    axis = np.linspace(*box, size)
+    rng = np.random.default_rng(37)
+    centers = rng.uniform(*box, size=(3, 41, 1))
+    centers[0, :2, 0] = box
+    coeffs = rng.standard_normal((3, 41))
+    stacked = gaussian_axis_apply(spec, axis, centers, coeffs)
+    assert stacked.shape == (3, size)
+    for b in range(3):
+        want = kernel_apply(spec, axis, centers[b], coeffs[b])
+        got = gaussian_axis_apply(spec, axis, centers[b], coeffs[b])
+        atol = 1e-13 * float(np.abs(coeffs[b]).sum())
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+        np.testing.assert_allclose(stacked[b], want, rtol=0, atol=atol)
 
 
 def test_gram_empty_raises():

@@ -504,6 +504,46 @@ def test_no_environment_variable_steers_the_package():
     assert sites == []
 
 
+def _bandwidth_reads(tree: ast.Module) -> list[str]:
+    """Lines that read a .bandwidth attribute or getattr(..., "bandwidth")."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "bandwidth":
+            sites.append(f"{node.lineno}: .bandwidth")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "getattr":
+            if any(isinstance(a, ast.Constant) and a.value == "bandwidth" for a in node.args):
+                sites.append(f"{node.lineno}: getattr bandwidth")
+    return sites
+
+
+def test_only_kernels_reads_the_bandwidth():
+    # Each family's use of h, and with it the Gaussian's c = 1/2h^2 in
+    # the factored axis apply, sits in kernels.py beside _profile.
+    # Elsewhere a KernelSpec is passed whole or rebuilt by keyword.
+    for snippet in (
+        "spec.bandwidth",
+        "c = 0.5 / kernel.bandwidth**2",
+        "h = self.kernel.bandwidth",
+        "getattr(spec, 'bandwidth')",
+    ):
+        assert _bandwidth_reads(ast.parse(snippet)), snippet
+    for snippet in (
+        "KernelSpec('gaussian', bandwidth=0.25)",
+        "replace(spec, dim=1)",
+        "cfg['bandwidth']",
+        "getattr(spec, 'family')",
+    ):
+        assert not _bandwidth_reads(ast.parse(snippet)), snippet
+    sites = [
+        f"{path.name}:{site}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "kernels.py"
+        for site in _bandwidth_reads(_parse(path))
+    ]
+    assert sites == []
+    assert _bandwidth_reads(_parse(PACKAGE_DIR / "kernels.py"))
+
+
 _FRESH_RUNS = """
 import json, sys
 import rkhsreg.cli
