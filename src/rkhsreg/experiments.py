@@ -6,8 +6,8 @@ target f0 constructed in the range of the kernel operator, and a noise
 model. Replications are keyed by (base_seed, n, lambda-bits,
 replication index) through a splittable seed scheme, so every
 dataset's points and noise are bit-for-bit reproducible whatever
-replications it is run beside; its responses agree up to the order of
-the row-block sums that give f0 at the points.
+replications it is run beside; its responses agree to roundoff, since
+a chunk evaluates f0 at all its points at once (GridOperator.at_points).
 Replications run in chunks of consecutive indices, each chunk on
 stacked arrays (run_replication), and the chunks in index order. The
 replication driver measures RKHS distances of the ridge and auxiliary
@@ -44,7 +44,7 @@ from .fredholm import (
     flambda_expansion,
     solve_coefficient,
 )
-from .kernels import ConfigError, KernelSpec, gram
+from .kernels import ConfigError, KernelSpec, as_points, gram
 
 W0_CHOICES: dict[str, object] = {
     "sin2pi": lambda x: np.sin(2.0 * np.pi * x),
@@ -264,9 +264,13 @@ TARGET_AGREEMENT_TOL = 1e-10
 def _design_context(scenario: ScenarioSpec) -> _DesignContext:
     """The scenario's grid operator and target f0, checked at the nodes.
 
+    The check compares the operator product G W w0 with the target's
+    expansion summed directly (evaluate_batch), not with at_points.
+
     Raises:
         ArithmeticError: If the right-hand side f0_in_range builds for
-            the Fredholm problem is not the target f0 at the nodes.
+            the Fredholm problem is not the target f0 at the nodes, or
+            the gap between the two is NaN.
     """
     grid = build_grid(scenario.design, scenario.grid_m)
     op = GridOperator(scenario.kernel, grid)
@@ -274,7 +278,8 @@ def _design_context(scenario: ScenarioSpec) -> _DesignContext:
     f0_values, c0 = f0_in_range(op, w0_values)
     f0 = KernelExpansion(scenario.kernel, grid.nodes, grid.weights * w0_values)
     gap = float(np.max(np.abs(f0_values - evaluate_batch(f0, grid.nodes))))
-    if gap > TARGET_AGREEMENT_TOL * (1.0 + float(np.max(np.abs(f0_values)))):
+    # Written so that a NaN gap fails it.
+    if not gap <= TARGET_AGREEMENT_TOL * (1.0 + float(np.max(np.abs(f0_values)))):
         raise ArithmeticError(f"Fredholm right-hand side is off the target f0 by {gap:.3e}")
     return _DesignContext(op, f0, f0_values, c0**2, op.split(scenario.design.eval_axes))
 
@@ -298,13 +303,25 @@ def continuous_solution(scenario: ScenarioSpec, lam: float) -> FredholmSolution:
 
 
 def target_values(scenario: ScenarioSpec, xs: ArrayLike) -> NDArray[np.float64]:
-    """The true target f0 = integral of k(., y) w0(y) dP(y) at points xs."""
-    return evaluate_batch(_design_context(scenario).f0, xs)
+    """The true target f0 = integral of k(., y) w0(y) dP(y) at points xs.
+
+    Its node expansion is evaluated by the grid operator
+    (GridOperator.at_points), the path that gives f0 at every dataset's
+    points, so a dataset drawn without noise has exactly these values
+    as its responses.
+    """
+    dctx = _design_context(scenario)
+    return dctx.op.at_points(as_points(xs, scenario.kernel.dim), dctx.f0.coeffs)
 
 
 def flambda_values(scenario: ScenarioSpec, lam: float, xs: ArrayLike) -> NDArray[np.float64]:
-    """The continuous regularized target f_lambda at points xs."""
-    return evaluate_batch(_lambda_context(scenario, lam).flam, xs)
+    """The continuous regularized target f_lambda at points xs.
+
+    Its node expansion is evaluated by the grid operator
+    (GridOperator.at_points), as f0's is in target_values.
+    """
+    coeffs = _lambda_context(scenario, lam).flam.coeffs
+    return _design_context(scenario).op.at_points(as_points(xs, scenario.kernel.dim), coeffs)
 
 
 # The constants of NumPy's SeedSequence (O'Neill's seed_seq hash) with
@@ -437,9 +454,9 @@ def sample_dataset(
     through its quadrature construction. Identical arguments reproduce
     identical datasets bit-for-bit; lambda_key separates streams of
     sweeps that share (n, replication_index). A replication chunk draws
-    the same points and noise bits for the index, but sums f0 at the
-    points in row blocks of the whole chunk, so its responses agree with
-    these up to the order of those sums.
+    the same points and noise bits for the index, but evaluates f0 at
+    the points of the whole chunk at once, so its responses agree with
+    these to roundoff.
     """
     dctx = _design_context(scenario)
     (xs, fs), _ = _sample_at_nodes(

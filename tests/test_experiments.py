@@ -14,7 +14,7 @@ import rkhsreg.experiments as exp
 import rkhsreg.fredholm as fredholm_mod
 import rkhsreg.linalg as linalg
 from rkhsreg.auxiliary import bridge_distance_sq, fit_auxiliary, theoretical_tilde_risk
-from rkhsreg.cli import parse_config
+from rkhsreg.cli import main, parse_config
 from rkhsreg.estimator import (
     KernelExpansion,
     empirical_objective,
@@ -350,9 +350,10 @@ def test_a_chunk_draws_each_dataset_bit_for_bit(scenario):
     # The chunk draws every member in place and maps them at once. Each
     # member's points must be the bits sample_dataset draws for it alone,
     # and its noise the bits of NumPy's normal(0, std_at(x)) drawn after
-    # the points from the index's own stream. f0 at the data is summed in
-    # row blocks of the whole chunk, so the responses agree with
-    # sample_dataset's up to the order of those sums.
+    # the points from the index's own stream. f0 at the data is evaluated
+    # for the whole chunk at once (in row blocks, or by the Taylor
+    # transform with anchors over the chunk's box), so the responses
+    # agree with sample_dataset's to roundoff.
     n, lam, indices = 50, 0.2, range(3, 14)
     lam_bits = int(np.float64(lam).view(np.uint64))
     dctx = exp._design_context(scenario)
@@ -768,6 +769,56 @@ def test_target_and_flambda_values_consistent_with_grid():
     probe = np.array([[0.41]])
     expected = evaluate_batch(flambda_expansion(sol), probe)
     np.testing.assert_allclose(flambda_values(CANON, 0.2, probe), expected, atol=1e-12)
+
+
+@pytest.fixture
+def fresh_contexts():
+    """Clears the cached design and lambda contexts before and after a planted fault."""
+    caches = (exp._design_context, exp._lambda_context)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_design_context_flags_a_nan_target_gap(monkeypatch, fresh_contexts):
+    # The right-hand-side check compares G W w0 with the expansion summed
+    # directly; a NaN on either side makes the gap NaN, which fails it.
+    def nan_first(f, xs):
+        out = evaluate_batch(f, xs)
+        out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(exp, "evaluate_batch", nan_first)
+    with pytest.raises(ArithmeticError, match="right-hand side is off the target f0 by nan"):
+        exp._design_context(CANON)
+
+
+def test_a_nan_from_the_taylor_transform_stops_the_run(monkeypatch, tmp_path, capsys, fresh_contexts):
+    # f0 and f_lambda at the data come from kernels.gaussian_taylor_apply
+    # for the canonical 1-d Gaussian scenario: a NaN in its first row
+    # reaches a replication's responses, and the run exits 3.
+    orig = fredholm_mod.gaussian_taylor_apply
+
+    def nan_first(*args):
+        out = orig(*args)
+        out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(fredholm_mod, "gaussian_taylor_apply", nan_first)
+    config = {
+        "scenario": dataclasses.asdict(CANON),
+        "ns": [50],
+        "lambda_rule": {"kind": "fixed", "value": 0.2},
+        "R": 30,
+        "outputs": str(tmp_path / "out"),
+        "emit_plots": False,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == 3
+    assert "invariant broken: non-finite f at n=50, replication 0" in capsys.readouterr().err
 
 
 def test_scenario_serialization_roundtrip():

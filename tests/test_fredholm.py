@@ -168,6 +168,14 @@ def test_solver_flags_inconsistent_discretization():
         solve_coefficient(_ShiftedSpectrum(GAUSS, grid), np.ones(8), 0.5)
 
 
+def test_solver_flags_a_nan_in_the_right_hand_side():
+    # A NaN residual fails the node identity, under its own message.
+    f0 = np.ones(8)
+    f0[3] = np.nan
+    with pytest.raises(ArithmeticError, match="identity residual nan"):
+        solve_coefficient(GridOperator(GAUSS, build_grid(UNIFORM, 8)), f0, 0.5)
+
+
 @pytest.mark.parametrize("lam", [1e-3, 0.1, 1.0])
 def test_spectral_solve_matches_dense_solve_2d(lam):
     grid = build_grid(DesignMeasure.uniform((0.0, 0.0), (1.0, 2.0)), 100)
@@ -420,6 +428,67 @@ def test_1d_gaussian_sup_grid_takes_the_factored_axis_apply(monkeypatch):
         assert got.shape == dense.shape == a.shape[:-1] + (512,)
         np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * float(np.abs(a).sum()))
     assert len(calls) == 2
+
+
+def _at_points_paths(monkeypatch):
+    """Counts at_points' calls of gaussian_taylor_apply in a list."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernels_mod.gaussian_taylor_apply(*args)
+
+    monkeypatch.setattr(fredholm_mod, "gaussian_taylor_apply", counted)
+    return calls
+
+
+def _kernel_apply_at_points(op, xs, coeffs):
+    """at_points by kernel_apply on the first factor and batched rows for the others."""
+    n = xs.shape[0]
+    first, *rest = op.factors
+    out = kernel_apply(first.kernel, xs[:, first.coords], first.nodes, coeffs.reshape(first.size, -1))
+    for f in rest:
+        rows = kernels_mod.cross_gram(f.kernel, xs[:, f.coords], f.nodes)
+        out = np.matmul(rows[:, None, :], out.reshape(n, f.size, -1))
+    return out.reshape((n,) + coeffs.shape[1:])
+
+
+def test_1d_gaussian_at_points_takes_the_taylor_transform(monkeypatch):
+    calls = _at_points_paths(monkeypatch)
+    op = GridOperator(GAUSS, build_grid(UNIFORM, 256))
+    rng = np.random.default_rng(9)
+    xs = UNIFORM.sample([rng], 50)[0]
+    C = rng.standard_normal((256, 2))
+    for coeffs in (C[:, 0], C):
+        got = op.at_points(xs, coeffs)
+        want = kernel_apply(GAUSS, xs, op.grid.nodes, coeffs)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * float(np.abs(C).sum()))
+        assert not np.array_equal(got, want)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "kernel, measure",
+    [
+        (KernelSpec("laplace", 0.25, 1), UNIFORM),
+        (KernelSpec("rational_quadratic", 0.25, 1), UNIFORM),
+        (CONSTANT, UNIFORM),
+        (KernelSpec("gaussian", 0.4, 2), BOX_2D),
+        (KernelSpec("gaussian", 0.8, 3), BOX_3D),
+        (GAUSS, DesignMeasure.dirac(0.3)),
+    ],
+    ids=["laplace", "rational_quadratic", "constant", "gaussian-2d", "gaussian-3d", "dirac"],
+)
+def test_every_other_at_points_keeps_the_kernel_apply_path(monkeypatch, kernel, measure):
+    calls = _at_points_paths(monkeypatch)
+    op = GridOperator(kernel, build_grid(measure, 64))
+    rng = np.random.default_rng(10)
+    xs = measure.sample([rng], 37)[0]
+    C = rng.standard_normal((op.grid.m, 2))
+    for coeffs in (C[:, 0], C):
+        np.testing.assert_array_equal(op.at_points(xs, coeffs), _kernel_apply_at_points(op, xs, coeffs))
+    assert calls == []
 
 
 def _nudged(axis):

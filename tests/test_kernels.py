@@ -1,11 +1,15 @@
 """Kernel families: closed-form values, PSD Gram matrices, invariances."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rkhsreg.kernels import (
+    _TAYLOR_RHO,
+    _TAYLOR_TERMS,
     APPLY_BLOCK_ENTRIES,
     FAMILIES,
     KernelSpec,
@@ -13,6 +17,7 @@ from rkhsreg.kernels import (
     as_points,
     cross_gram,
     gaussian_axis_apply,
+    gaussian_taylor_apply,
     gram,
     kernel_apply,
     kernel_eval,
@@ -293,6 +298,87 @@ def test_gaussian_axis_apply_matches_kernel_apply(bandwidth, box, size):
         atol = 1e-13 * float(np.abs(coeffs[b]).sum())
         np.testing.assert_allclose(got, want, rtol=0, atol=atol)
         np.testing.assert_allclose(stacked[b], want, rtol=0, atol=atol)
+
+
+def _taylor_fallback(bandwidth, low, high, m):
+    """Whether gaussian_taylor_apply is kernel_apply for this box and m: Q * P >= m."""
+    c = 0.5 / bandwidth**2
+    count = max(1, math.ceil(c * (high - low) ** 2 / (2.0 * _TAYLOR_RHO)))
+    return count * _TAYLOR_TERMS >= m
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+@pytest.mark.parametrize("m", [64, 256, 1024])
+@pytest.mark.parametrize("box", [(0.0, 1.0), (-3.0, 3.0), (1000.0, 1001.0)])
+@pytest.mark.parametrize("bandwidth", [0.01, 0.05, 0.25, 1.0])
+def test_gaussian_taylor_apply_matches_kernel_apply(bandwidth, box, m, columns):
+    # Points inside and up to a tenth of the width outside the centers'
+    # span, the box ends among them. The Taylor sums agree with
+    # kernel_apply to roundoff; where Q * P >= m the call is kernel_apply.
+    spec = KernelSpec("gaussian", bandwidth, 1)
+    low, high = box
+    width = high - low
+    rng = np.random.default_rng(41)
+    centers = rng.uniform(low, high, size=(m, 1))
+    points = rng.uniform(low - 0.1 * width, high + 0.1 * width, size=(97, 1))
+    points[:2, 0] = low - 0.1 * width, high + 0.1 * width
+    coeffs = rng.standard_normal((m, columns) if columns > 1 else m)
+    want = kernel_apply(spec, points, centers, coeffs)
+    got = gaussian_taylor_apply(spec, points, centers, coeffs)
+    assert got.shape == want.shape
+    if _taylor_fallback(bandwidth, low - 0.1 * width, high + 0.1 * width, m):
+        np.testing.assert_array_equal(got, want)
+    else:
+        atol = 1e-13 * np.abs(coeffs).sum(axis=0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=float(np.max(atol)))
+        assert not np.array_equal(got, want)
+
+
+def test_gaussian_taylor_term_count_is_the_least_below_the_unit_roundoff():
+    # P is the least term count with rho^P / P! * e^rho <= 2^-53.
+    bound = [_TAYLOR_RHO**p / math.factorial(p) * math.exp(_TAYLOR_RHO) for p in (14, 15)]
+    assert _TAYLOR_TERMS == 15 and bound[1] <= 2.0**-53 < bound[0]
+
+
+def test_gaussian_taylor_truncation_is_below_the_unit_roundoff():
+    # The worst case of the series: on [0, 1] at h = 0.25 (c = 8, Q = 8
+    # anchors (q + 1/2) / 8), centers at the bin edges q / 8 sit 1/16
+    # from their anchor, so at the box ends |t| = 2c * 1/2 * 1/16 = rho;
+    # at x = 1 every t but one is -rho. Dyadic points make every
+    # exponent exact, so math.exp and fsum give the sum within an ulp.
+    # Positive coefficients add the truncation errors with one sign.
+    spec = KernelSpec("gaussian", 0.25, 1)
+    centers = (np.arange(256) % 9 / 8.0).reshape(-1, 1)
+    coeffs = 1.0 + np.arange(256) % 5 / 4.0
+    ends = np.array([[0.0], [1.0]])
+    got = gaussian_taylor_apply(spec, ends, centers, coeffs)
+    exact = [
+        math.fsum(a * math.exp(-8.0 * (x - y) ** 2) for a, y in zip(coeffs, centers[:, 0]))
+        for x in ends[:, 0]
+    ]
+    np.testing.assert_allclose(got, exact, rtol=4 * 2.0**-53, atol=0)
+
+
+def test_gaussian_taylor_apply_edge_cases_are_kernel_apply():
+    spec = KernelSpec("gaussian", 1.0, 1)
+    rng = np.random.default_rng(43)
+    centers = rng.uniform(0.0, 1.0, size=(64, 1))
+    coeffs = rng.standard_normal((64, 2))
+    # A NaN point makes the box NaN: kernel_apply, NaN in that row alone.
+    points = rng.uniform(0.0, 1.0, size=(5, 1))
+    points[3, 0] = np.nan
+    got = gaussian_taylor_apply(spec, points, centers, coeffs)
+    np.testing.assert_array_equal(got, kernel_apply(spec, points, centers, coeffs))
+    assert np.isnan(got[3]).all() and np.isfinite(np.delete(got, 3, axis=0)).all()
+    # No points, no centers, and a box of zero width.
+    assert gaussian_taylor_apply(spec, np.zeros((0, 1)), centers, coeffs).shape == (0, 2)
+    np.testing.assert_array_equal(
+        gaussian_taylor_apply(spec, points[:2], np.zeros((0, 1)), np.zeros(0)), np.zeros(2)
+    )
+    same = np.full((64, 1), 0.3)
+    np.testing.assert_array_equal(
+        gaussian_taylor_apply(spec, same[:4], same, coeffs), kernel_apply(spec, same[:4], same, coeffs)
+    )
 
 
 def test_gram_empty_raises():
