@@ -31,10 +31,6 @@ from .fredholm import FredholmSolution
 from .kernels import gram
 from .linalg import _symmetric_product
 
-# The two residual formulas agree algebraically; this guards against
-# wiring errors between the expansion and the dataset.
-RESIDUAL_AGREEMENT_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class AuxiliaryFit:
@@ -73,16 +69,12 @@ def fit_auxiliary(data: Dataset, flambda: KernelExpansion, lam: float) -> Auxili
 
     Raises:
         ValueError: If lam <= 0.
-        ArithmeticError: If the two residual formulas disagree beyond
-            RESIDUAL_AGREEMENT_TOL.
     """
     if not lam > 0:
         raise ValueError("lam must be positive: the auxiliary weights divide by it")
     fl = evaluate_batch(flambda, data.xs)
     K = gram(flambda.kernel, data.xs)
-    tilde_w, _, residuals, margin = auxiliary_residuals(data.fs, fl, K, lam)
-    if not margin <= 0:
-        raise ArithmeticError(f"residual formulas disagree by {margin:.3e} beyond tolerance")
+    tilde_w, _, residuals = auxiliary_residuals(data.fs, fl, K, lam)
     coeffs = tilde_w / data.n
     # Arrays made here are frozen rather than copied by the constructors.
     for own in (tilde_w, residuals, coeffs):
@@ -96,28 +88,23 @@ def auxiliary_residuals(
     flambda_at_xs: NDArray[np.float64],
     K: NDArray[np.float64],
     lam: float,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
     """The auxiliary weights, fit and residuals of a dataset, or of a stack of datasets.
 
     fs and flambda_at_xs are (n,) with the data's Gram K (n, n), or
-    (B, n) with a stack of Grams (B, n, n). Returns (w~, f~(X), r, margin)
-    with w~ = (f - f_lambda(X)) / lam, f~(X) = K w~ / n from one product
-    with K, and r = f - lam * w~ - f~(X), each of the input's shape.
-    margin holds per dataset, () or (B,), how far the largest gap between
-    r and the lemma form f_lambda(X) - f~(X) exceeds its tolerance,
-    RESIDUAL_AGREEMENT_TOL * (1 + max |f|); the two formulas disagree
-    where margin is not <= 0, a NaN included, and the caller raises for
-    it. Only the upper triangle of each K is read (one BLAS dsymv call
-    per dataset), so K may be gram(..., upper=True).
+    (B, n) with a stack of Grams (B, n, n). Returns (w~, f~(X), r) with
+    w~ = (f - f_lambda(X)) / lam, f~(X) = K w~ / n from one product with
+    K, and r = f - lam * w~ - f~(X), each of the input's shape; r is the
+    lemma form f_lambda(X) - f~(X) by construction, for any inputs. Only
+    the upper triangle of each K is read (one BLAS dsymv call per
+    dataset), so K may be gram(..., upper=True).
     """
     n = fs.shape[-1]
     tilde_w = (fs - flambda_at_xs) / lam
     stack = K if K.ndim == 3 else K[None]
     smooth = _symmetric_product(stack, tilde_w.reshape(-1, 1, n)).reshape(tilde_w.shape) / n
     residuals = fs - lam * tilde_w - smooth
-    gap = np.max(np.abs(residuals - (flambda_at_xs - smooth)), axis=-1)
-    margin = gap - RESIDUAL_AGREEMENT_TOL * (1.0 + np.max(np.abs(fs), axis=-1))
-    return tilde_w, smooth, residuals, margin
+    return tilde_w, smooth, residuals
 
 
 def bridge_distance_sq(aux: AuxiliaryFit) -> float:

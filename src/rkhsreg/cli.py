@@ -72,6 +72,9 @@ class LambdaRule:
                 raise ConfigError("value", "missing required field")
             if not self.value > 0:
                 raise ConfigError("value", "must be positive")
+            # The risk theory and the grid objective square lam.
+            if not self.value * self.value < math.inf:
+                raise ConfigError("value", f"lam^2 overflows at {self.value!r}")
         elif self.kind == "power_law":
             if self.value is not None:
                 raise ConfigError("value", "not a field of a power_law rule")
@@ -81,6 +84,9 @@ class LambdaRule:
                 object.__setattr__(self, "coefficient", 1.0)
             if not self.coefficient > 0:
                 raise ConfigError("coefficient", "must be positive")
+            # lam = coefficient * n^-alpha is at most coefficient, and lam is squared.
+            if not self.coefficient * self.coefficient < math.inf:
+                raise ConfigError("coefficient", f"coefficient^2 overflows at {self.coefficient!r}")
             if not 0.0 < self.alpha <= 1.0:
                 raise ConfigError("alpha", "must be in (0, 1]")
         else:

@@ -547,7 +547,8 @@ def run_replication(
     objective and the residual-bridge identity ||fhat - f~||^2 = u'Ku,
     whose two sides come from different passes. The bridge stays a real
     check of the shared factor: r is formed from K itself, so a factor
-    of any other matrix leaves u apart from a - t.
+    of any other matrix leaves u apart from a - t. r is the lemma form
+    f_lambda(X) - K t by construction, so that form is not checked.
 
     Three bounds are checked: the ball bound lam ||fhat||^2 <= mean f^2,
     the residual bound ||fhat - f~||^2 <= ||r||^2 / (4 lam n), and the
@@ -596,14 +597,12 @@ def _run_chunk(
     """run_replication on a chunk of indices: drawn, assembled, factored and checked once.
 
     Each check gives one boolean per member, a row of the chunk's check
-    table, in the order one replication meets them: the agreement of the
-    auxiliary fit's residual formulas for every member; then, for each
-    member whose solve succeeded, the five clamped quadratic forms, the
-    residual bridge and the ball, residual and sup-norm bounds. A row
-    is broken wherever its check does not hold, so a NaN residual, gap
-    or margin breaks it. Every row is computed for every member, and a
-    member whose solve failed has its later rows masked: its rows of X
-    and K X hold no solution.
+    table, in the order one replication meets them: the five clamped
+    quadratic forms, the residual bridge and the ball, residual and
+    sup-norm bounds. A row is broken wherever its check does not hold,
+    so a NaN form, gap or margin breaks it. Every row is computed for
+    every member, and a member whose solve failed has every row masked:
+    its rows of X and K X hold no solution.
     Only if a solve or a row failed do four rows go first: whether f,
     f0(X), f_lambda(X) and the upper triangle of K hold a NaN or
     infinity, filled in for those members and False for the others. The
@@ -626,7 +625,7 @@ def _run_chunk(
     # triangle is read either way.
     K = gram(scenario.kernel, xs, upper=len(indices) == 1)
     proj0, projl = at_xs[..., 0], at_xs[..., 1]
-    tilde_w, Kt, residuals, aux_margin = auxiliary_residuals(fs, projl, K, lam)
+    tilde_w, Kt, residuals = auxiliary_residuals(fs, projl, K, lam)
 
     # The auxiliary fit, the factor and its check read only the upper
     # triangle of each K, so no symmetry pass is made. The right-hand
@@ -673,9 +672,9 @@ def _run_chunk(
     )
     margin = lhs - rhs * (1.0 + 1e-9) - 1e-12
 
-    table = np.vstack([~(aux_margin <= 0), _clamp_broken(forms), bridge_broken, ~(margin <= 0)])
+    table = np.vstack([_clamp_broken(forms), bridge_broken, ~(margin <= 0)])
     if failed:
-        table[1:, failed] = False
+        table[:, failed] = False
     if failed or table.any():
         # A member whose solve or check failed is first checked for a
         # non-finite input, so that a NaN stops the run instead of
@@ -698,7 +697,6 @@ def _run_chunk(
                 (f"non-finite {name}", "NaN or infinite entries: {0:.0f}", count)
                 for name, count in zip(inputs, nonfinite)
             ),
-            ("residual formulas disagree", "{0:.3e} beyond tolerance", aux_margin),
             *(("quadratic form is negative beyond roundoff tolerance", "{0}", q) for q in forms),
             ("residual bridge identity violated", "{0} vs {1}", bridge, dist_hat_tilde_sq),
             *(

@@ -116,6 +116,10 @@ class DesignMeasure:
                 raise ConfigError("scale", "must be positive")
             if high[0] <= low[0]:
                 raise ConfigError("high", "must exceed low")
+        # A squared distance between two points of [low, high] is at most
+        # sum (high - low)^2, which must be a finite float.
+        if kind != "dirac" and not sum((h - l) * (h - l) for l, h in zip(low, high)) < np.inf:
+            raise ConfigError("high", "the squared diagonal sum (high - low)^2 overflows")
 
     @property
     def dim(self) -> int:

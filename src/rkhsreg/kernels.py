@@ -144,8 +144,17 @@ class KernelSpec:
         object.__setattr__(self, "dim", int(self.dim))
         if self.dim < 1:
             raise ConfigError("dim", "must be a positive integer")
-        if family != "constant" and not self.bandwidth > 0.0:
-            raise ConfigError("bandwidth", "must be positive")
+        if family != "constant":
+            h = self.bandwidth
+            if not h > 0.0:
+                raise ConfigError("bandwidth", "must be positive")
+            # _profile scales squared distances by 1/2h^2 (1/h for laplace):
+            # h*h and that scale must be positive finite floats.
+            if not 0.0 < h * h < math.inf:
+                raise ConfigError("bandwidth", f"h*h overflows or underflows at h = {h!r}")
+            scale = 1.0 / h if family == "laplace" else 0.5 / (h * h)
+            if not scale < math.inf:
+                raise ConfigError("bandwidth", f"the kernel's scale overflows at h = {h!r}")
 
 
 def as_points(x: object, dim: int) -> NDArray[np.float64]:
@@ -380,7 +389,10 @@ def gaussian_taylor_apply(
     width = max(float(x.max()), float(y.max())) - low
     if not 0.0 < width < math.inf:
         return kernel_apply(spec, pts, ctr, coeffs)
-    count = max(1, math.ceil(c * width * width / (2.0 * _TAYLOR_RHO)))
+    quotient = c * width * width / (2.0 * _TAYLOR_RHO)
+    # Compared with m as a float first: c W^2 may overflow, and math.ceil
+    # takes no infinity. A count of m falls back below.
+    count = max(1, math.ceil(quotient)) if quotient < m else m
     if count * _TAYLOR_TERMS >= m:
         return kernel_apply(spec, pts, ctr, coeffs)
     half = 0.5 * width

@@ -4,8 +4,10 @@ quadratic form, and the closed-form risk."""
 import numpy as np
 import pytest
 
+import rkhsreg.experiments as exp
 from rkhsreg.auxiliary import (
     AuxiliaryFit,
+    auxiliary_residuals,
     bridge_distance_sq,
     fit_auxiliary,
     theoretical_tilde_risk,
@@ -62,12 +64,23 @@ def test_tilde_weights_match_manual_formula_bitwise():
 
 
 def test_residuals_equal_smoothing_gap():
+    # The lemma r = f_lambda(X) - K w~ / n, against each K assembled in
+    # full: for one fit, and for the stacked call of a replication chunk
+    # (26 datasets at n = 50, each K its upper triangle, as _run_chunk
+    # makes it).
     flam = _flam()
     data = sample_dataset(SCENARIO, 25, 1)
     aux = fit_auxiliary(data, flam, LAM)
-    K = gram(GAUSS, data.xs)
-    expected = evaluate_batch(flam, data.xs) - (K @ aux.tilde_w) / data.n
-    np.testing.assert_allclose(aux.residuals, expected, atol=1e-10)
+    one = (data.xs, evaluate_batch(flam, data.xs), aux.tilde_w, aux.residuals)
+    dctx, lctx = exp._design_context(SCENARIO), exp._lambda_context(SCENARIO, LAM)
+    (xs, fs), at_xs = exp._sample_at_nodes(SCENARIO, dctx, 50, range(26), LAM, lctx.node_coeffs)
+    fl = at_xs[..., 1]
+    tilde_w, _, residuals = auxiliary_residuals(fs, fl, gram(GAUSS, xs, upper=True), LAM)
+    chunk = (xs, fl, tilde_w, residuals)
+    for points, fl_at_xs, w, r in (one, chunk):
+        K = gram(GAUSS, points)
+        expected = fl_at_xs - (K @ w[..., None])[..., 0] / points.shape[-2]
+        np.testing.assert_allclose(r, expected, atol=1e-10)
 
 
 def test_fit_auxiliary_validation():

@@ -198,6 +198,54 @@ def test_run_takes_a_box_of_at_most_three_dimensions(tmp_path, capsys):
     assert not (tmp_path / "out4").exists()
 
 
+def _edit(*path, **values):
+    """A config edit that updates the block at path with values."""
+    def edit(cfg):
+        block = cfg
+        for key in path:
+            block = block[key]
+        block.update(values)
+    return edit
+
+
+TRUNCATED_GAUSSIAN = {"kind": "truncated_gaussian", "center": 0.0, "scale": 1.0}
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        # h*h is 0: the kernel profile's 1/2h^2 would divide by zero.
+        (_edit("scenario", "kernel", bandwidth=1e-300), "scenario.kernel.bandwidth"),
+        # h*h overflows.
+        (_edit("scenario", "kernel", bandwidth=1e300), "scenario.kernel.bandwidth"),
+        # lam^2, which the grid objective and the risk theory form, overflows.
+        (_edit("lambda_rule", value=1e300), "lambda_rule.value"),
+        (
+            _edit(lambda_rule={"kind": "power_law", "coefficient": 1e300, "alpha": 0.5}),
+            "lambda_rule.coefficient",
+        ),
+        # Squared distances between points of the box overflow.
+        (_edit("scenario", "design", low=1e300, high=1.5e300), "scenario.design.high"),
+        (
+            _edit("scenario", "design", **TRUNCATED_GAUSSIAN, low=-1e200, high=1e200),
+            "scenario.design.high",
+        ),
+    ],
+    ids=["bandwidth-1e-300", "bandwidth-1e300", "lambda-1e300", "coefficient-1e300",
+         "box-1e300", "truncated-gaussian-2e200"],
+)
+def test_run_rejects_a_config_outside_the_float_range(tmp_path, capsys, edit, field):
+    # Float overflow and division by zero raise ArithmeticErrors, which a
+    # run reports as broken invariants: such configs must stop at parsing.
+    cfg = _base_config(tmp_path / "out")
+    edit(cfg)
+    assert main(["run", _write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err
+    assert "invariant broken" not in err
+    assert "Traceback" not in err
+
+
 JSON_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
     | st.sampled_from(["gaussian", "uniform", "dirac", "truncated_gaussian", "fixed",

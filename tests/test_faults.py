@@ -14,6 +14,7 @@ package seed scheme, so each z below is a fixed number.
 
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
@@ -130,18 +131,39 @@ def _f0_at_data_scaled(monkeypatch):
     monkeypatch.setattr(exp, "_sample_at_nodes", scaled)
 
 
-def _flambda_at_data_nan(monkeypatch):
-    # One NaN in f_lambda(X) (second column) of the first dataset of each
-    # chunk: its solve fails the residual check, and the NaN is what
-    # stops the run.
-    orig = exp._sample_at_nodes
+def _data_nan(column):
+    """A plant that puts one NaN into the first dataset of each chunk: into
+    its responses f (column None), f0(X) (column 0) or f_lambda(X)
+    (column 1).
 
-    def with_nan(*args):
-        data, values = orig(*args)
-        values[0, 0, 1] = np.nan
-        return data, values
+    A NaN in f or f_lambda(X) fails the member's solve; f0(X) is not
+    read by the solve, so a quadratic form turns NaN first. Either way
+    the NaN, not a numerical failure, is what stops the run.
+    """
 
-    monkeypatch.setattr(exp, "_sample_at_nodes", with_nan)
+    def plant(monkeypatch):
+        orig = exp._sample_at_nodes
+
+        def with_nan(*args):
+            (xs, fs), values = orig(*args)
+            (fs[0] if column is None else values[0, :, column])[0] = np.nan
+            return (xs, fs), values
+
+        monkeypatch.setattr(exp, "_sample_at_nodes", with_nan)
+
+    return plant
+
+
+def _data_gram_nan(monkeypatch):
+    # One NaN in the upper triangle of the first data Gram of each chunk.
+    orig = exp.gram
+
+    def with_nan(spec, xs, **kwargs):
+        K = orig(spec, xs, **kwargs)
+        K.reshape(-1, *K.shape[-2:])[0, 0, 1] = np.nan
+        return K
+
+    monkeypatch.setattr(exp, "gram", with_nan)
 
 
 def _flambda_on_sup_grid_nan(monkeypatch):
@@ -180,6 +202,54 @@ def _fredholm_right_hand_side_scaled(monkeypatch):
         return 1.001 * f0, c0
 
     monkeypatch.setattr(exp, "f0_in_range", scaled)
+
+
+def _grid_solve_right_hand_side_scaled(monkeypatch):
+    # The grid solve handed 1.001 * f0: it solves that system exactly,
+    # so only the comparison with the design context's f0 can see it.
+    orig = exp.solve_coefficient
+    monkeypatch.setattr(
+        exp, "solve_coefficient", lambda op, f0_values, lam: orig(op, 1.001 * f0_values, lam)
+    )
+
+
+def _grid_operator_negated(monkeypatch):
+    # G W applied with the wrong sign: the target's squared RKHS norm
+    # w0' W G W w0, the first quadratic form a run computes, is negative.
+    orig = exp.GridOperator
+
+    def negated(kernel, grid):
+        op = orig(kernel, grid)
+        apply = op.apply
+        object.__setattr__(op, "apply", lambda v: -apply(v))
+        return op
+
+    monkeypatch.setattr(exp, "GridOperator", negated)
+
+
+def _solutions_shifted(column, c):
+    """A plant that adds c times solution column `column`, and its product
+    with K, to both columns [a | u] of every ridge solve.
+
+    u and a - t shift by the same vector, so the residual bridge holds
+    and only the ball or residual bound can see the corrupted fit.
+    """
+
+    def plant(monkeypatch):
+        orig = exp._ridge_factor
+
+        def shifted(K, lam, grid_rank=None):
+            factor = orig(K, lam, grid_rank)
+
+            def solve_with_product(B):
+                X, KX, errors = factor.solve_with_product(B)
+                return X + c * X[..., [column]], KX + c * KX[..., [column]], errors
+
+            return types.SimpleNamespace(solve_with_product=solve_with_product)
+
+        monkeypatch.setattr(exp, "_ridge_factor", shifted)
+
+    return plant
 
 
 def _auxiliary_fit_at_twice_lam(monkeypatch):
@@ -243,8 +313,12 @@ def _theory_without_norm_term(monkeypatch):
         # target expansion summed by the 2-d kernel itself.
         (_grid_factors_reversed, "Fredholm right-hand side is off the target f0", BOX_2D),
         (_ridge_factor_at_twice_lam, "residual bridge identity violated", {}),
-        (_f0_at_data_scaled, "quadratic form is negative beyond roundoff tolerance", {}),
-        (_flambda_at_data_nan, "non-finite f_lambda(X) at n=50, replication 0:", {}),
+        (
+            _f0_at_data_scaled,
+            "quadratic form is negative beyond roundoff tolerance at n=50, replication 13",
+            {},
+        ),
+        (_data_nan(1), "non-finite f_lambda(X) at n=50, replication 0:", {}),
         (_flambda_on_sup_grid_nan, "sup-norm bound violated at n=50, replication 0", {}),
         (_grid_spectrum_scaled, "discretization inconsistency", {}),
         (_fredholm_right_hand_side_scaled, "Fredholm right-hand side is off the target f0", {}),
@@ -254,6 +328,17 @@ def _theory_without_norm_term(monkeypatch):
             "f_lambda was solved at lam=0.22000000000000003, not at lam=0.2",
             {},
         ),
+        (_data_nan(None), "non-finite f at n=50, replication 0:", {}),
+        (_data_nan(0), "non-finite f0(X) at n=50, replication 0:", {}),
+        (_data_gram_nan, "non-finite data Gram at n=50, replication 0:", {}),
+        (
+            _grid_solve_right_hand_side_scaled,
+            "the grid solution at lam=0.2 solved a different right-hand side",
+            {},
+        ),
+        (_grid_operator_negated, "quadratic form is negative beyond roundoff tolerance: -0.131", {}),
+        (_solutions_shifted(0, 10.0), "ball bound violated at n=50, replication 0", {}),
+        (_solutions_shifted(1, 1.0), "residual bound violated at n=50, replication 0", {}),
     ],
     ids=[
         "data-gram-bandwidth-x1.1",
@@ -267,6 +352,13 @@ def _theory_without_norm_term(monkeypatch):
         "fredholm-rhs-x1.001",
         "auxiliary-fit-at-2lam",
         "flambda-at-1.1lam",
+        "responses-nan",
+        "f0-at-data-nan",
+        "data-gram-nan",
+        "grid-solve-rhs-x1.001",
+        "grid-operator-negated",
+        "ridge-weights-x11",
+        "bridge-vector-x2",
     ],
 )
 def test_runtime_detector_stops_the_run(tmp_path, monkeypatch, capsys, plant, message, scenario):

@@ -379,6 +379,16 @@ def test_gaussian_taylor_apply_edge_cases_are_kernel_apply():
     np.testing.assert_array_equal(
         gaussian_taylor_apply(spec, same[:4], same, coeffs), kernel_apply(spec, same[:4], same, coeffs)
     )
+    # h = 1e-100 on [0, 1e60]: c W^2 overflows, and the count is compared
+    # with m before math.ceil could meet the infinity. Each point that is
+    # a center gets its own coefficient; every other kernel value is 0.
+    tiny = KernelSpec("gaussian", 1e-100, 1)
+    wide = rng.uniform(0.0, 1e60, size=(64, 1))
+    wide[:2, 0] = 0.0, 1e60
+    with np.errstate(over="ignore"):
+        got = gaussian_taylor_apply(tiny, wide[:5], wide, coeffs)
+        np.testing.assert_array_equal(got, kernel_apply(tiny, wide[:5], wide, coeffs))
+    np.testing.assert_array_equal(got, coeffs[:5])
 
 
 def test_gram_empty_raises():
@@ -393,6 +403,14 @@ def test_spec_validation():
         KernelSpec("gaussian", 0.0, 1)
     with pytest.raises(ValueError):
         KernelSpec("gaussian", 1.0, 0)
+    # h*h and the profile's scale, 1/2h^2 or 1/h for laplace, must be
+    # positive finite floats.
+    for family, h in (
+        ("gaussian", 1e-160), ("rational_quadratic", 1e-160), ("laplace", 1e-170), ("gaussian", 1e160)
+    ):
+        with pytest.raises(ValueError, match="'bandwidth'"):
+            KernelSpec(family, h, 1)
+    assert KernelSpec("laplace", 1e-160, 1).bandwidth == 1e-160
     assert KernelSpec("GAUSSIAN", 1.0, 1).family == "gaussian"
     # constant ignores bandwidth entirely
     assert KernelSpec("constant", -1.0, 1).family == "constant"

@@ -592,3 +592,127 @@ def test_scipy_stats_loads_only_for_a_truncated_gaussian_design(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert src in Path(report["file"]).resolve().parents
     assert report["runs"] == [[0, False], [0, True]]
+
+
+def _literal_head(parts: list[ast.expr], bound: dict[str, str]) -> str:
+    """The text of a message's parts up to the first value not in bound (a loop name's text)."""
+    head = ""
+    for part in parts:
+        if isinstance(part, ast.Constant):
+            head += part.value
+        elif isinstance(part, ast.FormattedValue) and getattr(part.value, "id", None) in bound:
+            head += bound[part.value.id]
+        else:
+            break
+    return head
+
+
+def _row_heads(function: ast.FunctionDef) -> list[str]:
+    """The head, first item, of each row of the check table `rows` built in function.
+
+    A starred generator of rows gives one head per name it loops over,
+    from a tuple of strings or the keys of a dict built in function.
+    """
+    assigned = {
+        target.id: node.value
+        for node in ast.walk(function)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    heads = []
+    for row in assigned["rows"].elts:
+        if not isinstance(row, ast.Starred):
+            heads.append(row.elts[0].value)
+            continue
+        head = row.value.elt.elts[0]
+        if isinstance(head, ast.Constant):
+            heads.append(head.value)
+            continue
+        (loop,) = row.value.generators
+        target = loop.target.elts[0] if isinstance(loop.target, ast.Tuple) else loop.target
+        names = loop.iter.args[0] if isinstance(loop.iter, ast.Call) else loop.iter
+        names = assigned.get(getattr(names, "id", None), names)
+        values = names.keys if isinstance(names, ast.Dict) else names.elts
+        heads += [_literal_head(head.values, {target.id: v.value}) for v in values]
+    return heads
+
+
+def _broken_invariant_heads(tree: ast.Module) -> list[str]:
+    """The head of every message raised as an ArithmeticError: its text up to its first value.
+
+    A message that starts with a value, f"{head} at n=...", is a check
+    table's: its heads are each row head of the function's `rows`
+    followed by the message's text up to its next value.
+    """
+    heads = []
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if not (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "ArithmeticError"
+            ):
+                continue
+            (message,) = node.exc.args
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            if isinstance(parts[0], ast.FormattedValue):
+                name = parts[0].value.id
+                heads += [_literal_head(parts, {name: row}) for row in _row_heads(function)]
+            else:
+                heads.append(_literal_head(parts, {}))
+    return heads
+
+
+def _fault_case_messages() -> list[str]:
+    """The message each runtime-detector case of tests/test_faults.py asserts."""
+    tree = _parse(Path(__file__).with_name("test_faults.py"))
+    (test,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "test_runtime_detector_stops_the_run"
+    ]
+    (mark,) = [d for d in test.decorator_list if getattr(d.func, "attr", "") == "parametrize"]
+    return [case.elts[1].value for case in mark.args[1].elts]
+
+
+def _asserts(message: str, head: str) -> bool:
+    """Whether a case's message and a head agree as far as the shorter goes."""
+    return message.startswith(head) or head.startswith(message)
+
+
+def test_every_broken_invariant_message_is_tripped_by_a_fault_case():
+    # Exit 3 ("invariant broken") must name a check that a planted fault
+    # can trip. Every ArithmeticError message head the package raises,
+    # each row of _run_chunk's check table included, is asserted by a
+    # case of tests/test_faults.py, and each case names exactly one head.
+    table = """
+def check(n, a, b):
+    inputs = {"f": a, "K": b}
+    rows = (
+        *((f"non-finite {name}", "{0}", count) for name, count in zip(inputs, counts)),
+        *(("form broken", "{0}", q) for q in forms),
+        ("bridge broken", "{0}", x),
+        *((f"{name} bound", "{0}", m) for name, m in zip(("ball", "sup"), margins)),
+    )
+    head, tail, *values = rows[0]
+    raise ArithmeticError(f"{head} at n={n}: {tail}")
+"""
+    assert _broken_invariant_heads(ast.parse(table)) == [
+        "non-finite f at n=", "non-finite K at n=", "form broken at n=", "bridge broken at n=",
+        "ball bound at n=", "sup bound at n=",
+    ]
+    plain = 'def f(x):\n    raise ArithmeticError(f"gap {x:.3e} at lam={x!r}")\n'
+    assert _broken_invariant_heads(ast.parse(plain)) == ["gap "]
+    assert _broken_invariant_heads(ast.parse('def f():\n    raise ValueError("gap")\n')) == []
+
+    heads = sorted({
+        head
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for head in _broken_invariant_heads(_parse(path))
+    })
+    messages = _fault_case_messages()
+    assert len(heads) >= 10 and len(messages) >= 10
+    assert [m for m in messages if sum(_asserts(m, h) for h in heads) != 1] == []
+    assert [h for h in heads if not any(_asserts(m, h) for m in messages)] == []
