@@ -255,8 +255,11 @@ class _LambdaContext:
 
 
 # Relative gap allowed between the target's node values from the grid
-# operator (G W w0) and from its expansion evaluated by kernel_apply:
-# both sum the same m products, so only roundoff separates them.
+# operator (G W w0) and from its expansion evaluated by kernel_apply.
+# For a 1-d Gaussian with 15 Q < m nodes (the canonical grid) that side
+# is kernel_apply's Taylor transform, whose truncation bound
+# 2^-53 * sum |c| sits far inside this tolerance; otherwise both sides
+# sum the same m products, apart by roundoff alone.
 TARGET_AGREEMENT_TOL = 1e-10
 
 

@@ -46,8 +46,6 @@ from .kernels import (
     ConfigError,
     KernelSpec,
     cross_gram,
-    gaussian_axis_apply,
-    gaussian_taylor_apply,
     gram,
     kernel_apply,
 )
@@ -371,26 +369,16 @@ class GridOperator:
         """k(xs, nodes) @ coeffs for an (n, d) array xs and coeffs of shape (m,) or (m, c).
 
         The first factor's kernel rows go through kernel_apply against
-        coeffs with that factor's axis leading; each further factor's
-        rows, n x p_k, are contracted row by row, as one batched matmul
-        of (n, 1, p_k) rows by (n, p_k, rest) values. So n * sum p_k
-        kernel values are assembled instead of n * m.
-
-        A 1-d Gaussian operator on a Gauss-Legendre axis (one factor, on
-        a grid with its 1-d rule) takes kernels.gaussian_taylor_apply in
-        place of kernel_apply: Q anchor kernel values and 15 monomials
-        per point, Q = ceil(c W^2) with c = 1/2h^2 and W the width of the
-        box of xs and nodes, so 8 in place of 256 kernel values for the
-        canonical h = 0.25 on [0, 1]. The values agree with kernel_apply's
-        to roundoff (tested at 1e-13 * sum |coeffs|), and where
-        Q * 15 >= m they are kernel_apply's. Every other operator, dirac's
-        included, keeps the kernel_apply path.
+        coeffs with that factor's axis leading, by the arithmetic
+        kernel_apply picks (kernels module docstring); each further
+        factor's rows, n x p_k, are contracted row by row, as one batched
+        matmul of (n, 1, p_k) rows by (n, p_k, rest) values. So at most
+        n * sum p_k kernel values are assembled instead of n * m.
         """
         n = xs.shape[0]
         first, *rest = self.factors
         first_coeffs = coeffs.reshape(first.size, -1)
-        apply = gaussian_taylor_apply if self.grid.axes and self._gaussian_1d else kernel_apply
-        out = apply(first.kernel, xs[:, first.coords], first.nodes, first_coeffs)
+        out = kernel_apply(first.kernel, xs[:, first.coords], first.nodes, first_coeffs)
         for f in rest:
             rows = cross_gram(f.kernel, xs[:, f.coords], f.nodes)
             out = np.matmul(rows[:, None, :], out.reshape(n, f.size, -1))
@@ -412,21 +400,11 @@ class GridOperator:
         With R_k = k_k(P_k, centers) each factor's rows, the values are
         sum_j coeffs_j prod_k R_k[i_k, j]: the rows of all factors but
         the last are multiplied out column by column, and the last
-        factor's rows multiply that through kernel_apply, in row blocks.
-        So sum_k |P_k| * n kernel values are assembled per set instead
-        of |P| * n; at d = 2 this is R_1 diag(coeffs) R_2'.
-
-        A 1-d Gaussian operator (one factor) on an axis that is exactly
-        np.linspace of its ends, with every center inside that axis,
-        takes kernels.gaussian_axis_apply instead: about 2 sqrt(|P|) * n
-        kernel factors per set, 46 * n on the 512-point sup-norm axis.
-        Every other case, including a center outside the axis, takes
-        the product path above.
+        factor's rows multiply that through kernel_apply, by the
+        arithmetic it picks (kernels module docstring). So at most
+        sum_k |P_k| * n kernel values are assembled per set instead of
+        |P| * n; at d = 2 this is R_1 diag(coeffs) R_2'.
         """
-        if self._on_gaussian_axis(point_sets, centers):
-            return gaussian_axis_apply(
-                self.factors[0].kernel, point_sets[0][:, 0], centers, coeffs
-            )
         outer = coeffs[..., None, :]
         for f, pts in zip(self.factors[:-1], point_sets):
             rows = cross_gram(f.kernel, pts, centers[..., f.coords])
@@ -438,25 +416,6 @@ class GridOperator:
             last.kernel, point_sets[-1], centers[..., last.coords], outer.swapaxes(-1, -2)
         )
         return values.swapaxes(-1, -2).reshape(coeffs.shape[:-1] + (-1,))
-
-    @cached_property
-    def _gaussian_1d(self) -> bool:
-        """Whether the operator is one factor with a 1-d Gaussian kernel."""
-        kernel = self.factors[0].kernel
-        return len(self.factors) == 1 and kernel.family == "gaussian" and kernel.dim == 1
-
-    def _on_gaussian_axis(
-        self, point_sets: tuple[NDArray[np.float64], ...], centers: NDArray[np.float64]
-    ) -> bool:
-        """Whether on_product may take gaussian_axis_apply: a 1-d Gaussian
-        operator, one point set that is np.linspace of its ends, and every
-        center within those ends."""
-        if not self._gaussian_1d:
-            return False
-        axis = point_sets[0][:, 0]
-        if not np.array_equal(axis, np.linspace(axis[0], axis[-1], axis.shape[0])):
-            return False
-        return bool(np.all((centers >= axis[0]) & (centers <= axis[-1])))
 
 
 @dataclass(frozen=True, eq=False)

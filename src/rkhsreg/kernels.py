@@ -19,20 +19,26 @@ reuse them. gram(..., upper=True) assembles only the diagonal and the
 upper triangle of a Gram, with zeros below, for a caller that reads no
 more than that (linalg's solves and products): its row blocks start at
 the diagonal, so about half the kernel values are never computed, and
-nothing is mirrored. kernel_apply gives k(a, b) @ coeffs for a caller
-that needs only the product: it assembles row blocks of about
-APPLY_BLOCK_ENTRIES kernel values each and never holds the whole
-cross-Gram. Each of the three also takes a stack (B, n, d) of B point
-sets in place of its last point set and handles the B sets at once,
-with the same differences: gram then returns B Gram matrices
-(B, n, n), one per set.
+nothing is mirrored. Both also take a stack (B, n, d) of B point sets
+in place of their last point set and handle the B sets at once, with
+the same differences: gram then returns B Gram matrices (B, n, n).
 
-gaussian_axis_apply is kernel_apply for a 1-d Gaussian kernel,
-exp(-c (p - x)^2) with c = 1/2h^2, on an equispaced axis of S points
-with every center x inside it: the product a factored Gauss transform
-gives (cf. Greengard and Strain 1991, "The fast Gauss transform").
-Point i = q F + r of the axis is an anchor u_q = axis[q F] (Q of them)
-plus an offset v_r = r * step (F of them), and with m the axis midpoint
+kernel_apply is the one entry point for a product k(a, b) @ coeffs,
+b a point set or a stack of them, and it picks the arithmetic from its
+inputs alone. For a 1-d Gaussian kernel it takes the factored axis
+transform when a is np.linspace(a[0], a[-1], S), every point of b lies
+in [a[0], a[-1]] and coeffs has one column; otherwise, for a single
+point set b, the Taylor transform. Every other product, and each
+transform where it would gain nothing, is assembled in row blocks of
+about APPLY_BLOCK_ENTRIES kernel values, so the whole k(a, b) is never
+held. On every path the values are those of the plain product within
+1e-13 * sum |coeffs|.
+
+The axis transform is a factored Gauss transform (cf. Greengard and
+Strain 1991, "The fast Gauss transform") for exp(-c (p - x)^2) with
+c = 1/2h^2. Point i = q F + r of the axis is an anchor u_q = axis[q F]
+(Q of them) plus an offset v_r = r * step (F of them), and with m the
+axis midpoint
     exp(-c (u_q + v_r - x)^2)
         = exp(-c (u_q - x)^2) * exp(2 c v_r (x - m))
           * exp(-2 c v_r (u_q - m) - c v_r^2).
@@ -40,52 +46,50 @@ The first factor is a kernel row at an anchor, from cross_gram, so
 every anchor-to-center difference is still one of _sq_dists'; the
 second is a center's offset factor; the third depends on the axis
 alone. So sum_j a_j k(p_i, x_j) is ((rows * a) @ offsets')[q, r] times
-the third factor: (Q + F) n exponentials where kernel_apply takes S n,
-46 n in place of 512 n on the 512-point sup-norm axis. F is the
-smaller of ceil(sqrt(S)) and floor(0.5 / (c step W)), W the axis
-width: it depends on the kernel and the axis alone, and it keeps
-every offset factor within [e^-0.5, e^0.5], so a product of factors
-never overflows or underflows where the kernel value does not. F = 1
-(a narrow kernel or a wide axis: h = 0.25 on [-3, 3], or h below 0.063
-on [0, 1]) is kernel_apply itself. The values are those at u_q + v_r,
-within an ulp of the axis' own points, so they match kernel_apply
-within 1e-13 * sum |a|: about 1e-15 of the largest value on [0, 1],
-2e-13 of it on [1000, 1001].
+the third factor: (Q + F) n exponentials in place of S n, 46 n on the
+512-point sup-norm axis. F is the smaller of ceil(sqrt(S)) and
+floor(0.5 / (c step W)), W the axis width: it depends on the kernel
+and the axis alone, and it keeps every offset factor within
+[e^-0.5, e^0.5], so a product of factors never overflows or underflows
+where the kernel value does not; a center outside the axis would break
+that bound. F = 1 (a narrow kernel or a wide axis: h = 0.25 on [-3, 3],
+or h below 0.063 on [0, 1]) is the assembly. The values are those at
+u_q + v_r, within an ulp of the axis' own points, so they are off by
+about 1e-15 of the largest value on [0, 1], 2e-13 of it on
+[1000, 1001].
 
-gaussian_taylor_apply is kernel_apply for a 1-d Gaussian kernel with
-points and centers anywhere on the line, not equispaced: the Taylor
-form of the fast Gauss transform (cf. Yang, Duraiswami, Gumerov and
-Davis 2003, "Improved fast Gauss transform"). On the box [low, high]
-of points and centers, of width W and midpoint mid, Q anchors
-u_q = low + (q + 1/2) W / Q take each center y to its nearest one,
-v = y - u_q with |v| <= W / 2Q, and
+The Taylor transform is the Taylor form of the fast Gauss transform
+(cf. Yang, Duraiswami, Gumerov and Davis 2003, "Improved fast Gauss
+transform"), for points and centers anywhere on the line. On the box
+[low, high] of points and centers, of width W and midpoint mid, Q
+anchors u_q = low + (q + 1/2) W / Q take each center y to its nearest
+one, v = y - u_q with |v| <= W / 2Q, and
     exp(-c (x - y)^2)
         = exp(-c (x - u_q)^2) * exp(2 c (x - mid) v)
           * exp(2 c (mid - u_q) v - c v^2).
-The first factor is a kernel row at an anchor, from cross_gram, so
-every point-to-anchor difference is still one of _sq_dists'; the third
-is the center's own factor. The middle one is replaced by its Taylor
-series, sum over p < P of t^p / p! in t = 2 c (x - mid) v, each term
-split as s^p times (c W v)^p / p! with s = (x - mid) / (W / 2) in
+The first factor is a kernel row at an anchor, from cross_gram; the
+third is the center's own factor. The middle one is replaced by its
+Taylor series, sum over p < P of t^p / p! in t = 2 c (x - mid) v, each
+term split as s^p times (c W v)^p / p! with s = (x - mid) / (W / 2) in
 [-1, 1]. Summing the centers' side per anchor gives a table of Q P
 moments per column of coeffs from m exponentials; each point then
 takes Q anchor kernel values, P monomials s^p and one small product.
 The rule has no free parameter. Q = ceil(c W^2 / (2 rho)) keeps
-|t| <= c W^2 / 2Q <= rho, with rho = 1/2, the bound gaussian_axis_apply
-keeps its offset exponents within; the third factor's exponent then
-lies in [-3/4, 1/2], so no factor overflows or underflows where the
-kernel value does not. P is the least count with
-rho^P / P! * e^rho <= 2^-53, the unit roundoff: 15. By Lagrange's form
-of the remainder each truncated term is off by at most
-k(x, y) |t|^P / P! * e^|t| <= 2^-53 k(x, y), so a sum is off by at most
-2^-53 sum_j |coeffs_j| k(x, y_j) before its own roundoff. Against
-kernel_apply the values agree within 1e-13 * sum |coeffs| (measured
-at most 2e-16 of it over h from 0.01 to 1 on [0, 1], [-3, 3] and
-[1000, 1001]). Q = 8 for h = 0.25 on [0, 1]: 8 exponentials per point
-in place of m = 256. Where Q P >= m, the Taylor sums would take at
-least as many multiply-adds per point as kernel_apply has kernel
-values, and the function is kernel_apply itself: a narrow kernel or a
-wide box (h below 0.17 on [0, 1] at m = 256).
+|t| <= c W^2 / 2Q <= rho, with rho = 1/2, the axis transform's bound
+on its offset exponents; the third factor's exponent then lies in
+[-3/4, 1/2], so no factor overflows or underflows where the kernel
+value does not. P is the least count with rho^P / P! * e^rho <= 2^-53,
+the unit roundoff: 15. By Lagrange's form of the remainder each
+truncated term is off by at most k(x, y) |t|^P / P! * e^|t|
+<= 2^-53 k(x, y), so a sum is off by at most
+2^-53 sum_j |coeffs_j| k(x, y_j) before its own roundoff (measured at
+most 2e-16 of sum |coeffs| over h from 0.01 to 1 on [0, 1], [-3, 3]
+and [1000, 1001]). Q = 8 for h = 0.25 on [0, 1]: 8 exponentials per
+point in place of m = 256. Where Q P >= m the Taylor sums would take at
+least as many multiply-adds per point as the assembly has kernel
+values, and the assembly runs: a narrow kernel or a wide box (h below
+0.17 on [0, 1] at m = 256). So does a box that is not a finite interval
+of positive width (a NaN or infinity among the points, say).
 
 ConfigError lives here, the lowest module the config models share.
 """
@@ -267,47 +271,67 @@ def cross_gram(spec: KernelSpec, a: object, b: object) -> NDArray[np.float64]:
     return _profile(spec, _sq_dists(aa, bb))
 
 
-def kernel_apply(
-    spec: KernelSpec, a: object, b: object, coeffs: NDArray[np.float64]
-) -> NDArray[np.float64]:
+def kernel_apply(spec: KernelSpec, a: object, b: object, coeffs: object) -> NDArray[np.float64]:
     """Returns k(a, b) @ coeffs for coeffs of shape (m,) or (m, k).
 
     For a stack b (B, m, d) of point sets coeffs is (B, m, k), and the
-    result (B, n, k) holds k(a, b_j) @ coeffs_j for each member j.
-    Rows of k(a, b) are assembled APPLY_BLOCK_ENTRIES // (B m) at a time
-    and multiplied at once, so the whole cross-Gram is never held; one
-    block covers every row when n * B * m is at most APPLY_BLOCK_ENTRIES.
-    The operand [1; -b_k] of b's differences is built once per call and
-    serves every block.
+    result (B, n, k) holds k(a, b_j) @ coeffs_j for each member j. The
+    arithmetic, a Gauss transform or the row-blocked assembly, follows
+    from the inputs by the rule in the module docstring.
     """
     aa = as_points(a, spec.dim)
     bb = _points(b, spec.dim)
-    n = aa.shape[0]
-    rows = max(1, APPLY_BLOCK_ENTRIES // max(1, bb.size // spec.dim))
-    right = _right_operands(bb)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if spec.family != "gaussian" or spec.dim != 1:
+        return _assembled_apply(spec, aa, bb, coeffs)
+    columns = coeffs.shape[bb.ndim - 1 :]
+    if columns in ((), (1,)) and _spans(aa[:, 0], bb):
+        values = _gaussian_axis_apply(spec, aa[:, 0], bb, coeffs.reshape(bb.shape[:-1]))
+        return values.reshape(values.shape + columns)
+    if bb.ndim == 2:
+        return _gaussian_taylor_apply(spec, aa, bb, coeffs)
+    return _assembled_apply(spec, aa, bb, coeffs)
+
+
+def _spans(axis: NDArray[np.float64], points: NDArray[np.float64]) -> bool:
+    """Whether axis is np.linspace of its ends and every point lies in [axis[0], axis[-1]]."""
+    if axis.size == 0 or not np.array_equal(axis, np.linspace(axis[0], axis[-1], axis.size)):
+        return False
+    return bool(np.all((points >= axis[0]) & (points <= axis[-1])))
+
+
+def _assembled_apply(
+    spec: KernelSpec, a: NDArray[np.float64], b: NDArray[np.float64], coeffs: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """kernel_apply by assembly: rows of k(a, b), APPLY_BLOCK_ENTRIES // (B m) at a time.
+
+    Each block is multiplied at once, so the whole cross-Gram is never
+    held; one block covers every row when n * B * m is at most
+    APPLY_BLOCK_ENTRIES. The operand [1; -b_k] of b's differences is
+    built once per call and serves every block.
+    """
+    n = a.shape[0]
+    rows = max(1, APPLY_BLOCK_ENTRIES // max(1, b.size // spec.dim))
+    right = _right_operands(b)
     if n <= rows:
-        return _profile(spec, _sq_dists_to(aa, right)) @ coeffs
+        return _profile(spec, _sq_dists_to(a, right)) @ coeffs
     blocks = [
-        _profile(spec, _sq_dists_to(aa[start : start + rows], right)) @ coeffs
+        _profile(spec, _sq_dists_to(a[start : start + rows], right)) @ coeffs
         for start in range(0, n, rows)
     ]
     # The rows of k(a, b) are axis 0, or axis 1 for a stack b.
-    return np.concatenate(blocks, axis=bb.ndim - 2)
+    return np.concatenate(blocks, axis=b.ndim - 2)
 
 
-def gaussian_axis_apply(
+def _gaussian_axis_apply(
     spec: KernelSpec, axis: NDArray[np.float64], centers: NDArray[np.float64],
     coeffs: NDArray[np.float64],
 ) -> NDArray[np.float64]:
-    """k(axis, centers) @ coeffs for a 1-d Gaussian kernel and an equispaced axis.
+    """k(axis, centers) @ coeffs by the factored axis transform of the module docstring.
 
-    axis (S,) must be np.linspace(axis[0], axis[-1], S), and every
-    center lie in [axis[0], axis[-1]]. centers (n, 1) with coeffs (n,)
-    give S values; a stack of B center sets (B, n, 1) with coeffs (B, n)
-    gives (B, S), one row per set. The values come from Q anchor rows
-    and F offset factors per center, as the module docstring derives;
-    F = min(ceil(sqrt(S)), floor(0.5 / (c step W))), and with F = 1
-    this is kernel_apply.
+    axis (S,) is np.linspace(axis[0], axis[-1], S) with every center in
+    [axis[0], axis[-1]]. centers (n, 1) with coeffs (n,) give S values;
+    a stack (B, n, 1) with coeffs (B, n) gives (B, S), one row per set.
     """
     size = axis.shape[0]
     low, high = float(axis[0]), float(axis[-1])
@@ -318,7 +342,7 @@ def gaussian_axis_apply(
     if c * step * width * per_anchor > 0.5:
         per_anchor = math.floor(0.5 / (c * step * width))
     if per_anchor < 2:
-        return kernel_apply(spec, axis, centers, coeffs[..., None])[..., 0]
+        return _assembled_apply(spec, axis[:, None], centers, coeffs[..., None])[..., 0]
     anchors = axis[::per_anchor]
     mid = 0.5 * (low + high)
     offsets = step * np.arange(per_anchor)
@@ -341,8 +365,8 @@ def _taylor_terms(rho: float) -> int:
     return terms
 
 
-# gaussian_taylor_apply's bound rho on its Taylor argument |2c (x - mid) v|
-# and its number of Taylor terms, 15 at rho = 1/2 (module docstring).
+# The Taylor transform's bound rho on its argument |2c (x - mid) v| and
+# its number of Taylor terms, 15 at rho = 1/2 (module docstring).
 _TAYLOR_RHO = 0.5
 _TAYLOR_TERMS = _taylor_terms(_TAYLOR_RHO)
 
@@ -360,41 +384,32 @@ def _power_rows(base: NDArray[np.float64]) -> NDArray[np.float64]:
     return rows
 
 
-def gaussian_taylor_apply(
-    spec: KernelSpec, points: object, centers: object, coeffs: NDArray[np.float64]
+def _gaussian_taylor_apply(
+    spec: KernelSpec, points: NDArray[np.float64], centers: NDArray[np.float64],
+    coeffs: NDArray[np.float64],
 ) -> NDArray[np.float64]:
-    """k(points, centers) @ coeffs for a 1-d Gaussian kernel, by a Taylor-factored Gauss transform.
+    """k(points, centers) @ coeffs by the Taylor transform of the module docstring.
 
-    points (n, 1) and centers (m, 1), anywhere on the line, with coeffs
-    (m,) or (m, k) give (n,) or (n, k), as kernel_apply does. The
-    centers are binned to Q = ceil(c W^2) anchors (c = 1/2h^2, W the
-    width of the box of points and centers), and each point takes Q
-    anchor kernel values and 15 monomials, as the module docstring
-    derives. The truncation is below 2^-53 * sum_j |coeffs_j| k(x, y_j),
-    and the values agree with kernel_apply's within
-    1e-13 * sum |coeffs|. Arrays of n (P + (k + 1) Q) and
-    m (P + k Q) values are held, no n x m block. Where Q * 15 >= m (a
-    narrow kernel or a wide box), or the box is not a finite interval
-    of positive width (a NaN or infinity among the points, say), this
-    is kernel_apply itself.
+    points (n, 1) and centers (m, 1) with coeffs (m,) or (m, k) give
+    (n,) or (n, k). Arrays of n (P + (k + 1) Q) and m (P + k Q) values
+    are held, no n x m block. Where Q * 15 >= m, or the box is not a
+    finite interval of positive width, this is the assembly.
     """
-    pts = as_points(points, 1)
-    ctr = as_points(centers, 1)
-    x, y = pts[:, 0], ctr[:, 0]
+    x, y = points[:, 0], centers[:, 0]
     m = y.shape[0]
     c = 0.5 / spec.bandwidth**2
     if x.size == 0 or m == 0:
-        return kernel_apply(spec, pts, ctr, coeffs)
+        return _assembled_apply(spec, points, centers, coeffs)
     low = min(float(x.min()), float(y.min()))
     width = max(float(x.max()), float(y.max())) - low
     if not 0.0 < width < math.inf:
-        return kernel_apply(spec, pts, ctr, coeffs)
+        return _assembled_apply(spec, points, centers, coeffs)
     quotient = c * width * width / (2.0 * _TAYLOR_RHO)
     # Compared with m as a float first: c W^2 may overflow, and math.ceil
     # takes no infinity. A count of m falls back below.
     count = max(1, math.ceil(quotient)) if quotient < m else m
     if count * _TAYLOR_TERMS >= m:
-        return kernel_apply(spec, pts, ctr, coeffs)
+        return _assembled_apply(spec, points, centers, coeffs)
     half = 0.5 * width
     mid = low + half
     spacing = width / count
@@ -417,7 +432,7 @@ def gaussian_taylor_apply(
     monomials = _power_rows((x - mid) / half)
     # (k, Q, n) Taylor sums at each point against (Q, n) anchor rows.
     sums = (moments @ monomials).reshape(columns, count, -1)
-    rows = cross_gram(spec, anchors, pts)
+    rows = cross_gram(spec, anchors, points)
     out = np.einsum("jqi,qi->ij", sums, rows)
     return out.reshape((x.shape[0],) + coeffs.shape[1:])
 

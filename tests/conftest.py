@@ -23,3 +23,39 @@ def cho_factor_calls(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
     return calls
+
+
+@pytest.fixture
+def kernel_paths(monkeypatch):
+    """The arithmetic of each kernels.kernel_apply product, in call order.
+
+    Each entry is "axis" (the factored axis transform), "taylor" (the
+    Taylor transform) or "assembly" (row-blocked assembly). A transform
+    that falls back to the assembly counts as assembly.
+    """
+    import rkhsreg.kernels as kernels
+
+    paths = []
+    depth = [0]
+
+    def spy(path, fn):
+        def recorded(*args):
+            if depth[0]:
+                paths[-1] = path
+            else:
+                paths.append(path)
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+
+        return recorded
+
+    for path, name in [
+        ("axis", "_gaussian_axis_apply"),
+        ("taylor", "_gaussian_taylor_apply"),
+        ("assembly", "_assembled_apply"),
+    ]:
+        monkeypatch.setattr(kernels, name, spy(path, getattr(kernels, name)))
+    return paths

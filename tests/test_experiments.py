@@ -11,11 +11,12 @@ import scipy.stats
 
 import rkhsreg.auxiliary as aux_mod
 import rkhsreg.experiments as exp
-import rkhsreg.fredholm as fredholm_mod
+import rkhsreg.kernels as kernels_mod
 import rkhsreg.linalg as linalg
 from rkhsreg.auxiliary import bridge_distance_sq, fit_auxiliary, theoretical_tilde_risk
 from rkhsreg.cli import main, parse_config
 from rkhsreg.estimator import (
+    LOW_RANK_MIN_RATIO,
     KernelExpansion,
     empirical_objective,
     evaluate_batch,
@@ -40,6 +41,8 @@ from rkhsreg.experiments import (
 from rkhsreg.fredholm import DesignMeasure, build_grid, continuous_objective, flambda_expansion
 from rkhsreg.kernels import FAMILIES, KernelSpec
 from rkhsreg.linalg import NotPositiveDefiniteError
+
+from reference_replication import reference_replication
 
 CANON = canonical_scenario()
 
@@ -230,6 +233,54 @@ def test_run_replication_matches_fit_ridge_and_bridge(n, lam, index):
     fhat_eval = evaluate_batch(fit_ridge(kernel, data, lam), eval_grid)
     grid_max = np.max(np.abs(fhat_eval - flambda_values(CANON, lam, eval_grid)))
     assert metrics.sup_gap_grid_max == pytest.approx(grid_max, rel=1e-10)
+
+
+def _uniform_scenario(family, bandwidth, dim=1):
+    """CANON with another kernel, on the unit interval or square (a 64-node grid at d = 2)."""
+    design = DesignMeasure.uniform((0.0,) * dim, (1.0,) * dim)
+    kernel, grid_m = KernelSpec(family, bandwidth, dim), 256 if dim == 1 else 64
+    return dataclasses.replace(CANON, kernel=kernel, design=design, grid_m=grid_m)
+
+
+# Both sides of each switch of arithmetic in a replication; the
+# canonical grid has rank r = 16, and f_lambda's sup-norm axis on [0, 1]
+# has F = min(23, floor(511 h^2)) offsets per anchor.
+REFERENCE_CASES = {
+    "taylor-at-data-h0.25": (CANON, 50),
+    "assembly-at-data-h0.1": (_uniform_scenario("gaussian", 0.1), 50),
+    "one-offset-axis-h0.05": (_uniform_scenario("gaussian", 0.05), 50),
+    "dense-solve-n159": (CANON, 159),
+    "woodbury-n160": (CANON, 160),
+    "full-gram-chunk-n181": (CANON, 181),
+    "upper-gram-alone-n182": (CANON, 182),
+    "laplace": (_uniform_scenario("laplace", 0.25), 50),
+    "rational-quadratic": (_uniform_scenario("rational_quadratic", 0.25), 50),
+    "gaussian-2d": (_uniform_scenario("gaussian", 0.25, dim=2), 50),
+}
+
+
+def _assert_reference(got, want):
+    for field in dataclasses.fields(want):
+        name = field.name
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-10), name
+
+
+@pytest.mark.parametrize("scenario, n", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+def test_run_replication_matches_the_written_out_reference(scenario, n):
+    # The chunk of indices _run_many makes at this n: 26 at n = 50, 2 at
+    # n = 181, 1 from n = 182 on.
+    chunk = range(max(1, exp.CHUNK_GRAM_ENTRIES // (n * n)))
+    assert exp._design_context(CANON).op.rank * LOW_RANK_MIN_RATIO == 160
+    for index, metrics in zip(chunk, run_replication(scenario, n, 0.2, chunk)):
+        _assert_reference(metrics, reference_replication(scenario, n, 0.2, index))
+
+
+def test_a_chunk_and_its_indices_alone_match_the_written_out_reference():
+    indices = [5, 6]
+    for index, metrics in zip(indices, run_replication(CANON, 181, 0.2, indices)):
+        want = reference_replication(CANON, 181, 0.2, index)
+        _assert_reference(metrics, want)
+        _assert_reference(run_replication(CANON, 181, 0.2, index), want)
 
 
 def test_run_replication_factors_once(cho_factor_calls):
@@ -544,17 +595,19 @@ def test_a_non_finite_input_stops_the_run(monkeypatch, name):
 
 
 def test_a_nan_in_the_fit_on_the_sup_grid_stops_the_run(monkeypatch):
-    # The canonical sup-norm grid is evaluated by the factored axis apply;
-    # one NaN out of it breaks index 13's sup-norm bound, though every
-    # input is finite and every solve passes.
-    orig = fredholm_mod.gaussian_axis_apply
+    # The canonical sup-norm grid is evaluated by the factored axis
+    # transform; one NaN out of it, planted in the product with a chunk's
+    # datasets, breaks index 13's sup-norm bound, though every input is
+    # finite and every solve passes.
+    orig = kernels_mod._gaussian_axis_apply
 
-    def with_nan(*args):
-        values = orig(*args)
-        values[3, 100] = np.nan
+    def with_nan(spec, axis, centers, coeffs):
+        values = orig(spec, axis, centers, coeffs)
+        if centers.ndim == 3:
+            values[3, 100] = np.nan
         return values
 
-    monkeypatch.setattr(fredholm_mod, "gaussian_axis_apply", with_nan)
+    monkeypatch.setattr(kernels_mod, "_gaussian_axis_apply", with_nan)
     with pytest.raises(ArithmeticError, match="^sup-norm bound violated at n=50, replication 13: nan"):
         run_replication(CANON, 50, 0.2, range(10, 36))
 
@@ -795,18 +848,21 @@ def test_design_context_flags_a_nan_target_gap(monkeypatch, fresh_contexts):
         exp._design_context(CANON)
 
 
-def test_a_nan_from_the_taylor_transform_stops_the_run(monkeypatch, tmp_path, capsys, fresh_contexts):
-    # f0 and f_lambda at the data come from kernels.gaussian_taylor_apply
-    # for the canonical 1-d Gaussian scenario: a NaN in its first row
-    # reaches a replication's responses, and the run exits 3.
-    orig = fredholm_mod.gaussian_taylor_apply
+def _run_canonical_with_nan_from_taylor(monkeypatch, tmp_path, planted):
+    """`rkhsreg run` of CANON at n = 50 with a NaN planted in Taylor transform products.
 
-    def nan_first(*args):
-        out = orig(*args)
-        out[0] = np.nan
+    The NaN goes into row 0 of each product for which
+    planted(points, centers) holds.
+    """
+    orig = kernels_mod._gaussian_taylor_apply
+
+    def nan_first(spec, points, centers, coeffs):
+        out = orig(spec, points, centers, coeffs)
+        if planted(points, centers):
+            out[0] = np.nan
         return out
 
-    monkeypatch.setattr(fredholm_mod, "gaussian_taylor_apply", nan_first)
+    monkeypatch.setattr(kernels_mod, "_gaussian_taylor_apply", nan_first)
     config = {
         "scenario": dataclasses.asdict(CANON),
         "ns": [50],
@@ -817,8 +873,30 @@ def test_a_nan_from_the_taylor_transform_stops_the_run(monkeypatch, tmp_path, ca
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert main(["run", str(path)]) == 3
+    return main(["run", str(path)])
+
+
+def test_a_nan_from_the_taylor_transform_stops_the_run(monkeypatch, tmp_path, capsys, fresh_contexts):
+    # f0 and f_lambda at the data come from the Taylor transform for the
+    # canonical 1-d Gaussian scenario: a NaN in its first row on a chunk's
+    # datasets reaches a replication's responses, and the run exits 3.
+    def on_data(points, centers):
+        return not np.array_equal(points, centers)
+
+    assert _run_canonical_with_nan_from_taylor(monkeypatch, tmp_path, on_data) == 3
     assert "invariant broken: non-finite f at n=50, replication 0" in capsys.readouterr().err
+
+
+def test_a_nan_from_the_taylor_transform_at_the_nodes_stops_the_set_up(
+    monkeypatch, tmp_path, capsys, fresh_contexts
+):
+    # The design context's node check sums the target's expansion at the
+    # nodes by the Taylor transform too: a NaN there makes its gap NaN
+    # before any replication runs.
+    assert _run_canonical_with_nan_from_taylor(monkeypatch, tmp_path, np.array_equal) == 3
+    assert "invariant broken: Fredholm right-hand side is off the target f0 by nan" in (
+        capsys.readouterr().err
+    )
 
 
 def test_scenario_serialization_roundtrip():

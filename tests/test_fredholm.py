@@ -398,18 +398,6 @@ def test_kronecker_sup_grid_values_match_dense_kernel_apply(case):
     np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * float(np.abs(a).sum()))
 
 
-def _on_product_paths(monkeypatch):
-    """Counts on_product's calls of gaussian_axis_apply in a list."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return kernels_mod.gaussian_axis_apply(*args)
-
-    monkeypatch.setattr(fredholm_mod, "gaussian_axis_apply", counted)
-    return calls
-
-
 def _centers_and_coeffs(measure, seed):
     """Centers and coefficients for one set (41 points) and a stack of three."""
     rng = np.random.default_rng(seed)
@@ -418,54 +406,38 @@ def _centers_and_coeffs(measure, seed):
     return [(stack[0], coeffs[0]), (stack, coeffs)]
 
 
-def test_1d_gaussian_sup_grid_takes_the_factored_axis_apply(monkeypatch):
-    calls = _on_product_paths(monkeypatch)
+def _assert_plain_sum(got, rows, coeffs):
+    """got is rows @ coeffs, the plain kernel sum, within 1e-13 * sum |coeffs| per column.
+
+    coeffs is (..., m, k), and got has the shape of rows @ coeffs.
+    """
+    want = rows @ coeffs
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(coeffs).sum(axis=-2, keepdims=True))
+
+
+def test_1d_gaussian_sup_grid_takes_the_factored_axis_apply(kernel_paths):
+    # The 512-point sup-norm axis is np.linspace of its ends with every
+    # data point on it, so kernel_apply takes the axis transform.
     op = GridOperator(GAUSS, build_grid(UNIFORM, 64))
     P = op.split(UNIFORM.eval_axes)
     for xs, a in _centers_and_coeffs(UNIFORM, 7):
         got = op.on_product(P, xs, a)
-        dense = kernel_apply(GAUSS, UNIFORM.eval_grid, xs, a[..., None])[..., 0]
-        assert got.shape == dense.shape == a.shape[:-1] + (512,)
-        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * float(np.abs(a).sum()))
-    assert len(calls) == 2
+        rows = kernels_mod.cross_gram(GAUSS, UNIFORM.eval_grid, xs)
+        _assert_plain_sum(got[..., None], rows, a[..., None])
+    assert kernel_paths == ["axis", "axis"]
 
 
-def _at_points_paths(monkeypatch):
-    """Counts at_points' calls of gaussian_taylor_apply in a list."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return kernels_mod.gaussian_taylor_apply(*args)
-
-    monkeypatch.setattr(fredholm_mod, "gaussian_taylor_apply", counted)
-    return calls
-
-
-def _kernel_apply_at_points(op, xs, coeffs):
-    """at_points by kernel_apply on the first factor and batched rows for the others."""
-    n = xs.shape[0]
-    first, *rest = op.factors
-    out = kernel_apply(first.kernel, xs[:, first.coords], first.nodes, coeffs.reshape(first.size, -1))
-    for f in rest:
-        rows = kernels_mod.cross_gram(f.kernel, xs[:, f.coords], f.nodes)
-        out = np.matmul(rows[:, None, :], out.reshape(n, f.size, -1))
-    return out.reshape((n,) + coeffs.shape[1:])
-
-
-def test_1d_gaussian_at_points_takes_the_taylor_transform(monkeypatch):
-    calls = _at_points_paths(monkeypatch)
+def test_1d_gaussian_at_points_takes_the_taylor_transform(kernel_paths):
     op = GridOperator(GAUSS, build_grid(UNIFORM, 256))
     rng = np.random.default_rng(9)
     xs = UNIFORM.sample([rng], 50)[0]
     C = rng.standard_normal((256, 2))
     for coeffs in (C[:, 0], C):
-        got = op.at_points(xs, coeffs)
-        want = kernel_apply(GAUSS, xs, op.grid.nodes, coeffs)
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * float(np.abs(C).sum()))
-        assert not np.array_equal(got, want)
-    assert len(calls) == 2
+        got = op.at_points(xs, coeffs).reshape(50, -1)
+        rows = kernels_mod.cross_gram(GAUSS, xs, op.grid.nodes)
+        _assert_plain_sum(got, rows, coeffs.reshape(256, -1))
+    assert kernel_paths == ["taylor", "taylor"]
 
 
 @pytest.mark.parametrize(
@@ -480,15 +452,21 @@ def test_1d_gaussian_at_points_takes_the_taylor_transform(monkeypatch):
     ],
     ids=["laplace", "rational_quadratic", "constant", "gaussian-2d", "gaussian-3d", "dirac"],
 )
-def test_every_other_at_points_keeps_the_kernel_apply_path(monkeypatch, kernel, measure):
-    calls = _at_points_paths(monkeypatch)
+def test_every_other_at_points_keeps_the_kernel_apply_path(kernel_paths, kernel, measure):
+    # No transform pays off here: a 1-d Gaussian factor of 8 or 4 nodes,
+    # or a single node, has 15 Q >= p_k, so its Taylor transform assembles.
+    # The dirac draws are 37 copies of its node, np.linspace of their ends
+    # with the node on them: one column takes the axis transform, exact
+    # at width 0.
     op = GridOperator(kernel, build_grid(measure, 64))
     rng = np.random.default_rng(10)
     xs = measure.sample([rng], 37)[0]
     C = rng.standard_normal((op.grid.m, 2))
     for coeffs in (C[:, 0], C):
-        np.testing.assert_array_equal(op.at_points(xs, coeffs), _kernel_apply_at_points(op, xs, coeffs))
-    assert calls == []
+        got = op.at_points(xs, coeffs).reshape(37, -1)
+        rows = kernels_mod.cross_gram(kernel, xs, op.grid.nodes)
+        _assert_plain_sum(got, rows, coeffs.reshape(op.grid.m, -1))
+    assert kernel_paths == ["axis" if measure.kind == "dirac" else "assembly", "assembly"]
 
 
 def _nudged(axis):
@@ -512,26 +490,22 @@ def _nudged(axis):
     ids=["laplace", "rational_quadratic", "constant", "gaussian-2d", "gaussian-3d",
          "not-linspace", "center-outside"],
 )
-def test_every_other_sup_grid_keeps_the_product_path(monkeypatch, kernel, measure, edit):
-    # Bitwise the values of the product path: at d = 1 one kernel_apply
-    # against the centers; at d >= 2 the Kronecker rows, which run
-    # whenever gaussian_axis_apply does not.
-    calls = _on_product_paths(monkeypatch)
+def test_every_other_sup_grid_keeps_the_product_path(kernel_paths, kernel, measure, edit):
+    # No axis transform: the kernel, the axis or a center rules it out,
+    # and at d >= 2 the last factor's rows meet several columns.
     op = GridOperator(kernel, build_grid(measure, 64))
     axes = measure.eval_axes
     if edit == "not-linspace":
         axes = (_nudged(axes[0]),)
     P = op.split(axes)
+    grid = fredholm_mod._product(list(axes))
     for xs, a in _centers_and_coeffs(measure, 8):
         if edit == "center-outside":
             xs = xs.copy()
             xs[..., -1, 0] = 1.0 + 1e-9
         got = op.on_product(P, xs, a)
-        assert got.shape == a.shape[:-1] + (np.prod([len(x) for x in axes]),)
-        if kernel.dim == 1:
-            parent = kernel_apply(kernel, P[0], xs, a[..., None])[..., 0]
-            np.testing.assert_array_equal(got, parent)
-    assert calls == []
+        _assert_plain_sum(got[..., None], kernels_mod.cross_gram(kernel, grid, xs), a[..., None])
+    assert len(kernel_paths) == 2 and "axis" not in kernel_paths
 
 
 @pytest.mark.parametrize(

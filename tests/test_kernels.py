@@ -16,8 +16,6 @@ from rkhsreg.kernels import (
     _sq_dists,
     as_points,
     cross_gram,
-    gaussian_axis_apply,
-    gaussian_taylor_apply,
     gram,
     kernel_apply,
     kernel_eval,
@@ -277,31 +275,136 @@ def test_kernel_apply_is_bitwise_the_per_block_form(stacked):
     assert np.array_equal(kernel_apply(spec, a, b, coeffs), expected)
 
 
+def _assert_plain(spec, a, b, coeffs, got):
+    """got is the plain cross_gram(a, b) @ coeffs within 1e-13 * sum |coeffs|.
+
+    The sum runs over each column of each member of a stack, and got
+    has NaN exactly where the plain product has.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    want = cross_gram(spec, a, b) @ coeffs
+    total = np.expand_dims(np.abs(coeffs).sum(axis=b.ndim - 2), b.ndim - 2)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    assert np.all(np.isnan(want) | (np.abs(got - want) <= 1e-13 * total))
+
+
+GAUSS_1D = KernelSpec("gaussian", 0.25, 1)
+SUP_AXIS = np.linspace(0.0, 1.0, 512)
+
+
+def _dispatch_table():
+    """(kernel, a, b, coeffs shape, the arithmetic kernel_apply must pick) rows."""
+    rng = np.random.default_rng(47)
+
+    def inside(low, high, shape):
+        out = rng.uniform(low, high, size=shape)
+        out.reshape(-1)[:2] = low, high
+        return out
+
+    few, many = inside(0.0, 1.0, (41, 1)), inside(0.0, 1.0, (256, 1))
+    stack, wide = inside(0.0, 1.0, (3, 41, 1)), inside(-3.0, 3.0, (41, 1))
+    points = rng.uniform(-0.1, 1.1, size=(97, 1))
+    nudged = SUP_AXIS.copy()
+    nudged[256] = np.nextafter(nudged[256], np.inf)
+    past_end = many.copy()
+    past_end[-1, 0] = 1.0 + 1e-9
+    nan_point = points.copy()
+    nan_point[3, 0] = np.nan
+    points_2d, centers_2d = rng.uniform(size=(97, 2)), rng.uniform(size=(256, 2))
+    rows = [
+        ("axis", GAUSS_1D, SUP_AXIS, few, (41,), "axis"),
+        ("axis-one-column", GAUSS_1D, SUP_AXIS, few, (41, 1), "axis"),
+        ("axis-stack", GAUSS_1D, SUP_AXIS, stack, (3, 41, 1), "axis"),
+        ("axis-of-7-points", KernelSpec("gaussian", 1.0, 1), np.linspace(0, 1, 7), few, (41,),
+         "axis"),
+        ("axis-of-2-points", KernelSpec("gaussian", 2.0, 1), [0.0, 1.0], few, (41,), "axis"),
+        ("axis-of-1-point", GAUSS_1D, [0.5], np.full((41, 1), 0.5), (41,), "assembly"),
+        ("axis-one-offset", GAUSS_1D, np.linspace(-3, 3, 512), wide, (41,), "assembly"),
+        ("axis-two-columns", GAUSS_1D, SUP_AXIS, many, (256, 2), "taylor"),
+        ("not-linspace", GAUSS_1D, nudged, many, (256,), "taylor"),
+        ("descending", GAUSS_1D, SUP_AXIS[::-1], many, (256,), "taylor"),
+        ("center-past-end", GAUSS_1D, SUP_AXIS, past_end, (256,), "taylor"),
+        ("center-far-outside", GAUSS_1D, SUP_AXIS, [[0.5], [1e4]], (2,), "assembly"),
+        ("stack-off-axis", GAUSS_1D, points, stack, (3, 41, 2), "assembly"),
+        ("taylor", GAUSS_1D, points, many, (256,), "taylor"),
+        ("taylor-two-columns", GAUSS_1D, points, many, (256, 2), "taylor"),
+        ("taylor-15Q-above-m", GAUSS_1D, points, few, (41, 2), "assembly"),
+        ("taylor-narrow", KernelSpec("gaussian", 0.1, 1), points, many, (256,), "assembly"),
+        ("taylor-nan-point", GAUSS_1D, nan_point, many, (256, 2), "assembly"),
+        ("laplace", KernelSpec("laplace", 0.25, 1), SUP_AXIS, few, (41,), "assembly"),
+        ("rational_quadratic", KernelSpec("rational_quadratic", 0.25, 1), points, many, (256,),
+         "assembly"),
+        ("constant", KernelSpec("constant", 1.0, 1), SUP_AXIS, few, (41,), "assembly"),
+        ("gaussian-2d", KernelSpec("gaussian", 0.25, 2), points_2d, centers_2d, (256,), "assembly"),
+    ]
+    return [pytest.param(*row[1:], id=row[0]) for row in rows]
+
+
+@pytest.mark.parametrize("spec, a, b, shape, path", _dispatch_table())
+def test_kernel_apply_picks_its_arithmetic_from_its_inputs(kernel_paths, spec, a, b, shape, path):
+    # One row per case of the rule in the kernels docstring; a transform
+    # that falls back to the assembly counts as assembly.
+    coeffs = np.random.default_rng(53).standard_normal(shape)
+    got = kernel_apply(spec, a, b, coeffs)
+    assert kernel_paths == [path]
+    _assert_plain(spec, a, b, coeffs, got)
+
+
+def test_an_axis_with_a_center_outside_it_gives_the_plain_product():
+    # The axis transform's offset factors stay within [e^-0.5, e^0.5]
+    # only for centers on the axis: a center at 1e4 would make 443 of
+    # 512 values NaN. kernel_apply checks the span itself.
+    far = [[0.5], [1e4]]
+    got = kernel_apply(GAUSS_1D, SUP_AXIS, far, [1.0, 1.0])
+    assert np.isfinite(got).all()
+    _assert_plain(GAUSS_1D, SUP_AXIS, far, [1.0, 1.0], got)
+    stack = np.random.default_rng(59).uniform(size=(3, 40, 1))
+    coeffs = np.ones((3, 40, 1))
+    for a, b in [
+        (SUP_AXIS, np.concatenate([stack[:1], stack[1:2] * 1e4, stack[2:]])),
+        (SUP_AXIS[::-1], far),
+        ([0.5], far),
+        ([0.0, 1.0], far),
+    ]:
+        ones = np.ones(np.shape(b)[:-1] + (1,))
+        got = kernel_apply(GAUSS_1D, a, b, ones)
+        assert np.isfinite(got).all()
+        _assert_plain(GAUSS_1D, a, b, ones, got)
+    # A NaN center reaches its own member's values and no others.
+    with_nan = stack.copy()
+    with_nan[1, 7, 0] = np.nan
+    got = kernel_apply(GAUSS_1D, SUP_AXIS, with_nan, coeffs)
+    _assert_plain(GAUSS_1D, SUP_AXIS, with_nan, coeffs, got)
+    assert np.isnan(got[1]).all() and np.isfinite(got[[0, 2]]).all()
+
+
 @pytest.mark.parametrize("size", [512, 7])
 @pytest.mark.parametrize("box", [(0.0, 1.0), (-3.0, 3.0), (1000.0, 1001.0)])
 @pytest.mark.parametrize("bandwidth", [0.01, 0.05, 0.25, 1.0])
-def test_gaussian_axis_apply_matches_kernel_apply(bandwidth, box, size):
-    # The factored apply evaluates at anchor + offset, within an ulp of
-    # linspace's points, so it agrees with kernel_apply to roundoff, for
-    # one center set and a stack, with centers on both ends of the axis.
+def test_gaussian_axis_apply_matches_kernel_apply(kernel_paths, bandwidth, box, size):
+    # The axis transform evaluates at anchor + offset, within an ulp of
+    # linspace's points, so kernel_apply on an axis matches the plain
+    # product to roundoff, for one center set and a stack, with centers
+    # on both ends of the axis. With fewer than two offsets it assembles.
     spec = KernelSpec("gaussian", bandwidth, 1)
     axis = np.linspace(*box, size)
     rng = np.random.default_rng(37)
     centers = rng.uniform(*box, size=(3, 41, 1))
     centers[0, :2, 0] = box
-    coeffs = rng.standard_normal((3, 41))
-    stacked = gaussian_axis_apply(spec, axis, centers, coeffs)
-    assert stacked.shape == (3, size)
+    coeffs = rng.standard_normal((3, 41, 1))
+    _assert_plain(spec, axis, centers, coeffs, kernel_apply(spec, axis, centers, coeffs))
     for b in range(3):
-        want = kernel_apply(spec, axis, centers[b], coeffs[b])
-        got = gaussian_axis_apply(spec, axis, centers[b], coeffs[b])
-        atol = 1e-13 * float(np.abs(coeffs[b]).sum())
-        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
-        np.testing.assert_allclose(stacked[b], want, rtol=0, atol=atol)
+        got = kernel_apply(spec, axis, centers[b], coeffs[b, :, 0])
+        _assert_plain(spec, axis, centers[b], coeffs[b, :, 0], got)
+    c, step, width = 0.5 / bandwidth**2, (box[1] - box[0]) / (size - 1), box[1] - box[0]
+    offsets = min(math.isqrt(size - 1) + 1, math.floor(0.5 / (c * step * width)))
+    assert kernel_paths == ["axis" if offsets >= 2 else "assembly"] * 4
 
 
 def _taylor_fallback(bandwidth, low, high, m):
-    """Whether gaussian_taylor_apply is kernel_apply for this box and m: Q * P >= m."""
+    """Whether the Taylor transform falls back to the assembly for this box and m: Q * P >= m."""
     c = 0.5 / bandwidth**2
     count = max(1, math.ceil(c * (high - low) ** 2 / (2.0 * _TAYLOR_RHO)))
     return count * _TAYLOR_TERMS >= m
@@ -311,10 +414,11 @@ def _taylor_fallback(bandwidth, low, high, m):
 @pytest.mark.parametrize("m", [64, 256, 1024])
 @pytest.mark.parametrize("box", [(0.0, 1.0), (-3.0, 3.0), (1000.0, 1001.0)])
 @pytest.mark.parametrize("bandwidth", [0.01, 0.05, 0.25, 1.0])
-def test_gaussian_taylor_apply_matches_kernel_apply(bandwidth, box, m, columns):
+def test_gaussian_taylor_apply_matches_kernel_apply(kernel_paths, bandwidth, box, m, columns):
     # Points inside and up to a tenth of the width outside the centers'
-    # span, the box ends among them. The Taylor sums agree with
-    # kernel_apply to roundoff; where Q * P >= m the call is kernel_apply.
+    # span, the box ends among them, so kernel_apply takes the Taylor
+    # transform, whose sums match the plain product to roundoff; where
+    # Q * P >= m it assembles.
     spec = KernelSpec("gaussian", bandwidth, 1)
     low, high = box
     width = high - low
@@ -323,15 +427,10 @@ def test_gaussian_taylor_apply_matches_kernel_apply(bandwidth, box, m, columns):
     points = rng.uniform(low - 0.1 * width, high + 0.1 * width, size=(97, 1))
     points[:2, 0] = low - 0.1 * width, high + 0.1 * width
     coeffs = rng.standard_normal((m, columns) if columns > 1 else m)
-    want = kernel_apply(spec, points, centers, coeffs)
-    got = gaussian_taylor_apply(spec, points, centers, coeffs)
-    assert got.shape == want.shape
-    if _taylor_fallback(bandwidth, low - 0.1 * width, high + 0.1 * width, m):
-        np.testing.assert_array_equal(got, want)
-    else:
-        atol = 1e-13 * np.abs(coeffs).sum(axis=0)
-        np.testing.assert_allclose(got, want, rtol=0, atol=float(np.max(atol)))
-        assert not np.array_equal(got, want)
+    got = kernel_apply(spec, points, centers, coeffs)
+    _assert_plain(spec, points, centers, coeffs, got)
+    fallback = _taylor_fallback(bandwidth, low - 0.1 * width, high + 0.1 * width, m)
+    assert kernel_paths == ["assembly" if fallback else "taylor"]
 
 
 def test_gaussian_taylor_term_count_is_the_least_below_the_unit_roundoff():
@@ -340,18 +439,20 @@ def test_gaussian_taylor_term_count_is_the_least_below_the_unit_roundoff():
     assert _TAYLOR_TERMS == 15 and bound[1] <= 2.0**-53 < bound[0]
 
 
-def test_gaussian_taylor_truncation_is_below_the_unit_roundoff():
+def test_gaussian_taylor_truncation_is_below_the_unit_roundoff(kernel_paths):
     # The worst case of the series: on [0, 1] at h = 0.25 (c = 8, Q = 8
     # anchors (q + 1/2) / 8), centers at the bin edges q / 8 sit 1/16
     # from their anchor, so at the box ends |t| = 2c * 1/2 * 1/16 = rho;
     # at x = 1 every t but one is -rho. Dyadic points make every
     # exponent exact, so math.exp and fsum give the sum within an ulp.
     # Positive coefficients add the truncation errors with one sign.
-    spec = KernelSpec("gaussian", 0.25, 1)
+    # The ends with x = 1 twice are not np.linspace of their ends, so
+    # kernel_apply takes the Taylor transform.
     centers = (np.arange(256) % 9 / 8.0).reshape(-1, 1)
     coeffs = 1.0 + np.arange(256) % 5 / 4.0
-    ends = np.array([[0.0], [1.0]])
-    got = gaussian_taylor_apply(spec, ends, centers, coeffs)
+    ends = np.array([[0.0], [1.0], [1.0]])
+    got = kernel_apply(GAUSS_1D, ends, centers, coeffs)
+    assert kernel_paths == ["taylor"]
     exact = [
         math.fsum(a * math.exp(-8.0 * (x - y) ** 2) for a, y in zip(coeffs, centers[:, 0]))
         for x in ends[:, 0]
@@ -359,25 +460,27 @@ def test_gaussian_taylor_truncation_is_below_the_unit_roundoff():
     np.testing.assert_allclose(got, exact, rtol=4 * 2.0**-53, atol=0)
 
 
-def test_gaussian_taylor_apply_edge_cases_are_kernel_apply():
+def test_gaussian_taylor_apply_edge_cases_are_kernel_apply(kernel_paths):
+    # Each of these would take the Taylor transform, which falls back to
+    # the assembly: bitwise the plain product.
     spec = KernelSpec("gaussian", 1.0, 1)
     rng = np.random.default_rng(43)
     centers = rng.uniform(0.0, 1.0, size=(64, 1))
     coeffs = rng.standard_normal((64, 2))
-    # A NaN point makes the box NaN: kernel_apply, NaN in that row alone.
+    # A NaN point makes the box NaN: NaN in that row alone.
     points = rng.uniform(0.0, 1.0, size=(5, 1))
     points[3, 0] = np.nan
-    got = gaussian_taylor_apply(spec, points, centers, coeffs)
-    np.testing.assert_array_equal(got, kernel_apply(spec, points, centers, coeffs))
+    got = kernel_apply(spec, points, centers, coeffs)
+    np.testing.assert_array_equal(got, cross_gram(spec, points, centers) @ coeffs)
     assert np.isnan(got[3]).all() and np.isfinite(np.delete(got, 3, axis=0)).all()
     # No points, no centers, and a box of zero width.
-    assert gaussian_taylor_apply(spec, np.zeros((0, 1)), centers, coeffs).shape == (0, 2)
+    assert kernel_apply(spec, np.zeros((0, 1)), centers, coeffs).shape == (0, 2)
     np.testing.assert_array_equal(
-        gaussian_taylor_apply(spec, points[:2], np.zeros((0, 1)), np.zeros(0)), np.zeros(2)
+        kernel_apply(spec, points[:3], np.zeros((0, 1)), np.zeros((0, 2))), np.zeros((3, 2))
     )
     same = np.full((64, 1), 0.3)
     np.testing.assert_array_equal(
-        gaussian_taylor_apply(spec, same[:4], same, coeffs), kernel_apply(spec, same[:4], same, coeffs)
+        kernel_apply(spec, same[:4], same, coeffs), cross_gram(spec, same[:4], same) @ coeffs
     )
     # h = 1e-100 on [0, 1e60]: c W^2 overflows, and the count is compared
     # with m before math.ceil could meet the infinity. Each point that is
@@ -386,9 +489,10 @@ def test_gaussian_taylor_apply_edge_cases_are_kernel_apply():
     wide = rng.uniform(0.0, 1e60, size=(64, 1))
     wide[:2, 0] = 0.0, 1e60
     with np.errstate(over="ignore"):
-        got = gaussian_taylor_apply(tiny, wide[:5], wide, coeffs)
-        np.testing.assert_array_equal(got, kernel_apply(tiny, wide[:5], wide, coeffs))
+        got = kernel_apply(tiny, wide[:5], wide, coeffs)
+        np.testing.assert_array_equal(got, cross_gram(tiny, wide[:5], wide) @ coeffs)
     np.testing.assert_array_equal(got, coeffs[:5])
+    assert kernel_paths == ["assembly"] * 5
 
 
 def test_gram_empty_raises():

@@ -1,6 +1,8 @@
 """Package hygiene: the exported names and the imports of every module."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import sys
 from pathlib import Path
 
 import rkhsreg
+from rkhsreg.kernels import FAMILIES
 
 PACKAGE_DIR = Path(rkhsreg.__file__).parent
 
@@ -518,7 +521,7 @@ def _bandwidth_reads(tree: ast.Module) -> list[str]:
 
 def test_only_kernels_reads_the_bandwidth():
     # Each family's use of h, and with it the Gaussian's c = 1/2h^2 in
-    # the factored axis apply, sits in kernels.py beside _profile.
+    # the Gauss transforms, sits in kernels.py beside _profile.
     # Elsewhere a KernelSpec is passed whole or rebuilt by keyword.
     for snippet in (
         "spec.bandwidth",
@@ -542,6 +545,88 @@ def test_only_kernels_reads_the_bandwidth():
     ]
     assert sites == []
     assert _bandwidth_reads(_parse(PACKAGE_DIR / "kernels.py"))
+
+
+def _family_comparisons(tree: ast.Module) -> list[str]:
+    """Comparisons of a value with a kernel family name, alone or in a literal collection."""
+    sites = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        for operand in (node.left, *node.comparators):
+            collection = isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+            literals = operand.elts if collection else [operand]
+            if any(isinstance(x, ast.Constant) and x.value in FAMILIES for x in literals):
+                sites.append(f"{node.lineno}: {ast.unparse(node)}")
+                break
+    return sites
+
+
+def test_only_kernels_compares_with_a_kernel_family():
+    # What a family computes, and which arithmetic kernel_apply picks for
+    # it, is decided in kernels.py. Elsewhere a spec is built by family
+    # name and its family tested against a named collection at most.
+    for snippet in (
+        "kernel.family == 'gaussian'",
+        "spec.family != 'constant'",
+        "'laplace' == k.family",
+        "family in ('gaussian', 'constant')",
+        "x if f not in ['rational_quadratic'] else y",
+    ):
+        assert _family_comparisons(ast.parse(snippet)), snippet
+    for snippet in (
+        "KernelSpec('gaussian', 0.25, 1)",
+        "kernel.family in PRODUCT_FAMILIES",
+        "kind == 'uniform'",
+        "family = 'gaussian'",
+    ):
+        assert not _family_comparisons(ast.parse(snippet)), snippet
+    sites = [
+        f"{path.name}:{site}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "kernels.py"
+        for site in _family_comparisons(_parse(path))
+    ]
+    assert sites == []
+    assert _family_comparisons(_parse(PACKAGE_DIR / "kernels.py"))
+
+
+def _kernels_or_linalg_imports(tree: ast.Module) -> list[str]:
+    """Imported names, modules included, whose home is rkhsreg.kernels or rkhsreg.linalg."""
+    homes = ("rkhsreg.kernels", "rkhsreg.linalg")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name in homes]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rkhsreg"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name)
+                if inspect.ismodule(value):
+                    home = value.__name__
+                else:
+                    home = getattr(value, "__module__", None) or node.module
+                if home in homes:
+                    found.append(f"{node.module}.{alias.name}")
+    return found
+
+
+def test_the_reference_replication_writes_its_kernel_and_solve_out():
+    # tests/reference_replication.py checks run_replication's kernel
+    # products and solves, so it takes none of them from the package:
+    # from kernels and linalg it imports KernelSpec alone.
+    for snippet in (
+        "from rkhsreg.kernels import cross_gram",
+        "from rkhsreg import solve_spd",
+        "from rkhsreg.experiments import gram",
+        "from rkhsreg import kernels",
+        "import rkhsreg.linalg",
+    ):
+        assert _kernels_or_linalg_imports(ast.parse(snippet)), snippet
+    for snippet in ("from rkhsreg.experiments import sample_dataset", "import numpy as np"):
+        assert not _kernels_or_linalg_imports(ast.parse(snippet)), snippet
+    tree = _parse(Path(__file__).with_name("reference_replication.py"))
+    assert _kernels_or_linalg_imports(tree) == ["rkhsreg.kernels.KernelSpec"]
 
 
 _FRESH_RUNS = """
