@@ -228,8 +228,10 @@ def _band_figure(scenario: ScenarioSpec, n: int, lam: float, title: str) -> tupl
     data = sample_dataset(scenario, n, 0, lambda_key=lam)
     grid_x = np.linspace(scenario.design.low[0], scenario.design.high[0], 200).reshape(-1, 1)
     # The posterior mean at lam_gp = n * lam is the ridge fit.
-    grid_rank = continuous_solution(scenario, lam).operator.rank
-    mean, var = gp_posterior_band(scenario.kernel, data, n * lam, grid_x, grid_rank)
+    op = continuous_solution(scenario, lam).operator
+    nystrom = op.nystrom_coefficients(n)
+    low_rank = None if nystrom is None else op.at_points(data.xs, nystrom)
+    mean, var = gp_posterior_band(scenario.kernel, data, n * lam, grid_x, low_rank)
     sd = np.sqrt(var)
     f0_curve = target_values(scenario, grid_x)
     coverage = float(np.mean(np.abs(f0_curve - mean) <= 2.0 * sd))

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .kernels import KernelSpec, as_points, cross_gram, gram, kernel_apply
-from .linalg import SpdFactor, pivoted_cholesky
+from .linalg import SpdFactor
 
 NORM_CLAMP_TOL = 1e-10
 
@@ -120,36 +120,19 @@ class Dataset:
         return self.xs.shape[0]
 
 
-# The low-rank factor of a Gram K is tried only when n is at least
-# LOW_RANK_MIN_RATIO times the grid operator's rank r: for the ridge
-# system, one BLAS thread broke even near n = 170 at r = 17, n = 260 at
-# r = 36 and n = 350 at r = 59. It is given up when the pivoted
-# Cholesky of K needs more than LOW_RANK_CAP * r columns.
-LOW_RANK_MIN_RATIO = 10
-LOW_RANK_CAP = 2
-
-
-def _ridge_factor(K: NDArray[np.float64], shift: float, grid_rank: int | None = None) -> SpdFactor:
+def _ridge_factor(
+    K: NDArray[np.float64], shift: float, low_rank: NDArray[np.float64] | None = None
+) -> SpdFactor:
     """Factors K + shift*I for a symmetric n x n Gram K, or for each member of a stack (B, n, n).
 
     The ridge system (shift = n*lam: fit_ridge, bridge_distance_sq,
     run_replication) and the GP band (shift = lam_gp) are all factored
-    here. Given the rank r of the kernel's grid operator, shift > 0 and
-    n >= LOW_RANK_MIN_RATIO * r, each member starts on the Woodbury rung
-    from the pivoted Cholesky K ~ L L', capped at LOW_RANK_CAP * r
-    columns, which factors only an r x r matrix and never forms
-    K + shift*I; otherwise, or past the cap, it is the dense Cholesky.
-    Either way every solve is checked against K + shift*I itself.
+    here. Given K ~ L L', L (n, r) or (B, n, r) (the grid operator's
+    Nystrom factor at the data), and shift > 0, each member starts on
+    the Woodbury rung, which factors only an r x r matrix; otherwise it
+    is the dense Cholesky. Every solve is checked against K + shift*I.
     """
-    n = K.shape[-1]
-    low_rank = None
-    if grid_rank is not None and shift > 0 and n >= LOW_RANK_MIN_RATIO * grid_rank:
-        cap = LOW_RANK_CAP * grid_rank
-        if K.ndim == 3:
-            low_rank = [pivoted_cholesky(Kb, cap) for Kb in K]
-        else:
-            low_rank = pivoted_cholesky(K, cap)
-    return SpdFactor(K, shift=shift, low_rank=low_rank)
+    return SpdFactor(K, shift=shift, low_rank=low_rank if shift > 0 else None)
 
 
 def fit_ridge(kernel: KernelSpec, data: Dataset, lam: float) -> KernelExpansion:
@@ -212,17 +195,17 @@ def gp_posterior_band(
     data: Dataset,
     lam_gp: float,
     xs: object,
-    grid_rank: int | None = None,
+    low_rank: NDArray[np.float64] | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Gaussian-process posterior mean and variance at each row of xs.
 
     The mean is k(x,X) (K + lam_gp*I)^-1 f, which with lam_gp = n*lam
     equals the fit_ridge prediction at x; the variance is
     k(x,x) - k(x,X) (K + lam_gp*I)^-1 k(X,x), clamped at zero against
-    roundoff. Both come from one _ridge_factor(K, lam_gp, grid_rank)
-    and one solve against [f | k(X, x)]: given grid_rank, the rank r of
-    the kernel's grid operator, at n >= LOW_RANK_MIN_RATIO * r it is a
-    Woodbury solve that factors only an r x r matrix. Every column is
+    roundoff. Both come from one _ridge_factor(K, lam_gp, low_rank)
+    and one solve against [f | k(X, x)]: given low_rank, an n x r L with
+    K ~ L L' (the grid operator's Nystrom extension to the data), it is
+    a Woodbury solve that factors only an r x r matrix. Every column is
     still checked against the full K + lam_gp*I.
     """
     if not lam_gp > 0:
@@ -233,7 +216,7 @@ def gp_posterior_band(
     # Rows f and k(x, X), transposed, are the right-hand sides; rows 1:
     # then serve as k(x, X), so no second copy of it lives through the solve.
     rows = np.vstack([data.fs, cross_gram(kernel, pts, data.xs)])
-    X = _ridge_factor(K, lam_gp, grid_rank).solve(rows.T)
+    X = _ridge_factor(K, lam_gp, low_rank).solve(rows.T)
     Kxn = rows[1:]
     mean = Kxn @ X[:, 0]
     # k(x, x) = 1 for every built-in family.

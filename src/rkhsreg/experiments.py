@@ -527,31 +527,33 @@ def run_replication(
 
     A chunk of B indices at one (n, lam) runs on stacked arrays: draws
     in place from per-index streams whose seed prefix is cached, one
-    at_points product for f0 and f_lambda at every point
-    (_sample_at_nodes), one (B, n, n) stack of data Grams, one
-    auxiliary_residuals call, one on_product call for the sup-norm grid,
-    and one array operation per metric, clamp and check. Only the factor
-    of K + n*lam*I and the products with K are made per dataset, by one
-    SpdFactor over the stack (_ridge_factor): K + n*lam*I is formed once
-    for its dense members and not at all for its low-rank ones, one loop
-    factors and solves each member, and one symmetric BLAS call per
-    column checks each solution. A failed factor or check fails its own
-    index alone. Every product and factor reads only the upper triangle
-    of each K, and a replication run alone assembles no more than that
-    (gram(..., upper=True)). The auxiliary fit comes first, since its
-    residuals r = f - (K + n*lam*I) t, t = w~/n its coefficients, need
-    only the data and f_lambda; it also hands back f~ at the data, K t. One
-    two-column solve [a | u] = (K + n*lam*I)^-1 [f | r] gives the ridge
-    coefficients a and the bridge vector u, and with them the product
-    K [a | u] that the solve's residual check formed. So each K is
-    passed over twice, once by the auxiliary fit and once by the check,
-    and no further product with K is formed: K a, K t, K (a - t) =
-    K a - K t and K u give every squared RKHS distance, the empirical
-    objective and the residual-bridge identity ||fhat - f~||^2 = u'Ku,
-    whose two sides come from different passes. The bridge stays a real
-    check of the shared factor: r is formed from K itself, so a factor
-    of any other matrix leaves u apart from a - t. r is the lemma form
-    f_lambda(X) - K t by construction, so that form is not checked.
+    at_points product for f0, f_lambda and, from n >= 10 r, the Nystrom
+    factor L at every point (_sample_at_nodes), one (B, n, n) stack of
+    data Grams, one auxiliary_residuals call, one on_product call for
+    the sup-norm grid, and one array operation per metric, clamp and
+    check. Only the factor of K + n*lam*I and the products with K are
+    made per dataset, by one SpdFactor over the stack (_ridge_factor):
+    K + n*lam*I is formed once for its dense members and not at all for
+    its Woodbury ones, one loop factors and solves each member, and one
+    symmetric BLAS call per column checks each solution. A failed factor
+    or check fails its own index alone. Every product and factor reads
+    only the upper triangle of each K, and a replication run alone
+    assembles no more than that (gram(..., upper=True)). The auxiliary
+    fit comes first, since its residuals r = f - (K + n*lam*I) t,
+    t = w~/n its coefficients, need only the data and f_lambda; it also
+    hands back f~ at the data, K t. One two-column solve
+    [a | u] = (K + n*lam*I)^-1 [f | r] gives the ridge coefficients a and
+    the bridge vector u, and with them the product K [a | u] that the
+    solve's residual check formed. So each K is passed over twice (more
+    to refine a Woodbury solution), once by the auxiliary fit and once
+    by the check, and no further product with K is formed: K a, K t,
+    K (a - t) = K a - K t and K u give every squared RKHS distance, the
+    empirical objective and the residual-bridge identity
+    ||fhat - f~||^2 = u'Ku, whose two sides come from different passes.
+    The bridge stays a real check of the shared factor: r is formed from
+    K itself, so a factor of any other matrix leaves u apart from a - t.
+    r is the lemma form f_lambda(X) - K t by construction, so that form
+    is not checked.
 
     Three bounds are checked: the ball bound lam ||fhat||^2 <= mean f^2,
     the residual bound ||fhat - f~||^2 <= ||r||^2 / (4 lam n), and the
@@ -620,7 +622,10 @@ def _run_chunk(
     lctx = _lambda_context(scenario, lam)
     if lctx.sol.lam != lam:
         raise ArithmeticError(f"f_lambda was solved at lam={lctx.sol.lam!r}, not at lam={lam!r}")
-    (xs, fs), at_xs = _sample_at_nodes(scenario, dctx, n, indices, lam, lctx.node_coeffs)
+    # On the Woodbury rung one at_points product also gives L = k(X, nodes) C.
+    nystrom = dctx.op.nystrom_coefficients(n)
+    node_coeffs = lctx.node_coeffs if nystrom is None else np.hstack([lctx.node_coeffs, nystrom])
+    (xs, fs), at_xs = _sample_at_nodes(scenario, dctx, n, indices, lam, node_coeffs)
     # A replication run alone (n >= 182 in _run_many) has a Gram of
     # several row blocks, and assembling its upper triangle alone skips
     # about half its kernel values. A chunk's smaller Grams cost less in
@@ -635,7 +640,8 @@ def _run_chunk(
     # sides [f | r] of each member are the columns of a transposed view,
     # so that every member's is F-contiguous.
     sides = np.stack([fs, residuals], axis=1).transpose(0, 2, 1)
-    X, KX, errors = _ridge_factor(K, n * lam, dctx.op.rank).solve_with_product(sides)
+    low_rank = None if nystrom is None else at_xs[..., 2:]
+    X, KX, errors = _ridge_factor(K, n * lam, low_rank).solve_with_product(sides)
     failed = [b for b, error in enumerate(errors) if error is not None]
     # Rows a, u, K a and K u of the chunk's solutions and their products.
     a, u = X.transpose(2, 0, 1)

@@ -23,12 +23,12 @@ nu_k clamped at 0 and every eigenvector kept. Then
 S = V diag(nu) V' exactly, with V = V_1 kron ... kron V_F orthogonal
 and nu = nu_1 kron ... kron nu_F, and V is only ever applied by mode
 products. Each lam costs O(m sum p_k) through the spectral form
-(S + lam)^-1 b = V ((V'b) / (nu + lam)), whose node residual stays at
-roundoff for any lam > 0. The rank of S and the effective dimension
-sum nu / (nu + lam) count the same values: nu > m * eps * max(nu),
-numpy matrix_rank's rule. Every solve is checked against the full
-operator G = kron G_k. f_lambda is exposed as a kernel expansion so
-RKHS distances against fitted estimators are direct quadratic forms.
+(S + lam)^-1 b = V ((V'b) / (nu + lam)). The rank, the effective
+dimension and the data side's Nystrom factor use the same values,
+nu > m * eps * max(nu), numpy matrix_rank's rule. Every solve is
+checked against the full operator G = kron G_k. f_lambda is exposed as
+a kernel expansion so RKHS distances against fitted estimators are
+direct quadratic forms.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ DESIGN_KINDS = ("uniform", "truncated_gaussian", "dirac")
 # about 25% from its m = 625 value, and no output reports that error.
 MAX_UNIFORM_DIM = 3
 SUP_GRID_POINTS = 512
+# n data points take the Woodbury rung from n >= LOW_RANK_MIN_RATIO * r:
+# one BLAS thread broke even near n = 170 at r = 17 and n = 350 at r = 59.
+LOW_RANK_MIN_RATIO = 10
 
 
 @dataclass(frozen=True)
@@ -344,14 +347,10 @@ class GridOperator:
         return reduce(lambda u, v: np.multiply.outer(u, v).ravel(), nus), Vs
 
     @cached_property
-    def _resolved(self) -> NDArray[np.float64]:
-        """The values nu above m * eps * max(nu), numpy matrix_rank's rule.
-
-        Below that bound an eigenvalue of S is roundoff, so rank and
-        effective_dimension both count only these values.
-        """
+    def _resolved(self) -> NDArray[np.intp]:
+        """Flat indices of the nu above m * eps * max(nu), matrix_rank's rule; below, nu is roundoff."""
         nu, _ = self.spectrum
-        return nu[nu > self.grid.m * np.finfo(np.float64).eps * np.max(nu)]
+        return np.flatnonzero(nu > self.grid.m * np.finfo(np.float64).eps * np.max(nu))
 
     @property
     def rank(self) -> int:
@@ -362,8 +361,25 @@ class GridOperator:
         """N(lam) = tr K (K + lam)^-1 = sum_i nu_i / (nu_i + lam) over the resolved nu."""
         if not lam > 0:
             raise ValueError("lam must be positive")
-        nu = self._resolved
+        nu = self.spectrum[0][self._resolved]
         return float(np.sum(nu / (nu + lam)))
+
+    @cached_property
+    def _nystrom(self) -> NDArray[np.float64]:
+        """W^(1/2) V_r diag(nu_r)^(-1/2) on the resolved pairs: r Kronecker columns, no m x m V."""
+        nu, Vs = self.spectrum
+        index = self._resolved
+        picked = [V[:, i] for V, i in zip(Vs, np.unravel_index(index, [len(V) for V in Vs]))]
+        columns = reduce(lambda u, v: (u[:, None] * v[None]).reshape(-1, index.size), picked)
+        return _frozen_array(columns * (np.sqrt(self.grid.weights)[:, None] / np.sqrt(nu[index])))
+
+    def nystrom_coefficients(self, n: int) -> NDArray[np.float64] | None:
+        """The m x r Nystrom coefficients C for n data points, None below n = LOW_RANK_MIN_RATIO * r.
+
+        L = at_points(X, C) gives k(X, X) ~ L L' (Williams and Seeger 2001),
+        the ridge system's Woodbury rung. The one place n is compared.
+        """
+        return self._nystrom if n >= LOW_RANK_MIN_RATIO * self.rank else None
 
     def at_points(self, xs: NDArray[np.float64], coeffs: NDArray[np.float64]) -> NDArray:
         """k(xs, nodes) @ coeffs for an (n, d) array xs and coeffs of shape (m,) or (m, c).
@@ -490,11 +506,13 @@ def solve_coefficient(
 ) -> FredholmSolution:
     """Solves (lam*I + G W) w = f0 at the grid nodes through the spectrum.
 
-    With S = V diag(nu) V' (GridOperator.spectrum), the spectral form
-    gives w = W^(-1/2) V ((V'b) / (nu + lam)) for b = W^(1/2) f0, with V
-    and V' applied by mode products. flambda_values = G W w is computed
-    with the full operator (GridOperator.apply), so the node identity
-    below checks the spectral solve against the operator itself.
+    With S = V diag(nu) V' (GridOperator.spectrum) and b = W^(1/2) f0,
+    u = V ((V'b) / (nu + lam)) = W^(1/2) w. Each node takes w in the form
+    with the smaller roundoff bound: u_i / sqrt(W_i), off by about
+    eps * max |V'b / (nu + lam)| / sqrt(W_i), or (f0 - G W^(1/2) u)_i / lam,
+    off by about eps * (|f0_i| + |f_lambda_i|) / lam, so a graded rule's
+    tiny weights amplify no roundoff. flambda_values = G W w comes from
+    GridOperator.apply, so the node identity checks the solve.
 
     Raises:
         ValueError: If lam <= 0 or f0_values has the wrong length.
@@ -512,6 +530,10 @@ def solve_coefficient(
     s = np.sqrt(grid.weights)
     coef = _kron_apply(tuple(V.T for V in Vs), s * f0) / (nu + lam)
     w = _kron_apply(Vs, coef) / s
+    flambda = op.apply(grid.weights * w)
+    # The two roundoff bounds with their common factor eps dropped.
+    residual_form = np.max(np.abs(coef)) * lam > s * (np.abs(f0) + np.abs(flambda))
+    w = np.where(residual_form, (f0 - flambda) / lam, w)
     Ww = grid.weights * w
     flambda = op.apply(Ww)
     residual = f0 - flambda - lam * w

@@ -1,5 +1,5 @@
-"""Symmetric positive-definite solves, the capped pivoted Cholesky,
-eigendecomposition, and Loewner order comparisons.
+"""Symmetric positive-definite solves, eigendecomposition, and Loewner
+order comparisons.
 
 These primitives back every regularized fit in the package and the
 randomized matrix-inequality suites: (K + shift*I)^-1 applications via
@@ -9,40 +9,30 @@ package makes.
 
 An SpdFactor factors A = K + shift*I once and serves every solve
 against it, for one matrix K or for each member of a stack K (B, n, n)
-such as a replication chunk's data Grams; a single matrix is a stack of
-one. Given a low-rank form K_b ~ L L' (L of shape n x r), a member is
-first the Woodbury form A^-1 B ~ (B - L (shift*I_r + L'L)^-1 L'B) / shift,
-which factors only the r x r matrix and never forms A_b; otherwise, or
-once a Woodbury solution fails its check, it is the dense Cholesky
-factor of A_b, made in place in one copy of A for all dense members.
-Both rungs solve through LAPACK's dpotrs on a scipy.linalg.cho_factor
-factor, and the product K X checks every solution against A, as
-K X + shift*X; solve_with_product hands back that K X, so a caller
-that needs it makes no second pass over K. Small systems like a
-chunk's are bound by call overhead, so one array operation per stack
-replaces one per member wherever a member needs no call of its own. A
-member whose factor or check fails, fails alone; a ridge system with
-shift > 0 has smallest eigenvalue at least shift, so its dense factor
-exists. solve_spd is the checked public entry: it verifies symmetry
-and then factors and solves once. Callers that build their matrix
-symmetric themselves (every Gram in the package is) construct an
-SpdFactor directly and skip that O(n^2) pass.
+such as a replication chunk's data Grams. A member is on the Woodbury
+rung, given a low-rank form K_b ~ L L' (the grid operator's Nystrom
+factor), or on the dense Cholesky rung; the class docstring says when
+it refines or climbs. Both rungs solve through LAPACK's dpotrs on a
+scipy.linalg.cho_factor factor, and the product K X checks every
+solution against A, as K X + shift*X; solve_with_product hands back
+that K X, so a caller that needs it makes no second pass over K. Small
+systems like a chunk's are bound by call overhead, so one array
+operation per stack replaces one per member wherever a member needs no
+call of its own. solve_spd is the checked public entry: it verifies
+symmetry and then factors and solves once. Callers that build their
+matrix symmetric themselves (every Gram in the package is) construct
+an SpdFactor directly and skip that O(n^2) pass.
 
 Every factorization and product here reads only the diagonal and the
 upper triangle of K, so K may come from gram(..., upper=True), whose
 lower triangle is 0 and never assembled: the dense Cholesky factors
-the F-ordered view of A_b, whose lower triangle is A_b's upper one;
-the pivoted Cholesky reads row p as K[:p, p] followed by K[p, p:];
+the F-ordered view of A_b, whose lower triangle is A_b's upper one,
 and _symmetric_product, the one place K X is formed (for the check
 here and for the auxiliary fit's K w~), calls the symmetric BLAS
 dsymv or dsymm per member.
 
-pivoted_cholesky(A, max_rank) gives the ridge factor's low-rank form
-A ~ L L' with L of shape n x r: a greedy loop stopped when the largest
-remaining diagonal entry falls to n * eps * max diag(A), which gives up,
-returning None, once the rank would pass max_rank. sym_eig is the full
-eigendecomposition of a symmetric matrix; the grid operator takes one
-per factor.
+sym_eig is the full eigendecomposition of a symmetric matrix; the grid
+operator takes one per factor.
 """
 
 from __future__ import annotations
@@ -54,8 +44,8 @@ from scipy.linalg.blas import dsymm, dsymv
 from scipy.linalg.lapack import dpotrs
 
 
-# LAPACK's relative machine precision, dlamch('E'): the eps of pivoted_cholesky's tolerance.
-UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+# Most refinement steps of a Woodbury solution: LAPACK dporfs' ITMAX.
+MAX_REFINEMENTS = 5
 # The message of a Cholesky solution that fails its residual check.
 _FAILED_CHECK = "Cholesky solution fails its residual check"
 # _symmetric_product makes one dsymv call per column up to this many
@@ -90,19 +80,24 @@ class SpdFactor:
     K is symmetric n x n or a stack (B, n, n) of symmetric members, and
     is never written to; a single matrix is a stack of one. low_rank
     gives K_b ~ L_b L_b': for a matrix its L or None, for a stack one
-    L_b or None per member. A member starts on the Woodbury rung when
-    its L_b is given and the r x r inner matrix shift*I_r + L_b'L_b
-    factors; it then holds no n x n array. Every other member is dense:
-    K + shift*I is formed once for all of them in a fresh C-ordered
-    array, and each A_b is Cholesky-factored in place through its
-    F-contiguous transposed view, whose lower triangle is A_b's upper
-    one. Each solve checks every column of every member against A_b,
-    ||A_b x - b|| <= 1e-8 ||b||, with the product K X formed from K's
-    upper triangle (_symmetric_product). A Woodbury member that fails
-    the check climbs to the dense rung and is solved and checked again;
-    a member whose dense factor or check fails, fails alone. K is taken
-    as symmetric and only its diagonal and upper triangle are read;
-    solve_spd checks symmetry for matrices the caller did not build.
+    L_b or None per member, or one (B, n, r) array. A member starts on
+    the Woodbury rung, A_b^-1 B ~ (B - L_b (shift*I_r + L_b'L_b)^-1 L_b'B)
+    / shift, when its L_b is given and the r x r inner matrix factors; it
+    then holds no n x n array. Every other member is dense: K + shift*I
+    is formed once for all of them in a fresh C-ordered array, and each
+    A_b is Cholesky-factored in place through its F-contiguous
+    transposed view, whose lower triangle is A_b's upper one. Each solve
+    checks every column of every member against A_b,
+    ||A_b x - b|| <= 1e-8 ||b||, with K X formed from K's upper triangle
+    (_symmetric_product). A Woodbury solution is refined from its factor
+    by LAPACK dporfs' rule (Higham 2002, ch. 12), each step shrinking its
+    error by about ||K_b - L_b L_b'|| / shift: while its residual is above
+    n * eps * ||b|| and the last step at least halved it, at most
+    MAX_REFINEMENTS steps. Kept once it stops converging, at its rounding
+    floor; one still converging after the last step, or failing the
+    check, climbs to the dense rung. A member whose dense factor or check
+    fails, fails alone; with shift > 0 the dense factor exists. K is taken as
+    symmetric and only its diagonal and upper triangle are read.
 
     Raises:
         NotPositiveDefiniteError: At construction, for a single matrix
@@ -122,7 +117,10 @@ class SpdFactor:
         # Per member: its L_b while on the Woodbury rung, the Cholesky
         # factor it solves through (of the inner matrix or of A_b), and
         # the error that failed its dense factor.
-        self._low_rank = [low_rank] if K.ndim == 2 else list(low_rank or [None] * members)
+        if low_rank is None:
+            self._low_rank = [None] * members
+        else:
+            self._low_rank = [low_rank] if K.ndim == 2 else list(low_rank)
         self._factors: list[tuple[NDArray[np.float64], bool] | None] = [None] * members
         self._errors: list[np.linalg.LinAlgError | None] = [None] * members
         for b, L in enumerate(self._low_rank):
@@ -182,39 +180,60 @@ class SpdFactor:
         Xt = np.array(Bt, order="C")
         # Each member's column norms, as (k, B) arrays.
         norm_b = _column_norms(Bt.T)
+        # A residual within n * eps * ||b|| is at a dense solve's rounding.
+        rounding = self._stack.shape[-1] * np.finfo(np.float64).eps * norm_b
+        # Per refined member: its steps and its residual norms before the last one.
+        refined: dict[int, tuple[int, NDArray[np.float64]]] = {}
         todo = [b for b, error in enumerate(errors) if error is None]
         while True:
             for b in todo:
-                Xb = Xt[b].T
-                L = self._low_rank[b]
-                if L is None:
-                    _cho_solve(self._factors[b], Xb, overwrite_b=True)
-                else:
-                    Xb -= L @ _cho_solve(self._factors[b], L.T @ Xb)
-                    Xb /= self.shift
+                self._solve_in_place(b, Xt[b].T)
             KXt = _symmetric_product(self._stack, Xt)
             residual = self.shift * Xt
             residual += KXt
             residual -= Bt
-            passed = np.all(_column_norms(residual.T) <= 1e-8 * norm_b, axis=0)
-            climbing = []
-            for b in np.flatnonzero(~passed):
-                if errors[b] is None and self._low_rank[b] is not None:
+            norms = _column_norms(residual.T)
+            passed = np.all(norms <= 1e-8 * norm_b, axis=0)
+            todo, climbing, refining = [], [], []
+            # Written so that a NaN residual is visited, and fails.
+            for b in np.flatnonzero(~np.all(norms <= rounding, axis=0)):
+                if errors[b] is not None:
+                    continue
+                steps, before = refined.get(b, (0, np.inf))
+                done = norms[:, b] <= rounding[:, b]
+                converging = np.all(done | (norms[:, b] <= 0.5 * before))
+                woodbury = self._low_rank[b] is not None
+                if woodbury and converging and steps < MAX_REFINEMENTS:
+                    # X_b -= A_b^-1 (A_b X_b - B_b) from the same factor, checked again.
+                    refined[b] = steps + 1, norms[:, b]
+                    correction = residual[b]
+                    self._solve_in_place(b, correction.T)
+                    Xt[b] -= correction
+                    refining.append(b)
+                elif woodbury and (converging or not passed[b]):
                     climbing.append(b)
-                elif errors[b] is None:
+                elif not passed[b]:
                     errors[b] = NotPositiveDefiniteError(_FAILED_CHECK)
             # A climbing member is solved again from B on its dense factor.
             self._factor_dense(climbing)
-            todo = []
             for b in climbing:
                 errors[b] = self._errors[b]
                 if errors[b] is None:
                     todo.append(b)
                     Xt[b] = Bt[b]
-            if not todo:
+            if not todo and not refining:
                 break
         X, KX = Xt.transpose(0, 2, 1), KXt.transpose(0, 2, 1)
         return X.reshape(B.shape), KX.reshape(B.shape), errors
+
+    def _solve_in_place(self, b: int, X: NDArray[np.float64]) -> None:
+        """Overwrites an F-contiguous (n, k) X with A_b^-1 X on member b's current rung."""
+        L = self._low_rank[b]
+        if L is None:
+            _cho_solve(self._factors[b], X, overwrite_b=True)
+        else:
+            X -= L @ _cho_solve(self._factors[b], L.T @ X)
+            X /= self.shift
 
     def solve(self, B: NDArray[np.float64]) -> NDArray[np.float64]:
         """Solves A X = B: solve_with_product's X, raising its first failure.
@@ -297,40 +316,6 @@ def _symmetric_product(K: NDArray[np.float64], Vt: NDArray[np.float64]) -> NDArr
 def _column_norms(X: NDArray[np.float64]) -> NDArray[np.float64]:
     """The Euclidean norm of each column of X (n, ...): the sum over its first axis."""
     return np.sqrt(np.einsum("i...,i...->...", X, X))
-
-
-def pivoted_cholesky(A: NDArray[np.float64], max_rank: int) -> NDArray[np.float64] | None:
-    """Pivoted Cholesky factor L (n x r) of a symmetric positive semidefinite A.
-
-    Only the diagonal and the upper triangle of A are read.
-
-    Pivots on the largest remaining diagonal entry and stops once it is
-    at most tol = n * eps * max diag(A) (eps the unit roundoff, LAPACK's
-    default for the pivoted Cholesky), so A = L L' + E with E positive semidefinite of
-    trace at most (n - r) * tol. A greedy loop of O(n r^2) builds it one
-    column at a time and gives up as soon as the rank would pass max_rank.
-
-    Returns:
-        L, or None when the rank exceeds max_rank.
-    """
-    n = A.shape[0]
-    diag = A.diagonal().copy()
-    tol = n * UNIT_ROUNDOFF * float(np.max(diag, initial=0.0))
-    # Rows of Lt are the columns of L, so each step reads contiguous memory.
-    Lt = np.empty((min(max_rank, n), n))
-    for k in range(n):
-        p = int(np.argmax(diag))
-        if diag[p] <= tol:
-            # A copy: an SpdFactor keeps L, and a view would keep all max_rank rows.
-            return Lt[:k].copy().T
-        if k == max_rank:
-            return None
-        # Row p of A from its upper triangle: column p above the diagonal.
-        row = (np.concatenate((A[:p, p], A[p, p:])) - Lt[:k, p] @ Lt[:k]) / np.sqrt(diag[p])
-        Lt[k] = row
-        diag -= row * row
-        diag[p] = 0.0
-    return Lt.T
 
 
 def solve_spd(A: NDArray[np.float64], B: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -353,7 +353,7 @@ def test_run_stops_on_wrong_ridge_factor(tmp_path, monkeypatch, capsys):
     # check; the residual-bridge identity catches it and stops the run.
     orig = exp._ridge_factor
     monkeypatch.setattr(
-        exp, "_ridge_factor", lambda K, lam, grid_rank=None: orig(K, lam * (1 + 1e-3), grid_rank)
+        exp, "_ridge_factor", lambda K, lam, low_rank=None: orig(K, lam * (1 + 1e-3), low_rank)
     )
     assert main(["run", _write_config(tmp_path, _base_config(tmp_path / "out"))]) == 3
     err = capsys.readouterr().err
@@ -392,6 +392,19 @@ def test_run_at_large_n_factors_no_n_by_n_matrix(tmp_path, cho_factor_calls):
     assert cho_factor_calls and all(shape[0] < 800 for shape in cho_factor_calls)
 
 
+def test_run_on_a_graded_truncated_gaussian_grid(tmp_path, capsys):
+    # Scale 0.05 on [0, 1] grades the 256 quadrature weights down to about
+    # 1e-25; the grid solve must hold its node identity there.
+    cfg = _base_config(tmp_path / "out", ns=[50], R=4)
+    cfg["scenario"]["design"] = {
+        "kind": "truncated_gaussian", "low": 0.0, "high": 1.0, "center": 0.5, "scale": 0.05,
+    }
+    cfg["scenario"]["grid_m"] = 256
+    assert main(["run", _write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out" / "results.csv").exists()
+
+
 class _SharedShift:
     """A ridge factor whose solve adds c times one column to every column.
 
@@ -421,7 +434,7 @@ def test_run_stops_on_broken_bound(tmp_path, monkeypatch, capsys, column, c, bou
     orig = exp._ridge_factor
     monkeypatch.setattr(
         exp, "_ridge_factor",
-        lambda K, lam, grid_rank=None: _SharedShift(orig(K, lam, grid_rank), column, c),
+        lambda K, lam, low_rank=None: _SharedShift(orig(K, lam, low_rank), column, c),
     )
     out_dir = tmp_path / "out"
     assert main(["run", _write_config(tmp_path, _base_config(out_dir))]) == 3

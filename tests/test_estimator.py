@@ -197,22 +197,24 @@ def test_gp_band_factors_once(cho_factor_calls):
     assert cho_factor_calls == [(15, 15)]
 
 
-def _grid_rank(kernel):
+def _nystrom_factor(kernel, xs):
+    """The unit-interval grid operator's Nystrom extension L to xs, None below its threshold."""
     op = GridOperator(kernel, build_grid(DesignMeasure.uniform(0.0, 1.0), 256))
-    return op.rank
+    coeffs = op.nystrom_coefficients(len(xs))
+    return None if coeffs is None else op.at_points(xs, coeffs)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "rational_quadratic"])
 def test_low_rank_gp_band_matches_the_dense_band(cho_factor_calls, family):
-    # At n = 800 the grid rank (17 and 36) is far below n / 10, so the
+    # At n = 800 the grid rank (16 and 32) is far below n / 10, so the
     # band factors only an r x r matrix; the dense band is the reference.
     kernel = KernelSpec(family, 0.25, 1)
     data = _dataset(np.random.default_rng(22), 800)
     pts = np.linspace(0.0, 1.0, 201)
-    grid_rank = _grid_rank(kernel)
-    mean, var = gp_posterior_band(kernel, data, 800 * 0.2, pts, grid_rank)
-    r = cho_factor_calls[0][0]
-    assert cho_factor_calls == [(r, r)] and r <= 2 * grid_rank
+    L = _nystrom_factor(kernel, data.xs)
+    mean, var = gp_posterior_band(kernel, data, 800 * 0.2, pts, L)
+    r = L.shape[1]
+    assert cho_factor_calls == [(r, r)]
     dense_mean, dense_var = gp_posterior_band(kernel, data, 800 * 0.2, pts)
     assert cho_factor_calls[1:] == [(800, 800)]
     np.testing.assert_allclose(mean, dense_mean, rtol=1e-12)
@@ -223,14 +225,15 @@ def test_low_rank_gp_band_matches_the_dense_band(cho_factor_calls, family):
     "family, bandwidth", [("gaussian", 0.25), ("gaussian", 0.05), ("rational_quadratic", 0.25)]
 )
 def test_low_rank_ridge_factor_matches_the_dense_solve(cho_factor_calls, family, bandwidth):
-    # Grid ranks 17, 59 and 36 sit far below n = 800, so the factor
-    # starts on the Woodbury rung and never factors an n x n matrix.
+    # Grid ranks 16, 56 and 32 sit far below n = 800 / 10, so the factor
+    # starts on the Woodbury rung on the grid's Nystrom factor, refined
+    # once against K, and never factors an n x n matrix.
     kernel = KernelSpec(family, bandwidth, 1)
     rng = np.random.default_rng(20)
     data = _dataset(rng, 800)
     K = gram(kernel, data.xs)
     B = np.column_stack([data.fs, rng.standard_normal(800)])
-    low = _ridge_factor(K, 0.2, _grid_rank(kernel)).solve(B)
+    low = _ridge_factor(K, 0.2, _nystrom_factor(kernel, data.xs)).solve(B)
     assert cho_factor_calls and (800, 800) not in cho_factor_calls
     dense = _ridge_factor(K, 0.2).solve(B)
     assert cho_factor_calls[-1] == (800, 800)
@@ -245,12 +248,17 @@ def test_low_rank_ridge_factor_matches_the_dense_solve(cho_factor_calls, family,
     ids=["small-n", "laplace-full-rank", "interpolation"],
 )
 def test_ridge_factor_stays_dense(cho_factor_calls, n, family, lam):
+    # Below 10 times the grid rank (n = 50, and the full-rank Laplace
+    # grid's 2560) no low-rank form is given; at lam = 0 one is given,
+    # but the Woodbury form would divide by the zero shift.
     kernel = KernelSpec(family, 0.25, 1)
     data = _dataset(np.random.default_rng(21), n)
+    L = _nystrom_factor(kernel, data.xs)
+    assert (L is not None) == (lam == 0)
     # Only the dense Cholesky is tried; at lam = 0 the singular K/n has none.
     singular = pytest.raises(NotPositiveDefiniteError) if lam == 0 else contextlib.nullcontext()
     with singular:
-        _ridge_factor(gram(kernel, data.xs), lam, _grid_rank(kernel))
+        _ridge_factor(gram(kernel, data.xs), lam, L)
     assert cho_factor_calls and set(cho_factor_calls) == {(n, n)}
 
 

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 import rkhsreg.auxiliary as aux_mod
 import rkhsreg.experiments as exp
@@ -16,7 +17,6 @@ import rkhsreg.linalg as linalg
 from rkhsreg.auxiliary import bridge_distance_sq, fit_auxiliary, theoretical_tilde_risk
 from rkhsreg.cli import main, parse_config
 from rkhsreg.estimator import (
-    LOW_RANK_MIN_RATIO,
     KernelExpansion,
     empirical_objective,
     evaluate_batch,
@@ -38,7 +38,13 @@ from rkhsreg.experiments import (
     target_values,
     weak_consistency_fractions,
 )
-from rkhsreg.fredholm import DesignMeasure, build_grid, continuous_objective, flambda_expansion
+from rkhsreg.fredholm import (
+    LOW_RANK_MIN_RATIO,
+    DesignMeasure,
+    build_grid,
+    continuous_objective,
+    flambda_expansion,
+)
 from rkhsreg.kernels import FAMILIES, KernelSpec
 from rkhsreg.linalg import NotPositiveDefiniteError
 
@@ -275,6 +281,82 @@ def test_run_replication_matches_the_written_out_reference(scenario, n):
         _assert_reference(metrics, reference_replication(scenario, n, 0.2, index))
 
 
+# Designs of the drawn comparison: boxes at and off [0, 1], a graded
+# and a mild truncated Gaussian, and the unit square.
+DRAWN_DESIGNS = {
+    "unit-interval": DesignMeasure.uniform(0.0, 1.0),
+    "shifted-interval": DesignMeasure.uniform(0.5, 2.0),
+    "graded": DesignMeasure.truncated_gaussian(0.0, 1.0, 0.5, 0.05),
+    "truncated": DesignMeasure.truncated_gaussian(0.0, 1.0, 0.4, 0.3),
+    "unit-square": DesignMeasure.uniform((0.0, 0.0), (1.0, 1.0)),
+}
+NOISES = {
+    "homoscedastic": NoiseModel("homoscedastic", 0.2),
+    "affine": NoiseModel("heteroscedastic", 0.2, "affine"),
+    "sine-small": NoiseModel("heteroscedastic", 0.02, "sine"),
+}
+# Where n sits against each switch of a replication's arithmetic: one
+# below and at 10 r (dense and Woodbury rungs), 181 and 182 (a chunk of
+# two full Grams, an upper triangle alone), or small.
+SIDES = ("below-woodbury", "woodbury", "chunk-181", "alone-182", "small")
+
+
+@settings(max_examples=30)
+@given(
+    design=st.sampled_from(sorted(DRAWN_DESIGNS)),
+    family=st.sampled_from(["gaussian", "laplace", "rational_quadratic"]),
+    bandwidth=st.sampled_from([0.1, 0.25, 0.5]),
+    # 256 nodes only for a 1-d Gaussian, whose data side takes the Taylor
+    # transform once 15 Q < m: h 0.25 and 0.5 on [0, 1]. The others stop
+    # at 64 nodes, so that 10 r stays near 640 at most.
+    fine_grid=st.booleans(),
+    coarse_m=st.sampled_from([32, 64]),
+    noise=st.sampled_from(sorted(NOISES)),
+    w0=st.sampled_from(sorted(exp.W0_CHOICES)),
+    lam=st.sampled_from([1e-3, 0.05, 0.2, 1.0]),
+    index=st.integers(0, 10**6),
+    side=st.sampled_from(SIDES),
+    small_n=st.integers(2, 60),
+)
+# The Laplace spectrum on 32 nodes has not decayed: the Woodbury solve,
+# refined until it stops converging, fails its check and climbs.
+@example(
+    design="unit-interval", family="laplace", bandwidth=0.25, fine_grid=False, coarse_m=32,
+    noise="homoscedastic", w0="sin2pi", lam=0.2, index=0, side="woodbury", small_n=2,
+)
+# A 32-node grid resolves the rational quadratic kernel to about 1e-10:
+# at lam 1e-3 the Woodbury solve passes its 1e-8 check only 4e-10 from
+# the system, and refinement restores the dense accuracy.
+@example(
+    design="unit-interval", family="rational_quadratic", bandwidth=0.25, fine_grid=False,
+    coarse_m=32, noise="homoscedastic", w0="sin2pi", lam=1e-3, index=3, side="woodbury",
+    small_n=2,
+)
+def test_drawn_replications_match_the_written_out_reference(
+    design, family, bandwidth, fine_grid, coarse_m, noise, w0, lam, index, side, small_n
+):
+    measure = DRAWN_DESIGNS[design]
+    noise_model = NOISES[noise]
+    fine = fine_grid and family == "gaussian" and measure.dim == 1
+    scenario = ScenarioSpec(
+        kernel=KernelSpec(family, bandwidth, measure.dim),
+        design=measure,
+        w0=w0,
+        noise=noise_model,
+        grid_m=256 if fine else coarse_m,
+        base_seed=7,
+    )
+    threshold = LOW_RANK_MIN_RATIO * exp._design_context(scenario).op.rank
+    n = {
+        "below-woodbury": threshold - 1, "woodbury": threshold, "chunk-181": 181,
+        "alone-182": 182, "small": small_n,
+    }[side]
+    # The chunks _run_many makes: two indices below n = 182, one from there on.
+    indices = [index] if n >= 182 else [index, index + 1]
+    for i, metrics in zip(indices, run_replication(scenario, n, lam, indices)):
+        _assert_reference(metrics, reference_replication(scenario, n, lam, i))
+
+
 def test_a_chunk_and_its_indices_alone_match_the_written_out_reference():
     indices = [5, 6]
     for index, metrics in zip(indices, run_replication(CANON, 181, 0.2, indices)):
@@ -289,15 +371,14 @@ def test_run_replication_factors_once(cho_factor_calls):
 
 
 def test_run_replication_at_large_n_factors_no_n_by_n_matrix(cho_factor_calls):
-    # n = 800 is far above the canonical grid rank 17: the ridge factor
-    # is the Woodbury rung on the data Gram's pivoted Cholesky, and only
-    # its r x r inner matrix is Cholesky-factored.
+    # n = 800 is far above 10 times the canonical grid rank 16: the ridge
+    # factor is the Woodbury rung on the grid's Nystrom extension to the
+    # data, and only its r x r inner matrix is Cholesky-factored.
     continuous_solution(CANON, 0.2)
     cho_factor_calls.clear()
     run_replication(CANON, 800, 0.2, 0)
-    assert len(cho_factor_calls) == 1
-    r = cho_factor_calls[0][0]
-    assert cho_factor_calls == [(r, r)] and r <= 2 * 17
+    r = exp._design_context(CANON).op.rank
+    assert cho_factor_calls == [(r, r)]
 
 
 @pytest.mark.parametrize("n", [40, 800], ids=["dense-rung", "woodbury-rung"])
@@ -666,7 +747,7 @@ def test_run_replication_bridge_rejects_a_wrong_factor(monkeypatch):
     orig = exp._ridge_factor
     # At n = 800 the wrong factor is the low-rank Woodbury one.
     monkeypatch.setattr(
-        exp, "_ridge_factor", lambda K, lam, grid_rank=None: orig(K, lam * (1 + 1e-3), grid_rank)
+        exp, "_ridge_factor", lambda K, lam, low_rank=None: orig(K, lam * (1 + 1e-3), low_rank)
     )
     for n in (25, 800):
         with pytest.raises(ArithmeticError, match="residual bridge identity"):

@@ -115,7 +115,7 @@ def _grid_factors_reversed(monkeypatch):
 def _ridge_factor_at_twice_lam(monkeypatch):
     orig = exp._ridge_factor
     monkeypatch.setattr(
-        exp, "_ridge_factor", lambda K, lam, grid_rank=None: orig(K, 2.0 * lam, grid_rank)
+        exp, "_ridge_factor", lambda K, lam, low_rank=None: orig(K, 2.0 * lam, low_rank)
     )
 
 
@@ -238,8 +238,8 @@ def _solutions_shifted(column, c):
     def plant(monkeypatch):
         orig = exp._ridge_factor
 
-        def shifted(K, lam, grid_rank=None):
-            factor = orig(K, lam, grid_rank)
+        def shifted(K, lam, low_rank=None):
+            factor = orig(K, lam, low_rank)
 
             def solve_with_product(B):
                 X, KX, errors = factor.solve_with_product(B)

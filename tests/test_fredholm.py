@@ -1,6 +1,7 @@
 """Quadrature grids, the Nystrom solve of (lam + K) w = f0, range-of-
 operator targets, the continuous objective, and bias decay in lam."""
 
+import dataclasses
 from functools import cached_property, reduce
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 import scipy.stats
 from scipy.linalg.lapack import dpstrf
 
+import rkhsreg.experiments as exp
 import rkhsreg.fredholm as fredholm_mod
 import rkhsreg.kernels as kernels_mod
 from rkhsreg.estimator import KernelExpansion, evaluate_batch, rkhs_norm_sq
 from rkhsreg.experiments import canonical_scenario
 from rkhsreg.fredholm import (
+    LOW_RANK_MIN_RATIO,
     DesignMeasure,
     GridOperator,
     QuadratureGrid,
@@ -30,6 +33,8 @@ GL2_OFFSET = 0.2886751345948129  # 1 / (2 sqrt(3))
 UNIFORM = DesignMeasure.uniform(0.0, 1.0)
 CONSTANT = KernelSpec("constant", dim=1)
 GAUSS = KernelSpec("gaussian", 0.25, 1)
+# A graded rule: the 256 Gauss-Legendre weights times this density reach about 1e-25.
+GRADED = DesignMeasure.truncated_gaussian(0.0, 1.0, 0.5, 0.05)
 
 
 def test_gauss_legendre_two_point_rule():
@@ -151,6 +156,18 @@ def test_canonical_grid_solve_holds_the_node_identity_at_small_lambda(lam):
     op = GridOperator(scenario.kernel, grid)
     f0, _ = f0_in_range(op, scenario.w0_at(grid.nodes))
     assert solve_coefficient(op, f0, lam).residual_max <= 1e-13
+
+
+@pytest.mark.parametrize("lam", [0.2, 1e-2, 1e-4, 1e-6, 1e-8])
+def test_graded_grid_solve_holds_the_node_identity(lam):
+    # Dividing by sqrt(W_i) at the tail nodes would amplify the roundoff
+    # in u = W^(1/2) w there (a residual of 4.3e-6 at lam 0.2 when every
+    # node took that form); those nodes take the residual form instead.
+    grid = build_grid(GRADED, 256)
+    assert np.min(grid.weights) < 1e-24
+    op = GridOperator(GAUSS, grid)
+    f0, _ = f0_in_range(op, np.sin(2 * np.pi * grid.nodes[:, 0]))
+    assert solve_coefficient(op, f0, lam).residual_max <= 1e-12
 
 
 class _ShiftedSpectrum(GridOperator):
@@ -732,3 +749,90 @@ def test_flambda_grid_refinement():
         sol = solve_coefficient(op, f0, 0.2)
         values.append(evaluate_batch(flambda_expansion(sol), probes))
     np.testing.assert_allclose(values[0], values[1], atol=1e-5)
+
+
+def _scenario(kernel, design, grid_m):
+    return dataclasses.replace(canonical_scenario(), kernel=kernel, design=design, grid_m=grid_m)
+
+
+def _recorded_ridge_solves(monkeypatch):
+    """Each replication chunk's ridge solve as (K, shift, L, B, X), with the
+    stack of data Grams K filled in below the diagonal from its upper
+    triangle."""
+    solves = []
+    orig = exp._ridge_factor
+
+    def recorded(K, shift, low_rank=None):
+        factor = orig(K, shift, low_rank)
+        solve = factor.solve_with_product
+
+        def solve_with_product(B):
+            X, KX, errors = solve(B)
+            full = np.triu(K) + np.swapaxes(np.triu(K, 1), -1, -2)
+            solves.append((full, shift, low_rank, B, X))
+            return X, KX, errors
+
+        factor.solve_with_product = solve_with_product
+        return factor
+
+    monkeypatch.setattr(exp, "_ridge_factor", recorded)
+    return solves
+
+
+UNIT_SQUARE = DesignMeasure.uniform((0.0, 0.0), (1.0, 1.0))
+# (kernel, design, grid_m) whose grid resolves the kernel: its Nystrom
+# extension L to the data gives L L' within 1e-11 of the data Gram.
+NYSTROM_CASES = {
+    "gaussian-0.25": (GAUSS, UNIFORM, 256),
+    "gaussian-0.05": (KernelSpec("gaussian", 0.05, 1), UNIFORM, 256),
+    "rational-quadratic": (KernelSpec("rational_quadratic", 0.25, 1), UNIFORM, 256),
+    "gaussian-2d-m256": (KernelSpec("gaussian", 0.25, 2), UNIT_SQUARE, 256),
+    "gaussian-2d-m1024": (KernelSpec("gaussian", 0.25, 2), UNIT_SQUARE, 1024),
+    "truncated-gaussian-0.05": (GAUSS, GRADED, 256),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NYSTROM_CASES))
+def test_replication_solves_on_the_grid_nystrom_factor(monkeypatch, cho_factor_calls, case):
+    # From n = 10 r the ridge system takes the Woodbury rung on the grid
+    # operator's Nystrom extension to the data: only the r x r inner
+    # matrix is factored, and the solution's residual against K itself
+    # is at roundoff. One point fewer, the factor is dense.
+    scenario = _scenario(*NYSTROM_CASES[case])
+    r = exp._design_context(scenario).op.rank
+    n = LOW_RANK_MIN_RATIO * r
+    exp.continuous_solution(scenario, 0.2)
+    solves = _recorded_ridge_solves(monkeypatch)
+    cho_factor_calls.clear()
+    exp.run_replication(scenario, n, 0.2, 0)
+    assert cho_factor_calls == [(r, r)]
+    ((K, shift, L, B, X),) = solves
+    assert L.shape == (1, n, r)
+    assert np.max(np.abs(K - L @ np.swapaxes(L, -1, -2))) <= 1e-10
+    residual = K @ X + shift * X - B
+    assert np.all(np.linalg.norm(residual, axis=-2) <= 1e-12 * np.linalg.norm(B, axis=-2))
+    cho_factor_calls.clear()
+    exp.run_replication(scenario, n - 1, 0.2, 0)
+    assert cho_factor_calls == [(n - 1, n - 1)]
+    assert solves[1][2] is None
+
+
+def test_a_poor_nystrom_factor_climbs_to_the_dense_rung(monkeypatch, cho_factor_calls):
+    # On 32 nodes the Laplace spectrum has not decayed (r = m), so the
+    # Nystrom extension misses the data Gram by about 0.1: refined until
+    # it stops converging, the Woodbury solution still fails its check
+    # against K, and the member climbs to the dense Cholesky, whose
+    # solution is the dense solve's.
+    scenario = _scenario(KernelSpec("laplace", 0.25, 1), UNIFORM, 32)
+    r = exp._design_context(scenario).op.rank
+    n = LOW_RANK_MIN_RATIO * r
+    exp.continuous_solution(scenario, 0.2)
+    solves = _recorded_ridge_solves(monkeypatch)
+    cho_factor_calls.clear()
+    exp.run_replication(scenario, n, 0.2, 0)
+    assert r == 32 and cho_factor_calls == [(r, r), (n, n)]
+    ((K, shift, L, B, X),) = solves
+    assert np.max(np.abs(K - L @ np.swapaxes(L, -1, -2))) > 1e-2
+    dense = np.linalg.solve(K[0] + shift * np.eye(n), B[0])
+    gap = np.linalg.norm(X[0] - dense, axis=0)
+    assert np.all(gap <= 1e-12 * np.linalg.norm(dense, axis=0))

@@ -11,13 +11,12 @@ import rkhsreg.estimator as estimator
 import rkhsreg.linalg as linalg
 from rkhsreg.auxiliary import auxiliary_residuals
 from rkhsreg.estimator import Dataset, gp_posterior_band
+from rkhsreg.fredholm import DesignMeasure, GridOperator, build_grid
 from rkhsreg.kernels import KernelSpec, gram
 from rkhsreg.linalg import (
     NotPositiveDefiniteError,
-    UNIT_ROUNDOFF,
     SpdFactor,
     loewner_leq,
-    pivoted_cholesky,
     sandwich,
     solve_spd,
     sym_eig,
@@ -113,7 +112,7 @@ def test_factor_stack_solves_each_member(cho_factor_calls, woodbury):
     # per member, and checks them all with one batched product; the
     # Woodbury rung factors each member's r x r inner matrix instead.
     K, rhs = _gram_stack(31)
-    low_rank = [pivoted_cholesky(Kb, 30) for Kb in K] if woodbury else None
+    low_rank = [_dpstrf_factor(Kb) for Kb in K] if woodbury else None
     given = rhs.copy()
     X, KX, errors = SpdFactor(K, 0.5, low_rank).solve_with_product(rhs)
     assert errors == [None] * 5 and X.shape == KX.shape == rhs.shape
@@ -121,6 +120,20 @@ def test_factor_stack_solves_each_member(cho_factor_calls, woodbury):
     assert len(cho_factor_calls) == 5
     assert all(shape[0] < 30 for shape in cho_factor_calls) == woodbury
     for b in range(5):
+        _assert_member_solves(X[b], KX[b], K[b], 0.5, rhs[b])
+
+
+@pytest.mark.parametrize("woodbury", [False, True], ids=["dense", "woodbury"])
+def test_a_nan_right_hand_side_fails_its_member_alone(woodbury):
+    # A NaN residual fails the check on either rung, after the Woodbury
+    # member's refinement and climb; the other members are solved.
+    K, rhs = _gram_stack(33)
+    rhs[2, 0, 1] = np.nan
+    low_rank = [_dpstrf_factor(Kb) for Kb in K] if woodbury else None
+    X, KX, errors = SpdFactor(K, 0.5, low_rank).solve_with_product(rhs)
+    assert [error is None for error in errors] == [True, True, False, True, True]
+    assert isinstance(errors[2], NotPositiveDefiniteError)
+    for b in (0, 1, 3, 4):
         _assert_member_solves(X[b], KX[b], K[b], 0.5, rhs[b])
 
 
@@ -191,7 +204,7 @@ def test_no_factorization_writes_into_its_input(order):
     saved = {"A": A.copy(), "B": B.copy(), "K": K.copy()}
     solve_spd(A, B)
     SpdFactor(K, shift=n * lam).solve(K[:, :2])
-    SpdFactor(K, shift=n * lam, low_rank=pivoted_cholesky(K, max_rank=60)).solve(K[:, :2])
+    SpdFactor(K, shift=n * lam, low_rank=_dpstrf_factor(K)).solve(K[:, :2])
     sandwich(A, lam)
     for name, value in (("A", A), ("B", B), ("K", K)):
         np.testing.assert_array_equal(value, saved[name], err_msg=name)
@@ -214,36 +227,11 @@ def _dpstrf_factor(A):
     return L
 
 
-def test_pivoted_cholesky_capped_loop_matches_dpstrf():
-    # Both pivot on the largest remaining diagonal and stop at
-    # n * eps * max diag(A): same rank, and the dropped remainder
-    # A - L L' keeps a trace within (n - r) * tol.
-    K = _smooth_gram(300)
-    full = _dpstrf_factor(K)
-    capped = pivoted_cholesky(K, max_rank=60)
-    n, r = K.shape[0], full.shape[1]
-    assert r < 30 and capped.shape == (n, r)
-    np.testing.assert_allclose(capped @ capped.T, full @ full.T, rtol=0, atol=1e-12)
-    tol = n * UNIT_ROUNDOFF
-    assert float(np.trace(K - capped @ capped.T)) <= (n - r) * tol + 1e-12
-    assert np.max(np.abs(K - capped @ capped.T)) <= 1e-10
-
-
-def test_pivoted_cholesky_gives_up_past_the_cap():
-    K = _smooth_gram(300)
-    r = _dpstrf_factor(K).shape[1]
-    assert pivoted_cholesky(K, max_rank=r) is not None
-    assert pivoted_cholesky(K, max_rank=r - 1) is None
-    # A full-rank matrix passes any cap below n.
-    assert pivoted_cholesky(np.eye(5), max_rank=4) is None
-    assert pivoted_cholesky(np.eye(5), max_rank=5).shape == (5, 5)
-
-
 def test_woodbury_rung_solves_without_a_dense_factor(cho_factor_calls):
     K = _smooth_gram(300)
     n, lam = K.shape[0], 0.1
     A = n * lam * np.eye(n) + K
-    L = pivoted_cholesky(K, max_rank=60)
+    L = _dpstrf_factor(K)
     B = np.random.default_rng(15).standard_normal((n, 2))
     tracemalloc.start()
     factor = SpdFactor(K, shift=n * lam, low_rank=L)
@@ -264,11 +252,40 @@ def test_corrupted_low_rank_form_climbs_to_the_dense_rung(cho_factor_calls):
     K = _smooth_gram(300)
     n, lam = K.shape[0], 0.1
     A = n * lam * np.eye(n) + K
-    L = pivoted_cholesky(K, max_rank=60)
+    L = _dpstrf_factor(K)
     factor = SpdFactor(K, shift=n * lam, low_rank=1.01 * L)
     B = np.random.default_rng(16).standard_normal((n, 2))
     _assert_columns_close(factor.solve(B), np.linalg.solve(A, B), 1e-12)
     assert cho_factor_calls == [(L.shape[1], L.shape[1]), (n, n)]
+
+
+@pytest.mark.parametrize(
+    "scale, products, climbs",
+    [(1.0, 1, False), (1 + 1e-9, 2, False), (1 + 1e-6, 3, False), (1.01, 7, True)],
+)
+def test_a_woodbury_solve_is_refined_to_its_rounding_floor(
+    monkeypatch, cho_factor_calls, scale, products, climbs
+):
+    # An exact low-rank form solves to rounding, n * eps * ||b||, checked
+    # with one product by K. A slightly wrong one passes the 1e-8 check
+    # but not rounding: refinement steps from the same r x r factor, one
+    # product each, bring it to the dense solve's accuracy, more steps
+    # the farther off it is. A form 1% off still converges, by about a
+    # sixth per step, but is not done after MAX_REFINEMENTS steps, so it
+    # climbs and is checked once more on the dense rung.
+    assert linalg.MAX_REFINEMENTS == 5
+    K = _smooth_gram(300)
+    n, shift = K.shape[0], 3.0
+    L = scale * _dpstrf_factor(K)
+    B = np.random.default_rng(24).standard_normal((n, 2))
+    calls = []
+    orig = linalg._symmetric_product
+    monkeypatch.setattr(linalg, "_symmetric_product", lambda K, Vt: calls.append(1) or orig(K, Vt))
+    X = SpdFactor(K, shift, L).solve(B)
+    _assert_columns_close(X, np.linalg.solve(K + shift * np.eye(n), B), 1e-12)
+    r = L.shape[1]
+    assert cho_factor_calls == [(r, r)] + [(n, n)] * climbs
+    assert len(calls) == products
 
 
 def test_a_corrupted_member_climbs_alone(cho_factor_calls):
@@ -277,7 +294,7 @@ def test_a_corrupted_member_climbs_alone(cho_factor_calls):
     # other two keep the bits of a stack with no corrupted member.
     K = np.stack([_smooth_gram(300, seed) for seed in (14, 15, 16)])
     n, shift = K.shape[-1], 30.0
-    low_rank = [pivoted_cholesky(Kb, max_rank=60) for Kb in K]
+    low_rank = [_dpstrf_factor(Kb) for Kb in K]
     rhs = np.random.default_rng(19).standard_normal((3, n, 2))
     X, KX, _ = SpdFactor(K, shift, low_rank).solve_with_product(rhs)
     cho_factor_calls.clear()
@@ -294,7 +311,7 @@ def test_a_corrupted_member_climbs_alone(cho_factor_calls):
 def test_a_matrix_is_solved_as_a_stack_of_one(woodbury):
     K = _smooth_gram(300)
     n, shift = K.shape[0], 30.0
-    L = pivoted_cholesky(K, max_rank=60) if woodbury else None
+    L = _dpstrf_factor(K) if woodbury else None
     B = np.random.default_rng(20).standard_normal((n, 2))
     X, KX, errors = SpdFactor(K, shift, L).solve_with_product(B)
     stack_X, stack_KX, stack_errors = SpdFactor(K[None], shift, [L]).solve_with_product(B[None])
@@ -430,21 +447,25 @@ def _upper_triangle_cases():
         assert [e is None for e in errors] == [True, True, False, True, True]
         return X, KX
 
-    def band(K, monkeypatch, grid_rank):
+    def band(K, monkeypatch, low_rank):
         # gp_posterior_band builds its own Gram: the one given stands in.
         monkeypatch.setattr(estimator, "gram", lambda spec, xs, upper=False: K)
-        return gp_posterior_band(band_kernel, band_data, 30.0, np.linspace(0, 1, 201), grid_rank)
+        return gp_posterior_band(band_kernel, band_data, 30.0, np.linspace(0, 1, 201), low_rank)
 
+    # Each low-rank form is made once from the full K: the consumers
+    # under test are handed L, and read only K's upper triangle.
+    L = _dpstrf_factor(K)
+    op = GridOperator(band_kernel, build_grid(DesignMeasure.uniform(0.0, 1.0), 256))
+    band_L = op.at_points(band_data.xs, op.nystrom_coefficients(band_data.n))
     return {
         "dense": (K, lambda K, _: solved(K)),
-        "woodbury": (K, lambda K, _: solved(K, pivoted_cholesky(K, 60))),
-        "climbing-woodbury": (K, lambda K, _: solved(K, 1.01 * pivoted_cholesky(K, 60))),
+        "woodbury": (K, lambda K, _: solved(K, L)),
+        "climbing-woodbury": (K, lambda K, _: solved(K, 1.01 * L)),
         "stack-with-a-failing-member": (stack, lambda K, _: stack_solved(K)),
-        "pivoted-cholesky": (K, lambda K, _: (pivoted_cholesky(K, 60),)),
         "auxiliary-residuals": (stack, lambda K, _: auxiliary_residuals(fs, fl, K, 0.2)),
         "auxiliary-residuals-2d": (K[:30, :30], lambda K, _: auxiliary_residuals(fs[0], fl[0], K, 0.2)),
         "gp-band-dense": (gram(band_kernel, band_data.xs), lambda K, mp: band(K, mp, None)),
-        "gp-band-woodbury": (gram(band_kernel, band_data.xs), lambda K, mp: band(K, mp, 17)),
+        "gp-band-woodbury": (gram(band_kernel, band_data.xs), lambda K, mp: band(K, mp, band_L)),
     }
 
 

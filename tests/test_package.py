@@ -120,8 +120,8 @@ def _factorization_sites(tree: ast.Module) -> list[str]:
 
 
 def test_only_linalg_factors_matrices():
-    # linalg.py holds every factorization: the SpdFactor rungs, the
-    # pivoted Cholesky and the symmetric eigendecomposition. A LAPACK
+    # linalg.py holds every factorization: the SpdFactor rungs and the
+    # symmetric eigendecomposition. A LAPACK
     # import, a cho_factor call or an eigh or eigvalsh anywhere else is a
     # second place to keep in step.
     for snippet in (
@@ -388,10 +388,10 @@ def _spd_factor_callers(tree: ast.Module) -> list[str]:
 def test_only_the_ridge_factor_builds_an_spd_factor():
     # The ridge fit, the residual bridge, the replication chunk's stacked
     # two-column solve and the GP band all factor K + shift*I through
-    # estimator._ridge_factor, which holds the low-rank rule for a
-    # matrix and a stack alike; solve_spd and sandwich factor general
-    # matrices. An SpdFactor built anywhere else is a second copy of
-    # that rule.
+    # estimator._ridge_factor, which takes a low-rank form only with a
+    # positive shift, for a matrix and a stack alike; solve_spd and
+    # sandwich factor general matrices. An SpdFactor built anywhere else
+    # is a second copy of that rule.
     assert _spd_factor_callers(ast.parse("def f(K):\n    return linalg.SpdFactor(K)")) == ["f:2"]
     assert not _spd_factor_callers(ast.parse("def f(K):\n    return SpdFactor"))
     method = "class S:\n    def f(self, K):\n        return SpdFactor(K)"
@@ -589,6 +589,58 @@ def test_only_kernels_compares_with_a_kernel_family():
     ]
     assert sites == []
     assert _family_comparisons(_parse(PACKAGE_DIR / "kernels.py"))
+
+
+def _low_rank_rule_sites(tree: ast.Module) -> list[str]:
+    """The scope (function, Class.method or <module>) of each comparison that reads LOW_RANK_MIN_RATIO."""
+    sites = []
+
+    def reads_ratio(node: ast.AST) -> bool:
+        return any(
+            getattr(x, "id", None) == "LOW_RANK_MIN_RATIO"
+            or getattr(x, "attr", None) == "LOW_RANK_MIN_RATIO"
+            for x in ast.walk(node)
+        )
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Compare) and reads_ratio(child):
+                sites.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return sites
+
+
+def test_one_function_decides_the_woodbury_rung():
+    # The rule n >= LOW_RANK_MIN_RATIO * r, which sends a ridge system to
+    # the Woodbury rung on the grid's Nystrom factor, is decided in
+    # GridOperator.nystrom_coefficients alone; the replication chunk and
+    # the band figure both ask it. A second comparison is a second copy
+    # of the rule to keep in step.
+    for snippet, scope in (
+        ("n >= LOW_RANK_MIN_RATIO * r", "<module>"),
+        ("def f(n, r):\n    return n < fredholm.LOW_RANK_MIN_RATIO * r", "f"),
+        ("class C:\n    def f(self, n):\n        return LOW_RANK_MIN_RATIO * self.rank <= n", "C.f"),
+        ("def f(n, r):\n    if n // r >= LOW_RANK_MIN_RATIO:\n        return 1", "f"),
+    ):
+        assert _low_rank_rule_sites(ast.parse(snippet)) == [scope], snippet
+    for snippet in (
+        "ratio = LOW_RANK_MIN_RATIO",
+        "n >= 10 * r",
+        "def f(r):\n    return LOW_RANK_MIN_RATIO * r",
+        "x = op.nystrom_coefficients(n) is None",
+    ):
+        assert _low_rank_rule_sites(ast.parse(snippet)) == [], snippet
+    sites = [
+        f"{path.name}:{site}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for site in _low_rank_rule_sites(_parse(path))
+    ]
+    assert sites == ["fredholm.py:GridOperator.nystrom_coefficients"]
 
 
 def _kernels_or_linalg_imports(tree: ast.Module) -> list[str]:
