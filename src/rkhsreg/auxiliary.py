@@ -29,7 +29,7 @@ from .estimator import (
 )
 from .fredholm import FredholmSolution
 from .kernels import gram
-from .linalg import _symmetric_product
+from .linalg import GramOperator, MatrixFreeOperator, _as_operator
 
 
 @dataclass(frozen=True)
@@ -86,23 +86,24 @@ def fit_auxiliary(data: Dataset, flambda: KernelExpansion, lam: float) -> Auxili
 def auxiliary_residuals(
     fs: NDArray[np.float64],
     flambda_at_xs: NDArray[np.float64],
-    K: NDArray[np.float64],
+    K: NDArray[np.float64] | GramOperator | MatrixFreeOperator,
     lam: float,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
     """The auxiliary weights, fit and residuals of a dataset, or of a stack of datasets.
 
     fs and flambda_at_xs are (n,) with the data's Gram K (n, n), or
-    (B, n) with a stack of Grams (B, n, n). Returns (w~, f~(X), r) with
-    w~ = (f - f_lambda(X)) / lam, f~(X) = K w~ / n from one product with
-    K, and r = f - lam * w~ - f~(X), each of the input's shape; r is the
-    lemma form f_lambda(X) - f~(X) by construction, for any inputs. Only
-    the upper triangle of each K is read (one BLAS dsymv call per
+    (B, n) with a stack of Grams (B, n, n); K is an array or a data
+    operator. Returns (w~, f~(X), r) with w~ = (f - f_lambda(X)) / lam,
+    f~(X) = K w~ / n from one product with K, and r = f - lam * w~ - f~(X),
+    each of the input's shape; r is the lemma form f_lambda(X) - f~(X) by
+    construction, for any inputs. The product is the operator's: of a
+    Gram, only its upper triangle is read (one BLAS dsymv call per
     dataset), so K may be gram(..., upper=True).
     """
     n = fs.shape[-1]
     tilde_w = (fs - flambda_at_xs) / lam
-    stack = K if K.ndim == 3 else K[None]
-    smooth = _symmetric_product(stack, tilde_w.reshape(-1, 1, n)).reshape(tilde_w.shape) / n
+    product = _as_operator(K).product(tilde_w.reshape(-1, 1, n))
+    smooth = product.reshape(tilde_w.shape) / n
     residuals = fs - lam * tilde_w - smooth
     return tilde_w, smooth, residuals
 

@@ -47,6 +47,10 @@ DEMO_LAMBDA = 0.2
 LEMMA2_LAMBDAS = (1e-3, 1e-1, 1.0, 10.0)
 # Run is aborted when more than this fraction of replications fail.
 MAX_FAILURE_FRACTION = 0.10
+# The largest |z| NumPy's standard_normal can draw: its ziggurat returns
+# r + x from the tail, with r = 3.6541528853610088 and
+# x = -log(1 - U) / r for a 53-bit U < 1, so x <= 53 ln 2 / r < 10.06.
+NORMAL_DRAW_BOUND = 3.6541528853610088 + 53 * math.log(2) / 3.6541528853610088
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,20 @@ class RunConfig:
                                   "ns is strictly increasing")
         if self.R < 2:
             raise ConfigError("R", "must be at least 2")
+        # A response's noise is at most NORMAL_DRAW_BOUND times the largest
+        # noise scale on the support. A run squares the responses and sums
+        # n of them (the ball bound's mean f^2), and squares each metric's
+        # deviations, values as large as a mean f^2, and sums R of them
+        # (its standard error). Both sums must stay finite floats.
+        scenario = self.scenario
+        noise = NORMAL_DRAW_BOUND * float(np.max(scenario.noise.std_at(scenario.design.eval_grid)))
+        square = noise * noise
+        if not (self.ns[-1] * square < math.inf and self.R * square * square < math.inf):
+            raise ConfigError(
+                "scenario.noise.sigma",
+                f"the squared responses of n = {self.ns[-1]} or their variance over "
+                f"R = {self.R} replications overflow at sigma = {scenario.noise.sigma!r}",
+            )
 
 
 def _value(tp: object, value: object, path: str) -> object:

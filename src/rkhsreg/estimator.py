@@ -16,13 +16,14 @@ read theirs from the target expansion.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .kernels import KernelSpec, as_points, cross_gram, gram, kernel_apply
-from .linalg import SpdFactor
+from .kernels import KernelSpec, as_points, cross_gram, gram, kernel_apply, takes_taylor
+from .linalg import MAX_REFINEMENTS, GramOperator, MatrixFreeOperator, SpdFactor
 
 NORM_CLAMP_TOL = 1e-10
 
@@ -120,19 +121,70 @@ class Dataset:
         return self.xs.shape[0]
 
 
+def _data_operator(
+    kernel: KernelSpec,
+    xs: NDArray[np.float64],
+    low_rank: NDArray[np.float64] | None,
+    assemble: Callable[[], NDArray[np.float64]],
+) -> GramOperator | MatrixFreeOperator:
+    """The data side K of the ridge systems on points xs (n, d), or on a stack (B, n, d).
+
+    The one choice between a Gram and none. One point set offered the
+    Woodbury rung (low_rank given, K ~ L L') on which kernel_apply takes
+    the Taylor transform (kernels.takes_taylor: today a 1-d Gaussian
+    kernel with 15 Q < n) gets a MatrixFreeOperator, whose products
+    K V are kernel_apply(kernel, X, X, V): no n x n array is formed
+    unless a member goes dense, which calls assemble() for its Gram.
+    Everything else gets a GramOperator on assemble(), the Gram (or
+    stack of Grams) of xs that the caller builds.
+    """
+    n = xs.shape[-2]
+    # All the points, which are one point set for (n, d) or a stack of one.
+    points = xs.reshape(-1, xs.shape[-1])
+    if low_rank is not None and len(points) == n and takes_taylor(kernel, points, points):
+        return MatrixFreeOperator(
+            xs.shape[:-2] + (n, n), lambda V: kernel_apply(kernel, points, points, V), assemble
+        )
+    return GramOperator(assemble())
+
+
 def _ridge_factor(
-    K: NDArray[np.float64], shift: float, low_rank: NDArray[np.float64] | None = None
+    K: NDArray[np.float64] | GramOperator | MatrixFreeOperator,
+    shift: float,
+    low_rank: NDArray[np.float64] | None = None,
 ) -> SpdFactor:
     """Factors K + shift*I for a symmetric n x n Gram K, or for each member of a stack (B, n, n).
 
-    The ridge system (shift = n*lam: fit_ridge, bridge_distance_sq,
-    run_replication) and the GP band (shift = lam_gp) are all factored
-    here. Given K ~ L L', L (n, r) or (B, n, r) (the grid operator's
-    Nystrom factor at the data), and shift > 0, each member starts on
-    the Woodbury rung, which factors only an r x r matrix; otherwise it
-    is the dense Cholesky. Every solve is checked against K + shift*I.
+    K is an array or a data operator (_data_operator). The ridge system
+    (shift = n*lam: fit_ridge, bridge_distance_sq, run_replication) and
+    the GP band (shift = lam_gp) are all factored here. Given K ~ L L',
+    L (n, r) or (B, n, r) (the grid operator's Nystrom factor at the
+    data), and shift > 0, a member starts on the Woodbury rung, which
+    factors only an r x r matrix, if refinement provably reaches the
+    rounding floor; otherwise it is the dense Cholesky. Every solve is
+    checked against K + shift*I.
+
+    The proof reads L alone. The Nystrom factor leaves E = K - L L'
+    positive semidefinite, so ||E||_2 <= tr E = n - ||L||_F^2, since
+    k(x, x) = 1 for every built-in family. A Woodbury solution's
+    residual is E x, and each refinement step multiplies it by
+    E (L L' + shift*I)^-1, so after j steps it is at most
+    (tr E / shift)^(j+1) ||b||. It is below the rounding floor
+    n * eps * ||b|| within MAX_REFINEMENTS steps if
+    tr E / shift <= (n * eps)^(1 / (MAX_REFINEMENTS + 1)), 0.0075 at
+    n = 800. A member whose L fails that goes straight to the dense rung
+    (a Laplace grid of 32 nodes misses K by tr E = 17 at n = 320, where
+    shift * 0.0064 = 0.41); a resolved grid's tr E is below 1e-9.
     """
-    return SpdFactor(K, shift=shift, low_rank=low_rank if shift > 0 else None)
+    kept = None
+    if shift > 0 and low_rank is not None:
+        n = low_rank.shape[-2]
+        defect = n - np.einsum("...ij,...ij->...", low_rank, low_rank)
+        floor = (n * np.finfo(np.float64).eps) ** (1.0 / (MAX_REFINEMENTS + 1))
+        stack = low_rank.reshape((-1,) + low_rank.shape[-2:])
+        kept = [L if ok else None for L, ok in zip(stack, np.atleast_1d(defect <= shift * floor))]
+        kept = kept if low_rank.ndim == 3 else kept[0]
+    return SpdFactor(K, shift=shift, low_rank=kept)
 
 
 def fit_ridge(kernel: KernelSpec, data: Dataset, lam: float) -> KernelExpansion:
@@ -206,13 +258,16 @@ def gp_posterior_band(
     and one solve against [f | k(X, x)]: given low_rank, an n x r L with
     K ~ L L' (the grid operator's Nystrom extension to the data), it is
     a Woodbury solve that factors only an r x r matrix. Every column is
-    still checked against the full K + lam_gp*I.
+    still checked against the full K + lam_gp*I, whose K the data
+    operator gives (_data_operator): with low_rank and the Taylor
+    transform, K X comes from the points in blocks of columns
+    (kernels.kernel_apply), and no n x n Gram is built.
     """
     if not lam_gp > 0:
         raise ValueError("lam_gp must be positive")
     pts = as_points(xs, kernel.dim)
-    # The factor and its check read only K's upper triangle.
-    K = gram(kernel, data.xs, upper=True)
+    # The factor and its check read only K's upper triangle, or no Gram at all.
+    K = _data_operator(kernel, data.xs, low_rank, lambda: gram(kernel, data.xs, upper=True))
     # Rows f and k(x, X), transposed, are the right-hand sides; rows 1:
     # then serve as k(x, X), so no second copy of it lives through the solve.
     rows = np.vstack([data.fs, cross_gram(kernel, pts, data.xs)])

@@ -30,6 +30,7 @@ from .estimator import (
     Dataset,
     KernelExpansion,
     _clamp_broken,
+    _data_operator,
     _ridge_factor,
     evaluate_batch,
 )
@@ -516,7 +517,9 @@ CERTIFICATE_RTOL = 1e-9
 # max(1, CHUNK_GRAM_ENTRIES // n^2) replications per run_replication
 # call, 26 at n = 50, 4 at n = 128 and 1 from n = 182 on. The Grams of
 # a chunk of two or more take at most 512 KiB, which fits in L2 cache;
-# at larger n each replication runs alone.
+# at larger n each replication runs alone, and one run alone on the
+# Woodbury rung whose kernel takes the Taylor transform (the canonical
+# 1-d Gaussian from n = 182) builds no Gram at all (_data_operator).
 CHUNK_GRAM_ENTRIES = 2**16
 
 
@@ -528,30 +531,36 @@ def run_replication(
     A chunk of B indices at one (n, lam) runs on stacked arrays: draws
     in place from per-index streams whose seed prefix is cached, one
     at_points product for f0, f_lambda and, from n >= 10 r, the Nystrom
-    factor L at every point (_sample_at_nodes), one (B, n, n) stack of
-    data Grams, one auxiliary_residuals call, one on_product call for
-    the sup-norm grid, and one array operation per metric, clamp and
-    check. Only the factor of K + n*lam*I and the products with K are
-    made per dataset, by one SpdFactor over the stack (_ridge_factor):
-    K + n*lam*I is formed once for its dense members and not at all for
-    its Woodbury ones, one loop factors and solves each member, and one
-    symmetric BLAS call per column checks each solution. A failed factor
-    or check fails its own index alone. Every product and factor reads
-    only the upper triangle of each K, and a replication run alone
-    assembles no more than that (gram(..., upper=True)). The auxiliary
+    factor L at every point (_sample_at_nodes), one data operator K
+    (_data_operator), one auxiliary_residuals call, one on_product call
+    for the sup-norm grid, and one array operation per metric, clamp and
+    check. K is a (B, n, n) stack of data Grams, except for a replication
+    run alone on the Woodbury rung whose kernel takes the Taylor
+    transform: its K builds no Gram, and each product K V is
+    kernel_apply(kernel, X, X, V). Only the factor of K + n*lam*I and the
+    products with K are made per dataset, by one SpdFactor over the
+    stack (_ridge_factor): K + n*lam*I is formed once for its dense
+    members and not at all for its Woodbury ones, one loop factors and
+    solves each member, and one product per stack checks each solution.
+    A failed factor or check fails its own index alone. Every product
+    and factor reads only the upper triangle of each K, and a replication
+    run alone assembles no more than that (gram(..., upper=True)), or,
+    Gram-free, only if its member goes dense. The auxiliary
     fit comes first, since its residuals r = f - (K + n*lam*I) t,
     t = w~/n its coefficients, need only the data and f_lambda; it also
     hands back f~ at the data, K t. One two-column solve
     [a | u] = (K + n*lam*I)^-1 [f | r] gives the ridge coefficients a and
     the bridge vector u, and with them the product K [a | u] that the
-    solve's residual check formed. So each K is passed over twice (more
-    to refine a Woodbury solution), once by the auxiliary fit and once
-    by the check, and no further product with K is formed: K a, K t,
+    solve's residual check formed. So each K is applied twice (more to
+    refine a Woodbury solution), once by the auxiliary fit and once by
+    the check, and no further product with K is formed: K a, K t,
     K (a - t) = K a - K t and K u give every squared RKHS distance, the
     empirical objective and the residual-bridge identity
     ||fhat - f~||^2 = u'Ku, whose two sides come from different passes.
     The bridge stays a real check of the shared factor: r is formed from
-    K itself, so a factor of any other matrix leaves u apart from a - t.
+    K itself, so a factor of any other matrix leaves u apart from a - t;
+    Gram-free, both sides read K through the Taylor transform, a
+    different computation from the Woodbury solve's L L'.
     r is the lemma form f_lambda(X) - K t by construction, so that form
     is not checked.
 
@@ -567,7 +576,8 @@ def run_replication(
     index order raises: the lowest failing index's first broken check.
     A non-finite input is a broken invariant too: an index whose solve
     or check failed is first checked for a NaN or infinity in f, f0(X),
-    f_lambda(X) and its Gram's upper triangle, so that a NaN stops the
+    f_lambda(X) and what its data operator formed (its Gram's upper
+    triangle, or Gram-free its products K V), so that a NaN stops the
     run instead of counting as a numerical failure. A check that meets a
     NaN is broken, so a NaN that arises later, in f_lambda or the fit on
     the sup-norm grid say, stops the run too.
@@ -609,14 +619,17 @@ def _run_chunk(
     every member, and a member whose solve failed has every row masked:
     its rows of X and K X hold no solution.
     Only if a solve or a row failed do four rows go first: whether f,
-    f0(X), f_lambda(X) and the upper triangle of K hold a NaN or
-    infinity, filled in for those members and False for the others. The
+    f0(X), f_lambda(X) and the data Gram hold a NaN or infinity, filled
+    in for those members and False for the others. The data Gram row
+    reads what the data operator formed (K.formed): the upper triangle
+    of a Gram, or, Gram-free, every product K V it made. The
     one raise site names the first broken row of the lowest failing
     index, with n, the replication and the row's values or margin.
 
     The data Grams are full for a chunk of two or more and the upper
-    triangle alone for one index; the auxiliary fit, the factor and its
-    check read only the upper triangle either way.
+    triangle alone for one index, which builds none where _data_operator
+    picks the Gram-free operator; the auxiliary fit, the factor and its
+    check read only the upper triangle of a Gram either way.
     """
     dctx = _design_context(scenario)
     lctx = _lambda_context(scenario, lam)
@@ -626,12 +639,17 @@ def _run_chunk(
     nystrom = dctx.op.nystrom_coefficients(n)
     node_coeffs = lctx.node_coeffs if nystrom is None else np.hstack([lctx.node_coeffs, nystrom])
     (xs, fs), at_xs = _sample_at_nodes(scenario, dctx, n, indices, lam, node_coeffs)
+    low_rank = None if nystrom is None else at_xs[..., 2:]
     # A replication run alone (n >= 182 in _run_many) has a Gram of
     # several row blocks, and assembling its upper triangle alone skips
     # about half its kernel values. A chunk's smaller Grams cost less in
     # full than with their lower triangles cleared. Only the upper
-    # triangle is read either way.
-    K = gram(scenario.kernel, xs, upper=len(indices) == 1)
+    # triangle is read either way, and a replication run alone on the
+    # Woodbury rung with the Taylor transform builds no Gram unless it
+    # goes dense (_data_operator).
+    K = _data_operator(
+        scenario.kernel, xs, low_rank, lambda: gram(scenario.kernel, xs, upper=len(indices) == 1)
+    )
     proj0, projl = at_xs[..., 0], at_xs[..., 1]
     tilde_w, Kt, residuals = auxiliary_residuals(fs, projl, K, lam)
 
@@ -640,7 +658,6 @@ def _run_chunk(
     # sides [f | r] of each member are the columns of a transposed view,
     # so that every member's is F-contiguous.
     sides = np.stack([fs, residuals], axis=1).transpose(0, 2, 1)
-    low_rank = None if nystrom is None else at_xs[..., 2:]
     X, KX, errors = _ridge_factor(K, n * lam, low_rank).solve_with_product(sides)
     failed = [b for b, error in enumerate(errors) if error is not None]
     # Rows a, u, K a and K u of the chunk's solutions and their products.
@@ -692,7 +709,7 @@ def _run_chunk(
         suspect[failed] = True
         inputs = {
             "f": fs[suspect], "f0(X)": proj0[suspect], "f_lambda(X)": projl[suspect],
-            "data Gram": np.triu(K[suspect]),
+            "data Gram": K.formed(suspect),
         }
         nonfinite = np.zeros((len(inputs), len(indices)))
         for row, x in zip(nonfinite, inputs.values()):

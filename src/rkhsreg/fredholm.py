@@ -377,7 +377,9 @@ class GridOperator:
         """The m x r Nystrom coefficients C for n data points, None below n = LOW_RANK_MIN_RATIO * r.
 
         L = at_points(X, C) gives k(X, X) ~ L L' (Williams and Seeger 2001),
-        the ridge system's Woodbury rung. The one place n is compared.
+        the ridge system's Woodbury rung. The one place n is compared;
+        how well L L' matches k(X, X) is judged per dataset from L's
+        diagonal defect (estimator._ridge_factor).
         """
         return self._nystrom if n >= LOW_RANK_MIN_RATIO * self.rank else None
 

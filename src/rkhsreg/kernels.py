@@ -28,11 +28,13 @@ b a point set or a stack of them, and it picks the arithmetic from its
 inputs alone. For a 1-d Gaussian kernel it takes the factored axis
 transform when a is np.linspace(a[0], a[-1], S), every point of b lies
 in [a[0], a[-1]] and coeffs has one column; otherwise, for a single
-point set b, the Taylor transform. Every other product, and each
-transform where it would gain nothing, is assembled in row blocks of
-about APPLY_BLOCK_ENTRIES kernel values, so the whole k(a, b) is never
-held. On every path the values are those of the plain product within
-1e-13 * sum |coeffs|.
+point set b, the Taylor transform, in blocks of columns. Every other
+product, and each transform where it would gain nothing, is assembled
+in row blocks of about APPLY_BLOCK_ENTRIES kernel values, so the whole
+k(a, b) is never held. On every path the values are those of the plain
+product within 1e-13 * sum |coeffs|. takes_taylor tells a caller
+whether the Taylor transform applies: the data side of a ridge system
+then forms K V = kernel_apply(k, X, X, V) with no n x n Gram.
 
 The axis transform is a factored Gauss transform (cf. Greengard and
 Strain 1991, "The fast Gauss transform") for exp(-c (p - x)^2) with
@@ -384,6 +386,45 @@ def _power_rows(base: NDArray[np.float64]) -> NDArray[np.float64]:
     return rows
 
 
+def _taylor_box(
+    spec: KernelSpec, x: NDArray[np.float64], y: NDArray[np.float64]
+) -> tuple[float, float, int] | None:
+    """(low, W, Q) of the Taylor transform for points x and centers y, or None where it assembles.
+
+    The rule of the module docstring: None for no points or centers, a
+    box that is not a finite interval of positive width, or Q * 15 >= m.
+    """
+    m = y.shape[0]
+    if x.size == 0 or m == 0:
+        return None
+    low = min(float(x.min()), float(y.min()))
+    width = max(float(x.max()), float(y.max())) - low
+    if not 0.0 < width < math.inf:
+        return None
+    c = 0.5 / spec.bandwidth**2
+    quotient = c * width * width / (2.0 * _TAYLOR_RHO)
+    # Compared with m as a float first: c W^2 may overflow, and math.ceil
+    # takes no infinity. A count of m falls back below.
+    count = max(1, math.ceil(quotient)) if quotient < m else m
+    if count * _TAYLOR_TERMS >= m:
+        return None
+    return low, width, count
+
+
+def takes_taylor(spec: KernelSpec, a: object, b: object) -> bool:
+    """Whether kernel_apply(spec, a, b, coeffs) takes the Taylor transform for two or more columns.
+
+    True for a 1-d Gaussian kernel and a single point set b on whose box
+    with a the transform does not fall back to the assembly (module
+    docstring). It then holds O((n + m) Q) values per column and never
+    an n x m block.
+    """
+    if spec.family != "gaussian" or spec.dim != 1:
+        return False
+    bb = _points(b, spec.dim)
+    return bb.ndim == 2 and _taylor_box(spec, as_points(a, 1)[:, 0], bb[:, 0]) is not None
+
+
 def _gaussian_taylor_apply(
     spec: KernelSpec, points: NDArray[np.float64], centers: NDArray[np.float64],
     coeffs: NDArray[np.float64],
@@ -391,25 +432,23 @@ def _gaussian_taylor_apply(
     """k(points, centers) @ coeffs by the Taylor transform of the module docstring.
 
     points (n, 1) and centers (m, 1) with coeffs (m,) or (m, k) give
-    (n,) or (n, k). Arrays of n (P + (k + 1) Q) and m (P + k Q) values
-    are held, no n x m block. Where Q * 15 >= m, or the box is not a
-    finite interval of positive width, this is the assembly.
+    (n,) or (n, k). Arrays of n (P + Q) and m P values are held, and per
+    column n Q and m Q more, no n x m block. Columns go in blocks of
+    APPLY_BLOCK_ENTRIES // (Q max(n, m)), at least one, so that a block's
+    (m, k, Q) scatter and (k, Q, n) sums hold at most APPLY_BLOCK_ENTRIES
+    values each, as a row block of the assembly does: one or two columns
+    of a chunk's f0 and f_lambda (1300 points, 256 nodes, Q = 8) are one
+    block, and the GP band's 202 columns at n = 800 are 41 blocks of 5,
+    which stay in cache. Each column's arithmetic is the same in any
+    block. Where _taylor_box finds no box, this is the assembly.
     """
     x, y = points[:, 0], centers[:, 0]
+    box = _taylor_box(spec, x, y)
+    if box is None:
+        return _assembled_apply(spec, points, centers, coeffs)
+    low, width, count = box
     m = y.shape[0]
     c = 0.5 / spec.bandwidth**2
-    if x.size == 0 or m == 0:
-        return _assembled_apply(spec, points, centers, coeffs)
-    low = min(float(x.min()), float(y.min()))
-    width = max(float(x.max()), float(y.max())) - low
-    if not 0.0 < width < math.inf:
-        return _assembled_apply(spec, points, centers, coeffs)
-    quotient = c * width * width / (2.0 * _TAYLOR_RHO)
-    # Compared with m as a float first: c W^2 may overflow, and math.ceil
-    # takes no infinity. A count of m falls back below.
-    count = max(1, math.ceil(quotient)) if quotient < m else m
-    if count * _TAYLOR_TERMS >= m:
-        return _assembled_apply(spec, points, centers, coeffs)
     half = 0.5 * width
     mid = low + half
     spacing = width / count
@@ -418,22 +457,30 @@ def _gaussian_taylor_apply(
     bins = np.minimum(((y - low) / spacing).astype(np.intp), count - 1)
     nearest = anchors[bins]
     v = y - nearest
-    weighted = coeffs.reshape(m, -1) * np.exp(c * v * (2.0 * (mid - nearest) - v))[:, None]
-    columns = weighted.shape[1]
-    # by_anchor[i, j, q] is weighted[i, j] for center i's anchor q, else 0.
-    by_anchor = np.zeros((m, columns, count))
-    by_anchor[np.arange(m), :, bins] = weighted
+    factors = np.exp(c * v * (2.0 * (mid - nearest) - v))[:, None]
     # powers[p] = (c W v)^p / p!, and on the point side s^p, with
     # s = (x - mid) / half in [-1, 1]: their product is the term t^p / p!.
     powers = _power_rows((c * width) * v)
     powers[1:] /= np.cumprod(np.arange(1.0, _TAYLOR_TERMS))[:, None]
-    # moments[j Q + q, p] = sum of weighted[i, j] * powers[p, i] over the centers i at anchor q.
-    moments = (powers @ by_anchor.reshape(m, -1)).T
     monomials = _power_rows((x - mid) / half)
-    # (k, Q, n) Taylor sums at each point against (Q, n) anchor rows.
-    sums = (moments @ monomials).reshape(columns, count, -1)
     rows = cross_gram(spec, anchors, points)
-    out = np.einsum("jqi,qi->ij", sums, rows)
+    flat = coeffs.reshape(m, -1)
+    step = max(1, APPLY_BLOCK_ENTRIES // (count * max(m, x.shape[0])))
+    blocks = []
+    for start in range(0, max(1, flat.shape[1]), step):
+        weighted = flat[:, start : start + step] * factors
+        columns = weighted.shape[1]
+        # by_anchor[i, j, q] is weighted[i, j] for center i's anchor q, else 0.
+        by_anchor = np.zeros((m, columns, count))
+        by_anchor[np.arange(m), :, bins] = weighted
+        # moments[j Q + q, p] = sum of weighted[i, j] * powers[p, i] over the centers i at anchor q.
+        moments = (powers @ by_anchor.reshape(m, -1)).T
+        # (k, Q, n) Taylor sums at each point against (Q, n) anchor rows.
+        sums = (moments @ monomials).reshape(columns, count, -1)
+        blocks.append(np.einsum("jqi,qi->ij", sums, rows))
+        # Released before the next block is made, not after.
+        del by_anchor, moments, sums
+    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
     return out.reshape((x.shape[0],) + coeffs.shape[1:])
 
 

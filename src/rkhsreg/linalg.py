@@ -7,6 +7,14 @@ one Cholesky factor, and the bound (lam+K)^-1 K (lam+K)^-1 <= 1/(4*lam)
 checked in the Loewner order. This module holds every factorization the
 package makes.
 
+The data side K of these systems is one interface with three
+operations, the data-side analogue of the grid's GridOperator: the
+products K V, a dense K for a member that factors densely, and what a
+non-finite scan reads. A GramOperator holds a Gram matrix or a stack
+of them; a MatrixFreeOperator forms K V from a function of V (the
+kernel's Taylor transform of the points) and assembles K only when a
+member goes dense. An array K is taken as its GramOperator.
+
 An SpdFactor factors A = K + shift*I once and serves every solve
 against it, for one matrix K or for each member of a stack K (B, n, n)
 such as a replication chunk's data Grams. A member is on the Woodbury
@@ -27,15 +35,17 @@ Every factorization and product here reads only the diagonal and the
 upper triangle of K, so K may come from gram(..., upper=True), whose
 lower triangle is 0 and never assembled: the dense Cholesky factors
 the F-ordered view of A_b, whose lower triangle is A_b's upper one,
-and _symmetric_product, the one place K X is formed (for the check
-here and for the auxiliary fit's K w~), calls the symmetric BLAS
-dsymv or dsymm per member.
+and _symmetric_product, the one place a product with a Gram is formed
+(GramOperator.product, for the check here and for the auxiliary fit's
+K w~), calls the symmetric BLAS dsymv or dsymm per member.
 
 sym_eig is the full eigendecomposition of a symmetric matrix; the grid
 operator takes one per factor.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 import scipy.linalg
@@ -74,10 +84,89 @@ def _check_symmetric(A: NDArray[np.float64], name: str) -> NDArray[np.float64]:
     return A
 
 
+class GramOperator:
+    """The data side K of ridge systems from their Gram matrices.
+
+    K is one symmetric n x n matrix or a stack (B, n, n) of them, and is
+    never written to. Only its diagonal and upper triangle are read, so
+    it may come from gram(..., upper=True).
+    """
+
+    def __init__(self, K: NDArray[np.float64]):
+        self.shape = K.shape
+        self._stack = K if K.ndim == 3 else K[None]
+
+    def product(self, Vt: NDArray[np.float64]) -> NDArray[np.float64]:
+        """K_b v for each row v of Vt_b, a (B, k, n) stack: _symmetric_product."""
+        return _symmetric_product(self._stack, Vt)
+
+    def dense(self, members: list[int]) -> NDArray[np.float64]:
+        """A fresh C-ordered copy (len(members), n, n) of those members' K_b."""
+        return np.ascontiguousarray(self._stack[members])
+
+    def formed(self, members: NDArray[np.bool_]) -> NDArray[np.float64]:
+        """What a non-finite scan reads of the members a mask picks: the upper triangle of each K_b."""
+        return np.triu(self._stack[members])
+
+
+class MatrixFreeOperator:
+    """The data side K of one ridge system, with no n x n array unless a dense form is asked for.
+
+    shape is K's, (n, n), or (1, n, n) for a stack of one. apply(V)
+    gives K V for an (n, k) V, and assemble() a fresh C-ordered n x n
+    array (or stack of one) holding at least K's diagonal and upper
+    triangle; dense calls it on demand, for a member that goes dense.
+    """
+
+    def __init__(
+        self,
+        shape: tuple[int, ...],
+        apply: Callable[[NDArray[np.float64]], NDArray[np.float64]],
+        assemble: Callable[[], NDArray[np.float64]],
+    ):
+        self.shape = shape
+        self._apply = apply
+        self._assemble = assemble
+        # Every product formed, and the non-finite entries of an assembled K.
+        self._formed: list[NDArray[np.float64]] = []
+
+    def product(self, Vt: NDArray[np.float64]) -> NDArray[np.float64]:
+        """K v for each row v of Vt (1, k, n): one apply call, whose result is kept for formed."""
+        (V,) = Vt
+        KV = self._apply(V.T)
+        self._formed.append(KV)
+        return KV.T[None]
+
+    def dense(self, members: list[int]) -> NDArray[np.float64]:
+        """assemble()'s K as a (1, n, n) stack: the one n x n array.
+
+        Its non-finite entries are kept for formed, since the caller
+        factors the array in place.
+        """
+        K = self._assemble()
+        self._formed.append(K[~np.isfinite(K)])
+        return K.reshape((len(members),) + self.shape[-2:])
+
+    def formed(self, members: NDArray[np.bool_]) -> NDArray[np.float64]:
+        """What a non-finite scan reads if the mask picks the member: what it formed of K.
+
+        That is every product so far and, if a dense K was assembled,
+        that K's non-finite entries.
+        """
+        flat = [np.zeros((1, 0))] + [x.reshape(1, -1) for x in self._formed]
+        return np.concatenate(flat, axis=1)[members]
+
+
+def _as_operator(K: NDArray[np.float64] | GramOperator | MatrixFreeOperator):
+    """K itself if it is a data operator, else the GramOperator of the matrix or stack K."""
+    return GramOperator(K) if isinstance(K, np.ndarray) else K
+
+
 class SpdFactor:
     """Factorizations of A_b = K_b + shift*I for a matrix K or each member of a stack.
 
-    K is symmetric n x n or a stack (B, n, n) of symmetric members, and
+    K is symmetric n x n or a stack (B, n, n) of symmetric members, as
+    an array or a data operator (GramOperator, MatrixFreeOperator), and
     is never written to; a single matrix is a stack of one. low_rank
     gives K_b ~ L_b L_b': for a matrix its L or None, for a stack one
     L_b or None per member, or one (B, n, r) array. A member starts on
@@ -88,8 +177,9 @@ class SpdFactor:
     A_b is Cholesky-factored in place through its F-contiguous
     transposed view, whose lower triangle is A_b's upper one. Each solve
     checks every column of every member against A_b,
-    ||A_b x - b|| <= 1e-8 ||b||, with K X formed from K's upper triangle
-    (_symmetric_product). A Woodbury solution is refined from its factor
+    ||A_b x - b|| <= 1e-8 ||b||, with K X from the operator's product:
+    from K's upper triangle (_symmetric_product), or from the points with
+    no n x n array at all. A Woodbury solution is refined from its factor
     by LAPACK dporfs' rule (Higham 2002, ch. 12), each step shrinking its
     error by about ||K_b - L_b L_b'|| / shift: while its residual is above
     n * eps * ||b|| and the last step at least halved it, at most
@@ -97,7 +187,8 @@ class SpdFactor:
     floor; one still converging after the last step, or failing the
     check, climbs to the dense rung. A member whose dense factor or check
     fails, fails alone; with shift > 0 the dense factor exists. K is taken as
-    symmetric and only its diagonal and upper triangle are read.
+    symmetric, and only its diagonal and upper triangle are read; a
+    MatrixFreeOperator assembles them only for a member that goes dense.
 
     Raises:
         NotPositiveDefiniteError: At construction, for a single matrix
@@ -106,21 +197,23 @@ class SpdFactor:
 
     def __init__(
         self,
-        K: NDArray[np.float64],
+        K: NDArray[np.float64] | GramOperator | MatrixFreeOperator,
         shift: float = 0.0,
         low_rank: NDArray[np.float64] | list[NDArray[np.float64] | None] | None = None,
     ):
-        self.gram = K
+        self.K = _as_operator(K)
         self.shift = shift
-        self._stack = K if K.ndim == 3 else K[None]
-        members = len(self._stack)
+        single = len(self.K.shape) == 2
+        members = 1 if single else self.K.shape[0]
+        # Every member's (B, n): B's leading axes in solve_with_product.
+        self._members_by_n = (members, self.K.shape[-1])
         # Per member: its L_b while on the Woodbury rung, the Cholesky
         # factor it solves through (of the inner matrix or of A_b), and
         # the error that failed its dense factor.
         if low_rank is None:
             self._low_rank = [None] * members
         else:
-            self._low_rank = [low_rank] if K.ndim == 2 else list(low_rank)
+            self._low_rank = [low_rank] if single else list(low_rank)
         self._factors: list[tuple[NDArray[np.float64], bool] | None] = [None] * members
         self._errors: list[np.linalg.LinAlgError | None] = [None] * members
         for b, L in enumerate(self._low_rank):
@@ -133,16 +226,16 @@ class SpdFactor:
             except np.linalg.LinAlgError:
                 self._low_rank[b] = None
         self._factor_dense([b for b in range(members) if self._low_rank[b] is None])
-        if K.ndim == 2 and self._errors[0] is not None:
+        if single and self._errors[0] is not None:
             raise self._errors[0]
 
     def _factor_dense(self, members: list[int]) -> None:
         """Factors A_b densely for each b in members, or records the error that fails it."""
         if not members:
             return
-        # A fresh C-ordered copy: each A_b's transpose is F-contiguous,
+        # A fresh C-ordered array: each A_b's transpose is F-contiguous,
         # so cho_factor factors it in place and never writes into K.
-        A = np.ascontiguousarray(self._stack[members])
+        A = self.K.dense(members)
         A.reshape(len(members), -1)[:, :: A.shape[-1] + 1] += self.shift
         for b, Ab in zip(members, A):
             self._low_rank[b] = None
@@ -168,27 +261,27 @@ class SpdFactor:
         """
         B = np.asarray(B, dtype=np.float64)
         Bs = B
-        if self.gram.ndim == 2 and B.ndim in (1, 2):
+        if len(self.K.shape) == 2 and B.ndim in (1, 2):
             Bs = (B[:, None] if B.ndim == 1 else B)[None]
-        if Bs.ndim != 3 or Bs.shape[:2] != self._stack.shape[:2]:
-            raise ValueError(f"B has shape {B.shape}, expected {self.gram.shape[:-1]} + (k,)")
+        if Bs.ndim != 3 or Bs.shape[:2] != self._members_by_n:
+            raise ValueError(f"B has shape {B.shape}, expected {self.K.shape[:-1]} + (k,)")
         errors = list(self._errors)
         # Solutions are stored transposed, (B, k, n): each member's columns
         # are an F-contiguous view that dpotrs solves in place, and the
-        # contiguous rows that _symmetric_product multiplies by K_b.
+        # contiguous rows that the data operator multiplies by K_b.
         Bt = Bs.transpose(0, 2, 1)
         Xt = np.array(Bt, order="C")
         # Each member's column norms, as (k, B) arrays.
         norm_b = _column_norms(Bt.T)
         # A residual within n * eps * ||b|| is at a dense solve's rounding.
-        rounding = self._stack.shape[-1] * np.finfo(np.float64).eps * norm_b
+        rounding = self._members_by_n[1] * np.finfo(np.float64).eps * norm_b
         # Per refined member: its steps and its residual norms before the last one.
         refined: dict[int, tuple[int, NDArray[np.float64]]] = {}
         todo = [b for b, error in enumerate(errors) if error is None]
         while True:
             for b in todo:
                 self._solve_in_place(b, Xt[b].T)
-            KXt = _symmetric_product(self._stack, Xt)
+            KXt = self.K.product(Xt)
             residual = self.shift * Xt
             residual += KXt
             residual -= Bt

@@ -246,6 +246,24 @@ def test_run_rejects_a_config_outside_the_float_range(tmp_path, capsys, edit, fi
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("sigma", [1e150, 1e160])
+def test_run_rejects_a_noise_scale_whose_squares_overflow(tmp_path, capsys, sigma):
+    # The mc-small-n config (n = 50, R = 1000): at sigma 1e160 a squared
+    # response overflows, at 1e150 a metric's variance over R does. Both
+    # stop at parsing, naming the field.
+    cfg = _base_config(tmp_path / "out", ns=[50], R=1000)
+    cfg["scenario"]["grid_m"] = 256
+    cfg["scenario"]["noise"]["sigma"] = sigma
+    assert main(["run", _write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'scenario.noise.sigma'" in err
+    assert "invariant broken" not in err and "Traceback" not in err
+    # The limit is sigma * 13.7 <= (max float / R)^(1/4): 1e70 is inside it.
+    cfg["scenario"]["noise"]["sigma"] = 1e70
+    assert parse_config(cfg).scenario.noise.sigma == 1e70
+    assert cli.NORMAL_DRAW_BOUND == pytest.approx(13.71, abs=0.01)
+
+
 JSON_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
     | st.sampled_from(["gaussian", "uniform", "dirac", "truncated_gaussian", "fixed",

@@ -10,7 +10,6 @@ import pytest
 import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
-import rkhsreg.auxiliary as aux_mod
 import rkhsreg.experiments as exp
 import rkhsreg.kernels as kernels_mod
 import rkhsreg.linalg as linalg
@@ -18,6 +17,8 @@ from rkhsreg.auxiliary import bridge_distance_sq, fit_auxiliary, theoretical_til
 from rkhsreg.cli import main, parse_config
 from rkhsreg.estimator import (
     KernelExpansion,
+    _data_operator,
+    _ridge_factor,
     empirical_objective,
     evaluate_batch,
     fit_ridge,
@@ -45,7 +46,7 @@ from rkhsreg.fredholm import (
     continuous_objective,
     flambda_expansion,
 )
-from rkhsreg.kernels import FAMILIES, KernelSpec
+from rkhsreg.kernels import FAMILIES, KernelSpec, gram
 from rkhsreg.linalg import NotPositiveDefiniteError
 
 from reference_replication import reference_replication
@@ -324,6 +325,17 @@ SIDES = ("below-woodbury", "woodbury", "chunk-181", "alone-182", "small")
     design="unit-interval", family="laplace", bandwidth=0.25, fine_grid=False, coarse_m=32,
     noise="homoscedastic", w0="sin2pi", lam=0.2, index=0, side="woodbury", small_n=2,
 )
+# A 1-d Gaussian on 256 nodes (r = 16 on [0, 1]) from n = 182 on, run
+# alone on the Woodbury rung: the data side takes the Taylor transform
+# (15 Q = 120 < n), and no Gram is built.
+@example(
+    design="unit-interval", family="gaussian", bandwidth=0.25, fine_grid=True, coarse_m=32,
+    noise="homoscedastic", w0="sin2pi", lam=0.2, index=0, side="alone-182", small_n=2,
+)
+@example(
+    design="shifted-interval", family="gaussian", bandwidth=0.5, fine_grid=True, coarse_m=32,
+    noise="affine", w0="poly3", lam=0.05, index=11, side="alone-800", small_n=2,
+)
 # A 32-node grid resolves the rational quadratic kernel to about 1e-10:
 # at lam 1e-3 the Woodbury solve passes its 1e-8 check only 4e-10 from
 # the system, and refinement restores the dense accuracy.
@@ -347,9 +359,10 @@ def test_drawn_replications_match_the_written_out_reference(
         base_seed=7,
     )
     threshold = LOW_RANK_MIN_RATIO * exp._design_context(scenario).op.rank
+    # "alone-800" is drawn by an example alone: a Gram-free replication at n = 800.
     n = {
         "below-woodbury": threshold - 1, "woodbury": threshold, "chunk-181": 181,
-        "alone-182": 182, "small": small_n,
+        "alone-182": 182, "alone-800": 800, "small": small_n,
     }[side]
     # The chunks _run_many makes: two indices below n = 182, one from there on.
     indices = [index] if n >= 182 else [index, index + 1]
@@ -386,7 +399,10 @@ def test_run_replication_passes_over_the_gram_twice(monkeypatch, n):
     # One product with K in the auxiliary fit (K w~) and one in the ridge
     # solve's residual check (K [w, v]), whose result is reused: every
     # distance, the objective and the bridge come from those two. Every
-    # product with a data Gram goes through linalg._symmetric_product.
+    # product with K is its data operator's. On the dense rung that reads
+    # the replication's one Gram through linalg._symmetric_product; at
+    # n = 800 on the Woodbury rung no Gram is built, and both products
+    # are Taylor transforms of the points.
     continuous_solution(CANON, 0.2)
     grams = []
     orig_gram = exp.gram
@@ -404,23 +420,48 @@ def test_run_replication_passes_over_the_gram_twice(monkeypatch, n):
 
     monkeypatch.setattr(exp, "gram", recorded_gram)
     monkeypatch.setattr(linalg, "_symmetric_product", counted_product)
-    monkeypatch.setattr(aux_mod, "_symmetric_product", counted_product)
+    products = [
+        _count_calls(monkeypatch, operator, "product")
+        for operator in (linalg.GramOperator, linalg.MatrixFreeOperator)
+    ]
     run_replication(CANON, n, 0.2, 3)
-    assert len(grams) == 1
-    assert passes == [True, True]
+    if n == 40:
+        assert len(grams) == 1
+        assert passes == [True, True]
+        assert [len(calls) for calls in products] == [2, 0]
+    else:
+        assert grams == [] and passes == []
+        assert [len(calls) for calls in products] == [0, 2]
 
 
 def test_run_replication_at_large_n_holds_one_n_by_n_array():
-    # The data Gram K is the one n x n array: the ridge factor checks its
-    # solves against lam*I + K/n without forming it, and both kernel
-    # products against the grid nodes and the sup-norm grid are blocked.
-    n = 800
+    # At n = 3200 on the canonical grid (r = 16 resolved eigenpairs) a
+    # replication run alone builds no n x n array, not even the data
+    # Gram: its products K V are Taylor transforms of the points. What
+    # it holds is n values times a small count:
+    # - throughout: the points, responses and noise, and k(X, nodes) C
+    #   on r + 2 columns, at most n (r + 8);
+    # - in a Taylor transform: P = 15 powers and P monomials per point or
+    #   center, Q = 8 anchor rows, at most 16 n of indices, offsets and
+    #   temporaries, and one block's scatter and sums, at most
+    #   APPLY_BLOCK_ENTRIES values each, or Q n for a single column;
+    # - in the two-column solve ([f | r], X, K X, the residual and the
+    #   Woodbury terms) at most 16 n; the sup-norm axis transform holds
+    #   fewer than the Taylor transform's 2 P n.
+    # So the peak is below 8 (n (r + 2 P + Q + 40) + 2 max(APPLY_BLOCK_ENTRIES, Q n))
+    # bytes: 2.9 MB at n = 3200, where one n x n array takes 82 MB.
+    n = 3200
+    r = exp._design_context(CANON).op.rank
+    P, Q = kernels_mod._TAYLOR_TERMS, 8
     run_replication(CANON, n, 0.2, 0)
     tracemalloc.start()
     run_replication(CANON, n, 0.2, 1)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= 1.5 * 8 * n * n
+    block = max(kernels_mod.APPLY_BLOCK_ENTRIES, Q * n)
+    bound = 8 * (n * (r + 2 * P + Q + 40) + 2 * block)
+    assert r == 16 and bound < 0.05 * 8 * n * n
+    assert peak <= bound
 
 
 # A chunk's metrics against the same indices run one at a time: only
@@ -510,6 +551,59 @@ def test_a_woodbury_chunk_matches_one_replication_at_a_time(cho_factor_calls):
     assert len(cho_factor_calls) == 2 and all(shape[0] <= 2 * 17 for shape in cho_factor_calls)
     for index, metrics in enumerate(chunk):
         _assert_metrics_close(metrics, run_replication(CANON, 800, 0.2, index))
+
+
+def test_a_gram_free_member_that_climbs_is_the_dense_rung_bit_for_bit(cho_factor_calls):
+    # A replication run alone at n = 800 builds no Gram. Handed a Nystrom
+    # factor 1% off, its Woodbury solution, refined until its steps run
+    # out, still misses K and climbs: only then does its operator
+    # assemble gram(X, upper=True), so the dense factor and solution are
+    # those of the dense rung bit for bit. The checks' products K X come
+    # from the Taylor transform, within n eps sum |x| of BLAS's, the
+    # rounding bound of BLAS's own sums.
+    n, lam = 800, 0.2
+    kernel, op = CANON.kernel, exp._design_context(CANON).op
+    xs = sample_dataset(CANON, n, 0, lambda_key=lam).xs[None]
+    L = op.at_points(xs[0], op.nystrom_coefficients(n))[None]
+    B = np.random.default_rng(25).standard_normal((1, n, 2))
+    grams = []
+
+    def assemble():
+        grams.append(gram(kernel, xs, upper=True))
+        return grams[-1]
+
+    free = _data_operator(kernel, xs, L, assemble)
+    assert isinstance(free, linalg.MatrixFreeOperator) and grams == []
+    X, KX, errors = _ridge_factor(free, n * lam, 1.01 * L).solve_with_product(B)
+    r = L.shape[-1]
+    assert errors == [None] and cho_factor_calls == [(r, r), (n, n)] and len(grams) == 1
+    dense_X, dense_KX, _ = _ridge_factor(gram(kernel, xs, upper=True), n * lam).solve_with_product(B)
+    assert np.array_equal(X, dense_X)
+    eps = np.finfo(np.float64).eps
+    np.testing.assert_allclose(KX, dense_KX, rtol=0, atol=n * eps * np.abs(X).sum(axis=1).max())
+
+
+def test_a_nan_in_the_gram_a_gram_free_member_climbs_to_stops_the_run(monkeypatch):
+    # The Gram-free member at n = 800, handed a Nystrom factor 1% off,
+    # climbs and only then assembles its Gram. A NaN planted there fails
+    # its dense solve; the non-finite scan reads what the operator formed,
+    # that Gram's non-finite entries too, so the run stops.
+    orig_factor, orig_gram = exp._ridge_factor, exp.gram
+
+    def nan_gram(spec, xs, **kwargs):
+        K = orig_gram(spec, xs, **kwargs)
+        K[0, 4, 5] = np.nan
+        return K
+
+    monkeypatch.setattr(
+        exp, "_ridge_factor", lambda K, lam, low_rank=None: orig_factor(K, lam, 1.01 * low_rank)
+    )
+    monkeypatch.setattr(exp, "gram", nan_gram)
+    # The planted entry, and the 2 n values of the dense check's product K X it spoils.
+    message = "non-finite data Gram at n=800, replication 0: NaN or infinite entries: 1601"
+    with pytest.raises(ArithmeticError) as raised:
+        run_replication(CANON, 800, 0.2, 0)
+    assert str(raised.value) == message
 
 
 def test_monte_carlo_runs_a_partial_last_chunk():

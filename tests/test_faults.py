@@ -4,7 +4,9 @@ Each case plants one fault by monkeypatch and runs `rkhsreg run` on the
 canonical scenario (Gaussian kernel h = 0.25 on Uniform[0, 1],
 w0 = sin 2 pi x, homoscedastic noise) at n = 50, lam = 0.2 and R = 400;
 a fault in the per-axis factors of the grid operator runs the same
-kernel on a 2-d box instead (BOX_2D). A runtime detector is a broken
+kernel on a 2-d box instead (BOX_2D), and a fault in the Gram-free
+data side runs n = 200, where each replication runs alone on the
+Woodbury rung with no Gram. A runtime detector is a broken
 invariant: the run stops with exit 3 and names it on stderr. A statistical detector lets the run finish and
 moves the auxiliary risk's z statistic, (mean - theory) / stderr of
 dist_tilde_flambda_sq, beyond Z_LIMIT. test_no_detector_fires_without_a_fault
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 import rkhsreg.experiments as exp
+import rkhsreg.linalg as linalg
 from rkhsreg.cli import main
 
 Z_LIMIT = 4.0
@@ -49,9 +52,10 @@ BOX_2D = {
 }
 
 
-def _run(tmp_path, sigma, scenario=()):
-    """Runs the canonical configuration at noise sigma, with the scenario
-    fields in scenario replaced; returns (exit code, results)."""
+def _run(tmp_path, sigma, scenario=(), ns=(50,)):
+    """Runs the canonical configuration at noise sigma and sample sizes ns,
+    with the scenario fields in scenario replaced; returns (exit code,
+    results)."""
     out_dir = tmp_path / "out"
     cfg = {
         "scenario": {
@@ -63,7 +67,7 @@ def _run(tmp_path, sigma, scenario=()):
             "base_seed": 20260815,
             **dict(scenario),
         },
-        "ns": [50],
+        "ns": list(ns),
         "lambda_rule": {"kind": "fixed", "value": 0.2},
         "R": R,
         "outputs": str(out_dir),
@@ -164,6 +168,20 @@ def _data_gram_nan(monkeypatch):
         return K
 
     monkeypatch.setattr(exp, "gram", with_nan)
+
+
+def _gram_free_product_nan(monkeypatch):
+    # One NaN in every product K V that a Gram-free data operator forms
+    # (a replication run alone at n >= 182): each solve of its member
+    # fails, and the non-finite scan reads the products in place of a Gram.
+    orig = linalg.MatrixFreeOperator.product
+
+    def with_nan(self, Vt):
+        KV = orig(self, Vt)
+        KV[..., 0] = np.nan
+        return KV
+
+    monkeypatch.setattr(linalg.MatrixFreeOperator, "product", with_nan)
 
 
 def _flambda_on_sup_grid_nan(monkeypatch):
@@ -303,7 +321,7 @@ def _theory_without_norm_term(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "plant, message, scenario",
+    "plant, message, run_args",
     [
         # Replication 0 breaks the sup-norm certificate before any
         # quadratic form turns negative.
@@ -311,7 +329,11 @@ def _theory_without_norm_term(monkeypatch):
         (_grid_operator_bandwidth, "Fredholm right-hand side is off the target f0", {}),
         # Caught by comparing the Kronecker product G W w0 with the
         # target expansion summed by the 2-d kernel itself.
-        (_grid_factors_reversed, "Fredholm right-hand side is off the target f0", BOX_2D),
+        (
+            _grid_factors_reversed,
+            "Fredholm right-hand side is off the target f0",
+            {"scenario": BOX_2D},
+        ),
         (_ridge_factor_at_twice_lam, "residual bridge identity violated", {}),
         (
             _f0_at_data_scaled,
@@ -331,6 +353,7 @@ def _theory_without_norm_term(monkeypatch):
         (_data_nan(None), "non-finite f at n=50, replication 0:", {}),
         (_data_nan(0), "non-finite f0(X) at n=50, replication 0:", {}),
         (_data_gram_nan, "non-finite data Gram at n=50, replication 0:", {}),
+        (_gram_free_product_nan, "non-finite data Gram at n=200, replication 0:", {"ns": [200]}),
         (
             _grid_solve_right_hand_side_scaled,
             "the grid solution at lam=0.2 solved a different right-hand side",
@@ -355,15 +378,16 @@ def _theory_without_norm_term(monkeypatch):
         "responses-nan",
         "f0-at-data-nan",
         "data-gram-nan",
+        "gram-free-product-nan",
         "grid-solve-rhs-x1.001",
         "grid-operator-negated",
         "ridge-weights-x11",
         "bridge-vector-x2",
     ],
 )
-def test_runtime_detector_stops_the_run(tmp_path, monkeypatch, capsys, plant, message, scenario):
+def test_runtime_detector_stops_the_run(tmp_path, monkeypatch, capsys, plant, message, run_args):
     plant(monkeypatch)
-    code, results = _run(tmp_path, SIGMA, scenario)
+    code, results = _run(tmp_path, SIGMA, **run_args)
     err = capsys.readouterr().err
     assert code == 3
     assert f"invariant broken: {message}" in err

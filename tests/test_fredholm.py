@@ -757,8 +757,9 @@ def _scenario(kernel, design, grid_m):
 
 def _recorded_ridge_solves(monkeypatch):
     """Each replication chunk's ridge solve as (K, shift, L, B, X), with the
-    stack of data Grams K filled in below the diagonal from its upper
-    triangle."""
+    stack of data matrices K taken whole from the chunk's data operator,
+    as its products with the identity: from the upper triangle of a Gram,
+    or through the Taylor transform where no Gram is built."""
     solves = []
     orig = exp._ridge_factor
 
@@ -768,7 +769,8 @@ def _recorded_ridge_solves(monkeypatch):
 
         def solve_with_product(B):
             X, KX, errors = solve(B)
-            full = np.triu(K) + np.swapaxes(np.triu(K, 1), -1, -2)
+            members, n = B.shape[:2]
+            full = K.product(np.broadcast_to(np.eye(n), (members, n, n)))
             solves.append((full, shift, low_rank, B, X))
             return X, KX, errors
 
@@ -819,10 +821,11 @@ def test_replication_solves_on_the_grid_nystrom_factor(monkeypatch, cho_factor_c
 
 def test_a_poor_nystrom_factor_climbs_to_the_dense_rung(monkeypatch, cho_factor_calls):
     # On 32 nodes the Laplace spectrum has not decayed (r = m), so the
-    # Nystrom extension misses the data Gram by about 0.1: refined until
-    # it stops converging, the Woodbury solution still fails its check
-    # against K, and the member climbs to the dense Cholesky, whose
-    # solution is the dense solve's.
+    # Nystrom extension misses the data Gram by about 0.1. Its diagonal
+    # defect tr(K - L L') = n - ||L||_F^2 is about 17, far above the
+    # shift times (n eps)^(1/6) that refinement needs to reach rounding
+    # within its steps: the member goes straight to the dense Cholesky,
+    # with no r x r factor, and its solution is the dense solve's.
     scenario = _scenario(KernelSpec("laplace", 0.25, 1), UNIFORM, 32)
     r = exp._design_context(scenario).op.rank
     n = LOW_RANK_MIN_RATIO * r
@@ -830,9 +833,10 @@ def test_a_poor_nystrom_factor_climbs_to_the_dense_rung(monkeypatch, cho_factor_
     solves = _recorded_ridge_solves(monkeypatch)
     cho_factor_calls.clear()
     exp.run_replication(scenario, n, 0.2, 0)
-    assert r == 32 and cho_factor_calls == [(r, r), (n, n)]
+    assert r == 32 and cho_factor_calls == [(n, n)]
     ((K, shift, L, B, X),) = solves
     assert np.max(np.abs(K - L @ np.swapaxes(L, -1, -2))) > 1e-2
+    assert n - np.sum(L * L) > shift * (n * np.finfo(np.float64).eps) ** (1 / 6)
     dense = np.linalg.solve(K[0] + shift * np.eye(n), B[0])
     gap = np.linalg.norm(X[0] - dense, axis=0)
     assert np.all(gap <= 1e-12 * np.linalg.norm(dense, axis=0))

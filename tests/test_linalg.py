@@ -449,7 +449,10 @@ def _upper_triangle_cases():
 
     def band(K, monkeypatch, low_rank):
         # gp_posterior_band builds its own Gram: the one given stands in.
+        # With low_rank its 1-d Gaussian data side would take the Taylor
+        # transform and build no Gram at all, so that is turned off here.
         monkeypatch.setattr(estimator, "gram", lambda spec, xs, upper=False: K)
+        monkeypatch.setattr(estimator, "takes_taylor", lambda spec, a, b: False)
         return gp_posterior_band(band_kernel, band_data, 30.0, np.linspace(0, 1, 201), low_rank)
 
     # Each low-rank form is made once from the full K: the consumers

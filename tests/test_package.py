@@ -643,6 +643,82 @@ def test_one_function_decides_the_woodbury_rung():
     assert sites == ["fredholm.py:GridOperator.nystrom_coefficients"]
 
 
+def _call_sites(tree: ast.Module, names: tuple[str, ...]) -> list[str]:
+    """The scope (function, Class.method or <module>) of each call of a name in names, bare or as an attribute."""
+    sites = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called in names:
+                    sites.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return sites
+
+
+def _package_call_sites(names: tuple[str, ...]) -> list[str]:
+    return [
+        f"{path.name}:{site}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for site in _call_sites(_parse(path), names)
+    ]
+
+
+GRAM_FREE_CHOICE = ("MatrixFreeOperator", "takes_taylor")
+
+
+def test_one_function_decides_gram_backed_or_gram_free():
+    # Whether a replication's data side builds a Gram is decided in
+    # estimator._data_operator alone, from its inputs: it asks
+    # kernels.takes_taylor and builds the MatrixFreeOperator. Another
+    # call of either is a second route to the same case.
+    for snippet, scope in (
+        ("op = MatrixFreeOperator((n, n), apply, assemble)", "<module>"),
+        ("def f(k, x):\n    return takes_taylor(k, x, x)", "f"),
+        ("class C:\n    def f(self):\n        return linalg.MatrixFreeOperator(s, a, b)", "C.f"),
+        ("def f(k, x):\n    if kernels.takes_taylor(k, x, x):\n        return 1", "f"),
+    ):
+        assert _call_sites(ast.parse(snippet), GRAM_FREE_CHOICE) == [scope], snippet
+    for snippet in (
+        "op = GramOperator(K)",
+        "cls = MatrixFreeOperator",
+        "def takes_taylor(spec, a, b):\n    return False",
+        "from .kernels import takes_taylor",
+        "op = _data_operator(kernel, xs, L, assemble)",
+    ):
+        assert _call_sites(ast.parse(snippet), GRAM_FREE_CHOICE) == [], snippet
+    assert _package_call_sites(GRAM_FREE_CHOICE) == ["estimator.py:_data_operator"] * 2
+
+
+def test_only_the_gram_backed_operator_calls_the_symmetric_product():
+    # _symmetric_product reads a Gram's upper triangle through BLAS. Its
+    # one caller is GramOperator.product; every other product with a data
+    # matrix goes through a data operator, so no code path assumes a Gram
+    # exists where a Gram-free operator stands in for it.
+    for snippet, scope in (
+        ("KV = _symmetric_product(K, Vt)", "<module>"),
+        ("def f(K, V):\n    return linalg._symmetric_product(K, V)", "f"),
+        ("class C:\n    def product(self, Vt):\n        return _symmetric_product(self.K, Vt)",
+         "C.product"),
+    ):
+        assert _call_sites(ast.parse(snippet), ("_symmetric_product",)) == [scope], snippet
+    for snippet in (
+        "from .linalg import _symmetric_product",
+        "f = _symmetric_product",
+        "KV = operator.product(Vt)",
+        "def _symmetric_product(K, Vt):\n    return K @ Vt",
+    ):
+        assert _call_sites(ast.parse(snippet), ("_symmetric_product",)) == [], snippet
+    assert _package_call_sites(("_symmetric_product",)) == ["linalg.py:GramOperator.product"]
+
+
 def _kernels_or_linalg_imports(tree: ast.Module) -> list[str]:
     """Imported names, modules included, whose home is rkhsreg.kernels or rkhsreg.linalg."""
     homes = ("rkhsreg.kernels", "rkhsreg.linalg")
