@@ -18,11 +18,20 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .kernels import KernelSpec, as_points, cross_gram, gram, kernel_apply, takes_taylor
+from .kernels import (
+    KernelSpec,
+    TaylorTransform,
+    as_points,
+    cross_gram,
+    gram,
+    kernel_apply,
+    taylor_transform,
+)
 from .linalg import MAX_REFINEMENTS, GramOperator, MatrixFreeOperator, SpdFactor
 
 NORM_CLAMP_TOL = 1e-10
@@ -124,28 +133,41 @@ class Dataset:
 def _data_operator(
     kernel: KernelSpec,
     xs: NDArray[np.float64],
-    low_rank: NDArray[np.float64] | None,
+    woodbury: bool,
     assemble: Callable[[], NDArray[np.float64]],
-) -> GramOperator | MatrixFreeOperator:
+    design: TaylorTransform | None = None,
+) -> tuple[GramOperator | MatrixFreeOperator, tuple | None]:
     """The data side K of the ridge systems on points xs (n, d), or on a stack (B, n, d).
 
     The one choice between a Gram and none. One point set offered the
-    Woodbury rung (low_rank given, K ~ L L') on which kernel_apply takes
-    the Taylor transform (kernels.takes_taylor: today a 1-d Gaussian
-    kernel with 15 Q < n) gets a MatrixFreeOperator, whose products
-    K V are kernel_apply(kernel, X, X, V): no n x n array is formed
-    unless a member goes dense, which calls assemble() for its Gram.
-    Everything else gets a GramOperator on assemble(), the Gram (or
-    stack of Grams) of xs that the caller builds.
+    Woodbury rung (woodbury, K ~ L L') on which a Taylor transform takes
+    its products K V gets a MatrixFreeOperator: design, a transform that
+    the caller holds on an interval covering the points, if it takes
+    them, or else the transform on the points' own hull
+    (kernels.taylor_transform: today a 1-d Gaussian kernel with 15 Q < n).
+    X's point table and center table are formed once, here, and every
+    product K V reads them; no n x n array is formed unless a member
+    goes dense, which calls assemble() for its Gram. Everything else
+    gets a GramOperator on assemble(), the Gram (or stack of Grams) of
+    xs that the caller builds.
+
+    Returns:
+        (K, tables): tables is X's (point table, center table) on design
+        where K's products read them, for the caller's own products with
+        design's other tables; None otherwise.
     """
     n = xs.shape[-2]
     # All the points, which are one point set for (n, d) or a stack of one.
     points = xs.reshape(-1, xs.shape[-1])
-    if low_rank is not None and len(points) == n and takes_taylor(kernel, points, points):
-        return MatrixFreeOperator(
-            xs.shape[:-2] + (n, n), lambda V: kernel_apply(kernel, points, points, V), assemble
-        )
-    return GramOperator(assemble())
+    if woodbury and len(points) == n:
+        x = points[:, 0]
+        shared = design is not None and design.takes(x)
+        transform = design if shared else taylor_transform(kernel, x.min(), x.max(), x)
+        if transform is not None:
+            tables = transform.tables(x)
+            K = MatrixFreeOperator(xs.shape[:-2] + (n, n), partial(transform.apply, *tables), assemble)
+            return K, tables if shared else None
+    return GramOperator(assemble()), None
 
 
 def _ridge_factor(
@@ -260,14 +282,16 @@ def gp_posterior_band(
     a Woodbury solve that factors only an r x r matrix. Every column is
     still checked against the full K + lam_gp*I, whose K the data
     operator gives (_data_operator): with low_rank and the Taylor
-    transform, K X comes from the points in blocks of columns
-    (kernels.kernel_apply), and no n x n Gram is built.
+    transform, K X comes from the data's two Taylor tables in blocks of
+    columns (kernels.TaylorTransform), and no n x n Gram is built.
     """
     if not lam_gp > 0:
         raise ValueError("lam_gp must be positive")
     pts = as_points(xs, kernel.dim)
     # The factor and its check read only K's upper triangle, or no Gram at all.
-    K = _data_operator(kernel, data.xs, low_rank, lambda: gram(kernel, data.xs, upper=True))
+    K, _ = _data_operator(
+        kernel, data.xs, low_rank is not None, lambda: gram(kernel, data.xs, upper=True)
+    )
     # Rows f and k(x, X), transposed, are the right-hand sides; rows 1:
     # then serve as k(x, X), so no second copy of it lives through the solve.
     rows = np.vstack([data.fs, cross_gram(kernel, pts, data.xs)])

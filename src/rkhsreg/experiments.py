@@ -45,7 +45,14 @@ from .fredholm import (
     flambda_expansion,
     solve_coefficient,
 )
-from .kernels import ConfigError, KernelSpec, as_points, gram
+from .kernels import (
+    ConfigError,
+    KernelSpec,
+    TaylorTransform,
+    as_points,
+    gram,
+    taylor_transform,
+)
 
 W0_CHOICES: dict[str, object] = {
     "sin2pi": lambda x: np.sin(2.0 * np.pi * x),
@@ -243,6 +250,13 @@ class _DesignContext:
     norm_f0_sq: float
     # The sup-norm grid as one point set per factor of op (GridOperator.split).
     eval_points: tuple[NDArray[np.float64], ...]
+    # The Taylor transform on the design's support, which holds the
+    # nodes, the sup-norm axis and every draw, with the nodes' center
+    # table and the axis' point table; all None where no transform takes
+    # the nodes (kernels.taylor_transform).
+    taylor: TaylorTransform | None
+    node_centers: tuple | None
+    axis_points: tuple | None
 
 
 @dataclass(frozen=True)
@@ -270,6 +284,10 @@ def _design_context(scenario: ScenarioSpec) -> _DesignContext:
 
     The check compares the operator product G W w0 with the target's
     expansion summed directly (evaluate_batch), not with at_points.
+    For a 1-d Gaussian kernel whose Taylor transform on the design's
+    support takes the nodes, the context holds that transform with the
+    nodes' center table and the sup-norm axis' point table, formed once
+    for every replication that shares them (_run_chunk).
 
     Raises:
         ArithmeticError: If the right-hand side f0_in_range builds for
@@ -285,7 +303,14 @@ def _design_context(scenario: ScenarioSpec) -> _DesignContext:
     # Written so that a NaN gap fails it.
     if not gap <= TARGET_AGREEMENT_TOL * (1.0 + float(np.max(np.abs(f0_values)))):
         raise ArithmeticError(f"Fredholm right-hand side is off the target f0 by {gap:.3e}")
-    return _DesignContext(op, f0, f0_values, c0**2, op.split(scenario.design.eval_axes))
+    eval_points = op.split(scenario.design.eval_axes)
+    low, high = scenario.design.support
+    nodes = grid.nodes[:, 0]
+    taylor = taylor_transform(scenario.kernel, low[0], high[0], nodes)
+    tables = (None, None)
+    if taylor is not None:
+        tables = taylor.center_table(nodes), taylor.point_table(eval_points[0][:, 0])
+    return _DesignContext(op, f0, f0_values, c0**2, eval_points, taylor, *tables)
 
 
 @lru_cache(maxsize=64)
@@ -469,6 +494,25 @@ def sample_dataset(
     return Dataset(xs[0], fs[0])
 
 
+def _draw(
+    scenario: ScenarioSpec, n: int, indices: Sequence[int], lambda_key: float | None
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The points (B, n, d) and noise (B, n) of replications indices, B = len(indices).
+
+    Each index draws from its own stream (_rng_for, whose seed prefix is
+    cached per (n, lambda)), points then noise, so a dataset does not
+    depend on the indices drawn beside it. The draws land in place in
+    the chunk's arrays, and the box map and the noise scale are applied
+    once per chunk (DesignMeasure.sample, NoiseModel.sample); every
+    stream still draws its points before its noise.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    rngs = [_rng_for(scenario, n, lambda_key, index) for index in indices]
+    xs = scenario.design.sample(rngs, n)
+    return xs, scenario.noise.sample(rngs, xs)
+
+
 def _sample_at_nodes(
     scenario: ScenarioSpec,
     dctx: _DesignContext,
@@ -476,32 +520,30 @@ def _sample_at_nodes(
     indices: Sequence[int],
     lambda_key: float | None,
     node_coeffs: NDArray[np.float64],
+    drawn: tuple[NDArray[np.float64], NDArray[np.float64]] | None = None,
+    x_points: tuple | None = None,
 ) -> tuple[tuple[NDArray[np.float64], NDArray[np.float64]], NDArray[np.float64]]:
     """The datasets of replications indices, with node expansions evaluated at the data.
 
-    dctx is the scenario's design context. Each index draws from its own
-    stream (_rng_for, whose seed prefix is cached per (n, lambda)),
-    points then noise, so a dataset does not depend on the indices drawn
-    beside it. The draws land in place in the chunk's (B, n, d) points
-    and (B, n) noise, and the box map and the noise scale are applied
-    once per chunk (DesignMeasure.sample, NoiseModel.sample); every
-    stream still draws its points before its noise. node_coeffs holds
+    dctx is the scenario's design context, and drawn the (points, noise)
+    of these indices (_draw), drawn here if not given. node_coeffs holds
     coefficients on the grid nodes, f0's alone (m,) or f0's in its first
     column (m, k); the values k(X, nodes) @ node_coeffs at every point of
-    every dataset come from one product with the grid operator's
-    per-factor kernel rows (GridOperator.at_points).
+    every dataset come from one product: from x_points, the points'
+    point table on the context's Taylor transform, against the nodes'
+    center table, or without it from the grid operator's per-factor
+    kernel rows (GridOperator.at_points).
 
     Returns:
         ((xs, fs), values) with xs (B, n, d), fs (B, n) and values
         (B, n) or (B, n, k), for B = len(indices).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    B, d = len(indices), scenario.design.dim
-    rngs = [_rng_for(scenario, n, lambda_key, index) for index in indices]
-    xs = scenario.design.sample(rngs, n)
-    noise = scenario.noise.sample(rngs, xs)
-    values = dctx.op.at_points(xs.reshape(B * n, d), node_coeffs)
+    xs, noise = _draw(scenario, n, indices, lambda_key) if drawn is None else drawn
+    B, d = xs.shape[0], xs.shape[2]
+    if x_points is None:
+        values = dctx.op.at_points(xs.reshape(B * n, d), node_coeffs)
+    else:
+        values = dctx.taylor.apply(x_points, dctx.node_centers, node_coeffs)
     values = values.reshape((B, n) + node_coeffs.shape[1:])
     fs = values.reshape(B, n, -1)[..., 0] + noise
     return (xs, fs), values
@@ -518,8 +560,9 @@ CERTIFICATE_RTOL = 1e-9
 # call, 26 at n = 50, 4 at n = 128 and 1 from n = 182 on. The Grams of
 # a chunk of two or more take at most 512 KiB, which fits in L2 cache;
 # at larger n each replication runs alone, and one run alone on the
-# Woodbury rung whose kernel takes the Taylor transform (the canonical
-# 1-d Gaussian from n = 182) builds no Gram at all (_data_operator).
+# Woodbury rung on whose points a Taylor transform takes the products
+# (the canonical 1-d Gaussian from n = 182) builds no Gram at all
+# (_data_operator).
 CHUNK_GRAM_ENTRIES = 2**16
 
 
@@ -529,15 +572,17 @@ def run_replication(
     """Runs one replication, or a chunk of them, and measures every tracked quantity.
 
     A chunk of B indices at one (n, lam) runs on stacked arrays: draws
-    in place from per-index streams whose seed prefix is cached, one
-    at_points product for f0, f_lambda and, from n >= 10 r, the Nystrom
-    factor L at every point (_sample_at_nodes), one data operator K
-    (_data_operator), one auxiliary_residuals call, one on_product call
-    for the sup-norm grid, and one array operation per metric, clamp and
+    in place from per-index streams whose seed prefix is cached (_draw),
+    one data operator K (_data_operator), one product with the nodes for
+    f0, f_lambda and, from n >= 10 r, the Nystrom factor L at every point
+    (_sample_at_nodes), one auxiliary_residuals call, one product for
+    the sup-norm grid, and one array operation per metric, clamp and
     check. K is a (B, n, n) stack of data Grams, except for a replication
-    run alone on the Woodbury rung whose kernel takes the Taylor
-    transform: its K builds no Gram, and each product K V is
-    kernel_apply(kernel, X, X, V). Only the factor of K + n*lam*I and the
+    run alone on the Woodbury rung on whose points a Taylor transform
+    takes K's products: its K builds no Gram, and each product K V reads
+    the points' two Taylor tables, formed once. On the transform the
+    design context holds those tables serve the product with the nodes
+    and the sup-norm axis too. Only the factor of K + n*lam*I and the
     products with K are made per dataset, by one SpdFactor over the
     stack (_ridge_factor): K + n*lam*I is formed once for its dense
     members and not at all for its Woodbury ones, one loop factors and
@@ -559,7 +604,7 @@ def run_replication(
     ||fhat - f~||^2 = u'Ku, whose two sides come from different passes.
     The bridge stays a real check of the shared factor: r is formed from
     K itself, so a factor of any other matrix leaves u apart from a - t;
-    Gram-free, both sides read K through the Taylor transform, a
+    Gram-free, both sides read K through the points' Taylor tables, a
     different computation from the Woodbury solve's L L'.
     r is the lemma form f_lambda(X) - K t by construction, so that form
     is not checked.
@@ -629,27 +674,39 @@ def _run_chunk(
     The data Grams are full for a chunk of two or more and the upper
     triangle alone for one index, which builds none where _data_operator
     picks the Gram-free operator; the auxiliary fit, the factor and its
-    check read only the upper triangle of a Gram either way.
+    check read only the upper triangle of a Gram either way. The points
+    are drawn first (_draw), so that _data_operator sees them before any
+    product: where it hands back their Taylor tables on the design
+    context's transform, f0(X), f_lambda(X) and L come from their point
+    table against the nodes' center table, and the fit on the sup-norm
+    axis from the axis' point table against their center table, in
+    place of GridOperator.at_points and on_product.
     """
     dctx = _design_context(scenario)
     lctx = _lambda_context(scenario, lam)
     if lctx.sol.lam != lam:
         raise ArithmeticError(f"f_lambda was solved at lam={lctx.sol.lam!r}, not at lam={lam!r}")
-    # On the Woodbury rung one at_points product also gives L = k(X, nodes) C.
+    # On the Woodbury rung one product with the nodes also gives L = k(X, nodes) C.
     nystrom = dctx.op.nystrom_coefficients(n)
     node_coeffs = lctx.node_coeffs if nystrom is None else np.hstack([lctx.node_coeffs, nystrom])
-    (xs, fs), at_xs = _sample_at_nodes(scenario, dctx, n, indices, lam, node_coeffs)
-    low_rank = None if nystrom is None else at_xs[..., 2:]
+    drawn = _draw(scenario, n, indices, lam)
     # A replication run alone (n >= 182 in _run_many) has a Gram of
     # several row blocks, and assembling its upper triangle alone skips
     # about half its kernel values. A chunk's smaller Grams cost less in
     # full than with their lower triangles cleared. Only the upper
     # triangle is read either way, and a replication run alone on the
     # Woodbury rung with the Taylor transform builds no Gram unless it
-    # goes dense (_data_operator).
-    K = _data_operator(
-        scenario.kernel, xs, low_rank, lambda: gram(scenario.kernel, xs, upper=len(indices) == 1)
+    # goes dense (_data_operator); on the design's transform it hands
+    # back X's tables, which f0(X) and the sup-norm axis read too.
+    K, tables = _data_operator(
+        scenario.kernel, drawn[0], nystrom is not None,
+        lambda: gram(scenario.kernel, drawn[0], upper=len(indices) == 1), dctx.taylor,
     )
+    x_points, x_centers = tables or (None, None)
+    (xs, fs), at_xs = _sample_at_nodes(
+        scenario, dctx, n, indices, lam, node_coeffs, drawn, x_points
+    )
+    low_rank = None if nystrom is None else at_xs[..., 2:]
     proj0, projl = at_xs[..., 0], at_xs[..., 1]
     tilde_w, Kt, residuals = auxiliary_residuals(fs, projl, K, lam)
 
@@ -684,7 +741,10 @@ def _run_chunk(
     fit_residuals = fs - Ka
     theta_hat = np.vecdot(fit_residuals, fit_residuals) / n + lam * aKa
     sup_gap_hat_flambda = np.sqrt(dist_hat_flambda_sq)
-    fhat_eval = dctx.op.on_product(dctx.eval_points, xs, a)
+    if x_centers is None:
+        fhat_eval = dctx.op.on_product(dctx.eval_points, xs, a)
+    else:
+        fhat_eval = dctx.taylor.apply(dctx.axis_points, x_centers, a[0])[None]
     sup_gap_grid_max = np.max(np.abs(fhat_eval - lctx.flam_eval), axis=-1)
     certificate_slack = CERTIFICATE_RTOL * (np.abs(aKa) + 2.0 * np.abs(a_projl) + norm_flam_sq)
     # A negative ||f_lambda||^2, which breaks a clamp row first, makes

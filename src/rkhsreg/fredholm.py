@@ -126,6 +126,16 @@ class DesignMeasure:
     def dim(self) -> int:
         return len(self.center) if self.kind == "dirac" else len(self.low)
 
+    @property
+    def support(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(low, high) of a box that holds the draws, the quadrature nodes and the sup-norm grid.
+
+        The box or interval itself; a dirac measure's point is both ends.
+        """
+        if self.kind == "dirac":
+            return self.center, self.center
+        return self.low, self.high
+
     @classmethod
     def uniform(cls, low: object = 0.0, high: object = 1.0) -> "DesignMeasure":
         return cls("uniform", low=tuple(np.atleast_1d(low)), high=tuple(np.atleast_1d(high)))

@@ -32,9 +32,12 @@ point set b, the Taylor transform, in blocks of columns. Every other
 product, and each transform where it would gain nothing, is assembled
 in row blocks of about APPLY_BLOCK_ENTRIES kernel values, so the whole
 k(a, b) is never held. On every path the values are those of the plain
-product within 1e-13 * sum |coeffs|. takes_taylor tells a caller
-whether the Taylor transform applies: the data side of a ridge system
-then forms K V = kernel_apply(k, X, X, V) with no n x n Gram.
+product within 1e-13 * sum |coeffs|. kernel_apply's Taylor transform
+is a TaylorTransform on the hull of its inputs; a caller that multiplies
+by one point set many times holds its own (taylor_transform), on an
+interval that covers every point set it will meet, and forms each
+point set's tables once: the data side of a ridge system then forms
+K V from X's two tables with no n x n Gram.
 
 The axis transform is a factored Gauss transform (cf. Greengard and
 Strain 1991, "The fast Gauss transform") for exp(-c (p - x)^2) with
@@ -62,10 +65,11 @@ about 1e-15 of the largest value on [0, 1], 2e-13 of it on
 
 The Taylor transform is the Taylor form of the fast Gauss transform
 (cf. Yang, Duraiswami, Gumerov and Davis 2003, "Improved fast Gauss
-transform"), for points and centers anywhere on the line. On the box
-[low, high] of points and centers, of width W and midpoint mid, Q
-anchors u_q = low + (q + 1/2) W / Q take each center y to its nearest
-one, v = y - u_q with |v| <= W / 2Q, and
+transform"), fixed on an interval [low, high] of width W and midpoint
+mid that holds its points and centers: kernel_apply's is the hull of
+its inputs, a caller's may be wider. Q anchors u_q = low + (q + 1/2) W / Q
+take each center y to its nearest one, v = y - u_q with |v| <= W / 2Q,
+and
     exp(-c (x - y)^2)
         = exp(-c (x - u_q)^2) * exp(2 c (x - mid) v)
           * exp(2 c (mid - u_q) v - c v^2).
@@ -73,9 +77,16 @@ The first factor is a kernel row at an anchor, from cross_gram; the
 third is the center's own factor. The middle one is replaced by its
 Taylor series, sum over p < P of t^p / p! in t = 2 c (x - mid) v, each
 term split as s^p times (c W v)^p / p! with s = (x - mid) / (W / 2) in
-[-1, 1]. Summing the centers' side per anchor gives a table of Q P
-moments per column of coeffs from m exponentials; each point then
-takes Q anchor kernel values, P monomials s^p and one small product.
+[-1, 1]. So a point set has two tables on the interval, each formed
+once whatever it is multiplied by: as points, its point table holds Q
+anchor kernel values and P monomials s^p per point (Q exponentials);
+as centers, its center table holds the centers sorted by anchor, with
+P powers (c W v)^p / p! times the third factor per center (one
+exponential). A product k(x, y) @ coeffs reads x's point table and
+y's center table: each anchor's Q P moments per column are a sum over
+its own segment of the sorted centers, P multiply-adds per center and
+column, and each point then takes Q P multiply-adds per column against
+its rows and monomials.
 The rule has no free parameter. Q = ceil(c W^2 / (2 rho)) keeps
 |t| <= c W^2 / 2Q <= rho, with rho = 1/2, the axis transform's bound
 on its offset exponents; the third factor's exponent then lies in
@@ -84,14 +95,15 @@ value does not. P is the least count with rho^P / P! * e^rho <= 2^-53,
 the unit roundoff: 15. By Lagrange's form of the remainder each
 truncated term is off by at most k(x, y) |t|^P / P! * e^|t|
 <= 2^-53 k(x, y), so a sum is off by at most
-2^-53 sum_j |coeffs_j| k(x, y_j) before its own roundoff (measured at
-most 2e-16 of sum |coeffs| over h from 0.01 to 1 on [0, 1], [-3, 3]
-and [1000, 1001]). Q = 8 for h = 0.25 on [0, 1]: 8 exponentials per
-point in place of m = 256. Where Q P >= m the Taylor sums would take at
-least as many multiply-adds per point as the assembly has kernel
-values, and the assembly runs: a narrow kernel or a wide box (h below
-0.17 on [0, 1] at m = 256). So does a box that is not a finite interval
-of positive width (a NaN or infinity among the points, say).
+2^-53 sum_j |coeffs_j| k(x, y_j) before its own roundoff, for points
+and centers anywhere on the interval (measured at most 2e-16 of
+sum |coeffs| over h from 0.01 to 1 on [0, 1], [-3, 3] and
+[1000, 1001]). Q = 8 for h = 0.25 on [0, 1]: 8 exponentials per point
+in place of m = 256. Where Q P >= m the Taylor sums would take at least
+as many multiply-adds per point as the assembly has kernel values, and
+the assembly runs: a narrow kernel or a wide interval (h below 0.17 on
+[0, 1] at m = 256). So does an interval that is not finite and of
+positive width (a NaN or infinity among the points, say).
 
 ConfigError lives here, the lowest module the config models share.
 """
@@ -371,6 +383,8 @@ def _taylor_terms(rho: float) -> int:
 # its number of Taylor terms, 15 at rho = 1/2 (module docstring).
 _TAYLOR_RHO = 0.5
 _TAYLOR_TERMS = _taylor_terms(_TAYLOR_RHO)
+# 1 / p! for p < _TAYLOR_TERMS, as a column against (P, m) rows.
+_INVERSE_FACTORIALS = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, _TAYLOR_TERMS)])[:, None]
 
 
 def _power_rows(base: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -386,102 +400,146 @@ def _power_rows(base: NDArray[np.float64]) -> NDArray[np.float64]:
     return rows
 
 
-def _taylor_box(
-    spec: KernelSpec, x: NDArray[np.float64], y: NDArray[np.float64]
-) -> tuple[float, float, int] | None:
-    """(low, W, Q) of the Taylor transform for points x and centers y, or None where it assembles.
+def taylor_transform(
+    spec: KernelSpec, low: float, high: float, centers: NDArray[np.float64]
+) -> TaylorTransform | None:
+    """The Taylor transform of spec on [low, high] for products with centers (m,), or None.
 
-    The rule of the module docstring: None for no points or centers, a
-    box that is not a finite interval of positive width, or Q * 15 >= m.
-    """
-    m = y.shape[0]
-    if x.size == 0 or m == 0:
-        return None
-    low = min(float(x.min()), float(y.min()))
-    width = max(float(x.max()), float(y.max())) - low
-    if not 0.0 < width < math.inf:
-        return None
-    c = 0.5 / spec.bandwidth**2
-    quotient = c * width * width / (2.0 * _TAYLOR_RHO)
-    # Compared with m as a float first: c W^2 may overflow, and math.ceil
-    # takes no infinity. A count of m falls back below.
-    count = max(1, math.ceil(quotient)) if quotient < m else m
-    if count * _TAYLOR_TERMS >= m:
-        return None
-    return low, width, count
-
-
-def takes_taylor(spec: KernelSpec, a: object, b: object) -> bool:
-    """Whether kernel_apply(spec, a, b, coeffs) takes the Taylor transform for two or more columns.
-
-    True for a 1-d Gaussian kernel and a single point set b on whose box
-    with a the transform does not fall back to the assembly (module
-    docstring). It then holds O((n + m) Q) values per column and never
-    an n x m block.
+    The one constructor, with the rule of the module docstring: None
+    unless spec is a 1-d Gaussian kernel, [low, high] is a finite
+    interval of positive width and the transform takes these centers
+    (TaylorTransform.takes); elsewhere such a product is assembled.
     """
     if spec.family != "gaussian" or spec.dim != 1:
-        return False
-    bb = _points(b, spec.dim)
-    return bb.ndim == 2 and _taylor_box(spec, as_points(a, 1)[:, 0], bb[:, 0]) is not None
+        return None
+    width = high - low
+    if not 0.0 < width < math.inf:
+        return None
+    m = centers.shape[0]
+    quotient = 0.5 / spec.bandwidth**2 * width * width / (2.0 * _TAYLOR_RHO)
+    # Compared with m as a float first: c W^2 may overflow, and math.ceil
+    # takes no infinity. A count of m is refused by takes below.
+    count = max(1, math.ceil(quotient)) if quotient < m else m
+    transform = TaylorTransform(spec, low, high, count)
+    return transform if transform.takes(centers) else None
+
+
+class TaylorTransform:
+    """The Taylor transform of a 1-d Gaussian kernel fixed on one interval (module docstring).
+
+    Made by taylor_transform. A point set on the interval has a point
+    table (point_table) and a center table (center_table), each formed
+    once, and apply forms k(points, centers) @ coeffs from any point
+    table and center table of the same transform.
+    """
+
+    def __init__(self, spec: KernelSpec, low: float, high: float, count: int):
+        self.spec = spec
+        self.low, self.high, self.count = low, high, count
+        self._c = 0.5 / spec.bandwidth**2
+        self._width = high - low
+        self._half = 0.5 * self._width
+        self._mid = low + self._half
+        self._spacing = self._width / count
+        self._anchors = low + self._spacing * (np.arange(count) + 0.5)
+
+    def takes(self, centers: NDArray[np.float64]) -> bool:
+        """Whether products with centers (m,) take this transform: 15 Q < m, all on the interval.
+
+        Written so that a NaN center fails it.
+        """
+        return (
+            self.count * _TAYLOR_TERMS < centers.shape[0]
+            and bool(self.low <= centers.min())
+            and bool(centers.max() <= self.high)
+        )
+
+    def point_table(self, x: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """The point table of x (n,) on the interval: its (Q, n) anchor rows and (P, n) monomials s^p."""
+        return cross_gram(self.spec, self._anchors, x), _power_rows((x - self._mid) / self._half)
+
+    def center_table(self, y: NDArray[np.float64]) -> tuple[NDArray[np.intp], list[int], NDArray]:
+        """The center table of y (m,) on the interval: the centers sorted by nearest anchor.
+
+        That is the order that sorts them, each anchor's segment of the
+        sorted centers as Q + 1 bounds, and per sorted center i its
+        (c W v_i)^p / p! times its third factor, as (P, m) rows.
+        """
+        # Each center's nearest anchor, so |v| <= spacing / 2.
+        bins = np.minimum(((y - self.low) / self._spacing).astype(np.intp), self.count - 1)
+        # The smallest unsigned type of the bins, which NumPy's stable sort radix-sorts.
+        order = np.argsort(bins.astype(np.min_scalar_type(self.count - 1)), kind="stable")
+        bounds = [0] + np.cumsum(np.bincount(bins, minlength=self.count)).tolist()
+        nearest = self._anchors[bins[order]]
+        v = y[order] - nearest
+        c = self._c
+        powers = _power_rows((c * self._width) * v)
+        powers *= _INVERSE_FACTORIALS
+        powers *= np.exp(c * v * (2.0 * (self._mid - nearest) - v))
+        return order, bounds, powers
+
+    def tables(self, x: NDArray[np.float64]) -> tuple[tuple, tuple]:
+        """x's point table and center table, for the products k(x, x) @ V of one point set x (n,)."""
+        return self.point_table(x), self.center_table(x)
+
+    def apply(self, points: tuple, centers: tuple, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
+        """k(x, y) @ coeffs from x's point table and y's center table, for coeffs (m,) or (m, k).
+
+        Gives (n,) or (n, k). Per column each anchor's P moments are one
+        product of its segment of the sorted powers with the sorted
+        coefficients, and each point takes the (Q, P) table of them
+        against its monomials, giving its Q Taylor sums, and those against
+        its Q anchor rows. Columns take their moments in blocks of
+        APPLY_BLOCK_ENTRIES // max(m, Q P) and their sums in blocks of
+        APPLY_BLOCK_ENTRIES // (Q n), at least one each, so that a block's
+        sorted coefficients, moments and (k, Q, n) sums hold at most
+        APPLY_BLOCK_ENTRIES values each, as a row block of the assembly
+        does. Each column's arithmetic is the same in any block.
+        """
+        rows, monomials = points
+        order, bounds, powers = centers
+        count, n, m = self.count, rows.shape[1], order.shape[0]
+        flat = coeffs.reshape(m, -1)
+        out = np.empty((n, flat.shape[1]))
+        segments = list(zip(bounds[:-1], bounds[1:]))
+        step = max(1, APPLY_BLOCK_ENTRIES // max(m, count * _TAYLOR_TERMS))
+        substep = max(1, APPLY_BLOCK_ENTRIES // (count * n))
+        for start in range(0, flat.shape[1], step):
+            block = flat[order, start : start + step]
+            # moments[q, p, j]: column j's sum of powers[p, i] * block[i, j] over anchor q's centers i.
+            moments = np.empty((count, _TAYLOR_TERMS, block.shape[1]))
+            for q, (lo, hi) in enumerate(segments):
+                np.matmul(powers[:, lo:hi], block[lo:hi], out=moments[q])
+            by_column = moments.transpose(2, 0, 1).reshape(-1, _TAYLOR_TERMS)
+            for first in range(0, block.shape[1], substep):
+                part = by_column[first * count : (first + substep) * count]
+                sums = (part @ monomials).reshape(-1, count, n)
+                stop = start + first + sums.shape[0]
+                out[:, start + first : stop] = np.einsum("jqi,qi->ij", sums, rows)
+                # Released before the next block is made, not after.
+                del sums
+        return out.reshape((n,) + coeffs.shape[1:])
 
 
 def _gaussian_taylor_apply(
     spec: KernelSpec, points: NDArray[np.float64], centers: NDArray[np.float64],
     coeffs: NDArray[np.float64],
 ) -> NDArray[np.float64]:
-    """k(points, centers) @ coeffs by the Taylor transform of the module docstring.
+    """k(points, centers) @ coeffs by the Taylor transform on the hull of points and centers.
 
     points (n, 1) and centers (m, 1) with coeffs (m,) or (m, k) give
-    (n,) or (n, k). Arrays of n (P + Q) and m P values are held, and per
-    column n Q and m Q more, no n x m block. Columns go in blocks of
-    APPLY_BLOCK_ENTRIES // (Q max(n, m)), at least one, so that a block's
-    (m, k, Q) scatter and (k, Q, n) sums hold at most APPLY_BLOCK_ENTRIES
-    values each, as a row block of the assembly does: one or two columns
-    of a chunk's f0 and f_lambda (1300 points, 256 nodes, Q = 8) are one
-    block, and the GP band's 202 columns at n = 800 are 41 blocks of 5,
-    which stay in cache. Each column's arithmetic is the same in any
-    block. Where _taylor_box finds no box, this is the assembly.
+    (n,) or (n, k). Where taylor_transform finds no transform, this is
+    the assembly.
     """
     x, y = points[:, 0], centers[:, 0]
-    box = _taylor_box(spec, x, y)
-    if box is None:
+    transform = None
+    if x.size and y.size:
+        low = min(float(x.min()), float(y.min()))
+        high = max(float(x.max()), float(y.max()))
+        transform = taylor_transform(spec, low, high, y)
+    if transform is None:
         return _assembled_apply(spec, points, centers, coeffs)
-    low, width, count = box
-    m = y.shape[0]
-    c = 0.5 / spec.bandwidth**2
-    half = 0.5 * width
-    mid = low + half
-    spacing = width / count
-    anchors = low + spacing * (np.arange(count) + 0.5)
-    # Each center's nearest anchor, so |v| <= spacing / 2.
-    bins = np.minimum(((y - low) / spacing).astype(np.intp), count - 1)
-    nearest = anchors[bins]
-    v = y - nearest
-    factors = np.exp(c * v * (2.0 * (mid - nearest) - v))[:, None]
-    # powers[p] = (c W v)^p / p!, and on the point side s^p, with
-    # s = (x - mid) / half in [-1, 1]: their product is the term t^p / p!.
-    powers = _power_rows((c * width) * v)
-    powers[1:] /= np.cumprod(np.arange(1.0, _TAYLOR_TERMS))[:, None]
-    monomials = _power_rows((x - mid) / half)
-    rows = cross_gram(spec, anchors, points)
-    flat = coeffs.reshape(m, -1)
-    step = max(1, APPLY_BLOCK_ENTRIES // (count * max(m, x.shape[0])))
-    blocks = []
-    for start in range(0, max(1, flat.shape[1]), step):
-        weighted = flat[:, start : start + step] * factors
-        columns = weighted.shape[1]
-        # by_anchor[i, j, q] is weighted[i, j] for center i's anchor q, else 0.
-        by_anchor = np.zeros((m, columns, count))
-        by_anchor[np.arange(m), :, bins] = weighted
-        # moments[j Q + q, p] = sum of weighted[i, j] * powers[p, i] over the centers i at anchor q.
-        moments = (powers @ by_anchor.reshape(m, -1)).T
-        # (k, Q, n) Taylor sums at each point against (Q, n) anchor rows.
-        sums = (moments @ monomials).reshape(columns, count, -1)
-        blocks.append(np.einsum("jqi,qi->ij", sums, rows))
-        # Released before the next block is made, not after.
-        del by_anchor, moments, sums
-    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-    return out.reshape((x.shape[0],) + coeffs.shape[1:])
+    return transform.apply(transform.point_table(x), transform.center_table(y), coeffs)
 
 
 def gram(spec: KernelSpec, points: object, upper: bool = False) -> NDArray[np.float64]:

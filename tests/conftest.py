@@ -31,7 +31,9 @@ def kernel_paths(monkeypatch):
 
     Each entry is "axis" (the factored axis transform), "taylor" (the
     Taylor transform) or "assembly" (row-blocked assembly). A transform
-    that falls back to the assembly counts as assembly.
+    that falls back to the assembly counts as assembly. A product from
+    tables a caller holds (TaylorTransform.apply outside kernel_apply)
+    counts as "taylor" too.
     """
     import rkhsreg.kernels as kernels
 
@@ -58,4 +60,6 @@ def kernel_paths(monkeypatch):
         ("assembly", "_assembled_apply"),
     ]:
         monkeypatch.setattr(kernels, name, spy(path, getattr(kernels, name)))
+    transform = kernels.TaylorTransform
+    monkeypatch.setattr(transform, "apply", spy("taylor", transform.apply))
     return paths

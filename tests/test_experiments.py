@@ -291,6 +291,9 @@ DRAWN_DESIGNS = {
     "truncated": DesignMeasure.truncated_gaussian(0.0, 1.0, 0.4, 0.3),
     "unit-square": DesignMeasure.uniform((0.0, 0.0), (1.0, 1.0)),
 }
+# Designs of the explicit examples alone: a box far from the origin,
+# where the design context's Taylor transform takes the data.
+EXAMPLE_DESIGNS = {"far-interval": DesignMeasure.uniform(1000.0, 1001.0)}
 NOISES = {
     "homoscedastic": NoiseModel("homoscedastic", 0.2),
     "affine": NoiseModel("heteroscedastic", 0.2, "affine"),
@@ -336,6 +339,16 @@ SIDES = ("below-woodbury", "woodbury", "chunk-181", "alone-182", "small")
     design="shifted-interval", family="gaussian", bandwidth=0.5, fine_grid=True, coarse_m=32,
     noise="affine", w0="poly3", lam=0.05, index=11, side="alone-800", small_n=2,
 )
+# The same on [1000, 1001], where f0(X), K V and the sup-norm axis read
+# X's tables on the design's interval.
+@example(
+    design="far-interval", family="gaussian", bandwidth=0.25, fine_grid=True, coarse_m=32,
+    noise="homoscedastic", w0="sin2pi", lam=0.2, index=5, side="alone-182", small_n=2,
+)
+@example(
+    design="far-interval", family="gaussian", bandwidth=0.25, fine_grid=True, coarse_m=32,
+    noise="sine-small", w0="sin2pi_small", lam=0.05, index=17, side="alone-800", small_n=2,
+)
 # A 32-node grid resolves the rational quadratic kernel to about 1e-10:
 # at lam 1e-3 the Woodbury solve passes its 1e-8 check only 4e-10 from
 # the system, and refinement restores the dense accuracy.
@@ -347,7 +360,7 @@ SIDES = ("below-woodbury", "woodbury", "chunk-181", "alone-182", "small")
 def test_drawn_replications_match_the_written_out_reference(
     design, family, bandwidth, fine_grid, coarse_m, noise, w0, lam, index, side, small_n
 ):
-    measure = DRAWN_DESIGNS[design]
+    measure = {**DRAWN_DESIGNS, **EXAMPLE_DESIGNS}[design]
     noise_model = NOISES[noise]
     fine = fine_grid and family == "gaussian" and measure.dim == 1
     scenario = ScenarioSpec(
@@ -434,6 +447,49 @@ def test_run_replication_passes_over_the_gram_twice(monkeypatch, n):
         assert [len(calls) for calls in products] == [0, 2]
 
 
+def test_a_gram_free_replication_forms_the_data_tables_once(monkeypatch, kernel_paths):
+    # At n = 800 a replication run alone on the Woodbury rung takes the
+    # Taylor transform that the design context holds on [0, 1]: X's point
+    # table and center table are each formed once, and f0(X), f_lambda(X)
+    # and L (against the nodes' center table), both products with K and
+    # the sup-norm axis (from the axis' point table) all read them. The
+    # factored axis transform is not called.
+    continuous_solution(CANON, 0.2)
+    run_replication(CANON, 800, 0.2, 0)
+    transform = kernels_mod.TaylorTransform
+    formed = {"point_table": [], "center_table": []}
+    for name, calls in formed.items():
+        orig = getattr(transform, name)
+
+        def recorded(self, x, orig=orig, calls=calls):
+            calls.append(x.shape)
+            return orig(self, x)
+
+        monkeypatch.setattr(transform, name, recorded)
+    axis = _count_calls(monkeypatch, kernels_mod, "_gaussian_axis_apply")
+    kernel_paths.clear()
+    run_replication(CANON, 800, 0.2, 1)
+    assert formed == {"point_table": [(800,)], "center_table": [(800,)]}
+    assert axis == [] and kernel_paths == ["taylor"] * 4
+
+
+def test_a_design_interval_that_assembles_keeps_the_gram_free_path(monkeypatch):
+    # On [-3, 3] at h = 0.25 the design's interval needs Q = 288 anchors,
+    # and 15 Q >= 256 nodes: the context holds no Taylor transform. A
+    # truncated Gaussian of scale 0.2 draws within about [-0.7, 0.7], so
+    # at n = 800 on the Woodbury rung (r = 26) K V still takes the Taylor
+    # transform, on X's own hull, and no Gram is built.
+    design = DesignMeasure.truncated_gaussian(-3.0, 3.0, 0.0, 0.2)
+    scenario = dataclasses.replace(CANON, design=design)
+    dctx = exp._design_context(scenario)
+    assert dctx.taylor is None and dctx.op.nystrom_coefficients(800) is not None
+    grams = _count_calls(monkeypatch, exp, "gram")
+    products = _count_calls(monkeypatch, linalg.MatrixFreeOperator, "product")
+    metrics = run_replication(scenario, 800, 0.2, 0)
+    assert grams == [] and len(products) == 2
+    _assert_reference(metrics, reference_replication(scenario, 800, 0.2, 0))
+
+
 def test_run_replication_at_large_n_holds_one_n_by_n_array():
     # At n = 3200 on the canonical grid (r = 16 resolved eigenpairs) a
     # replication run alone builds no n x n array, not even the data
@@ -441,10 +497,11 @@ def test_run_replication_at_large_n_holds_one_n_by_n_array():
     # it holds is n values times a small count:
     # - throughout: the points, responses and noise, and k(X, nodes) C
     #   on r + 2 columns, at most n (r + 8);
-    # - in a Taylor transform: P = 15 powers and P monomials per point or
-    #   center, Q = 8 anchor rows, at most 16 n of indices, offsets and
-    #   temporaries, and one block's scatter and sums, at most
-    #   APPLY_BLOCK_ENTRIES values each, or Q n for a single column;
+    # - in X's Taylor tables, held through the replication: P = 15 powers
+    #   and P monomials per point, Q = 8 anchor rows; at most 16 n of
+    #   indices, offsets and temporaries, and one block's sorted
+    #   coefficients and sums, at most APPLY_BLOCK_ENTRIES values each, or
+    #   Q n for a single column;
     # - in the two-column solve ([f | r], X, K X, the residual and the
     #   Woodbury terms) at most 16 n; the sup-norm axis transform holds
     #   fewer than the Taylor transform's 2 P n.
@@ -572,7 +629,7 @@ def test_a_gram_free_member_that_climbs_is_the_dense_rung_bit_for_bit(cho_factor
         grams.append(gram(kernel, xs, upper=True))
         return grams[-1]
 
-    free = _data_operator(kernel, xs, L, assemble)
+    free, _ = _data_operator(kernel, xs, True, assemble)
     assert isinstance(free, linalg.MatrixFreeOperator) and grams == []
     X, KX, errors = _ridge_factor(free, n * lam, 1.01 * L).solve_with_product(B)
     r = L.shape[-1]

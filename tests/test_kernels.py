@@ -19,6 +19,7 @@ from rkhsreg.kernels import (
     gram,
     kernel_apply,
     kernel_eval,
+    taylor_transform,
 )
 
 # Frozen closed-form evaluations at unit separation.
@@ -456,6 +457,30 @@ def test_gaussian_taylor_truncation_is_below_the_unit_roundoff(kernel_paths):
     exact = [
         math.fsum(a * math.exp(-8.0 * (x - y) ** 2) for a, y in zip(coeffs, centers[:, 0]))
         for x in ends[:, 0]
+    ]
+    np.testing.assert_allclose(got, exact, rtol=4 * 2.0**-53, atol=0)
+
+
+def test_gaussian_taylor_truncation_on_a_wider_interval_is_below_the_unit_roundoff(kernel_paths):
+    # A transform held on an interval wider than its inputs' hull, as the
+    # design context's is: on [-1/2, 3/2] at h = 1/2 (c = 2, W = 2, Q = 8
+    # anchors -3/8 + q/4), the centers 0, 1/4, ..., 1 sit on bin edges
+    # inside the hull [0, 1], 1/8 from their anchor, the largest |v| the
+    # bins allow. Dyadic points make every exponent exact, so math.exp
+    # and fsum give the sum within an ulp; positive coefficients add the
+    # truncation errors with one sign.
+    spec = KernelSpec("gaussian", 0.5, 1)
+    centers = np.arange(256) % 5 / 4.0
+    coeffs = 1.0 + np.arange(256) % 3 / 2.0
+    points = np.arange(9) / 8.0
+    transform = taylor_transform(spec, -0.5, 1.5, centers)
+    assert transform.count == 8
+    tables = transform.point_table(points), transform.center_table(centers)
+    got = transform.apply(*tables, coeffs)
+    assert kernel_paths == ["taylor"]
+    exact = [
+        math.fsum(a * math.exp(-2.0 * (x - y) ** 2) for a, y in zip(coeffs, centers))
+        for x in points
     ]
     np.testing.assert_allclose(got, exact, rtol=4 * 2.0**-53, atol=0)
 

@@ -452,7 +452,7 @@ def _upper_triangle_cases():
         # With low_rank its 1-d Gaussian data side would take the Taylor
         # transform and build no Gram at all, so that is turned off here.
         monkeypatch.setattr(estimator, "gram", lambda spec, xs, upper=False: K)
-        monkeypatch.setattr(estimator, "takes_taylor", lambda spec, a, b: False)
+        monkeypatch.setattr(estimator, "taylor_transform", lambda spec, low, high, centers: None)
         return gp_posterior_band(band_kernel, band_data, 30.0, np.linspace(0, 1, 201), low_rank)
 
     # Each low-rank form is made once from the full K: the consumers

@@ -671,27 +671,30 @@ def _package_call_sites(names: tuple[str, ...]) -> list[str]:
     ]
 
 
-GRAM_FREE_CHOICE = ("MatrixFreeOperator", "takes_taylor")
+GRAM_FREE_CHOICE = ("MatrixFreeOperator", "tables")
 
 
 def test_one_function_decides_gram_backed_or_gram_free():
     # Whether a replication's data side builds a Gram is decided in
-    # estimator._data_operator alone, from its inputs: it asks
-    # kernels.takes_taylor and builds the MatrixFreeOperator. Another
-    # call of either is a second route to the same case.
+    # estimator._data_operator alone, from its inputs: it forms the
+    # points' two Taylor tables for K V (TaylorTransform.tables) and
+    # builds the MatrixFreeOperator. Another call of either is a second
+    # route to the same case. The transform's constructor,
+    # kernels.taylor_transform, is not pinned here: kernel_apply and the
+    # design context ask it too, for products of their own.
     for snippet, scope in (
         ("op = MatrixFreeOperator((n, n), apply, assemble)", "<module>"),
-        ("def f(k, x):\n    return takes_taylor(k, x, x)", "f"),
+        ("def f(t, x):\n    return t.tables(x)", "f"),
         ("class C:\n    def f(self):\n        return linalg.MatrixFreeOperator(s, a, b)", "C.f"),
-        ("def f(k, x):\n    if kernels.takes_taylor(k, x, x):\n        return 1", "f"),
+        ("def f(t, x):\n    if t.tables(x):\n        return 1", "f"),
     ):
         assert _call_sites(ast.parse(snippet), GRAM_FREE_CHOICE) == [scope], snippet
     for snippet in (
         "op = GramOperator(K)",
         "cls = MatrixFreeOperator",
-        "def takes_taylor(spec, a, b):\n    return False",
-        "from .kernels import takes_taylor",
-        "op = _data_operator(kernel, xs, L, assemble)",
+        "def tables(self, x):\n    return x",
+        "t = taylor_transform(spec, low, high, x)",
+        "op = _data_operator(kernel, xs, True, assemble)",
     ):
         assert _call_sites(ast.parse(snippet), GRAM_FREE_CHOICE) == [], snippet
     assert _package_call_sites(GRAM_FREE_CHOICE) == ["estimator.py:_data_operator"] * 2
