@@ -7,7 +7,7 @@ model. Replications are keyed by (base_seed, n, lambda-bits,
 replication index) through a splittable seed scheme, so every
 dataset's points and noise are bit-for-bit reproducible whatever
 replications it is run beside; its responses agree to roundoff, since
-a chunk evaluates f0 at all its points at once (GridOperator.at_points).
+a chunk evaluates f0 at all its points at once (_sample_at_nodes).
 Replications run in chunks of consecutive indices, each chunk on
 stacked arrays (run_replication), and the chunks in index order. The
 replication driver measures RKHS distances of the ridge and auxiliary
@@ -529,10 +529,12 @@ def _sample_at_nodes(
     of these indices (_draw), drawn here if not given. node_coeffs holds
     coefficients on the grid nodes, f0's alone (m,) or f0's in its first
     column (m, k); the values k(X, nodes) @ node_coeffs at every point of
-    every dataset come from one product: from x_points, the points'
-    point table on the context's Taylor transform, against the nodes'
-    center table, or without it from the grid operator's per-factor
-    kernel rows (GridOperator.at_points).
+    every dataset come from one product. Where the context holds a
+    Taylor transform and its interval covers the points, that is the
+    points' point table on it, x_points if given (the one a Gram-free
+    replication formed) or formed here, against the nodes' center
+    table; otherwise the grid operator's per-factor kernel rows
+    (GridOperator.at_points).
 
     Returns:
         ((xs, fs), values) with xs (B, n, d), fs (B, n) and values
@@ -540,10 +542,13 @@ def _sample_at_nodes(
     """
     xs, noise = _draw(scenario, n, indices, lambda_key) if drawn is None else drawn
     B, d = xs.shape[0], xs.shape[2]
+    points, taylor = xs.reshape(B * n, d), dctx.taylor
+    if x_points is None and taylor is not None and taylor.covers(points[:, 0]):
+        x_points = taylor.point_table(points[:, 0])
     if x_points is None:
-        values = dctx.op.at_points(xs.reshape(B * n, d), node_coeffs)
+        values = dctx.op.at_points(points, node_coeffs)
     else:
-        values = dctx.taylor.apply(x_points, dctx.node_centers, node_coeffs)
+        values = taylor.apply(x_points, dctx.node_centers, node_coeffs)
     values = values.reshape((B, n) + node_coeffs.shape[1:])
     fs = values.reshape(B, n, -1)[..., 0] + noise
     return (xs, fs), values

@@ -443,16 +443,13 @@ class TaylorTransform:
         self._spacing = self._width / count
         self._anchors = low + self._spacing * (np.arange(count) + 0.5)
 
-    def takes(self, centers: NDArray[np.float64]) -> bool:
-        """Whether products with centers (m,) take this transform: 15 Q < m, all on the interval.
+    def covers(self, x: NDArray[np.float64]) -> bool:
+        """Whether every point of x (n,), n > 0, lies on the interval; False for a NaN."""
+        return bool(self.low <= x.min()) and bool(x.max() <= self.high)
 
-        Written so that a NaN center fails it.
-        """
-        return (
-            self.count * _TAYLOR_TERMS < centers.shape[0]
-            and bool(self.low <= centers.min())
-            and bool(centers.max() <= self.high)
-        )
+    def takes(self, centers: NDArray[np.float64]) -> bool:
+        """Whether products with centers (m,) take this transform: 15 Q < m, all on the interval."""
+        return self.count * _TAYLOR_TERMS < centers.shape[0] and self.covers(centers)
 
     def point_table(self, x: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """The point table of x (n,) on the interval: its (Q, n) anchor rows and (P, n) monomials s^p."""

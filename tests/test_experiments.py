@@ -582,8 +582,8 @@ def test_a_chunk_draws_each_dataset_bit_for_bit(scenario):
     # and its noise the bits of NumPy's normal(0, std_at(x)) drawn after
     # the points from the index's own stream. f0 at the data is evaluated
     # for the whole chunk at once (in row blocks, or by the Taylor
-    # transform with anchors over the chunk's box), so the responses
-    # agree with sample_dataset's to roundoff.
+    # transform on the design's interval), so the responses agree with
+    # sample_dataset's to roundoff.
     n, lam, indices = 50, 0.2, range(3, 14)
     lam_bits = int(np.float64(lam).view(np.uint64))
     dctx = exp._design_context(scenario)
@@ -1083,18 +1083,20 @@ def test_design_context_flags_a_nan_target_gap(monkeypatch, fresh_contexts):
 def _run_canonical_with_nan_from_taylor(monkeypatch, tmp_path, planted):
     """`rkhsreg run` of CANON at n = 50 with a NaN planted in Taylor transform products.
 
-    The NaN goes into row 0 of each product for which
-    planted(points, centers) holds.
+    Every Taylor product is one TaylorTransform.apply, from kernel_apply
+    or from tables a caller holds. The NaN goes into row 0 of each
+    product for which planted(n, m) holds, n and m the sizes of its
+    point table and center table.
     """
-    orig = kernels_mod._gaussian_taylor_apply
+    orig = kernels_mod.TaylorTransform.apply
 
-    def nan_first(spec, points, centers, coeffs):
-        out = orig(spec, points, centers, coeffs)
-        if planted(points, centers):
+    def nan_first(self, points, centers, coeffs):
+        out = orig(self, points, centers, coeffs)
+        if planted(points[0].shape[1], centers[0].shape[0]):
             out[0] = np.nan
         return out
 
-    monkeypatch.setattr(kernels_mod, "_gaussian_taylor_apply", nan_first)
+    monkeypatch.setattr(kernels_mod.TaylorTransform, "apply", nan_first)
     config = {
         "scenario": dataclasses.asdict(CANON),
         "ns": [50],
@@ -1111,9 +1113,10 @@ def _run_canonical_with_nan_from_taylor(monkeypatch, tmp_path, planted):
 def test_a_nan_from_the_taylor_transform_stops_the_run(monkeypatch, tmp_path, capsys, fresh_contexts):
     # f0 and f_lambda at the data come from the Taylor transform for the
     # canonical 1-d Gaussian scenario: a NaN in its first row on a chunk's
-    # datasets reaches a replication's responses, and the run exits 3.
-    def on_data(points, centers):
-        return not np.array_equal(points, centers)
+    # datasets (26 * 50 points against 256 nodes) reaches a replication's
+    # responses, and the run exits 3.
+    def on_data(n, m):
+        return n != m
 
     assert _run_canonical_with_nan_from_taylor(monkeypatch, tmp_path, on_data) == 3
     assert "invariant broken: non-finite f at n=50, replication 0" in capsys.readouterr().err
@@ -1123,9 +1126,12 @@ def test_a_nan_from_the_taylor_transform_at_the_nodes_stops_the_set_up(
     monkeypatch, tmp_path, capsys, fresh_contexts
 ):
     # The design context's node check sums the target's expansion at the
-    # nodes by the Taylor transform too: a NaN there makes its gap NaN
-    # before any replication runs.
-    assert _run_canonical_with_nan_from_taylor(monkeypatch, tmp_path, np.array_equal) == 3
+    # nodes (256 points against 256 centers) by the Taylor transform too:
+    # a NaN there makes its gap NaN before any replication runs.
+    def at_nodes(n, m):
+        return n == m
+
+    assert _run_canonical_with_nan_from_taylor(monkeypatch, tmp_path, at_nodes) == 3
     assert "invariant broken: Fredholm right-hand side is off the target f0 by nan" in (
         capsys.readouterr().err
     )
