@@ -83,10 +83,11 @@ anchor kernel values and P monomials s^p per point (Q exponentials);
 as centers, its center table holds the centers sorted by anchor, with
 P powers (c W v)^p / p! times the third factor per center (one
 exponential). A product k(x, y) @ coeffs reads x's point table and
-y's center table: each anchor's Q P moments per column are a sum over
+y's center table: each anchor's P moments per column are a sum over
 its own segment of the sorted centers, P multiply-adds per center and
 column, and each point then takes Q P multiply-adds per column against
 its rows and monomials.
+
 The rule has no free parameter. Q = ceil(c W^2 / (2 rho)) keeps
 |t| <= c W^2 / 2Q <= rho, with rho = 1/2, the axis transform's bound
 on its offset exponents; the third factor's exponent then lies in
