@@ -52,7 +52,11 @@ from .kernels import (
 from .linalg import sym_eig
 
 # Discretization identity tolerance: f0 - f_lambda must equal lam * w at
-# the nodes; larger residuals mean the quadrature system is inconsistent.
+# the nodes within RESIDUAL_TOL * max(1, max |f0|); larger residuals mean
+# the quadrature system is inconsistent. The system is linear, so scaling
+# f0 scales w, f_lambda and every rounding error of the residual with it:
+# the tolerance is relative to the largest target value, and absolute for
+# targets within [-1, 1].
 RESIDUAL_TOL = 1e-6
 
 DESIGN_KINDS = ("uniform", "truncated_gaussian", "dirac")
@@ -529,8 +533,9 @@ def solve_coefficient(
     Raises:
         ValueError: If lam <= 0 or f0_values has the wrong length.
         ArithmeticError: If the identity f0 - f_lambda = lam * w fails
-            beyond tolerance, signalling an inconsistent discretization,
-            or its residual is NaN (a NaN in f0_values, say).
+            beyond RESIDUAL_TOL * max(1, max |f0|), signalling an
+            inconsistent discretization, or its residual is NaN (a NaN in
+            f0_values, say).
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -550,8 +555,9 @@ def solve_coefficient(
     flambda = op.apply(Ww)
     residual = f0 - flambda - lam * w
     residual_max = float(np.max(np.abs(residual)))
-    # Written so that a NaN residual fails it.
-    if not residual_max <= RESIDUAL_TOL:
+    # Written so that a NaN residual or an infinite f0 fails it; max keeps 1 for a NaN f0.
+    tolerance = RESIDUAL_TOL * max(1.0, float(np.max(np.abs(f0))))
+    if not residual_max <= tolerance < np.inf:
         raise ArithmeticError(
             f"discretization inconsistency: identity residual {residual_max:.3e}"
         )

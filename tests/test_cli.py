@@ -567,6 +567,21 @@ def test_run_out_flag_overrides_config(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
+def test_run_far_from_the_origin_exits_0(tmp_path, capsys):
+    # On [1000, 1001] the target poly3 reaches about 1e9 at the nodes, and
+    # the grid solve's node identity holds to about 1e-15 of that: the
+    # identity's tolerance is relative to the target's size, so such a
+    # valid config runs (at the absolute 1e-6 it exited 3 with "identity
+    # residual 1.013e-06"). n = 200 takes the Gram-free data side.
+    cfg = _base_config(tmp_path / "out", ns=[50, 200], R=4, emit_plots=False)
+    cfg["scenario"].update(
+        design={"kind": "uniform", "low": 1000.0, "high": 1001.0}, w0="poly3", grid_m=256
+    )
+    cfg["lambda_rule"]["value"] = 0.05
+    assert main(["run", _write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_run_failure_rate_exit_code(tmp_path, monkeypatch, capsys):
     cfg = _base_config(tmp_path / "out")
     path = _write_config(tmp_path, cfg)

@@ -185,6 +185,27 @@ def test_solver_flags_inconsistent_discretization():
         solve_coefficient(_ShiftedSpectrum(GAUSS, grid), np.ones(8), 0.5)
 
 
+def test_node_identity_tolerance_is_relative_to_the_target():
+    # Far from the origin a target of size 1e9 leaves a node residual of
+    # about 1e-6 from roundoff alone, inside RESIDUAL_TOL * max |f0|; a
+    # spectrum 1% off still breaks the identity by far more at that scale,
+    # and an infinite target breaks it at any residual.
+    grid = build_grid(DesignMeasure.uniform(1000.0, 1001.0), 256)
+    op = GridOperator(GAUSS, grid)
+    f0, _ = f0_in_range(op, grid.nodes[:, 0] ** 3)
+    assert np.max(np.abs(f0)) > 1e8
+    sol = solve_coefficient(op, f0, 0.05)
+    assert sol.residual_max <= 1e-14 * np.max(np.abs(f0))
+    nu, Vs = op.spectrum
+    object.__setattr__(op, "spectrum", (1.01 * nu, Vs))
+    with pytest.raises(ArithmeticError, match="identity residual"):
+        solve_coefficient(op, f0, 0.05)
+    f0 = np.ones(8)
+    f0[3] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="identity residual"):
+        solve_coefficient(GridOperator(GAUSS, build_grid(UNIFORM, 8)), f0, 0.5)
+
+
 def test_solver_flags_a_nan_in_the_right_hand_side():
     # A NaN residual fails the node identity, under its own message.
     f0 = np.ones(8)
