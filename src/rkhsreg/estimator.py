@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -130,44 +128,73 @@ class Dataset:
         return self.xs.shape[0]
 
 
+def _gram_free_transform(
+    kernel: KernelSpec,
+    n: int,
+    woodbury: bool,
+    design: TaylorTransform | None,
+    xs: NDArray[np.float64] | None = None,
+) -> TaylorTransform | None:
+    """The Taylor transform that the products K V of point sets of n points take, or None.
+
+    The one answer to whether a data side is Gram-free, and on which
+    transform. Only a data side offered the Woodbury rung (woodbury,
+    K ~ L L') is. It takes design, a transform that the caller holds on
+    an interval meant to cover the points, if design's sums pay against
+    n centers and it covers every point; else the transform on the
+    points' own hull (kernels.taylor_transform: today a 1-d Gaussian
+    kernel with 15 Q < n). xs (n, d), or a stack (B, n, d), gives the
+    points. With xs None the answer is for points still to be drawn on
+    design's interval, all that a chunk's size needs
+    (experiments._chunk_size): design or None.
+    """
+    if not woodbury:
+        return None
+    x = None if xs is None else xs[..., 0]
+    if design is not None and design.pays(n) and (x is None or design.covers(x)):
+        return design
+    return None if x is None else taylor_transform(kernel, x.min(), x.max(), x)
+
+
 def _data_operator(
     kernel: KernelSpec,
     xs: NDArray[np.float64],
     woodbury: bool,
-    assemble: Callable[[], NDArray[np.float64]],
+    assemble: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     design: TaylorTransform | None = None,
 ) -> tuple[GramOperator | MatrixFreeOperator, tuple | None]:
     """The data side K of the ridge systems on points xs (n, d), or on a stack (B, n, d).
 
-    The one choice between a Gram and none. One point set offered the
-    Woodbury rung (woodbury, K ~ L L') on which a Taylor transform takes
-    its products K V gets a MatrixFreeOperator: design, a transform that
-    the caller holds on an interval covering the points, if it takes
-    them, or else the transform on the points' own hull
-    (kernels.taylor_transform: today a 1-d Gaussian kernel with 15 Q < n).
-    X's point table and center table are formed once, here, and every
-    product K V reads them; no n x n array is formed unless a member
-    goes dense, which calls assemble() for its Gram. Everything else
-    gets a GramOperator on assemble(), the Gram (or stack of Grams) of
-    xs that the caller builds.
+    The one choice between a Gram and none. Where _gram_free_transform
+    finds a transform, K is a MatrixFreeOperator for every set at once:
+    the stack's point table is formed once over all B n points and each
+    set gets its own center table (TaylorTransform.tables), here, and
+    every product K_b V_b reads them. No n x n array is formed unless a
+    member goes dense, which calls assemble on that member's points
+    alone, (1, n, d), for its Gram. Everything else gets a GramOperator
+    on assemble(xs), the Gram (or stack of Grams) of xs that the caller
+    builds.
 
     Returns:
-        (K, tables): tables is X's (point table, center table) on design
+        (K, tables): tables is the (point table, center table) of the
+        stack xs[..., 0], (B, n) with B = 1 for one point set, on design
         where K's products read them, for the caller's own products with
         design's other tables; None otherwise.
     """
-    n = xs.shape[-2]
-    # All the points, which are one point set for (n, d) or a stack of one.
-    points = xs.reshape(-1, xs.shape[-1])
-    if woodbury and len(points) == n:
-        x = points[:, 0]
-        shared = design is not None and design.takes(x)
-        transform = design if shared else taylor_transform(kernel, x.min(), x.max(), x)
-        if transform is not None:
-            tables = transform.tables(x)
-            K = MatrixFreeOperator(xs.shape[:-2] + (n, n), partial(transform.apply, *tables), assemble)
-            return K, tables if shared else None
-    return GramOperator(assemble()), None
+    n, d = xs.shape[-2:]
+    transform = _gram_free_transform(kernel, n, woodbury, design, xs)
+    if transform is None:
+        return GramOperator(assemble(xs)), None
+    stack = xs.reshape(-1, n, d)
+    tables = transform.tables(stack[..., 0])
+
+    def product(Vt: NDArray[np.float64]) -> NDArray[np.float64]:
+        return transform.apply(*tables, Vt.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+    K = MatrixFreeOperator(
+        xs.shape[:-2] + (n, n), product, lambda members: assemble(stack[members])
+    )
+    return K, tables if transform is design else None
 
 
 def _ridge_factor(
@@ -290,7 +317,7 @@ def gp_posterior_band(
     pts = as_points(xs, kernel.dim)
     # The factor and its check read only K's upper triangle, or no Gram at all.
     K, _ = _data_operator(
-        kernel, data.xs, low_rank is not None, lambda: gram(kernel, data.xs, upper=True)
+        kernel, data.xs, low_rank is not None, lambda points: gram(kernel, points, upper=True)
     )
     # Rows f and k(x, X), transposed, are the right-hand sides; rows 1:
     # then serve as k(x, X), so no second copy of it lives through the solve.

@@ -31,10 +31,12 @@ from .estimator import (
     KernelExpansion,
     _clamp_broken,
     _data_operator,
+    _gram_free_transform,
     _ridge_factor,
     evaluate_batch,
 )
 from .fredholm import (
+    LOW_RANK_MIN_RATIO,
     DesignMeasure,
     FredholmSolution,
     GridOperator,
@@ -46,6 +48,7 @@ from .fredholm import (
     solve_coefficient,
 )
 from .kernels import (
+    APPLY_BLOCK_ENTRIES,
     ConfigError,
     KernelSpec,
     TaylorTransform,
@@ -267,6 +270,11 @@ class _LambdaContext:
     theta_star: float
     # Columns f0.coeffs and flam.coeffs: both expansions sit on the grid nodes.
     node_coeffs: NDArray[np.float64]
+    # The Taylor moments (1, Q, P, 2 + r) of [f0 | f_lambda | C] on the
+    # nodes' center table, C the grid's Nystrom coefficients, for every
+    # chunk's f0(X), f_lambda(X) and L; None where the design context
+    # holds no Taylor transform.
+    node_moments: NDArray[np.float64] | None
 
 
 # Relative gap allowed between the target's node values from the grid
@@ -323,7 +331,13 @@ def _lambda_context(scenario: ScenarioSpec, lam: float) -> _LambdaContext:
     flam_eval = dctx.op.at_points(scenario.design.eval_grid, flam.coeffs)
     theta_star = continuous_objective(sol, scenario.noise.irreducible(dctx.op.grid))
     node_coeffs = np.column_stack([dctx.f0.coeffs, flam.coeffs])
-    return _LambdaContext(sol, flam, flam_eval, theta_star, node_coeffs)
+    node_moments = None
+    if dctx.taylor is not None:
+        # Any n at or above 10 r gets the Nystrom coefficients, the same for every such n.
+        nystrom = dctx.op.nystrom_coefficients(LOW_RANK_MIN_RATIO * dctx.op.rank)
+        columns = np.hstack([node_coeffs, nystrom])
+        node_moments = dctx.taylor.moments(dctx.node_centers, columns)
+    return _LambdaContext(sol, flam, flam_eval, theta_star, node_coeffs, node_moments)
 
 
 def continuous_solution(scenario: ScenarioSpec, lam: float) -> FredholmSolution:
@@ -522,6 +536,7 @@ def _sample_at_nodes(
     node_coeffs: NDArray[np.float64],
     drawn: tuple[NDArray[np.float64], NDArray[np.float64]] | None = None,
     x_points: tuple | None = None,
+    node_moments: NDArray[np.float64] | None = None,
 ) -> tuple[tuple[NDArray[np.float64], NDArray[np.float64]], NDArray[np.float64]]:
     """The datasets of replications indices, with node expansions evaluated at the data.
 
@@ -531,9 +546,10 @@ def _sample_at_nodes(
     column (m, k); the values k(X, nodes) @ node_coeffs at every point of
     every dataset come from one product. Where the context holds a
     Taylor transform and its interval covers the points, that is the
-    points' point table on it, x_points if given (the one a Gram-free
-    replication formed) or formed here, against the nodes' center
-    table; otherwise the grid operator's per-factor kernel rows
+    stack's point table on it, x_points if given (the one a Gram-free
+    chunk formed) or formed here, against the nodes' center table, with
+    node_coeffs' moments on it if given (the lambda context's);
+    otherwise the grid operator's per-factor kernel rows
     (GridOperator.at_points).
 
     Returns:
@@ -542,14 +558,14 @@ def _sample_at_nodes(
     """
     xs, noise = _draw(scenario, n, indices, lambda_key) if drawn is None else drawn
     B, d = xs.shape[0], xs.shape[2]
-    points, taylor = xs.reshape(B * n, d), dctx.taylor
-    if x_points is None and taylor is not None and taylor.covers(points[:, 0]):
-        x_points = taylor.point_table(points[:, 0])
+    taylor = dctx.taylor
+    if x_points is None and taylor is not None and taylor.covers(xs[..., 0]):
+        x_points = taylor.point_table(xs[..., 0])
     if x_points is None:
-        values = dctx.op.at_points(points, node_coeffs)
+        values = dctx.op.at_points(xs.reshape(B * n, d), node_coeffs)
+        values = values.reshape((B, n) + node_coeffs.shape[1:])
     else:
-        values = taylor.apply(x_points, dctx.node_centers, node_coeffs)
-    values = values.reshape((B, n) + node_coeffs.shape[1:])
+        values = taylor.apply(x_points, dctx.node_centers, node_coeffs, node_moments)
     fs = values.reshape(B, n, -1)[..., 0] + noise
     return (xs, fs), values
 
@@ -560,14 +576,14 @@ def _sample_at_nodes(
 # about n * 1.1e-16 relative (9e-14 at n = 800), so their sum is off by
 # at most CERTIFICATE_RTOL times the sum of their sizes.
 CERTIFICATE_RTOL = 1e-9
-# Data-Gram entries of one chunk of replications: _run_many runs
-# max(1, CHUNK_GRAM_ENTRIES // n^2) replications per run_replication
-# call, 26 at n = 50, 4 at n = 128 and 1 from n = 182 on. The Grams of
-# a chunk of two or more take at most 512 KiB, which fits in L2 cache;
-# at larger n each replication runs alone, and one run alone on the
-# Woodbury rung on whose points a Taylor transform takes the products
-# (the canonical 1-d Gaussian from n = 182) builds no Gram at all
-# (_data_operator).
+# Data-Gram entries of one chunk of replications that builds Grams:
+# _run_many runs max(1, CHUNK_GRAM_ENTRIES // n^2) such replications per
+# run_replication call, 26 at n = 50, 4 at n = 128 and 1 from n = 182
+# on. The Grams of a chunk of two or more take at most 512 KiB, which
+# fits in L2 cache. A Gram-free chunk, on the Woodbury rung on whose
+# points a Taylor transform takes the products (the canonical 1-d
+# Gaussian from n = 10 r = 160), builds no Gram at all (_data_operator)
+# and takes its size from the transform's block instead (_chunk_size).
 CHUNK_GRAM_ENTRIES = 2**16
 
 
@@ -582,12 +598,14 @@ def run_replication(
     f0, f_lambda and, from n >= 10 r, the Nystrom factor L at every point
     (_sample_at_nodes), one auxiliary_residuals call, one product for
     the sup-norm grid, and one array operation per metric, clamp and
-    check. K is a (B, n, n) stack of data Grams, except for a replication
-    run alone on the Woodbury rung on whose points a Taylor transform
-    takes K's products: its K builds no Gram, and each product K V reads
-    the points' two Taylor tables, formed once. On the transform the
-    design context holds those tables serve the product with the nodes
-    and the sup-norm axis too. Only the factor of K + n*lam*I and the
+    check. K is a (B, n, n) stack of data Grams, except on the Woodbury
+    rung where a Taylor transform takes K's products: then K is one
+    Gram-free operator for the B members, which builds no Gram; the
+    stack's point table is formed once over all B n points, each member
+    has its own center table, and each product K_b V_b reads them; a
+    replication run alone is the case B = 1. On the transform the design
+    context holds those tables serve the product with the nodes and the
+    sup-norm axis too. Only the factor of K + n*lam*I and the
     products with K are made per dataset, by one SpdFactor over the
     stack (_ridge_factor): K + n*lam*I is formed once for its dense
     members and not at all for its Woodbury ones, one loop factors and
@@ -595,7 +613,7 @@ def run_replication(
     A failed factor or check fails its own index alone. Every product
     and factor reads only the upper triangle of each K, and a replication
     run alone assembles no more than that (gram(..., upper=True)), or,
-    Gram-free, only if its member goes dense. The auxiliary
+    Gram-free, only for the members that go dense. The auxiliary
     fit comes first, since its residuals r = f - (K + n*lam*I) t,
     t = w~/n its coefficients, need only the data and f_lambda; it also
     hands back f~ at the data, K t. One two-column solve
@@ -627,10 +645,10 @@ def run_replication(
     A non-finite input is a broken invariant too: an index whose solve
     or check failed is first checked for a NaN or infinity in f, f0(X),
     f_lambda(X) and what its data operator formed (its Gram's upper
-    triangle, or Gram-free its products K V), so that a NaN stops the
-    run instead of counting as a numerical failure. A check that meets a
-    NaN is broken, so a NaN that arises later, in f_lambda or the fit on
-    the sup-norm grid say, stops the run too.
+    triangle, or Gram-free its rows of the products K V), so that a NaN
+    stops the run instead of counting as a numerical failure. A check
+    that meets a NaN is broken, so a NaN that arises later, in f_lambda
+    or the fit on the sup-norm grid say, stops the run too.
 
     Returns:
         For one index its ReplicationMetrics; for a sequence, a list
@@ -671,21 +689,24 @@ def _run_chunk(
     Only if a solve or a row failed do four rows go first: whether f,
     f0(X), f_lambda(X) and the data Gram hold a NaN or infinity, filled
     in for those members and False for the others. The data Gram row
-    reads what the data operator formed (K.formed): the upper triangle
-    of a Gram, or, Gram-free, every product K V it made. The
+    reads what the data operator formed for each member (K.formed): the
+    upper triangle of its Gram, or, Gram-free, its rows of every product
+    K V and its own Gram if it went dense. The
     one raise site names the first broken row of the lowest failing
     index, with n, the replication and the row's values or margin.
 
     The data Grams are full for a chunk of two or more and the upper
-    triangle alone for one index, which builds none where _data_operator
-    picks the Gram-free operator; the auxiliary fit, the factor and its
-    check read only the upper triangle of a Gram either way. The points
-    are drawn first (_draw), so that _data_operator sees them before any
-    product: where it hands back their Taylor tables on the design
-    context's transform, f0(X), f_lambda(X) and L come from their point
-    table against the nodes' center table, and the fit on the sup-norm
-    axis from the axis' point table against their center table, in
-    place of GridOperator.at_points and on_product.
+    triangle alone for one index; a Gram-free chunk (_data_operator)
+    builds none but the upper triangles of its members that go dense.
+    The auxiliary fit, the factor and its check read only the upper
+    triangle of a Gram either way. The points are drawn first (_draw),
+    so that _data_operator sees them before any product: where it hands
+    back the stack's Taylor tables on the design context's transform,
+    f0(X), f_lambda(X) and L come from their point table against the
+    nodes' center table, with the lambda context's moments of the node
+    coefficients, and the fit on the sup-norm axis from the axis' point
+    table against every member's center table, one product per chunk,
+    in place of GridOperator.at_points and on_product.
     """
     dctx = _design_context(scenario)
     lctx = _lambda_context(scenario, lam)
@@ -694,22 +715,26 @@ def _run_chunk(
     # On the Woodbury rung one product with the nodes also gives L = k(X, nodes) C.
     nystrom = dctx.op.nystrom_coefficients(n)
     node_coeffs = lctx.node_coeffs if nystrom is None else np.hstack([lctx.node_coeffs, nystrom])
+    node_moments = lctx.node_moments
+    if node_moments is not None:
+        node_moments = node_moments[..., : node_coeffs.shape[1]]
     drawn = _draw(scenario, n, indices, lam)
-    # A replication run alone (n >= 182 in _run_many) has a Gram of
-    # several row blocks, and assembling its upper triangle alone skips
-    # about half its kernel values. A chunk's smaller Grams cost less in
-    # full than with their lower triangles cleared. Only the upper
-    # triangle is read either way, and a replication run alone on the
-    # Woodbury rung with the Taylor transform builds no Gram unless it
-    # goes dense (_data_operator); on the design's transform it hands
-    # back X's tables, which f0(X) and the sup-norm axis read too.
+    # A Gram of one replication (n >= 182 in _run_many) has several row
+    # blocks, and assembling its upper triangle alone skips about half
+    # its kernel values. A chunk's smaller Grams cost less in full than
+    # with their lower triangles cleared. Only the upper triangle is read
+    # either way, and a Gram-free chunk builds the upper triangles of the
+    # members that go dense alone (_data_operator); on the design's
+    # transform it hands back X's tables, which f0(X) and the sup-norm
+    # axis read too.
     K, tables = _data_operator(
         scenario.kernel, drawn[0], nystrom is not None,
-        lambda: gram(scenario.kernel, drawn[0], upper=len(indices) == 1), dctx.taylor,
+        lambda points: gram(scenario.kernel, points, upper=len(points) < max(2, len(indices))),
+        dctx.taylor,
     )
     x_points, x_centers = tables or (None, None)
     (xs, fs), at_xs = _sample_at_nodes(
-        scenario, dctx, n, indices, lam, node_coeffs, drawn, x_points
+        scenario, dctx, n, indices, lam, node_coeffs, drawn, x_points, node_moments
     )
     low_rank = None if nystrom is None else at_xs[..., 2:]
     proj0, projl = at_xs[..., 0], at_xs[..., 1]
@@ -749,7 +774,7 @@ def _run_chunk(
     if x_centers is None:
         fhat_eval = dctx.op.on_product(dctx.eval_points, xs, a)
     else:
-        fhat_eval = dctx.taylor.apply(dctx.axis_points, x_centers, a[0])[None]
+        fhat_eval = dctx.taylor.apply(dctx.axis_points, x_centers, a)
     sup_gap_grid_max = np.max(np.abs(fhat_eval - lctx.flam_eval), axis=-1)
     certificate_slack = CERTIFICATE_RTOL * (np.abs(aKa) + 2.0 * np.abs(a_projl) + norm_flam_sq)
     # A negative ||f_lambda||^2, which breaks a clamp row first, makes
@@ -778,7 +803,7 @@ def _run_chunk(
         }
         nonfinite = np.zeros((len(inputs), len(indices)))
         for row, x in zip(nonfinite, inputs.values()):
-            row[suspect] = np.count_nonzero(~np.isfinite(x.reshape(len(x), -1)), axis=1)
+            row[suspect] = [np.count_nonzero(~np.isfinite(member)) for member in x]
         table = np.vstack([nonfinite > 0, table])
     # (member, row) pairs in order: the first is the lowest failing index's first broken row.
     broken = np.argwhere(table.T)
@@ -810,13 +835,31 @@ def _run_chunk(
     ]
 
 
+def _chunk_size(scenario: ScenarioSpec, n: int) -> int:
+    """Replications per run_replication call at n: per Taylor block, or per CHUNK_GRAM_ENTRIES.
+
+    Where the data side of draws on the design's support is Gram-free
+    (estimator._gram_free_transform, the rule _data_operator follows),
+    max(1, APPLY_BLOCK_ENTRIES // (Q n)) members, so that one column of
+    the chunk's (Q, B n) Taylor sums holds no more values than a row
+    block of the assembly: 5 at n = 800 and 22 at n = 181 on the
+    canonical grid (Q = 8). Otherwise max(1, CHUNK_GRAM_ENTRIES // n^2).
+    """
+    dctx = _design_context(scenario)
+    woodbury = dctx.op.nystrom_coefficients(n) is not None
+    transform = _gram_free_transform(scenario.kernel, n, woodbury, dctx.taylor)
+    if transform is None:
+        return max(1, CHUNK_GRAM_ENTRIES // max(1, n * n))
+    return max(1, APPLY_BLOCK_ENTRIES // (transform.count * n))
+
+
 def _run_many(
     scenario: ScenarioSpec, n: int, lam: float, R: int
 ) -> tuple[list[ReplicationMetrics], list[int]]:
     """Runs R replications in chunks, in index order; returns (successes, failed indices).
 
-    Each run_replication call takes the next
-    max(1, CHUNK_GRAM_ENTRIES // n^2) indices. Only numerical failures
+    Each run_replication call takes the next _chunk_size(scenario, n)
+    indices. Only numerical failures
     (np.linalg.LinAlgError, which includes NotPositiveDefiniteError)
     are counted. An ArithmeticError means a paper identity broke, which
     is a wiring fault rather than bad luck in the draw, so it propagates
@@ -824,7 +867,7 @@ def _run_many(
     """
     successes: list[ReplicationMetrics] = []
     failed: list[int] = []
-    size = max(1, CHUNK_GRAM_ENTRIES // max(1, n * n))
+    size = _chunk_size(scenario, n)
     for start in range(0, R, size):
         indices = range(start, min(start + size, R))
         for index, result in zip(indices, run_replication(scenario, n, lam, indices)):

@@ -37,7 +37,11 @@ is a TaylorTransform on the hull of its inputs; a caller that multiplies
 by one point set many times holds its own (taylor_transform), on an
 interval that covers every point set it will meet, and forms each
 point set's tables once: the data side of a ridge system then forms
-K V from X's two tables with no n x n Gram.
+K V from X's two tables with no n x n Gram. A stack of B point sets has
+one point table over all its points and one center table with a
+segment per set and anchor, so the data sides of B ridge systems form
+every K_b V_b in one product; a replication run alone is a stack of
+one.
 
 The axis transform is a factored Gauss transform (cf. Greengard and
 Strain 1991, "The fast Gauss transform") for exp(-c (p - x)^2) with
@@ -83,10 +87,11 @@ anchor kernel values and P monomials s^p per point (Q exponentials);
 as centers, its center table holds the centers sorted by anchor, with
 P powers (c W v)^p / p! times the third factor per center (one
 exponential). A product k(x, y) @ coeffs reads x's point table and
-y's center table: each anchor's P moments per column are a sum over
-its own segment of the sorted centers, P multiply-adds per center and
-column, and each point then takes Q P multiply-adds per column against
-its rows and monomials.
+y's center table in two steps: each anchor's P moments per column are
+a sum over its own segment of the sorted centers, P multiply-adds per
+center and column, and each point then takes Q P multiply-adds per
+column against its rows and monomials. A caller that multiplies the
+same coefficients at many point sets holds their moments.
 
 The rule has no free parameter. Q = ceil(c W^2 / (2 rho)) keeps
 |t| <= c W^2 / 2Q <= rho, with rho = 1/2, the axis transform's bound
@@ -404,7 +409,7 @@ def _power_rows(base: NDArray[np.float64]) -> NDArray[np.float64]:
 def taylor_transform(
     spec: KernelSpec, low: float, high: float, centers: NDArray[np.float64]
 ) -> TaylorTransform | None:
-    """The Taylor transform of spec on [low, high] for products with centers (m,), or None.
+    """The Taylor transform of spec on [low, high] for products with centers (m,) or (B, m).
 
     The one constructor, with the rule of the module docstring: None
     unless spec is a 1-d Gaussian kernel, [low, high] is a finite
@@ -416,7 +421,7 @@ def taylor_transform(
     width = high - low
     if not 0.0 < width < math.inf:
         return None
-    m = centers.shape[0]
+    m = centers.shape[-1]
     quotient = 0.5 / spec.bandwidth**2 * width * width / (2.0 * _TAYLOR_RHO)
     # Compared with m as a float first: c W^2 may overflow, and math.ceil
     # takes no infinity. A count of m is refused by takes below.
@@ -428,10 +433,13 @@ def taylor_transform(
 class TaylorTransform:
     """The Taylor transform of a 1-d Gaussian kernel fixed on one interval (module docstring).
 
-    Made by taylor_transform. A point set on the interval has a point
-    table (point_table) and a center table (center_table), each formed
-    once, and apply forms k(points, centers) @ coeffs from any point
-    table and center table of the same transform.
+    Made by taylor_transform. A point set on the interval, or a stack of
+    B of them, has a point table (point_table) and a center table
+    (center_table), each formed once, and apply forms k(points, centers)
+    @ coeffs from any point table and center table of the same
+    transform, in two steps: the centers' moments per anchor (moments),
+    which a caller may hold for coefficients it multiplies many times,
+    and their evaluation at the points.
     """
 
     def __init__(self, spec: KernelSpec, low: float, high: float, count: int):
@@ -445,78 +453,160 @@ class TaylorTransform:
         self._anchors = low + self._spacing * (np.arange(count) + 0.5)
 
     def covers(self, x: NDArray[np.float64]) -> bool:
-        """Whether every point of x (n,), n > 0, lies on the interval; False for a NaN."""
+        """Whether every point of x, x.size > 0, lies on the interval; False for a NaN."""
         return bool(self.low <= x.min()) and bool(x.max() <= self.high)
 
-    def takes(self, centers: NDArray[np.float64]) -> bool:
-        """Whether products with centers (m,) take this transform: 15 Q < m, all on the interval."""
-        return self.count * _TAYLOR_TERMS < centers.shape[0] and self.covers(centers)
+    def pays(self, m: int) -> bool:
+        """Whether the Taylor sums pay against sets of m centers: 15 Q < m."""
+        return self.count * _TAYLOR_TERMS < m
 
-    def point_table(self, x: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """The point table of x (n,) on the interval: its (Q, n) anchor rows and (P, n) monomials s^p."""
-        return cross_gram(self.spec, self._anchors, x), _power_rows((x - self._mid) / self._half)
+    def takes(self, centers: NDArray[np.float64]) -> bool:
+        """Whether products with centers (m,), or each set of a stack (B, m), take this transform.
+
+        That is pays(m) and every center on the interval.
+        """
+        return self.pays(centers.shape[-1]) and self.covers(centers)
+
+    def point_table(self, x: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray]:
+        """The point table of x (n,), or of a stack (B, n), on the interval.
+
+        Its (Q,) + x.shape anchor rows and (P,) + x.shape monomials s^p.
+        """
+        flat = x.reshape(-1)
+        rows = cross_gram(self.spec, self._anchors, flat)
+        monomials = _power_rows((flat - self._mid) / self._half)
+        return rows.reshape((self.count,) + x.shape), monomials.reshape((_TAYLOR_TERMS,) + x.shape)
 
     def center_table(self, y: NDArray[np.float64]) -> tuple[NDArray[np.intp], list[int], NDArray]:
-        """The center table of y (m,) on the interval: the centers sorted by nearest anchor.
+        """The center table of y (m,), or of a stack (B, m), on the interval.
 
-        That is the order that sorts them, each anchor's segment of the
-        sorted centers as Q + 1 bounds, and per sorted center i its
-        (c W v_i)^p / p! times its third factor, as (P, m) rows.
+        The centers of each set sorted by nearest anchor, the sets one
+        after another: the flat indices into y that sort them, shaped as
+        y; the B Q segments (set b, anchor q) of the sorted centers as
+        B Q + 1 bounds; and per sorted center i its (c W v_i)^p / p!
+        times its third factor, as (P, B m) rows.
         """
         # Each center's nearest anchor, so |v| <= spacing / 2.
         bins = np.minimum(((y - self.low) / self._spacing).astype(np.intp), self.count - 1)
-        # The smallest unsigned type of the bins, which NumPy's stable sort radix-sorts.
-        order = np.argsort(bins.astype(np.min_scalar_type(self.count - 1)), kind="stable")
-        bounds = [0] + np.cumsum(np.bincount(bins, minlength=self.count)).tolist()
-        nearest = self._anchors[bins[order]]
-        v = y[order] - nearest
+        keys = bins if y.ndim == 1 else bins + self.count * np.arange(y.shape[0])[:, None]
+        keys = keys.reshape(-1)
+        segments = self.count * (y.size // y.shape[-1])
+        # The smallest unsigned type of the keys, which NumPy's stable sort radix-sorts.
+        order = np.argsort(keys.astype(np.min_scalar_type(segments - 1)), kind="stable")
+        bounds = [0] + np.cumsum(np.bincount(keys, minlength=segments)).tolist()
+        nearest = self._anchors[bins.reshape(-1)[order]]
+        v = y.reshape(-1)[order] - nearest
         c = self._c
         powers = _power_rows((c * self._width) * v)
         powers *= _INVERSE_FACTORIALS
         powers *= np.exp(c * v * (2.0 * (self._mid - nearest) - v))
-        return order, bounds, powers
+        return order.reshape(y.shape), bounds, powers
 
     def tables(self, x: NDArray[np.float64]) -> tuple[tuple, tuple]:
-        """x's point table and center table, for the products k(x, x) @ V of one point set x (n,)."""
+        """x's point table and center table, for the products k(x_b, x_b) @ V_b of the sets of x.
+
+        x is one point set (n,) or a stack (B, n).
+        """
         return self.point_table(x), self.center_table(x)
 
-    def apply(self, points: tuple, centers: tuple, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
-        """k(x, y) @ coeffs from x's point table and y's center table, for coeffs (m,) or (m, k).
+    def moments(self, centers: tuple, coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
+        """The (B, Q, P, k) moments of coeffs on a center table of B sets of m centers.
 
-        Gives (n,) or (n, k). Per column each anchor's P moments are one
-        product of its segment of the sorted powers with the sorted
-        coefficients, and each point takes the (Q, P) table of them
-        against its monomials, giving its Q Taylor sums, and those against
-        its Q anchor rows. Columns take their moments in blocks of
-        APPLY_BLOCK_ENTRIES // max(m, Q P) and their sums in blocks of
-        APPLY_BLOCK_ENTRIES // (Q n), at least one each, so that a block's
-        sorted coefficients, moments and (k, Q, n) sums hold at most
-        APPLY_BLOCK_ENTRIES values each, as a row block of the assembly
-        does. Each column's arithmetic is the same in any block.
+        coeffs is (m,) or (m, k) for one set, (B, m) or (B, m, k) for a
+        stack. moments[b, q, p, j] is column j's sum of powers[p, i] *
+        coeffs[i, j] over the centers i of set b nearest anchor q: one
+        product of each segment of the sorted powers with the sorted
+        coefficients. Columns go in blocks of
+        APPLY_BLOCK_ENTRIES // max(B m, Q P), at least one, so that a
+        block's sorted coefficients hold at most APPLY_BLOCK_ENTRIES
+        values, as a row block of the assembly does.
+        """
+        order, bounds, powers = centers
+        flat = coeffs.reshape(order.size, -1)
+        count, columns = len(bounds) - 1, flat.shape[1]
+        out = np.empty((count, _TAYLOR_TERMS, columns))
+        segments = list(zip(bounds[:-1], bounds[1:]))
+        step = max(1, APPLY_BLOCK_ENTRIES // max(order.size, self.count * _TAYLOR_TERMS))
+        for start in range(0, columns, step):
+            block = flat[order.reshape(-1), start : start + step]
+            part = out[..., start : start + step]
+            # An assignment from @ takes less call time than matmul's out=.
+            for s, (lo, hi) in enumerate(segments):
+                part[s] = powers[:, lo:hi] @ block[lo:hi]
+        return out.reshape(count // self.count, self.count, _TAYLOR_TERMS, columns)
+
+    def apply(
+        self, points: tuple, centers: tuple, coeffs: NDArray[np.float64],
+        moments: NDArray[np.float64] | None = None,
+    ) -> NDArray[np.float64]:
+        """k(x, y) @ coeffs from x's point table and y's center table.
+
+        For one center set y (m,) with coeffs (m,) or (m, k), every point
+        of x, one set (n,) or a stack (B, n), takes the sum over y: the
+        result has x's shape, then k. For a stack of center sets y (B, m)
+        with coeffs (B, m) or (B, m, k), set b's sum is taken either at
+        the points of x's set b, for a stack x (B, n), giving (B, n) or
+        (B, n, k), or at every point of one set x (n,), giving (B, n) or
+        (B, n, k) as kernel_apply does for a stack. moments, if given,
+        are self.moments(centers, coeffs), held by a caller that
+        multiplies the same coefficients many times; otherwise they are
+        formed here.
+
+        Each point takes the (Q, P) moments of its set against its
+        monomials, giving its Q Taylor sums, and those against its Q
+        anchor rows: one product and one contraction per block of columns
+        and points, over all sets at once. Each column's arithmetic is
+        the same in any block.
         """
         rows, monomials = points
-        order, bounds, powers = centers
-        count, n, m = self.count, rows.shape[1], order.shape[0]
-        flat = coeffs.reshape(m, -1)
-        out = np.empty((n, flat.shape[1]))
-        segments = list(zip(bounds[:-1], bounds[1:]))
-        step = max(1, APPLY_BLOCK_ENTRIES // max(m, count * _TAYLOR_TERMS))
-        substep = max(1, APPLY_BLOCK_ENTRIES // (count * n))
-        for start in range(0, flat.shape[1], step):
-            block = flat[order, start : start + step]
-            # moments[q, p, j]: column j's sum of powers[p, i] * block[i, j] over anchor q's centers i.
-            moments = np.empty((count, _TAYLOR_TERMS, block.shape[1]))
-            for q, (lo, hi) in enumerate(segments):
-                np.matmul(powers[:, lo:hi], block[lo:hi], out=moments[q])
-            by_column = moments.transpose(2, 0, 1).reshape(-1, _TAYLOR_TERMS)
-            for first in range(0, block.shape[1], substep):
-                part = by_column[first * count : (first + substep) * count]
-                sums = (part @ monomials).reshape(-1, count, n)
-                stop = start + first + sums.shape[0]
-                out[:, start + first : stop] = np.einsum("jqi,qi->ij", sums, rows)
+        order = centers[0]
+        shape, columns = rows.shape[1:], coeffs.shape[order.ndim :]
+        if moments is None:
+            moments = self.moments(centers, coeffs)
+        if order.ndim == 1 or rows.ndim == 3:
+            # One center set at every point, as one group; or set b at x's set b.
+            if order.ndim == 1:
+                rows = rows.reshape(self.count, -1)
+                monomials = monomials.reshape(_TAYLOR_TERMS, -1)
+            return self._evaluate(rows, monomials, moments).reshape(shape + columns)
+        # Every set at the same points: the sets are columns of one set's moments.
+        sets = moments.shape[0]
+        merged = moments.transpose(1, 2, 0, 3).reshape((1, self.count, _TAYLOR_TERMS, -1))
+        values = self._evaluate(rows, monomials, merged).reshape(shape + (sets, -1))
+        return np.moveaxis(values, 1, 0).reshape((sets,) + shape + columns)
+
+    def _evaluate(
+        self, rows: NDArray[np.float64], monomials: NDArray[np.float64], moments: NDArray
+    ) -> NDArray[np.float64]:
+        """(G, n, k) sums of G groups of n points, group g against set g of moments (G, Q, P, k).
+
+        In blocks of c columns and b points of every group, with c Q at
+        most sqrt(APPLY_BLOCK_ENTRIES) (at least one column) and G c Q b
+        at most APPLY_BLOCK_ENTRIES (at least one point), so that a
+        block's Taylor sums hold no more values than a row block of the
+        assembly, and its product with the monomials has both sides of
+        some size: 18 columns at 227 points for the nodes' 2 + r columns.
+        """
+        sets, count, terms, columns = moments.shape
+        n = rows.shape[-1]
+        # Per group its (P, n) monomials and (Q, n) rows, views of the tables.
+        monomials = monomials.reshape(terms, sets, n).transpose(1, 0, 2)
+        rows = rows.reshape(count, sets, n).transpose(1, 0, 2)
+        by_column = moments.transpose(0, 3, 1, 2).reshape(sets, columns * count, terms)
+        out = np.empty((sets, n, columns))
+        width = min(columns, max(1, math.isqrt(APPLY_BLOCK_ENTRIES) // count))
+        height = max(1, APPLY_BLOCK_ENTRIES // (sets * width * count))
+        for first in range(0, columns, width):
+            part = by_column[:, first * count : (first + width) * count]
+            for start in range(0, n, height):
+                points = slice(start, start + height)
+                sums = part @ monomials[..., points]
+                sums = sums.reshape(sets, -1, count, sums.shape[-1])
+                block = np.einsum("gjqi,gqi->gij", sums, rows[..., points])
+                out[:, points, first : first + width] = block
                 # Released before the next block is made, not after.
                 del sums
-        return out.reshape((n,) + coeffs.shape[1:])
+        return out
 
 
 def _gaussian_taylor_apply(

@@ -11,9 +11,10 @@ The data side K of these systems is one interface with three
 operations, the data-side analogue of the grid's GridOperator: the
 products K V, a dense K for a member that factors densely, and what a
 non-finite scan reads. A GramOperator holds a Gram matrix or a stack
-of them; a MatrixFreeOperator forms K V from a function of V (the
-kernel's Taylor transform of the points) and assembles K only when a
-member goes dense. An array K is taken as its GramOperator.
+of them; a MatrixFreeOperator forms K_b V_b for one system or every
+member of a stack from a function of V (the kernel's Taylor transform
+of the points) and assembles a member's K_b only when it goes dense.
+An array K is taken as its GramOperator.
 
 An SpdFactor factors A = K + shift*I once and serves every solve
 against it, for one matrix K or for each member of a stack K (B, n, n)
@@ -110,51 +111,58 @@ class GramOperator:
 
 
 class MatrixFreeOperator:
-    """The data side K of one ridge system, with no n x n array unless a dense form is asked for.
+    """The data side K_b of B ridge systems, with no n x n array unless a member goes dense.
 
-    shape is K's, (n, n), or (1, n, n) for a stack of one. apply(V)
-    gives K V for an (n, k) V, and assemble() a fresh C-ordered n x n
-    array (or stack of one) holding at least K's diagonal and upper
-    triangle; dense calls it on demand, for a member that goes dense.
+    shape is (B, n, n) for a stack of B members, or (n, n) for one
+    system; a replication run alone is the case B = 1. apply(Vt) gives
+    K_b v for each row v of Vt_b, a (B, k, n) stack, for every member
+    at once, and assemble(members) a fresh C-ordered
+    (len(members), n, n) array holding at least the diagonal and upper
+    triangle of those members' K_b; dense calls it on demand, for the
+    members that go dense, and for them alone.
     """
 
     def __init__(
         self,
         shape: tuple[int, ...],
         apply: Callable[[NDArray[np.float64]], NDArray[np.float64]],
-        assemble: Callable[[], NDArray[np.float64]],
+        assemble: Callable[[list[int]], NDArray[np.float64]],
     ):
         self.shape = shape
         self._apply = apply
         self._assemble = assemble
-        # Every product formed, and the non-finite entries of an assembled K.
-        self._formed: list[NDArray[np.float64]] = []
+        # Every product formed, (B, k, n) each, and per member the
+        # non-finite entries of its assembled K_b.
+        self._products: list[NDArray[np.float64]] = []
+        self._nonfinite = [np.zeros(0)] * (1 if len(shape) == 2 else shape[0])
 
     def product(self, Vt: NDArray[np.float64]) -> NDArray[np.float64]:
-        """K v for each row v of Vt (1, k, n): one apply call, whose result is kept for formed."""
-        (V,) = Vt
-        KV = self._apply(V.T)
-        self._formed.append(KV)
-        return KV.T[None]
+        """K_b v for each row v of Vt_b, a (B, k, n) stack: one apply call, kept for formed."""
+        KVt = self._apply(Vt)
+        self._products.append(KVt)
+        return KVt
 
     def dense(self, members: list[int]) -> NDArray[np.float64]:
-        """assemble()'s K as a (1, n, n) stack: the one n x n array.
+        """assemble(members)'s K_b as a (len(members), n, n) stack: the only n x n arrays.
 
-        Its non-finite entries are kept for formed, since the caller
-        factors the array in place.
+        Each member's non-finite entries are kept for formed, since the
+        caller factors the array in place.
         """
-        K = self._assemble()
-        self._formed.append(K[~np.isfinite(K)])
-        return K.reshape((len(members),) + self.shape[-2:])
+        K = self._assemble(members)
+        for b, Kb in zip(members, K):
+            self._nonfinite[b] = Kb[~np.isfinite(Kb)]
+        return K
 
-    def formed(self, members: NDArray[np.bool_]) -> NDArray[np.float64]:
-        """What a non-finite scan reads if the mask picks the member: what it formed of K.
+    def formed(self, members: NDArray[np.bool_]) -> list[NDArray[np.float64]]:
+        """What a non-finite scan reads of each member a mask picks: what it formed of K_b.
 
-        That is every product so far and, if a dense K was assembled,
-        that K's non-finite entries.
+        That is the member's rows of every product so far and, if its
+        dense K_b was assembled, that K_b's non-finite entries.
         """
-        flat = [np.zeros((1, 0))] + [x.reshape(1, -1) for x in self._formed]
-        return np.concatenate(flat, axis=1)[members]
+        return [
+            np.concatenate([KVt[b].reshape(-1) for KVt in self._products] + [self._nonfinite[b]])
+            for b in np.flatnonzero(members)
+        ]
 
 
 def _as_operator(K: NDArray[np.float64] | GramOperator | MatrixFreeOperator):

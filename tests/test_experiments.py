@@ -301,7 +301,8 @@ NOISES = {
 }
 # Where n sits against each switch of a replication's arithmetic: one
 # below and at 10 r (dense and Woodbury rungs), 181 and 182 (a chunk of
-# two full Grams, an upper triangle alone), or small.
+# two full Grams, an upper triangle alone; or, Gram-free, chunks of
+# _run_many's size from n = 182 on), or small.
 SIDES = ("below-woodbury", "woodbury", "chunk-181", "alone-182", "small")
 
 
@@ -377,8 +378,10 @@ def test_drawn_replications_match_the_written_out_reference(
         "below-woodbury": threshold - 1, "woodbury": threshold, "chunk-181": 181,
         "alone-182": 182, "alone-800": 800, "small": small_n,
     }[side]
-    # The chunks _run_many makes: two indices below n = 182, one from there on.
-    indices = [index] if n >= 182 else [index, index + 1]
+    # The chunks _run_many makes from n = 182 on: one index with a Gram,
+    # max(1, APPLY_BLOCK_ENTRIES // (Q n)) Gram-free; two indices below.
+    size = exp._chunk_size(scenario, n) if n >= 182 else 2
+    indices = range(index, index + size)
     for i, metrics in zip(indices, run_replication(scenario, n, lam, indices)):
         _assert_reference(metrics, reference_replication(scenario, n, lam, i))
 
@@ -448,9 +451,10 @@ def test_run_replication_passes_over_the_gram_twice(monkeypatch, n):
 
 
 def test_a_gram_free_replication_forms_the_data_tables_once(monkeypatch, kernel_paths):
-    # At n = 800 a replication run alone on the Woodbury rung takes the
-    # Taylor transform that the design context holds on [0, 1]: X's point
-    # table and center table are each formed once, and f0(X), f_lambda(X)
+    # At n = 800 a chunk on the Woodbury rung takes the Taylor transform
+    # that the design context holds on [0, 1]: its points' point table
+    # and center table are each formed once, for the whole stack (a
+    # replication run alone is a stack of one), and f0(X), f_lambda(X)
     # and L (against the nodes' center table), both products with K and
     # the sup-norm axis (from the axis' point table) all read them. The
     # factored axis transform is not called.
@@ -467,10 +471,14 @@ def test_a_gram_free_replication_forms_the_data_tables_once(monkeypatch, kernel_
 
         monkeypatch.setattr(transform, name, recorded)
     axis = _count_calls(monkeypatch, kernels_mod, "_gaussian_axis_apply")
-    kernel_paths.clear()
-    run_replication(CANON, 800, 0.2, 1)
-    assert formed == {"point_table": [(800,)], "center_table": [(800,)]}
-    assert axis == [] and kernel_paths == ["taylor"] * 4
+    for indices in ([1], [2, 3, 4, 5, 6]):
+        kernel_paths.clear()
+        for calls in formed.values():
+            calls.clear()
+        run_replication(CANON, 800, 0.2, indices)
+        shape = (len(indices), 800)
+        assert formed == {"point_table": [shape], "center_table": [shape]}
+        assert axis == [] and kernel_paths == ["taylor"] * 4
 
 
 def test_a_design_interval_that_assembles_keeps_the_gram_free_path(monkeypatch):
@@ -610,34 +618,69 @@ def test_a_woodbury_chunk_matches_one_replication_at_a_time(cho_factor_calls):
         _assert_metrics_close(metrics, run_replication(CANON, 800, 0.2, index))
 
 
+@pytest.mark.parametrize("n", [181, 800])
+def test_a_gram_free_chunk_matches_its_indices_run_alone(monkeypatch, n):
+    # From n = 10 r = 160 on, the canonical data side is Gram-free, and
+    # _run_many runs max(1, APPLY_BLOCK_ENTRIES // (Q n)) replications per
+    # call: 22 at n = 181 and 5 at n = 800. Such a chunk builds no Gram,
+    # and each member's metrics are those of its index run alone.
+    size = exp._chunk_size(CANON, n)
+    assert size == {181: 22, 800: 5}[n]
+    indices = range(7, 7 + size)
+    alone = [run_replication(CANON, n, 0.2, index) for index in indices]
+    grams = _count_calls(monkeypatch, exp, "gram")
+    chunk = run_replication(CANON, n, 0.2, indices)
+    assert grams == [] and len(chunk) == size
+    for metrics, want in zip(chunk, alone):
+        _assert_metrics_close(metrics, want)
+
+
+def test_monte_carlo_at_n_800_runs_gram_free_chunks_of_five(monkeypatch):
+    calls = _count_calls(monkeypatch, exp, "run_replication")
+    successes, failed = exp._run_many(CANON, 800, 0.2, 24)
+    chunks = [list(range(start, min(start + 5, 24))) for start in range(0, 24, 5)]
+    assert [list(args[3]) for args in calls] == chunks
+    assert len(successes) == 24 and failed == []
+
+
 def test_a_gram_free_member_that_climbs_is_the_dense_rung_bit_for_bit(cho_factor_calls):
-    # A replication run alone at n = 800 builds no Gram. Handed a Nystrom
-    # factor 1% off, its Woodbury solution, refined until its steps run
-    # out, still misses K and climbs: only then does its operator
-    # assemble gram(X, upper=True), so the dense factor and solution are
-    # those of the dense rung bit for bit. The checks' products K X come
-    # from the Taylor transform, within n eps sum |x| of BLAS's, the
-    # rounding bound of BLAS's own sums.
+    # A Gram-free chunk at n = 800 builds no Gram. Its member handed a
+    # Nystrom factor 1% off has a Woodbury solution that, refined until
+    # its steps run out, still misses K and climbs: only then does the
+    # operator assemble gram(X_b, upper=True), for that member's points
+    # alone, so its dense factor and solution are those of the dense rung
+    # bit for bit, and the other members stay on the Woodbury rung. The
+    # checks' products K X come from the Taylor transform, within
+    # n eps sum |x| of BLAS's, the rounding bound of BLAS's own sums.
+    # The member climbs alone (a replication run alone) and in the middle
+    # of a chunk of three.
     n, lam = 800, 0.2
     kernel, op = CANON.kernel, exp._design_context(CANON).op
-    xs = sample_dataset(CANON, n, 0, lambda_key=lam).xs[None]
-    L = op.at_points(xs[0], op.nystrom_coefficients(n))[None]
-    B = np.random.default_rng(25).standard_normal((1, n, 2))
-    grams = []
-
-    def assemble():
-        grams.append(gram(kernel, xs, upper=True))
-        return grams[-1]
-
-    free, _ = _data_operator(kernel, xs, True, assemble)
-    assert isinstance(free, linalg.MatrixFreeOperator) and grams == []
-    X, KX, errors = _ridge_factor(free, n * lam, 1.01 * L).solve_with_product(B)
-    r = L.shape[-1]
-    assert errors == [None] and cho_factor_calls == [(r, r), (n, n)] and len(grams) == 1
-    dense_X, dense_KX, _ = _ridge_factor(gram(kernel, xs, upper=True), n * lam).solve_with_product(B)
-    assert np.array_equal(X, dense_X)
     eps = np.finfo(np.float64).eps
-    np.testing.assert_allclose(KX, dense_KX, rtol=0, atol=n * eps * np.abs(X).sum(axis=1).max())
+    for size, climbing in ((1, 0), (3, 1)):
+        xs = np.stack([sample_dataset(CANON, n, i, lambda_key=lam).xs for i in range(size)])
+        L = np.stack([op.at_points(x, op.nystrom_coefficients(n)) for x in xs])
+        L[climbing] *= 1.01
+        B = np.random.default_rng(25).standard_normal((size, n, 2))
+        grams = []
+
+        def assemble(points):
+            grams.append(gram(kernel, points, upper=True))
+            return grams[-1]
+
+        free, _ = _data_operator(kernel, xs, True, assemble)
+        assert isinstance(free, linalg.MatrixFreeOperator) and grams == []
+        cho_factor_calls.clear()
+        X, KX, errors = _ridge_factor(free, n * lam, L).solve_with_product(B)
+        r = L.shape[-1]
+        assert errors == [None] * size and cho_factor_calls == [(r, r)] * size + [(n, n)]
+        # The one Gram assembled, now factored in place, is the climbing member's.
+        assert [K.shape for K in grams] == [(1, n, n)]
+        dense = gram(kernel, xs[climbing], upper=True)
+        dense_X, dense_KX, _ = _ridge_factor(dense, n * lam).solve_with_product(B[climbing])
+        assert np.array_equal(X[climbing], dense_X)
+        atol = n * eps * np.abs(dense_X).sum(axis=0).max()
+        np.testing.assert_allclose(KX[climbing], dense_KX, rtol=0, atol=atol)
 
 
 def test_a_nan_in_the_gram_a_gram_free_member_climbs_to_stops_the_run(monkeypatch):
@@ -855,6 +898,21 @@ def test_a_chunk_at_small_n_holds_at_most_two_megabytes():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+def test_a_gram_free_chunk_at_large_n_holds_at_most_three_megabytes():
+    # Five replications at n = 800 with no Gram: the stack's Taylor
+    # tables, k(X, nodes) C on r + 2 columns and the solves hold a few
+    # times 5 n (r + 2 P + Q) values, below the 5.3 MB of the n = 800
+    # posterior band.
+    n = 800
+    size = exp._chunk_size(CANON, n)
+    run_replication(CANON, n, 0.2, range(size))
+    tracemalloc.start()
+    run_replication(CANON, n, 0.2, range(size, 2 * size))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert size == 5 and peak <= 3 * 2**20
 
 
 def test_product_grid_contexts_hold_no_m_by_m_array():
@@ -1080,26 +1138,28 @@ def test_design_context_flags_a_nan_target_gap(monkeypatch, fresh_contexts):
         exp._design_context(CANON)
 
 
-def _run_canonical_with_nan_from_taylor(monkeypatch, tmp_path, planted):
-    """`rkhsreg run` of CANON at n = 50 with a NaN planted in Taylor transform products.
+def _run_canonical_with_nan_from_taylor(monkeypatch, tmp_path, planted, n=50):
+    """`rkhsreg run` of CANON at n with a NaN planted in Taylor transform products.
 
     Every Taylor product is one TaylorTransform.apply, from kernel_apply
-    or from tables a caller holds. The NaN goes into row 0 of each
-    product for which planted(n, m) holds, n and m the sizes of its
-    point table and center table.
+    or from tables a caller holds. planted(points, centers) is given the
+    shapes of each product's point sets and center sets, as the tables
+    were formed: (n,) for one set, (B, n) for a stack. It returns the
+    index of the result that turns NaN, or None to leave it.
     """
     orig = kernels_mod.TaylorTransform.apply
 
-    def nan_first(self, points, centers, coeffs):
-        out = orig(self, points, centers, coeffs)
-        if planted(points[0].shape[1], centers[0].shape[0]):
-            out[0] = np.nan
+    def nan_at(self, points, centers, *rest):
+        out = orig(self, points, centers, *rest)
+        index = planted(points[0].shape[1:], centers[0].shape)
+        if index is not None:
+            out[index] = np.nan
         return out
 
-    monkeypatch.setattr(kernels_mod.TaylorTransform, "apply", nan_first)
+    monkeypatch.setattr(kernels_mod.TaylorTransform, "apply", nan_at)
     config = {
         "scenario": dataclasses.asdict(CANON),
-        "ns": [50],
+        "ns": [n],
         "lambda_rule": {"kind": "fixed", "value": 0.2},
         "R": 30,
         "outputs": str(tmp_path / "out"),
@@ -1110,16 +1170,34 @@ def _run_canonical_with_nan_from_taylor(monkeypatch, tmp_path, planted):
     return main(["run", str(path)])
 
 
-def test_a_nan_from_the_taylor_transform_stops_the_run(monkeypatch, tmp_path, capsys, fresh_contexts):
+def test_a_nan_from_the_taylor_transform_stops_the_run(
+    monkeypatch, tmp_path, capsys, fresh_contexts
+):
     # f0 and f_lambda at the data come from the Taylor transform for the
-    # canonical 1-d Gaussian scenario: a NaN in its first row on a chunk's
-    # datasets (26 * 50 points against 256 nodes) reaches a replication's
-    # responses, and the run exits 3.
-    def on_data(n, m):
-        return n != m
+    # canonical 1-d Gaussian scenario: a NaN at the first point of a
+    # chunk's datasets (26 sets of 50 points against 256 nodes) reaches a
+    # replication's responses, and the run exits 3.
+    def on_data(points, centers):
+        return (0, 0) if points != centers else None
 
     assert _run_canonical_with_nan_from_taylor(monkeypatch, tmp_path, on_data) == 3
     assert "invariant broken: non-finite f at n=50, replication 0" in capsys.readouterr().err
+
+
+def test_a_nan_from_the_taylor_transform_in_a_gram_free_chunk_stops_the_run(
+    monkeypatch, tmp_path, capsys, fresh_contexts
+):
+    # At n = 800 a chunk of five runs Gram-free: every product K_b V_b of
+    # its data operator pairs the stack's point sets with their own center
+    # sets. A NaN at the first point of the third member's products fails
+    # that member's solve alone, and the non-finite scan of what its
+    # operator formed names its replication.
+    def third_member(points, centers):
+        return (2, 0) if points == centers == (5, 800) else None
+
+    assert _run_canonical_with_nan_from_taylor(monkeypatch, tmp_path, third_member, n=800) == 3
+    err = capsys.readouterr().err
+    assert "invariant broken: non-finite data Gram at n=800, replication 2:" in err
 
 
 def test_a_nan_from_the_taylor_transform_at_the_nodes_stops_the_set_up(
@@ -1128,8 +1206,8 @@ def test_a_nan_from_the_taylor_transform_at_the_nodes_stops_the_set_up(
     # The design context's node check sums the target's expansion at the
     # nodes (256 points against 256 centers) by the Taylor transform too:
     # a NaN there makes its gap NaN before any replication runs.
-    def at_nodes(n, m):
-        return n == m
+    def at_nodes(points, centers):
+        return 0 if points == centers == (256,) else None
 
     assert _run_canonical_with_nan_from_taylor(monkeypatch, tmp_path, at_nodes) == 3
     assert "invariant broken: Fredholm right-hand side is off the target f0 by nan" in (
