@@ -413,8 +413,9 @@ def taylor_transform(
 
     The one constructor, with the rule of the module docstring: None
     unless spec is a 1-d Gaussian kernel, [low, high] is a finite
-    interval of positive width and the transform takes these centers
-    (TaylorTransform.takes); elsewhere such a product is assembled.
+    interval of positive width, the transform's sums pay against m
+    centers per set (TaylorTransform.pays: 15 Q < m) and every center
+    lies on the interval; elsewhere such a product is assembled.
     """
     if spec.family != "gaussian" or spec.dim != 1:
         return None
@@ -424,10 +425,10 @@ def taylor_transform(
     m = centers.shape[-1]
     quotient = 0.5 / spec.bandwidth**2 * width * width / (2.0 * _TAYLOR_RHO)
     # Compared with m as a float first: c W^2 may overflow, and math.ceil
-    # takes no infinity. A count of m is refused by takes below.
+    # takes no infinity. A count of m is refused by pays below.
     count = max(1, math.ceil(quotient)) if quotient < m else m
     transform = TaylorTransform(spec, low, high, count)
-    return transform if transform.takes(centers) else None
+    return transform if transform.pays(m) and transform.covers(centers) else None
 
 
 class TaylorTransform:
@@ -459,13 +460,6 @@ class TaylorTransform:
     def pays(self, m: int) -> bool:
         """Whether the Taylor sums pay against sets of m centers: 15 Q < m."""
         return self.count * _TAYLOR_TERMS < m
-
-    def takes(self, centers: NDArray[np.float64]) -> bool:
-        """Whether products with centers (m,), or each set of a stack (B, m), take this transform.
-
-        That is pays(m) and every center on the interval.
-        """
-        return self.pays(centers.shape[-1]) and self.covers(centers)
 
     def point_table(self, x: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray]:
         """The point table of x (n,), or of a stack (B, n), on the interval.
