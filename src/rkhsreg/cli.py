@@ -487,7 +487,11 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        return cmd_run(args.config, args.out)
+        try:
+            return cmd_run(args.config, args.out)
+        except MemoryError as exc:
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            return 5
     if args.command == "lemma2":
         return cmd_lemma2(args.count, args.max_dim, args.seed, args.out)
     return cmd_demo(args.seed, args.out)

@@ -30,9 +30,11 @@ from .kernels import (
     kernel_apply,
     taylor_transform,
 )
-from .linalg import MAX_REFINEMENTS, GramOperator, MatrixFreeOperator, SpdFactor
+from .linalg import GramOperator, MatrixFreeOperator, SpdFactor
 
 NORM_CLAMP_TOL = 1e-10
+# The steps _ridge_factor's proof allows a Woodbury solution: dporfs' ITMAX.
+MAX_REFINEMENTS = 5
 
 
 def _clamp_broken(q: float | NDArray[np.float64]) -> bool | NDArray[np.bool_]:
@@ -169,11 +171,9 @@ def _data_operator(
     finds a transform, K is a MatrixFreeOperator for every set at once:
     the stack's point table is formed once over all B n points and each
     set gets its own center table (TaylorTransform.tables), here, and
-    every product K_b V_b reads them. No n x n array is formed unless a
-    member goes dense, which calls assemble on that member's points
-    alone, (1, n, d), for its Gram. Everything else gets a GramOperator
-    on assemble(xs), the Gram (or stack of Grams) of xs that the caller
-    builds.
+    every product K_b V_b reads them. No n x n array is formed for any
+    member. Everything else gets a GramOperator on assemble(xs), the Gram
+    (or stack of Grams) of xs that the caller builds.
 
     Returns:
         (K, tables): tables is the (point table, center table) of the
@@ -185,15 +185,13 @@ def _data_operator(
     transform = _gram_free_transform(kernel, n, woodbury, design, xs)
     if transform is None:
         return GramOperator(assemble(xs)), None
-    stack = xs.reshape(-1, n, d)
-    tables = transform.tables(stack[..., 0])
+    tables = transform.tables(xs.reshape(-1, n, d)[..., 0])
 
     def product(Vt: NDArray[np.float64]) -> NDArray[np.float64]:
         return transform.apply(*tables, Vt.transpose(0, 2, 1)).transpose(0, 2, 1)
 
-    K = MatrixFreeOperator(
-        xs.shape[:-2] + (n, n), product, lambda members: assemble(stack[members])
-    )
+    # k(x, x) = 1 for every built-in family, so tr K_b = n.
+    K = MatrixFreeOperator(xs.shape[:-2] + (n, n), product, n)
     return K, tables if transform is design else None
 
 
@@ -208,25 +206,28 @@ def _ridge_factor(
     (shift = n*lam: fit_ridge, bridge_distance_sq, run_replication) and
     the GP band (shift = lam_gp) are all factored here. Given K ~ L L',
     L (n, r) or (B, n, r) (the grid operator's Nystrom factor at the
-    data), and shift > 0, a member starts on the Woodbury rung, which
-    factors only an r x r matrix, if refinement provably reaches the
-    rounding floor; otherwise it is the dense Cholesky. Every solve is
-    checked against K + shift*I.
+    data), and shift > 0, every member of a Gram-free K is on the
+    Woodbury rung, which factors only an r x r matrix; it has no Gram to
+    go dense on. A Gram's member is on it if its solution provably
+    reaches the rounding floor within MAX_REFINEMENTS steps; otherwise
+    it is the dense Cholesky. Every solve is checked against K + shift*I.
 
-    The proof reads L alone. The Nystrom factor leaves E = K - L L'
-    positive semidefinite, so ||E||_2 <= tr E = n - ||L||_F^2, since
-    k(x, x) = 1 for every built-in family. A Woodbury solution's
-    residual is E x, and each refinement step multiplies it by
+    The proof reads L alone. E = K - L L' >= 0, so
+    ||E||_2 <= tr E = n - ||L||_F^2, since k(x, x) = 1 for every
+    built-in family. A Woodbury solution's residual is E x, and a
+    Richardson step on the same factor multiplies it by
     E (L L' + shift*I)^-1, so after j steps it is at most
-    (tr E / shift)^(j+1) ||b||. It is below the rounding floor
-    n * eps * ||b|| within MAX_REFINEMENTS steps if
-    tr E / shift <= (n * eps)^(1 / (MAX_REFINEMENTS + 1)), 0.0075 at
-    n = 800. A member whose L fails that goes straight to the dense rung
-    (a Laplace grid of 32 nodes misses K by tr E = 17 at n = 320, where
-    shift * 0.0064 = 0.41); a resolved grid's tr E is below 1e-9.
+    (tr E / shift)^(j+1) ||b||: below the rounding floor n * eps * ||b||
+    within MAX_REFINEMENTS steps if tr E / shift <= (n * eps)^(1/6),
+    0.0075 at n = 800. The CG steps that finish it (SpdFactor) are no
+    more: CG's j-th iterate has the least A-norm error over a Krylov
+    space that holds Richardson's. A member whose L fails that goes
+    straight to the dense rung (a Laplace grid of 32 nodes has
+    tr E = 17 at n = 320, where shift * 0.0064 = 0.41); a resolved
+    grid's tr E is below 1e-9.
     """
-    kept = None
-    if shift > 0 and low_rank is not None:
+    kept = low_rank
+    if shift > 0 and low_rank is not None and not isinstance(K, MatrixFreeOperator):
         n = low_rank.shape[-2]
         defect = n - np.einsum("...ij,...ij->...", low_rank, low_rank)
         floor = (n * np.finfo(np.float64).eps) ** (1.0 / (MAX_REFINEMENTS + 1))

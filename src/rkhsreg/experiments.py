@@ -607,21 +607,18 @@ def run_replication(
     context holds those tables serve the product with the nodes and the
     sup-norm axis too. Only the factor of K + n*lam*I and the
     products with K are made per dataset, by one SpdFactor over the
-    stack (_ridge_factor): K + n*lam*I is formed once for its dense
-    members and not at all for its Woodbury ones, one loop factors and
-    solves each member, and one product per stack checks each solution.
-    A failed factor or check fails its own index alone. Every product
-    and factor reads only the upper triangle of each K, and a replication
-    run alone assembles no more than that (gram(..., upper=True)), or,
-    Gram-free, only for the members that go dense. The auxiliary
-    fit comes first, since its residuals r = f - (K + n*lam*I) t,
+    stack (_ridge_factor), whose products each serve the whole stack. A
+    failed factor or check fails its own index alone. Every product and
+    factor reads only the upper triangle of each K, and a replication
+    run alone assembles no more than that (gram(..., upper=True)). The
+    auxiliary fit comes first, since its residuals r = f - (K + n*lam*I) t,
     t = w~/n its coefficients, need only the data and f_lambda; it also
     hands back f~ at the data, K t. One two-column solve
     [a | u] = (K + n*lam*I)^-1 [f | r] gives the ridge coefficients a and
     the bridge vector u, and with them the product K [a | u] that the
-    solve's residual check formed. So each K is applied twice (more to
-    refine a Woodbury solution), once by the auxiliary fit and once by
-    the check, and no further product with K is formed: K a, K t,
+    solve's residual check formed. So each K is applied twice, once by
+    the auxiliary fit and once by the check (and once per CG step that
+    finishes a Woodbury solution), and no further product: K a, K t,
     K (a - t) = K a - K t and K u give every squared RKHS distance, the
     empirical objective and the residual-bridge identity
     ||fhat - f~||^2 = u'Ku, whose two sides come from different passes.
@@ -645,7 +642,7 @@ def run_replication(
     A non-finite input is a broken invariant too: an index whose solve
     or check failed is first checked for a NaN or infinity in f, f0(X),
     f_lambda(X) and what its data operator formed (its Gram's upper
-    triangle, or Gram-free its rows of the products K V), so that a NaN
+    triangle, or Gram-free its rows of every product K V), so that a NaN
     stops the run instead of counting as a numerical failure. A check
     that meets a NaN is broken, so a NaN that arises later, in f_lambda
     or the fit on the sup-norm grid say, stops the run too.
@@ -689,24 +686,23 @@ def _run_chunk(
     Only if a solve or a row failed do four rows go first: whether f,
     f0(X), f_lambda(X) and the data Gram hold a NaN or infinity, filled
     in for those members and False for the others. The data Gram row
-    reads what the data operator formed for each member (K.formed): the
-    upper triangle of its Gram, or, Gram-free, its rows of every product
-    K V and its own Gram if it went dense. The
-    one raise site names the first broken row of the lowest failing
-    index, with n, the replication and the row's values or margin.
+    counts what the data operator formed for each member (K.nonfinite):
+    the upper triangle of its Gram, or, Gram-free, its rows of every
+    product K V, counted as each was formed. The one raise site names
+    the first broken row of the lowest failing index, with n, the
+    replication and the row's values or margin.
 
     The data Grams are full for a chunk of two or more and the upper
     triangle alone for one index; a Gram-free chunk (_data_operator)
-    builds none but the upper triangles of its members that go dense.
-    The auxiliary fit, the factor and its check read only the upper
-    triangle of a Gram either way. The points are drawn first (_draw),
-    so that _data_operator sees them before any product: where it hands
-    back the stack's Taylor tables on the design context's transform,
-    f0(X), f_lambda(X) and L come from their point table against the
-    nodes' center table, with the lambda context's moments of the node
-    coefficients, and the fit on the sup-norm axis from the axis' point
-    table against every member's center table, one product per chunk,
-    in place of GridOperator.at_points and on_product.
+    builds none. The auxiliary fit, the factor and its check read only
+    the upper triangle of a Gram either way. The points are drawn first
+    (_draw), so that _data_operator sees them before any product: where
+    it hands back the stack's Taylor tables on the design context's
+    transform, f0(X), f_lambda(X) and L come from their point table
+    against the nodes' center table, with the lambda context's moments
+    of the node coefficients, and the fit on the sup-norm axis from the
+    axis' point table against every member's center table, one product
+    per chunk, in place of GridOperator.at_points and on_product.
     """
     dctx = _design_context(scenario)
     lctx = _lambda_context(scenario, lam)
@@ -723,14 +719,11 @@ def _run_chunk(
     # blocks, and assembling its upper triangle alone skips about half
     # its kernel values. A chunk's smaller Grams cost less in full than
     # with their lower triangles cleared. Only the upper triangle is read
-    # either way, and a Gram-free chunk builds the upper triangles of the
-    # members that go dense alone (_data_operator); on the design's
-    # transform it hands back X's tables, which f0(X) and the sup-norm
-    # axis read too.
+    # either way. A Gram-free chunk builds none, and on the design's
+    # transform hands back X's tables, which f0(X) and the axis read too.
     K, tables = _data_operator(
         scenario.kernel, drawn[0], nystrom is not None,
-        lambda points: gram(scenario.kernel, points, upper=len(points) < max(2, len(indices))),
-        dctx.taylor,
+        lambda points: gram(scenario.kernel, points, upper=len(indices) == 1), dctx.taylor,
     )
     x_points, x_centers = tables or (None, None)
     (xs, fs), at_xs = _sample_at_nodes(
@@ -797,13 +790,15 @@ def _run_chunk(
         # failing one replication. A passing member's are not scanned.
         suspect = table.any(axis=0)
         suspect[failed] = True
+        def count(x):
+            return np.count_nonzero(~np.isfinite(x[suspect]), axis=1)
+
         inputs = {
-            "f": fs[suspect], "f0(X)": proj0[suspect], "f_lambda(X)": projl[suspect],
-            "data Gram": K.formed(suspect),
+            "f": count(fs), "f0(X)": count(proj0), "f_lambda(X)": count(projl),
+            "data Gram": K.nonfinite(suspect),
         }
         nonfinite = np.zeros((len(inputs), len(indices)))
-        for row, x in zip(nonfinite, inputs.values()):
-            row[suspect] = [np.count_nonzero(~np.isfinite(member)) for member in x]
+        nonfinite[:, suspect] = list(inputs.values())
         table = np.vstack([nonfinite > 0, table])
     # (member, row) pairs in order: the first is the lowest failing index's first broken row.
     broken = np.argwhere(table.T)

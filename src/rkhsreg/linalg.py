@@ -7,30 +7,28 @@ one Cholesky factor, and the bound (lam+K)^-1 K (lam+K)^-1 <= 1/(4*lam)
 checked in the Loewner order. This module holds every factorization the
 package makes.
 
-The data side K of these systems is one interface with three
-operations, the data-side analogue of the grid's GridOperator: the
-products K V, a dense K for a member that factors densely, and what a
-non-finite scan reads. A GramOperator holds a Gram matrix or a stack
-of them; a MatrixFreeOperator forms K_b V_b for one system or every
-member of a stack from a function of V (the kernel's Taylor transform
-of the points) and assembles a member's K_b only when it goes dense.
-An array K is taken as its GramOperator.
+The data side K of these systems is one interface, the data-side
+analogue of the grid's GridOperator: the products K V, each member's
+trace, and a count of the non-finite entries a scan reads. A
+GramOperator holds a Gram matrix or a stack of them; a
+MatrixFreeOperator forms K_b V_b for every member of a stack from a
+function of V (the kernel's Taylor transform of the points) and holds
+no n x n array. An array K is taken as its GramOperator.
 
 An SpdFactor factors A = K + shift*I once and serves every solve
 against it, for one matrix K or for each member of a stack K (B, n, n)
-such as a replication chunk's data Grams. A member is on the Woodbury
-rung, given a low-rank form K_b ~ L L' (the grid operator's Nystrom
-factor), or on the dense Cholesky rung; the class docstring says when
-it refines or climbs. Both rungs solve through LAPACK's dpotrs on a
-scipy.linalg.cho_factor factor, and the product K X checks every
-solution against A, as K X + shift*X; solve_with_product hands back
-that K X, so a caller that needs it makes no second pass over K. Small
-systems like a chunk's are bound by call overhead, so one array
-operation per stack replaces one per member wherever a member needs no
-call of its own. solve_spd is the checked public entry: it verifies
-symmetry and then factors and solves once. Callers that build their
-matrix symmetric themselves (every Gram in the package is) construct
-an SpdFactor directly and skip that O(n^2) pass.
+such as a replication chunk's data Grams. Each member is on the
+Woodbury rung, given a low-rank form K_b ~ L L' (the grid operator's
+Nystrom factor), or, for a Gram, on the dense Cholesky rung; conjugate
+gradients preconditioned by the Woodbury factor finish its solutions.
+Both rungs solve through LAPACK's dpotrs on a scipy.linalg.cho_factor
+factor, and a fresh product K X checks every solution against A;
+solve_with_product hands back that K X, so a caller that needs it
+makes no second pass over K. One array operation per stack replaces
+one per member wherever a member needs no call of its own. solve_spd
+checks symmetry, then factors and solves once; callers that build
+their matrix symmetric (every Gram in the package) construct an
+SpdFactor directly and skip that O(n^2) pass.
 
 Every factorization and product here reads only the diagonal and the
 upper triangle of K, so K may come from gram(..., upper=True), whose
@@ -55,10 +53,6 @@ from scipy.linalg.blas import dsymm, dsymv
 from scipy.linalg.lapack import dpotrs
 
 
-# Most refinement steps of a Woodbury solution: LAPACK dporfs' ITMAX.
-MAX_REFINEMENTS = 5
-# The message of a Cholesky solution that fails its residual check.
-_FAILED_CHECK = "Cholesky solution fails its residual check"
 # _symmetric_product makes one dsymv call per column up to this many
 # columns, and dsymm calls beyond: at n = 800, two dsymv calls took
 # 0.22 ms against 0.62 ms for one dsymm.
@@ -90,12 +84,13 @@ class GramOperator:
 
     K is one symmetric n x n matrix or a stack (B, n, n) of them, and is
     never written to. Only its diagonal and upper triangle are read, so
-    it may come from gram(..., upper=True).
+    it may come from gram(..., upper=True). trace holds each tr K_b.
     """
 
     def __init__(self, K: NDArray[np.float64]):
         self.shape = K.shape
         self._stack = K if K.ndim == 3 else K[None]
+        self.trace = np.trace(self._stack, axis1=1, axis2=2)
 
     def product(self, Vt: NDArray[np.float64]) -> NDArray[np.float64]:
         """K_b v for each row v of Vt_b, a (B, k, n) stack: _symmetric_product."""
@@ -105,64 +100,46 @@ class GramOperator:
         """A fresh C-ordered copy (len(members), n, n) of those members' K_b."""
         return np.ascontiguousarray(self._stack[members])
 
-    def formed(self, members: NDArray[np.bool_]) -> NDArray[np.float64]:
-        """What a non-finite scan reads of the members a mask picks: the upper triangle of each K_b."""
-        return np.triu(self._stack[members])
+    def nonfinite(self, members: NDArray[np.bool_]) -> NDArray[np.int64]:
+        """The NaN or infinite entries in the upper triangle of each K_b a mask picks."""
+        return np.count_nonzero(~np.isfinite(np.triu(self._stack[members])), axis=(1, 2))
 
 
 class MatrixFreeOperator:
-    """The data side K_b of B ridge systems, with no n x n array unless a member goes dense.
+    """The data side K_b of B ridge systems from their products alone: no n x n array.
 
     shape is (B, n, n) for a stack of B members, or (n, n) for one
-    system; a replication run alone is the case B = 1. apply(Vt) gives
-    K_b v for each row v of Vt_b, a (B, k, n) stack, for every member
-    at once, and assemble(members) a fresh C-ordered
-    (len(members), n, n) array holding at least the diagonal and upper
-    triangle of those members' K_b; dense calls it on demand, for the
-    members that go dense, and for them alone.
+    system (B = 1). apply(Vt) gives K_b v for each row v of Vt_b, a
+    (B, k, n) stack, for every member at once; trace is each tr K_b.
     """
 
     def __init__(
         self,
         shape: tuple[int, ...],
         apply: Callable[[NDArray[np.float64]], NDArray[np.float64]],
-        assemble: Callable[[list[int]], NDArray[np.float64]],
+        trace: float,
     ):
         self.shape = shape
         self._apply = apply
-        self._assemble = assemble
-        # Every product formed, (B, k, n) each, and per member the
-        # non-finite entries of its assembled K_b.
-        self._products: list[NDArray[np.float64]] = []
-        self._nonfinite = [np.zeros(0)] * (1 if len(shape) == 2 else shape[0])
+        self.trace = np.full(1 if len(shape) == 2 else shape[0], float(trace))
+        # Per member, the non-finite entries of every product counted so
+        # far; the last product is counted once its callers have read it.
+        self._nonfinite = np.zeros(len(self.trace), dtype=np.int64)
+        self._uncounted: NDArray[np.float64] | None = None
 
     def product(self, Vt: NDArray[np.float64]) -> NDArray[np.float64]:
-        """K_b v for each row v of Vt_b, a (B, k, n) stack: one apply call, kept for formed."""
-        KVt = self._apply(Vt)
-        self._products.append(KVt)
-        return KVt
+        """K_b v for each row v of Vt_b, a (B, k, n) stack: one apply call."""
+        self.nonfinite(slice(0))
+        self._uncounted = self._apply(Vt)
+        return self._uncounted
 
-    def dense(self, members: list[int]) -> NDArray[np.float64]:
-        """assemble(members)'s K_b as a (len(members), n, n) stack: the only n x n arrays.
-
-        Each member's non-finite entries are kept for formed, since the
-        caller factors the array in place.
-        """
-        K = self._assemble(members)
-        for b, Kb in zip(members, K):
-            self._nonfinite[b] = Kb[~np.isfinite(Kb)]
-        return K
-
-    def formed(self, members: NDArray[np.bool_]) -> list[NDArray[np.float64]]:
-        """What a non-finite scan reads of each member a mask picks: what it formed of K_b.
-
-        That is the member's rows of every product so far and, if its
-        dense K_b was assembled, that K_b's non-finite entries.
-        """
-        return [
-            np.concatenate([KVt[b].reshape(-1) for KVt in self._products] + [self._nonfinite[b]])
-            for b in np.flatnonzero(members)
-        ]
+    def nonfinite(self, members: NDArray[np.bool_] | slice) -> NDArray[np.int64]:
+        """The NaN or infinite entries in every product so far, per member a mask picks."""
+        if self._uncounted is not None:
+            rows = self._uncounted.reshape(len(self.trace), -1)
+            self._nonfinite += np.count_nonzero(~np.isfinite(rows), axis=1)
+            self._uncounted = None
+        return self._nonfinite[members]
 
 
 def _as_operator(K: NDArray[np.float64] | GramOperator | MatrixFreeOperator):
@@ -174,33 +151,33 @@ class SpdFactor:
     """Factorizations of A_b = K_b + shift*I for a matrix K or each member of a stack.
 
     K is symmetric n x n or a stack (B, n, n) of symmetric members, as
-    an array or a data operator (GramOperator, MatrixFreeOperator), and
-    is never written to; a single matrix is a stack of one. low_rank
-    gives K_b ~ L_b L_b': for a matrix its L or None, for a stack one
-    L_b or None per member, or one (B, n, r) array. A member starts on
-    the Woodbury rung, A_b^-1 B ~ (B - L_b (shift*I_r + L_b'L_b)^-1 L_b'B)
-    / shift, when its L_b is given and the r x r inner matrix factors; it
-    then holds no n x n array. Every other member is dense: K + shift*I
-    is formed once for all of them in a fresh C-ordered array, and each
-    A_b is Cholesky-factored in place through its F-contiguous
-    transposed view, whose lower triangle is A_b's upper one. Each solve
-    checks every column of every member against A_b,
-    ||A_b x - b|| <= 1e-8 ||b||, with K X from the operator's product:
-    from K's upper triangle (_symmetric_product), or from the points with
-    no n x n array at all. A Woodbury solution is refined from its factor
-    by LAPACK dporfs' rule (Higham 2002, ch. 12), each step shrinking its
-    error by about ||K_b - L_b L_b'|| / shift: while its residual is above
-    n * eps * ||b|| and the last step at least halved it, at most
-    MAX_REFINEMENTS steps. Kept once it stops converging, at its rounding
-    floor; one still converging after the last step, or failing the
-    check, climbs to the dense rung. A member whose dense factor or check
-    fails, fails alone; with shift > 0 the dense factor exists. K is taken as
-    symmetric, and only its diagonal and upper triangle are read; a
-    MatrixFreeOperator assembles them only for a member that goes dense.
+    an array or a data operator, and is never written to; a single
+    matrix is a stack of one. low_rank gives K_b ~ L_b L_b': for a
+    matrix its L or None, for a stack one L_b or None per member, or one
+    (B, n, r) array. A member's rung is fixed here. With shift > 0, one
+    whose L_b is given and whose r x r inner matrix factors is on the
+    Woodbury rung and holds no n x n array:
+    A_b^-1 B ~ M_b^-1 B = (B - L_b (shift*I_r + L_b'L_b)^-1 L_b'B) / shift.
+    Every other member of a Gram is dense: K + shift*I is formed once
+    for all of them in a fresh C-ordered array, and each A_b is
+    Cholesky-factored in place through its F-contiguous transposed view,
+    whose lower triangle is A_b's upper one; a Gram-free member has no
+    dense rung.
+
+    A Woodbury solution above the rounding floor n * eps * ||b|| is
+    finished by conjugate gradients preconditioned by M_b, one product
+    by K per step for the whole stack, each column stopping at the floor
+    or after CG's bound on its steps,
+    ceil(sqrt(kappa) / 2 * ln(2 sqrt(kappa (1 + tr K_b / shift)) / (n eps))),
+    where kappa = 1 + tr E_b / shift bounds the condition number of
+    M_b^-1 A_b, as E_b = K_b - L_b L_b' >= 0. Every solution is then
+    checked with a fresh product K X, ||A_b x - b|| <= 1e-8 ||b||. A
+    member with no factor, or whose check fails, fails alone. Only K's
+    diagonal and upper triangle are read.
 
     Raises:
         NotPositiveDefiniteError: At construction, for a single matrix
-            whose dense Cholesky fails.
+            with no factor.
     """
 
     def __init__(
@@ -217,7 +194,7 @@ class SpdFactor:
         self._members_by_n = (members, self.K.shape[-1])
         # Per member: its L_b while on the Woodbury rung, the Cholesky
         # factor it solves through (of the inner matrix or of A_b), and
-        # the error that failed its dense factor.
+        # the error that leaves it with no factor.
         if low_rank is None:
             self._low_rank = [None] * members
         else:
@@ -225,32 +202,32 @@ class SpdFactor:
         self._factors: list[tuple[NDArray[np.float64], bool] | None] = [None] * members
         self._errors: list[np.linalg.LinAlgError | None] = [None] * members
         for b, L in enumerate(self._low_rank):
-            if L is None:
-                continue
-            inner = L.T @ L
-            inner.flat[:: inner.shape[0] + 1] += shift
-            try:
-                self._factors[b] = _cho_factor(inner)
-            except np.linalg.LinAlgError:
-                self._low_rank[b] = None
-        self._factor_dense([b for b in range(members) if self._low_rank[b] is None])
+            if L is not None and shift > 0:
+                inner = L.T @ L
+                inner.flat[:: inner.shape[0] + 1] += shift
+                try:
+                    self._factors[b] = _cho_factor(inner)
+                    continue
+                except np.linalg.LinAlgError as exc:
+                    self._errors[b] = exc
+            self._low_rank[b] = None
+        dense = [b for b in range(members) if self._low_rank[b] is None]
+        if not isinstance(self.K, GramOperator):
+            for b in dense:
+                no_factor = NotPositiveDefiniteError("no Woodbury factor, and no Gram to factor")
+                self._errors[b] = self._errors[b] or no_factor
+        elif dense:
+            # A fresh C-ordered array: each A_b's transpose is F-contiguous,
+            # so cho_factor factors it in place and never writes into K.
+            A = self.K.dense(dense)
+            A.reshape(len(dense), -1)[:, :: A.shape[-1] + 1] += shift
+            for b, Ab in zip(dense, A):
+                try:
+                    self._factors[b], self._errors[b] = _cho_factor(Ab.T), None
+                except np.linalg.LinAlgError as exc:
+                    self._errors[b] = exc
         if single and self._errors[0] is not None:
             raise self._errors[0]
-
-    def _factor_dense(self, members: list[int]) -> None:
-        """Factors A_b densely for each b in members, or records the error that fails it."""
-        if not members:
-            return
-        # A fresh C-ordered array: each A_b's transpose is F-contiguous,
-        # so cho_factor factors it in place and never writes into K.
-        A = self.K.dense(members)
-        A.reshape(len(members), -1)[:, :: A.shape[-1] + 1] += self.shift
-        for b, Ab in zip(members, A):
-            self._low_rank[b] = None
-            try:
-                self._factors[b] = _cho_factor(Ab.T)
-            except np.linalg.LinAlgError as exc:
-                self._errors[b] = exc
 
     def solve_with_product(
         self, B: NDArray[np.float64]
@@ -259,7 +236,7 @@ class SpdFactor:
 
         B is a vector (n,) or matrix (n, k) for a single matrix, (B, n, k)
         for a stack, and is not written to; X and K X have its shape. K X
-        is the product the accepted solution was checked with. The list
+        is the fresh product the returned X was checked with. The list
         of failures holds one entry per member: None, or the
         np.linalg.LinAlgError (NotPositiveDefiniteError) that failed it,
         whose rows of X and K X hold no solution.
@@ -279,56 +256,75 @@ class SpdFactor:
         # contiguous rows that the data operator multiplies by K_b.
         Bt = Bs.transpose(0, 2, 1)
         Xt = np.array(Bt, order="C")
-        # Each member's column norms, as (k, B) arrays.
-        norm_b = _column_norms(Bt.T)
-        # A residual within n * eps * ||b|| is at a dense solve's rounding.
+        for b in (b for b, error in enumerate(errors) if error is None):
+            self._solve_in_place(b, Xt[b].T)
+        KXt = self.K.product(Xt)
+        residual = self.shift * Xt + KXt - Bt
+        # Each member's column norms, (B, k).
+        norms, norm_b = _norms(residual), _norms(Bt)
+        # A residual within n * eps * ||b|| is at a dense solve's rounding;
+        # one above it (a NaN is not) on the Woodbury rung takes CG steps.
         rounding = self._members_by_n[1] * np.finfo(np.float64).eps * norm_b
-        # Per refined member: its steps and its residual norms before the last one.
-        refined: dict[int, tuple[int, NDArray[np.float64]]] = {}
-        todo = [b for b, error in enumerate(errors) if error is None]
-        while True:
-            for b in todo:
-                self._solve_in_place(b, Xt[b].T)
-            KXt = self.K.product(Xt)
-            residual = self.shift * Xt
-            residual += KXt
-            residual -= Bt
-            norms = _column_norms(residual.T)
-            passed = np.all(norms <= 1e-8 * norm_b, axis=0)
-            todo, climbing, refining = [], [], []
-            # Written so that a NaN residual is visited, and fails.
-            for b in np.flatnonzero(~np.all(norms <= rounding, axis=0)):
-                if errors[b] is not None:
-                    continue
-                steps, before = refined.get(b, (0, np.inf))
-                done = norms[:, b] <= rounding[:, b]
-                converging = np.all(done | (norms[:, b] <= 0.5 * before))
-                woodbury = self._low_rank[b] is not None
-                if woodbury and converging and steps < MAX_REFINEMENTS:
-                    # X_b -= A_b^-1 (A_b X_b - B_b) from the same factor, checked again.
-                    refined[b] = steps + 1, norms[:, b]
-                    correction = residual[b]
-                    self._solve_in_place(b, correction.T)
-                    Xt[b] -= correction
-                    refining.append(b)
-                elif woodbury and (converging or not passed[b]):
-                    climbing.append(b)
-                elif not passed[b]:
-                    errors[b] = NotPositiveDefiniteError(_FAILED_CHECK)
-            # A climbing member is solved again from B on its dense factor.
-            self._factor_dense(climbing)
-            for b in climbing:
-                errors[b] = self._errors[b]
-                if errors[b] is None:
-                    todo.append(b)
-                    Xt[b] = Bt[b]
-            if not todo and not refining:
-                break
+        finish = np.array([L is not None for L in self._low_rank]) & np.any(norms > rounding, axis=1)
+        if finish.any():
+            self._conjugate_gradients(Xt, np.negative(residual, out=residual), rounding, finish)
+            KXt[finish] = self.K.product(Xt)[finish]
+            norms = _norms(self.shift * Xt + KXt - Bt)
+        # Written so that a NaN residual fails.
+        for b in np.flatnonzero(~np.all(norms <= 1e-8 * norm_b, axis=1)):
+            failed = NotPositiveDefiniteError("Cholesky solution fails its residual check")
+            errors[b] = errors[b] or failed
         X, KX = Xt.transpose(0, 2, 1), KXt.transpose(0, 2, 1)
         return X.reshape(B.shape), KX.reshape(B.shape), errors
 
+    def _conjugate_gradients(
+        self, Xt: NDArray, R: NDArray, rounding: NDArray, members: NDArray[np.bool_]
+    ) -> None:
+        """Finishes the Woodbury solutions in Xt of the members a mask picks by CG, in place.
+
+        Xt and its residual R = B - A X, which is overwritten, are
+        (B, k, n) and rounding is (B, k); no other member's entry moves.
+        """
+        picked = np.flatnonzero(members)
+
+        def precondition(R: NDArray[np.float64]) -> NDArray[np.float64]:
+            Z = R.copy()
+            for b in picked:
+                self._solve_in_place(b, Z[b].T)
+            return Z
+
+        n, shift = self._members_by_n[1], self.shift
+        # tr E_b = tr K_b - ||L_b||_F^2, a bound only where E_b >= 0.
+        trace = self.K.trace[picked]
+        low_rank = [self._low_rank[b] for b in picked]
+        defect = trace - [np.einsum("ij,ij->", L, L) for L in low_rank]
+        kappa = 1.0 + np.maximum(defect, 0.0) / shift
+        reach = 2.0 * np.sqrt(kappa * (1.0 + trace / shift)) / (n * np.finfo(np.float64).eps)
+        steps = np.zeros(len(members), dtype=np.int64)
+        steps[picked] = np.ceil(0.5 * np.sqrt(kappa) * np.log(reach))
+        P = precondition(R)
+        rz = np.vecdot(R, P)
+        active = (_norms(R) > rounding) & members[:, None]
+        for step in range(steps.max()):
+            active &= step < steps[:, None]
+            if not active.any():
+                break
+            P[~active] = 0.0
+            # A P = K P + shift * P, with the product left as formed.
+            KP = self.K.product(P)
+            pAp = np.vecdot(P, KP) + shift * np.vecdot(P, P)
+            alpha = np.divide(rz, pAp, out=np.zeros(rz.shape), where=active)
+            np.add(Xt, alpha[..., None] * P, out=Xt, where=active[..., None])
+            R -= alpha[..., None] * KP
+            R -= (shift * alpha)[..., None] * P
+            active &= _norms(R) > rounding
+            Z = precondition(R)
+            rz, before = np.vecdot(R, Z), rz
+            Z += np.divide(rz, before, out=np.zeros(rz.shape), where=active)[..., None] * P
+            P = Z
+
     def _solve_in_place(self, b: int, X: NDArray[np.float64]) -> None:
-        """Overwrites an F-contiguous (n, k) X with A_b^-1 X on member b's current rung."""
+        """Overwrites an F-contiguous (n, k) X with A_b^-1 X, or M_b^-1 X on the Woodbury rung."""
         L = self._low_rank[b]
         if L is None:
             _cho_solve(self._factors[b], X, overwrite_b=True)
@@ -344,8 +340,8 @@ class SpdFactor:
 
         Raises:
             ValueError: If B's shape does not match K's.
-            NotPositiveDefiniteError: If a member's dense Cholesky fails or
-                its solution fails the check.
+            NotPositiveDefiniteError: If a member has no factor or its
+                solution fails the check.
         """
         X, _, errors = self.solve_with_product(B)
         for error in errors:
@@ -414,9 +410,9 @@ def _symmetric_product(K: NDArray[np.float64], Vt: NDArray[np.float64]) -> NDArr
     return out
 
 
-def _column_norms(X: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The Euclidean norm of each column of X (n, ...): the sum over its first axis."""
-    return np.sqrt(np.einsum("i...,i...->...", X, X))
+def _norms(Vt: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The Euclidean norm of each row of Vt_b, a (B, k, n) stack: (B, k)."""
+    return np.sqrt(np.vecdot(Vt, Vt))
 
 
 def solve_spd(A: NDArray[np.float64], B: NDArray[np.float64]) -> NDArray[np.float64]:

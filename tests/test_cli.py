@@ -410,6 +410,29 @@ def test_run_at_large_n_factors_no_n_by_n_matrix(tmp_path, cho_factor_calls):
     assert cho_factor_calls and all(shape[0] < 800 for shape in cho_factor_calls)
 
 
+def test_run_of_the_canonical_scenario_at_small_lam_exits_0(tmp_path, capsys):
+    # n = 800 at lam 1e-8, base seed 1: every replication's Woodbury solve
+    # passes its check against a fresh product.
+    cfg = _base_config(tmp_path / "out", ns=[800], R=10, emit_plots=False)
+    cfg["lambda_rule"] = {"kind": "fixed", "value": 1e-8}
+    cfg["scenario"].update(grid_m=256, base_seed=1)
+    assert main(["run", _write_config(tmp_path, cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_memory_error_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # An allocation the machine cannot hold ends the run with exit 5 and
+    # one line, never a traceback.
+    reason = "Unable to allocate 6.71 GiB for an array with shape (30000, 30000)"
+
+    def out_of_memory(scenario, n, lam, R):
+        raise MemoryError(reason)
+
+    monkeypatch.setattr(cli, "monte_carlo", out_of_memory)
+    assert main(["run", _write_config(tmp_path, _base_config(tmp_path / "out"))]) == 5
+    assert capsys.readouterr().err == f"error: out of memory: {reason}\n"
+
+
 def test_run_on_a_graded_truncated_gaussian_grid(tmp_path, capsys):
     # Scale 0.05 on [0, 1] grades the 256 quadrature weights down to about
     # 1e-25; the grid solve must hold its node identity there.

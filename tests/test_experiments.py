@@ -323,8 +323,8 @@ SIDES = ("below-woodbury", "woodbury", "chunk-181", "alone-182", "small")
     side=st.sampled_from(SIDES),
     small_n=st.integers(2, 60),
 )
-# The Laplace spectrum on 32 nodes has not decayed: the Woodbury solve,
-# refined until it stops converging, fails its check and climbs.
+# The Laplace spectrum on 32 nodes has not decayed: _ridge_factor's trace
+# rule sends the member straight to the dense rung.
 @example(
     design="unit-interval", family="laplace", bandwidth=0.25, fine_grid=False, coarse_m=32,
     noise="homoscedastic", w0="sin2pi", lam=0.2, index=0, side="woodbury", small_n=2,
@@ -643,67 +643,71 @@ def test_monte_carlo_at_n_800_runs_gram_free_chunks_of_five(monkeypatch):
     assert len(successes) == 24 and failed == []
 
 
-def test_a_gram_free_member_that_climbs_is_the_dense_rung_bit_for_bit(cho_factor_calls):
+def test_a_gram_free_member_off_its_nystrom_factor_builds_no_gram(cho_factor_calls):
     # A Gram-free chunk at n = 800 builds no Gram. Its member handed a
-    # Nystrom factor 1% off has a Woodbury solution that, refined until
-    # its steps run out, still misses K and climbs: only then does the
-    # operator assemble gram(X_b, upper=True), for that member's points
-    # alone, so its dense factor and solution are those of the dense rung
-    # bit for bit, and the other members stay on the Woodbury rung. The
-    # checks' products K X come from the Taylor transform, within
-    # n eps sum |x| of BLAS's, the rounding bound of BLAS's own sums.
-    # The member climbs alone (a replication run alone) and in the middle
-    # of a chunk of three.
+    # Nystrom factor 1% off has a Woodbury solution that misses K; it is
+    # finished by conjugate gradients on its own r x r factor, to within
+    # 1e-12 of the dense solve, with no n x n array: the operator has no
+    # Gram to assemble. The other members keep the bits of a chunk with no
+    # corrupted member. The checks' products K X come from the Taylor
+    # transform, within n eps sum |x| of BLAS's, the rounding bound of
+    # BLAS's own sums. The member is run alone and in the middle of a
+    # chunk of three.
     n, lam = 800, 0.2
     kernel, op = CANON.kernel, exp._design_context(CANON).op
     eps = np.finfo(np.float64).eps
-    for size, climbing in ((1, 0), (3, 1)):
+
+    def no_gram(points):
+        raise AssertionError("a Gram-free operator assembled a Gram")
+
+    for size, corrupted in ((1, 0), (3, 1)):
         xs = np.stack([sample_dataset(CANON, n, i, lambda_key=lam).xs for i in range(size)])
         L = np.stack([op.at_points(x, op.nystrom_coefficients(n)) for x in xs])
-        L[climbing] *= 1.01
         B = np.random.default_rng(25).standard_normal((size, n, 2))
-        grams = []
-
-        def assemble(points):
-            grams.append(gram(kernel, points, upper=True))
-            return grams[-1]
-
-        free, _ = _data_operator(kernel, xs, True, assemble)
-        assert isinstance(free, linalg.MatrixFreeOperator) and grams == []
+        free, _ = _data_operator(kernel, xs, True, no_gram)
+        assert isinstance(free, linalg.MatrixFreeOperator)
+        X, KX, _ = _ridge_factor(free, n * lam, L).solve_with_product(B)
+        L[corrupted] *= 1.01
+        free, _ = _data_operator(kernel, xs, True, no_gram)
         cho_factor_calls.clear()
-        X, KX, errors = _ridge_factor(free, n * lam, L).solve_with_product(B)
+        got_X, got_KX, errors = _ridge_factor(free, n * lam, L).solve_with_product(B)
         r = L.shape[-1]
-        assert errors == [None] * size and cho_factor_calls == [(r, r)] * size + [(n, n)]
-        # The one Gram assembled, now factored in place, is the climbing member's.
-        assert [K.shape for K in grams] == [(1, n, n)]
-        dense = gram(kernel, xs[climbing], upper=True)
-        dense_X, dense_KX, _ = _ridge_factor(dense, n * lam).solve_with_product(B[climbing])
-        assert np.array_equal(X[climbing], dense_X)
-        atol = n * eps * np.abs(dense_X).sum(axis=0).max()
-        np.testing.assert_allclose(KX[climbing], dense_KX, rtol=0, atol=atol)
+        assert errors == [None] * size and cho_factor_calls == [(r, r)] * size
+        dense = gram(kernel, xs[corrupted])
+        dense_X = np.linalg.solve(dense + n * lam * np.eye(n), B[corrupted])
+        gap = np.linalg.norm(got_X[corrupted] - dense_X, axis=0)
+        assert np.all(gap <= 1e-12 * np.linalg.norm(dense_X, axis=0))
+        atol = n * eps * np.abs(got_X[corrupted]).sum(axis=0).max()
+        np.testing.assert_allclose(got_KX[corrupted], dense @ got_X[corrupted], rtol=0, atol=atol)
+        for b in set(range(size)) - {corrupted}:
+            assert np.array_equal(got_X[b], X[b]) and np.array_equal(got_KX[b], KX[b])
 
 
-def test_a_nan_in_the_gram_a_gram_free_member_climbs_to_stops_the_run(monkeypatch):
-    # The Gram-free member at n = 800, handed a Nystrom factor 1% off,
-    # climbs and only then assembles its Gram. A NaN planted there fails
-    # its dense solve; the non-finite scan reads what the operator formed,
-    # that Gram's non-finite entries too, so the run stops.
-    orig_factor, orig_gram = exp._ridge_factor, exp.gram
-
-    def nan_gram(spec, xs, **kwargs):
-        K = orig_gram(spec, xs, **kwargs)
-        K[0, 4, 5] = np.nan
-        return K
-
+@pytest.mark.parametrize("n, indices", [(3200, [0, 1]), (30000, [0])])
+def test_a_coarse_grid_at_small_lam_stays_gram_free(monkeypatch, n, indices):
+    # On an 8-node grid (r = 8) at lam 1e-4 the Nystrom defect is about a
+    # tenth of the shift, so each Woodbury solution takes a few conjugate
+    # gradient steps, one product each. No Gram is built, for a chunk of
+    # two at n = 3200 or one replication at n = 3e4, where one n x n
+    # array takes 7.2 GB: the chunk holds a budget of 128 values per
+    # point, against n per point for one n x n array.
+    scenario = dataclasses.replace(CANON, grid_m=8)
+    lam = 1e-4
+    run_replication(scenario, 400, lam, [2, 3])
+    grams = _count_calls(monkeypatch, exp, "gram")
+    products = []
+    orig = linalg.MatrixFreeOperator.product
     monkeypatch.setattr(
-        exp, "_ridge_factor", lambda K, lam, low_rank=None: orig_factor(K, lam, 1.01 * low_rank)
+        linalg.MatrixFreeOperator, "product", lambda K, Vt: products.append(1) or orig(K, Vt)
     )
-    monkeypatch.setattr(exp, "gram", nan_gram)
-    # The planted entry, and the 2 n values of the dense check's product K X it spoils.
-    message = "non-finite data Gram at n=800, replication 0: NaN or infinite entries: 1601"
-    with pytest.raises(ArithmeticError) as raised:
-        run_replication(CANON, 800, 0.2, 0)
-    assert str(raised.value) == message
+    tracemalloc.start()
+    results = run_replication(scenario, n, lam, indices)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert exp._design_context(scenario).op.rank == 8
+    assert grams == [] and len(products) > 2
+    assert all(isinstance(metrics, exp.ReplicationMetrics) for metrics in results)
+    assert peak <= 8 * 128 * len(indices) * n
 
 
 def test_monte_carlo_runs_a_partial_last_chunk():

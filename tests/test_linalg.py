@@ -125,8 +125,8 @@ def test_factor_stack_solves_each_member(cho_factor_calls, woodbury):
 
 @pytest.mark.parametrize("woodbury", [False, True], ids=["dense", "woodbury"])
 def test_a_nan_right_hand_side_fails_its_member_alone(woodbury):
-    # A NaN residual fails the check on either rung, after the Woodbury
-    # member's refinement and climb; the other members are solved.
+    # A NaN residual fails the check on either rung; the other members
+    # are solved.
     K, rhs = _gram_stack(33)
     rhs[2, 0, 1] = np.nan
     low_rank = [_dpstrf_factor(Kb) for Kb in K] if woodbury else None
@@ -245,53 +245,45 @@ def test_woodbury_rung_solves_without_a_dense_factor(cho_factor_calls):
     assert peak < 0.25 * K.nbytes
 
 
-def test_corrupted_low_rank_form_climbs_to_the_dense_rung(cho_factor_calls):
-    # A factor of a different matrix factors fine on the Woodbury rung,
-    # but its solutions fail the per-column check against A itself, so
-    # the solve climbs to the dense Cholesky of A and returns A^-1 B.
-    K = _smooth_gram(300)
-    n, lam = K.shape[0], 0.1
-    A = n * lam * np.eye(n) + K
-    L = _dpstrf_factor(K)
-    factor = SpdFactor(K, shift=n * lam, low_rank=1.01 * L)
-    B = np.random.default_rng(16).standard_normal((n, 2))
-    _assert_columns_close(factor.solve(B), np.linalg.solve(A, B), 1e-12)
-    assert cho_factor_calls == [(L.shape[1], L.shape[1]), (n, n)]
-
-
 @pytest.mark.parametrize(
-    "scale, products, climbs",
-    [(1.0, 1, False), (1 + 1e-9, 2, False), (1 + 1e-6, 3, False), (1.01, 7, True)],
+    "scale, products, unfinished_fails",
+    [(1.0, 1, False), (1 + 1e-9, 3, False), (1 + 1e-6, 4, True), (1.01, 7, True)],
 )
 def test_a_woodbury_solve_is_refined_to_its_rounding_floor(
-    monkeypatch, cho_factor_calls, scale, products, climbs
+    monkeypatch, cho_factor_calls, scale, products, unfinished_fails
 ):
     # An exact low-rank form solves to rounding, n * eps * ||b||, checked
-    # with one product by K. A slightly wrong one passes the 1e-8 check
-    # but not rounding: refinement steps from the same r x r factor, one
-    # product each, bring it to the dense solve's accuracy, more steps
-    # the farther off it is. A form 1% off still converges, by about a
-    # sixth per step, but is not done after MAX_REFINEMENTS steps, so it
-    # climbs and is checked once more on the dense rung.
-    assert linalg.MAX_REFINEMENTS == 5
+    # with one product by K. A wrong one is finished by conjugate
+    # gradients on the same r x r factor, one product per step, and
+    # checked with one fresh product, to the dense solve's accuracy: more
+    # steps the farther off it is. A form 1e-6 or 1% off (the latter a
+    # factor of a different matrix) has a Woodbury solution that alone
+    # fails the 1e-8 check. No n x n matrix is factored.
     K = _smooth_gram(300)
     n, shift = K.shape[0], 3.0
     L = scale * _dpstrf_factor(K)
     B = np.random.default_rng(24).standard_normal((n, 2))
+    unfinished = (B - L @ np.linalg.solve(L.T @ L + shift * np.eye(L.shape[1]), L.T @ B)) / shift
+    residual = np.linalg.norm(K @ unfinished + shift * unfinished - B, axis=0)
+    assert np.any(residual > 1e-8 * np.linalg.norm(B, axis=0)) == unfinished_fails
     calls = []
     orig = linalg._symmetric_product
     monkeypatch.setattr(linalg, "_symmetric_product", lambda K, Vt: calls.append(1) or orig(K, Vt))
-    X = SpdFactor(K, shift, L).solve(B)
+    X, KX, errors = SpdFactor(K, shift, L).solve_with_product(B)
+    assert errors == [None]
     _assert_columns_close(X, np.linalg.solve(K + shift * np.eye(n), B), 1e-12)
     r = L.shape[1]
-    assert cho_factor_calls == [(r, r)] + [(n, n)] * climbs
+    assert cho_factor_calls == [(r, r)]
     assert len(calls) == products
+    # The K X handed back is a fresh product of the X handed back.
+    assert np.array_equal(KX, orig(K[None], X.T[None])[0].T)
 
 
-def test_a_corrupted_member_climbs_alone(cho_factor_calls):
+def test_a_corrupted_member_is_finished_alone(cho_factor_calls):
     # Three Woodbury members, the second with a low-rank form of a
-    # different matrix: only it climbs to its dense factor, and the
-    # other two keep the bits of a stack with no corrupted member.
+    # different matrix: conjugate gradients finish it to the dense
+    # solve's accuracy with no dense factor, and the other two keep the
+    # bits of a stack with no corrupted member.
     K = np.stack([_smooth_gram(300, seed) for seed in (14, 15, 16)])
     n, shift = K.shape[-1], 30.0
     low_rank = [_dpstrf_factor(Kb) for Kb in K]
@@ -301,8 +293,9 @@ def test_a_corrupted_member_climbs_alone(cho_factor_calls):
     corrupted = [low_rank[0], 1.01 * low_rank[1], low_rank[2]]
     got_X, got_KX, errors = SpdFactor(K, shift, corrupted).solve_with_product(rhs)
     assert errors == [None] * 3
-    assert [shape for shape in cho_factor_calls if shape == (n, n)] == [(n, n)]
+    assert cho_factor_calls == [(L.shape[1],) * 2 for L in low_rank]
     _assert_columns_close(got_X[1], np.linalg.solve(K[1] + shift * np.eye(n), rhs[1]), 1e-12)
+    _assert_member_solves(got_X[1], got_KX[1], K[1], shift, rhs[1])
     for b in (0, 2):
         assert np.array_equal(got_X[b], X[b]) and np.array_equal(got_KX[b], KX[b])
 
@@ -463,7 +456,7 @@ def _upper_triangle_cases():
     return {
         "dense": (K, lambda K, _: solved(K)),
         "woodbury": (K, lambda K, _: solved(K, L)),
-        "climbing-woodbury": (K, lambda K, _: solved(K, 1.01 * L)),
+        "corrupted-woodbury": (K, lambda K, _: solved(K, 1.01 * L)),
         "stack-with-a-failing-member": (stack, lambda K, _: stack_solved(K)),
         "auxiliary-residuals": (stack, lambda K, _: auxiliary_residuals(fs, fl, K, 0.2)),
         "auxiliary-residuals-2d": (K[:30, :30], lambda K, _: auxiliary_residuals(fs[0], fl[0], K, 0.2)),
@@ -476,12 +469,13 @@ def _upper_triangle_cases():
 def test_consumers_of_a_gram_read_only_its_upper_triangle(monkeypatch, cho_factor_calls, case):
     # gram(..., upper=True) leaves the lower triangle 0 and the engine
     # hands such a K on: every consumer must give the full K's results
-    # with NaN below the diagonal. The climbing member factors densely.
+    # with NaN below the diagonal. The corrupted Woodbury member is
+    # finished by conjugate gradients, whose products read K too.
     K, run = _upper_triangle_cases()[case]
     expected = run(K, monkeypatch)
     got = run(_nan_below(K), monkeypatch)
     for value, reference in zip(got, expected):
         assert np.all(np.isfinite(value))
         np.testing.assert_allclose(value, reference, rtol=1e-12, atol=0)
-    if case == "climbing-woodbury":
-        assert (300, 300) in cho_factor_calls
+    if case == "corrupted-woodbury":
+        assert (300, 300) not in cho_factor_calls
