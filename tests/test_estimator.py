@@ -226,8 +226,8 @@ def test_low_rank_gp_band_matches_the_dense_band(cho_factor_calls, family):
 )
 def test_low_rank_ridge_factor_matches_the_dense_solve(cho_factor_calls, family, bandwidth):
     # Grid ranks 16, 56 and 32 sit far below n = 800 / 10, so the factor
-    # starts on the Woodbury rung on the grid's Nystrom factor, refined
-    # once against K, and never factors an n x n matrix.
+    # starts on the Woodbury rung on the grid's Nystrom factor, finished
+    # by conjugate gradients against K, and never factors an n x n matrix.
     kernel = KernelSpec(family, bandwidth, 1)
     rng = np.random.default_rng(20)
     data = _dataset(rng, 800)

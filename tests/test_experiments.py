@@ -683,29 +683,35 @@ def test_a_gram_free_member_off_its_nystrom_factor_builds_no_gram(cho_factor_cal
             assert np.array_equal(got_X[b], X[b]) and np.array_equal(got_KX[b], KX[b])
 
 
-@pytest.mark.parametrize("n, indices", [(3200, [0, 1]), (30000, [0])])
-def test_a_coarse_grid_at_small_lam_stays_gram_free(monkeypatch, n, indices):
-    # On an 8-node grid (r = 8) at lam 1e-4 the Nystrom defect is about a
-    # tenth of the shift, so each Woodbury solution takes a few conjugate
-    # gradient steps, one product each. No Gram is built, for a chunk of
-    # two at n = 3200 or one replication at n = 3e4, where one n x n
-    # array takes 7.2 GB: the chunk holds a budget of 128 values per
-    # point, against n per point for one n x n array.
+@pytest.mark.parametrize(
+    "n, indices, lam, products",
+    [(3200, [0, 1], 1e-4, 6), (3200, [0, 1], 1e-6, 8), (30000, [0], 1e-4, 6)],
+    ids=["chunk-3200", "chunk-3200-lam-1e-6", "alone-30000"],
+)
+def test_a_coarse_grid_at_small_lam_stays_gram_free(monkeypatch, n, indices, lam, products):
+    # On an 8-node grid (r = 8) the Nystrom defect is about a tenth of the
+    # shift at lam 1e-4 and ten times it at 1e-6, so each Woodbury
+    # solution is finished by conjugate gradients: the products are the
+    # auxiliary fit's, the first check's, one per step (3 and 5 steps;
+    # preconditioned steepest descent took 33 at 1e-6) and the fresh
+    # check's. No Gram is built, for a chunk of two at n = 3200 or one
+    # replication at n = 3e4, where one n x n array takes 7.2 GB: the
+    # chunk holds a budget of 128 values per point, against n per point
+    # for one n x n array.
     scenario = dataclasses.replace(CANON, grid_m=8)
-    lam = 1e-4
     run_replication(scenario, 400, lam, [2, 3])
     grams = _count_calls(monkeypatch, exp, "gram")
-    products = []
+    calls = []
     orig = linalg.MatrixFreeOperator.product
     monkeypatch.setattr(
-        linalg.MatrixFreeOperator, "product", lambda K, Vt: products.append(1) or orig(K, Vt)
+        linalg.MatrixFreeOperator, "product", lambda K, Vt: calls.append(1) or orig(K, Vt)
     )
     tracemalloc.start()
     results = run_replication(scenario, n, lam, indices)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert exp._design_context(scenario).op.rank == 8
-    assert grams == [] and len(products) > 2
+    assert grams == [] and len(calls) == products
     assert all(isinstance(metrics, exp.ReplicationMetrics) for metrics in results)
     assert peak <= 8 * 128 * len(indices) * n
 

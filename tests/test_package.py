@@ -683,7 +683,7 @@ def test_one_function_decides_gram_backed_or_gram_free():
     # kernels.taylor_transform, is not pinned here: kernel_apply and the
     # design context ask it too, for products of their own.
     for snippet, scope in (
-        ("op = MatrixFreeOperator((n, n), apply, assemble)", "<module>"),
+        ("op = MatrixFreeOperator((n, n), apply, trace)", "<module>"),
         ("def f(t, x):\n    return t.tables(x)", "f"),
         ("class C:\n    def f(self):\n        return linalg.MatrixFreeOperator(s, a, b)", "C.f"),
         ("def f(t, x):\n    if t.tables(x):\n        return 1", "f"),
