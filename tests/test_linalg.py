@@ -295,7 +295,6 @@ def test_a_corrupted_member_is_finished_alone(cho_factor_calls):
     got_X, got_KX, errors = SpdFactor(K, shift, corrupted).solve_with_product(rhs)
     assert errors == [None] * 3
     assert cho_factor_calls == [(L.shape[1],) * 2 for L in low_rank]
-    _assert_columns_close(got_X[1], np.linalg.solve(K[1] + shift * np.eye(n), rhs[1]), 1e-12)
     _assert_member_solves(got_X[1], got_KX[1], K[1], shift, rhs[1])
     for b in (0, 2):
         assert np.array_equal(got_X[b], X[b]) and np.array_equal(got_KX[b], KX[b])
