@@ -246,6 +246,21 @@ def test_woodbury_rung_solves_without_a_dense_factor(cho_factor_calls):
     assert peak < 0.25 * K.nbytes
 
 
+def test_corrupted_low_rank_form_climbs_to_the_dense_rung(cho_factor_calls):
+    # A factor of a different matrix factors fine on the Woodbury rung,
+    # but its solutions fail the per-column check against A itself.
+    # Conjugate gradients on the same r x r factor take them to the dense
+    # rung's accuracy, A^-1 B to 1e-12, without factoring A itself.
+    K = _smooth_gram(300)
+    n, lam = K.shape[0], 0.1
+    A = n * lam * np.eye(n) + K
+    L = _dpstrf_factor(K)
+    factor = SpdFactor(K, shift=n * lam, low_rank=1.01 * L)
+    B = np.random.default_rng(16).standard_normal((n, 2))
+    _assert_columns_close(factor.solve(B), np.linalg.solve(A, B), 1e-12)
+    assert cho_factor_calls == [(L.shape[1], L.shape[1])]
+
+
 @pytest.mark.parametrize(
     "scale, products, unfinished_fails",
     [(1.0, 1, False), (1 + 1e-9, 3, False), (1 + 1e-6, 4, True), (1.01, 7, True)],
